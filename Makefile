@@ -68,12 +68,14 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) run ./cmd/soichaos -seed 1 -requests 4000 -duration 30s -p 0.12 -sim 2
 
-# Seconds: the distributed-tracing gate — one traced request through an
+# Seconds: the distributed-tracing gate — the obs span model and its
+# single Chrome writer under -race, then one traced request through an
 # in-process router + two peer replicas must stitch into a single
 # Perfetto trace carrying router, replica queue/job/phase and peer-cache
 # spans, with an explain record whose phase times nest inside the run
 # wall. See DESIGN.md §14 and the Observability section of README.md.
 trace-smoke:
+	$(GO) test -race -run 'Test(Tracer|CaptureEmit|NilTracer|WriteSpans|StartSpan|TraceHub)' -count=1 ./internal/obs
 	$(GO) test -race -run 'TestTraceSmokeStitchesClusterTrace' -v -count=1 ./internal/cluster
 
 # ~30s: the multi-node campaign — an in-process soirouter fronting three

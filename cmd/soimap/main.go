@@ -258,7 +258,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if _, err := tracer.WriteTo(f); err != nil {
+		if err := obs.WriteSpans(f, tracer.Spans()); err != nil {
 			f.Close()
 			return err
 		}
@@ -266,7 +266,7 @@ func run() error {
 			return err
 		}
 		if !*jsonOut {
-			fmt.Printf("trace written to %s (%d events); load it at ui.perfetto.dev\n",
+			fmt.Printf("trace written to %s (%d spans); load it at ui.perfetto.dev\n",
 				*tracePath, tracer.Len())
 		}
 	}

@@ -27,9 +27,9 @@
 //	                   drain begins (routers use this to stop routing here)
 //	GET  /v1/cache     shared-cache-tier lookup: a peer replica's cached
 //	                   result for ?key=, 404 on miss (never computes)
-//	GET  /debug/vars   job/cache counters and latency histograms (expvar)
-//	GET  /metrics      Prometheus text format: the expvar surface plus
-//	                   aggregated DP-engine statistics per algorithm
+//	GET  /metrics      Prometheus text format, the only metric surface:
+//	                   job/cache counters and gauges, latency histograms
+//	                   and aggregated DP-engine statistics per algorithm
 //
 // With -state-dir, results and the job journal persist on disk: a
 // restarted replica re-serves finished jobs under their original ids,

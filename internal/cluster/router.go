@@ -67,9 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 2
 	}
-	if c.ReplicationFactor > len(c.Replicas) {
-		c.ReplicationFactor = len(c.Replicas)
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
@@ -150,9 +147,13 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("cluster: at least one replica is required")
 	}
+	ring := NewRing(cfg.Replicas, cfg.VNodes)
+	// The ring drops duplicate URLs, so the factor is capped by the
+	// distinct replicas: route slices the preference list at it.
+	cfg.ReplicationFactor = min(cfg.ReplicationFactor, len(ring.Replicas()))
 	rt := &Router{
 		cfg:       cfg,
-		ring:      NewRing(cfg.Replicas, cfg.VNodes),
+		ring:      ring,
 		byURL:     make(map[string]*replica, len(cfg.Replicas)),
 		logger:    cfg.Logger,
 		start:     time.Now(),

@@ -316,6 +316,18 @@ func TestRouterNonRetryableSurfacesImmediately(t *testing.T) {
 	}
 }
 
+// TestRouterDuplicateReplicaURLs: a replica listed twice (a config typo)
+// must still be routable — the ring holds two entries for one backend,
+// and a submission is answered, not failed with a 5xx.
+func TestRouterDuplicateReplicaURLs(t *testing.T) {
+	_, rep := newReplicaTS(t, service.Config{})
+	_, ts := newRouterTS(t, Config{Replicas: []string{rep.URL, rep.URL}})
+	code, v := postRouter(t, ts, `{"circuit": "mux"}`)
+	if code >= 500 || v.State != service.JobDone {
+		t.Fatalf("code %d, state %s (error %q); want a done answer", code, v.State, v.Error)
+	}
+}
+
 // TestRouterCoalescing: N concurrent identical sync submissions cross
 // the router as ONE upstream call. The fake upstream blocks until every
 // follower has attached, proving they coalesced rather than serialized.

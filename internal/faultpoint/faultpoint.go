@@ -44,7 +44,7 @@ const (
 	Cancel
 	// Flip fires only through the Flip method: it answers "invert this
 	// decision?" at behaviour-flip points such as the SOI stack-reorder
-	// rule (the generalization of mapper.SetFaultInvertSOIReorder).
+	// rule (mapper.PointInvertReorder).
 	Flip
 )
 

@@ -1,11 +1,8 @@
 package fuzz
 
 import (
-	"context"
 	"os"
 	"testing"
-
-	"soidomino/internal/mapper"
 )
 
 // TestGenerateFaultCorpus is the maintained tool for (re)seeding the
@@ -24,16 +21,13 @@ func TestGenerateFaultCorpus(t *testing.T) {
 	if os.Getenv("SOIFUZZ_GEN_CORPUS") == "" {
 		t.Skip("set SOIFUZZ_GEN_CORPUS=1 to regenerate the corpus")
 	}
-	prev := mapper.SetFaultInvertSOIReorder(true)
-	defer mapper.SetFaultInvertSOIReorder(prev)
-
 	cfg := faultConfig()
 	cfg.Cases = 400
 	cfg.CorpusDir = corpusDir
-	cfg.CorpusNote = "captured under mapper.SetFaultInvertSOIReorder(true); healthy mappers must pass it"
+	cfg.CorpusNote = "captured with mapper.PointInvertReorder armed (Flip, Prob 1); healthy mappers must pass it"
 	cfg.MaxCorpusEntries = 3
 	cfg.Logf = t.Logf
-	sum, err := New(cfg).Run(context.Background())
+	sum, err := New(cfg).Run(invertedReorder())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func crossTotal(c *Case) []Violation {
 // crossDisch checks T_disch(SOI) <= T_disch(RS) + DischEps per area grid
 // point: SOI orders stacks discharge-aware during the DP, so it must not
 // lose to RS_Map's post-hoc rearrangement. This is the oracle that
-// catches an inverted reorder rule (see mapper.SetFaultInvertSOIReorder).
+// catches an inverted reorder rule (see mapper.PointInvertReorder).
 func crossDisch(c *Case) []Violation {
 	var out []Violation
 	for _, v := range c.Variants {

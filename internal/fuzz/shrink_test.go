@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/report"
@@ -26,6 +27,16 @@ func faultConfig() Config {
 	return cfg
 }
 
+// invertedReorder returns a context whose runs all invert the SOI
+// stack-reordering rule: the mapper's Flip point armed at probability 1.
+// The fault lives on the context alone, so runs under any other context
+// stay healthy.
+func invertedReorder() context.Context {
+	reg := faultpoint.New(1)
+	reg.Arm(mapper.PointInvertReorder, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 1})
+	return faultpoint.With(context.Background(), reg)
+}
+
 // TestFaultInjectionCaughtAndShrunk is the acceptance demonstration for
 // the whole subsystem: deliberately invert the SOI stack-reordering rule
 // (the paper's core PBE-avoidance move), show that the differential
@@ -33,14 +44,12 @@ func faultConfig() Config {
 // oracle, and shrink the first failing network to a repro of at most 15
 // nodes that still fails.
 func TestFaultInjectionCaughtAndShrunk(t *testing.T) {
-	prev := mapper.SetFaultInvertSOIReorder(true)
-	defer mapper.SetFaultInvertSOIReorder(prev)
-
+	ctx := invertedReorder()
 	cfg := faultConfig()
 	cfg.Cases = 120
 	cfg.Workers = 4
 	e := New(cfg)
-	sum, err := e.Run(context.Background())
+	sum, err := e.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +62,7 @@ func TestFaultInjectionCaughtAndShrunk(t *testing.T) {
 	}
 
 	net := e.Config().CaseNetwork(v.Case)
-	shrunk := e.ShrinkFailure(context.Background(), net, v.Oracle)
+	shrunk := e.ShrinkFailure(ctx, net, v.Oracle)
 	t.Logf("shrunk case %d from %d to %d nodes", v.Case, net.Len(), shrunk.Len())
 	if shrunk.Len() > 15 {
 		t.Errorf("shrunk repro has %d nodes, want <= 15:\n%s", shrunk.Len(), shrunk.Dump())
@@ -63,7 +72,7 @@ func TestFaultInjectionCaughtAndShrunk(t *testing.T) {
 	}
 	// The shrunk repro must still fail the same oracle...
 	found := false
-	for _, sv := range e.CheckNetwork(context.Background(), shrunk) {
+	for _, sv := range e.CheckNetwork(ctx, shrunk) {
 		if sv.Oracle == v.Oracle {
 			found = true
 		}
@@ -71,12 +80,10 @@ func TestFaultInjectionCaughtAndShrunk(t *testing.T) {
 	if !found {
 		t.Fatal("shrunk network no longer reproduces the violation")
 	}
-	// ...and be perfectly healthy once the fault is removed.
-	mapper.SetFaultInvertSOIReorder(false)
+	// ...and be perfectly healthy under a context without the fault.
 	if vs := e.CheckNetwork(context.Background(), shrunk); len(vs) != 0 {
 		t.Fatalf("shrunk network fails healthy mappers: %v", vs)
 	}
-	mapper.SetFaultInvertSOIReorder(true) // restore for the deferred Swap
 }
 
 // TestShrinkPreservesSemantics drives the shrinker with a simple

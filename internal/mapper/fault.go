@@ -1,10 +1,6 @@
 package mapper
 
-import (
-	"sync/atomic"
-
-	"soidomino/internal/faultpoint"
-)
+import "soidomino/internal/faultpoint"
 
 // The mapper's declared fault points (see internal/faultpoint). They
 // are context-threaded: a run observes only the registry carried by its
@@ -19,32 +15,14 @@ var (
 	// tables are complete.
 	PointTraceback = faultpoint.Define("mapper.traceback",
 		"start of traceback, after the DP completes")
-	// PointInvertReorder is the Flip-kind generalization of
-	// SetFaultInvertSOIReorder: when it fires, one combine's SOI stack
-	// order is inverted. The result stays functionally correct and
-	// audit-clean but carries avoidable discharge devices — the bug
-	// class the fuzzer's metamorphic T_disch oracle exists to catch.
+	// PointInvertReorder is a Flip point: when it fires, one combine's
+	// SOI stack order is inverted — the operand the rule would put at
+	// the bottom goes to the top. The result stays functionally correct
+	// and audit-clean (traceback counts discharges from the tree it
+	// actually built) but buries parallel sections under series
+	// transistors and so carries avoidable discharge devices — the bug
+	// class the fuzzer's metamorphic T_disch(SOI) <= T_disch(RS) oracle
+	// exists to catch. Armed with Prob 1 it inverts every decision.
 	PointInvertReorder = faultpoint.Define("mapper.invert-soi-reorder",
 		"flip: invert one SOI stack-reorder decision")
 )
-
-// faultInvertSOIReorder, when set, inverts the SOI stack-reordering rule in
-// combineAnd: the operand the rule would put at the bottom goes to the top
-// instead. The resulting circuits are still functionally correct and pass
-// the structural audit (traceback counts discharges from the tree it
-// actually built), but they systematically bury parallel sections under
-// series transistors and so carry far more p-discharge devices than
-// RS_Map's rearranged trees. The differential fuzzer's metamorphic oracle
-// T_disch(SOI) <= T_disch(RS) exists to catch exactly this class of bug;
-// the hook lets tests prove that it does.
-var faultInvertSOIReorder atomic.Bool
-
-// SetFaultInvertSOIReorder enables or disables the deliberate SOI reorder
-// inversion and returns the previous setting. It exists only so fuzzing
-// tests can demonstrate end-to-end violation detection and shrinking;
-// production callers must never set it. New code should prefer arming
-// PointInvertReorder on a context-threaded faultpoint.Registry, which
-// scopes the inversion to one run instead of the whole process.
-func SetFaultInvertSOIReorder(on bool) (prev bool) {
-	return faultInvertSOIReorder.Swap(on)
-}

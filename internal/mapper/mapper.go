@@ -354,7 +354,7 @@ func (e *engine) combineAnd(a, b cand) tuple.Tuple {
 		default:
 			topIsA = a.t.PDis <= b.t.PDis // larger p_dis to the bottom
 		}
-		if faultInvertSOIReorder.Load() || e.faults.Flip(PointInvertReorder) {
+		if e.faults.Flip(PointInvertReorder) {
 			topIsA = !topIsA // test-only fault injection; see fault.go
 		}
 	case e.cfg.BaselineStackOrder == OrderHashed:
@@ -417,8 +417,8 @@ const combineCheckInterval = 1024
 type nodeCtx struct {
 	ctx      context.Context
 	stats    *obs.Stats
-	spans    []obs.PendingSpan // indexed by node id; nil = emit spans directly
-	combines int               // combine calls since the last checkpoint
+	spans    []obs.Span // indexed by node id; nil = emit spans directly
+	combines int        // combine calls since the last checkpoint
 }
 
 // process fills the DP tables (paper listing 2), dispatching on the

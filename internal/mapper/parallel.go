@@ -110,7 +110,7 @@ func (e *engine) processParallel(workers int) error {
 	)
 	remaining.Store(int64(n))
 	shards := make([]*obs.Stats, workers)
-	spanBufs := make([][]obs.PendingSpan, workers)
+	spanBufs := make([][]obs.Span, workers)
 	for w := 0; w < workers; w++ {
 		nc := &nodeCtx{ctx: ctx}
 		if e.stats != nil {
@@ -118,7 +118,7 @@ func (e *engine) processParallel(workers int) error {
 			shards[w] = nc.stats
 		}
 		if e.tracer != nil {
-			nc.spans = make([]obs.PendingSpan, n)
+			nc.spans = make([]obs.Span, n)
 			spanBufs[w] = nc.spans
 		}
 		wg.Add(1)

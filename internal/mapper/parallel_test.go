@@ -1,10 +1,9 @@
 package mapper
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"regexp"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -131,30 +130,31 @@ func TestParallelBudgetedParetoForcedSequential(t *testing.T) {
 }
 
 // TestParallelTraceSpansMatchSequential: per-worker span buffers are
-// stitched in node order, so the sequence of trace events (names, cats,
-// args — everything but wall-clock timestamps) is identical to a
-// sequential run's.
+// stitched in node order, so the recorded span sequence (names, cats,
+// args — everything but wall-clock times and span ids) is identical to
+// a sequential run's.
 func TestParallelTraceSpansMatchSequential(t *testing.T) {
 	n := unateBench(t, "b9")
-	spanSeq := func(workers int) string {
+	spanSeq := func(workers int) []obs.Span {
 		tr := obs.NewTracer(1)
 		opt := DefaultOptions()
 		opt.Workers = workers
 		if _, err := SOIDominoMapContext(obs.WithTracer(context.Background(), tr), n, opt); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+		spans := tr.Spans()
+		for i := range spans {
+			spans[i].StartUS, spans[i].DurUS, spans[i].SpanID = 0, 0, ""
 		}
-		// Drop the wall-clock fields; everything else must match.
-		re := regexp.MustCompile(`"(ts|dur)":\d+`)
-		return re.ReplaceAllString(buf.String(), `"$1":0`)
+		return spans
 	}
 	want := spanSeq(1)
+	if len(want) == 0 {
+		t.Fatal("sequential run recorded no spans")
+	}
 	for _, workers := range []int{2, 8} {
-		if got := spanSeq(workers); got != want {
-			t.Errorf("workers=%d: trace event sequence differs from sequential", workers)
+		if got := spanSeq(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: recorded span sequence differs from sequential", workers)
 		}
 	}
 }

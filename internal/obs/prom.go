@@ -14,7 +14,7 @@ import (
 // with Sample; the first error sticks and is returned by Err.
 //
 // The stdlib has no Prometheus client and this repo takes no
-// dependencies, so soimapd translates its expvar counters and histograms
+// dependencies, so soimapd renders its counters, gauges and histograms
 // through this writer at /metrics.
 type PromWriter struct {
 	w      io.Writer

@@ -1,59 +1,86 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"time"
 )
 
-// KV is one integer argument attached to a trace event. Chrome's trace
-// format allows arbitrary JSON args; the DP only ever attaches counters,
-// so a flat int pair keeps event recording allocation-light.
+// KV is one integer argument attached to a span. Chrome's trace format
+// allows arbitrary JSON args; the DP only ever attaches counters, so a
+// flat int pair keeps span recording allocation-light.
 type KV struct {
 	Key string
 	Val int64
 }
 
-// traceEvent is one Chrome trace-event record. Only "complete" (ph "X")
-// and "instant" (ph "i") events are emitted; timestamps and durations are
-// microseconds from the tracer's start, which is what Perfetto expects.
-type traceEvent struct {
-	name string
-	cat  string
-	ph   byte
-	ts   int64 // µs since tracer start
-	dur  int64 // µs, complete events only
-	args []KV
+// Span is one completed trace span with absolute wall-clock timestamps,
+// so spans recorded by different processes stitch into one timeline. It
+// is the only span type: a Tracer records it in-process, a TraceHub
+// retains it per trace id, WriteSpans renders it, and it is the wire
+// format of GET /v1/traces/{id}?raw=1 — the router fetches raw spans
+// from every replica and renders the union. Spans recorded outside a
+// distributed trace (the soimap CLI) leave the id fields empty. The zero
+// Span is inert: Tracer.Emit ignores it.
+type Span struct {
+	TraceID  string `json:"trace_id"`
+	SpanID   string `json:"span_id"`
+	ParentID string `json:"parent_id,omitempty"`
+	Process  string `json:"process"`
+	Cat      string `json:"cat"`
+	Name     string `json:"name"`
+	StartUS  int64  `json:"start_us"` // µs since the Unix epoch
+	DurUS    int64  `json:"dur_us"`
+	Args     []KV   `json:"args,omitempty"`
 }
 
-// Tracer records spans of one (or several sequential) mapping runs and
-// writes them as Chrome trace-event JSON, loadable at ui.perfetto.dev or
-// chrome://tracing. Recording methods are nil-receiver safe; a nil
-// *Tracer is the disabled tracer. The tracer is internally locked so the
-// daemon can share one across phases, but per-node DP events come from a
-// single goroutine in practice.
+// Tracer records the spans of one (or several sequential) mapping runs:
+// the report pipeline's and the mapper engine's phase spans, run
+// instants (zero-duration spans) and sampled per-node DP spans.
+// Recording methods are nil-receiver safe; a nil *Tracer is the disabled
+// tracer. The tracer is internally locked so the daemon can share one
+// across phases, but per-node DP spans come from a single goroutine in
+// practice (the parallel engine buffers them per worker, see Capture).
 type Tracer struct {
-	start  time.Time
 	sample int
+	// parent, when sampled, places every recorded span in a distributed
+	// trace: its trace id, a fresh span id, and parent under its span.
+	parent  TraceContext
+	process string
 
-	mu     sync.Mutex
-	events []traceEvent
+	mu    sync.Mutex
+	spans []Span
 }
 
 // NewTracer builds a tracer that records every sampleEvery-th per-node DP
-// event (1 or less records all of them). Phase spans and instants are
+// span (1 or less records all of them). Phase spans and instants are
 // never sampled away — a full trace of an MCNC-sized circuit is a few
-// thousand events, but the per-node firehose is what the knob bounds.
+// thousand spans, but the per-node firehose is what the knob bounds.
 func NewTracer(sampleEvery int) *Tracer {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
-	return &Tracer{start: time.Now(), sample: sampleEvery}
+	return &Tracer{sample: sampleEvery}
 }
 
-// SampleNode reports whether per-node events for node id should be
+// Tracer builds a tracer whose spans join the context's distributed
+// trace as children of its current span, stamped with the hub's process
+// name, ready for Add. A nil hub or an unsampled context returns the nil
+// (disabled) tracer.
+func (h *TraceHub) Tracer(ctx context.Context, sampleEvery int) *Tracer {
+	tc := TraceContextFrom(ctx)
+	if h == nil || !tc.Sampled || !tc.Valid() {
+		return nil
+	}
+	t := NewTracer(sampleEvery)
+	t.parent, t.process = tc, h.process
+	return t
+}
+
+// SampleNode reports whether per-node spans for node id should be
 // recorded under the sampling knob.
 func (t *Tracer) SampleNode(id int) bool {
 	return t != nil && (t.sample <= 1 || id%t.sample == 0)
@@ -70,156 +97,167 @@ func (t *Tracer) Now() time.Time {
 }
 
 // Span records a completed span from start to now. kv values are attached
-// as event args (shown in the Perfetto side panel).
+// as span args (shown in the Perfetto side panel).
 func (t *Tracer) Span(cat, name string, start time.Time, kv ...KV) {
-	if t == nil {
-		return
-	}
-	now := time.Now()
-	ev := traceEvent{
-		name: name,
-		cat:  cat,
-		ph:   'X',
-		ts:   start.Sub(t.start).Microseconds(),
-		dur:  now.Sub(start).Microseconds(),
-		args: kv,
-	}
-	if ev.ts < 0 {
-		ev.ts = 0
-	}
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
+	t.Emit(t.Capture(cat, name, start, kv...))
 }
 
-// PendingSpan is a completed span that has been measured but not yet
-// appended to the tracer's event buffer. The parallel DP engine captures
-// per-node spans into per-worker buffers and emits them in node order
-// after the pool drains, so a trace is byte-identical regardless of the
-// worker count. The zero PendingSpan is inert: Emit ignores it.
-type PendingSpan struct {
-	ev traceEvent
-	ok bool
-}
-
-// Capture measures a span from start to now and returns it without
-// recording it; pass the result to Emit to append it later. A nil tracer
-// returns the inert zero PendingSpan.
-func (t *Tracer) Capture(cat, name string, start time.Time, kv ...KV) PendingSpan {
-	if t == nil {
-		return PendingSpan{}
-	}
-	now := time.Now()
-	ev := traceEvent{
-		name: name,
-		cat:  cat,
-		ph:   'X',
-		ts:   start.Sub(t.start).Microseconds(),
-		dur:  now.Sub(start).Microseconds(),
-		args: kv,
-	}
-	if ev.ts < 0 {
-		ev.ts = 0
-	}
-	return PendingSpan{ev: ev, ok: true}
-}
-
-// Emit appends a captured span to the event buffer. Inert spans (from a
-// zero value, a nil tracer's Capture, or a sampled-out node) are ignored,
-// so callers can emit unconditionally.
-func (t *Tracer) Emit(p PendingSpan) {
-	if t == nil || !p.ok {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, p.ev)
-	t.mu.Unlock()
-}
-
-// Instant records a zero-duration marker event.
+// Instant records a zero-duration marker span.
 func (t *Tracer) Instant(cat, name string, kv ...KV) {
 	if t == nil {
 		return
 	}
-	ev := traceEvent{
-		name: name,
-		cat:  cat,
-		ph:   'i',
-		ts:   time.Since(t.start).Microseconds(),
-		args: kv,
+	now := time.Now()
+	t.Emit(t.span(cat, name, now, now, kv))
+}
+
+// Capture measures a span from start to now and returns it without
+// recording it; pass the result to Emit to append it later. The parallel
+// DP engine captures per-node spans into per-worker buffers and emits
+// them in node order after the pool drains, so the recorded sequence is
+// identical regardless of the worker count. A nil tracer returns the
+// inert zero Span.
+func (t *Tracer) Capture(cat, name string, start time.Time, kv ...KV) Span {
+	if t == nil {
+		return Span{}
+	}
+	return t.span(cat, name, start, time.Now(), kv)
+}
+
+func (t *Tracer) span(cat, name string, start, end time.Time, kv []KV) Span {
+	s := Span{
+		Process: t.process,
+		Cat:     cat,
+		Name:    name,
+		StartUS: start.UnixMicro(),
+		DurUS:   end.Sub(start).Microseconds(),
+		Args:    kv,
+	}
+	if t.parent.Sampled {
+		s.TraceID, s.SpanID, s.ParentID = t.parent.TraceID, NewSpanID(), t.parent.SpanID
+	}
+	return s
+}
+
+// Emit appends a captured span. Inert spans (the zero value, a nil
+// tracer's Capture, or a sampled-out node's buffer slot) are ignored, so
+// callers can emit unconditionally.
+func (t *Tracer) Emit(s Span) {
+	if t == nil || s.Name == "" {
+		return
 	}
 	t.mu.Lock()
-	t.events = append(t.events, ev)
+	t.spans = append(t.spans, s)
 	t.mu.Unlock()
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of recorded spans.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return len(t.spans)
 }
 
-// WriteTo renders the recorded events as a Chrome trace-event JSON object
-// ({"traceEvents": [...], "displayTimeUnit": "ms"}).
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
+// Spans returns a copy of the recorded spans in recording order (nil on
+// a nil tracer).
+func (t *Tracer) Spans() []Span {
 	if t == nil {
-		n, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n")
-		return int64(n), err
+		return nil
 	}
 	t.mu.Lock()
-	events := t.events
-	t.mu.Unlock()
-
-	var total int64
-	emit := func(s string) error {
-		n, err := io.WriteString(w, s)
-		total += int64(n)
-		return err
-	}
-	if err := emit(`{"traceEvents":[` + "\n"); err != nil {
-		return total, err
-	}
-	for i, ev := range events {
-		sep := ","
-		if i == len(events)-1 {
-			sep = ""
-		}
-		if err := emit(marshalEvent(ev) + sep + "\n"); err != nil {
-			return total, err
-		}
-	}
-	err := emit(`],"displayTimeUnit":"ms"}` + "\n")
-	return total, err
+	defer t.mu.Unlock()
+	return append([]Span(nil), t.spans...)
 }
 
-// marshalEvent renders one event. Hand-assembled from json-marshaled
-// fragments so arg order follows the recording order (a map would
-// alphabetize it).
-func marshalEvent(ev traceEvent) string {
-	name, _ := json.Marshal(ev.name)
-	cat, _ := json.Marshal(ev.cat)
-	s := fmt.Sprintf(`{"name":%s,"cat":%s,"ph":%q,"pid":1,"tid":1,"ts":%d`,
-		name, cat, string(ev.ph), ev.ts)
-	if ev.ph == 'X' {
-		s += fmt.Sprintf(`,"dur":%d`, ev.dur)
-	}
-	if ev.ph == 'i' {
-		s += `,"s":"g"` // global instant scope
-	}
-	if len(ev.args) > 0 {
-		s += `,"args":{`
-		for i, kv := range ev.args {
-			if i > 0 {
-				s += ","
-			}
-			k, _ := json.Marshal(kv.Key)
-			s += fmt.Sprintf(`%s:%d`, k, kv.Val)
+// chromeSpanEvent is the Chrome trace-event rendering of one Span.
+type chromeSpanEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	TS   int64          `json:"ts"`
+	Dur  int64          `json:"dur"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+type chromeMetaEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// WriteSpans renders spans — one CLI run's, or the union of several
+// processes' hubs for one trace id — as a Chrome trace-event JSON object,
+// loadable at ui.perfetto.dev or chrome://tracing. Each distinct Process
+// gets its own pid (assigned in sorted order, so the rendering is
+// deterministic for a fixed span set) with a process_name metadata
+// record unless the name is empty; spans sort stably by (pid, start,
+// span id). Timestamps stay absolute epoch-µs, which Perfetto
+// normalizes.
+func WriteSpans(w io.Writer, spans []Span) error {
+	procs := map[string]int{}
+	var names []string
+	for _, s := range spans {
+		if _, ok := procs[s.Process]; !ok {
+			procs[s.Process] = 0
+			names = append(names, s.Process)
 		}
-		s += "}"
 	}
-	return s + "}"
+	sort.Strings(names)
+	for i, n := range names {
+		procs[n] = i + 1
+	}
+
+	sorted := make([]Span, len(spans))
+	copy(sorted, spans)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		a, b := sorted[i], sorted[j]
+		if pa, pb := procs[a.Process], procs[b.Process]; pa != pb {
+			return pa < pb
+		}
+		if a.StartUS != b.StartUS {
+			return a.StartUS < b.StartUS
+		}
+		return a.SpanID < b.SpanID
+	})
+
+	events := make([]any, 0, len(sorted)+len(names))
+	for _, n := range names {
+		if n == "" {
+			continue
+		}
+		events = append(events, chromeMetaEvent{
+			Name: "process_name", Ph: "M", Pid: procs[n], Tid: 1,
+			Args: map[string]any{"name": n},
+		})
+	}
+	for _, s := range sorted {
+		args := make(map[string]any, len(s.Args)+2)
+		if s.SpanID != "" {
+			args["span_id"] = s.SpanID
+		}
+		if s.ParentID != "" {
+			args["parent_id"] = s.ParentID
+		}
+		for _, kv := range s.Args {
+			args[kv.Key] = kv.Val
+		}
+		events = append(events, chromeSpanEvent{
+			Name: s.Name, Cat: s.Cat, Ph: "X",
+			Pid: procs[s.Process], Tid: 1,
+			TS: s.StartUS, Dur: s.DurUS, Args: args,
+		})
+	}
+
+	doc := struct {
+		TraceEvents     []any  `json:"traceEvents"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+	}{TraceEvents: events, DisplayTimeUnit: "ms"}
+	return json.NewEncoder(w).Encode(doc)
 }

@@ -3,57 +3,80 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
 
-// chromeTrace mirrors the subset of the Chrome trace-event format the
-// tracer emits, for round-trip validation.
+// chromeTrace mirrors the subset of the Chrome trace-event format
+// WriteSpans emits, for round-trip validation.
 type chromeTrace struct {
 	TraceEvents []struct {
-		Name string           `json:"name"`
-		Cat  string           `json:"cat"`
-		Ph   string           `json:"ph"`
-		Pid  int              `json:"pid"`
-		Tid  int              `json:"tid"`
-		TS   int64            `json:"ts"`
-		Dur  *int64           `json:"dur"`
-		S    string           `json:"s"`
-		Args map[string]int64 `json:"args"`
+		Name string         `json:"name"`
+		Cat  string         `json:"cat"`
+		Ph   string         `json:"ph"`
+		Pid  int            `json:"pid"`
+		Tid  int            `json:"tid"`
+		TS   int64          `json:"ts"`
+		Dur  *int64         `json:"dur"`
+		Args map[string]any `json:"args"`
 	} `json:"traceEvents"`
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }
 
-func TestTracerWriteToIsValidChromeTrace(t *testing.T) {
-	tr := NewTracer(1)
-	start := tr.Now()
-	tr.Instant("mapper", "run", KV{"nodes", 42})
-	tr.Span("dp", "node 3 And", start, KV{"kept", 2}, KV{"cands_a", 5})
-
+// renderTrace renders the tracer's spans through WriteSpans and parses
+// the result back.
+func renderTrace(t *testing.T, tr *Tracer) chromeTrace {
+	t.Helper()
 	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	if err := WriteSpans(&buf, tr.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	var got chromeTrace
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatalf("trace output is not valid JSON: %v\n%s", err, buf.String())
 	}
+	if strings.Contains(buf.String(), `"span_id":""`) {
+		t.Errorf("empty span id rendered:\n%s", buf.String())
+	}
+	return got
+}
+
+// TestTracerSpansRenderAsChromeTrace: a CLI tracer's spans (no trace
+// context) render through WriteSpans as a valid Chrome trace with
+// absolute timestamps, the instant as a zero-duration span, recording
+// order kept, and no process metadata or empty span ids.
+func TestTracerSpansRenderAsChromeTrace(t *testing.T) {
+	before := time.Now().UnixMicro()
+	tr := NewTracer(1)
+	start := tr.Now()
+	tr.Instant("mapper", "run", KV{"nodes", 42})
+	tr.Span("dp", "node 3 And", start, KV{"kept", 2}, KV{"cands_a", 5})
+
+	got := renderTrace(t, tr)
 	if got.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q, want ms", got.DisplayTimeUnit)
 	}
 	if len(got.TraceEvents) != 2 {
 		t.Fatalf("got %d events, want 2", len(got.TraceEvents))
 	}
-	in := got.TraceEvents[0]
-	if in.Ph != "i" || in.S != "g" || in.Args["nodes"] != 42 {
+	// Sorted by start: the span started first, unless both share a µs,
+	// where the stable sort keeps recording order (instant first).
+	in, sp := got.TraceEvents[0], got.TraceEvents[1]
+	if in.TS < sp.TS {
+		in, sp = sp, in
+	}
+	if in.Name != "run" || in.Ph != "X" || in.Dur == nil || *in.Dur != 0 || in.Args["nodes"] != float64(42) {
 		t.Errorf("instant event wrong: %+v", in)
 	}
-	sp := got.TraceEvents[1]
-	if sp.Ph != "X" || sp.Dur == nil || sp.Cat != "dp" {
+	if sp.Ph != "X" || sp.Dur == nil || sp.Cat != "dp" || sp.Name != "node 3 And" {
 		t.Errorf("span event wrong: %+v", sp)
 	}
-	if sp.Args["kept"] != 2 || sp.Args["cands_a"] != 5 {
+	if sp.Args["kept"] != float64(2) || sp.Args["cands_a"] != float64(5) || len(sp.Args) != 2 {
 		t.Errorf("span args wrong: %+v", sp.Args)
+	}
+	if sp.TS < before {
+		t.Errorf("timestamp %d not absolute epoch µs after %d", sp.TS, before)
 	}
 	if in.Pid != 1 || in.Tid != 1 {
 		t.Errorf("pid/tid = %d/%d, want 1/1", in.Pid, in.Tid)
@@ -81,42 +104,35 @@ func TestTracerSampling(t *testing.T) {
 }
 
 // TestCaptureEmit: a captured span is identical to one recorded by Span
-// directly, the zero PendingSpan is inert, and a nil tracer's Capture
-// yields the inert span — the contract the parallel engine's per-worker
-// span buffers rely on.
+// directly, the zero Span is inert, and a nil tracer's Capture yields the
+// inert span — the contract the parallel engine's per-worker span
+// buffers rely on.
 func TestCaptureEmit(t *testing.T) {
 	tr := NewTracer(1)
 	start := tr.Now()
 	p := tr.Capture("dp", "node 1 And", start, KV{"kept", 3})
 	if tr.Len() != 0 {
-		t.Fatal("Capture recorded an event before Emit")
+		t.Fatal("Capture recorded a span before Emit")
 	}
 	tr.Emit(p)
-	tr.Emit(PendingSpan{}) // inert: a sampled-out node's buffer slot
+	tr.Emit(Span{}) // inert: a sampled-out node's buffer slot
 	if tr.Len() != 1 {
-		t.Fatalf("got %d events, want 1", tr.Len())
+		t.Fatalf("got %d spans, want 1", tr.Len())
 	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got chromeTrace
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("trace output invalid: %v", err)
-	}
-	ev := got.TraceEvents[0]
-	if ev.Ph != "X" || ev.Cat != "dp" || ev.Name != "node 1 And" || ev.Args["kept"] != 3 {
-		t.Errorf("emitted span wrong: %+v", ev)
+	sp := tr.Spans()[0]
+	if sp.Cat != "dp" || sp.Name != "node 1 And" || sp.StartUS != start.UnixMicro() ||
+		len(sp.Args) != 1 || sp.Args[0] != (KV{"kept", 3}) {
+		t.Errorf("emitted span wrong: %+v", sp)
 	}
 
 	var nilTr *Tracer
-	if p := nilTr.Capture("c", "n", time.Time{}); p.ok {
+	if p := nilTr.Capture("c", "n", time.Time{}); p.Name != "" {
 		t.Error("nil tracer Capture returned a live span")
 	}
-	nilTr.Emit(PendingSpan{})
+	nilTr.Emit(Span{})
 	tr.Emit(nilTr.Capture("c", "n", time.Time{}))
 	if tr.Len() != 1 {
-		t.Error("emitting a nil tracer's capture recorded an event")
+		t.Error("emitting a nil tracer's capture recorded a span")
 	}
 }
 
@@ -130,18 +146,10 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	}
 	tr.Span("c", "n", time.Time{})
 	tr.Instant("c", "n")
-	if tr.Len() != 0 {
-		t.Error("nil tracer has events")
+	if tr.Len() != 0 || tr.Spans() != nil {
+		t.Error("nil tracer has spans")
 	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got chromeTrace
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("nil tracer output invalid: %v", err)
-	}
-	if len(got.TraceEvents) != 0 {
-		t.Errorf("nil tracer wrote %d events", len(got.TraceEvents))
+	if got := renderTrace(t, tr); len(got.TraceEvents) != 0 {
+		t.Errorf("nil tracer rendered %d events", len(got.TraceEvents))
 	}
 }

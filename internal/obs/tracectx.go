@@ -4,9 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -126,22 +123,6 @@ func ValidRequestID(id string) bool {
 	return true
 }
 
-// Span is one completed distributed-trace span with absolute wall-clock
-// timestamps, so spans recorded by different processes stitch into one
-// timeline. This is the wire format of GET /v1/traces/{id}?raw=1 — the
-// router fetches raw spans from every replica and renders the union.
-type Span struct {
-	TraceID  string `json:"trace_id"`
-	SpanID   string `json:"span_id"`
-	ParentID string `json:"parent_id,omitempty"`
-	Process  string `json:"process"`
-	Cat      string `json:"cat"`
-	Name     string `json:"name"`
-	StartUS  int64  `json:"start_us"` // µs since the Unix epoch
-	DurUS    int64  `json:"dur_us"`
-	Args     []KV   `json:"args,omitempty"`
-}
-
 // TraceHub retains the distributed-trace spans recorded by one process,
 // keyed by trace id, bounded FIFO. All methods are nil-receiver safe, so
 // an untraced deployment pays one branch per call site.
@@ -162,14 +143,6 @@ func NewTraceHub(process string, maxTraces int) *TraceHub {
 		maxTraces = 64
 	}
 	return &TraceHub{process: process, max: maxTraces, traces: make(map[string][]Span)}
-}
-
-// Process returns the hub's process name ("" on nil).
-func (h *TraceHub) Process() string {
-	if h == nil {
-		return ""
-	}
-	return h.process
 }
 
 // Add records one span. Spans without a valid trace id are dropped.
@@ -275,23 +248,6 @@ func (h *TraceHub) StartSpan(ctx context.Context, cat, name string) (context.Con
 	return WithTraceContext(ctx, child), sp
 }
 
-// ID returns the span's own id ("" on nil), the parent id for spans
-// exported on its behalf by another component.
-func (a *ActiveSpan) ID() string {
-	if a == nil {
-		return ""
-	}
-	return a.tc.SpanID
-}
-
-// Context returns the span's trace context (zero on nil).
-func (a *ActiveSpan) Context() TraceContext {
-	if a == nil {
-		return TraceContext{}
-	}
-	return a.tc
-}
-
 // End records the span with the given args. Safe on nil; calling End
 // twice records the span twice, so call it once.
 func (a *ActiveSpan) End(kv ...KV) {
@@ -309,120 +265,4 @@ func (a *ActiveSpan) End(kv ...KV) {
 		DurUS:    time.Since(a.start).Microseconds(),
 		Args:     kv,
 	})
-}
-
-// ExportSpans converts the tracer's in-process events (phase spans from
-// the report pipeline and mapper engine, relative-timestamped) into
-// distributed Spans parented under tc.SpanID, using the tracer's start
-// time to place them on the absolute timeline. Instants export as
-// zero-duration spans. Nil tracer or unsampled context → nil.
-func (t *Tracer) ExportSpans(tc TraceContext, process string) []Span {
-	if t == nil || !tc.Sampled || !tc.Valid() {
-		return nil
-	}
-	t.mu.Lock()
-	events := t.events
-	t.mu.Unlock()
-	if len(events) == 0 {
-		return nil
-	}
-	base := t.start.UnixMicro()
-	out := make([]Span, 0, len(events))
-	for _, ev := range events {
-		out = append(out, Span{
-			TraceID:  tc.TraceID,
-			SpanID:   NewSpanID(),
-			ParentID: tc.SpanID,
-			Process:  process,
-			Cat:      ev.cat,
-			Name:     ev.name,
-			StartUS:  base + ev.ts,
-			DurUS:    ev.dur,
-			Args:     ev.args,
-		})
-	}
-	return out
-}
-
-// chromeSpanEvent is the Chrome trace-event rendering of one Span.
-type chromeSpanEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeMetaEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args"`
-}
-
-// WriteSpans renders a set of distributed spans — typically the union of
-// several processes' hubs for one trace id — as a Chrome trace-event
-// JSON object. Each distinct Process gets its own pid (assigned in
-// sorted order, so the rendering is deterministic for a fixed span set)
-// with a process_name metadata record; spans sort by (pid, start, span
-// id). Timestamps stay absolute epoch-µs, which Perfetto normalizes.
-func WriteSpans(w io.Writer, spans []Span) error {
-	procs := map[string]int{}
-	var names []string
-	for _, s := range spans {
-		if _, ok := procs[s.Process]; !ok {
-			procs[s.Process] = 0
-			names = append(names, s.Process)
-		}
-	}
-	sort.Strings(names)
-	for i, n := range names {
-		procs[n] = i + 1
-	}
-
-	sorted := make([]Span, len(spans))
-	copy(sorted, spans)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if pa, pb := procs[a.Process], procs[b.Process]; pa != pb {
-			return pa < pb
-		}
-		if a.StartUS != b.StartUS {
-			return a.StartUS < b.StartUS
-		}
-		return a.SpanID < b.SpanID
-	})
-
-	events := make([]any, 0, len(sorted)+len(names))
-	for _, n := range names {
-		events = append(events, chromeMetaEvent{
-			Name: "process_name", Ph: "M", Pid: procs[n], Tid: 1,
-			Args: map[string]any{"name": n},
-		})
-	}
-	for _, s := range sorted {
-		args := map[string]any{"span_id": s.SpanID}
-		if s.ParentID != "" {
-			args["parent_id"] = s.ParentID
-		}
-		for _, kv := range s.Args {
-			args[kv.Key] = kv.Val
-		}
-		events = append(events, chromeSpanEvent{
-			Name: s.Name, Cat: s.Cat, Ph: "X",
-			Pid: procs[s.Process], Tid: 1,
-			TS: s.StartUS, Dur: s.DurUS, Args: args,
-		})
-	}
-
-	doc := struct {
-		TraceEvents     []any  `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}{TraceEvents: events, DisplayTimeUnit: "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
 }

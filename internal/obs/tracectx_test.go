@@ -42,8 +42,8 @@ func TestParseTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		valid[:54],  // one byte short
-		valid + "0", // one byte long
+		valid[:54],             // one byte short
+		valid + "0",            // one byte long
 		"01" + valid[2:],       // unknown version
 		strings.ToUpper(valid), // upper-case hex
 		"00-00000000000000000000000000000000-" + testSID + "-01", // zero trace id
@@ -104,11 +104,10 @@ func TestStartSpanNesting(t *testing.T) {
 	ctx := WithTraceContext(context.Background(), root)
 
 	ctx1, outer := h.StartSpan(ctx, "c", "outer")
-	if outer == nil || TraceContextFrom(ctx1).SpanID != outer.ID() {
-		t.Fatal("derived context must parent under the new span")
+	if outer == nil {
+		t.Fatal("sampled StartSpan returned no span")
 	}
-	ctx2, inner := h.StartSpan(ctx1, "c", "inner")
-	_ = ctx2
+	_, inner := h.StartSpan(ctx1, "c", "inner")
 	inner.End()
 	outer.End(KV{Key: "k", Val: 1})
 
@@ -123,8 +122,11 @@ func TestStartSpanNesting(t *testing.T) {
 	if byName["outer"].ParentID != root.SpanID {
 		t.Fatalf("outer parent %q, want the root context's span %q", byName["outer"].ParentID, root.SpanID)
 	}
-	if byName["inner"].ParentID != outer.ID() {
-		t.Fatalf("inner parent %q, want outer span %q", byName["inner"].ParentID, outer.ID())
+	if TraceContextFrom(ctx1).SpanID != byName["outer"].SpanID {
+		t.Fatal("derived context must parent under the new span")
+	}
+	if byName["inner"].ParentID != byName["outer"].SpanID {
+		t.Fatalf("inner parent %q, want outer span %q", byName["inner"].ParentID, byName["outer"].SpanID)
 	}
 
 	// Unsampled context: no span, original context, End is a no-op.
@@ -141,7 +143,7 @@ func TestStartSpanNesting(t *testing.T) {
 	nsp.End()
 	nh.Record(root, "c", "x", time.Now(), time.Second)
 	nh.Add(Span{TraceID: root.TraceID})
-	if nh.Len() != 0 || nh.Spans(root.TraceID) != nil || nh.Process() != "" {
+	if nh.Len() != 0 || nh.Spans(root.TraceID) != nil {
 		t.Fatal("nil hub must be inert")
 	}
 
@@ -162,30 +164,50 @@ func TestStartSpanNesting(t *testing.T) {
 	}
 }
 
-func TestTracerExportSpans(t *testing.T) {
-	tr := NewTracer(1)
+// TestTracerStampsTraceContext: a hub-built tracer under a sampled
+// context records spans that are already distributed spans — trace id,
+// fresh span id, parent and process stamped at record time, absolute
+// epoch-µs starts — so they go into the hub with no conversion step.
+func TestTracerStampsTraceContext(t *testing.T) {
+	h := NewTraceHub("replica-0", 4)
+	tc := NewTraceContext()
+	tr := h.Tracer(WithTraceContext(context.Background(), tc), 1)
 	tr.Span("pipeline", "strash net", tr.Now())
 	tr.Span("mapper", "soi dp", tr.Now(), KV{Key: "kept", Val: 7})
-	tc := NewTraceContext()
-	spans := tr.ExportSpans(tc, "replica-0")
-	if len(spans) != 2 {
-		t.Fatalf("exported %d spans, want 2", len(spans))
+	tr.Instant("mapper", "run soi")
+	spans := tr.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("recorded %d spans, want 3", len(spans))
 	}
+	ids := map[string]bool{}
 	for _, s := range spans {
 		if s.TraceID != tc.TraceID || s.ParentID != tc.SpanID || s.Process != "replica-0" {
 			t.Fatalf("span %+v not parented under %+v", s, tc)
 		}
-		if s.StartUS <= 0 {
+		if !isHex(s.SpanID, 16) || ids[s.SpanID] {
+			t.Fatalf("span %q has id %q, want a fresh 16-hex id", s.Name, s.SpanID)
+		}
+		ids[s.SpanID] = true
+		if s.StartUS < time.Now().Add(-time.Minute).UnixMicro() {
 			t.Fatalf("span %q has relative timestamp %d, want absolute epoch µs", s.Name, s.StartUS)
 		}
+		h.Add(s)
+	}
+	if got := h.Spans(tc.TraceID); len(got) != 3 {
+		t.Fatalf("hub holds %d spans, want 3", len(got))
 	}
 
-	if got := tr.ExportSpans(TraceContext{}, "p"); got != nil {
-		t.Fatalf("unsampled export = %v, want nil", got)
+	if got := h.Tracer(context.Background(), 1); got != nil {
+		t.Fatal("unsampled context built a live tracer")
 	}
-	var nilTr *Tracer
-	if got := nilTr.ExportSpans(tc, "p"); got != nil {
-		t.Fatalf("nil tracer export = %v, want nil", got)
+	unsampled := tc
+	unsampled.Sampled = false
+	if got := h.Tracer(WithTraceContext(context.Background(), unsampled), 1); got != nil {
+		t.Fatal("unsampled trace context built a live tracer")
+	}
+	var nilHub *TraceHub
+	if got := nilHub.Tracer(WithTraceContext(context.Background(), tc), 1); got != nil {
+		t.Fatal("nil hub built a live tracer")
 	}
 }
 

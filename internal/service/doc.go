@@ -9,7 +9,8 @@
 //	                   {"async": true} enqueues and returns immediately
 //	GET  /v1/jobs/{id} job status and, once done, the result
 //	GET  /healthz      liveness probe
-//	GET  /debug/vars   expvar counters (jobs, cache, latency histograms)
+//	GET  /metrics      Prometheus text format: job/cache counters and
+//	                   gauges, latency histograms, DP-engine aggregates
 //
 // # Caching
 //

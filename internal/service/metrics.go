@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"expvar"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,21 +20,25 @@ var counterNames = []string{
 	"store_corrupt", "store_evicted", "store_hits", "store_misses", "store_write_errors",
 }
 
-// metrics is the per-server instrument set, exported at /debug/vars and,
-// translated to the Prometheus text format, at /metrics. The expvar.Map
-// is private to the server (never published to the process globals), so
-// many servers — the tests run several — can coexist.
+// metrics is the per-server instrument set, rendered in the Prometheus
+// text format at /metrics. It is private to the server (nothing is
+// published to process globals), so many servers — the tests run
+// several — can coexist.
 type metrics struct {
-	vars        *expvar.Map
-	jobsQueued  *expvar.Int // gauge: jobs waiting in the queue
-	jobsRunning *expvar.Int // gauge: jobs occupying a worker
+	// vals holds every counterNames counter plus the jobs_queued and
+	// jobs_running gauges. It is built once in newMetrics and never
+	// written after, so lookups need no lock and no name can appear
+	// later: add panics on a name outside the set.
+	vals        map[string]*atomic.Int64
+	jobsQueued  *atomic.Int64 // gauge: jobs waiting in the queue
+	jobsRunning *atomic.Int64 // gauge: jobs occupying a worker
 
 	// avgJobNanos is an exponentially-weighted moving average of job
 	// wall-clock time, the load shedder's service-time estimate.
 	avgJobNanos atomic.Int64
 
 	mu      sync.Mutex
-	latency map[string]*histogram // per-algorithm, key latency_ms_<algo>
+	latency map[string]*histogram // per-algorithm
 
 	// engineMu guards the per-algorithm aggregates of the mapper engine's
 	// per-run obs.Stats, merged in by runJob and served at /metrics.
@@ -46,22 +48,31 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	m := &metrics{
-		vars:        new(expvar.Map).Init(),
-		jobsQueued:  new(expvar.Int),
-		jobsRunning: new(expvar.Int),
-		latency:     make(map[string]*histogram),
-		engine:      make(map[string]*obs.Stats),
+		vals:    make(map[string]*atomic.Int64, len(counterNames)+2),
+		latency: make(map[string]*histogram),
+		engine:  make(map[string]*obs.Stats),
 	}
-	m.vars.Set("jobs_queued", m.jobsQueued)
-	m.vars.Set("jobs_running", m.jobsRunning)
-	// Pre-create the counters so /debug/vars shows zeros from the start.
-	for _, name := range counterNames {
-		m.vars.Add(name, 0)
+	for _, name := range append([]string{"jobs_queued", "jobs_running"}, counterNames...) {
+		m.vals[name] = new(atomic.Int64)
 	}
+	m.jobsQueued, m.jobsRunning = m.vals["jobs_queued"], m.vals["jobs_running"]
 	return m
 }
 
-func (m *metrics) add(name string, delta int64) { m.vars.Add(name, delta) }
+func (m *metrics) add(name string, delta int64) { m.vals[name].Add(delta) }
+
+// addTerminal counts one job that ended in state (a leader's or a
+// follower's outcome).
+func (m *metrics) addTerminal(state JobState) {
+	switch state {
+	case JobDone:
+		m.add("jobs_done", 1)
+	case JobCanceled:
+		m.add("jobs_canceled", 1)
+	default:
+		m.add("jobs_failed", 1)
+	}
+}
 
 // recordDuration folds one finished job's wall-clock time into the moving
 // average (alpha = 1/4; the first sample seeds the average). A stale-read
@@ -82,10 +93,11 @@ func (m *metrics) avgJobDuration() time.Duration {
 	return time.Duration(m.avgJobNanos.Load())
 }
 
-// counter reads one pre-created counter's current value.
+// counter reads one counter's or gauge's current value (0 for names
+// outside the set).
 func (m *metrics) counter(name string) int64 {
-	if v, ok := m.vars.Get(name).(*expvar.Int); ok {
-		return v.Value()
+	if v, ok := m.vals[name]; ok {
+		return v.Load()
 	}
 	return 0
 }
@@ -136,7 +148,6 @@ func (m *metrics) observe(algo string, d time.Duration) {
 	if !ok {
 		h = newHistogram()
 		m.latency[algo] = h
-		m.vars.Set("latency_ms_"+algo, h)
 	}
 	m.mu.Unlock()
 	h.observe(d)
@@ -146,7 +157,7 @@ func (m *metrics) observe(algo string, d time.Duration) {
 // a final unbounded bucket catches everything slower.
 var latencyBoundsMS = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
-// histogram is a fixed-bucket latency histogram implementing expvar.Var.
+// histogram is a fixed-bucket latency histogram.
 type histogram struct {
 	mu      sync.Mutex
 	count   int64
@@ -188,31 +199,4 @@ func (h *histogram) snapshot() histSnapshot {
 		SumMS:   h.sumMS,
 		Buckets: append([]int64(nil), h.buckets...),
 	}
-}
-
-// String renders the histogram as JSON, making it a valid expvar.Var.
-func (h *histogram) String() string {
-	type bucket struct {
-		LE    int64 `json:"le_ms,omitempty"` // 0 on the overflow bucket
-		Count int64 `json:"count"`
-	}
-	h.mu.Lock()
-	v := struct {
-		Count   int64    `json:"count"`
-		SumMS   int64    `json:"sum_ms"`
-		Buckets []bucket `json:"buckets"`
-	}{Count: h.count, SumMS: h.sumMS}
-	for i, n := range h.buckets {
-		b := bucket{Count: n}
-		if i < len(latencyBoundsMS) {
-			b.LE = latencyBoundsMS[i]
-		}
-		v.Buckets = append(v.Buckets, b)
-	}
-	h.mu.Unlock()
-	b, err := json.Marshal(v)
-	if err != nil {
-		return `{"error":"histogram marshal"}`
-	}
-	return string(b)
 }

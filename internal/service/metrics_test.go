@@ -2,8 +2,13 @@ package service
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/http"
-	"net/http/httptest"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +16,54 @@ import (
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 )
+
+// TestAddNamesAreDeclared: every metrics.add call in the package names,
+// as a string literal, a counter declared in counterNames. The counter
+// map is fixed at construction, so an undeclared name cannot invent a
+// counter — it would panic at run time instead.
+func TestAddNamesAreDeclared(t *testing.T) {
+	declared := map[string]bool{}
+	for _, name := range counterNames {
+		declared[name] = true
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	calls := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "add" {
+				return true
+			}
+			calls++
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Errorf("%s: add takes a non-literal counter name", fset.Position(call.Pos()))
+				return true
+			}
+			if name, _ := strconv.Unquote(lit.Value); !declared[name] {
+				t.Errorf("%s: add(%s) is not in counterNames", fset.Position(call.Pos()), lit.Value)
+			}
+			return true
+		})
+	}
+	if calls < len(counterNames) {
+		t.Errorf("found %d add calls, fewer than the %d declared counters", calls, len(counterNames))
+	}
+}
 
 // TestEWMAFirstSampleSeeds: the first recorded duration becomes the
 // average verbatim — no warm-up bias from smoothing against the zero
@@ -112,11 +165,11 @@ func TestShedDecisionAtDeadlineBoundary(t *testing.T) {
 	if code, _ := postMap(t, ts, `{"circuit": "mux", "async": true, "options": {"clock_weight": 1}}`); code != http.StatusAccepted {
 		t.Fatal("job 1 not accepted")
 	}
-	waitFor(t, ts, "jobs_running", 1)
+	waitFor(t, s, "jobs_running", 1)
 	if code, _ := postMap(t, ts, `{"circuit": "mux", "async": true, "options": {"clock_weight": 2}}`); code != http.StatusAccepted {
 		t.Fatal("job 2 not accepted")
 	}
-	waitFor(t, ts, "jobs_queued", 1)
+	waitFor(t, s, "jobs_queued", 1)
 
 	// 30s deadline against a ~2s estimated wait: accepted.
 	if code, _ := postMap(t, ts, `{"circuit": "mux", "async": true, "timeout_ms": 30000, "options": {"clock_weight": 3}}`); code != http.StatusAccepted {
@@ -130,7 +183,7 @@ func TestShedDecisionAtDeadlineBoundary(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed response missing Retry-After")
 	}
-	if n := varInt(t, getVars(t, ts), "jobs_shed"); n != 1 {
+	if n := s.Counter("jobs_shed"); n != 1 {
 		t.Errorf("jobs_shed = %d, want 1", n)
 	}
 	// Shedding never triggers before the first sample: a fresh estimate
@@ -158,11 +211,11 @@ func blockUntil(release chan struct{}, inner mapFunc) mapFunc {
 	}
 }
 
-// waitFor polls /debug/vars until the named gauge reaches want.
-func waitFor(t *testing.T, ts *httptest.Server, name string, want int64) {
+// waitFor polls the server until the named gauge reaches want.
+func waitFor(t *testing.T, s *Server, name string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for varInt(t, getVars(t, ts), name) != want {
+	for s.Counter(name) != want {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s never reached %d", name, want)
 		}

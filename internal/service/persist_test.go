@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -299,6 +300,31 @@ func TestJournalFsyncFaultDegradesNotFails(t *testing.T) {
 
 // newPersistHTTP serves s without registering shutdown cleanup, so the
 // tests control the server's death (Abort vs Shutdown) explicitly.
+// TestJobIDAssignedBeforeQueueSend: the worker that receives a job reads
+// its id (for the journal's running and terminal records) without taking
+// the server lock, so handleMap must assign the id before sending the job
+// to the queue. Back-to-back sync submissions to a journaling server
+// hand every job to a parked worker while its handler is still running —
+// the window where a write-after-send races — and under -race this test
+// reports that write. (Several concurrent clients hide it: their lock and
+// gauge traffic orders the write before the read.) Every job must finish
+// under a fresh id.
+func TestJobIDAssignedBeforeQueueSend(t *testing.T) {
+	s := New(Config{Workers: 1, StateDir: t.TempDir(), JournalFsync: "off"})
+	defer shutdownNow(t, s)
+	ts := newPersistHTTP(t, s)
+
+	ids := map[string]bool{}
+	for i := 1; i <= 128; i++ {
+		code, v := postMapURL(t, ts.URL, fmt.Sprintf(`{"circuit": "mux", "options": {"clock_weight": %d}}`, i))
+		if code != http.StatusOK || v.State != JobDone || v.ID == "" || ids[v.ID] {
+			t.Fatalf("job %d: code %d, state %s, id %q (error %q); want done under a fresh id",
+				i, code, v.State, v.ID, v.Error)
+		}
+		ids[v.ID] = true
+	}
+}
+
 func newPersistHTTP(t *testing.T, s *Server) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(s.Handler())

@@ -24,8 +24,8 @@ func fixtureMetrics() *metrics {
 	m.add("jobs_failed", 1)
 	m.add("cache_hits", 2)
 	m.add("cache_misses", 3)
-	m.jobsQueued.Set(1)
-	m.jobsRunning.Set(2)
+	m.jobsQueued.Store(1)
+	m.jobsRunning.Store(2)
 	m.observe("soi", 3*time.Millisecond)
 	m.observe("soi", 40*time.Millisecond)
 	m.observe("soi", 20*time.Second) // overflow bucket

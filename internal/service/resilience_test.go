@@ -41,7 +41,7 @@ func postMapResp(t *testing.T, ts *httptest.Server, body string) (*http.Response
 func TestWorkerPanicIsolation(t *testing.T) {
 	reg := faultpoint.New(1)
 	reg.Arm(mapper.PointCombine, faultpoint.Fault{Kind: faultpoint.Panic, Prob: 1, Times: 1})
-	_, ts := newTestServer(t, Config{Workers: 1, Faults: reg})
+	s, ts := newTestServer(t, Config{Workers: 1, Faults: reg})
 
 	code, v := postMap(t, ts, `{"circuit": "mux"}`)
 	if code != http.StatusOK || v.State != JobFailed {
@@ -65,11 +65,10 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		t.Fatalf("healthz after panic: %v / %v", resp, err)
 	}
 
-	vars := getVars(t, ts)
-	if n := varInt(t, vars, "jobs_panicked"); n != 1 {
+	if n := s.Counter("jobs_panicked"); n != 1 {
 		t.Errorf("jobs_panicked = %d, want 1", n)
 	}
-	if n := varInt(t, vars, "jobs_failed"); n != 1 {
+	if n := s.Counter("jobs_failed"); n != 1 {
 		t.Errorf("jobs_failed = %d, want 1", n)
 	}
 }
@@ -80,7 +79,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 func TestHTTPPanicRecovery(t *testing.T) {
 	reg := faultpoint.New(1)
 	reg.Arm(PointDecode, faultpoint.Fault{Kind: faultpoint.Panic, Prob: 1, Times: 1})
-	_, ts := newTestServer(t, Config{Workers: 1, Faults: reg})
+	s, ts := newTestServer(t, Config{Workers: 1, Faults: reg})
 
 	resp, _ := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(`{"circuit":"mux"}`))
 	resp.Body.Close()
@@ -90,7 +89,7 @@ func TestHTTPPanicRecovery(t *testing.T) {
 	if code, v := postMap(t, ts, `{"circuit": "mux"}`); code != http.StatusOK || v.State != JobDone {
 		t.Fatalf("post-panic request: code %d, state %s", code, v.State)
 	}
-	if n := varInt(t, getVars(t, ts), "http_panics"); n != 1 {
+	if n := s.Counter("http_panics"); n != 1 {
 		t.Errorf("http_panics = %d, want 1", n)
 	}
 }
@@ -120,7 +119,7 @@ func TestLoadSheddingRejectsDoomedJobs(t *testing.T) {
 		t.Fatalf("job 1 not accepted: %d", code)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for varInt(t, getVars(t, ts), "jobs_running") != 1 {
+	for s.Counter("jobs_running") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up job 1")
 		}
@@ -139,7 +138,7 @@ func TestLoadSheddingRejectsDoomedJobs(t *testing.T) {
 	if err != nil || ra < 1 {
 		t.Errorf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
 	}
-	if n := varInt(t, getVars(t, ts), "jobs_shed"); n != 1 {
+	if n := s.Counter("jobs_shed"); n != 1 {
 		t.Errorf("jobs_shed = %d, want 1", n)
 	}
 }
@@ -167,7 +166,7 @@ func TestQueueFullSetsRetryAfter(t *testing.T) {
 	}
 	submit(1)
 	deadline := time.Now().Add(5 * time.Second)
-	for varInt(t, getVars(t, ts), "jobs_running") != 1 {
+	for s.Counter("jobs_running") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up job 1")
 		}
@@ -206,7 +205,7 @@ func TestShutdownSetsRetryAfter(t *testing.T) {
 // TestJobEviction: terminal jobs disappear from GET /v1/jobs/{id} after
 // JobRetention and the eviction is counted.
 func TestJobEviction(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, JobRetention: 20 * time.Millisecond})
+	s, ts := newTestServer(t, Config{Workers: 1, JobRetention: 20 * time.Millisecond})
 	code, v := postMap(t, ts, `{"circuit": "mux"}`)
 	if code != http.StatusOK || v.State != JobDone {
 		t.Fatalf("submit: code %d, state %s", code, v.State)
@@ -229,7 +228,7 @@ func TestJobEviction(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := varInt(t, getVars(t, ts), "jobs_evicted"); n < 1 {
+	if n := s.Counter("jobs_evicted"); n < 1 {
 		t.Errorf("jobs_evicted = %d, want >= 1", n)
 	}
 }

@@ -282,7 +282,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /v1/cache", s.handleCacheLookup)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
@@ -305,10 +304,10 @@ func (s *Server) nextRequestID() string {
 // the one that flipped the state.
 func (s *Server) BeginDrain() bool { return s.draining.CompareAndSwap(false, true) }
 
-// Counter reads one of the server's monotonic counters by name (0 for
-// unknown names). Exported for harnesses — the multi-node chaos campaign
-// aggregates coalescing and peer-cache counters across in-process
-// replicas.
+// Counter reads one of the server's monotonic counters, or the
+// jobs_queued/jobs_running gauge, by name (0 for unknown names).
+// Exported for harnesses — the multi-node chaos campaign aggregates
+// coalescing and peer-cache counters across in-process replicas.
 func (s *Server) Counter(name string) int64 { return s.metrics.counter(name) }
 
 // Shutdown stops intake, drains the queue and waits for in-flight jobs.
@@ -681,7 +680,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// in the DP ("canceled at node 0"), and that cancellation path must
 	// stay reachable regardless of load history.
 	if avg := s.metrics.avgJobDuration(); avg > 0 && time.Now().Before(j.deadline) {
-		queued := s.metrics.jobsQueued.Value()
+		queued := s.metrics.jobsQueued.Load()
 		wait := time.Duration(queued) * avg / time.Duration(s.cfg.Workers)
 		if time.Now().Add(wait).After(j.deadline) {
 			s.metrics.add("jobs_shed", 1)
@@ -703,9 +702,11 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is shutting down"})
 		return
 	}
+	// Name the job before the send: the worker that receives it reads
+	// j.id (journal records, logs) without taking s.mu.
+	s.registerJobLocked(j)
 	select {
 	case s.queue <- j:
-		s.registerJobLocked(j)
 		s.inflight[j.cacheKey] = j
 		s.mu.Unlock()
 		s.metrics.jobsQueued.Add(1)
@@ -713,6 +714,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		// here on re-admits the job instead of 404ing its poller.
 		s.journalAccepted(ctx, j, &req)
 	default:
+		// A rejected job was never visible: give back its slot and id.
+		delete(s.jobs, j.id)
+		s.nextID--
 		s.mu.Unlock()
 		s.metrics.add("jobs_rejected", 1)
 		// A full queue is transient overload: 429 plus a drain-time
@@ -753,14 +757,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, req *MapRequest,
 func (s *Server) followLeader(j, leader *job) {
 	<-leader.done
 	state, res, errMsg := leader.outcome()
-	switch state {
-	case JobDone:
-		s.metrics.add("jobs_done", 1)
-	case JobCanceled:
-		s.metrics.add("jobs_canceled", 1)
-	default:
-		s.metrics.add("jobs_failed", 1)
-	}
+	s.metrics.addTerminal(state)
 	wait := time.Since(j.submitted)
 	s.hub.Record(j.tc, "service", "coalesced follower wait", j.submitted, wait,
 		obs.KV{Key: "ok", Val: boolInt(state == JobDone)})
@@ -972,11 +969,6 @@ func (s *Server) peerFetchOne(ctx context.Context, u string) (*MapResult, error)
 	return &res, nil
 }
 
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprint(w, s.metrics.vars.String())
-}
-
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
@@ -1027,19 +1019,19 @@ func (s *Server) runJob(j *job) {
 
 	// Distributed tracing: a sampled job records its queue wait and a run
 	// span into the trace hub, and runs with an in-process Tracer whose
-	// pipeline/mapper phase spans are exported under the run span when the
-	// job ends (whatever way it ends). Unsampled jobs skip all of it — the
-	// tracer stays nil, so the mapper's disabled fast path is untouched.
-	var runSpan *obs.ActiveSpan
-	var tr *obs.Tracer
+	// pipeline/mapper phase spans are already children of the run span;
+	// they go into the hub when the job ends (whatever way it ends).
+	// Unsampled jobs skip all of it — the tracer stays nil, so the
+	// mapper's disabled fast path is untouched.
 	if j.tc.Sampled && j.tc.Valid() {
 		ctx = obs.WithTraceContext(ctx, j.tc)
 		s.hub.Record(j.tc, "service", "queue wait", j.submitted, queueWait)
+		var runSpan *obs.ActiveSpan
 		ctx, runSpan = s.hub.StartSpan(ctx, "service", "job "+j.algo+" "+j.circuit)
-		tr = obs.NewTracer(1 << 20) // phase spans only; per-node events sampled out
+		tr := s.hub.Tracer(ctx, 1<<20) // phase spans only; per-node spans sampled out
 		ctx = obs.WithTracer(ctx, tr)
 		defer func() {
-			for _, sp := range tr.ExportSpans(obs.TraceContextFrom(ctx), s.hub.Process()) {
+			for _, sp := range tr.Spans() {
 				s.hub.Add(sp)
 			}
 			runSpan.End(obs.KV{Key: "dp_tuples", Val: st.TuplesGenerated})
@@ -1099,11 +1091,10 @@ func (s *Server) runJob(j *job) {
 	s.metrics.recordEngine(j.algo, st)
 	if err != nil {
 		state := JobFailed
-		counter := "jobs_failed"
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			state, counter = JobCanceled, "jobs_canceled"
+			state = JobCanceled
 		}
-		s.metrics.add(counter, 1)
+		s.metrics.addTerminal(state)
 		j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
 		j.finish(state, nil, err.Error())
 		s.journalTerminal(ctx, j, state, err.Error())

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -42,38 +43,26 @@ func postMap(t *testing.T, ts *httptest.Server, body string) (int, JobView) {
 	return resp.StatusCode, v
 }
 
-func getVars(t *testing.T, ts *httptest.Server) map[string]json.RawMessage {
+// scrapeMetrics returns the server's /metrics page.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/debug/vars")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
+		t.Fatalf("GET /metrics: %v", err)
 	}
 	defer resp.Body.Close()
-	vars := make(map[string]json.RawMessage)
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("decode vars: %v", err)
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read /metrics: %v", err)
 	}
-	return vars
-}
-
-func varInt(t *testing.T, vars map[string]json.RawMessage, name string) int64 {
-	t.Helper()
-	raw, ok := vars[name]
-	if !ok {
-		t.Fatalf("var %q missing from /debug/vars", name)
-	}
-	var n int64
-	if err := json.Unmarshal(raw, &n); err != nil {
-		t.Fatalf("var %q = %s is not an int", name, raw)
-	}
-	return n
+	return string(b)
 }
 
 // TestMapCacheHit is the tentpole acceptance check: the same built-in
 // circuit submitted twice completes the second time from the cache, and
-// the /debug/vars counters show exactly one miss and one hit.
+// the counters show exactly one miss and one hit.
 func TestMapCacheHit(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{Workers: 2})
 
 	code, first := postMap(t, ts, `{"circuit": "mux"}`)
 	if code != http.StatusOK || first.State != JobDone {
@@ -107,14 +96,13 @@ func TestMapCacheHit(t *testing.T) {
 		t.Error("cached result differs from computed result")
 	}
 
-	vars := getVars(t, ts)
-	if hits := varInt(t, vars, "cache_hits"); hits != 1 {
+	if hits := s.Counter("cache_hits"); hits != 1 {
 		t.Errorf("cache_hits = %d, want 1", hits)
 	}
-	if misses := varInt(t, vars, "cache_misses"); misses != 1 {
+	if misses := s.Counter("cache_misses"); misses != 1 {
 		t.Errorf("cache_misses = %d, want 1", misses)
 	}
-	if done := varInt(t, vars, "jobs_done"); done != 2 {
+	if done := s.Counter("jobs_done"); done != 2 {
 		t.Errorf("jobs_done = %d, want 2", done)
 	}
 }
@@ -122,7 +110,7 @@ func TestMapCacheHit(t *testing.T) {
 // TestDifferentOptionsMissCache pins the cache key: same circuit, other
 // options — the k/W/H-sweep shape — must not share an entry.
 func TestDifferentOptionsMissCache(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	s, ts := newTestServer(t, Config{Workers: 2})
 	postMap(t, ts, `{"circuit": "mux"}`)
 	_, v := postMap(t, ts, `{"circuit": "mux", "options": {"clock_weight": 2}}`)
 	if v.Cached {
@@ -132,8 +120,7 @@ func TestDifferentOptionsMissCache(t *testing.T) {
 	if v.Cached {
 		t.Fatal("different algorithm hit the cache")
 	}
-	vars := getVars(t, ts)
-	if hits := varInt(t, vars, "cache_hits"); hits != 0 {
+	if hits := s.Counter("cache_hits"); hits != 0 {
 		t.Errorf("cache_hits = %d, want 0", hits)
 	}
 }
@@ -142,7 +129,7 @@ func TestDifferentOptionsMissCache(t *testing.T) {
 // job whose deadline has already passed must come back canceled via the
 // DP's context checkpoints, not run to completion.
 func TestExpiredDeadlineCancels(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	code, v := postMap(t, ts, `{"circuit": "c880", "timeout_ms": -1}`)
 	if code != http.StatusOK {
 		t.Fatalf("code %d", code)
@@ -161,8 +148,7 @@ func TestExpiredDeadlineCancels(t *testing.T) {
 	if !strings.Contains(v.Error, "canceled at node 0") {
 		t.Errorf("error %q does not show an immediate abort", v.Error)
 	}
-	vars := getVars(t, ts)
-	if n := varInt(t, vars, "jobs_canceled"); n != 1 {
+	if n := s.Counter("jobs_canceled"); n != 1 {
 		t.Errorf("jobs_canceled = %d, want 1", n)
 	}
 	// A canceled run must not poison the cache.
@@ -279,7 +265,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 // TestOversizedNetworkRejected: a parseable source whose network exceeds
 // MaxNetworkNodes is refused with 413 before it is queued.
 func TestOversizedNetworkRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxNetworkNodes: 2})
+	s, ts := newTestServer(t, Config{Workers: 1, MaxNetworkNodes: 2})
 	resp, err := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(`{"circuit": "mux"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -297,8 +283,7 @@ func TestOversizedNetworkRejected(t *testing.T) {
 	if !strings.Contains(e.Error, "limit is 2") {
 		t.Errorf("error %q does not name the node limit", e.Error)
 	}
-	vars := getVars(t, ts)
-	if n := varInt(t, vars, "jobs_submitted"); n != 0 {
+	if n := s.Counter("jobs_submitted"); n != 0 {
 		t.Errorf("jobs_submitted = %d, want 0 (rejected before submission)", n)
 	}
 }
@@ -339,19 +324,8 @@ func TestHealthz(t *testing.T) {
 func TestLatencyHistogramAppears(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	postMap(t, ts, `{"circuit": "mux", "algorithm": "rs"}`)
-	vars := getVars(t, ts)
-	raw, ok := vars["latency_ms_rs"]
-	if !ok {
-		t.Fatal("latency_ms_rs missing from /debug/vars")
-	}
-	var h struct {
-		Count int64 `json:"count"`
-	}
-	if err := json.Unmarshal(raw, &h); err != nil {
-		t.Fatalf("histogram is not JSON: %s", raw)
-	}
-	if h.Count != 1 {
-		t.Errorf("histogram count = %d, want 1", h.Count)
+	if text := scrapeMetrics(t, ts); !strings.Contains(text, "\nsoimapd_map_latency_ms_count{algorithm=\"rs\"} 1\n") {
+		t.Errorf("/metrics has no rs latency histogram with count 1:\n%s", text)
 	}
 }
 
@@ -419,7 +393,7 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 	// Wait until the worker has taken job 1 off the queue.
 	deadline := time.Now().Add(5 * time.Second)
-	for varInt(t, getVars(t, ts), "jobs_running") != 1 {
+	for s.Counter("jobs_running") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up job 1")
 		}
@@ -432,8 +406,15 @@ func TestQueueFullRejects(t *testing.T) {
 	if code := submit(3); code != http.StatusTooManyRequests {
 		t.Fatalf("job 3: code %d, want 429", code)
 	}
-	if n := varInt(t, getVars(t, ts), "jobs_rejected"); n != 1 {
+	if n := s.Counter("jobs_rejected"); n != 1 {
 		t.Errorf("jobs_rejected = %d, want 1", n)
+	}
+	// The rejected job left nothing behind: no job-table entry, no id.
+	s.mu.Lock()
+	jobs, next := len(s.jobs), s.nextID
+	s.mu.Unlock()
+	if jobs != 2 || next != 2 {
+		t.Errorf("after the 429: %d jobs registered, last id j%d; want 2 and j2", jobs, next)
 	}
 }
 
