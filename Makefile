@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-baseline obs-overhead par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+.PHONY: check vet build test race bench bench-baseline obs-overhead dp-allocs par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
-check: vet build race obs-overhead par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+check: vet build race obs-overhead dp-allocs par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +35,13 @@ bench-baseline: strash-determinism
 # test is env-gated so plain `go test ./...` stays load-tolerant.
 obs-overhead:
 	SOIDOMINO_OBS_OVERHEAD=1 $(GO) test -run 'Test(Stats|Trace)Overhead' -v ./internal/mapper
+
+# Guard on the compact DP's allocation profile: newEngine plus the
+# dynamic program on des (SOI, Pareto) must stay under a pinned
+# allocs/run ceiling — per-worker slot tables and candidate-arena chunks,
+# nothing per node or per combine. Env-gated like obs-overhead.
+dp-allocs:
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestDPAllocs' -v ./internal/mapper
 
 # The parallel DP engine's byte-identical contract: every testdata
 # circuit mapped with workers=1 vs workers=N across all mappers and

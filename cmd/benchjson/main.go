@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // JSON benchmark baseline. The JSON carries both parsed per-benchmark
-// records (name, iterations, ns/op, B/op, allocs/op) and the raw
-// benchmark lines, so the file stays consumable by benchstat:
+// records (name, GOMAXPROCS, iterations, ns/op, B/op, allocs/op and every
+// custom b.ReportMetric unit) and the raw benchmark lines, so the file
+// stays consumable by benchstat:
 //
 //	go test -bench=. -benchmem -count=5 -run='^$' | benchjson > BENCH_2026-08-05.json
 //	jq -r .raw BENCH_2026-08-05.json | benchstat old.txt -
@@ -23,11 +24,16 @@ import (
 
 // Record is one parsed benchmark result line.
 type Record struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the line ran at: the name's -N suffix, or 1
+	// when the name has none (go test omits it at GOMAXPROCS=1).
+	Procs       int     `json:"procs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the custom b.ReportMetric units (disch-red-%, ...).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Baseline is the file format: metadata, parsed records, and the raw
@@ -38,6 +44,7 @@ type Baseline struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
 	Pkg     string   `json:"pkg,omitempty"`
+	CPU     string   `json:"cpu,omitempty"`
 	Records []Record `json:"records"`
 	Raw     string   `json:"raw"`
 }
@@ -63,6 +70,8 @@ func run(in io.Reader, out io.Writer) error {
 			base.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
 			base.Pkg = strings.TrimPrefix(line, "pkg: ")
+		case strings.HasPrefix(line, "cpu: "):
+			base.CPU = strings.TrimPrefix(line, "cpu: ")
 		}
 		if keepRaw(line) {
 			raw.WriteString(line)
@@ -96,7 +105,7 @@ func keepRaw(line string) bool {
 
 // parseLine parses one result line of the standard form
 //
-//	BenchmarkName-8   120   9876543 ns/op   1234 B/op   56 allocs/op
+//	BenchmarkName-8   120   9876543 ns/op   24.67 disch-red-%   1234 B/op   56 allocs/op
 //
 // Returns ok=false for anything else.
 func parseLine(line string) (Record, bool) {
@@ -112,17 +121,27 @@ func parseLine(line string) (Record, bool) {
 	if err1 != nil || err2 != nil {
 		return Record{}, false
 	}
-	rec := Record{Name: f[0], Iterations: iters, NsPerOp: ns}
+	rec := Record{Name: f[0], Procs: 1, Iterations: iters, NsPerOp: ns}
+	if i := strings.LastIndexByte(f[0], '-'); i >= 0 {
+		if p, err := strconv.Atoi(f[0][i+1:]); err == nil && p > 0 {
+			rec.Procs = p
+		}
+	}
 	for i := 4; i+1 < len(f); i += 2 {
-		v, err := strconv.ParseInt(f[i], 10, 64)
+		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
 			continue
 		}
-		switch f[i+1] {
+		switch unit := f[i+1]; unit {
 		case "B/op":
-			rec.BytesPerOp = v
+			rec.BytesPerOp = int64(v)
 		case "allocs/op":
-			rec.AllocsPerOp = v
+			rec.AllocsPerOp = int64(v)
+		default:
+			if rec.Metrics == nil {
+				rec.Metrics = make(map[string]float64)
+			}
+			rec.Metrics[unit] = v
 		}
 	}
 	return rec, true

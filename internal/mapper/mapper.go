@@ -76,27 +76,13 @@ func SOIDominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*R
 }
 
 func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := unate.IsUnate(n); err != nil {
 		return nil, fmt.Errorf("mapper: input network is not unate: %w", err)
 	}
-	e := &engine{
-		ctx:        ctx,
-		cfg:        cfg,
-		net:        n,
-		stats:      obs.StatsFrom(ctx),
-		tracer:     obs.TracerFrom(ctx),
-		faults:     faultpoint.From(ctx),
-		tables:     make([]tuple.Table, n.Len()),
-		gateChoice: make([]tuple.Choice, n.Len()),
-		formed:     make([]tuple.Tuple, n.Len()),
-		hasGate:    make([]bool, n.Len()),
-	}
-	if cfg.Pareto {
-		e.fronts = make([]tuple.Frontier, n.Len())
-	}
+	e := newEngine(ctx, n, cfg)
 	e.stats.SetAlgorithm(cfg.algorithm)
 	if e.tracer != nil {
 		kv := []obs.KV{{Key: "nodes", Val: int64(n.Len())}}
@@ -106,10 +92,6 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 			e.tracer.Instant("mapper", "run "+cfg.algorithm, kv...)
 		}
 	}
-	// FanoutCounts, not ComputeFanout: mapping must not write to the input
-	// network, so runs sharing one network can proceed in parallel.
-	e.fanout = n.FanoutCounts()
-	e.outRefs = n.OutputRefs()
 	dpStart := e.tracer.Now()
 	err := obs.Timed(e.stats, obs.PhaseDP, e.process)
 	e.tracer.Span("mapper", cfg.algorithm+" dp", dpStart)
@@ -132,6 +114,37 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 	}
 	res.Degraded = e.degraded
 	return res, nil
+}
+
+// newEngine sets up the DP state of one run over a unate network whose
+// options are already validated. Every mapping leaf gets its single
+// {1,1} candidate up front, so a parent reads a leaf fanin like any
+// completed node.
+func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
+	e := &engine{
+		ctx:    ctx,
+		cfg:    cfg,
+		net:    n,
+		stats:  obs.StatsFrom(ctx),
+		tracer: obs.TracerFrom(ctx),
+		faults: faultpoint.From(ctx),
+		// FanoutCounts, not ComputeFanout: mapping must not write to the
+		// input network, so runs sharing one network can proceed in
+		// parallel.
+		fanout:  n.FanoutCounts(),
+		outRefs: n.OutputRefs(),
+		cands:   make([][]tuple.Tuple, n.Len()),
+		gate:    make([]tuple.Tuple, n.Len()),
+	}
+	// Every leaf shares one read-only slice: the {1,1} tuple carries no
+	// node id, the Choice that addresses it does.
+	leaf := []tuple.Tuple{{W: 1, H: 1, NTrans: 1, HasPI: true, Deriv: tuple.Deriv{Op: tuple.DerivLeaf}}}
+	for id := range n.Nodes {
+		if e.isLeaf(id) {
+			e.cands[id] = leaf
+		}
+	}
+	return e
 }
 
 // engine holds the dynamic-programming state for one mapping run.
@@ -157,11 +170,15 @@ type engine struct {
 	keptTuples int
 	degraded   bool
 
-	tables     []tuple.Table    // per And/Or node: best tuple per {W,H}
-	fronts     []tuple.Frontier // Pareto mode: frontier per node
-	gateChoice []tuple.Choice   // per node: the tuple chosen at gate formation
-	formed     []tuple.Tuple    // per node: cumulative totals of the formed gate
-	hasGate    []bool
+	// cands[id] is node id's candidate slice: what a parent may draw from
+	// it, in deterministic order, addressed by tuple.Choice{id, index}.
+	// A leaf's is its single {1,1} transistor. An And/Or node's is
+	// written once, when the node completes: its table tuples in slot
+	// order, then the gate-as-input candidate — only the latter for a
+	// forced root. nil means the node has no solution yet.
+	cands [][]tuple.Tuple
+	// gate[id] is the table tuple an And/Or node's gate is formed from.
+	gate []tuple.Tuple
 }
 
 // tupleCost maps a tuple's components to the scalar the configured
@@ -169,15 +186,15 @@ type engine struct {
 func (e *engine) tupleCost(t tuple.Tuple) int {
 	switch e.cfg.Objective {
 	case Depth:
-		c := e.cfg.DepthWeight * t.Depth
+		c := e.cfg.DepthWeight * int(t.Depth)
 		if e.cfg.trackDischarges {
-			c += t.NDisch
+			c += int(t.NDisch)
 		}
 		return c
 	default:
-		c := t.NTrans + e.cfg.ClockWeight*t.NClock
+		c := int(t.NTrans) + e.cfg.ClockWeight*int(t.NClock)
 		if e.cfg.trackDischarges {
-			c += e.cfg.ClockWeight * t.NDisch
+			c += e.cfg.ClockWeight * int(t.NDisch)
 		}
 		return c
 	}
@@ -246,16 +263,6 @@ func (e *engine) forcedRoot(id int) bool {
 	return e.fanout[id] > 1 || e.outRefs[id] > 0
 }
 
-// leafTuple is the single {1,1} sub-solution of a mapping leaf.
-func (e *engine) leafTuple(id int) tuple.Tuple {
-	return tuple.Tuple{
-		W: 1, H: 1,
-		NTrans: 1,
-		HasPI:  true,
-		Deriv:  tuple.Deriv{Op: tuple.DerivLeaf, Leaf: id},
-	}
-}
-
 // gateAsInput is the {1,1} sub-solution that uses the child's completed
 // gate output to drive a single transistor ("an extra transistor is needed
 // in the next level", paper §IV). For forced roots the child's gate exists
@@ -263,12 +270,12 @@ func (e *engine) leafTuple(id int) tuple.Tuple {
 // charged; for single-fanout children the full gate cost rides along so
 // the DP can trade early gate formation against larger pulldowns.
 func (e *engine) gateAsInput(id int) tuple.Tuple {
-	f := e.formed[id]
+	f := e.form(e.gate[id])
 	t := tuple.Tuple{
 		W: 1, H: 1,
 		NTrans: 1,
 		Depth:  f.Depth,
-		Deriv:  tuple.Deriv{Op: tuple.DerivGateInput, Leaf: id},
+		Deriv:  tuple.Deriv{Op: tuple.DerivGateInput},
 	}
 	if !e.forcedRoot(id) {
 		t.NTrans += f.NTrans
@@ -279,39 +286,18 @@ func (e *engine) gateAsInput(id int) tuple.Tuple {
 	return t
 }
 
-// cand pairs a usable tuple with the Choice that reconstructs it.
+// cand is one combine operand: a fanin's candidate and its address.
 type cand struct {
-	t  tuple.Tuple
+	t  *tuple.Tuple
 	ch tuple.Choice
 }
 
-// usable enumerates the sub-solutions a parent may draw from child id, in
-// deterministic order.
-func (e *engine) usable(id int) ([]cand, error) {
-	if e.isLeaf(id) {
-		t := e.leafTuple(id)
-		return []cand{{t, tuple.Choice{Node: id, Key: t.Key()}}}, nil
+// usable returns the candidate slice a parent draws from child id.
+func (e *engine) usable(id int) ([]tuple.Tuple, error) {
+	if c := e.cands[id]; c != nil {
+		return c, nil
 	}
-	if !e.hasGate[id] {
-		return nil, fmt.Errorf("mapper: node %d (%s) is not mappable", id, e.net.Nodes[id].Op)
-	}
-	var out []cand
-	if !e.forcedRoot(id) {
-		if e.cfg.Pareto {
-			for _, it := range e.fronts[id].All() {
-				out = append(out, cand{it.Tuple, tuple.Choice{
-					Node: id, Pareto: true, Front: it.FKey, Index: it.Index,
-				}})
-			}
-		} else {
-			tb := e.tables[id]
-			for _, k := range tb.SortedKeys() {
-				out = append(out, cand{tb[k], tuple.Choice{Node: id, Key: k}})
-			}
-		}
-	}
-	out = append(out, cand{e.gateAsInput(id), tuple.Choice{Node: id, Gate: true}})
-	return out, nil
+	return nil, fmt.Errorf("mapper: node %d (%s) is not mappable", id, e.net.Nodes[id].Op)
 }
 
 // combineOr implements the paper's combine_or: widths add, heights max,
@@ -358,7 +344,7 @@ func (e *engine) combineAnd(a, b cand) tuple.Tuple {
 			topIsA = !topIsA // test-only fault injection; see fault.go
 		}
 	case e.cfg.BaselineStackOrder == OrderHashed:
-		topIsA = mixChoices(a.ch, b.ch)&1 == 0
+		topIsA = mixChoices(a, b)&1 == 0
 	}
 	return e.combineAndOrdered(a, b, topIsA)
 }
@@ -408,17 +394,29 @@ func (e *engine) combineAndOrdered(a, b cand, topIsA bool) tuple.Tuple {
 // scheduling, as the byte-identical determinism contract requires.
 const combineCheckInterval = 1024
 
-// nodeCtx carries one worker's context and collectors through the DP.
-// The sequential engine uses a single nodeCtx wired to the run's real
-// collectors; each parallel worker gets a private stats shard and span
-// buffer so node processing never contends, and processParallel merges
-// the shards (and emits the buffered spans in node order) after the
-// pool drains.
+// nodeCtx carries one worker's context, collectors and scratch through
+// the DP. The sequential engine uses a single nodeCtx wired to the run's
+// real collectors; each parallel worker gets a private stats shard and
+// span buffer so node processing never contends, and processParallel
+// merges the shards (and emits the buffered spans in node order) after
+// the pool drains. slots is the worker's dense table, reused for every
+// node it maps; arena is the tail of the worker's current chunk of
+// candidate storage, which completed nodes' slices are carved from.
 type nodeCtx struct {
 	ctx      context.Context
 	stats    *obs.Stats
 	spans    []obs.Span // indexed by node id; nil = emit spans directly
 	combines int        // combine calls since the last checkpoint
+	slots    *tuple.Slots
+	arena    []tuple.Tuple
+}
+
+// arenaChunk caps the size, in tuples, of one candidate-storage chunk;
+// chunks start small and double so a tiny network allocates little.
+const arenaChunk = 4096
+
+func (e *engine) newNodeCtx(ctx context.Context) *nodeCtx {
+	return &nodeCtx{ctx: ctx, slots: tuple.NewSlots(e.cfg.MaxWidth, e.cfg.MaxHeight, e.cfg.Pareto)}
 }
 
 // process fills the DP tables (paper listing 2), dispatching on the
@@ -432,7 +430,8 @@ func (e *engine) process() error {
 }
 
 func (e *engine) processSequential() error {
-	nc := &nodeCtx{ctx: e.ctx, stats: e.stats}
+	nc := e.newNodeCtx(e.ctx)
+	nc.stats = e.stats
 	for id := range e.net.Nodes {
 		if err := e.processNode(nc, id); err != nil {
 			return err
@@ -458,7 +457,7 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 	node := &e.net.Nodes[id]
 	switch node.Op {
 	case logic.Input, logic.Not:
-		// Leaves: handled on demand by usable().
+		// Leaves: their candidate slice is set up by newEngine.
 	case logic.Const0, logic.Const1:
 		if e.fanout[id] > 0 {
 			return fmt.Errorf("mapper: constant node %d feeds gates; fold constants before mapping", id)
@@ -477,41 +476,12 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 		if err != nil {
 			return err
 		}
-		kept := 0
-		if e.cfg.Pareto {
-			if err := e.processPareto(nc, id, node.Op, ua, ub); err != nil {
-				return err
-			}
-			kept = e.fronts[id].Size()
-		} else {
-			tb := tuple.Table{}
-			for _, a := range ua {
-				for _, b := range ub {
-					var t tuple.Tuple
-					if node.Op == logic.Or {
-						t = e.combineOr(a, b)
-					} else {
-						t = e.combineAnd(a, b)
-					}
-					e.recordCombine(nc.stats, node.Op, t, a.t, b.t)
-					if err := e.combineCheck(nc, id); err != nil {
-						return err
-					}
-					if t.W <= e.cfg.MaxWidth && t.H <= e.cfg.MaxHeight {
-						tb.Insert(t, e.less)
-					}
-				}
-			}
-			if tb.Keys() == 0 {
-				return fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
-					id, e.cfg.MaxWidth, e.cfg.MaxHeight)
-			}
-			e.tables[id] = tb
-			best, _ := tb.Best(e.formLess)
-			e.gateChoice[id] = tuple.Choice{Node: id, Key: best.Key()}
-			e.formed[id] = e.form(best)
-			e.hasGate[id] = true
-			kept = tb.Keys()
+		if err := e.combineAll(nc, id, node, ua, ub); err != nil {
+			return err
+		}
+		kept, err := e.complete(nc, id)
+		if err != nil {
+			return err
 		}
 		nc.stats.AddNode(kept)
 		if traced {
@@ -529,6 +499,95 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 		return fmt.Errorf("mapper: node %d has unsupported op %s", id, node.Op)
 	}
 	return nil
+}
+
+// combineAll fills the worker's slot table with every combination of the
+// two fanins' candidates: one tuple per shape in the paper's mode, a
+// frontier per state in Pareto mode, where a series composition is
+// tried in both stack orders and dominance decides.
+func (e *engine) combineAll(nc *nodeCtx, id int, node *logic.Node, ua, ub []tuple.Tuple) error {
+	fa, fb := int32(node.Fanin[0]), int32(node.Fanin[1])
+	for i := range ua {
+		a := cand{&ua[i], tuple.Choice{Node: fa, Index: int32(i)}}
+		for j := range ub {
+			b := cand{&ub[j], tuple.Choice{Node: fb, Index: int32(j)}}
+			if node.Op == logic.And && e.cfg.Pareto {
+				for _, topIsA := range [2]bool{true, false} {
+					if err := e.offer(nc, id, node.Op, e.combineAndOrdered(a, b, topIsA), a, b); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			var t tuple.Tuple
+			if node.Op == logic.Or {
+				t = e.combineOr(a, b)
+			} else {
+				t = e.combineAnd(a, b)
+			}
+			if err := e.offer(nc, id, node.Op, t, a, b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// offer charges one combination to the worker's stats, runs the bounded
+// in-loop cancellation checkpoint, and inserts the tuple into the
+// worker's slot table, which rejects shapes beyond MaxWidth×MaxHeight.
+func (e *engine) offer(nc *nodeCtx, id int, op logic.Op, t tuple.Tuple, a, b cand) error {
+	e.recordCombine(nc.stats, op, &t, a.t, b.t)
+	if err := e.combineCheck(nc, id); err != nil {
+		return err
+	}
+	if e.cfg.Pareto {
+		nc.slots.InsertPareto(t, e.tupleCost)
+	} else {
+		nc.slots.Insert(t, e.less)
+	}
+	return nil
+}
+
+// complete turns the filled slot table into node id's gate and candidate
+// slice, emptying the table for the worker's next node, and returns the
+// number of tuples kept. The slice is carved from the worker's arena and
+// written exactly once, before the parallel engine releases any
+// dependent, so a parent never sees it change.
+func (e *engine) complete(nc *nodeCtx, id int) (int, error) {
+	s := nc.slots
+	kept := s.Size()
+	if kept == 0 {
+		return 0, fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
+			id, e.cfg.MaxWidth, e.cfg.MaxHeight)
+	}
+	if e.cfg.Pareto && e.cfg.TupleBudget > 0 {
+		e.keptTuples += kept
+		if e.keptTuples > e.cfg.TupleBudget {
+			e.degraded = true
+		}
+		if e.degraded {
+			// Budget overflow: fall back to the paper's one-tuple-per-shape
+			// heuristic from here on. The run still completes with a valid
+			// (audit-clean) mapping; it just stops exploring frontiers.
+			s.TrimPerKey(e.less)
+			e.keptTuples -= kept - s.Size()
+			kept = s.Size()
+		}
+	}
+	if cap(nc.arena)-len(nc.arena) < kept+1 {
+		nc.arena = make([]tuple.Tuple, 0, max(kept+1, min(2*cap(nc.arena), arenaChunk), 64))
+	}
+	start := len(nc.arena)
+	var best int
+	nc.arena, best = s.Drain(nc.arena, e.formLess)
+	e.gate[id] = nc.arena[best]
+	if e.forcedRoot(id) {
+		nc.arena = nc.arena[:start]
+	}
+	nc.arena = append(nc.arena, e.gateAsInput(id))
+	e.cands[id] = nc.arena[start:len(nc.arena):len(nc.arena)]
+	return kept, nil
 }
 
 // combineCheck is the bounded in-loop cancellation checkpoint, called
@@ -555,80 +614,28 @@ func (e *engine) combineCheck(nc *nodeCtx, id int) error {
 // cumulative OwnDisch totals so the combine functions themselves stay
 // instrumentation-free. st is nil-receiver safe (see obs.Stats), so
 // call sites need no guard.
-func (e *engine) recordCombine(st *obs.Stats, op logic.Op, t, a, b tuple.Tuple) {
+func (e *engine) recordCombine(st *obs.Stats, op logic.Op, t, a, b *tuple.Tuple) {
 	or := op == logic.Or
-	st.AddCombine(or, !or && !t.Deriv.TopIsA, t.OwnDisch-a.OwnDisch-b.OwnDisch)
+	st.AddCombine(or, !or && !t.Deriv.TopIsA, int(t.OwnDisch-a.OwnDisch-b.OwnDisch))
 }
 
-// processPareto fills one node's frontier, considering every child
-// frontier entry and, for series composition, both stack orders.
-func (e *engine) processPareto(nc *nodeCtx, id int, op logic.Op, ua, ub []cand) error {
-	fr := tuple.Frontier{}
-	insert := func(t tuple.Tuple) {
-		if t.W <= e.cfg.MaxWidth && t.H <= e.cfg.MaxHeight {
-			fr.Insert(t, e.tupleCost)
-		}
-	}
-	for _, a := range ua {
-		for _, b := range ub {
-			if op == logic.Or {
-				t := e.combineOr(a, b)
-				e.recordCombine(nc.stats, op, t, a.t, b.t)
-				if err := e.combineCheck(nc, id); err != nil {
-					return err
-				}
-				insert(t)
-				continue
-			}
-			for _, topIsA := range [2]bool{true, false} {
-				t := e.combineAndOrdered(a, b, topIsA)
-				e.recordCombine(nc.stats, op, t, a.t, b.t)
-				if err := e.combineCheck(nc, id); err != nil {
-					return err
-				}
-				insert(t)
-			}
-		}
-	}
-	if fr.Size() == 0 {
-		return fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
-			id, e.cfg.MaxWidth, e.cfg.MaxHeight)
-	}
-	if e.cfg.TupleBudget > 0 {
-		e.keptTuples += fr.Size()
-		if e.keptTuples > e.cfg.TupleBudget {
-			e.degraded = true
-		}
-		if e.degraded {
-			// Budget overflow: fall back to the paper's one-tuple-per-shape
-			// heuristic from here on. The run still completes with a valid
-			// (audit-clean) mapping; it just stops exploring frontiers.
-			before := fr.Size()
-			fr.TrimPerKey(e.less)
-			e.keptTuples -= before - fr.Size()
-		}
-	}
-	e.fronts[id] = fr
-	best, _ := fr.Best(e.formLess)
-	e.gateChoice[id] = tuple.Choice{Node: id, Pareto: true, Front: best.FKey, Index: best.Index}
-	e.formed[id] = e.form(best.Tuple)
-	e.hasGate[id] = true
-	return nil
-}
-
-// mixChoices hashes two child choices into a deterministic value, used for
-// the PBE-blind pseudorandom stack order.
-func mixChoices(a, b tuple.Choice) uint64 {
+// mixChoices hashes two combine operands into a deterministic value, used
+// for the PBE-blind pseudorandom stack order. Each operand contributes its
+// node, its shape key — {0,0} for a completed gate's output, the tuple's
+// own {W,H} otherwise ({1,1} for a leaf) — and whether it is a gate.
+func mixChoices(a, b cand) uint64 {
+	ka, kb := hashKey(a), hashKey(b)
 	h := uint64(2166136261)
-	for _, v := range []int{a.Node, a.Key.W, a.Key.H, boolInt(a.Gate), b.Node, b.Key.W, b.Key.H, boolInt(b.Gate)} {
+	for _, v := range [8]int{int(a.ch.Node), ka[0], ka[1], ka[2], int(b.ch.Node), kb[0], kb[1], kb[2]} {
 		h = (h ^ uint64(v)) * 16777619
 	}
 	return h >> 7
 }
 
-func boolInt(b bool) int {
-	if b {
-		return 1
+// hashKey is an operand's {W, H, gate} contribution to mixChoices.
+func hashKey(c cand) [3]int {
+	if c.t.Deriv.Op == tuple.DerivGateInput {
+		return [3]int{0, 0, 1}
 	}
-	return 0
+	return [3]int{int(c.t.W), int(c.t.H), 0}
 }

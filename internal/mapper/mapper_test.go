@@ -3,6 +3,7 @@ package mapper
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,45 +49,46 @@ func fig3Options() Options {
 func TestFigure3Tuples(t *testing.T) {
 	n := fig3Network()
 	// The network is already decomposed and unate.
-	e := &engine{
-		ctx:        context.Background(),
-		cfg:        config{Options: fig3Options(), algorithm: "test"},
-		net:        n,
-		tables:     make([]tuple.Table, n.Len()),
-		gateChoice: make([]tuple.Choice, n.Len()),
-		formed:     make([]tuple.Tuple, n.Len()),
-		hasGate:    make([]bool, n.Len()),
-	}
-	e.fanout = n.ComputeFanout()
-	e.outRefs = n.OutputRefs()
+	e := newEngine(context.Background(), n, config{Options: fig3Options(), algorithm: "test"})
+	andNode, orNode := 4, 6 // first AND gate, the output OR
+	// Unforce the output so the root keeps its table tuples in its
+	// candidate slice for inspection; its DP is otherwise unchanged.
+	e.outRefs[orNode] = 0
 	if err := e.process(); err != nil {
 		t.Fatal(err)
 	}
-	andNode := 4 // first AND gate
-	at := e.tables[andNode]
-	if at.Keys() != 1 {
-		t.Fatalf("AND table has %d keys, want 1", at.Keys())
+	// table returns a node's table tuples: its candidate slice minus the
+	// trailing gate-as-input candidate.
+	table := func(id int) []tuple.Tuple { return e.cands[id][:len(e.cands[id])-1] }
+	lookup := func(id int, w, h int32) (tuple.Tuple, bool) {
+		for _, tu := range table(id) {
+			if tu.W == w && tu.H == h {
+				return tu, true
+			}
+		}
+		return tuple.Tuple{}, false
 	}
-	andTuple, ok := at[tuple.Key{W: 1, H: 2}]
+	if at := table(andNode); len(at) != 1 {
+		t.Fatalf("AND table has %d keys, want 1", len(at))
+	}
+	andTuple, ok := lookup(andNode, 1, 2)
 	if !ok || andTuple.NTrans != 2 {
 		t.Fatalf("AND {1,2} tuple = %+v, ok=%v (want cost 2)", andTuple, ok)
 	}
-	if cost := e.tupleCost(e.formed[andNode]); cost != 7 {
+	if cost := e.tupleCost(e.form(e.gate[andNode])); cost != 7 {
 		t.Errorf("AND gate cost = %d, want 7 (paper: {1,1,7})", cost)
 	}
-	orNode := 6
-	ot := e.tables[orNode]
-	if tu, ok := ot[tuple.Key{W: 2, H: 2}]; !ok || e.tupleCost(tu) != 4 {
+	if tu, ok := lookup(orNode, 2, 2); !ok || e.tupleCost(tu) != 4 {
 		t.Errorf("OR {2,2} tuple cost = %d, ok=%v, want 4", e.tupleCost(tu), ok)
 	}
-	if tu, ok := ot[tuple.Key{W: 2, H: 1}]; !ok || e.tupleCost(tu) != 16 {
+	if tu, ok := lookup(orNode, 2, 1); !ok || e.tupleCost(tu) != 16 {
 		t.Errorf("OR {2,1} both-gates tuple cost = %d, ok=%v, want 16", e.tupleCost(tu), ok)
 	}
-	if cost := e.tupleCost(e.formed[orNode]); cost != 9 {
+	if cost := e.tupleCost(e.form(e.gate[orNode])); cost != 9 {
 		t.Errorf("final gate cost = %d, want 9 (paper: {1,1,9})", cost)
 	}
-	if e.gateChoice[orNode].Key != (tuple.Key{W: 2, H: 2}) {
-		t.Errorf("gate formed from %v, want {2,2}", e.gateChoice[orNode].Key)
+	if g := e.gate[orNode]; g.W != 2 || g.H != 2 {
+		t.Errorf("gate formed from {%d,%d}, want {2,2}", g.W, g.H)
 	}
 }
 
@@ -458,17 +460,8 @@ func TestDPPredictsDischarges(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reconstruct the DP totals for the root gate.
-		e := &engine{
-			ctx:        context.Background(),
-			cfg:        config{Options: opt, algorithm: "x", trackDischarges: true, reorderStacks: true},
-			net:        n,
-			tables:     make([]tuple.Table, n.Len()),
-			gateChoice: make([]tuple.Choice, n.Len()),
-			formed:     make([]tuple.Tuple, n.Len()),
-			hasGate:    make([]bool, n.Len()),
-		}
-		e.fanout = n.ComputeFanout()
-		e.outRefs = n.OutputRefs()
+		e := newEngine(context.Background(), n,
+			config{Options: opt, algorithm: "x", trackDischarges: true, reorderStacks: true})
 		if err := e.process(); err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +469,7 @@ func TestDPPredictsDischarges(t *testing.T) {
 		if n.Nodes[root].Op == logic.Input {
 			continue
 		}
-		predicted := e.formed[root].NDisch
+		predicted := int(e.form(e.gate[root]).NDisch)
 		if predicted != res.Stats.TDisch {
 			t.Fatalf("trial %d: DP predicts %d discharges, netlist has %d\n%s",
 				trial, predicted, res.Stats.TDisch, res.Dump())
@@ -538,5 +531,30 @@ func TestStatsString(t *testing.T) {
 	}
 	if res.Dump() == "" {
 		t.Error("Dump empty")
+	}
+}
+
+// TestShapeCapValidation: MaxWidth/MaxHeight are bounded on both sides —
+// the DP's per-worker slot table is MaxWidth×MaxHeight — and every mapper
+// refuses an out-of-range shape before touching the network.
+func TestShapeCapValidation(t *testing.T) {
+	for _, wh := range [][2]int{{MaxShape + 1, 8}, {5, MaxShape + 1}, {1, 8}, {5, 1}} {
+		opt := DefaultOptions()
+		opt.MaxWidth, opt.MaxHeight = wh[0], wh[1]
+		if err := opt.Validate(); err == nil || !strings.Contains(err.Error(), "MaxWidth/MaxHeight") {
+			t.Errorf("%v: Validate = %v, want a MaxWidth/MaxHeight error", wh, err)
+		}
+		if _, err := SOIDominoMap(fig3Network(), opt); err == nil {
+			t.Errorf("%v: SOIDominoMap accepted the shape", wh)
+		}
+	}
+	opt := DefaultOptions()
+	opt.MaxWidth, opt.MaxHeight, opt.Pareto = MaxShape, MaxShape, true
+	res, err := SOIDominoMap(fig3Network(), opt)
+	if err != nil {
+		t.Fatalf("the cap itself must map: %v", err)
+	}
+	if err := res.Audit(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -136,10 +136,17 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) validate() error {
-	if o.MaxWidth < 2 || o.MaxHeight < 2 {
-		return fmt.Errorf("mapper: MaxWidth/MaxHeight must be at least 2 (got %d, %d)",
-			o.MaxWidth, o.MaxHeight)
+// MaxShape caps MaxWidth and MaxHeight. The DP keeps a dense scratch
+// table of MaxWidth×MaxHeight slots per worker, so the cap bounds what
+// one request can make it allocate; the paper's SOI bounds are 5×8.
+const MaxShape = 64
+
+// Validate reports the first out-of-range option, so a caller can reject
+// a request before queueing it; every mapper run validates again.
+func (o Options) Validate() error {
+	if o.MaxWidth < 2 || o.MaxHeight < 2 || o.MaxWidth > MaxShape || o.MaxHeight > MaxShape {
+		return fmt.Errorf("mapper: MaxWidth/MaxHeight must be in [2, %d] (got %d, %d)",
+			MaxShape, o.MaxWidth, o.MaxHeight)
 	}
 	if o.ClockWeight < 1 {
 		return fmt.Errorf("mapper: ClockWeight must be >= 1 (got %d)", o.ClockWeight)

@@ -55,21 +55,24 @@ type nodeError struct {
 }
 
 // processParallel fills the DP tables with a readiness-scheduled worker
-// pool: a node becomes runnable the moment every non-leaf fanin's table
-// exists (indegree counting over the fanin DAG — no global level
+// pool: a node becomes runnable the moment every non-leaf fanin's candidate
+// slice exists (indegree counting over the fanin DAG — no global level
 // barriers), so independent cones map concurrently. Determinism comes
-// from the state layout, not from ordering: every per-node slot
-// (tables, fronts, formed, gateChoice, hasGate) is written by exactly
-// one task, all tie-breaking reads only finished fanin tables, each
-// worker records into a private stats shard and span buffer, and the
-// shards are merged — all counters commutative, the high-water mark a
-// max — with spans emitted in node order after the pool drains.
+// from the state layout, not from ordering: every per-node entry
+// (cands, gate) is written by exactly one task, once, when the node
+// completes; all tie-breaking reads only finished fanin candidate
+// slices, whose order is fixed by the slot layout, not by which worker
+// built them or where its arena put them; each worker fills its own
+// scratch slot table and records into a private stats shard and span
+// buffer, and the shards are merged — all counters commutative, the
+// high-water mark a max — with spans emitted in node order after the
+// pool drains.
 //
 // Memory visibility rides the scheduler itself: a completed node's
-// table writes happen before its atomic indegree decrements, which
-// happen before the ready-channel send that releases the dependent, so
-// a running task observes all of its fanins' writes without any lock
-// around the shared slices.
+// candidate-slice writes happen before its atomic indegree decrements,
+// which happen before the ready-channel send that releases the
+// dependent, so a running task observes all of its fanins' writes
+// without any lock around the shared slices.
 func (e *engine) processParallel(workers int) error {
 	n := e.net.Len()
 	ctx, cancel := context.WithCancel(e.ctx)
@@ -112,7 +115,7 @@ func (e *engine) processParallel(workers int) error {
 	shards := make([]*obs.Stats, workers)
 	spanBufs := make([][]obs.Span, workers)
 	for w := 0; w < workers; w++ {
-		nc := &nodeCtx{ctx: ctx}
+		nc := e.newNodeCtx(ctx)
 		if e.stats != nil {
 			nc.stats = new(obs.Stats)
 			shards[w] = nc.stats

@@ -60,15 +60,11 @@ func (b *builder) gate(nodeID int) (int, error) {
 		// A primary output sitting directly on an input literal gets a
 		// single-transistor buffer gate.
 		tree = b.leafTree(nodeID)
-	case b.e.hasGate[nodeID]:
-		ch := b.e.gateChoice[nodeID]
-		t, ok := b.chosenTuple(ch)
-		if !ok {
-			return 0, fmt.Errorf("mapper: node %d has no tuple for choice %+v", ch.Node, ch)
-		}
-		predicted = t.OwnDisch
+	case b.e.cands[nodeID] != nil:
+		t := &b.e.gate[nodeID]
+		predicted = int(t.OwnDisch)
 		var err error
-		tree, err = b.structure(ch)
+		tree, err = b.structure(nodeID, t)
 		if err != nil {
 			return 0, err
 		}
@@ -109,65 +105,48 @@ func (b *builder) gate(nodeID int) (int, error) {
 	return gid, nil
 }
 
-// chosenTuple resolves a Choice to its tuple record.
-func (b *builder) chosenTuple(ch tuple.Choice) (tuple.Tuple, bool) {
-	if ch.Pareto {
-		return b.e.fronts[ch.Node].Lookup(ch.Front, ch.Index)
+// structure rebuilds the SP tree of a table tuple of node id.
+func (b *builder) structure(id int, t *tuple.Tuple) (*sp.Tree, error) {
+	if t.Deriv.Op != tuple.DerivOr && t.Deriv.Op != tuple.DerivAnd {
+		return nil, fmt.Errorf("mapper: node %d tuple has unexpected derivation %d", id, t.Deriv.Op)
 	}
-	t, ok := b.e.tables[ch.Node][ch.Key]
-	return t, ok
-}
-
-// structure rebuilds the SP tree for the chosen tuple of a node.
-func (b *builder) structure(ch tuple.Choice) (*sp.Tree, error) {
-	t, ok := b.chosenTuple(ch)
-	if !ok {
-		return nil, fmt.Errorf("mapper: node %d has no tuple for choice %+v", ch.Node, ch)
+	a, err := b.resolve(t.Deriv.A)
+	if err != nil {
+		return nil, err
 	}
-	switch t.Deriv.Op {
-	case tuple.DerivLeaf:
-		return b.leafTree(t.Deriv.Leaf), nil
-	case tuple.DerivOr:
-		a, err := b.resolve(t.Deriv.A)
-		if err != nil {
-			return nil, err
-		}
-		c, err := b.resolve(t.Deriv.B)
-		if err != nil {
-			return nil, err
-		}
+	c, err := b.resolve(t.Deriv.B)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case t.Deriv.Op == tuple.DerivOr:
 		return sp.NewParallel(a, c), nil
-	case tuple.DerivAnd:
-		a, err := b.resolve(t.Deriv.A)
-		if err != nil {
-			return nil, err
-		}
-		c, err := b.resolve(t.Deriv.B)
-		if err != nil {
-			return nil, err
-		}
-		if t.Deriv.TopIsA {
-			return sp.NewSeries(a, c), nil
-		}
+	case t.Deriv.TopIsA:
+		return sp.NewSeries(a, c), nil
+	default:
 		return sp.NewSeries(c, a), nil
 	}
-	return nil, fmt.Errorf("mapper: node %d tuple for %+v has unexpected derivation %d",
-		ch.Node, ch, t.Deriv.Op)
 }
 
-// resolve materializes one child Choice as a subtree.
+// resolve materializes one child Choice as a subtree: a completed gate's
+// output, a leaf transistor, or the child's raw structure.
 func (b *builder) resolve(ch tuple.Choice) (*sp.Tree, error) {
-	if ch.Gate {
-		gid, err := b.gate(ch.Node)
+	id, c := int(ch.Node), b.e.cands[ch.Node]
+	if ch.Index < 0 || int(ch.Index) >= len(c) {
+		return nil, fmt.Errorf("mapper: node %d has no candidate %d", id, ch.Index)
+	}
+	t := &c[ch.Index]
+	switch t.Deriv.Op {
+	case tuple.DerivGateInput:
+		gid, err := b.gate(id)
 		if err != nil {
 			return nil, err
 		}
 		return sp.NewLeaf(b.res.Gates[gid].Output, false, gid), nil
+	case tuple.DerivLeaf:
+		return b.leafTree(id), nil
 	}
-	if b.e.isLeaf(ch.Node) {
-		return b.leafTree(ch.Node), nil
-	}
-	return b.structure(ch)
+	return b.structure(id, t)
 }
 
 // leafTree builds the transistor for a primary input or complemented

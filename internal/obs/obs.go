@@ -57,7 +57,7 @@ type Stats struct {
 	CombineAndOrdered   int64 `json:"combine_and_ordered"`
 	CombineAndReordered int64 `json:"combine_and_reordered"`
 	// FrontierHighWater is the largest tuple population any single node
-	// held (table entries, or frontier entries across all FKeys).
+	// held (table entries, or frontier entries across all Pareto states).
 	FrontierHighWater int64 `json:"frontier_high_water"`
 	// DPDischargeCharges counts p-discharge devices charged while
 	// evaluating AND combinations (a series composition burying a

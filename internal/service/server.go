@@ -425,7 +425,7 @@ func parseSource(ctx context.Context, req *MapRequest) (*logic.Network, string, 
 }
 
 // OptionsFromRequest resolves a request's option overrides against
-// mapper.DefaultOptions. Exported for the client and chaos packages,
+// mapper.DefaultOptions and validates the result. Exported for the client and chaos packages,
 // which need the exact Options a given request resolves to.
 func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 	opt := mapper.DefaultOptions()
@@ -461,7 +461,9 @@ func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 	opt.Pareto = ro.Pareto
 	opt.SequenceAware = ro.SequenceAware
 	opt.StrashOff = ro.StrashOff
-	return opt, nil
+	// Out-of-range options are the submitter's error: reject them here,
+	// as a 400 at submit, instead of queueing a job that cannot run.
+	return opt, opt.Validate()
 }
 
 // algoKeys are the request names of the four mappers.

@@ -238,6 +238,36 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeShapeRejected: a shape bound past mapper.MaxShape (or
+// below 2) is refused with a 400 at submit — no job is registered or
+// queued — and OptionsFromRequest itself reports it.
+func TestOutOfRangeShapeRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, opts := range []string{
+		fmt.Sprintf(`{"max_width": %d}`, mapper.MaxShape+1),
+		`{"max_height": 1000000}`,
+		`{"max_width": 1}`,
+	} {
+		code, v := postMap(t, ts, `{"circuit": "mux", "options": `+opts+`}`)
+		if code != http.StatusBadRequest || !strings.Contains(v.Error, "MaxWidth/MaxHeight") {
+			t.Errorf("%s: code %d error %q, want 400 naming MaxWidth/MaxHeight", opts, code, v.Error)
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("%d jobs registered for rejected requests, want 0", jobs)
+	}
+	if _, err := OptionsFromRequest(&RequestOptions{MaxHeight: mapper.MaxShape + 1}); err == nil {
+		t.Error("OptionsFromRequest accepted a height past MaxShape")
+	}
+	opt, err := OptionsFromRequest(&RequestOptions{MaxWidth: mapper.MaxShape, MaxHeight: mapper.MaxShape})
+	if err != nil || opt.MaxWidth != mapper.MaxShape {
+		t.Errorf("the cap itself must be accepted: %+v, %v", opt, err)
+	}
+}
+
 // TestOversizedBodyRejected: a body past MaxBodyBytes gets a 413 JSON
 // error, not a generic 400 or a connection reset.
 func TestOversizedBodyRejected(t *testing.T) {

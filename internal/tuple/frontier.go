@@ -1,161 +1,83 @@
 package tuple
 
-// FKey indexes a Pareto frontier: besides {W,H}, the par_b and has-PI bits
+// MaxFrontier bounds the number of incomparable tuples kept per Pareto
+// state {W,H,par_b,hasPI}: besides the shape, the par_b and has-PI bits
 // are part of the state because they change how a sub-solution combines
-// upward (stack ordering and foot insertion).
-type FKey struct {
-	Key   Key
-	ParB  bool
-	HasPI bool
-}
-
-// FKeyOf returns the frontier key of a tuple.
-func FKeyOf(t Tuple) FKey {
-	return FKey{Key: t.Key(), ParB: t.ParB, HasPI: t.HasPI}
-}
-
-// MaxFrontier bounds the number of incomparable tuples kept per FKey. The
-// bound is a safety valve: on the benchmark suite frontiers stay small,
-// and when the cap binds the cheapest entries are kept, so the mode
-// degrades gracefully toward the paper's single-tuple heuristic.
+// upward (stack ordering and foot insertion). The bound is a safety
+// valve: on the benchmark suite frontiers stay small, and when the cap
+// binds the cheapest entries are kept, so the mode degrades gracefully
+// toward the paper's single-tuple heuristic.
 const MaxFrontier = 32
 
-// Frontier keeps, per FKey, the set of mutually non-dominated tuples under
-// the partial order (cost, PDis, PDisBot, Depth): the paper's algorithm
-// keeps exactly one tuple per {W,H} and breaks ties by p_dis, which can
-// discard a sub-solution that a later combination would have preferred;
-// the frontier closes that gap (see the brute-force optimality tests).
-type Frontier map[FKey][]Tuple
-
-// dominates reports whether a is at least as good as b in every component
-// that can influence any future combination, for the given scalar cost.
-func dominates(a, b Tuple, cost func(Tuple) int) bool {
-	return cost(a) <= cost(b) &&
+// dominates reports whether a (of scalar cost ca) is at least as good as b
+// (of cost cb) in every component that can influence any future
+// combination.
+func dominates(a *Tuple, ca int, b *Tuple, cb int) bool {
+	return ca <= cb &&
 		a.PDis <= b.PDis &&
 		a.PDisBot <= b.PDisBot &&
 		a.Depth <= b.Depth
 }
 
-// Insert adds t unless an existing entry dominates it, removing entries t
-// dominates. It reports whether the frontier changed.
-func (f Frontier) Insert(t Tuple, cost func(Tuple) int) bool {
-	k := FKeyOf(t)
-	entries := f[k]
+// InsertPareto adds t to its state's frontier — the set of mutually
+// non-dominated tuples under the partial order (cost, PDis, PDisBot,
+// Depth) — unless its shape exceeds the bounds or an existing entry
+// dominates it, removing entries t dominates. It reports whether the
+// frontier changed. The paper's algorithm keeps exactly one tuple per
+// {W,H} and breaks ties by p_dis, which can discard a sub-solution that a
+// later combination would have preferred; the frontier closes that gap
+// (see the brute-force optimality tests).
+func (s *Slots) InsertPareto(t Tuple, cost Cost) bool {
+	i := s.index(&t)
+	if i < 0 {
+		return false
+	}
+	ct := cost(t)
+	entries := s.slot[i]
 	keep := entries[:0]
-	for _, e := range entries {
-		if dominates(e, t, cost) {
+	for j := range entries {
+		e := &entries[j]
+		ce := cost(*e)
+		if dominates(e, ce, &t, ct) {
 			return false // also covers exact ties: the incumbent stays
 		}
-		if !dominates(t, e, cost) {
-			keep = append(keep, e)
+		if !dominates(&t, ct, e, ce) {
+			keep = append(keep, *e)
 		}
 	}
 	keep = append(keep, t)
 	if len(keep) > MaxFrontier {
 		// Drop the entry with the worst cost (ties: largest PDis).
 		worst := 0
-		for i := 1; i < len(keep); i++ {
-			ci, cw := cost(keep[i]), cost(keep[worst])
-			if ci > cw || (ci == cw && keep[i].PDis > keep[worst].PDis) {
-				worst = i
+		for j := 1; j < len(keep); j++ {
+			cj, cw := cost(keep[j]), cost(keep[worst])
+			if cj > cw || (cj == cw && keep[j].PDis > keep[worst].PDis) {
+				worst = j
 			}
 		}
 		keep = append(keep[:worst], keep[worst+1:]...)
 	}
-	f[k] = keep
+	s.slot[i] = keep
+	s.present[i>>6] |= 1 << (i & 63)
 	return true
 }
 
-// TrimPerKey collapses each frontier key to its single best tuple under
-// less. This is the graceful-degradation step of a tuple-budget-bound
-// Pareto run: the frontier falls back to the paper's one-tuple-per-shape
-// heuristic, so mapping still completes with a valid (if possibly
-// suboptimal) result instead of exhausting the budget's reason for
-// existing — memory.
-func (f Frontier) TrimPerKey(less Less) {
-	for k, entries := range f {
+// TrimPerKey collapses each slot to its single best tuple under less
+// (the first minimal one in insertion order). This is the
+// graceful-degradation step of a tuple-budget-bound Pareto run: the
+// frontier falls back to the paper's one-tuple-per-shape heuristic, so
+// mapping still completes with a valid (if possibly suboptimal) result
+// instead of exhausting the budget's reason for existing — memory.
+func (s *Slots) TrimPerKey(less Less) {
+	for i := s.next(0); i >= 0; i = s.next(i + 1) {
+		sl := s.slot[i]
 		best := 0
-		for i := 1; i < len(entries); i++ {
-			if less(entries[i], entries[best]) {
-				best = i
+		for j := 1; j < len(sl); j++ {
+			if less(sl[j], sl[best]) {
+				best = j
 			}
 		}
-		f[k] = []Tuple{entries[best]}
-	}
-}
-
-// All returns every tuple with its frontier position, in deterministic
-// (sorted-key, insertion) order. The position is what Choice.Index refers
-// to during traceback.
-func (f Frontier) All() []IndexedTuple {
-	keys := make([]FKey, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	sortFKeys(keys)
-	var out []IndexedTuple
-	for _, k := range keys {
-		for i, t := range f[k] {
-			out = append(out, IndexedTuple{Tuple: t, FKey: k, Index: i})
-		}
-	}
-	return out
-}
-
-// IndexedTuple pairs a frontier tuple with its stable address.
-type IndexedTuple struct {
-	Tuple Tuple
-	FKey  FKey
-	Index int
-}
-
-// Lookup returns the tuple at a frontier address.
-func (f Frontier) Lookup(k FKey, index int) (Tuple, bool) {
-	entries := f[k]
-	if index < 0 || index >= len(entries) {
-		return Tuple{}, false
-	}
-	return entries[index], true
-}
-
-// Size returns the total number of tuples across all keys.
-func (f Frontier) Size() int {
-	n := 0
-	for _, entries := range f {
-		n += len(entries)
-	}
-	return n
-}
-
-// Best returns the minimum tuple over the whole frontier under less, with
-// deterministic tie-breaking by frontier order.
-func (f Frontier) Best(less Less) (IndexedTuple, bool) {
-	var best IndexedTuple
-	found := false
-	for _, it := range f.All() {
-		if !found || less(it.Tuple, best.Tuple) {
-			best, found = it, true
-		}
-	}
-	return best, found
-}
-
-func sortFKeys(keys []FKey) {
-	lessKey := func(a, b FKey) bool {
-		if a.Key != b.Key {
-			return keyLess(a.Key, b.Key)
-		}
-		if a.ParB != b.ParB {
-			return !a.ParB
-		}
-		if a.HasPI != b.HasPI {
-			return !a.HasPI
-		}
-		return false
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && lessKey(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
+		sl[0] = sl[best]
+		s.slot[i] = sl[:1]
 	}
 }
