@@ -7,8 +7,10 @@ GO ?= go
 
 check: vet build race obs-overhead dp-allocs par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
+# gofmt is part of vet: any file `gofmt -l` lists fails the gate.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -36,12 +38,14 @@ bench-baseline: strash-determinism
 obs-overhead:
 	SOIDOMINO_OBS_OVERHEAD=1 $(GO) test -run 'Test(Stats|Trace)Overhead' -v ./internal/mapper
 
-# Guard on the compact DP's allocation profile: newEngine plus the
-# dynamic program on des (SOI, Pareto) must stay under a pinned
-# allocs/run ceiling — per-worker slot tables and candidate-arena chunks,
-# nothing per node or per combine. Env-gated like obs-overhead.
+# Guard on the mapper's allocation profile on des: newEngine plus the
+# dynamic program (SOI, Pareto) must stay under a pinned allocs/run
+# ceiling — per-worker slot tables and candidate-arena chunks, nothing
+# per node or per combine — and so must traceback (SOI Pareto and
+# RS_Map: arena-built trees, a few allocations per gate) and
+# Result.Audit. Env-gated like obs-overhead.
 dp-allocs:
-	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestDPAllocs' -v ./internal/mapper
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback)Allocs' -v ./internal/mapper
 
 # The parallel DP engine's byte-identical contract: every testdata
 # circuit mapped with workers=1 vs workers=N across all mappers and

@@ -242,7 +242,7 @@ func BenchmarkPBEAnalyze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := trees[i%len(trees)].t
-		a := pbe.Analyze(tr)
+		a := pbe.Analyze(tr, nil, nil)
 		if len(a.Immediate) < 0 {
 			b.Fatal("impossible")
 		}

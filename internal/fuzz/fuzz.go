@@ -13,9 +13,9 @@
 //     cross-check
 //   - soisim: a short switch-level simulation — no corrupted PBE events
 //     on protected netlists and outputs tracking the mapped function
-//   - cross-variant metamorphic relations: T_total(SOI) <= T_total(Domino)
-//     + TotalEps and T_disch(SOI) <= T_disch(RS) + DischEps under the area
-//     objective
+//   - cross-variant metamorphic relations under the area objective:
+//     T_total(SOI) <= T_total(Domino) + TotalEps and
+//     T_disch(SOI) <= T_disch(RS) + DischEps
 //
 // Violations are delta-debugged to a minimal failing circuit (Shrink) and
 // written as BLIF plus a JSON manifest into a corpus directory; the

@@ -66,7 +66,7 @@ func (e *Engine) ShrinkFailure(ctx context.Context, net *logic.Network, oracle s
 
 // edit is one candidate reduction, applied by rebuild.
 type edit struct {
-	dropOutput int         // output index to delete when hasDrop
+	dropOutput int // output index to delete when hasDrop
 	hasDrop    bool
 	retarget   map[int]int // output index -> replacement node id
 	subst      map[int]int // node id -> replacement node id (an ancestor or input)

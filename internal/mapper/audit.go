@@ -17,6 +17,7 @@ import (
 //   - gates are topologically ordered and levels are consistent,
 //   - gate-input leaves reference real gates by their output names.
 func (r *Result) Audit() error {
+	var a pbe.Analysis // reused across gates
 	for _, g := range r.Gates {
 		if err := g.Tree.Validate(); err != nil {
 			return fmt.Errorf("gate %d: %w", g.ID, err)
@@ -36,7 +37,8 @@ func (r *Result) Audit() error {
 			if g.Footed != wantFooted {
 				return fmt.Errorf("gate %d: footed=%v, want %v", g.ID, g.Footed, wantFooted)
 			}
-			want := pbe.GateDischargePoints(g.Tree)
+			a = pbe.Analyze(g.Tree, a.Immediate[:0], a.Potential[:0])
+			want := a.Immediate
 			if r.Options.SequenceAware {
 				want = pbe.PruneUnexcitable(g.Tree, want)
 			}

@@ -13,19 +13,41 @@ import (
 // combine creeping back in overshoots the ceiling by far.
 const dpAllocsCeiling = 120
 
+// Traceback and audit ceilings on des (607 gates), with headroom over the
+// counts at the time of writing: SOI Pareto traceback 1,287 allocs/run,
+// RS_Map 1,570, Audit 616. What remains is about two allocations per
+// gate — its name and its Leaves slice in computeStats — plus arena
+// chunks; one more allocation per gate, or per tree node, overshoots.
+const (
+	tracebackSOIAllocsCeiling = 1800
+	tracebackRSAllocsCeiling  = 2100
+	auditAllocsCeiling        = 1000
+)
+
+func skipUnlessDPAllocs(t *testing.T) {
+	t.Helper()
+	if os.Getenv("SOIDOMINO_DP_ALLOCS") != "1" {
+		t.Skip("set SOIDOMINO_DP_ALLOCS=1 to run the allocation guards")
+	}
+}
+
+// desSOIParetoConfig is the configuration SOIDominoMapContext builds for
+// a sequential Pareto run.
+func desSOIParetoConfig() config {
+	opt := DefaultOptions()
+	opt.Pareto = true
+	opt.Workers = 1
+	return config{Options: opt, algorithm: "SOI_Domino_Map_pareto", trackDischarges: true, reorderStacks: true}
+}
+
 // TestDPAllocs is the `make dp-allocs` guard on the DP's allocation
 // profile: newEngine plus the dynamic program (no traceback) on des with
 // SOI Pareto must stay under dpAllocsCeiling allocations. Env-gated like
 // the obs-overhead guards so plain `go test ./...` skips it.
 func TestDPAllocs(t *testing.T) {
-	if os.Getenv("SOIDOMINO_DP_ALLOCS") != "1" {
-		t.Skip("set SOIDOMINO_DP_ALLOCS=1 to run the DP allocation guard")
-	}
+	skipUnlessDPAllocs(t)
 	n := unateBench(t, "des")
-	opt := DefaultOptions()
-	opt.Pareto = true
-	opt.Workers = 1
-	cfg := config{Options: opt, algorithm: "SOI_Domino_Map_pareto", trackDischarges: true, reorderStacks: true}
+	cfg := desSOIParetoConfig()
 	allocs := testing.AllocsPerRun(10, func() {
 		if err := newEngine(context.Background(), n, cfg).process(); err != nil {
 			t.Fatal(err)
@@ -34,5 +56,49 @@ func TestDPAllocs(t *testing.T) {
 	t.Logf("des SOI Pareto: %.0f allocs/run in the DP (ceiling %d)", allocs, dpAllocsCeiling)
 	if allocs > dpAllocsCeiling {
 		t.Errorf("DP allocates %.0f times per run, ceiling %d", allocs, dpAllocsCeiling)
+	}
+}
+
+// TestTracebackAllocs is the `make dp-allocs` guard on traceback and
+// audit: on one completed DP over des, rebuilding the gates (SOI Pareto,
+// and RS_Map with its stack rearrangement) and re-auditing the result
+// must stay under their ceilings.
+func TestTracebackAllocs(t *testing.T) {
+	skipUnlessDPAllocs(t)
+	n := unateBench(t, "des")
+	rsOpt := DefaultOptions()
+	rsOpt.Workers = 1
+	for _, tc := range []struct {
+		name    string
+		cfg     config
+		ceiling int
+	}{
+		{"SOI Pareto", desSOIParetoConfig(), tracebackSOIAllocsCeiling},
+		{"RS_Map", config{Options: rsOpt, algorithm: "RS_Map", rearrangePost: rearrangeTop}, tracebackRSAllocsCeiling},
+	} {
+		e := newEngine(context.Background(), n, tc.cfg)
+		if err := e.process(); err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if res, err = e.traceback(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("des %s: %.0f allocs/run in traceback (ceiling %d), %d gates", tc.name, allocs, tc.ceiling, len(res.Gates))
+		if allocs > float64(tc.ceiling) {
+			t.Errorf("%s traceback allocates %.0f times per run, ceiling %d", tc.name, allocs, tc.ceiling)
+		}
+		allocs = testing.AllocsPerRun(10, func() {
+			if err := res.Audit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("des %s: %.0f allocs/run in Audit (ceiling %d)", tc.name, allocs, auditAllocsCeiling)
+		if allocs > auditAllocsCeiling {
+			t.Errorf("%s Audit allocates %.0f times per run, ceiling %d", tc.name, allocs, auditAllocsCeiling)
+		}
 	}
 }

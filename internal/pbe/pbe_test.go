@@ -2,6 +2,7 @@ package pbe
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,7 @@ func TestFigure2aReordered(t *testing.T) {
 // and, as a grounded gate, needs no discharge transistors.
 func TestFigure4a(t *testing.T) {
 	tr := sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C"))
-	a := Analyze(tr)
+	a := Analyze(tr, nil, nil)
 	if len(a.Potential) != 1 || len(a.Immediate) != 0 {
 		t.Fatalf("analysis = %d potential, %d immediate; want 1, 0", len(a.Potential), len(a.Immediate))
 	}
@@ -57,7 +58,7 @@ func TestFigure4b(t *testing.T) {
 	top := sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C"))
 	bottom := sp.NewParallel(sp.NewSeries(leaf("D"), leaf("E")), leaf("F"))
 	tr := sp.NewSeries(top, bottom)
-	a := Analyze(tr)
+	a := Analyze(tr, nil, nil)
 	if len(a.Immediate) != 2 {
 		t.Errorf("immediate = %d, want 2:\n%s", len(a.Immediate), Describe(a.Immediate))
 	}
@@ -80,7 +81,7 @@ func TestFigure5(t *testing.T) {
 	}
 	// Left circuit: E at the bottom -> two immediate discharge transistors.
 	left := sp.NewSeries(stack(), leaf("E"))
-	la := Analyze(left)
+	la := Analyze(left, nil, nil)
 	if len(la.Immediate) != 2 || len(la.Potential) != 0 {
 		t.Errorf("left: %d immediate, %d potential; want 2, 0",
 			len(la.Immediate), len(la.Potential))
@@ -90,7 +91,7 @@ func TestFigure5(t *testing.T) {
 	}
 	// Right circuit: E on top -> two potential points, no immediate.
 	right := sp.NewSeries(leaf("E"), stack())
-	ra := Analyze(right)
+	ra := Analyze(right, nil, nil)
 	if len(ra.Immediate) != 0 || len(ra.Potential) != 2 {
 		t.Errorf("right: %d immediate, %d potential; want 0, 2",
 			len(ra.Immediate), len(ra.Potential))
@@ -110,7 +111,7 @@ func TestFigure5(t *testing.T) {
 
 func TestPureSeriesChainIsSafe(t *testing.T) {
 	tr := sp.NewSeries(leaf("A"), leaf("B"), leaf("C"), leaf("D"))
-	a := Analyze(tr)
+	a := Analyze(tr, nil, nil)
 	if len(a.Immediate) != 0 {
 		t.Errorf("pure series chain has %d immediate points, want 0", len(a.Immediate))
 	}
@@ -123,7 +124,7 @@ func TestPureSeriesChainIsSafe(t *testing.T) {
 }
 
 func TestLeafAnalysis(t *testing.T) {
-	a := Analyze(leaf("x"))
+	a := Analyze(leaf("x"), nil, nil)
 	if len(a.Immediate) != 0 || len(a.Potential) != 0 || a.ParB {
 		t.Errorf("leaf analysis = %+v", a)
 	}
@@ -133,7 +134,7 @@ func TestNestedParallelInBranch(t *testing.T) {
 	// ((A+B)*C + D)*E : inner parallel sits above C inside a branch.
 	inner := sp.NewSeries(sp.NewParallel(leaf("A"), leaf("B")), leaf("C"))
 	tr := sp.NewSeries(sp.NewParallel(inner, leaf("D")), leaf("E"))
-	a := Analyze(tr)
+	a := Analyze(tr, nil, nil)
 	// Inner junction below (A+B) is immediate (parallel above C within a
 	// branch); the branch's structure sits above E, so the outer stack's
 	// bottom junction is immediate too.
@@ -281,8 +282,8 @@ func TestAnalysisTotalInvariantQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 4)
-		a := Analyze(tr)
-		r := Analyze(RearrangeDeep(tr))
+		a := Analyze(tr, nil, nil)
+		r := Analyze(RearrangeDeep(tr), nil, nil)
 		return len(a.Immediate)+len(a.Potential) == len(r.Immediate)+len(r.Potential)
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -310,7 +311,7 @@ func TestJunctionPartitionQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 4)
-		a := Analyze(tr)
+		a := Analyze(tr, nil, nil)
 		seen := map[Point]bool{}
 		for _, p := range a.Immediate {
 			if seen[p] {
@@ -325,6 +326,89 @@ func TestJunctionPartitionQuick(t *testing.T) {
 			seen[p] = true
 		}
 		return len(seen) == countJunctions(tr)
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// analyzeReference is the original recursive Analyze — a fresh pair of
+// lists per node, concatenated on the way up — kept as the oracle for the
+// destination-passing implementation.
+func analyzeReference(t *sp.Tree) Analysis {
+	switch t.Kind {
+	case sp.Leaf:
+		return Analysis{}
+	case sp.Parallel:
+		var a Analysis
+		for _, c := range t.Children {
+			ca := analyzeReference(c)
+			a.Immediate = append(a.Immediate, ca.Immediate...)
+			a.Potential = append(a.Potential, ca.Potential...)
+		}
+		a.ParB = true
+		return a
+	default:
+		n := len(t.Children)
+		acc := analyzeReference(t.Children[n-1])
+		for i := n - 2; i >= 0; i-- {
+			top := analyzeReference(t.Children[i])
+			junction := Point{Group: t, Below: i}
+			acc.Immediate = append(acc.Immediate, top.Immediate...)
+			if top.ParB {
+				acc.Immediate = append(acc.Immediate, top.Potential...)
+				acc.Immediate = append(acc.Immediate, junction)
+			} else {
+				acc.Potential = append(acc.Potential, top.Potential...)
+				acc.Potential = append(acc.Potential, junction)
+			}
+		}
+		return acc
+	}
+}
+
+// Property: Analyze matches the reference implementation point for point
+// — same Group pointer, same Below, same order — on fresh and on reused
+// destination slices, and leaves whatever the destinations already held
+// in place.
+func TestAnalyzeMatchesReferenceQuick(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(31))}
+	var imm, pot []Point
+	sentinel := Point{Below: -1}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := randomTree(rng, 5)
+		want := analyzeReference(tr)
+		got := Analyze(tr, nil, nil)
+		if !slices.Equal(got.Immediate, want.Immediate) || !slices.Equal(got.Potential, want.Potential) || got.ParB != want.ParB {
+			return false
+		}
+		reused := Analyze(tr, append(imm[:0], sentinel), append(pot[:0], sentinel))
+		imm, pot = reused.Immediate, reused.Potential
+		return reused.ParB == want.ParB &&
+			imm[0] == sentinel && slices.Equal(imm[1:], want.Immediate) &&
+			pot[0] == sentinel && slices.Equal(pot[1:], want.Potential)
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: Rearrange and RearrangeDeep share subtrees with their input
+// instead of copying it, so they must never modify it: the input renders
+// the same and keeps the same discharge points afterwards.
+func TestRearrangeLeavesInputUnchangedQuick(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(37))}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := randomTree(rng, 5)
+		s, pts := tr.String(), GateDischargePoints(tr)
+		for _, r := range []*sp.Tree{Rearrange(tr), RearrangeDeep(tr)} {
+			if r.Validate() != nil || tr.String() != s || !slices.Equal(GateDischargePoints(tr), pts) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // syncBuffer lets the handler goroutines and the test share one log sink.
@@ -49,12 +50,18 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 		t.Fatalf("map failed: code %d, state %s (%s)", code, v.State, v.Error)
 	}
 
+	// The worker logs "job finished" after it has answered the waiter
+	// (results are written behind), so the line may land just after the
+	// response: wait for it.
 	logs := sink.String()
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logs, "msg=\"job finished\""); logs = sink.String() {
+		if time.Now().After(deadline) {
+			t.Fatalf("job lifecycle line missing:\n%s", logs)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if !strings.Contains(logs, "request_id="+id) {
 		t.Errorf("access log missing request_id=%s:\n%s", id, logs)
-	}
-	if !strings.Contains(logs, "msg=\"job finished\"") {
-		t.Errorf("job lifecycle line missing:\n%s", logs)
 	}
 	// The job line must carry the submitting request's id, not a fresh one.
 	for _, line := range strings.Split(logs, "\n") {

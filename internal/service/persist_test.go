@@ -234,11 +234,14 @@ func TestJanitorCompactsJournalAndStore(t *testing.T) {
 	if v1.State != JobDone || v2.State != JobDone {
 		t.Fatalf("submissions: %s / %s", v1.State, v2.State)
 	}
+	// Wait until the janitor has evicted both jobs, not just the first:
+	// the second can finish a tick later. Eviction and compaction share a
+	// janitor tick, and shutdown waits for the janitor to exit.
 	deadline := time.Now().Add(5 * time.Second)
-	for s1.Counter("jobs_journal_compacted") == 0 || s1.Counter("store_evicted") == 0 {
+	for s1.Counter("jobs_evicted") < 2 || s1.Counter("jobs_journal_compacted") == 0 || s1.Counter("store_evicted") == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("janitor never compacted: journal %d, store %d",
-				s1.Counter("jobs_journal_compacted"), s1.Counter("store_evicted"))
+			t.Fatalf("janitor never compacted: evicted %d, journal %d, store %d",
+				s1.Counter("jobs_evicted"), s1.Counter("jobs_journal_compacted"), s1.Counter("store_evicted"))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -71,6 +71,11 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	if n := s.Counter("jobs_failed"); n != 1 {
 		t.Errorf("jobs_failed = %d, want 1", n)
 	}
+	// The retry was sent after the client saw the failure, so it must not
+	// have followed the failed leader (singleflight rule, see runJob).
+	if n := s.Counter("jobs_coalesced"); n != 0 {
+		t.Errorf("jobs_coalesced = %d, want 0", n)
+	}
 }
 
 // TestHTTPPanicRecovery: a panic inside the HTTP handler itself (here the

@@ -983,18 +983,13 @@ func (s *Server) runJob(j *job) {
 	s.metrics.jobsRunning.Add(1)
 	defer s.metrics.jobsRunning.Add(-1)
 
-	// Drop the singleflight entry only after the job finishes (deferred
-	// early so it runs after the panic-recovery defer below): followers
-	// that attached while it was queued or running get its outcome, and
-	// later arrivals find the result in the cache instead.
-	defer func() {
-		s.mu.Lock()
-		if s.inflight[j.cacheKey] == j {
-			delete(s.inflight, j.cacheKey)
-		}
-		s.mu.Unlock()
-	}()
-
+	// Singleflight rule: the job is a leader from the moment it is queued
+	// until it turns terminal, and no longer. Every terminal path goes
+	// through s.settle, which drops the inflight entry before publishing
+	// the outcome: followers that attached while it was queued or running
+	// get that outcome, and a submission that can already see the job
+	// terminal — a client retrying a failure, say — never follows it but
+	// finds the result in the cache or runs afresh.
 	j.setRunning()
 	ctx, cancel := context.WithDeadline(s.baseCtx, j.deadline)
 	defer cancel()
@@ -1052,7 +1047,7 @@ func (s *Server) runJob(j *job) {
 		s.metrics.add("jobs_panicked", 1)
 		s.metrics.add("jobs_failed", 1)
 		j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
-		j.finish(JobFailed, nil, fmt.Sprintf("internal panic: %v [%s]", r, redactStack(stack)))
+		s.settle(j, JobFailed, nil, fmt.Sprintf("internal panic: %v [%s]", r, redactStack(stack)))
 		s.journalTerminal(ctx, j, JobFailed, "internal panic")
 		s.logger.Error("job panicked",
 			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
@@ -1072,7 +1067,7 @@ func (s *Server) runJob(j *job) {
 		s.metrics.add("jobs_done", 1)
 		j.setCached()
 		j.setAttribution(s.attribute(j, TierPeer, queueWait, time.Since(start), nil))
-		j.finish(JobDone, res, "")
+		s.settle(j, JobDone, res, "")
 		// A peer's bytes are this replica's bytes (determinism), so they
 		// warm the durable tier too.
 		s.persistResult(ctx, j.cacheKey, res)
@@ -1098,7 +1093,7 @@ func (s *Server) runJob(j *job) {
 		}
 		s.metrics.addTerminal(state)
 		j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
-		j.finish(state, nil, err.Error())
+		s.settle(j, state, nil, err.Error())
 		s.journalTerminal(ctx, j, state, err.Error())
 		s.logger.Warn("job finished",
 			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
@@ -1114,7 +1109,7 @@ func (s *Server) runJob(j *job) {
 	s.metrics.observe(j.algo, time.Since(start))
 	s.metrics.add("jobs_done", 1)
 	j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
-	j.finish(JobDone, res, "")
+	s.settle(j, JobDone, res, "")
 	// Write-behind persistence after finish: the waiter is answered
 	// first, and a crash in the window before these land only costs a
 	// re-derivation (the journal re-admits, mapping is deterministic).
@@ -1124,6 +1119,18 @@ func (s *Server) runJob(j *job) {
 		"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
 		"algorithm", j.algo, "state", string(JobDone),
 		"dp_tuples", st.TuplesGenerated, "duration", time.Since(start))
+}
+
+// settle publishes a leader job's terminal state, leaving the
+// singleflight index first (see runJob): once a submission can observe
+// the job as terminal, it can no longer find it in s.inflight.
+func (s *Server) settle(j *job, state JobState, res *MapResult, errMsg string) {
+	s.mu.Lock()
+	if s.inflight[j.cacheKey] == j {
+		delete(s.inflight, j.cacheKey)
+	}
+	s.mu.Unlock()
+	j.finish(state, res, errMsg)
 }
 
 // janitor evicts terminal jobs older than JobRetention from the job

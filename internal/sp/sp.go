@@ -230,20 +230,19 @@ func (t *Tree) Clone() *Tree {
 	return &cp
 }
 
-// Leaves appends all leaf nodes in left-to-right (top-to-bottom) order.
+// Leaves returns all leaf nodes in left-to-right (top-to-bottom) order,
+// in one slice sized to the transistor count.
 func (t *Tree) Leaves() []*Tree {
-	var out []*Tree
-	var walk func(*Tree)
-	walk = func(n *Tree) {
-		if n.Kind == Leaf {
-			out = append(out, n)
-			return
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
+	return t.appendLeaves(make([]*Tree, 0, t.Transistors()))
+}
+
+func (t *Tree) appendLeaves(out []*Tree) []*Tree {
+	if t.Kind == Leaf {
+		return append(out, t)
 	}
-	walk(t)
+	for _, c := range t.Children {
+		out = c.appendLeaves(out)
+	}
 	return out
 }
 

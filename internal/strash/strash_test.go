@@ -88,17 +88,17 @@ func TestConstantFolding(t *testing.T) {
 	n := logic.New("consts")
 	a, b := n.AddInput("a"), n.AddInput("b")
 	c0, c1 := n.AddConst(false), n.AddConst(true)
-	n.AddOutput("and0", n.AddGate(logic.And, a, c0))  // = 0
-	n.AddOutput("and1", n.AddGate(logic.And, a, c1))  // = a
-	n.AddOutput("or1", n.AddGate(logic.Or, a, c1))    // = 1
-	n.AddOutput("or0", n.AddGate(logic.Or, b, c0))    // = b
-	n.AddOutput("nand0", n.AddGate(logic.Nand, a, c0)) // = 1
-	n.AddOutput("nor0", n.AddGate(logic.Nor, a, c0))  // = not a
-	n.AddOutput("xor1", n.AddGate(logic.Xor, a, c1))  // = not a
-	n.AddOutput("xnor0", n.AddGate(logic.Xnor, a, c0)) // = not a
+	n.AddOutput("and0", n.AddGate(logic.And, a, c0))                       // = 0
+	n.AddOutput("and1", n.AddGate(logic.And, a, c1))                       // = a
+	n.AddOutput("or1", n.AddGate(logic.Or, a, c1))                         // = 1
+	n.AddOutput("or0", n.AddGate(logic.Or, b, c0))                         // = b
+	n.AddOutput("nand0", n.AddGate(logic.Nand, a, c0))                     // = 1
+	n.AddOutput("nor0", n.AddGate(logic.Nor, a, c0))                       // = not a
+	n.AddOutput("xor1", n.AddGate(logic.Xor, a, c1))                       // = not a
+	n.AddOutput("xnor0", n.AddGate(logic.Xnor, a, c0))                     // = not a
 	n.AddOutput("contr", n.AddGate(logic.And, a, n.AddGate(logic.Not, a))) // = 0
 	n.AddOutput("taut", n.AddGate(logic.Or, b, n.AddGate(logic.Not, b)))   // = 1
-	n.AddOutput("xx", n.AddGate(logic.Xor, a, a))     // = 0
+	n.AddOutput("xx", n.AddGate(logic.Xor, a, a))                          // = 0
 	n.AddOutput("xnotx", n.AddGate(logic.Xor, a, n.AddGate(logic.Not, a))) // = 1
 
 	r := run(t, n)
