@@ -3,13 +3,17 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-baseline obs-overhead dp-allocs par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+.PHONY: check vet build test race bench bench-baseline obs-overhead dp-allocs strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
-check: vet build race obs-overhead dp-allocs par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+check: vet build race obs-overhead dp-allocs strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
 # gofmt is part of vet: any file `gofmt -l` lists fails the gate.
+# perfbench is a separate module that `./...` never reaches, so it is
+# vetted (and thereby compiled) on its own: an API change that breaks
+# the benchmark fails here, not only when the benchmark runs.
 vet:
 	$(GO) vet ./...
+	cd perfbench && GOWORK=off $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
@@ -40,23 +44,15 @@ obs-overhead:
 
 # Guard on the mapper's allocation profile on des: newEngine plus the
 # dynamic program (SOI, Pareto) must stay under a pinned allocs/run
-# ceiling — per-worker slot tables and candidate-arena chunks, nothing
-# per node or per combine — and so must traceback (SOI Pareto and
+# ceiling — one slot table and candidate-arena chunks, nothing per
+# node or per combine — and so must traceback (SOI Pareto and
 # RS_Map: arena-built trees, a few allocations per gate) and
 # Result.Audit. Env-gated like obs-overhead.
 dp-allocs:
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback)Allocs' -v ./internal/mapper
 
-# The parallel DP engine's byte-identical contract: every testdata
-# circuit mapped with workers=1 vs workers=N across all mappers and
-# Pareto modes must produce the same service.EncodeJSON bytes, with the
-# race detector watching the scheduler itself.
-par-determinism:
-	$(GO) test -race -run 'TestParallel' -v . ./internal/mapper
-
 # The strash front-end's determinism contract: every testdata circuit's
-# strash output is byte-stable across runs and idempotent, the strash-on
-# mapping is byte-identical across Workers settings, strash-on/off
+# strash output is byte-stable across runs and idempotent, strash-on/off
 # mappings are both equivalent to the source, and renamed submissions
 # share one router shard. Benchmarks run it first (bench-baseline) so a
 # perf-motivated strash change cannot silently trade away determinism.
@@ -86,7 +82,7 @@ chaos-smoke:
 # spans, with an explain record whose phase times nest inside the run
 # wall. See DESIGN.md §14 and the Observability section of README.md.
 trace-smoke:
-	$(GO) test -race -run 'Test(Tracer|CaptureEmit|NilTracer|WriteSpans|StartSpan|TraceHub)' -count=1 ./internal/obs
+	$(GO) test -race -run 'Test(Tracer|NilTracer|WriteSpans|StartSpan|TraceHub)' -count=1 ./internal/obs
 	$(GO) test -race -run 'TestTraceSmokeStitchesClusterTrace' -v -count=1 ./internal/cluster
 
 # ~30s: the multi-node campaign — an in-process soirouter fronting three

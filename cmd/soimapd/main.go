@@ -83,7 +83,6 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":8347", "listen address")
 	workers := flag.Int("workers", 0, "mapping workers (0 = GOMAXPROCS)")
-	mapWorkers := flag.Int("map-workers", 0, "default per-job DP worker goroutines for requests without options.workers (0 = default 1; results are identical at any count)")
 	queue := flag.Int("queue", 0, "queued-job bound (0 = default)")
 	cacheN := flag.Int("cache", 0, "result-cache entries (0 = default)")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline (0 = default 30s)")
@@ -137,7 +136,6 @@ func run() error {
 
 	svc := service.New(service.Config{
 		Workers:          *workers,
-		MapWorkers:       *mapWorkers,
 		QueueDepth:       *queue,
 		CacheEntries:     *cacheN,
 		DefaultTimeout:   *timeout,

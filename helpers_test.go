@@ -2,8 +2,15 @@ package soidomino
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
 
+	"soidomino/internal/benchfmt"
+	"soidomino/internal/blif"
 	"soidomino/internal/logic"
+	"soidomino/internal/mapper"
 	"soidomino/internal/sp"
 )
 
@@ -36,4 +43,55 @@ func randomTree(rng *rand.Rand, depth int) *sp.Tree {
 		return sp.NewSeries(children...)
 	}
 	return sp.NewParallel(children...)
+}
+
+// testdataCircuits loads every circuit under testdata/ (the committed
+// BLIF/bench files plus the fuzz corpus), the circuit set the
+// strash-determinism gate sweeps.
+func testdataCircuits(t testing.TB) map[string]*logic.Network {
+	t.Helper()
+	out := make(map[string]*logic.Network)
+	add := func(path string) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var n *logic.Network
+		if strings.HasSuffix(path, ".bench") {
+			n, err = benchfmt.Parse(path, f)
+		} else {
+			n, err = blif.Parse(f)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out[filepath.Base(path)] = n
+	}
+	for _, pat := range []string{"testdata/*.blif", "testdata/*.bench", "testdata/fuzz/corpus/*.blif"} {
+		paths, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			add(p)
+		}
+	}
+	if len(out) < 5 {
+		t.Fatalf("expected at least 5 testdata circuits, found %d", len(out))
+	}
+	return out
+}
+
+func mapByAlgo(algo string, n *logic.Network, opt mapper.Options) (*mapper.Result, error) {
+	switch algo {
+	case "domino":
+		return mapper.DominoMap(n, opt)
+	case "rs":
+		return mapper.RSMap(n, opt)
+	case "rsdeep":
+		return mapper.RSMapDeep(n, opt)
+	default:
+		return mapper.SOIDominoMap(n, opt)
+	}
 }

@@ -321,10 +321,7 @@ func workloadFromRequest(req *service.MapRequest) (workload, bool) {
 }
 
 // randRequest draws one submission from the workload pool with
-// randomized algorithm and options. The per-job DP worker count is
-// randomized too: the clean re-run in verifyDone always maps
-// sequentially, so the byte-compare doubles as a parallel-engine
-// determinism oracle.
+// randomized algorithm and options.
 func randRequest(rng *rand.Rand, pool []workload) (workload, service.MapRequest) {
 	wl := pool[rng.Intn(len(pool))]
 	req := wl.req
@@ -341,9 +338,6 @@ func randRequest(rng *rand.Rand, pool []workload) (workload, service.MapRequest)
 	}
 	if rng.Intn(4) == 0 {
 		opts.SequenceAware = true
-	}
-	if w := rng.Intn(4); w > 1 {
-		opts.Workers = w
 	}
 	// Strash-off submissions exercise the opt-out path and key split
 	// under chaos. Drawn last so earlier option draws keep their stream
@@ -458,10 +452,6 @@ func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCyc
 	if err != nil {
 		return "options did not resolve: " + err.Error()
 	}
-	// Re-derive sequentially regardless of the request's worker count:
-	// if the service's (possibly parallel) run diverges from this, the
-	// byte-compare below reports it as the corruption it would be.
-	opt.Workers = 1
 	src, err := wl.build()
 	if err != nil {
 		return "workload rebuild failed: " + err.Error()

@@ -3,6 +3,7 @@ package mapper
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,13 +76,70 @@ func TestConcurrentMappingMatchesSerial(t *testing.T) {
 	}
 }
 
+// mapAlgo dispatches to one of the public mappers by name.
+func mapAlgo(ctx context.Context, algo string, n *logic.Network, opt Options) (*Result, error) {
+	switch algo {
+	case "domino":
+		return DominoMapContext(ctx, n, opt)
+	case "rs":
+		return RSMapContext(ctx, n, opt)
+	case "rsdeep":
+		return RSMapDeepContext(ctx, n, opt)
+	default:
+		return SOIDominoMapContext(ctx, n, opt)
+	}
+}
+
+// TestContextCancellationAbortsDP: a context canceled before the run
+// starts aborts every mapper in both Pareto modes at the first node
+// checkpoint, with no result and context.Canceled.
 func TestContextCancellationAbortsDP(t *testing.T) {
 	n := unateBench(t, "c880")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SOIDominoMapContext(ctx, n, DefaultOptions())
-	if res != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("got (%v, %v), want nil result and context.Canceled", res, err)
+	for _, algo := range []string{"domino", "rs", "rsdeep", "soi"} {
+		for _, pareto := range []bool{false, true} {
+			opt := DefaultOptions()
+			opt.Pareto = pareto
+			res, err := mapAlgo(ctx, algo, n, opt)
+			if res != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s pareto=%v: got (%v, %v), want nil result and context.Canceled", algo, pareto, res, err)
+			}
+			if !strings.Contains(err.Error(), "canceled at node 0 of") {
+				t.Errorf("%s pareto=%v: %v, want the node-0 checkpoint", algo, pareto, err)
+			}
+		}
+	}
+}
+
+// TestParallelCancellation: callers mapping at the same time with a
+// pre-canceled context each get no result and context.Canceled. The
+// deprecated Workers field is set to show it does not change that.
+func TestParallelCancellation(t *testing.T) {
+	n := unateBench(t, "c880")
+	opt := DefaultOptions()
+	opt.Workers = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const callers = 4
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := SOIDominoMapContext(ctx, n, opt)
+			if res != nil {
+				err = errors.New("non-nil result")
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("caller %d: got %v, want nil result and context.Canceled", i, err)
+		}
 	}
 }
 

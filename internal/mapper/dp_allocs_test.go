@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// dpAllocsCeiling pins the DP's allocations per run on des (SOI, Pareto,
-// sequential): a handful of per-run tables plus candidate-arena chunks
-// and the slot table's frontier growth — 89 at the time of writing —
+// dpAllocsCeiling pins the DP's allocations per run on des (SOI,
+// Pareto): a handful of per-run tables plus candidate-arena chunks and
+// the slot table's frontier growth — 89 at the time of writing —
 // with headroom. des has 2564 nodes, so one allocation per node or per
 // combine creeping back in overshoots the ceiling by far.
 const dpAllocsCeiling = 120
@@ -32,11 +32,10 @@ func skipUnlessDPAllocs(t *testing.T) {
 }
 
 // desSOIParetoConfig is the configuration SOIDominoMapContext builds for
-// a sequential Pareto run.
+// a Pareto run.
 func desSOIParetoConfig() config {
 	opt := DefaultOptions()
 	opt.Pareto = true
-	opt.Workers = 1
 	return config{Options: opt, algorithm: "SOI_Domino_Map_pareto", trackDischarges: true, reorderStacks: true}
 }
 
@@ -67,7 +66,6 @@ func TestTracebackAllocs(t *testing.T) {
 	skipUnlessDPAllocs(t)
 	n := unateBench(t, "des")
 	rsOpt := DefaultOptions()
-	rsOpt.Workers = 1
 	for _, tc := range []struct {
 		name    string
 		cfg     config

@@ -135,6 +135,7 @@ func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
 		outRefs: n.OutputRefs(),
 		cands:   make([][]tuple.Tuple, n.Len()),
 		gate:    make([]tuple.Tuple, n.Len()),
+		slots:   tuple.NewSlots(cfg.MaxWidth, cfg.MaxHeight, cfg.Pareto),
 	}
 	// Every leaf shares one read-only slice: the {1,1} tuple carries no
 	// node id, the Choice that addresses it does.
@@ -179,6 +180,14 @@ type engine struct {
 	cands [][]tuple.Tuple
 	// gate[id] is the table tuple an And/Or node's gate is formed from.
 	gate []tuple.Tuple
+
+	// slots is the dense scratch table, reused for every node; arena is
+	// the tail of the current chunk of candidate storage, which completed
+	// nodes' slices are carved from; combines counts combine calls since
+	// the last cancellation checkpoint.
+	slots    *tuple.Slots
+	arena    []tuple.Tuple
+	combines int
 }
 
 // tupleCost maps a tuple's components to the scalar the configured
@@ -390,50 +399,18 @@ func (e *engine) combineAndOrdered(a, b cand, topIsA bool) tuple.Tuple {
 // with a huge Pareto cross-product cannot overrun a job deadline by more
 // than a bounded slice of work. The per-node combine counter resets at
 // every node boundary, which keeps the CancelChecks stat a pure function
-// of the network and options — independent of worker count and
-// scheduling, as the byte-identical determinism contract requires.
+// of the network and options.
 const combineCheckInterval = 1024
-
-// nodeCtx carries one worker's context, collectors and scratch through
-// the DP. The sequential engine uses a single nodeCtx wired to the run's
-// real collectors; each parallel worker gets a private stats shard and
-// span buffer so node processing never contends, and processParallel
-// merges the shards (and emits the buffered spans in node order) after
-// the pool drains. slots is the worker's dense table, reused for every
-// node it maps; arena is the tail of the worker's current chunk of
-// candidate storage, which completed nodes' slices are carved from.
-type nodeCtx struct {
-	ctx      context.Context
-	stats    *obs.Stats
-	spans    []obs.Span // indexed by node id; nil = emit spans directly
-	combines int        // combine calls since the last checkpoint
-	slots    *tuple.Slots
-	arena    []tuple.Tuple
-}
 
 // arenaChunk caps the size, in tuples, of one candidate-storage chunk;
 // chunks start small and double so a tiny network allocates little.
 const arenaChunk = 4096
 
-func (e *engine) newNodeCtx(ctx context.Context) *nodeCtx {
-	return &nodeCtx{ctx: ctx, slots: tuple.NewSlots(e.cfg.MaxWidth, e.cfg.MaxHeight, e.cfg.Pareto)}
-}
-
-// process fills the DP tables (paper listing 2), dispatching on the
-// resolved worker count: the readiness-scheduled pool in parallel.go, or
-// the plain topological loop. Both produce byte-identical Results.
+// process fills the DP tables (paper listing 2): one topological pass
+// over the network, mapping every node after its fanins.
 func (e *engine) process() error {
-	if w := e.effectiveWorkers(); w > 1 {
-		return e.processParallel(w)
-	}
-	return e.processSequential()
-}
-
-func (e *engine) processSequential() error {
-	nc := e.newNodeCtx(e.ctx)
-	nc.stats = e.stats
 	for id := range e.net.Nodes {
-		if err := e.processNode(nc, id); err != nil {
+		if err := e.processNode(id); err != nil {
 			return err
 		}
 	}
@@ -444,16 +421,16 @@ func (e *engine) processSequential() error {
 // checkpoint: a canceled or expired context aborts the run with
 // ctx.Err() instead of finishing the DP; combineCheck adds bounded
 // in-loop checkpoints inside large cross-products.
-func (e *engine) processNode(nc *nodeCtx, id int) error {
-	nc.stats.AddCancelCheck()
-	if err := nc.ctx.Err(); err != nil {
+func (e *engine) processNode(id int) error {
+	e.stats.AddCancelCheck()
+	if err := e.ctx.Err(); err != nil {
 		return fmt.Errorf("mapper: %s canceled at node %d of %d: %w",
 			e.cfg.algorithm, id, e.net.Len(), err)
 	}
-	if err := e.faults.Check(nc.ctx, PointCombine); err != nil {
+	if err := e.faults.Check(e.ctx, PointCombine); err != nil {
 		return fmt.Errorf("mapper: %s at node %d: %w", e.cfg.algorithm, id, err)
 	}
-	nc.combines = 0
+	e.combines = 0
 	node := &e.net.Nodes[id]
 	switch node.Op {
 	case logic.Input, logic.Not:
@@ -476,24 +453,19 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 		if err != nil {
 			return err
 		}
-		if err := e.combineAll(nc, id, node, ua, ub); err != nil {
+		if err := e.combineAll(id, node, ua, ub); err != nil {
 			return err
 		}
-		kept, err := e.complete(nc, id)
+		kept, err := e.complete(id)
 		if err != nil {
 			return err
 		}
-		nc.stats.AddNode(kept)
+		e.stats.AddNode(kept)
 		if traced {
-			p := e.tracer.Capture("dp", fmt.Sprintf("node %d %s", id, node.Op), nodeStart,
+			e.tracer.Span("dp", fmt.Sprintf("node %d %s", id, node.Op), nodeStart,
 				obs.KV{Key: "cands_a", Val: int64(len(ua))},
 				obs.KV{Key: "cands_b", Val: int64(len(ub))},
 				obs.KV{Key: "kept", Val: int64(kept)})
-			if nc.spans != nil {
-				nc.spans[id] = p
-			} else {
-				e.tracer.Emit(p)
-			}
 		}
 	default:
 		return fmt.Errorf("mapper: node %d has unsupported op %s", id, node.Op)
@@ -501,11 +473,11 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 	return nil
 }
 
-// combineAll fills the worker's slot table with every combination of the
+// combineAll fills the slot table with every combination of the
 // two fanins' candidates: one tuple per shape in the paper's mode, a
 // frontier per state in Pareto mode, where a series composition is
 // tried in both stack orders and dominance decides.
-func (e *engine) combineAll(nc *nodeCtx, id int, node *logic.Node, ua, ub []tuple.Tuple) error {
+func (e *engine) combineAll(id int, node *logic.Node, ua, ub []tuple.Tuple) error {
 	fa, fb := int32(node.Fanin[0]), int32(node.Fanin[1])
 	for i := range ua {
 		a := cand{&ua[i], tuple.Choice{Node: fa, Index: int32(i)}}
@@ -513,7 +485,7 @@ func (e *engine) combineAll(nc *nodeCtx, id int, node *logic.Node, ua, ub []tupl
 			b := cand{&ub[j], tuple.Choice{Node: fb, Index: int32(j)}}
 			if node.Op == logic.And && e.cfg.Pareto {
 				for _, topIsA := range [2]bool{true, false} {
-					if err := e.offer(nc, id, node.Op, e.combineAndOrdered(a, b, topIsA), a, b); err != nil {
+					if err := e.offer(id, node.Op, e.combineAndOrdered(a, b, topIsA), a, b); err != nil {
 						return err
 					}
 				}
@@ -525,7 +497,7 @@ func (e *engine) combineAll(nc *nodeCtx, id int, node *logic.Node, ua, ub []tupl
 			} else {
 				t = e.combineAnd(a, b)
 			}
-			if err := e.offer(nc, id, node.Op, t, a, b); err != nil {
+			if err := e.offer(id, node.Op, t, a, b); err != nil {
 				return err
 			}
 		}
@@ -533,29 +505,28 @@ func (e *engine) combineAll(nc *nodeCtx, id int, node *logic.Node, ua, ub []tupl
 	return nil
 }
 
-// offer charges one combination to the worker's stats, runs the bounded
-// in-loop cancellation checkpoint, and inserts the tuple into the
-// worker's slot table, which rejects shapes beyond MaxWidth×MaxHeight.
-func (e *engine) offer(nc *nodeCtx, id int, op logic.Op, t tuple.Tuple, a, b cand) error {
-	e.recordCombine(nc.stats, op, &t, a.t, b.t)
-	if err := e.combineCheck(nc, id); err != nil {
+// offer charges one combination to the run's stats, runs the bounded
+// in-loop cancellation checkpoint, and inserts the tuple into the slot
+// table, which rejects shapes beyond MaxWidth×MaxHeight.
+func (e *engine) offer(id int, op logic.Op, t tuple.Tuple, a, b cand) error {
+	e.recordCombine(op, &t, a.t, b.t)
+	if err := e.combineCheck(id); err != nil {
 		return err
 	}
 	if e.cfg.Pareto {
-		nc.slots.InsertPareto(t, e.tupleCost)
+		e.slots.InsertPareto(t, e.tupleCost)
 	} else {
-		nc.slots.Insert(t, e.less)
+		e.slots.Insert(t, e.less)
 	}
 	return nil
 }
 
 // complete turns the filled slot table into node id's gate and candidate
-// slice, emptying the table for the worker's next node, and returns the
-// number of tuples kept. The slice is carved from the worker's arena and
-// written exactly once, before the parallel engine releases any
-// dependent, so a parent never sees it change.
-func (e *engine) complete(nc *nodeCtx, id int) (int, error) {
-	s := nc.slots
+// slice, emptying the table for the next node, and returns the number of
+// tuples kept. The slice is carved from the arena and written exactly
+// once, so a parent never sees it change.
+func (e *engine) complete(id int) (int, error) {
+	s := e.slots
 	kept := s.Size()
 	if kept == 0 {
 		return 0, fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
@@ -575,18 +546,18 @@ func (e *engine) complete(nc *nodeCtx, id int) (int, error) {
 			kept = s.Size()
 		}
 	}
-	if cap(nc.arena)-len(nc.arena) < kept+1 {
-		nc.arena = make([]tuple.Tuple, 0, max(kept+1, min(2*cap(nc.arena), arenaChunk), 64))
+	if cap(e.arena)-len(e.arena) < kept+1 {
+		e.arena = make([]tuple.Tuple, 0, max(kept+1, min(2*cap(e.arena), arenaChunk), 64))
 	}
-	start := len(nc.arena)
+	start := len(e.arena)
 	var best int
-	nc.arena, best = s.Drain(nc.arena, e.formLess)
-	e.gate[id] = nc.arena[best]
+	e.arena, best = s.Drain(e.arena, e.formLess)
+	e.gate[id] = e.arena[best]
 	if e.forcedRoot(id) {
-		nc.arena = nc.arena[:start]
+		e.arena = e.arena[:start]
 	}
-	nc.arena = append(nc.arena, e.gateAsInput(id))
-	e.cands[id] = nc.arena[start:len(nc.arena):len(nc.arena)]
+	e.arena = append(e.arena, e.gateAsInput(id))
+	e.cands[id] = e.arena[start:len(e.arena):len(e.arena)]
 	return kept, nil
 }
 
@@ -595,28 +566,28 @@ func (e *engine) complete(nc *nodeCtx, id int) (int, error) {
 // calls. Before it existed, a single node with a large Pareto
 // cross-product could overrun a deadline by seconds between the
 // node-boundary checks in processNode.
-func (e *engine) combineCheck(nc *nodeCtx, id int) error {
-	nc.combines++
-	if nc.combines%combineCheckInterval != 0 {
+func (e *engine) combineCheck(id int) error {
+	e.combines++
+	if e.combines%combineCheckInterval != 0 {
 		return nil
 	}
-	nc.stats.AddCancelCheck()
-	if err := nc.ctx.Err(); err != nil {
+	e.stats.AddCancelCheck()
+	if err := e.ctx.Err(); err != nil {
 		return fmt.Errorf("mapper: %s canceled inside node %d after %d combines: %w",
-			e.cfg.algorithm, id, nc.combines, err)
+			e.cfg.algorithm, id, e.combines, err)
 	}
 	return nil
 }
 
-// recordCombine charges one combine call to a stats collector: the kind
+// recordCombine charges one combine call to the run's stats: the kind
 // (OR, AND in source order, AND with the stack flipped) and the
 // p-discharge devices the combination materialized, recovered from the
 // cumulative OwnDisch totals so the combine functions themselves stay
-// instrumentation-free. st is nil-receiver safe (see obs.Stats), so
+// instrumentation-free. e.stats is nil-receiver safe (see obs.Stats), so
 // call sites need no guard.
-func (e *engine) recordCombine(st *obs.Stats, op logic.Op, t, a, b *tuple.Tuple) {
+func (e *engine) recordCombine(op logic.Op, t, a, b *tuple.Tuple) {
 	or := op == logic.Or
-	st.AddCombine(or, !or && !t.Deriv.TopIsA, int(t.OwnDisch-a.OwnDisch-b.OwnDisch))
+	e.stats.AddCombine(or, !or && !t.Deriv.TopIsA, int(t.OwnDisch-a.OwnDisch-b.OwnDisch))
 }
 
 // mixChoices hashes two combine operands into a deterministic value, used

@@ -96,15 +96,12 @@ type Options struct {
 	// Degraded. Ignored outside Pareto mode (the single-tuple tables
 	// are bounded by construction).
 	TupleBudget int
-	// Workers bounds the goroutines of the dynamic program. 0 picks
-	// GOMAXPROCS (with a small-network cutoff where the pool would cost
-	// more than it saves); 1 forces the sequential engine; values above 1
-	// run the readiness-scheduled parallel engine with exactly that many
-	// workers. The engines are byte-identical by contract — every result,
-	// gate, stat counter and trace span is independent of Workers — which
-	// is why Workers is deliberately excluded from the service cache key
-	// (internal/service.encodeOptions) and from the encoded OptionsJSON:
-	// it shapes throughput, never the answer.
+	// Workers is ignored: the dynamic program is one sequential pass,
+	// and parallelism lives across mapping runs (the service's job
+	// pool), not inside one. It is excluded from the service cache key
+	// and from the encoded OptionsJSON.
+	//
+	// Deprecated: Workers has no effect; leave it zero.
 	Workers int
 	// StrashOff disables the structural-hashing + DCE canonicalization
 	// front-end (internal/strash) that otherwise runs before decompose.
@@ -113,7 +110,7 @@ type Options struct {
 	// (report.PrepareNetworkMode) and the service do, and it is
 	// semantic: strash changes fanout counts and operand order, so the
 	// mapped result may differ (while staying equivalent). It therefore
-	// participates in the service cache key, unlike Workers.
+	// participates in the service cache key.
 	StrashOff bool
 	// SequenceAware enables the paper's §VII future-work refinement:
 	// after mapping, discharge points whose PBE charging scenario is
@@ -136,9 +133,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// MaxShape caps MaxWidth and MaxHeight. The DP keeps a dense scratch
-// table of MaxWidth×MaxHeight slots per worker, so the cap bounds what
-// one request can make it allocate; the paper's SOI bounds are 5×8.
+// MaxShape caps MaxWidth and MaxHeight. The DP keeps one dense scratch
+// table of MaxWidth×MaxHeight slots per run, so the cap bounds what one
+// request can make it allocate; the paper's SOI bounds are 5×8.
 const MaxShape = 64
 
 // Validate reports the first out-of-range option, so a caller can reject
@@ -156,9 +153,6 @@ func (o Options) Validate() error {
 	}
 	if o.TupleBudget < 0 {
 		return fmt.Errorf("mapper: TupleBudget must be >= 0 (got %d)", o.TupleBudget)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("mapper: Workers must be >= 0 (got %d)", o.Workers)
 	}
 	return nil
 }

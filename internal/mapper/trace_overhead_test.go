@@ -21,7 +21,6 @@ func TestTraceOverhead(t *testing.T) {
 	}
 	n := unateBench(t, "mux") // 45 And/Or nodes: a per-node alloc shows as +45
 	opt := DefaultOptions()
-	opt.Workers = 1
 	mapOnce := func(ctx context.Context) {
 		if _, err := SOIDominoMapContext(ctx, n, opt); err != nil {
 			t.Fatal(err)

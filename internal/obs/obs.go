@@ -32,11 +32,9 @@ type PhaseTimes struct {
 
 // Stats is the per-run instrumentation record of one mapping run. The
 // fields are plain integers written from a single goroutine: concurrent
-// runs must each carry their own Stats, and the parallel DP engine gives
-// each worker a private shard, merged with Merge after the pool drains
-// (every counter is commutative and the high-water mark is a max, so the
-// merged totals equal a sequential run's). All recording methods are
-// nil-receiver safe: a nil *Stats is the disabled collector.
+// runs must each carry their own Stats, and an aggregator folds finished
+// runs together with Merge. All recording methods are nil-receiver safe:
+// a nil *Stats is the disabled collector.
 type Stats struct {
 	// Algorithm is the engine's name for the run (e.g. "SOI_Domino_Map").
 	Algorithm string `json:"algorithm,omitempty"`

@@ -23,8 +23,7 @@ type KV struct {
 // retains it per trace id, WriteSpans renders it, and it is the wire
 // format of GET /v1/traces/{id}?raw=1 — the router fetches raw spans
 // from every replica and renders the union. Spans recorded outside a
-// distributed trace (the soimap CLI) leave the id fields empty. The zero
-// Span is inert: Tracer.Emit ignores it.
+// distributed trace (the soimap CLI) leave the id fields empty.
 type Span struct {
 	TraceID  string `json:"trace_id"`
 	SpanID   string `json:"span_id"`
@@ -42,8 +41,7 @@ type Span struct {
 // instants (zero-duration spans) and sampled per-node DP spans.
 // Recording methods are nil-receiver safe; a nil *Tracer is the disabled
 // tracer. The tracer is internally locked so the daemon can share one
-// across phases, but per-node DP spans come from a single goroutine in
-// practice (the parallel engine buffers them per worker, see Capture).
+// across phases.
 type Tracer struct {
 	sample int
 	// parent, when sampled, places every recorded span in a distributed
@@ -99,7 +97,10 @@ func (t *Tracer) Now() time.Time {
 // Span records a completed span from start to now. kv values are attached
 // as span args (shown in the Perfetto side panel).
 func (t *Tracer) Span(cat, name string, start time.Time, kv ...KV) {
-	t.Emit(t.Capture(cat, name, start, kv...))
+	if t == nil {
+		return
+	}
+	t.record(cat, name, start, time.Now(), kv)
 }
 
 // Instant records a zero-duration marker span.
@@ -108,23 +109,10 @@ func (t *Tracer) Instant(cat, name string, kv ...KV) {
 		return
 	}
 	now := time.Now()
-	t.Emit(t.span(cat, name, now, now, kv))
+	t.record(cat, name, now, now, kv)
 }
 
-// Capture measures a span from start to now and returns it without
-// recording it; pass the result to Emit to append it later. The parallel
-// DP engine captures per-node spans into per-worker buffers and emits
-// them in node order after the pool drains, so the recorded sequence is
-// identical regardless of the worker count. A nil tracer returns the
-// inert zero Span.
-func (t *Tracer) Capture(cat, name string, start time.Time, kv ...KV) Span {
-	if t == nil {
-		return Span{}
-	}
-	return t.span(cat, name, start, time.Now(), kv)
-}
-
-func (t *Tracer) span(cat, name string, start, end time.Time, kv []KV) Span {
+func (t *Tracer) record(cat, name string, start, end time.Time, kv []KV) {
 	s := Span{
 		Process: t.process,
 		Cat:     cat,
@@ -135,16 +123,6 @@ func (t *Tracer) span(cat, name string, start, end time.Time, kv []KV) Span {
 	}
 	if t.parent.Sampled {
 		s.TraceID, s.SpanID, s.ParentID = t.parent.TraceID, NewSpanID(), t.parent.SpanID
-	}
-	return s
-}
-
-// Emit appends a captured span. Inert spans (the zero value, a nil
-// tracer's Capture, or a sampled-out node's buffer slot) are ignored, so
-// callers can emit unconditionally.
-func (t *Tracer) Emit(s Span) {
-	if t == nil || s.Name == "" {
-		return
 	}
 	t.mu.Lock()
 	t.spans = append(t.spans, s)

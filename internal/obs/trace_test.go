@@ -103,39 +103,6 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
-// TestCaptureEmit: a captured span is identical to one recorded by Span
-// directly, the zero Span is inert, and a nil tracer's Capture yields the
-// inert span — the contract the parallel engine's per-worker span
-// buffers rely on.
-func TestCaptureEmit(t *testing.T) {
-	tr := NewTracer(1)
-	start := tr.Now()
-	p := tr.Capture("dp", "node 1 And", start, KV{"kept", 3})
-	if tr.Len() != 0 {
-		t.Fatal("Capture recorded a span before Emit")
-	}
-	tr.Emit(p)
-	tr.Emit(Span{}) // inert: a sampled-out node's buffer slot
-	if tr.Len() != 1 {
-		t.Fatalf("got %d spans, want 1", tr.Len())
-	}
-	sp := tr.Spans()[0]
-	if sp.Cat != "dp" || sp.Name != "node 1 And" || sp.StartUS != start.UnixMicro() ||
-		len(sp.Args) != 1 || sp.Args[0] != (KV{"kept", 3}) {
-		t.Errorf("emitted span wrong: %+v", sp)
-	}
-
-	var nilTr *Tracer
-	if p := nilTr.Capture("c", "n", time.Time{}); p.Name != "" {
-		t.Error("nil tracer Capture returned a live span")
-	}
-	nilTr.Emit(Span{})
-	tr.Emit(nilTr.Capture("c", "n", time.Time{}))
-	if tr.Len() != 1 {
-		t.Error("emitting a nil tracer's capture recorded a span")
-	}
-}
-
 func TestNilTracerIsDisabled(t *testing.T) {
 	var tr *Tracer
 	if tr.SampleNode(0) {

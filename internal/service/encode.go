@@ -33,12 +33,8 @@ type MapResult struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// OptionsJSON mirrors the result-shaping fields of mapper.Options.
-// Options.Workers is deliberately absent: the parallel engine is
-// byte-identical to the sequential one, and encoding the worker count
-// would break that contract (the same mapping would encode differently
-// at different worker counts, defeating the cache and the determinism
-// gates that byte-compare EncodeJSON output).
+// OptionsJSON mirrors the result-shaping fields of mapper.Options; the
+// deprecated Options.Workers has no effect on the result and is absent.
 type OptionsJSON struct {
 	MaxWidth      int    `json:"max_width"`
 	MaxHeight     int    `json:"max_height"`

@@ -378,9 +378,6 @@ func (s *Server) readmit(rj *recoveredJob) {
 		s.installRecovered(rj, JobFailed, nil, "not re-admitted after restart: "+err.Error())
 		return
 	}
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.MapWorkers
-	}
 	if s.cfg.StrashOff {
 		opt.StrashOff = true
 	}

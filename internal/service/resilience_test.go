@@ -245,9 +245,7 @@ func TestJobEviction(t *testing.T) {
 // required NOT to change the key — they tune execution, never the
 // result, so requests differing only there must share a cache entry.
 func TestCacheKeyOptionsEncoding(t *testing.T) {
-	// Workers: the parallel DP engine is byte-identical to the
-	// sequential one (TestParallelMatchesSequential and the root
-	// par-determinism gate enforce it), so the worker count must not
+	// Workers: deprecated and ignored by the mapper, so it must not
 	// fragment the cache.
 	cacheKeyExempt := map[string]bool{"Workers": true}
 	base := mapper.DefaultOptions()
@@ -282,10 +280,10 @@ func TestCacheKeyOptionsEncoding(t *testing.T) {
 	}
 }
 
-// TestWorkersShareCacheEntry: two submissions differing only in
-// options.workers resolve to the same cache key — the second is a cache
-// hit — and return byte-identical results, the end-to-end face of the
-// parallel engine's determinism contract.
+// TestWorkersShareCacheEntry: two submissions differing only in the
+// deprecated options.workers are both accepted, resolve to the same
+// cache key — the second is a cache hit — and return byte-identical
+// results.
 func TestWorkersShareCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	code1, v1 := postMap(t, ts, `{"circuit": "mux", "options": {"workers": 1}}`)

@@ -43,16 +43,10 @@ var (
 // Config sizes a Server. The zero value of any field selects the
 // DefaultConfig value for that field.
 type Config struct {
-	// Workers is the number of concurrent mapping goroutines.
+	// Workers is the number of concurrent mapping goroutines: the
+	// daemon's unit of parallelism is the job, and each job's dynamic
+	// program runs sequentially.
 	Workers int
-	// MapWorkers is the default per-job DP worker count (mapper
-	// Options.Workers) for requests that do not set options.workers.
-	// The default is 1: the daemon's unit of parallelism is the job —
-	// Workers concurrent jobs each mapping sequentially — so per-job
-	// parallelism is opt-in, sized against Workers to avoid
-	// oversubscription. Either way the results are byte-identical, which
-	// is why the worker count stays out of the cache key (encodeOptions).
-	MapWorkers int
 	// QueueDepth bounds the number of accepted-but-unstarted jobs; a full
 	// queue rejects submissions with 503 rather than buffering unboundedly.
 	QueueDepth int
@@ -137,7 +131,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Workers:         runtime.GOMAXPROCS(0),
-		MapWorkers:      1,
 		QueueDepth:      64,
 		CacheEntries:    256,
 		DefaultTimeout:  30 * time.Second,
@@ -152,9 +145,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.Workers <= 0 {
 		c.Workers = d.Workers
-	}
-	if c.MapWorkers <= 0 {
-		c.MapWorkers = d.MapWorkers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = d.QueueDepth
@@ -368,14 +358,16 @@ type RequestOptions struct {
 	Pareto        bool   `json:"pareto,omitempty"`
 	TupleBudget   int    `json:"tuple_budget,omitempty"`
 	SequenceAware bool   `json:"sequence_aware,omitempty"`
-	// Workers is the per-job DP worker count; 0 defers to the server's
-	// Config.MapWorkers default. It tunes throughput only — the engines
-	// are byte-identical — so it does not participate in the cache key
-	// or the encoded result options.
+	// Workers is accepted and ignored: the mapper's dynamic program is
+	// sequential, and the daemon runs jobs, not DP nodes, in parallel.
+	// The decoder rejects unknown fields, so the field stays for the
+	// clients that still send it; it never reaches the cache key.
+	//
+	// Deprecated: Workers has no effect.
 	Workers int `json:"workers,omitempty"`
 	// StrashOff opts this submission out of the strash canonicalization
-	// front-end. Unlike Workers it is semantic (the mapping may differ,
-	// equivalently) and participates in the cache and routing key.
+	// front-end. It is semantic (the mapping may differ, equivalently)
+	// and participates in the cache and routing key.
 	StrashOff bool `json:"strash_off,omitempty"`
 }
 
@@ -454,9 +446,6 @@ func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 	if ro.TupleBudget > 0 {
 		opt.TupleBudget = ro.TupleBudget
 	}
-	if ro.Workers > 0 {
-		opt.Workers = ro.Workers
-	}
 	opt.AlwaysFooted = ro.AlwaysFooted
 	opt.Pareto = ro.Pareto
 	opt.SequenceAware = ro.SequenceAware
@@ -520,10 +509,9 @@ func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
 // the %+v encoding this replaces, it cannot change meaning when struct
 // field order or Stringer methods do. TestCacheKeyOptionsEncoding walks
 // the struct by reflection and fails when a future field is neither
-// represented here nor in its explicit exemption list. Workers is
-// exempt by design: the parallel engine is byte-identical to the
-// sequential one (the mapper's par-determinism gate enforces it), so
-// two requests differing only in worker count must share a cache entry.
+// represented here nor in its explicit exemption list. The deprecated
+// Workers field is exempt: it has no effect on the mapping, so two
+// requests differing only there must share a cache entry.
 func encodeOptions(opt mapper.Options) string {
 	return fmt.Sprintf("w=%d;h=%d;obj=%d;k=%d;dw=%d;foot=%t;ord=%d;pareto=%t;budget=%d;seq=%t;soff=%t",
 		opt.MaxWidth, opt.MaxHeight, opt.Objective, opt.ClockWeight, opt.DepthWeight,
@@ -593,9 +581,6 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
 		return
 	}
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.MapWorkers
-	}
 	if s.cfg.StrashOff {
 		// Server-wide strash opt-out. Applied before CacheKey below:
 		// strash is semantic, so the key must carry it.
@@ -603,7 +588,11 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS != 0 {
+	if req.TimeoutMS > s.cfg.MaxTimeout.Milliseconds() {
+		// Capped in milliseconds: converting first would overflow
+		// time.Duration for huge values and wrap to a negative timeout.
+		timeout = s.cfg.MaxTimeout
+	} else if req.TimeoutMS != 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	if timeout > s.cfg.MaxTimeout {

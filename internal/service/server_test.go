@@ -157,6 +157,20 @@ func TestExpiredDeadlineCancels(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutIsCapped: a timeout_ms too large for time.Duration is
+// capped at MaxTimeout instead of wrapping to a negative timeout that
+// would start the job already expired.
+func TestHugeTimeoutIsCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	code, v := postMap(t, ts, `{"circuit": "mux", "timeout_ms": 9300000000000}`)
+	if code != http.StatusOK {
+		t.Fatalf("code %d", code)
+	}
+	if v.State != JobDone {
+		t.Fatalf("state %s (error %q), want %s", v.State, v.Error, JobDone)
+	}
+}
+
 func TestAsyncJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	code, v := postMap(t, ts, `{"circuit": "z4ml", "async": true}`)

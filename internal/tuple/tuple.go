@@ -107,7 +107,7 @@ type Less func(a, b Tuple) bool
 // Cost maps a tuple to the scalar objective of a Pareto frontier.
 type Cost func(Tuple) int
 
-// Slots is the dense table one DP worker fills for one node at a time: a
+// Slots is the dense table the DP fills for one node at a time: a
 // slot per {W,H} shape — per {W,H,par_b,hasPI} state in Pareto mode —
 // plus a presence bitmask. It is allocated once per run and emptied by
 // Drain after every node, so a node costs no table allocation. Slot order

@@ -273,7 +273,7 @@ func (r *refTable) all() ([]Tuple, int) {
 }
 
 // Property: over random insert/trim/drain sequences — one reused table,
-// as a DP worker uses it — the slot table matches the map reference
+// as the DP uses it — the slot table matches the map reference
 // exactly: which tuple an insert keeps (exact ties keep the incumbent),
 // key order, frontier order within a key, MaxFrontier eviction,
 // TrimPerKey, and the first-minimal best.

@@ -20,8 +20,8 @@ var updateKeys = flag.Bool("update", false, "rewrite testdata/routing_keys.golde
 // routing decision soirouter can make — derives from these keys, so a
 // drift here silently splits the cluster's cache (the same circuit
 // routed and cached under two names). The workers4 variant must NOT
-// appear as a distinct key: the parallel engine is byte-identical, so
-// Workers is excluded from the canonical options encoding by design.
+// appear as a distinct key: options.workers is accepted for old clients
+// but ignored, so it is excluded from the canonical options encoding.
 var keyVariants = []struct {
 	name string
 	opts *service.RequestOptions
@@ -117,9 +117,9 @@ func TestRoutingKeyGolden(t *testing.T) {
 }
 
 // TestRoutingKeyWorkersExcluded pins the consistency contract's key
-// clause directly: a request differing only in Workers must produce the
-// SAME routing key, because the parallel DP engine is byte-identical
-// and splitting the cache by worker count would only lose hits.
+// clause directly: a request differing only in the deprecated, ignored
+// Workers option must produce the SAME routing key; splitting the cache
+// by it would only lose hits.
 func TestRoutingKeyWorkersExcluded(t *testing.T) {
 	base, err := service.RequestKey(context.Background(), &service.MapRequest{Circuit: "mux"})
 	if err != nil {
