@@ -47,17 +47,22 @@ obs-overhead:
 # ceiling — one slot table and candidate-arena chunks, nothing per
 # node or per combine — and so must traceback (SOI Pareto and
 # RS_Map: arena-built trees, a few allocations per gate) and
-# Result.Audit. Env-gated like obs-overhead.
+# Result.Audit. The strash front-end, on the key path of every service
+# request, is pinned the same way (about one allocation per kept gate).
+# Env-gated like obs-overhead.
 dp-allocs:
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback)Allocs' -v ./internal/mapper
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestStrashAllocs' -v ./internal/strash
 
 # The strash front-end's determinism contract: every testdata circuit's
 # strash output is byte-stable across runs and idempotent, strash-on/off
-# mappings are both equivalent to the source, and renamed submissions
-# share one router shard. Benchmarks run it first (bench-baseline) so a
-# perf-motivated strash change cannot silently trade away determinism.
+# mappings are both equivalent to the source, renamed submissions share
+# one router shard, and the cache key is faithful (a shuffled twin shares
+# it and encodes identically; a PO-reordered twin does not share it).
+# Benchmarks run it first (bench-baseline) so a perf-motivated strash
+# change cannot silently trade away determinism.
 strash-determinism:
-	$(GO) test -race -run 'TestStrash' -v .
+	$(GO) test -race -run 'Test(Strash|KeyFaithfulness|POOrder)' -v .
 	$(GO) test -race -v ./internal/strash
 
 # ~30s: a short differential campaign over the full mapper/option grid,

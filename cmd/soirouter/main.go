@@ -1,7 +1,7 @@
 // Command soirouter fronts a fleet of soimapd replicas as one logical
 // mapping service. Submissions are consistent-hash-routed by their
-// canonical request key (the canonical network hash keyed jointly with
-// the options encoding — the same key replicas cache results under), so
+// canonical request key (strash's structural network digest keyed jointly
+// with the options encoding — the same key replicas cache results under), so
 // identical circuits always land on the same replicas; concurrent
 // identical synchronous submissions coalesce into one upstream call.
 //

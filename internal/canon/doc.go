@@ -14,18 +14,11 @@
 // their relative source order, which is the one tie the signature cannot
 // break.
 //
-// The fingerprint is the primary key of the mapping service's result
-// cache (internal/service): sweeps that resubmit the same circuit under
-// different mapper options share one canonical hash and differ only in
-// the options part of the cache key.
-//
-// In the service paths the hash is computed post-strash: unless the
-// request opts out (strash_off), internal/strash canonicalizes the
-// submission first — merging structural twins, folding constants and
-// removing dead logic — so structurally identical but textually
-// different sources (renamed signals, reordered declarations,
-// commutative operand swaps, extra dead gates) collapse onto one
-// fingerprint, one cache entry and one router shard. Canon itself still
-// preserves everything listed above; it is strash that erases what the
-// mapper cannot observe. See DESIGN.md §13 for the exact contract.
+// No service path calls this package any more: the mapping service's
+// cache and routing key is strash's own structural digest
+// (strash.Result.Key, see DESIGN.md §13), which also keeps primary-output
+// order — Canonicalize sorts outputs by name, so two submissions that
+// differ only in output order share a fingerprint. The package is kept
+// only for the benchmark's canon.hash_ms replay layer (perfbench), and
+// goes with that layer in the next change to the benchmark.
 package canon

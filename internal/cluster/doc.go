@@ -1,7 +1,7 @@
 // Package cluster turns a set of soimapd replicas into one logical
 // mapping service: a routing front-end (Router) consistent-hash-routes
-// each submission by its canonical request key — the internal/canon
-// network hash keyed jointly with the canonical options encoding, the
+// each submission by its canonical request key — the strash structural
+// network digest keyed jointly with the canonical options encoding, the
 // exact key replicas cache results under — so identical circuits land on
 // the same replicas regardless of how the request was spelled.
 //

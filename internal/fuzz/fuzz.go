@@ -16,6 +16,8 @@
 //   - cross-variant metamorphic relations under the area objective:
 //     T_total(SOI) <= T_total(Domino) + TotalEps and
 //     T_disch(SOI) <= T_disch(RS) + DischEps
+//   - key faithfulness: a shuffled, internally renamed twin of the case
+//     shares its strash Key and maps to the same gates
 //
 // Violations are delta-debugged to a minimal failing circuit (Shrink) and
 // written as BLIF plus a JSON manifest into a corpus directory; the

@@ -41,6 +41,7 @@ func DefaultCrossOracles() []CrossOracle {
 		{Name: "metamorphic-total", Check: crossTotal},
 		{Name: "metamorphic-disch", Check: crossDisch},
 		{Name: "metamorphic-strash", Check: crossStrash},
+		{Name: "key-faithfulness", Check: crossKeyFaithfulness},
 	}
 }
 
@@ -132,8 +133,7 @@ func checkSim(c *Case, v *VariantResult) error {
 func crossStrash(c *Case) []Violation {
 	var out []Violation
 	for _, v := range c.Variants {
-		if v.Res == nil || v.Opt.Objective != mapper.Area || v.Opt.ClockWeight != 1 ||
-			v.Opt.AlwaysFooted || v.Opt.SequenceAware {
+		if v.Res == nil || !anchorPoint(v.Opt) {
 			continue
 		}
 		raw, err := c.Raw()
@@ -171,6 +171,57 @@ func crossStrash(c *Case) []Violation {
 			out = append(out, Violation{
 				Oracle: "metamorphic-strash", Variant: v.Name,
 				Detail: fmt.Sprintf("strash-on levels=%d exceeds strash-off levels=%d + slack %d", on, off, strashSlack(off, c.Cfg.StrashEps)),
+			})
+		}
+	}
+	return out
+}
+
+// anchorPoint selects the grid subset the pipeline-level oracles re-map
+// on: area objective, k=1, footless, plain — one point per algorithm.
+func anchorPoint(opt mapper.Options) bool {
+	return opt.Objective == mapper.Area && opt.ClockWeight == 1 && !opt.AlwaysFooted && !opt.SequenceAware
+}
+
+// crossKeyFaithfulness is the oracle behind the service cache key. A
+// seeded shuffled twin of the case (logic.ShuffledTwin: every gate
+// re-declared in a random topological order, internal names dropped) is
+// the same submission as different text, so it must strash to the same
+// Key and, on the anchor points, map to the same gates (Result.Dump,
+// byte for byte). A Key that merged submissions the mapper tells apart
+// would let a cache hit serve one submission's result for the other.
+func crossKeyFaithfulness(c *Case) []Violation {
+	if c.Pipe == nil || c.Pipe.Strash == nil {
+		return nil
+	}
+	twin := c.Net.ShuffledTwin(newRand(c.Seed ^ 0x7a1e))
+	pipe, err := report.PrepareNetworkContext(c.Context(), twin)
+	if err != nil {
+		return []Violation{{Oracle: "key-faithfulness", Detail: fmt.Sprintf("twin pipeline failed: %v", err)}}
+	}
+	if pipe.Strash.Key != c.Pipe.Strash.Key {
+		return []Violation{{Oracle: "key-faithfulness", Detail: "shuffled twin strashes to a different Key"}}
+	}
+	var out []Violation
+	for _, v := range c.Variants {
+		if v.Res == nil || !anchorPoint(v.Opt) {
+			continue
+		}
+		res, err := mapVariant(c.Context(), v.Variant, pipe.Unate)
+		if err != nil {
+			if c.Context().Err() != nil {
+				return out // sweep canceled or timed out: not this oracle's finding
+			}
+			out = append(out, Violation{
+				Oracle: "key-faithfulness", Variant: v.Name,
+				Detail: fmt.Sprintf("twin mapping failed: %v", err),
+			})
+			continue
+		}
+		if got, want := res.Dump(), v.Res.Dump(); got != want {
+			out = append(out, Violation{
+				Oracle: "key-faithfulness", Variant: v.Name,
+				Detail: fmt.Sprintf("shuffled twin shares the Key but maps differently:\n%s\nvs\n%s", got, want),
 			})
 		}
 	}

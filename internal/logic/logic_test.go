@@ -260,6 +260,35 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+func TestShuffledTwinSameFunction(t *testing.T) {
+	n := buildMajority(t)
+	n.AddOutput("one", n.AddConst(true))
+	for seed := int64(1); seed <= 5; seed++ {
+		twin := n.ShuffledTwin(rand.New(rand.NewSource(seed)))
+		if err := twin.Check(); err != nil {
+			t.Fatalf("seed %d: twin invalid: %v", seed, err)
+		}
+		if twin.Len() != n.Len() || len(twin.Inputs) != len(n.Inputs) {
+			t.Fatalf("seed %d: twin has %d nodes / %d inputs, want %d / %d",
+				seed, twin.Len(), len(twin.Inputs), n.Len(), len(n.Inputs))
+		}
+		for i, o := range n.Outputs {
+			if twin.Outputs[i].Name != o.Name {
+				t.Fatalf("seed %d: output %d is %q, want %q", seed, i, twin.Outputs[i].Name, o.Name)
+			}
+		}
+		want, _ := n.TruthTable()
+		got, _ := twin.TruthTable()
+		for r := range want {
+			for c := range want[r] {
+				if got[r][c] != want[r][c] {
+					t.Fatalf("seed %d: row %d output %d differs", seed, r, c)
+				}
+			}
+		}
+	}
+}
+
 func TestNodeByNameMissing(t *testing.T) {
 	n := New("x")
 	if n.NodeByName("nope") != -1 {

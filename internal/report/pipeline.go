@@ -63,16 +63,27 @@ func PrepareNetworkContext(ctx context.Context, n *logic.Network) (*Pipeline, er
 // submitted (no hash-consing, no DCE), the pre-strash behaviour the
 // fuzzer's metamorphic oracle and `soimap -strash-off` compare against.
 func PrepareNetworkMode(ctx context.Context, n *logic.Network, strashOff bool) (*Pipeline, error) {
-	st, tr := obs.StatsFrom(ctx), obs.TracerFrom(ctx)
-	src := n
 	var sr *strash.Result
 	if !strashOff {
+		st, tr := obs.StatsFrom(ctx), obs.TracerFrom(ctx)
 		sStart := tr.Now()
 		obs.Timed(st, obs.PhaseStrash, func() error {
 			sr = strash.RunContext(ctx, n)
 			return nil
 		})
 		tr.Span("pipeline", "strash "+n.Name, sStart)
+	}
+	return PrepareStrashed(ctx, n, sr)
+}
+
+// PrepareStrashed runs n to unate form from a strash result already
+// computed for it, so a caller that strashed n for its cache key (the
+// mapping service) does not strash twice. sr == nil maps n exactly as
+// submitted, like PrepareNetworkMode with strashOff.
+func PrepareStrashed(ctx context.Context, n *logic.Network, sr *strash.Result) (*Pipeline, error) {
+	st, tr := obs.StatsFrom(ctx), obs.TracerFrom(ctx)
+	src := n
+	if sr != nil {
 		st.AddStrash(sr.Counters.Merged, sr.Counters.Folded, sr.Counters.Dead)
 		src = sr.Network
 	}

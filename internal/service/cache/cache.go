@@ -1,6 +1,6 @@
 // Package cache provides the small, concurrency-safe LRU used by the
 // mapping service's result cache. Keys are typically the triple
-// (canonical network hash, algorithm, options) flattened to a string;
+// (structural network digest, algorithm, options) flattened to a string;
 // values are immutable encoded results shared between readers, so Get
 // returns them without copying.
 package cache

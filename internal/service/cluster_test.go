@@ -13,9 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"soidomino/internal/logic"
-	"soidomino/internal/mapper"
 )
 
 // TestReadyzDrain pins the drain contract: /readyz answers 200 until
@@ -67,12 +64,12 @@ func TestCoalescingSingleDPRun(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	s.mapFn = func(ctx context.Context, j *job) (*MapResult, error) {
 		if runs.Add(1) == 1 {
 			close(started)
 		}
 		<-release
-		return inner(ctx, circuit, src, algo, opt)
+		return inner(ctx, j)
 	}
 
 	// The leader goes in async and blocks inside mapFn, guaranteeing the
@@ -190,9 +187,9 @@ func TestPeerCacheTier(t *testing.T) {
 	})
 	var mapped atomic.Int64
 	inner := sb.mapFn
-	sb.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	sb.mapFn = func(ctx context.Context, j *job) (*MapResult, error) {
 		mapped.Add(1)
-		return inner(ctx, circuit, src, algo, opt)
+		return inner(ctx, j)
 	}
 	code, vb := postMap(t, tsB, `{"circuit": "z4ml"}`)
 	if code != http.StatusOK || vb.State != JobDone {

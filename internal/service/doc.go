@@ -15,8 +15,8 @@
 // # Caching
 //
 // Results are cached in an LRU (internal/service/cache) keyed by the
-// canonical hash of the submitted network (internal/canon) combined with
-// the algorithm and mapper options. Submitting the same circuit twice —
+// structural digest of the submitted network (strash.Result.Key, see
+// CacheKey) combined with the algorithm and mapper options. Submitting the same circuit twice —
 // the common case when sweeping k/W/H, where only the options part of
 // the key changes — answers the repeat from the cache without running
 // the dynamic program.

@@ -6,9 +6,18 @@ import (
 	"testing"
 
 	builtin "soidomino/internal/bench"
+	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/report"
 )
+
+// mapSubmission runs src through the daemon's job pipeline (mapNetwork),
+// keyed and strashed the way a submission is.
+func mapSubmission(circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	key, sr := cacheKey(src, algo, opt)
+	j := &job{circuit: circuit, algo: algo, src: src, opt: opt, cacheKey: key, strashed: sr}
+	return mapNetwork(context.Background(), j)
+}
 
 // TestCLIAndServiceEncodingsMatch pins the contract behind `soimap -json`:
 // the CLI path (PrepareNetwork + SOIDominoMap + NewMapResult) and the
@@ -19,7 +28,7 @@ func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 	opt := mapper.DefaultOptions()
 
 	// Daemon path.
-	daemon, err := mapNetwork(context.Background(), circuit, builtin.MustBuild(circuit), "soi", opt)
+	daemon, err := mapSubmission(circuit, builtin.MustBuild(circuit), "soi", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 }
 
 func TestEncodeJSONDeterministic(t *testing.T) {
-	r, err := mapNetwork(context.Background(), "z4ml", builtin.MustBuild("z4ml"), "soi", mapper.DefaultOptions())
+	r, err := mapSubmission("z4ml", builtin.MustBuild("z4ml"), "soi", mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestEncodeJSONDeterministic(t *testing.T) {
 }
 
 func TestMapResultContents(t *testing.T) {
-	r, err := mapNetwork(context.Background(), "mux", builtin.MustBuild("mux"), "soi", mapper.DefaultOptions())
+	r, err := mapSubmission("mux", builtin.MustBuild("mux"), "soi", mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

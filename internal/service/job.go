@@ -7,6 +7,7 @@ import (
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/obs"
+	"soidomino/internal/strash"
 )
 
 // JobState is the lifecycle of a mapping job.
@@ -34,6 +35,10 @@ type job struct {
 	tc       obs.TraceContext
 	deadline time.Time
 	cacheKey string
+	// strashed is the strash result cacheKey was derived from, set only
+	// on a job that is queued to run (nil when the options opt out). The
+	// pipeline maps it instead of strashing the submission again.
+	strashed *strash.Result
 
 	// coalesced marks a follower job that attached to an identical
 	// in-flight leader instead of queueing its own DP run. Written before

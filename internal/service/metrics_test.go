@@ -12,9 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"soidomino/internal/logic"
-	"soidomino/internal/mapper"
 )
 
 // TestAddNamesAreDeclared: every metrics.add call in the package names,
@@ -195,19 +192,16 @@ func TestShedDecisionAtDeadlineBoundary(t *testing.T) {
 	}
 }
 
-// mapFunc mirrors Server.mapFn's signature for test wrappers.
-type mapFunc = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error)
-
 // blockUntil wraps a mapFn so jobs block until release closes (or their
 // context dies), letting tests hold the queue in a known state.
 func blockUntil(release chan struct{}, inner mapFunc) mapFunc {
-	return func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	return func(ctx context.Context, j *job) (*MapResult, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return inner(ctx, circuit, src, algo, opt)
+		return inner(ctx, j)
 	}
 }
 

@@ -382,6 +382,7 @@ func (s *Server) readmit(rj *recoveredJob) {
 		opt.StrashOff = true
 	}
 
+	key, sr := cacheKey(src, algo, opt)
 	j := &job{
 		id:        rj.id,
 		circuit:   label,
@@ -389,7 +390,7 @@ func (s *Server) readmit(rj *recoveredJob) {
 		src:       src,
 		opt:       opt,
 		deadline:  time.Now().Add(s.cfg.DefaultTimeout),
-		cacheKey:  CacheKey(src, algo, opt),
+		cacheKey:  key,
 		recovered: true,
 		state:     JobQueued,
 		done:      make(chan struct{}),
@@ -408,6 +409,7 @@ func (s *Server) readmit(rj *recoveredJob) {
 		go s.followLeader(j, leader)
 		return
 	}
+	j.strashed = sr
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"soidomino/internal/faultpoint"
-	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/store"
 )
@@ -82,14 +81,14 @@ func TestJournalReadmitsUnfinishedJobs(t *testing.T) {
 	release := make(chan struct{})
 	picked := make(chan struct{}, 1)
 	realMap := s1.mapFn
-	s1.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	s1.mapFn = func(ctx context.Context, j *job) (*MapResult, error) {
 		picked <- struct{}{}
 		select {
 		case <-release:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return realMap(ctx, circuit, src, algo, opt)
+		return realMap(ctx, j)
 	}
 	ts1 := newPersistHTTP(t, s1)
 	code, v := postMapURL(t, ts1.URL, `{"circuit": "z4ml", "async": true}`)
@@ -394,7 +393,7 @@ func mapRequestLocal(t *testing.T, circuit, algo string, opt mapper.Options) ([]
 	if err != nil {
 		return nil, err
 	}
-	res, err := mapNetwork(context.Background(), label, src, algo, opt)
+	res, err := mapSubmission(label, src, algo, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"soidomino/internal/faultpoint"
-	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 )
 
@@ -105,15 +104,7 @@ func TestHTTPPanicRecovery(t *testing.T) {
 func TestLoadSheddingRejectsDoomedJobs(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	release := make(chan struct{})
-	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return inner(ctx, circuit, src, algo, opt)
-	}
+	s.mapFn = blockUntil(release, s.mapFn)
 	defer close(release)
 	// Seed the service-time estimate as if jobs took 10s each.
 	s.metrics.avgJobNanos.Store(int64(10 * time.Second))
@@ -153,15 +144,7 @@ func TestLoadSheddingRejectsDoomedJobs(t *testing.T) {
 func TestQueueFullSetsRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
-	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return inner(ctx, circuit, src, algo, opt)
-	}
+	s.mapFn = blockUntil(release, s.mapFn)
 	defer close(release)
 
 	submit := func(i int) *http.Response {
@@ -317,15 +300,7 @@ func TestShutdownDrainsAndStopsGoroutines(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8})
 	ts := httptest.NewServer(s.Handler())
 	release := make(chan struct{})
-	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return inner(ctx, circuit, src, algo, opt)
-	}
+	s.mapFn = blockUntil(release, s.mapFn)
 
 	var ids []string
 	for i := 1; i <= 6; i++ {

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,7 +22,6 @@ import (
 	builtin "soidomino/internal/bench"
 	"soidomino/internal/benchfmt"
 	"soidomino/internal/blif"
-	"soidomino/internal/canon"
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
@@ -231,8 +233,11 @@ type Server struct {
 	// mapFn runs one job's pipeline; tests substitute it to control worker
 	// timing. Overridden only before the first submission (the job-channel
 	// send orders the write before any worker read).
-	mapFn func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error)
+	mapFn mapFunc
 }
+
+// mapFunc runs one job's pipeline from its submission fields.
+type mapFunc = func(ctx context.Context, j *job) (*MapResult, error)
 
 // New starts a Server's worker pool and returns it.
 func New(cfg Config) *Server {
@@ -458,27 +463,74 @@ func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 // algoKeys are the request names of the four mappers.
 var algoKeys = map[string]bool{"domino": true, "rs": true, "rsdeep": true, "soi": true}
 
-// CacheKey builds the result-cache key: canonical structure hash plus
-// everything else that shapes the result. It is also the cluster routing
-// key — the router's consistent-hash ring and every replica's cache and
-// singleflight layers all key on these exact bytes, which is what lets a
-// replica answer from a peer's cache and a router coalesce identical
-// submissions safely.
+// CacheKey builds the result-cache key: a structural digest of the
+// network plus everything else that shapes the result. It is also the
+// cluster routing key — the router's consistent-hash ring and every
+// replica's cache and singleflight layers all key on these exact bytes,
+// which is what lets a replica answer from a peer's cache and a router
+// coalesce identical submissions safely.
 //
-// Unless the options opt out, the canon hash is computed on the
-// strash-canonicalized network — the same network the pipeline will
-// decompose — so structurally identical submissions that differ only in
-// internal signal names, declaration order, commutative operand order,
-// redundant twins or dead logic collapse onto ONE key: one cache entry,
-// one router shard, one singleflight leader. (Strash preserves the
-// network name, which stays in the key: same structure under different
-// model names is still a different submission.)
+// Unless the options opt out, the digest is strash's own (strash.Result
+// Key) over the network the pipeline will decompose, so structurally
+// identical submissions that differ only in internal signal names,
+// declaration order, commutative operand order, redundant twins or dead
+// logic collapse onto ONE key: one cache entry, one router shard, one
+// singleflight leader. A strash-off key digests the network exactly as
+// declared (declaredDigest). The network name stays in the key: same
+// structure under different model names is still a different submission.
 func CacheKey(n *logic.Network, algo string, opt mapper.Options) string {
-	h := n
-	if !opt.StrashOff {
-		h = strash.Run(n).Network
+	key, _ := cacheKey(n, algo, opt)
+	return key
+}
+
+// cacheKey is CacheKey that also returns the strash result the key was
+// derived from (nil when the options opt out), so a job that misses
+// every cache tier maps it without strashing again.
+func cacheKey(n *logic.Network, algo string, opt mapper.Options) (string, *strash.Result) {
+	var sr *strash.Result
+	var digest [32]byte
+	if opt.StrashOff {
+		digest = declaredDigest(n)
+	} else {
+		sr = strash.Run(n)
+		digest = sr.Key
 	}
-	return fmt.Sprintf("%s|%s|%s|%s", canon.Hash(h), n.Name, algo, encodeOptions(opt))
+	return hex.EncodeToString(digest[:]) + "|" + n.Name + "|" + algo + "|" + encodeOptions(opt), sr
+}
+
+// declaredDigest is the strash-off structural digest: a sha256 over the
+// network exactly as declared — name, every node's op, name and fanin
+// ids in node order, the inputs, and the outputs in order. Any textual
+// difference the mapper could observe splits it, which makes it stricter
+// than the strash digest and never wrong. Strings are length prefixed so
+// no two networks share a preimage.
+func declaredDigest(n *logic.Network) [32]byte {
+	buf := make([]byte, 0, 64+8*len(n.Nodes))
+	num := func(v int) { buf = binary.AppendUvarint(buf, uint64(v)) }
+	str := func(s string) {
+		num(len(s))
+		buf = append(buf, s...)
+	}
+	str(n.Name)
+	num(len(n.Nodes))
+	for _, nd := range n.Nodes {
+		buf = append(buf, byte(nd.Op))
+		str(nd.Name)
+		num(len(nd.Fanin))
+		for _, f := range nd.Fanin {
+			num(f)
+		}
+	}
+	num(len(n.Inputs))
+	for _, id := range n.Inputs {
+		num(id)
+	}
+	num(len(n.Outputs))
+	for _, o := range n.Outputs {
+		str(o.Name)
+		num(o.Node)
+	}
+	return sha256.Sum256(buf)
 }
 
 // RequestKey resolves a MapRequest to the cache/routing key its
@@ -599,15 +651,25 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		timeout = s.cfg.MaxTimeout
 	}
 
+	tc := obs.TraceContextFrom(r.Context())
+	keyStart := time.Now()
+	key, sr := cacheKey(src, req.Algorithm, opt)
+	if sr != nil {
+		// Strash runs here, on the key path of every submission, and only
+		// here: a job that misses every cache tier maps sr.
+		d := time.Since(keyStart)
+		s.metrics.recordEngine(req.Algorithm, &obs.Stats{Phases: obs.PhaseTimes{Strash: d}})
+		s.hub.Record(tc, "pipeline", "strash "+src.Name, keyStart, d)
+	}
 	j := &job{
 		circuit:  label,
 		algo:     req.Algorithm,
 		src:      src,
 		opt:      opt,
 		reqID:    obs.RequestID(r.Context()),
-		tc:       obs.TraceContextFrom(r.Context()),
+		tc:       tc,
 		deadline: time.Now().Add(timeout),
-		cacheKey: CacheKey(src, req.Algorithm, opt),
+		cacheKey: key,
 		state:    JobQueued,
 		done:     make(chan struct{}),
 	}
@@ -696,6 +758,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// Name the job before the send: the worker that receives it reads
 	// j.id (journal records, logs) without taking s.mu.
 	s.registerJobLocked(j)
+	j.strashed = sr
 	select {
 	case s.queue <- j:
 		s.inflight[j.cacheKey] = j
@@ -1068,7 +1131,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 
-	res, err := s.mapFn(ctx, j.circuit, j.src, j.algo, j.opt)
+	res, err := s.mapFn(ctx, j)
 	if err == nil {
 		if ferr := faultpoint.From(ctx).Check(ctx, PointQueuePop); ferr != nil {
 			err = ferr
@@ -1170,10 +1233,12 @@ func (s *Server) evictJobs(cutoff time.Time) int {
 }
 
 // mapNetwork runs the full pipeline — decompose, unate-convert, map,
-// audit, encode — under ctx. It is the one code path both the daemon and
-// (modulo context) the CLI's -json mode represent.
-func mapNetwork(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
-	p, err := report.PrepareNetworkMode(ctx, src, opt.StrashOff)
+// audit, encode — under ctx, from the strash result the job's cache key
+// was derived from. It is the one code path both the daemon and (modulo
+// context) the CLI's -json mode represent.
+func mapNetwork(ctx context.Context, j *job) (*MapResult, error) {
+	circuit, algo, opt := j.circuit, j.algo, j.opt
+	p, err := report.PrepareStrashed(ctx, j.src, j.strashed)
 	if err != nil {
 		return nil, err
 	}

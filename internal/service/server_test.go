@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 )
 
@@ -414,15 +413,7 @@ func TestQueueFullRejects(t *testing.T) {
 	// deterministic: job 1 runs (blocked), job 2 queues, job 3 overflows.
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
-	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return inner(ctx, circuit, src, algo, opt)
-	}
+	s.mapFn = blockUntil(release, s.mapFn)
 	defer close(release)
 
 	submit := func(i int) int {

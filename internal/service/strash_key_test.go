@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"net/http"
 	"testing"
+
+	builtin "soidomino/internal/bench"
+	"soidomino/internal/mapper"
 )
 
 // Two BLIF renderings of the same circuit. They differ in every way
@@ -63,8 +67,8 @@ func TestStrashCollapsesRenamedSubmissions(t *testing.T) {
 		t.Fatalf("renamed/reordered sources got distinct keys:\n  %s\n  %s", k1, k2)
 	}
 
-	// Without strash the textual differences survive into the canon
-	// hash: the keys must split.
+	// Without strash the textual differences survive into the declared
+	// digest: the keys must split.
 	off := &RequestOptions{StrashOff: true}
 	o1, err := RequestKey(context.Background(), &MapRequest{BLIF: blifTidy, Options: off})
 	if err != nil {
@@ -75,7 +79,7 @@ func TestStrashCollapsesRenamedSubmissions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o1 == o2 {
-		t.Fatal("strash-off submissions unexpectedly share a key (dead logic should split the canon hash)")
+		t.Fatal("strash-off submissions unexpectedly share a key (dead logic should split the declared digest)")
 	}
 	if o1 == k1 {
 		t.Fatal("strash_off did not change the routing key")
@@ -107,6 +111,33 @@ func TestStrashCollapsesRenamedSubmissions(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Error("cache-collapsed submissions returned different bytes")
+	}
+}
+
+// TestStrashOffKeyIsDeclared pins the strash-off key: it digests the
+// network exactly as declared, so a twin that re-declares the same
+// gates in another order gets its own key, while an identical network
+// (a clone, or the same source parsed again) shares it.
+func TestStrashOffKeyIsDeclared(t *testing.T) {
+	off := mapper.DefaultOptions()
+	off.StrashOff = true
+	for _, name := range []string{"mux", "z4ml", "c880"} {
+		src := builtin.MustBuild(name)
+		key := CacheKey(src, "soi", off)
+		if got := CacheKey(src.Clone(), "soi", off); got != key {
+			t.Errorf("%s: identical network got another strash-off key:\n  %s\n  %s", name, key, got)
+		}
+		if got := CacheKey(builtin.MustBuild(name), "soi", off); got != key {
+			t.Errorf("%s: rebuilt network got another strash-off key", name)
+		}
+		twin := src.ShuffledTwin(rand.New(rand.NewSource(1)))
+		if CacheKey(twin, "soi", off) == key {
+			t.Errorf("%s: re-declared twin shares the strash-off key", name)
+		}
+		// With strash on, the same twin collapses onto the source's key.
+		if CacheKey(twin, "soi", mapper.DefaultOptions()) != CacheKey(src, "soi", mapper.DefaultOptions()) {
+			t.Errorf("%s: re-declared twin splits the strash-on key", name)
+		}
 	}
 }
 

@@ -6,12 +6,12 @@
 // every node unreachable from a primary output has been removed.
 //
 // The pass runs before decompose/unate in every mapper pipeline
-// (report.PrepareNetworkContext) and before canonical hashing in the
-// service cache key (service.CacheKey), so structurally identical but
-// textually different submissions — renamed internal signals, reordered
-// gate declarations, reordered commutative operands, redundant twin or
-// dead logic — collapse onto one cache entry, one router shard and one
-// singleflight leader.
+// (report.PrepareNetworkContext), and its structural digest (Result.Key)
+// is the service cache and routing key (service.CacheKey), so
+// structurally identical but textually different submissions — renamed
+// internal signals, reordered gate declarations, reordered commutative
+// operands, redundant twin or dead logic — collapse onto one cache entry,
+// one router shard and one singleflight leader.
 //
 // Contract (see DESIGN.md §13): strash preserves the network name, the
 // primary-input set with names and declaration order, and the
@@ -31,10 +31,12 @@ package strash
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
@@ -79,6 +81,14 @@ type Result struct {
 	NodeMap []int
 	// Counters summarizes the reduction.
 	Counters Counters
+	// Key is the structural digest of Network: a sha256 over the network
+	// name, the primary-input names in declaration order, and each
+	// primary output's name and structural signature in declaration
+	// order. A signature covers the output's whole cone, and Network
+	// holds nothing but those cones and the inputs, so two submissions
+	// share a Key exactly when they strash to the same network up to
+	// node numbering (barring sha256 collisions).
+	Key [32]byte
 }
 
 // Run canonicalizes n. It never fails on a structurally valid network
@@ -88,75 +98,103 @@ func Run(n *logic.Network) *Result {
 	return RunContext(context.Background(), n)
 }
 
-// builder accumulates the hash-consed network: every node carries a
-// structural signature (a sha256 over its op and its fanins' signatures)
-// that doubles as the cons key and the commutative-fanin sort key.
+// node is one vertex of the hash-consed network under construction. Its
+// fanins are fanins[lo:hi] of the owning builder.
+type node struct {
+	op     logic.Op
+	name   string // primary inputs only
+	lo, hi int32
+}
+
+// builder accumulates the hash-consed network in flat slices: every node
+// carries a structural signature (a sha256 over its op and its fanins'
+// signatures) that doubles as the cons key and the commutative-fanin
+// sort key. The scratch slices are reused across gates, and mark/count
+// are per-node tables stamped per gate instead of per-gate maps.
 type builder struct {
-	out    *logic.Network
-	sigs   [][]byte       // per out-node structural signature
-	cons   map[string]int // signature -> out node id
+	nodes  []node
+	fanins []int
+	sigs   [][32]byte       // per node structural signature
+	cons   map[[32]byte]int // signature -> node id
 	faults *faultpoint.Registry
 	c      Counters
 	const0 int
 	const1 int
+
+	buf   []byte  // signature preimage
+	mark  []int32 // mark[id] == stamp: id is an operand of the current gate
+	count []int32 // operand multiplicity in the current parity gate
+	stamp int32
+	in    []int // current source gate's fanins through repr
+	ops   []int // current gate's operand list
+	order []int // parity operands in first-seen order
 }
 
-func (b *builder) sig(parts ...[]byte) []byte {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
-	}
-	return h.Sum(nil)
+// add appends a node with its signature (computed from b.buf) and
+// fanins, returning its id.
+func (b *builder) add(op logic.Op, name string, fanin []int) int {
+	id := len(b.nodes)
+	lo := int32(len(b.fanins))
+	b.fanins = append(b.fanins, fanin...)
+	b.nodes = append(b.nodes, node{op: op, name: name, lo: lo, hi: int32(len(b.fanins))})
+	b.sigs = append(b.sigs, sha256.Sum256(b.buf))
+	b.mark = append(b.mark, 0)
+	b.count = append(b.count, 0)
+	return id
+}
+
+// fanin returns node id's fanin list (a view into b.fanins).
+func (b *builder) fanin(id int) []int {
+	nd := b.nodes[id]
+	return b.fanins[nd.lo:nd.hi]
 }
 
 func (b *builder) addInput(name string) int {
-	id := b.out.AddInput(name)
-	b.sigs = append(b.sigs, b.sig([]byte("i|"), []byte(name)))
-	return id
+	b.buf = append(append(b.buf[:0], "i|"...), name...)
+	return b.add(logic.Input, name, nil)
 }
 
 func (b *builder) getConst(v bool) int {
 	if v {
 		if b.const1 < 0 {
-			b.const1 = b.out.AddConst(true)
-			b.sigs = append(b.sigs, b.sig([]byte("c1")))
+			b.buf = append(b.buf[:0], "c1"...)
+			b.const1 = b.add(logic.Const1, "", nil)
 		}
 		return b.const1
 	}
 	if b.const0 < 0 {
-		b.const0 = b.out.AddConst(false)
-		b.sigs = append(b.sigs, b.sig([]byte("c0")))
+		b.buf = append(b.buf[:0], "c0"...)
+		b.const0 = b.add(logic.Const0, "", nil)
 	}
 	return b.const0
 }
 
-// isNotOf returns (x, true) when out node id computes NOT x; used for
+// isNotOf returns (x, true) when node id computes NOT x; used for
 // complement-pair cancellation.
 func (b *builder) isNotOf(id int) (int, bool) {
-	nd := b.out.Nodes[id]
-	if nd.Op == logic.Not {
-		return nd.Fanin[0], true
+	if b.nodes[id].op == logic.Not {
+		return b.fanin(id)[0], true
 	}
 	return -1, false
 }
 
 // consNot builds (or finds) NOT x, folding constants and double negation.
 func (b *builder) consNot(x int) int {
-	switch b.out.Nodes[x].Op {
+	switch b.nodes[x].op {
 	case logic.Const0:
 		return b.getConst(true)
 	case logic.Const1:
 		return b.getConst(false)
 	case logic.Not:
-		return b.out.Nodes[x].Fanin[0]
+		return b.fanin(x)[0]
 	}
-	sig := b.sig([]byte("n|"), b.sigs[x])
-	if id, ok := b.cons[string(sig)]; ok {
+	b.buf = append(append(b.buf[:0], "n|"...), b.sigs[x][:]...)
+	sig := sha256.Sum256(b.buf)
+	if id, ok := b.cons[sig]; ok {
 		return id
 	}
-	id := b.out.AddGate(logic.Not, x)
-	b.sigs = append(b.sigs, sig)
-	b.cons[string(sig)] = id
+	id := b.add(logic.Not, "", []int{x})
+	b.cons[sig] = id
 	return id
 }
 
@@ -166,36 +204,41 @@ func (b *builder) consNot(x int) int {
 // normalization: the resulting operand order, which the mapper reads as
 // series-stack order, depends on structure alone.
 func (b *builder) sortStructural(ids []int) {
-	sort.Slice(ids, func(i, j int) bool {
-		if c := bytes.Compare(b.sigs[ids[i]], b.sigs[ids[j]]); c != 0 {
-			return c < 0
+	slices.SortFunc(ids, func(x, y int) int {
+		if c := bytes.Compare(b.sigs[x][:], b.sigs[y][:]); c != 0 {
+			return c
 		}
-		return ids[i] < ids[j]
+		return cmp.Compare(x, y)
 	})
 }
 
 // consGate hash-conses one already-normalized gate (core op, >= 2
 // structurally sorted operands).
 func (b *builder) consGate(op logic.Op, ops []int) int {
-	parts := make([][]byte, 0, len(ops)+1)
-	parts = append(parts, []byte{'g', byte(op), '|'})
+	signed := op
 	if b.faults.Flip(PointBadMerge) && op == logic.Or {
 		// Deliberate corruption for fault-injection tests: sign the OR
 		// as an AND, merging it into any structurally matching AND.
-		parts[0] = []byte{'g', byte(logic.And), '|'}
+		signed = logic.And
 	}
+	b.buf = append(b.buf[:0], 'g', byte(signed), '|')
 	for _, f := range ops {
-		parts = append(parts, b.sigs[f])
+		b.buf = append(b.buf, b.sigs[f][:]...)
 	}
-	sig := b.sig(parts...)
-	if id, ok := b.cons[string(sig)]; ok {
+	sig := sha256.Sum256(b.buf)
+	if id, ok := b.cons[sig]; ok {
 		b.c.Merged++
 		return id
 	}
-	id := b.out.AddGate(op, ops...)
-	b.sigs = append(b.sigs, sig)
-	b.cons[string(sig)] = id
+	id := b.add(op, "", ops)
+	b.cons[sig] = id
 	return id
+}
+
+// nextStamp starts a new gate for the mark and count tables.
+func (b *builder) nextStamp() int32 {
+	b.stamp++
+	return b.stamp
 }
 
 // consMonotone normalizes one And/Or/Nand/Nor gate: constant folding,
@@ -220,10 +263,10 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 		return id
 	}
 
-	seen := make(map[int]bool, len(fanin))
-	var ops []int
+	stamp := b.nextStamp()
+	ops := b.ops[:0]
 	for _, f := range fanin {
-		switch b.out.Nodes[f].Op {
+		switch b.nodes[f].op {
 		case logic.Const0:
 			if !dominant {
 				b.c.Folded++
@@ -237,15 +280,16 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 			}
 			continue // identity for And
 		}
-		if seen[f] {
+		if b.mark[f] == stamp {
 			continue // idempotence: x·x = x, x+x = x
 		}
-		seen[f] = true
+		b.mark[f] = stamp
 		ops = append(ops, f)
 	}
+	b.ops = ops
 	// Complement pair: x together with NOT x annihilates the core.
 	for _, f := range ops {
-		if x, ok := b.isNotOf(f); ok && seen[x] {
+		if x, ok := b.isNotOf(f); ok && b.mark[x] == stamp {
 			b.c.Folded++
 			return finish(b.getConst(dominant))
 		}
@@ -270,16 +314,18 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 // identical pairs and Const0 fanins vanish.
 func (b *builder) consParity(op logic.Op, fanin []int) int {
 	invert := op == logic.Xnor
-	count := make(map[int]int, len(fanin))
-	order := make([]int, 0, len(fanin))
+	stamp := b.nextStamp()
+	order := b.order[:0]
 	add := func(f int) {
-		if count[f] == 0 {
+		if b.mark[f] != stamp {
+			b.mark[f] = stamp
+			b.count[f] = 0
 			order = append(order, f)
 		}
-		count[f]++
+		b.count[f]++
 	}
 	for _, f := range fanin {
-		switch b.out.Nodes[f].Op {
+		switch b.nodes[f].op {
 		case logic.Const0:
 			continue
 		case logic.Const1:
@@ -295,12 +341,14 @@ func (b *builder) consParity(op logic.Op, fanin []int) int {
 			add(f)
 		}
 	}
-	var ops []int
+	b.order = order
+	ops := b.ops[:0]
 	for _, f := range order {
-		if count[f]%2 == 1 {
+		if b.count[f]%2 == 1 {
 			ops = append(ops, f) // pairs cancel: x ^ x = 0
 		}
 	}
+	b.ops = ops
 	if len(ops) < len(fanin) {
 		b.c.Folded++
 	}
@@ -325,35 +373,39 @@ func (b *builder) consParity(op logic.Op, fanin []int) int {
 // identical to Run.
 func RunContext(ctx context.Context, n *logic.Network) *Result {
 	b := &builder{
-		out:    logic.New(n.Name),
-		cons:   make(map[string]int),
+		nodes:  make([]node, 0, len(n.Nodes)),
+		fanins: make([]int, 0, 2*len(n.Nodes)),
+		sigs:   make([][32]byte, 0, len(n.Nodes)),
+		cons:   make(map[[32]byte]int, len(n.Nodes)),
+		mark:   make([]int32, 0, len(n.Nodes)),
+		count:  make([]int32, 0, len(n.Nodes)),
 		faults: faultpoint.From(ctx),
 		const0: -1,
 		const1: -1,
 	}
 	b.c.NodesIn = len(n.Nodes)
 
-	// Phase 1: forward hash-consing pass. repr[i] is the id in b.out of
+	// Phase 1: forward hash-consing pass. repr[i] is the builder id of
 	// the node computing the same function as input node i.
 	repr := make([]int, len(n.Nodes))
-	for i, node := range n.Nodes {
-		switch node.Op {
+	for i, nd := range n.Nodes {
+		switch nd.Op {
 		case logic.Input:
 			// Inputs are the interface: never merged, names kept.
-			repr[i] = b.addInput(node.Name)
+			repr[i] = b.addInput(nd.Name)
 		case logic.Const0:
 			repr[i] = b.getConst(false)
 		case logic.Const1:
 			repr[i] = b.getConst(true)
 		case logic.Buf:
-			repr[i] = repr[node.Fanin[0]]
+			repr[i] = repr[nd.Fanin[0]]
 			b.c.Folded++
 		case logic.Not:
-			x := repr[node.Fanin[0]]
-			before := len(b.out.Nodes)
+			x := repr[nd.Fanin[0]]
+			before := len(b.nodes)
 			id := b.consNot(x)
 			if id < before { // nothing new was built
-				if b.out.Nodes[id].Op == logic.Not && b.out.Nodes[id].Fanin[0] == x {
+				if b.nodes[id].op == logic.Not && b.fanin(id)[0] == x {
 					b.c.Merged++ // cons hit on an identical inverter
 				} else {
 					b.c.Folded++ // constant fold or double negation
@@ -361,73 +413,75 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 			}
 			repr[i] = id
 		case logic.And, logic.Or, logic.Nand, logic.Nor:
-			repr[i] = b.consMonotone(node.Op, faninRepr(repr, node.Fanin))
+			repr[i] = b.consMonotone(nd.Op, b.faninRepr(repr, nd.Fanin))
 		case logic.Xor, logic.Xnor:
-			repr[i] = b.consParity(node.Op, faninRepr(repr, node.Fanin))
+			repr[i] = b.consParity(nd.Op, b.faninRepr(repr, nd.Fanin))
 		default:
-			panic(fmt.Sprintf("strash: node %d has unknown op %v", i, node.Op))
+			panic(fmt.Sprintf("strash: node %d has unknown op %v", i, nd.Op))
 		}
-	}
-
-	// Carry the PO bindings over before DCE decides reachability.
-	out := b.out
-	for _, po := range n.Outputs {
-		out.AddOutput(po.Name, repr[po.Node])
 	}
 
 	// Phase 2: DCE. Keep every primary input (the interface) plus
 	// everything reachable from a primary output. The worklist is
 	// explicit: parser depth caps do not bound programmatically built
 	// networks, so recursion depth must not scale with circuit depth.
-	keep := make([]bool, len(out.Nodes))
-	var stack []int
+	keep := make([]bool, len(b.nodes))
+	stack := b.ops[:0]
 	push := func(id int) {
 		if !keep[id] {
 			keep[id] = true
 			stack = append(stack, id)
 		}
 	}
-	for _, po := range out.Outputs {
-		push(po.Node)
+	for _, po := range n.Outputs {
+		push(repr[po.Node])
 	}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, f := range out.Nodes[id].Fanin {
+		for _, f := range b.fanin(id) {
 			push(f)
 		}
 	}
-	for _, in := range out.Inputs {
-		keep[in] = true
+	kept := 0
+	for id, nd := range b.nodes {
+		if nd.op == logic.Input {
+			keep[id] = true
+		}
+		if keep[id] {
+			kept++
+		}
 	}
 
 	final := logic.New(n.Name)
-	finalOf := make([]int, len(out.Nodes))
-	for i := range finalOf {
-		finalOf[i] = -1
-	}
-	for id, nd := range out.Nodes {
+	final.Nodes = make([]logic.Node, 0, kept)
+	final.Inputs = make([]int, 0, len(n.Inputs))
+	final.Outputs = make([]logic.Output, 0, len(n.Outputs))
+	finalOf := make([]int, len(b.nodes))
+	for id, nd := range b.nodes {
 		if !keep[id] {
+			finalOf[id] = -1
 			b.c.Dead++
 			continue
 		}
-		switch nd.Op {
+		switch nd.op {
 		case logic.Input:
-			finalOf[id] = final.AddInput(nd.Name)
+			finalOf[id] = final.AddInput(nd.name)
 		case logic.Const0:
 			finalOf[id] = final.AddConst(false)
 		case logic.Const1:
 			finalOf[id] = final.AddConst(true)
 		default:
-			fanin := make([]int, len(nd.Fanin))
-			for k, f := range nd.Fanin {
-				fanin[k] = finalOf[f]
+			fanin := b.in[:0]
+			for _, f := range b.fanin(id) {
+				fanin = append(fanin, finalOf[f])
 			}
-			finalOf[id] = final.AddGate(nd.Op, fanin...)
+			b.in = fanin
+			finalOf[id] = final.AddGate(nd.op, fanin...)
 		}
 	}
-	for _, po := range out.Outputs {
-		final.AddOutput(po.Name, finalOf[po.Node])
+	for _, po := range n.Outputs {
+		final.AddOutput(po.Name, finalOf[repr[po.Node]])
 	}
 
 	nodeMap := make([]int, len(n.Nodes))
@@ -435,14 +489,36 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 		nodeMap[i] = finalOf[repr[i]]
 	}
 	b.c.NodesOut = len(final.Nodes)
-	return &Result{Network: final, NodeMap: nodeMap, Counters: b.c}
+	return &Result{Network: final, NodeMap: nodeMap, Counters: b.c, Key: b.key(n, repr)}
 }
 
-// faninRepr maps a source fanin list through repr.
-func faninRepr(repr []int, fanin []int) []int {
-	out := make([]int, len(fanin))
-	for i, f := range fanin {
-		out[i] = repr[f]
+// key is the structural digest behind Result.Key. Strings are length
+// prefixed, so no two interfaces share a preimage.
+func (b *builder) key(n *logic.Network, repr []int) [32]byte {
+	str := func(s string) {
+		b.buf = binary.AppendUvarint(b.buf, uint64(len(s)))
+		b.buf = append(b.buf, s...)
 	}
-	return out
+	b.buf = b.buf[:0]
+	str(n.Name)
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(n.Inputs)))
+	for _, id := range n.Inputs {
+		str(n.Nodes[id].Name)
+	}
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(n.Outputs)))
+	for _, po := range n.Outputs {
+		str(po.Name)
+		b.buf = append(b.buf, b.sigs[repr[po.Node]][:]...)
+	}
+	return sha256.Sum256(b.buf)
+}
+
+// faninRepr maps a source fanin list through repr into b.in.
+func (b *builder) faninRepr(repr []int, fanin []int) []int {
+	in := b.in[:0]
+	for _, f := range fanin {
+		in = append(in, repr[f])
+	}
+	b.in = in
+	return in
 }

@@ -3,70 +3,14 @@ package soidomino
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"soidomino/internal/bench"
-	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/report"
 	"soidomino/internal/service"
 )
-
-// shuffledTwin rebuilds src with every non-input node re-declared in a
-// random topological order and every internal name dropped. Primary
-// inputs and outputs keep their names and order, the interface the
-// cache key preserves.
-func shuffledTwin(src *logic.Network, rng *rand.Rand) *logic.Network {
-	twin := logic.New(src.Name)
-	newID := make([]int, src.Len())
-	for _, id := range src.Inputs {
-		newID[id] = twin.AddInput(src.Nodes[id].Name)
-	}
-	// Kahn's algorithm over the non-input nodes, drawing the next node
-	// at random from the ready set.
-	pending := make([]int, src.Len())
-	users := make([][]int, src.Len())
-	var ready []int
-	for id, node := range src.Nodes {
-		if node.Op == logic.Input {
-			continue
-		}
-		for _, f := range node.Fanin {
-			if src.Nodes[f].Op != logic.Input {
-				pending[id]++
-				users[f] = append(users[f], id)
-			}
-		}
-		if pending[id] == 0 {
-			ready = append(ready, id)
-		}
-	}
-	for len(ready) > 0 {
-		i := rng.Intn(len(ready))
-		id := ready[i]
-		ready[i] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		switch node := src.Nodes[id]; node.Op {
-		case logic.Const0, logic.Const1:
-			newID[id] = twin.AddConst(node.Op == logic.Const1)
-		default:
-			fanin := make([]int, len(node.Fanin))
-			for k, f := range node.Fanin {
-				fanin[k] = newID[f]
-			}
-			newID[id] = twin.AddGate(node.Op, fanin...)
-		}
-		for _, u := range users[id] {
-			if pending[u]--; pending[u] == 0 {
-				ready = append(ready, u)
-			}
-		}
-	}
-	for _, o := range src.Outputs {
-		twin.AddOutput(o.Name, newID[o.Node])
-	}
-	return twin
-}
 
 // TestKeyFaithfulness: the strash-on cache key claims that a submission
 // and its re-declared, internally renamed twin are the same job. For
@@ -78,7 +22,7 @@ func TestKeyFaithfulness(t *testing.T) {
 	opt := mapper.DefaultOptions()
 	for i, name := range bench.Names() {
 		src := bench.MustBuild(name)
-		twin := shuffledTwin(src, rand.New(rand.NewSource(int64(i)+1)))
+		twin := src.ShuffledTwin(rand.New(rand.NewSource(int64(i) + 1)))
 		if err := twin.Check(); err != nil {
 			t.Fatalf("%s: twin invalid: %v", name, err)
 		}
@@ -103,6 +47,47 @@ func TestKeyFaithfulness(t *testing.T) {
 				t.Errorf("%s/%s: twin shares the key but encodes differently", name, algo)
 			}
 		}
+	}
+}
+
+// TestPOOrderKeyFaithfulness: primary-output order is part of a
+// submission — the encoding lists outputs in declaration order — so a
+// twin that declares the same outputs in reverse order must either get
+// its own cache key or encode byte-identically. Sharing a key while
+// encoding differently would serve one submission's output order to the
+// other from cache.
+func TestPOOrderKeyFaithfulness(t *testing.T) {
+	opt := mapper.DefaultOptions()
+	cases := 0
+	for _, name := range bench.Names() {
+		src := bench.MustBuild(name)
+		if len(src.Outputs) < 2 {
+			continue
+		}
+		twin := src.Clone()
+		slices.Reverse(twin.Outputs)
+		var pipe, twinPipe *report.Pipeline
+		for _, algo := range []string{"domino", "rs", "soi"} {
+			cases++
+			if service.CacheKey(src, algo, opt) != service.CacheKey(twin, algo, opt) {
+				continue
+			}
+			if pipe == nil {
+				var err error
+				if pipe, err = report.PrepareNetwork(src); err != nil {
+					t.Fatalf("%s: prepare: %v", name, err)
+				}
+				if twinPipe, err = report.PrepareNetwork(twin); err != nil {
+					t.Fatalf("%s: prepare twin: %v", name, err)
+				}
+			}
+			if !bytes.Equal(encodeMapping(t, name, algo, pipe, opt), encodeMapping(t, name, algo, twinPipe, opt)) {
+				t.Errorf("%s/%s: PO-reversed twin shares the key but encodes differently", name, algo)
+			}
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no multi-output registry circuit; the check would be vacuous")
 	}
 }
 
