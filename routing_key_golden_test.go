@@ -84,11 +84,12 @@ func routingKeyLines(t *testing.T) []string {
 }
 
 // TestRoutingKeyGolden pins the cluster's routing and cache keys: the
-// canonical network hash keyed jointly with the options encoding, for
+// strash structural digest (strash.Result.Key; the declared-network
+// digest under strash_off) keyed jointly with the options encoding, for
 // every seed circuit × option variant. If this test fails without a
-// deliberate canon or options change, routing keys have drifted — a
-// rolling upgrade would split the shared cache tier across versions.
-// After a deliberate change, regenerate with:
+// deliberate change to the strash key or the options encoding, routing
+// keys have drifted — a rolling upgrade would split the shared cache
+// tier across versions. After a deliberate change, regenerate with:
 //
 //	go test -run TestRoutingKeyGolden -update .
 func TestRoutingKeyGolden(t *testing.T) {
@@ -109,7 +110,7 @@ func TestRoutingKeyGolden(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("routing key drift at line %d:\n  got:  %s\n  want: %s\n(regenerate with -update only if canon/options changed deliberately)", i+1, gl[i], wl[i])
+				t.Fatalf("routing key drift at line %d:\n  got:  %s\n  want: %s\n(regenerate with -update only if the strash key or the options encoding changed deliberately)", i+1, gl[i], wl[i])
 			}
 		}
 		t.Fatalf("routing key vectors differ in length: %d vs %d lines", len(gl), len(wl))
