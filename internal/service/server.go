@@ -655,8 +655,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	keyStart := time.Now()
 	key, sr := cacheKey(src, req.Algorithm, opt)
 	if sr != nil {
-		// Strash runs here, on the key path of every submission, and only
-		// here: a job that misses every cache tier maps sr.
+		// Strash runs on the key path of every submission; a job that
+		// misses every cache tier maps sr instead of strashing again.
 		d := time.Since(keyStart)
 		s.metrics.recordEngine(req.Algorithm, &obs.Stats{Phases: obs.PhaseTimes{Strash: d}})
 		s.hub.Record(tc, "pipeline", "strash "+src.Name, keyStart, d)

@@ -134,10 +134,6 @@ func TestStrashOffKeyIsDeclared(t *testing.T) {
 		if CacheKey(twin, "soi", off) == key {
 			t.Errorf("%s: re-declared twin shares the strash-off key", name)
 		}
-		// With strash on, the same twin collapses onto the source's key.
-		if CacheKey(twin, "soi", mapper.DefaultOptions()) != CacheKey(src, "soi", mapper.DefaultOptions()) {
-			t.Errorf("%s: re-declared twin splits the strash-on key", name)
-		}
 	}
 }
 

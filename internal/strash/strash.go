@@ -109,8 +109,9 @@ type node struct {
 // builder accumulates the hash-consed network in flat slices: every node
 // carries a structural signature (a sha256 over its op and its fanins'
 // signatures) that doubles as the cons key and the commutative-fanin
-// sort key. The scratch slices are reused across gates, and mark/count
-// are per-node tables stamped per gate instead of per-gate maps.
+// sort key. The scratch slices are reused across gates; mark and count
+// are per-node tables whose entries are valid only where mark equals the
+// current gate's stamp, so starting a gate clears nothing.
 type builder struct {
 	nodes  []node
 	fanins []int
