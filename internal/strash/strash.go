@@ -131,14 +131,13 @@ type builder struct {
 	order []int // parity operands in first-seen order
 }
 
-// add appends a node with its signature (computed from b.buf) and
-// fanins, returning its id.
-func (b *builder) add(op logic.Op, name string, fanin []int) int {
+// add appends a node with its signature and fanins, returning its id.
+func (b *builder) add(op logic.Op, name string, fanin []int, sig [32]byte) int {
 	id := len(b.nodes)
 	lo := int32(len(b.fanins))
 	b.fanins = append(b.fanins, fanin...)
 	b.nodes = append(b.nodes, node{op: op, name: name, lo: lo, hi: int32(len(b.fanins))})
-	b.sigs = append(b.sigs, sha256.Sum256(b.buf))
+	b.sigs = append(b.sigs, sig)
 	b.mark = append(b.mark, 0)
 	b.count = append(b.count, 0)
 	return id
@@ -152,20 +151,18 @@ func (b *builder) fanin(id int) []int {
 
 func (b *builder) addInput(name string) int {
 	b.buf = append(append(b.buf[:0], "i|"...), name...)
-	return b.add(logic.Input, name, nil)
+	return b.add(logic.Input, name, nil, sha256.Sum256(b.buf))
 }
 
 func (b *builder) getConst(v bool) int {
 	if v {
 		if b.const1 < 0 {
-			b.buf = append(b.buf[:0], "c1"...)
-			b.const1 = b.add(logic.Const1, "", nil)
+			b.const1 = b.add(logic.Const1, "", nil, sha256.Sum256([]byte("c1")))
 		}
 		return b.const1
 	}
 	if b.const0 < 0 {
-		b.buf = append(b.buf[:0], "c0"...)
-		b.const0 = b.add(logic.Const0, "", nil)
+		b.const0 = b.add(logic.Const0, "", nil, sha256.Sum256([]byte("c0")))
 	}
 	return b.const0
 }
@@ -194,7 +191,7 @@ func (b *builder) consNot(x int) int {
 	if id, ok := b.cons[sig]; ok {
 		return id
 	}
-	id := b.add(logic.Not, "", []int{x})
+	id := b.add(logic.Not, "", []int{x}, sig)
 	b.cons[sig] = id
 	return id
 }
@@ -231,7 +228,7 @@ func (b *builder) consGate(op logic.Op, ops []int) int {
 		b.c.Merged++
 		return id
 	}
-	id := b.add(op, "", ops)
+	id := b.add(op, "", ops, sig)
 	b.cons[sig] = id
 	return id
 }
