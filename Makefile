@@ -92,8 +92,8 @@ trace-smoke:
 
 # ~30s: the multi-node campaign — an in-process soirouter fronting three
 # replicas with the shared cache tier, one replica killed and restarted
-# mid-flight, identical-submission bursts driving both coalescing
-# layers. Every completed response is byte-compared against a clean
+# mid-flight, identical-submission bursts driving the replicas'
+# coalescing. Every completed response is byte-compared against a clean
 # local re-derivation. Replay with: go run ./cmd/soichaos -cluster -seed N.
 cluster-smoke:
 	$(GO) run ./cmd/soichaos -cluster -seed 1 -requests 2000 -duration 30s -p 0.02 -sim 1

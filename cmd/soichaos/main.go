@@ -14,7 +14,7 @@
 // soirouter fronts -replicas soimapd instances wired into the shared
 // result-cache tier, one replica is killed a third of the way through
 // the campaign and restarted at two thirds, and identical-submission
-// bursts exercise both singleflight layers. The same verification
+// bursts exercise the replicas' coalescing. The same verification
 // applies: every completed response must be byte-identical to a clean
 // local re-derivation, whichever replica — or whichever cache — it came
 // from.

@@ -1,7 +1,7 @@
 // Command soimapd serves the SOI domino technology mapper over HTTP: a
 // bounded worker pool maps submitted circuits (built-in benchmark names
-// or inline BLIF/.bench text) and a canonical-network LRU answers
-// repeated submissions from cache. See internal/service for the API.
+// or inline BLIF/.bench text) and an LRU keyed by strash's structural
+// digest answers repeated submissions from cache. See internal/service for the API.
 //
 // Usage:
 //

@@ -1,9 +1,9 @@
 // Command soirouter fronts a fleet of soimapd replicas as one logical
 // mapping service. Submissions are consistent-hash-routed by their
-// canonical request key (strash's structural network digest keyed jointly
-// with the options encoding — the same key replicas cache results under), so
-// identical circuits always land on the same replicas; concurrent
-// identical synchronous submissions coalesce into one upstream call.
+// request key (strash's structural network digest keyed jointly with the
+// options encoding — the same key replicas cache results under), so
+// identical circuits always land on the same replicas, whose job tables
+// coalesce concurrent identical submissions into one DP run.
 //
 // Usage:
 //

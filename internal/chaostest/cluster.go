@@ -93,8 +93,9 @@ type ClusterReport struct {
 	Rejected int
 	// Kills and Restarts count the replica lifecycle events injected.
 	Kills, Restarts int
-	// Coalesced sums router-level and replica-level singleflight
-	// attachments observed by the end of the campaign.
+	// Coalesced sums the replicas' in-flight-table attachments (jobs
+	// that rode an identical job's DP run) observed by the end of the
+	// campaign.
 	Coalesced int64
 	// PeerHits counts jobs a replica answered from a sibling's result
 	// cache instead of mapping (the shared cache tier working).
@@ -381,9 +382,9 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) 
 
 		wl, req := randRequest(rng, pool)
 		if rng.Intn(8) == 0 {
-			// Identical-submission burst: the coalescing workload. All
-			// riders are synchronous so the router's singleflight (and the
-			// replicas' job-table layer under it) can collapse them.
+			// Identical-submission burst: the coalescing workload. The
+			// riders share a key, so the router sends them to one replica,
+			// whose in-flight table can collapse them into one DP run.
 			burst := 2 + rng.Intn(3)
 			if rem := cfg.Requests - i; burst > rem {
 				burst = rem
@@ -427,7 +428,6 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) 
 		}
 	}
 	checkHealth(routerURL, "router")
-	rep.Coalesced = rt.Counter("jobs_coalesced")
 	rep.Failovers = rt.Counter("routed_failovers")
 	for _, n := range nodes {
 		if !n.alive {

@@ -9,7 +9,7 @@ import (
 // smoke: router + replicas in process, one replica killed a third of the
 // way in and restarted at two thirds. Every completed response must
 // byte-match a clean local re-derivation — through failover, the shared
-// cache tier and both coalescing layers — with zero non-injected
+// cache tier and the replicas' coalescing — with zero non-injected
 // failures.
 func TestClusterCampaignSurvivesKillRestart(t *testing.T) {
 	rep, err := RunCluster(context.Background(), ClusterConfig{
@@ -45,8 +45,8 @@ func TestClusterCampaignSurvivesKillRestart(t *testing.T) {
 
 // TestClusterCampaignCoalesces: with point faults disabled (probability
 // effectively zero cannot be expressed — zero selects the default — so
-// a vanishingly small one) and a burst-heavy stream, the two
-// singleflight layers must observably collapse identical submissions.
+// a vanishingly small one) and a burst-heavy stream, the replicas'
+// in-flight tables must observably collapse identical submissions.
 func TestClusterCampaignCoalesces(t *testing.T) {
 	rep, err := RunCluster(context.Background(), ClusterConfig{
 		Seed:      5,

@@ -90,15 +90,14 @@ type replica struct {
 }
 
 // Router is the cluster front-end: it exposes the soimapd API surface
-// and fans requests out to replicas by consistent hash of the canonical
-// request key. Create with New, serve Handler, stop the prober with
-// Close.
+// and fans requests out to replicas by consistent hash of the request's
+// cache key (service.RequestKey). Create with New, serve Handler, stop
+// the prober with Close.
 type Router struct {
 	cfg      Config
 	ring     *Ring
 	replicas []*replica
 	byURL    map[string]*replica
-	flight   Flight[*service.JobView]
 	mux      *http.ServeMux
 	logger   *slog.Logger
 	start    time.Time
@@ -123,7 +122,6 @@ type Router struct {
 // routerCounters is the fixed counter vocabulary (sorted; /metrics
 // renders them in this order).
 var routerCounters = []string{
-	"jobs_coalesced",
 	"requests",
 	"requests_bad",
 	"requests_failed",
@@ -132,7 +130,6 @@ var routerCounters = []string{
 }
 
 var routerCounterHelp = map[string]string{
-	"jobs_coalesced":   "Synchronous submissions that shared an identical in-flight submission instead of reaching a replica.",
 	"requests":         "Map submissions received.",
 	"requests_bad":     "Map submissions rejected before routing (malformed body, unknown circuit or options).",
 	"requests_failed":  "Map submissions that failed on every candidate replica.",
@@ -300,10 +297,9 @@ func (rt *Router) markUnready(rep *replica) {
 	}
 }
 
-// handleMap routes one submission. Synchronous submissions coalesce:
-// concurrent identical requests (same canonical key) share one upstream
-// call and receive the same reply bytes. Asynchronous submissions each
-// create their own pollable job, so they route individually.
+// handleMap routes one submission. It does not coalesce: identical
+// requests share a key, so the ring sends them to one replica, whose
+// in-flight table runs them once while each keeps its own job id.
 //
 // Observability: the router adopts a well-formed incoming X-Request-ID
 // (or mints one) and forwards it to the replica, so both processes' log
@@ -332,12 +328,11 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	r = r.WithContext(ctx)
 
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	var req service.MapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, status, err := service.DecodeRequest(w, r, rt.cfg.MaxBodyBytes)
+	if err != nil {
 		rt.add("requests_bad", 1)
 		rootSpan.End(obs.KV{Key: "bad_request", Val: 1})
-		rt.errorJSON(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		rt.errorJSON(w, status, err.Error())
 		return
 	}
 	if rt.cfg.StrashOff {
@@ -350,7 +345,7 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		req.Options.StrashOff = true
 	}
 	kStart := time.Now()
-	key, err := service.RequestKey(r.Context(), &req)
+	key, err := service.RequestKey(r.Context(), req)
 	rt.hub.Record(obs.TraceContextFrom(r.Context()), "router", "request key", kStart, time.Since(kStart))
 	if err != nil {
 		rt.add("requests_bad", 1)
@@ -359,25 +354,7 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var v *service.JobView
-	var coalesced bool
-	if req.Async {
-		v, err = rt.route(r.Context(), key, &req)
-	} else {
-		flightStart := time.Now()
-		v, coalesced, err = rt.flight.Do(r.Context(), key,
-			func(ctx context.Context) (*service.JobView, error) {
-				return rt.route(ctx, key, &req)
-			})
-		if coalesced {
-			rt.add("jobs_coalesced", 1)
-			// A follower rode the leader's upstream call; the leader's own
-			// trace (if any) holds the routing spans, so record the wait
-			// into THIS request's trace.
-			rt.hub.Record(obs.TraceContextFrom(r.Context()), "router", "coalesced follower wait",
-				flightStart, time.Since(flightStart), obs.KV{Key: "ok", Val: boolInt(err == nil)})
-		}
-	}
+	v, err := rt.route(r.Context(), key, req)
 	if err != nil {
 		rt.add("requests_failed", 1)
 		rootSpan.End(obs.KV{Key: "failed", Val: 1})
@@ -395,13 +372,6 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusAccepted
 	}
 	rt.writeJSON(w, code, v)
-}
-
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // route tries the key's preference list in order: the ReplicationFactor
@@ -440,8 +410,6 @@ func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest
 		if err == nil {
 			span.End(obs.KV{Key: "failover", Val: int64(i)})
 			rt.addRouted(rep.url)
-			// All view fix-ups happen here, before the singleflight layer
-			// can share the pointer with coalesced followers.
 			v.ID = strconv.Itoa(rep.idx) + "." + v.ID
 			if v.Attribution != nil {
 				rt.addTier(rep.url, v.Attribution.CacheTier)

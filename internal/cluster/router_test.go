@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -328,78 +329,117 @@ func TestRouterDuplicateReplicaURLs(t *testing.T) {
 	}
 }
 
-// TestRouterCoalescing: N concurrent identical sync submissions cross
-// the router as ONE upstream call. The fake upstream blocks until every
-// follower has attached, proving they coalesced rather than serialized.
-func TestRouterCoalescing(t *testing.T) {
-	const followers = 6
-	var upstream atomic.Int64
-	release := make(chan struct{})
-	started := make(chan struct{})
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if upstream.Add(1) == 1 {
-			close(started)
-		}
-		<-release
-		json.NewEncoder(w).Encode(service.JobView{
-			ID: "j1", State: service.JobDone, Circuit: "mux", Algorithm: "soi",
-		})
-	}))
-	defer fake.Close()
+// TestRouterIdenticalSubmissionsRouteIndividually: the router has no
+// coalescing layer of its own. N concurrent identical sync submissions
+// each reach the one replica, whose in-flight table maps the key once:
+// every caller gets its own job id and the same result bytes, and every
+// answer is counted as routed and attributed to a cache tier.
+func TestRouterIdenticalSubmissionsRouteIndividually(t *testing.T) {
+	const n = 6
+	_, rep := newReplicaTS(t, service.Config{Workers: 2})
+	_, ts := newRouterTS(t, Config{Replicas: []string{rep.URL}})
 
-	rt, ts := newRouterTS(t, Config{Replicas: []string{fake.URL}, ReplicationFactor: 1})
-
-	codes := make([]int, followers+1)
-	views := make([]service.JobView, followers+1)
+	codes := make([]int, n)
+	views := make([]service.JobView, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i <= followers; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], views[i] = postRouter(t, ts, `{"circuit": "mux"}`)
+			resp, err := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(`{"circuit": "c880"}`))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			errs[i] = json.NewDecoder(resp.Body).Decode(&views[i])
 		}(i)
 	}
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no submission reached the upstream")
-	}
-	// jobs_coalesced only moves once the flight lands, so gate the release
-	// on the flight's attached-waiter count instead.
-	waiters := func() int64 {
-		rt.flight.mu.Lock()
-		defer rt.flight.mu.Unlock()
-		for _, c := range rt.flight.calls {
-			return c.waiters.Load()
-		}
-		return 0
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for waiters() < followers {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d/%d followers attached after 5s", waiters(), followers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
 	wg.Wait()
-	if n := rt.counter("jobs_coalesced"); n != followers {
-		t.Fatalf("jobs_coalesced = %d, want %d", n, followers)
-	}
 
-	if n := upstream.Load(); n != 1 {
-		t.Fatalf("upstream saw %d calls for %d identical submissions, want 1", n, followers+1)
-	}
-	want, _ := json.Marshal(views[0])
-	for i := range views {
-		if codes[i] != http.StatusOK {
-			t.Fatalf("caller %d: code %d", i, codes[i])
+	var want []byte
+	ids := map[string]bool{}
+	for i, v := range views {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		got, _ := json.Marshal(views[i])
-		if !bytes.Equal(got, want) {
-			t.Fatalf("caller %d got a different reply: %s vs %s", i, got, want)
+		if codes[i] != http.StatusOK || v.State != service.JobDone || v.Result == nil {
+			t.Fatalf("caller %d: code %d, state %s (%s)", i, codes[i], v.State, v.Error)
+		}
+		got, err := service.EncodeJSON(v.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("caller %d got different result bytes", i)
+		}
+		if ids[v.ID] {
+			t.Fatalf("job id %s answered twice", v.ID)
+		}
+		ids[v.ID] = true
+	}
+	for _, family := range []string{"soirouter_routed_total", "soirouter_answer_tier_total"} {
+		if got := metricSum(t, ts.URL, family); got != n {
+			t.Errorf("%s sums to %v, want %d", family, got, n)
 		}
 	}
+}
+
+// TestRouterRejectsWhatReplicasReject: the router decodes submissions
+// with the replicas' own decoder, so a misspelled field and an oversized
+// body get the same status from the router as from soimapd itself.
+func TestRouterRejectsWhatReplicasReject(t *testing.T) {
+	const limit = 512
+	_, rep := newReplicaTS(t, service.Config{MaxBodyBytes: limit})
+	_, rt := newRouterTS(t, Config{Replicas: []string{rep.URL}, MaxBodyBytes: limit})
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"unknown field", `{"circuit": "mux", "optoins": {"pareto": true}}`, http.StatusBadRequest},
+		{"oversized body", `{"blif": "` + strings.Repeat("x", 2*limit) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		for _, target := range []struct{ name, url string }{{"soimapd", rep.URL}, {"router", rt.URL}} {
+			resp, err := http.Post(target.url+"/v1/map", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s via %s: status %d, want %d", tc.name, target.name, resp.StatusCode, tc.want)
+			}
+		}
+	}
+}
+
+// metricSum sums every sample of one metric family in a /metrics scrape.
+func metricSum(t *testing.T, baseURL, family string) float64 {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, line := range strings.Split(string(body), "\n") {
+		if !strings.HasPrefix(line, family+"{") && !strings.HasPrefix(line, family+" ") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // TestRouterProbeDrain: when a replica starts draining (readyz 503), the

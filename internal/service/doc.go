@@ -1,6 +1,7 @@
 // Package service implements soimapd, the concurrent SOI domino mapping
 // service: an HTTP/JSON API over the mappers in internal/mapper, backed
-// by a bounded worker pool and a canonical-network result cache.
+// by a bounded worker pool and a result cache keyed by strash's
+// structural digest.
 //
 // # API
 //
@@ -16,10 +17,10 @@
 //
 // Results are cached in an LRU (internal/service/cache) keyed by the
 // structural digest of the submitted network (strash.Result.Key, see
-// CacheKey) combined with the algorithm and mapper options. Submitting the same circuit twice —
-// the common case when sweeping k/W/H, where only the options part of
-// the key changes — answers the repeat from the cache without running
-// the dynamic program.
+// CacheKey) combined with the algorithm and mapper options. Submitting
+// the same circuit twice — the common case when sweeping k/W/H, where
+// only the options part of the key changes — answers the repeat from
+// the cache without running the dynamic program.
 //
 // # Cancellation
 //

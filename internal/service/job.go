@@ -35,10 +35,12 @@ type job struct {
 	tc       obs.TraceContext
 	deadline time.Time
 	cacheKey string
-	// strashed is the strash result cacheKey was derived from, set only
-	// on a job that is queued to run (nil when the options opt out). The
-	// pipeline maps it instead of strashing the submission again.
-	strashed *strash.Result
+	// strashed is the strash result cacheKey was derived from (nil when
+	// the options opt out), and strashTime what deriving the key took.
+	// Only a queued leader keeps src and strashed: the pipeline maps
+	// strashed instead of strashing the submission again.
+	strashed   *strash.Result
+	strashTime time.Duration
 
 	// coalesced marks a follower job that attached to an identical
 	// in-flight leader instead of queueing its own DP run. Written before
@@ -73,7 +75,7 @@ type JobView struct {
 	Algorithm string   `json:"algorithm"`
 	Cached    bool     `json:"cached"`
 	// Coalesced marks a submission that rode an identical in-flight job
-	// (the replica's singleflight layer) instead of running its own.
+	// (the replica's in-flight table) instead of running its own.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Recovered marks a job this replica re-created from its journal
 	// after a restart rather than receiving over HTTP.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -122,27 +123,6 @@ func (s *Server) storeGet(key string) *MapResult {
 	}
 	s.metrics.add("store_hits", 1)
 	return &res
-}
-
-// storeGetRaw returns the exact bytes persisted under key, for the
-// peer-cache endpoint: the store holds EncodeJSON output verbatim, so
-// the bytes can be served without a decode/re-encode round trip.
-func (s *Server) storeGetRaw(key string) []byte {
-	if s.store == nil {
-		return nil
-	}
-	b, err := s.store.Get(key)
-	if err != nil {
-		s.metrics.add("store_corrupt", 1)
-		s.metrics.add("store_misses", 1)
-		return nil
-	}
-	if b == nil {
-		s.metrics.add("store_misses", 1)
-		return nil
-	}
-	s.metrics.add("store_hits", 1)
-	return b
 }
 
 // persistResult writes a finished result to the disk tier, write-behind:
@@ -273,7 +253,7 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 		rj := byID[id]
 		switch rj.last {
 		case store.RecDone:
-			if res := s.storeGet(rj.key); res != nil {
+			if res, _ := s.lookupLocal(rj.key); res != nil {
 				s.installRecovered(rj, JobDone, res, "")
 				continue
 			}
@@ -345,7 +325,8 @@ func (s *Server) installRecovered(rj *recoveredJob, state JobState, res *MapResu
 }
 
 // readmit re-enqueues a journaled job that never reached a terminal
-// record. The disk store is consulted first — the result may have been
+// record, through the same resolve and admit as a live submission. The
+// local cache tiers are consulted first — the result may have been
 // persisted even though the terminal journal record was lost in the
 // crash — and the queue is never blocked on: recovery runs inside New,
 // and a queue full of re-admitted work fails the remainder rather than
@@ -358,77 +339,28 @@ func (s *Server) readmit(rj *recoveredJob) {
 		s.logger.Warn("journaled job lost its request, not re-admitted", "job_id", rj.id)
 		return
 	}
-	if res := s.storeGet(rj.key); res != nil {
+	if res, _ := s.lookupLocal(rj.key); res != nil {
 		s.installRecovered(rj, JobDone, res, "")
 		return
 	}
-
-	ctx := s.faultCtx(s.baseCtx)
-	src, label, err := parseSource(ctx, rj.req)
+	j, _, err := resolve(s.faultCtx(s.baseCtx), rj.req, s.cfg.StrashOff, s.cfg.MaxNetworkNodes)
+	if err == nil {
+		j.id, j.recovered = rj.id, true
+		j.deadline = time.Now().Add(s.cfg.DefaultTimeout)
+		j.submitted = time.Now()
+		if ref := s.admit(j); ref != nil {
+			err = errors.New(ref.msg)
+		}
+	}
 	if err != nil {
 		s.installRecovered(rj, JobFailed, nil, "not re-admitted after restart: "+err.Error())
 		return
 	}
-	algo := rj.req.Algorithm
-	if algo == "" {
-		algo = "soi"
-	}
-	opt, err := OptionsFromRequest(rj.req.Options)
-	if err != nil {
-		s.installRecovered(rj, JobFailed, nil, "not re-admitted after restart: "+err.Error())
-		return
-	}
-	if s.cfg.StrashOff {
-		opt.StrashOff = true
-	}
-
-	key, sr := cacheKey(src, algo, opt)
-	j := &job{
-		id:        rj.id,
-		circuit:   label,
-		algo:      algo,
-		src:       src,
-		opt:       opt,
-		deadline:  time.Now().Add(s.cfg.DefaultTimeout),
-		cacheKey:  key,
-		recovered: true,
-		state:     JobQueued,
-		done:      make(chan struct{}),
-	}
-	j.submitted = time.Now()
-
 	s.mu.Lock()
-	if leader, ok := s.inflight[j.cacheKey]; ok {
-		// Two journaled jobs shared a key: the first re-admission leads,
-		// the rest follow, exactly like live singleflight.
-		j.coalesced = true
-		s.jobs[j.id] = j
-		s.recovered[j.id] = rj.req
-		s.mu.Unlock()
-		s.metrics.add("jobs_readmitted", 1)
-		go s.followLeader(j, leader)
-		return
-	}
-	j.strashed = sr
-	select {
-	case s.queue <- j:
-		s.jobs[j.id] = j
-		s.inflight[j.cacheKey] = j
-		s.recovered[j.id] = rj.req
-		s.mu.Unlock()
-		s.metrics.jobsQueued.Add(1)
-		s.metrics.add("jobs_readmitted", 1)
-		s.logger.Info("job re-admitted from journal", "job_id", j.id, "circuit", label, "algorithm", algo)
-	default:
-		s.mu.Unlock()
-		j.setAttribution(s.attribute(j, TierStore, 0, 0, nil))
-		j.finish(JobFailed, nil, "not re-admitted after restart: queue full")
-		s.mu.Lock()
-		s.jobs[j.id] = j
-		s.recovered[j.id] = rj.req
-		s.mu.Unlock()
-		s.metrics.add("jobs_recovered", 1)
-	}
+	s.recovered[j.id] = rj.req
+	s.mu.Unlock()
+	s.metrics.add("jobs_readmitted", 1)
+	s.logger.Info("job re-admitted from journal", "job_id", j.id, "circuit", j.circuit, "algorithm", j.algo)
 }
 
 // compactState is the janitor's half of the durability contract: when

@@ -139,33 +139,54 @@ func TestJournalReadmitsUnfinishedJobs(t *testing.T) {
 
 // TestCrashRestartReservesTerminalJobs: a job that finished before the
 // crash is re-served (journal terminal record + stored result) instead
-// of 404ing its poller.
+// of 404ing its poller, with the outcome its poller saw: the same bytes
+// for a done job, the same error for one failed by an injected panic.
 func TestCrashRestartReservesTerminalJobs(t *testing.T) {
-	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		panic bool // arm a mapper.combine panic so the job fails
+		want  JobState
+	}{
+		{"done", false, JobDone},
+		{"panicked", true, JobFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Workers: 2, StateDir: dir, JournalFsync: "always"}
+			if tc.panic {
+				cfg.Faults = faultpoint.New(1)
+				cfg.Faults.Arm(mapper.PointCombine, faultpoint.Fault{Kind: faultpoint.Panic, Prob: 1, Times: 1})
+			}
+			s1 := New(cfg)
+			ts1 := newPersistHTTP(t, s1)
+			code, v := postMapURL(t, ts1.URL, `{"circuit": "mux"}`)
+			if code != http.StatusOK || v.State != tc.want {
+				t.Fatalf("submit: code %d, state %s (%q)", code, v.State, v.Error)
+			}
+			ts1.Close()
+			s1.Abort()
 
-	s1 := New(Config{Workers: 2, StateDir: dir, JournalFsync: "always"})
-	ts1 := newPersistHTTP(t, s1)
-	code, v := postMapURL(t, ts1.URL, `{"circuit": "mux"}`)
-	if code != http.StatusOK || v.State != JobDone {
-		t.Fatalf("submit: code %d, state %s", code, v.State)
-	}
-	wantBytes, _ := EncodeJSON(v.Result)
-	ts1.Close()
-	s1.Abort()
-
-	s2 := New(Config{Workers: 2, StateDir: dir, JournalFsync: "always"})
-	defer shutdownNow(t, s2)
-	if n := s2.Counter("jobs_recovered"); n != 1 {
-		t.Fatalf("jobs_recovered = %d, want 1", n)
-	}
-	ts2 := newPersistHTTP(t, s2)
-	view := pollJob(t, ts2.URL, v.ID, 5*time.Second)
-	if view.State != JobDone || !view.Recovered || !view.Cached {
-		t.Fatalf("recovered job = state %s recovered %t cached %t", view.State, view.Recovered, view.Cached)
-	}
-	gotBytes, _ := EncodeJSON(view.Result)
-	if string(gotBytes) != string(wantBytes) {
-		t.Fatal("recovered job's bytes differ from the pre-crash response")
+			s2 := New(Config{Workers: 2, StateDir: dir, JournalFsync: "always"})
+			defer shutdownNow(t, s2)
+			if n := s2.Counter("jobs_recovered"); n != 1 {
+				t.Fatalf("jobs_recovered = %d, want 1", n)
+			}
+			ts2 := newPersistHTTP(t, s2)
+			view := pollJob(t, ts2.URL, v.ID, 5*time.Second)
+			if view.State != tc.want || !view.Recovered || view.Cached != (tc.want == JobDone) {
+				t.Fatalf("recovered job = state %s recovered %t cached %t", view.State, view.Recovered, view.Cached)
+			}
+			if view.Error != v.Error {
+				t.Fatalf("recovered job error %q, want the pre-crash %q", view.Error, v.Error)
+			}
+			if tc.want == JobDone {
+				wantBytes, _ := EncodeJSON(v.Result)
+				gotBytes, _ := EncodeJSON(view.Result)
+				if string(gotBytes) != string(wantBytes) {
+					t.Fatal("recovered job's bytes differ from the pre-crash response")
+				}
+			}
+		})
 	}
 }
 

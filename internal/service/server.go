@@ -52,7 +52,7 @@ type Config struct {
 	// QueueDepth bounds the number of accepted-but-unstarted jobs; a full
 	// queue rejects submissions with 503 rather than buffering unboundedly.
 	QueueDepth int
-	// CacheEntries sizes the canonical-network result cache.
+	// CacheEntries sizes the in-memory result cache (keyed by CacheKey).
 	CacheEntries int
 	// DefaultTimeout applies to jobs that do not set timeout_ms.
 	DefaultTimeout time.Duration
@@ -188,8 +188,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the mapping service: an HTTP handler, a bounded worker pool
-// and the canonical-network result cache. Create with New, serve
-// Handler(), stop with Shutdown.
+// and the result cache keyed by strash's structural digest. Create with
+// New, serve Handler(), stop with Shutdown.
 type Server struct {
 	cfg      Config
 	metrics  *metrics
@@ -219,8 +219,9 @@ type Server struct {
 	// originating requests (see RecoveredJobs).
 	recovered map[string]*MapRequest
 	// inflight indexes the queued/running leader job per cache key; an
-	// identical submission attaches to the leader (singleflight) instead
-	// of queueing a duplicate DP run.
+	// identical submission attaches to the leader (see admit) instead of
+	// queueing a duplicate DP run. It is the service's one coalescing
+	// layer: the router sends identical keys to one replica.
 	inflight map[string]*job
 
 	wg          sync.WaitGroup
@@ -466,16 +467,16 @@ var algoKeys = map[string]bool{"domino": true, "rs": true, "rsdeep": true, "soi"
 // CacheKey builds the result-cache key: a structural digest of the
 // network plus everything else that shapes the result. It is also the
 // cluster routing key — the router's consistent-hash ring and every
-// replica's cache and singleflight layers all key on these exact bytes,
-// which is what lets a replica answer from a peer's cache and a router
-// coalesce identical submissions safely.
+// replica's cache and in-flight table key on these exact bytes, which is
+// what lets a replica answer from a peer's cache and coalesce identical
+// submissions safely.
 //
 // Unless the options opt out, the digest is strash's own (strash.Result
 // Key) over the network the pipeline will decompose, so structurally
 // identical submissions that differ only in internal signal names,
 // declaration order, commutative operand order, redundant twins or dead
 // logic collapse onto ONE key: one cache entry, one router shard, one
-// singleflight leader. A strash-off key digests the network exactly as
+// in-flight leader. A strash-off key digests the network exactly as
 // declared (declaredDigest). The network name stays in the key: same
 // structure under different model names is still a different submission.
 func CacheKey(n *logic.Network, algo string, opt mapper.Options) string {
@@ -534,26 +535,58 @@ func declaredDigest(n *logic.Network) [32]byte {
 }
 
 // RequestKey resolves a MapRequest to the cache/routing key its
-// submission would use, applying the same source parsing, algorithm
-// default and option resolution as the submission path. Exported for the
-// cluster router, which must agree byte-for-byte with every replica.
+// submission would use. It is resolve's key, so it agrees byte-for-byte
+// with every replica. Exported for the cluster router.
 func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
-	src, _, err := parseSource(ctx, req)
+	j, _, err := resolve(ctx, req, false, 0)
 	if err != nil {
 		return "", err
+	}
+	return j.cacheKey, nil
+}
+
+// resolve turns a decoded request into an unadmitted job: it parses the
+// source, applies the algorithm default, resolves and validates the
+// options — ORing in a server-wide strashOff — and derives the cache
+// key. Submission, journal re-admission and RequestKey all resolve
+// here, so they agree on every key byte. maxNodes > 0 bounds the parsed
+// network. On failure it returns the status to answer with: 413 for an
+// oversized network, 400 otherwise.
+func resolve(ctx context.Context, req *MapRequest, strashOff bool, maxNodes int) (*job, int, error) {
+	src, label, err := parseSource(ctx, req)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if maxNodes > 0 && src.Len() > maxNodes {
+		return nil, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("network has %d nodes, limit is %d", src.Len(), maxNodes)
 	}
 	algo := req.Algorithm
 	if algo == "" {
 		algo = "soi"
 	}
 	if !algoKeys[algo] {
-		return "", fmt.Errorf("unknown algorithm %q (want domino, rs, rsdeep or soi)", algo)
+		return nil, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q (want domino, rs, rsdeep or soi)", algo)
 	}
 	opt, err := OptionsFromRequest(req.Options)
 	if err != nil {
-		return "", err
+		return nil, http.StatusBadRequest, err
 	}
-	return CacheKey(src, algo, opt), nil
+	// Strash is semantic, so the server-wide opt-out must reach the key.
+	opt.StrashOff = opt.StrashOff || strashOff
+	start := time.Now()
+	key, sr := cacheKey(src, algo, opt)
+	return &job{
+		circuit:    label,
+		algo:       algo,
+		src:        src,
+		opt:        opt,
+		cacheKey:   key,
+		strashed:   sr,
+		strashTime: time.Since(start),
+		state:      JobQueued,
+		done:       make(chan struct{}),
+	}, http.StatusOK, nil
 }
 
 // encodeOptions renders mapper.Options as a stable, canonical cache-key
@@ -590,53 +623,39 @@ func retryAfter(w http.ResponseWriter, wait time.Duration) {
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 }
 
+// DecodeRequest reads one POST /v1/map body: at most maxBytes, unknown
+// fields rejected. soimapd and soirouter both decode with it, so the
+// router refuses exactly what a replica would. On failure it returns the
+// status to answer with: 413 for an oversized body, 400 otherwise.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (*MapRequest, int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	dec.DisallowUnknownFields()
+	var req MapRequest
+	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("bad request: %w", err)
+	}
+	return &req, http.StatusOK, nil
+}
+
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	ctx := s.faultCtx(r.Context())
 	if err := faultpoint.From(ctx).Check(ctx, PointDecode); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{"bad request: " + err.Error()})
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req MapRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				apiError{fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, apiError{"bad request: " + err.Error()})
-		return
-	}
-	src, label, err := parseSource(ctx, &req)
+	req, status, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		writeJSON(w, status, apiError{err.Error()})
 		return
 	}
-	if src.Len() > s.cfg.MaxNetworkNodes {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			apiError{fmt.Sprintf("network has %d nodes, limit is %d", src.Len(), s.cfg.MaxNetworkNodes)})
-		return
-	}
-	if req.Algorithm == "" {
-		req.Algorithm = "soi"
-	}
-	if !algoKeys[req.Algorithm] {
-		writeJSON(w, http.StatusBadRequest,
-			apiError{fmt.Sprintf("unknown algorithm %q (want domino, rs, rsdeep or soi)", req.Algorithm)})
-		return
-	}
-	opt, err := OptionsFromRequest(req.Options)
+	j, status, err := resolve(ctx, req, s.cfg.StrashOff, s.cfg.MaxNetworkNodes)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		writeJSON(w, status, apiError{err.Error()})
 		return
-	}
-	if s.cfg.StrashOff {
-		// Server-wide strash opt-out. Applied before CacheKey below:
-		// strash is semantic, so the key must carry it.
-		opt.StrashOff = true
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -651,56 +670,34 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		timeout = s.cfg.MaxTimeout
 	}
 
-	tc := obs.TraceContextFrom(r.Context())
-	keyStart := time.Now()
-	key, sr := cacheKey(src, req.Algorithm, opt)
-	if sr != nil {
-		// Strash runs on the key path of every submission; a job that
-		// misses every cache tier maps sr instead of strashing again.
-		d := time.Since(keyStart)
-		s.metrics.recordEngine(req.Algorithm, &obs.Stats{Phases: obs.PhaseTimes{Strash: d}})
-		s.hub.Record(tc, "pipeline", "strash "+src.Name, keyStart, d)
+	j.reqID = obs.RequestID(r.Context())
+	j.tc = obs.TraceContextFrom(r.Context())
+	if j.strashed != nil {
+		// Strash runs on the key path of every strash-on submission; a
+		// job that misses every cache tier maps j.strashed instead of
+		// strashing again.
+		d := j.strashTime
+		s.metrics.recordEngine(j.algo, &obs.Stats{Phases: obs.PhaseTimes{Strash: d}})
+		s.hub.Record(j.tc, "pipeline", "strash "+j.src.Name, time.Now().Add(-d), d)
 	}
-	j := &job{
-		circuit:  label,
-		algo:     req.Algorithm,
-		src:      src,
-		opt:      opt,
-		reqID:    obs.RequestID(r.Context()),
-		tc:       tc,
-		deadline: time.Now().Add(timeout),
-		cacheKey: key,
-		state:    JobQueued,
-		done:     make(chan struct{}),
-	}
+	j.deadline = time.Now().Add(timeout)
 	j.submitted = time.Now()
 	s.metrics.add("jobs_submitted", 1)
 
-	// Answer identical resubmissions from the cache without queueing. A
-	// cache-get fault degrades to a miss: worst case the job recomputes.
+	// Answer identical resubmissions from this replica's cache tiers
+	// without queueing. A cache-get fault degrades to a miss: worst case
+	// the job recomputes.
 	if faultpoint.From(ctx).Check(ctx, PointCacheGet) == nil {
-		if res, ok := s.cache.Get(j.cacheKey); ok {
+		if res, tier := s.lookupLocal(j.cacheKey); res != nil {
+			j.src, j.strashed = nil, nil // only a queued leader maps
 			s.registerJob(j)
 			j.cached = true
-			s.hub.Record(j.tc, "service", "cache local hit", time.Now(), 0)
-			j.setAttribution(s.attribute(j, TierLocal, 0, time.Since(j.submitted), nil))
+			s.hub.Record(j.tc, "service", "cache "+tier+" hit", time.Now(), 0)
+			j.setAttribution(s.attribute(j, tier, 0, time.Since(j.submitted), nil))
 			j.finish(JobDone, res, "")
-			s.metrics.add("cache_hits", 1)
-			s.metrics.add("jobs_done", 1)
-			writeJSON(w, http.StatusOK, j.view())
-			return
-		}
-		// Durable second tier: an LRU miss may still be on disk (earlier
-		// run, or a previous life of this process). Hits are promoted back
-		// into the LRU; corrupt entries quarantine inside storeGet and
-		// degrade to a miss.
-		if res := s.storeGet(j.cacheKey); res != nil {
-			s.registerJob(j)
-			j.cached = true
-			s.cache.Add(j.cacheKey, res)
-			s.hub.Record(j.tc, "service", "cache store hit", time.Now(), 0)
-			j.setAttribution(s.attribute(j, TierStore, 0, time.Since(j.submitted), nil))
-			j.finish(JobDone, res, "")
+			if tier == TierLocal {
+				s.metrics.add("cache_hits", 1)
+			}
 			s.metrics.add("jobs_done", 1)
 			writeJSON(w, http.StatusOK, j.view())
 			return
@@ -708,19 +705,63 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.add("cache_misses", 1)
 
-	// Singleflight: an identical submission already queued or running
-	// makes this one a follower — it gets its own job id and (byte-
-	// identical) copy of the leader's outcome without consuming a queue
-	// slot or a DP run. A thundering herd of one key maps once.
+	if ref := s.admit(j); ref != nil {
+		retryAfter(w, ref.retry)
+		writeJSON(w, ref.status, apiError{ref.msg})
+		return
+	}
+	if !j.coalesced {
+		// Journal the accepted leader (with its request) so a crash from
+		// here on re-admits the job instead of 404ing its poller.
+		s.journalAccepted(ctx, j, req)
+	}
+	s.answer(w, r, req, j)
+}
+
+// lookupLocal answers key from this replica's own cache tiers: the LRU,
+// then the durable store, whose hits are promoted back into the LRU
+// (corrupt entries quarantine inside storeGet and read as a miss). It
+// reports the answering tier, TierLocal or TierStore, and a nil result
+// on a miss. Submissions and GET /v1/cache both look up here. The peer
+// tier is runJob's, after admission: a herd of one key makes one peer
+// fetch, and a peer's lookup never fans out to further peers.
+func (s *Server) lookupLocal(key string) (*MapResult, string) {
+	if res, ok := s.cache.Get(key); ok {
+		return res, TierLocal
+	}
+	if res := s.storeGet(key); res != nil {
+		s.cache.Add(key, res)
+		return res, TierStore
+	}
+	return nil, ""
+}
+
+// refusal is why admit turned a job away: the status to answer with, a
+// Retry-After hint and the message.
+type refusal struct {
+	status int
+	retry  time.Duration
+	msg    string
+}
+
+// admit hands a job that missed every local cache tier to the DP. An
+// identical job already queued or running makes it a follower: it gets
+// its own id and a byte-identical copy of the leader's outcome without
+// a queue slot or a DP run, so a thundering herd of one key maps once.
+// Otherwise the job queues as its key's leader, unless it is shed, the
+// server is shutting down or the queue is full. Live submissions and
+// journal re-admission both admit here; a re-admitted job keeps the id
+// it arrives with, any other is numbered on registration.
+func (s *Server) admit(j *job) *refusal {
 	s.mu.Lock()
 	if leader, ok := s.inflight[j.cacheKey]; ok {
 		j.coalesced = true
+		j.src, j.strashed = nil, nil // only a queued leader maps
 		s.registerJobLocked(j)
 		s.mu.Unlock()
 		s.metrics.add("jobs_coalesced", 1)
 		go s.followLeader(j, leader)
-		s.answer(w, r, &req, j)
-		return
+		return nil
 	}
 	s.mu.Unlock()
 
@@ -728,10 +769,10 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// queue is doomed — failing it now with a retry hint beats burning a
 	// worker slot on a result nobody can receive. The wait estimate is
 	// queue length × smoothed job duration / workers; with no completed
-	// job yet the estimate is zero and nothing is shed.
-	// An already-expired deadline is not shed: it costs one checkpoint
-	// in the DP ("canceled at node 0"), and that cancellation path must
-	// stay reachable regardless of load history.
+	// job yet (as during journal recovery) the estimate is zero and
+	// nothing is shed. An already-expired deadline is not shed: it costs
+	// one checkpoint in the DP ("canceled at node 0"), and that
+	// cancellation path must stay reachable regardless of load history.
 	if avg := s.metrics.avgJobDuration(); avg > 0 && time.Now().Before(j.deadline) {
 		queued := s.metrics.jobsQueued.Load()
 		wait := time.Duration(queued) * avg / time.Duration(s.cfg.Workers)
@@ -739,39 +780,33 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			s.metrics.add("jobs_shed", 1)
 			s.hub.Record(j.tc, "service", "shed", time.Now(), 0,
 				obs.KV{Key: "est_wait_ms", Val: wait.Milliseconds()})
-			retryAfter(w, wait)
-			writeJSON(w, http.StatusTooManyRequests,
-				apiError{fmt.Sprintf("overloaded: estimated queue wait %s exceeds the job deadline", wait.Round(time.Millisecond))})
-			return
+			return &refusal{http.StatusTooManyRequests, wait,
+				fmt.Sprintf("overloaded: estimated queue wait %s exceeds the job deadline", wait.Round(time.Millisecond))}
 		}
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		// Shutdown is not overload: 503 tells the client this instance is
 		// going away; Retry-After hints when a replacement may listen.
-		retryAfter(w, time.Second)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is shutting down"})
-		return
+		return &refusal{http.StatusServiceUnavailable, time.Second, "server is shutting down"}
 	}
 	// Name the job before the send: the worker that receives it reads
 	// j.id (journal records, logs) without taking s.mu.
+	numbered := j.id == ""
 	s.registerJobLocked(j)
-	j.strashed = sr
 	select {
 	case s.queue <- j:
 		s.inflight[j.cacheKey] = j
-		s.mu.Unlock()
 		s.metrics.jobsQueued.Add(1)
-		// Journal the accepted leader (with its request) so a crash from
-		// here on re-admits the job instead of 404ing its poller.
-		s.journalAccepted(ctx, j, &req)
+		return nil
 	default:
 		// A rejected job was never visible: give back its slot and id.
 		delete(s.jobs, j.id)
-		s.nextID--
-		s.mu.Unlock()
+		if numbered {
+			s.nextID--
+		}
 		s.metrics.add("jobs_rejected", 1)
 		// A full queue is transient overload: 429 plus a drain-time
 		// estimate distinguishes it from the terminal shutdown 503.
@@ -779,13 +814,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		if wait <= 0 {
 			wait = time.Second
 		}
-		retryAfter(w, wait)
-		writeJSON(w, http.StatusTooManyRequests,
-			apiError{fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueDepth)})
-		return
+		return &refusal{http.StatusTooManyRequests, wait, fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueDepth)}
 	}
-
-	s.answer(w, r, &req, j)
 }
 
 // answer completes a submission: async callers get 202 immediately, sync
@@ -841,9 +871,13 @@ func (s *Server) registerJob(j *job) {
 	s.mu.Unlock()
 }
 
+// registerJobLocked publishes j in the job table, numbering it first
+// unless it already has an id (a journal re-admission keeps its own).
 func (s *Server) registerJobLocked(j *job) {
-	s.nextID++
-	j.id = fmt.Sprintf("j%d", s.nextID)
+	if j.id == "" {
+		s.nextID++
+		j.id = fmt.Sprintf("j%d", s.nextID)
+	}
 	s.jobs[j.id] = j
 }
 
@@ -930,18 +964,11 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{"missing key parameter"})
 		return
 	}
-	res, ok := s.cache.Get(key)
-	if !ok {
-		// The disk tier answers for the LRU here too: a peer asking this
-		// replica sees its whole persistent cache, so a freshly-restarted
-		// sibling keeps the cluster's shared tier warm. The stored bytes
-		// are EncodeJSON output verbatim — served as-is.
-		if b := s.storeGetRaw(key); b != nil {
-			s.metrics.add("cluster_cache_served", 1)
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(b)
-			return
-		}
+	// The disk tier answers for the LRU here too: a peer asking this
+	// replica sees its whole persistent cache, so a freshly-restarted
+	// sibling keeps the cluster's shared tier warm.
+	res, _ := s.lookupLocal(key)
+	if res == nil {
 		writeJSON(w, http.StatusNotFound, apiError{"no cached result for key"})
 		return
 	}
@@ -1099,8 +1126,11 @@ func (s *Server) runJob(j *job) {
 		s.metrics.add("jobs_panicked", 1)
 		s.metrics.add("jobs_failed", 1)
 		j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
-		s.settle(j, JobFailed, nil, fmt.Sprintf("internal panic: %v [%s]", r, redactStack(stack)))
-		s.journalTerminal(ctx, j, JobFailed, "internal panic")
+		// The journal keeps the published message verbatim, so a job
+		// recovered after a crash serves the error its poller saw.
+		msg := fmt.Sprintf("internal panic: %v [%s]", r, redactStack(stack))
+		s.settle(j, JobFailed, nil, msg)
+		s.journalTerminal(ctx, j, JobFailed, msg)
 		s.logger.Error("job panicked",
 			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
 			"algorithm", j.algo, "panic", fmt.Sprint(r), "stack", string(stack),

@@ -11,7 +11,7 @@
 // structurally identical but textually different submissions — renamed
 // internal signals, reordered gate declarations, reordered commutative
 // operands, redundant twin or dead logic — collapse onto one cache entry,
-// one router shard and one singleflight leader.
+// one router shard and one in-flight leader.
 //
 // Contract (see DESIGN.md §13): strash preserves the network name, the
 // primary-input set with names and declaration order, and the
