@@ -5,8 +5,8 @@
 // hints, under a total back-off time budget.
 //
 // Retrying POST /v1/map is safe: mapping is deterministic and the server
-// caches by canonical network + options, so a duplicate submission is a
-// cache hit, not duplicated work.
+// caches by the network's structural digest + options, so a duplicate
+// submission is a cache hit, not duplicated work.
 package client
 
 import (

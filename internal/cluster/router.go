@@ -358,12 +358,7 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		rt.add("requests_failed", 1)
 		rootSpan.End(obs.KV{Key: "failed", Val: 1})
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			rt.errorJSON(w, apiErr.Status, apiErr.Message)
-			return
-		}
-		rt.errorJSON(w, http.StatusBadGateway, err.Error())
+		rt.relayError(w, err)
 		return
 	}
 	rootSpan.End()
@@ -450,27 +445,42 @@ func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest
 	return nil, fmt.Errorf("all %d replicas failed: %w", len(candidates), lastErr)
 }
 
+// relayError answers a failed replica call: a replica's own API error
+// keeps its status and message, anything else is a 502.
+func (rt *Router) relayError(w http.ResponseWriter, err error) {
+	var apiErr *client.APIError
+	if errors.As(err, &apiErr) {
+		rt.errorJSON(w, apiErr.Status, apiErr.Message)
+		return
+	}
+	rt.errorJSON(w, http.StatusBadGateway, err.Error())
+}
+
+// jobReplica resolves the namespaced "<replica>.<id>" job id in the
+// request path to its replica and the replica's own job id, or answers
+// 404 and returns a nil replica.
+func (rt *Router) jobReplica(w http.ResponseWriter, r *http.Request) (*replica, string) {
+	idx, id, ok := strings.Cut(r.PathValue("id"), ".")
+	n, err := strconv.Atoi(idx)
+	if !ok || err != nil || n < 0 || n >= len(rt.replicas) || id == "" {
+		rt.errorJSON(w, http.StatusNotFound, "unknown job id (want <replica>.<id>)")
+		return nil, ""
+	}
+	return rt.replicas[n], id
+}
+
 // handleJob polls the replica encoded in the namespaced job id.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	idx, rest, ok := strings.Cut(id, ".")
-	n, err := strconv.Atoi(idx)
-	if !ok || err != nil || n < 0 || n >= len(rt.replicas) || rest == "" {
-		rt.errorJSON(w, http.StatusNotFound, "unknown job id (want <replica>.<id>)")
+	rep, id := rt.jobReplica(w, r)
+	if rep == nil {
 		return
 	}
-	rep := rt.replicas[n]
-	v, err := rep.client.Job(r.Context(), rest)
+	v, err := rep.client.Job(r.Context(), id)
 	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			rt.errorJSON(w, apiErr.Status, apiErr.Message)
-			return
-		}
-		rt.errorJSON(w, http.StatusBadGateway, err.Error())
+		rt.relayError(w, err)
 		return
 	}
-	v.ID = id
+	v.ID = r.PathValue("id")
 	rt.writeJSON(w, http.StatusOK, v)
 }
 
@@ -479,25 +489,16 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 // namespace and filling in the replica URL when the replica left its
 // identity blank.
 func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	idx, rest, ok := strings.Cut(id, ".")
-	n, err := strconv.Atoi(idx)
-	if !ok || err != nil || n < 0 || n >= len(rt.replicas) || rest == "" {
-		rt.errorJSON(w, http.StatusNotFound, "unknown job id (want <replica>.<id>)")
+	rep, id := rt.jobReplica(w, r)
+	if rep == nil {
 		return
 	}
-	rep := rt.replicas[n]
-	ev, err := rep.client.Explain(r.Context(), rest)
+	ev, err := rep.client.Explain(r.Context(), id)
 	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			rt.errorJSON(w, apiErr.Status, apiErr.Message)
-			return
-		}
-		rt.errorJSON(w, http.StatusBadGateway, err.Error())
+		rt.relayError(w, err)
 		return
 	}
-	ev.ID = id
+	ev.ID = r.PathValue("id")
 	if ev.Attribution != nil && ev.Attribution.Replica == "" {
 		ev.Attribution.Replica = rep.url
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // Cache tiers an answer can come from, as reported in Attribution.
-// Exactly one applies per job: the replica's own LRU, a peer replica's
-// cache, a coalesced ride on an identical in-flight job, or a full
-// mapping run ("miss").
+// Exactly one applies per job: the replica's own LRU, its durable
+// on-disk store, a peer replica's cache, a coalesced ride on an
+// identical in-flight job, or a full mapping run ("miss").
 const (
 	TierLocal     = "local"
 	TierPeer      = "peer"

@@ -54,13 +54,12 @@ type job struct {
 
 	mu          sync.Mutex
 	state       JobState
-	cached      bool
 	submitted   time.Time
 	started     time.Time
 	finished    time.Time
 	errMsg      string
 	result      *MapResult
-	attribution *Attribution // set (complete) before finish publishes it
+	attribution *Attribution // published by finish with the terminal state
 
 	done chan struct{} // closed when the job reaches a terminal state
 }
@@ -99,7 +98,6 @@ func (j *job) view() JobView {
 		State:       j.state,
 		Circuit:     j.circuit,
 		Algorithm:   j.algo,
-		Cached:      j.cached,
 		Coalesced:   j.coalesced,
 		Recovered:   j.recovered,
 		Error:       j.errMsg,
@@ -108,6 +106,13 @@ func (j *job) view() JobView {
 	}
 	if j.tc.Sampled {
 		v.TraceID = j.tc.TraceID
+	}
+	if j.state == JobDone {
+		// Cached means a cache tier answered: no DP run, no leader.
+		switch j.attribution.CacheTier {
+		case TierLocal, TierStore, TierPeer:
+			v.Cached = true
+		}
 	}
 	switch {
 	case !j.finished.IsZero() && !j.started.IsZero():
@@ -125,10 +130,11 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state and wakes synchronous waiters.
-// It is idempotent — the panic-recovery path can race the normal one, and
-// only the first caller may close done — and reports whether it won.
-func (j *job) finish(state JobState, res *MapResult, errMsg string) bool {
+// finish moves the job to a terminal state, publishing its attribution
+// with it, and wakes synchronous waiters. It is idempotent — the
+// panic-recovery path can race the normal one, and only the first caller
+// may close done — and reports whether it won.
+func (j *job) finish(state JobState, res *MapResult, errMsg string, a *Attribution) bool {
 	j.mu.Lock()
 	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
 		j.mu.Unlock()
@@ -137,6 +143,7 @@ func (j *job) finish(state JobState, res *MapResult, errMsg string) bool {
 	j.state = state
 	j.result = res
 	j.errMsg = errMsg
+	j.attribution = a
 	j.finished = time.Now()
 	if j.started.IsZero() {
 		j.started = j.finished // cache hits never run
@@ -152,23 +159,6 @@ func (j *job) outcome() (JobState, *MapResult, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.result, j.errMsg
-}
-
-// setCached marks the job as answered without a mapping run (result
-// cache or a peer replica's cache).
-func (j *job) setCached() {
-	j.mu.Lock()
-	j.cached = true
-	j.mu.Unlock()
-}
-
-// setAttribution records the job's cost breakdown. Call before finish:
-// finish publishes the terminal state, and every reader that can see a
-// terminal view must also see the attribution.
-func (j *job) setAttribution(a *Attribution) {
-	j.mu.Lock()
-	j.attribution = a
-	j.mu.Unlock()
 }
 
 // explain snapshots the job for GET /v1/jobs/{id}/explain.

@@ -28,6 +28,24 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// waitJobFinished waits for a "job finished" line in sink and returns
+// the log so far. complete writes that line after the job's persist and
+// terminal journal append, which run behind the answer to the waiter.
+func waitJobFinished(t *testing.T, sink *syncBuffer) string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		logs := sink.String()
+		if strings.Contains(logs, `msg="job finished"`) {
+			return logs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job lifecycle line missing:\n%s", logs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRequestIDAndAccessLog pins the request-correlation contract: every
 // response carries X-Request-ID, the access log line carries the same id,
 // and the id reaches the job's lifecycle log lines.
@@ -50,16 +68,7 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 		t.Fatalf("map failed: code %d, state %s (%s)", code, v.State, v.Error)
 	}
 
-	// The worker logs "job finished" after it has answered the waiter
-	// (results are written behind), so the line may land just after the
-	// response: wait for it.
-	logs := sink.String()
-	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logs, "msg=\"job finished\""); logs = sink.String() {
-		if time.Now().After(deadline) {
-			t.Fatalf("job lifecycle line missing:\n%s", logs)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	logs := waitJobFinished(t, &sink)
 	if !strings.Contains(logs, "request_id="+id) {
 		t.Errorf("access log missing request_id=%s:\n%s", id, logs)
 	}

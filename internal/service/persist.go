@@ -201,7 +201,7 @@ type recoveredJob struct {
 	id     string
 	key    string
 	req    *MapRequest
-	last   string // last record type seen
+	last   string // the job's latest state record type
 	errMsg string
 }
 
@@ -236,8 +236,13 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 				rj.req = &req
 			}
 		}
-		rj.last = rec.Type
-		rj.errMsg = rec.Error
+		// An accepted record carries the request, not a state: the
+		// handler appends it after the queue send, so it can land behind
+		// the worker's running and terminal records.
+		if rec.Type != store.RecAccepted || rj.last == "" {
+			rj.last = rec.Type
+			rj.errMsg = rec.Error
+		}
 		if n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "j")); err == nil && n > maxID {
 			maxID = n
 		}
@@ -291,7 +296,9 @@ func recoveredLabels(req *MapRequest) (circuit, algo string) {
 }
 
 // installRecovered registers a terminal job rebuilt from the journal
-// under its original id.
+// under its original id. It is a reconstruction, not a completion: the
+// job's terminal bookkeeping ran in the process that crashed, so it
+// counts jobs_recovered and journals nothing.
 func (s *Server) installRecovered(rj *recoveredJob, state JobState, res *MapResult, errMsg string) {
 	circuit, algo := recoveredLabels(rj.req)
 	if res != nil {
@@ -308,11 +315,9 @@ func (s *Server) installRecovered(rj *recoveredJob, state JobState, res *MapResu
 	}
 	j.submitted = time.Now()
 	if res != nil {
-		j.cached = true
 		s.cache.Add(rj.key, res) // warm the LRU alongside the job table
 	}
-	j.setAttribution(s.attribute(j, TierStore, 0, 0, nil))
-	j.finish(state, res, errMsg)
+	j.finish(state, res, errMsg, s.attribute(j, TierStore, 0, 0, nil))
 
 	s.mu.Lock()
 	s.jobs[j.id] = j

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -152,7 +153,9 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{Workers: 2, StateDir: dir, JournalFsync: "always"}
+			var sink syncBuffer
+			cfg := Config{Workers: 2, StateDir: dir, JournalFsync: "always",
+				Logger: slog.New(slog.NewTextHandler(&sink, nil))}
 			if tc.panic {
 				cfg.Faults = faultpoint.New(1)
 				cfg.Faults.Arm(mapper.PointCombine, faultpoint.Fault{Kind: faultpoint.Panic, Prob: 1, Times: 1})
@@ -163,6 +166,9 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 			if code != http.StatusOK || v.State != tc.want {
 				t.Fatalf("submit: code %d, state %s (%q)", code, v.State, v.Error)
 			}
+			// The terminal journal record is written behind the answer;
+			// crash only once it is down, or the job is re-admitted.
+			waitJobFinished(t, &sink)
 			ts1.Close()
 			s1.Abort()
 
@@ -187,6 +193,29 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoveryIgnoresLateAcceptedRecord: the handler journals a job's
+// accepted record after the queue send, so a fast worker's running and
+// terminal records can precede it. Recovery must still re-serve the
+// terminal outcome instead of re-admitting the job.
+func TestRecoveryIgnoresLateAcceptedRecord(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdownNow(t, s)
+	s.recoverJobs([]store.JobRecord{
+		{Type: store.RecRunning, ID: "j1", Key: "k"},
+		{Type: store.RecFailed, ID: "j1", Key: "k", Error: "boom"},
+		{Type: store.RecAccepted, ID: "j1", Key: "k", Request: []byte(`{"circuit": "mux"}`)},
+	})
+	if r, a := s.Counter("jobs_recovered"), s.Counter("jobs_readmitted"); r != 1 || a != 0 {
+		t.Fatalf("jobs_recovered = %d, jobs_readmitted = %d; want 1, 0", r, a)
+	}
+	s.mu.Lock()
+	j := s.jobs["j1"]
+	s.mu.Unlock()
+	if v := j.view(); v.State != JobFailed || v.Error != "boom" {
+		t.Fatalf("recovered job = state %s error %q, want failed %q", v.State, v.Error, "boom")
 	}
 }
 

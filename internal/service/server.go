@@ -691,14 +691,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		if res, tier := s.lookupLocal(j.cacheKey); res != nil {
 			j.src, j.strashed = nil, nil // only a queued leader maps
 			s.registerJob(j)
-			j.cached = true
 			s.hub.Record(j.tc, "service", "cache "+tier+" hit", time.Now(), 0)
-			j.setAttribution(s.attribute(j, tier, 0, time.Since(j.submitted), nil))
-			j.finish(JobDone, res, "")
-			if tier == TierLocal {
-				s.metrics.add("cache_hits", 1)
-			}
-			s.metrics.add("jobs_done", 1)
+			s.complete(ctx, j, tier, 0, time.Since(j.submitted), nil, JobDone, res, "")
 			writeJSON(w, http.StatusOK, j.view())
 			return
 		}
@@ -841,12 +835,10 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, req *MapRequest,
 func (s *Server) followLeader(j, leader *job) {
 	<-leader.done
 	state, res, errMsg := leader.outcome()
-	s.metrics.addTerminal(state)
 	wait := time.Since(j.submitted)
 	s.hub.Record(j.tc, "service", "coalesced follower wait", j.submitted, wait,
 		obs.KV{Key: "ok", Val: boolInt(state == JobDone)})
-	j.setAttribution(s.attribute(j, TierCoalesced, 0, wait, nil))
-	j.finish(state, res, errMsg)
+	s.complete(s.baseCtx, j, TierCoalesced, 0, wait, nil, state, res, errMsg)
 }
 
 func boolInt(b bool) int64 {
@@ -881,15 +873,23 @@ func (s *Server) registerJobLocked(j *job) {
 	s.jobs[j.id] = j
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+// jobFor returns the job the request path names, or answers 404 and
+// returns nil.
+func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
 	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
+	j := s.jobs[id]
 	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{"unknown job " + r.PathValue("id")})
-		return
+	if j == nil {
+		writeJSON(w, http.StatusNotFound, apiError{"unknown job " + id})
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	return j
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	if j := s.jobFor(w, r); j != nil {
+		writeJSON(w, http.StatusOK, j.view())
+	}
 }
 
 // handleExplain serves the per-request cost attribution of one job:
@@ -897,14 +897,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // reductions and the answering replica's identity. Attribution is nil
 // until the job reaches a terminal state.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{"unknown job " + r.PathValue("id")})
-		return
+	if j := s.jobFor(w, r); j != nil {
+		writeJSON(w, http.StatusOK, j.explain())
 	}
-	writeJSON(w, http.StatusOK, j.explain())
 }
 
 // handleTraces serves one distributed trace recorded by this process.
@@ -1064,7 +1059,7 @@ func (s *Server) runJob(j *job) {
 
 	// Singleflight rule: the job is a leader from the moment it is queued
 	// until it turns terminal, and no longer. Every terminal path goes
-	// through s.settle, which drops the inflight entry before publishing
+	// through s.complete, which drops the inflight entry before publishing
 	// the outcome: followers that attached while it was queued or running
 	// get that outcome, and a submission that can already see the job
 	// terminal — a client retrying a failure, say — never follows it but
@@ -1124,95 +1119,94 @@ func (s *Server) runJob(j *job) {
 		}
 		stack := debug.Stack()
 		s.metrics.add("jobs_panicked", 1)
-		s.metrics.add("jobs_failed", 1)
-		j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
+		s.logger.Error("job panicked", "request_id", j.reqID, "job_id", j.id,
+			"panic", fmt.Sprint(r), "stack", string(stack))
 		// The journal keeps the published message verbatim, so a job
 		// recovered after a crash serves the error its poller saw.
 		msg := fmt.Sprintf("internal panic: %v [%s]", r, redactStack(stack))
-		s.settle(j, JobFailed, nil, msg)
-		s.journalTerminal(ctx, j, JobFailed, msg)
-		s.logger.Error("job panicked",
-			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
-			"algorithm", j.algo, "panic", fmt.Sprint(r), "stack", string(stack),
-			"duration", time.Since(start))
+		s.complete(ctx, j, TierMiss, queueWait, time.Since(start), st, JobFailed, nil, msg)
 	}()
+
+	// A pop fault fails the job before any work is done, so it never
+	// discards a computed result.
+	if err := faultpoint.From(ctx).Check(ctx, PointQueuePop); err != nil {
+		s.complete(ctx, j, TierMiss, queueWait, time.Since(start), st, errState(err), nil, err.Error())
+		return
+	}
 
 	// Shared cache tier: before paying for a DP run, ask the peer
 	// replicas whether one already mapped this key. Mapping is
 	// deterministic, so a peer's encoded result is byte-identical to what
 	// this replica would compute; any peer failure degrades to a miss.
 	if res := s.peerFetch(ctx, j.cacheKey); res != nil {
-		s.metrics.add("cluster_cache_peer_hits", 1)
-		if faultpoint.From(ctx).Check(ctx, PointCachePut) == nil {
-			s.cache.Add(j.cacheKey, res)
-		}
-		s.metrics.add("jobs_done", 1)
-		j.setCached()
-		j.setAttribution(s.attribute(j, TierPeer, queueWait, time.Since(start), nil))
-		s.settle(j, JobDone, res, "")
-		// A peer's bytes are this replica's bytes (determinism), so they
-		// warm the durable tier too.
-		s.persistResult(ctx, j.cacheKey, res)
-		s.journalTerminal(ctx, j, JobDone, "")
-		s.logger.Info("job finished",
-			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
-			"algorithm", j.algo, "state", string(JobDone), "peer_cache", true,
-			"duration", time.Since(start))
+		s.complete(ctx, j, TierPeer, queueWait, time.Since(start), nil, JobDone, res, "")
 		return
 	}
 
 	res, err := s.mapFn(ctx, j)
-	if err == nil {
-		if ferr := faultpoint.From(ctx).Check(ctx, PointQueuePop); ferr != nil {
-			err = ferr
-		}
-	}
 	s.metrics.recordEngine(j.algo, st)
 	if err != nil {
-		state := JobFailed
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			state = JobCanceled
-		}
-		s.metrics.addTerminal(state)
-		j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
-		s.settle(j, state, nil, err.Error())
-		s.journalTerminal(ctx, j, state, err.Error())
-		s.logger.Warn("job finished",
-			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
-			"algorithm", j.algo, "state", string(state), "error", err.Error(),
-			"duration", time.Since(start))
+		s.complete(ctx, j, TierMiss, queueWait, time.Since(start), st, errState(err), nil, err.Error())
 		return
 	}
-	// A cache-put fault only skips the store; the computed result is
-	// still correct and still returned.
-	if faultpoint.From(ctx).Check(ctx, PointCachePut) == nil {
-		s.cache.Add(j.cacheKey, res)
-	}
 	s.metrics.observe(j.algo, time.Since(start))
-	s.metrics.add("jobs_done", 1)
-	j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
-	s.settle(j, JobDone, res, "")
-	// Write-behind persistence after finish: the waiter is answered
-	// first, and a crash in the window before these land only costs a
-	// re-derivation (the journal re-admits, mapping is deterministic).
-	s.persistResult(ctx, j.cacheKey, res)
-	s.journalTerminal(ctx, j, JobDone, "")
-	s.logger.Info("job finished",
-		"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
-		"algorithm", j.algo, "state", string(JobDone),
-		"dp_tuples", st.TuplesGenerated, "duration", time.Since(start))
+	s.complete(ctx, j, TierMiss, queueWait, time.Since(start), st, JobDone, res, "")
 }
 
-// settle publishes a leader job's terminal state, leaving the
-// singleflight index first (see runJob): once a submission can observe
-// the job as terminal, it can no longer find it in s.inflight.
-func (s *Server) settle(j *job, state JobState, res *MapResult, errMsg string) {
-	s.mu.Lock()
-	if s.inflight[j.cacheKey] == j {
-		delete(s.inflight, j.cacheKey)
+// errState is the terminal state of a job that ended in err.
+func errState(err error) JobState {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return JobCanceled
 	}
-	s.mu.Unlock()
-	j.finish(state, res, errMsg)
+	return JobFailed
+}
+
+// complete is every live job's one terminal path: cache hits, coalesced
+// followers, and the peer, failure, panic and success ends of runJob.
+// The tier decides the bookkeeping. A job a worker ran (TierMiss or
+// TierPeer) warms the LRU with a result — a cache-put fault skips only
+// that — then counts, leaves the in-flight table, publishes, persists
+// write-behind, journals its terminal state and logs one "job finished"
+// line. Persisting after finish means the waiter is answered first; a
+// crash before the writes land only costs a re-derivation (the journal
+// re-admits, mapping is deterministic). Hits and followers own no work
+// to lose: they stop after finish.
+func (s *Server) complete(ctx context.Context, j *job, tier string, queueWait, wall time.Duration,
+	st *obs.Stats, state JobState, res *MapResult, errMsg string) {
+	ran := tier == TierMiss || tier == TierPeer
+	if ran && state == JobDone && faultpoint.From(ctx).Check(ctx, PointCachePut) == nil {
+		s.cache.Add(j.cacheKey, res)
+	}
+	s.metrics.addTerminal(state)
+	switch tier {
+	case TierLocal:
+		s.metrics.add("cache_hits", 1)
+	case TierPeer:
+		s.metrics.add("cluster_cache_peer_hits", 1)
+	}
+	if ran {
+		s.mu.Lock()
+		if s.inflight[j.cacheKey] == j {
+			delete(s.inflight, j.cacheKey)
+		}
+		s.mu.Unlock()
+	}
+	a := s.attribute(j, tier, queueWait, wall, st)
+	if !j.finish(state, res, errMsg, a) || !ran {
+		return
+	}
+	if state == JobDone {
+		s.persistResult(ctx, j.cacheKey, res)
+	}
+	s.journalTerminal(ctx, j, state, errMsg)
+	log := s.logger.Info
+	if state != JobDone {
+		log = s.logger.Warn
+	}
+	log("job finished",
+		"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
+		"algorithm", j.algo, "state", string(state), "tier", tier, "error", errMsg,
+		"dp_tuples", a.DPTuples, "duration", wall)
 }
 
 // janitor evicts terminal jobs older than JobRetention from the job

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,6 +105,56 @@ func TestMapCacheHit(t *testing.T) {
 	}
 	if done := s.Counter("jobs_done"); done != 2 {
 		t.Errorf("jobs_done = %d, want 2", done)
+	}
+}
+
+// TestCacheHitPublishedWhole polls each cache-hit job by id while it is
+// being answered. A hit is visible in the job table before it is
+// terminal, so everything a poller can read of it — cached included —
+// must be written under the job's lock; under -race a write after
+// registration is reported here.
+func TestCacheHitPublishedWhole(t *testing.T) {
+	const hits, pollers = 300, 4
+	s, ts := newTestServer(t, Config{Workers: 1})
+	if _, v := postMap(t, ts, `{"circuit": "mux"}`); v.State != JobDone {
+		t.Fatalf("seed: state %s (%s)", v.State, v.Error)
+	}
+	h := s.Handler()
+	var next atomic.Int64 // the id the next submission is numbered with
+	next.Store(2)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < pollers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/jobs/j%d", next.Load()), nil)
+				h.ServeHTTP(httptest.NewRecorder(), r)
+			}
+		}()
+	}
+	for i := 0; i < hits; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/map", strings.NewReader(`{"circuit": "mux"}`)))
+		var v JobView
+		if err := json.NewDecoder(w.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		if v.State != JobDone || !v.Cached {
+			t.Fatalf("hit %d: state %s cached %t", i, v.State, v.Cached)
+		}
+		next.Add(1)
+	}
+	close(stop)
+	wg.Wait()
+	if n := s.Counter("cache_hits"); n != hits {
+		t.Errorf("cache_hits = %d, want %d", n, hits)
 	}
 }
 
