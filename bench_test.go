@@ -1,6 +1,7 @@
 package soidomino
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -152,7 +153,7 @@ func BenchmarkFigure2Simulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := fig2.Map(report.Domino, mapper.DefaultOptions(), false)
+	res, err := fig2.Map(context.Background(), report.Domino, mapper.DefaultOptions(), false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func BenchmarkSimulatorCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := p.Map(report.SOI, mapper.DefaultOptions(), false)
+	res, err := p.Map(context.Background(), report.SOI, mapper.DefaultOptions(), false)
 	if err != nil {
 		b.Fatal(err)
 	}

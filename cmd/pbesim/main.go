@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -81,7 +82,7 @@ func figure2Demo(vcdPath string) error {
 		if err != nil {
 			return err
 		}
-		res, err := p.Map(tc.algo, mapper.DefaultOptions(), true)
+		res, err := p.Map(context.Background(), tc.algo, mapper.DefaultOptions(), true)
 		if err != nil {
 			return err
 		}
@@ -144,7 +145,7 @@ func stress(name string, cycles int, seed int64) error {
 		{"Domino_Map protected  ", report.Domino, false},
 		{"SOI_Domino_Map        ", report.SOI, false},
 	} {
-		res, err := p.Map(tc.algo, mapper.DefaultOptions(), false)
+		res, err := p.Map(context.Background(), tc.algo, mapper.DefaultOptions(), false)
 		if err != nil {
 			return err
 		}

@@ -95,6 +95,10 @@ func run() error {
 	if *list {
 		return writeBenchmarkList(os.Stdout)
 	}
+	a, err := report.ParseAlgorithm(*algo)
+	if err != nil {
+		return err
+	}
 	if *server != "" {
 		return runRemote(*server, *timeout, remoteFlags{
 			circuit: *circuit, blifPath: *blifPath, benchPath: *benchPath,
@@ -187,24 +191,9 @@ func run() error {
 		fmt.Printf("unate:  %s (%d duplicated gates)\n", p.Unate, p.Duplicated)
 	}
 
-	var res *mapper.Result
-	switch *algo {
-	case "domino":
-		res, err = mapper.DominoMapContext(ctx, p.Unate, opt)
-	case "rs":
-		res, err = mapper.RSMapContext(ctx, p.Unate, opt)
-	case "rsdeep":
-		res, err = mapper.RSMapDeepContext(ctx, p.Unate, opt)
-	case "soi":
-		res, err = mapper.SOIDominoMapContext(ctx, p.Unate, opt)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	res, err := p.Map(ctx, a, opt, false)
 	if err != nil {
 		return err
-	}
-	if err := obs.Timed(st, obs.PhaseAudit, res.Audit); err != nil {
-		return fmt.Errorf("audit: %w", err)
 	}
 	wall := time.Since(wallStart)
 	if !*jsonOut {

@@ -2,10 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"soidomino/internal/service"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -65,5 +73,51 @@ func TestListSortedAndAligned(t *testing.T) {
 		if line[descCol-1] != ' ' || line[descCol] == ' ' {
 			t.Errorf("row %q: description column misaligned", line)
 		}
+	}
+}
+
+// TestUnknownAlgoFailsFirst: a bad -algo is refused before any pipeline
+// output (source, strash, unate lines) is printed, with the service's
+// own 400 text, which lists the valid keys.
+func TestUnknownAlgoFailsFirst(t *testing.T) {
+	savedFlags, savedArgs, savedStdout := flag.CommandLine, os.Args, os.Stdout
+	defer func() { flag.CommandLine, os.Args, os.Stdout = savedFlags, savedArgs, savedStdout }()
+	flag.CommandLine = flag.NewFlagSet("soimap", flag.ContinueOnError)
+	os.Args = []string{"soimap", "-circuit", "mux", "-algo", "bogus"}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	runErr := run()
+	w.Close()
+	os.Stdout = savedStdout
+	out, _ := io.ReadAll(r)
+	if runErr == nil {
+		t.Fatal("soimap -algo bogus succeeded")
+	}
+	if len(out) != 0 {
+		t.Errorf("printed before failing:\n%s", out)
+	}
+
+	srv := service.New(service.Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/map", "application/json",
+		strings.NewReader(`{"circuit": "mux", "algorithm": "bogus"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || body.Error != runErr.Error() {
+		t.Errorf("CLI error %q; service answered %d %q", runErr, resp.StatusCode, body.Error)
+	}
+	if !strings.Contains(runErr.Error(), "want domino, rs, rsdeep or soi") {
+		t.Errorf("error %q does not list the valid keys", runErr)
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -65,7 +66,7 @@ func flow(src *logic.Network, outdir string) error {
 	if err != nil {
 		return err
 	}
-	res, err := p.Map(report.SOI, mapper.DefaultOptions(), true) // verified
+	res, err := p.Map(context.Background(), report.SOI, mapper.DefaultOptions(), true) // verified
 	if err != nil {
 		return err
 	}

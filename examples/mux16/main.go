@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	opt.BaselineStackOrder = mapper.OrderHashed
 
 	for _, algo := range []report.Algorithm{report.Domino, report.RS, report.SOI} {
-		res, err := p.Map(algo, opt, true) // true: verify equivalence
+		res, err := p.Map(context.Background(), algo, opt, true) // true: verify equivalence
 		if err != nil {
 			log.Fatal(err)
 		}

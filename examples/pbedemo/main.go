@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,7 @@ func figure2() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := p.Map(report.Domino, mapper.DefaultOptions(), true)
+	res, err := p.Map(context.Background(), report.Domino, mapper.DefaultOptions(), true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func stress() {
 		{"bulk mapping, discharges inserted", report.Domino, false},
 		{"SOI mapping (zero discharges)", report.SOI, false},
 	} {
-		res, err := p.Map(tc.algo, mapper.DefaultOptions(), false)
+		res, err := p.Map(context.Background(), tc.algo, mapper.DefaultOptions(), false)
 		if err != nil {
 			log.Fatal(err)
 		}

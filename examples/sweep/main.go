@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,7 +31,7 @@ func main() {
 		for _, k := range ks {
 			opt := mapper.DefaultOptions()
 			opt.ClockWeight = k
-			res, err := p.Map(report.SOI, opt, k == 1) // verify once per circuit
+			res, err := p.Map(context.Background(), report.SOI, opt, k == 1) // verify once per circuit
 			if err != nil {
 				log.Fatal(err)
 			}

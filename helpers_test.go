@@ -10,7 +10,6 @@ import (
 	"soidomino/internal/benchfmt"
 	"soidomino/internal/blif"
 	"soidomino/internal/logic"
-	"soidomino/internal/mapper"
 	"soidomino/internal/sp"
 )
 
@@ -81,17 +80,4 @@ func testdataCircuits(t testing.TB) map[string]*logic.Network {
 		t.Fatalf("expected at least 5 testdata circuits, found %d", len(out))
 	}
 	return out
-}
-
-func mapByAlgo(algo string, n *logic.Network, opt mapper.Options) (*mapper.Result, error) {
-	switch algo {
-	case "domino":
-		return mapper.DominoMap(n, opt)
-	case "rs":
-		return mapper.RSMap(n, opt)
-	case "rsdeep":
-		return mapper.RSMapDeep(n, opt)
-	default:
-		return mapper.SOIDominoMap(n, opt)
-	}
 }

@@ -1,6 +1,7 @@
 package soidomino
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,13 +32,13 @@ func TestPipelineEndToEnd(t *testing.T) {
 		fn   func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error)
 	}{
 		{"domino", func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error) {
-			return p.Map(report.Domino, opt, false)
+			return p.Map(context.Background(), report.Domino, opt, false)
 		}},
 		{"rs", func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error) {
-			return p.Map(report.RS, opt, false)
+			return p.Map(context.Background(), report.RS, opt, false)
 		}},
 		{"soi", func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error) {
-			return p.Map(report.SOI, opt, false)
+			return p.Map(context.Background(), report.SOI, opt, false)
 		}},
 		{"soi-pareto", func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error) {
 			opt.Pareto = true
@@ -121,7 +122,7 @@ func TestCompoundPipelineEndToEnd(t *testing.T) {
 			}
 			opt := mapper.DefaultOptions()
 			opt.BaselineStackOrder = mapper.OrderHashed
-			res, err := p.Map(report.Domino, opt, false)
+			res, err := p.Map(context.Background(), report.Domino, opt, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +166,7 @@ func TestBenchSuiteMapsEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := p.Map(report.SOI, mapper.DefaultOptions(), false)
+		res, err := p.Map(context.Background(), report.SOI, mapper.DefaultOptions(), false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

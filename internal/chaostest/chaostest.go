@@ -448,6 +448,10 @@ func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCyc
 	if msg := verifyAttribution(v); msg != "" {
 		return msg
 	}
+	algo, err := report.ParseAlgorithm(req.Algorithm)
+	if err != nil {
+		return "algorithm did not resolve: " + err.Error()
+	}
 	opt, err := service.OptionsFromRequest(req.Options)
 	if err != nil {
 		return "options did not resolve: " + err.Error()
@@ -464,22 +468,9 @@ func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCyc
 	if err != nil {
 		return "clean pipeline failed: " + err.Error()
 	}
-	var res *mapper.Result
-	switch req.Algorithm {
-	case "domino":
-		res, err = mapper.DominoMapContext(ctx, pipe.Unate, opt)
-	case "rs":
-		res, err = mapper.RSMapContext(ctx, pipe.Unate, opt)
-	case "rsdeep":
-		res, err = mapper.RSMapDeepContext(ctx, pipe.Unate, opt)
-	default:
-		res, err = mapper.SOIDominoMapContext(ctx, pipe.Unate, opt)
-	}
+	res, err := pipe.Map(ctx, algo, opt, false)
 	if err != nil {
 		return "clean mapping failed: " + err.Error()
-	}
-	if err := res.Audit(); err != nil {
-		return "clean result failed audit: " + err.Error()
 	}
 
 	// Byte-compare: the served result against the clean computation.
@@ -498,16 +489,9 @@ func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCyc
 	// Full oracle battery over the clean (byte-identical) result.
 	fcfg := fuzz.DefaultConfig()
 	fcfg.SimCycles = simCycles
-	algoEnum := report.SOI
-	switch req.Algorithm {
-	case "domino":
-		algoEnum = report.Domino
-	case "rs", "rsdeep":
-		algoEnum = report.RS
-	}
 	c := &fuzz.Case{Seed: seed, Cfg: &fcfg, Net: src, Pipe: pipe}
 	vr := &fuzz.VariantResult{
-		Variant: fuzz.Variant{Name: req.Algorithm, Algo: algoEnum, Opt: opt},
+		Variant: fuzz.Variant{Name: algo.Key(), Algo: algo, Opt: opt},
 		Res:     res,
 	}
 	c.Variants = []*fuzz.VariantResult{vr}

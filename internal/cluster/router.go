@@ -362,8 +362,11 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rootSpan.End()
+	// The replica's answer rule: an async submission is 202 whatever the
+	// state (a cache hit is already done); a sync one is 202 only if the
+	// job outlived the wait.
 	code := http.StatusOK
-	if v.State == service.JobQueued || v.State == service.JobRunning {
+	if req.Async || v.State == service.JobQueued || v.State == service.JobRunning {
 		code = http.StatusAccepted
 	}
 	rt.writeJSON(w, code, v)

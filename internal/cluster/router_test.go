@@ -135,6 +135,26 @@ func TestRouterRoutesAndPolls(t *testing.T) {
 	}
 }
 
+// TestAsyncCacheHitAccepted: an async submission answers 202 even when
+// the replica's cache already holds the result — the state is done, but
+// the status follows the request's async flag, both from the replica and
+// relayed through the router.
+func TestAsyncCacheHitAccepted(t *testing.T) {
+	_, tsA := newReplicaTS(t, service.Config{})
+	_, ts := newRouterTS(t, Config{Replicas: []string{tsA.URL}})
+
+	if code, v := postRouter(t, tsA, `{"circuit": "mux"}`); code != http.StatusOK || v.State != service.JobDone {
+		t.Fatalf("warm-up: code %d, state %s (%s)", code, v.State, v.Error)
+	}
+	for name, target := range map[string]*httptest.Server{"replica": tsA, "router": ts} {
+		code, v := postRouter(t, target, `{"circuit": "mux", "async": true}`)
+		if code != http.StatusAccepted || v.State != service.JobDone || !v.Cached {
+			t.Errorf("%s: async cache hit = code %d, state %s, cached %t; want 202, done, cached",
+				name, code, v.State, v.Cached)
+		}
+	}
+}
+
 // TestRouterConsistentRouting: one circuit, many sequential submissions
 // — every one lands on the same replica (the ring is doing the routing,
 // not round-robin), and the first reply is a miss while the rest are

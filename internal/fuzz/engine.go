@@ -176,7 +176,7 @@ func (e *Engine) checkNetwork(ctx context.Context, idx int, net *logic.Network) 
 	c.Pipe = pipe
 	for i, v := range e.variants {
 		mapStart := time.Now()
-		res, err := mapVariant(cctx, v, pipe.Unate)
+		res, err := v.Algo.Run(cctx, pipe.Unate, v.Opt)
 		e.mapNanos.Add(int64(time.Since(mapStart)))
 		e.mapperRuns.Add(1)
 		vr := &VariantResult{Variant: v, Index: i, Res: res, Err: err}
@@ -294,17 +294,6 @@ func (v *VariantResult) Netlist() (*netlist.Circuit, error) {
 		v.nl, v.nlErr = netlist.Build(v.Res)
 	}
 	return v.nl, v.nlErr
-}
-
-func mapVariant(ctx context.Context, v Variant, unate *logic.Network) (*mapper.Result, error) {
-	switch v.Algo {
-	case report.RS:
-		return mapper.RSMapContext(ctx, unate, v.Opt)
-	case report.SOI:
-		return mapper.SOIDominoMapContext(ctx, unate, v.Opt)
-	default:
-		return mapper.DominoMapContext(ctx, unate, v.Opt)
-	}
 }
 
 // newRand builds a deterministic PRNG for one stream.

@@ -143,7 +143,7 @@ func crossStrash(c *Case) []Violation {
 				Detail: fmt.Sprintf("strash-off pipeline failed: %v", err),
 			})
 		}
-		rawRes, err := mapVariant(c.Context(), v.Variant, raw.Unate)
+		rawRes, err := v.Algo.Run(c.Context(), raw.Unate, v.Opt)
 		if err != nil {
 			if c.Context().Err() != nil {
 				return out // sweep canceled or timed out: not this oracle's finding
@@ -207,7 +207,7 @@ func crossKeyFaithfulness(c *Case) []Violation {
 		if v.Res == nil || !anchorPoint(v.Opt) {
 			continue
 		}
-		res, err := mapVariant(c.Context(), v.Variant, pipe.Unate)
+		res, err := v.Algo.Run(c.Context(), pipe.Unate, v.Opt)
 		if err != nil {
 			if c.Context().Err() != nil {
 				return out // sweep canceled or timed out: not this oracle's finding

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -42,22 +43,19 @@ func RunAblation(opt mapper.Options, check bool) (*AblationTable, error) {
 			return nil, err
 		}
 		row := AblationRow{Circuit: name}
-		base, err := p.Map(Domino, opt, check)
+		base, err := p.Map(context.Background(), Domino, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := p.Map(RS, opt, check)
+		rs, err := p.Map(context.Background(), RS, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		rsDeep, err := mapper.RSMapDeep(p.Unate, opt)
+		rsDeep, err := p.Map(context.Background(), RSDeep, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		if err := rsDeep.Audit(); err != nil {
-			return nil, fmt.Errorf("report: RS_Map_deep on %s: %w", name, err)
-		}
-		soi, err := p.Map(SOI, opt, check)
+		soi, err := p.Map(context.Background(), SOI, opt, check)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -51,11 +52,11 @@ func RunArea(opt mapper.Options, check bool) (*AreaTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := p.Map(Domino, opt, check)
+		base, err := p.Map(context.Background(), Domino, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		soi, err := p.Map(SOI, opt, false)
+		soi, err := p.Map(context.Background(), SOI, opt, false)
 		if err != nil {
 			return nil, err
 		}

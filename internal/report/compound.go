@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -37,7 +38,7 @@ func RunCompound(opt mapper.Options, check bool) (*CompoundTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := p.Map(Domino, opt, false)
+		base, err := p.Map(context.Background(), Domino, opt, false)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +57,7 @@ func RunCompound(opt mapper.Options, check bool) (*CompoundTable, error) {
 		}
 		row.After = base.Stats
 		row.Converted = cs.Converted
-		soi, err := p.Map(SOI, opt, false)
+		soi, err := p.Map(context.Background(), SOI, opt, false)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -40,7 +41,7 @@ func RunDelay(opt mapper.Options, check bool) (*DelayTable, error) {
 		}
 		row := DelayRow{Circuit: name}
 		for i, a := range []Algorithm{Domino, RS, SOI} {
-			res, err := p.Map(a, opt, check && i == 0)
+			res, err := p.Map(context.Background(), a, opt, check && i == 0)
 			if err != nil {
 				return nil, err
 			}

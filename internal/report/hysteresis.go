@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -57,7 +58,7 @@ func RunHysteresis(opt mapper.Options, cycles int) (*HysteresisTable, error) {
 			{Domino, false, &row.Protected},
 			{SOI, false, &row.SOI},
 		} {
-			res, err := p.Map(variant.algo, opt, false)
+			res, err := p.Map(context.Background(), variant.algo, opt, false)
 			if err != nil {
 				return nil, err
 			}

@@ -118,46 +118,66 @@ func PrepareStrashed(ctx context.Context, n *logic.Network, sr *strash.Result) (
 	}, nil
 }
 
-// Algorithm names a mapper for the harness.
+// Algorithm names a mapper. It is the one place an algorithm is turned
+// into its mapper function: the harness, the CLI, the service and the
+// fuzzer all dispatch through it.
 type Algorithm uint8
 
 const (
 	Domino Algorithm = iota
 	RS
 	SOI
+	RSDeep
 )
 
-func (a Algorithm) String() string {
-	switch a {
-	case RS:
-		return "RS_Map"
-	case SOI:
-		return "SOI_Domino_Map"
-	default:
-		return "Domino_Map"
-	}
+// algorithms is the dispatch table, indexed by Algorithm.
+var algorithms = [...]struct {
+	key, name string
+	run       func(context.Context, *logic.Network, mapper.Options) (*mapper.Result, error)
+}{
+	Domino: {"domino", "Domino_Map", mapper.DominoMapContext},
+	RS:     {"rs", "RS_Map", mapper.RSMapContext},
+	SOI:    {"soi", "SOI_Domino_Map", mapper.SOIDominoMapContext},
+	RSDeep: {"rsdeep", "RS_Map_deep", mapper.RSMapDeepContext},
 }
 
-func (a Algorithm) fn() func(*logic.Network, mapper.Options) (*mapper.Result, error) {
-	switch a {
-	case RS:
-		return mapper.RSMap
-	case SOI:
-		return mapper.SOIDominoMap
-	default:
-		return mapper.DominoMap
+// ParseAlgorithm resolves a wire key (domino, rs, rsdeep, soi).
+func ParseAlgorithm(key string) (Algorithm, error) {
+	for a, row := range algorithms {
+		if row.key == key {
+			return Algorithm(a), nil
+		}
 	}
+	return 0, fmt.Errorf("unknown algorithm %q (want domino, rs, rsdeep or soi)", key)
 }
 
-// Map runs one algorithm over the prepared circuit, audits the result and
-// (when check is true) verifies functional equivalence against the
-// original network.
-func (p *Pipeline) Map(a Algorithm, opt mapper.Options, check bool) (*mapper.Result, error) {
-	res, err := a.fn()(p.Unate, opt)
+// Key is the wire key: request field, cache key, metric label, logs.
+func (a Algorithm) Key() string { return algorithms[a].key }
+
+// String is the paper name, as mapper.Result.Algorithm reports it.
+func (a Algorithm) String() string { return algorithms[a].name }
+
+// Run maps the unate network n under ctx, without auditing the result.
+func (a Algorithm) Run(ctx context.Context, n *logic.Network, opt mapper.Options) (*mapper.Result, error) {
+	return algorithms[a].run(ctx, n, opt)
+}
+
+// Map runs one algorithm over the prepared circuit under ctx, audits the
+// result and (when check is true) verifies functional equivalence
+// against the original network. The audit is a full structural
+// re-verification and a real slice of a run's wall time, so it is timed
+// and traced like the other phases: charged to the context's obs.Stats
+// and recorded as an "audit <net>" span.
+func (p *Pipeline) Map(ctx context.Context, a Algorithm, opt mapper.Options, check bool) (*mapper.Result, error) {
+	res, err := a.Run(ctx, p.Unate, opt)
 	if err != nil {
 		return nil, fmt.Errorf("report: %s on %s: %w", a, p.Name, err)
 	}
-	if err := res.Audit(); err != nil {
+	tr := obs.TracerFrom(ctx)
+	aStart := tr.Now()
+	err = obs.Timed(obs.StatsFrom(ctx), obs.PhaseAudit, res.Audit)
+	tr.Span("pipeline", "audit "+p.Name, aStart)
+	if err != nil {
 		return nil, fmt.Errorf("report: %s on %s: audit: %w", a, p.Name, err)
 	}
 	if check {

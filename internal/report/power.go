@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -64,7 +65,7 @@ func RunPower(opt mapper.Options, check bool) (*PowerTable, error) {
 		} {
 			o := opt
 			o.ClockWeight = variant.k
-			res, err := p.Map(variant.algo, o, check && variant.k == 1)
+			res, err := p.Map(context.Background(), variant.algo, o, check && variant.k == 1)
 			if err != nil {
 				return nil, err
 			}

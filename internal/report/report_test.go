@@ -1,11 +1,14 @@
 package report
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"soidomino/internal/bench"
 	"soidomino/internal/mapper"
+	"soidomino/internal/obs"
 )
 
 func TestPrepareUnknown(t *testing.T) {
@@ -14,9 +17,63 @@ func TestPrepareUnknown(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if Domino.String() != "Domino_Map" || RS.String() != "RS_Map" || SOI.String() != "SOI_Domino_Map" {
-		t.Error("Algorithm.String broken")
+// TestAlgorithmTable pins the one algorithm dispatch: every wire key
+// parses back to its row, Run maps with the row's mapper (the result
+// names the paper algorithm String returns), and an unknown key gets the
+// service's 400 text.
+func TestAlgorithmTable(t *testing.T) {
+	p, err := Prepare("mux")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[Algorithm][2]string{
+		Domino: {"domino", "Domino_Map"},
+		RS:     {"rs", "RS_Map"},
+		SOI:    {"soi", "SOI_Domino_Map"},
+		RSDeep: {"rsdeep", "RS_Map_deep"},
+	}
+	for a, names := range want {
+		if a.Key() != names[0] || a.String() != names[1] {
+			t.Errorf("algorithm %d: key %q name %q, want %q %q", a, a.Key(), a.String(), names[0], names[1])
+		}
+		if got, err := ParseAlgorithm(a.Key()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.Key(), got, err, a)
+		}
+		res, err := a.Run(context.Background(), p.Unate, mapper.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		if res.Algorithm != a.String() {
+			t.Errorf("%s.Run mapped with %q", a, res.Algorithm)
+		}
+	}
+	_, err = ParseAlgorithm("bogus")
+	if err == nil || err.Error() != `unknown algorithm "bogus" (want domino, rs, rsdeep or soi)` {
+		t.Errorf("ParseAlgorithm(bogus) error = %v", err)
+	}
+}
+
+// TestPipelineMapObserved: Map times the audit like every other phase —
+// charged to the context's obs.Stats and traced as "audit <net>".
+func TestPipelineMapObserved(t *testing.T) {
+	p, err := Prepare("mux")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, tr := &obs.Stats{}, obs.NewTracer(1)
+	ctx := obs.WithTracer(obs.WithStats(context.Background(), st), tr)
+	if _, err := p.Map(ctx, SOI, mapper.DefaultOptions(), false); err != nil {
+		t.Fatal(err)
+	}
+	if st.Phases.Audit <= 0 {
+		t.Errorf("audit phase = %v, want > 0", st.Phases.Audit)
+	}
+	var names []string
+	for _, sp := range tr.Spans() {
+		names = append(names, sp.Name)
+	}
+	if !slices.Contains(names, "audit "+p.Name) {
+		t.Errorf("spans %q lack %q", names, "audit "+p.Name)
 	}
 }
 
@@ -25,8 +82,8 @@ func TestPipelineMapAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Algorithm{Domino, RS, SOI} {
-		res, err := p.Map(a, mapper.DefaultOptions(), true)
+	for _, a := range []Algorithm{Domino, RS, SOI, RSDeep} {
+		res, err := p.Map(context.Background(), a, mapper.DefaultOptions(), true)
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}

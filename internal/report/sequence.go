@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -59,7 +60,7 @@ func RunSequence(opt mapper.Options, check bool) (*SequenceTable, error) {
 		} {
 			o := opt
 			o.SequenceAware = variant.seq
-			res, err := p.Map(variant.algo, o, check && variant.seq)
+			res, err := p.Map(context.Background(), variant.algo, o, check && variant.seq)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 
 	"soidomino/internal/bench"
@@ -140,11 +141,11 @@ func runCompare(title string, circuits []string, cmp Algorithm,
 		if err != nil {
 			return nil, err
 		}
-		base, err := p.Map(Domino, opt, check)
+		base, err := p.Map(context.Background(), Domino, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		other, err := p.Map(cmp, opt, check)
+		other, err := p.Map(context.Background(), cmp, opt, check)
 		if err != nil {
 			return nil, err
 		}
@@ -197,13 +198,13 @@ func RunTableIII(opt mapper.Options, check bool) (*ClockTable, error) {
 		}
 		o1 := opt
 		o1.ClockWeight = 1
-		r1, err := p.Map(SOI, o1, check)
+		r1, err := p.Map(context.Background(), SOI, o1, check)
 		if err != nil {
 			return nil, err
 		}
 		o2 := opt
 		o2.ClockWeight = 2
-		r2, err := p.Map(SOI, o2, check)
+		r2, err := p.Map(context.Background(), SOI, o2, check)
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +272,11 @@ func RunTableIV(opt mapper.Options, check bool) (*DepthTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := p.Map(Domino, opt, check)
+		base, err := p.Map(context.Background(), Domino, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		soi, err := p.Map(SOI, opt, check)
+		soi, err := p.Map(context.Background(), SOI, opt, check)
 		if err != nil {
 			return nil, err
 		}

@@ -13,51 +13,59 @@ import (
 
 // mapSubmission runs src through the daemon's job pipeline (mapNetwork),
 // keyed and strashed the way a submission is.
-func mapSubmission(circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
-	key, sr := cacheKey(src, algo, opt)
+func mapSubmission(circuit string, src *logic.Network, algo report.Algorithm, opt mapper.Options) (*MapResult, error) {
+	key, sr := cacheKey(src, algo.Key(), opt)
 	j := &job{circuit: circuit, algo: algo, src: src, opt: opt, cacheKey: key, strashed: sr}
 	return mapNetwork(context.Background(), j)
 }
 
 // TestCLIAndServiceEncodingsMatch pins the contract behind `soimap -json`:
-// the CLI path (PrepareNetwork + SOIDominoMap + NewMapResult) and the
-// daemon path (mapNetwork) must produce byte-identical JSON for the same
-// submission.
+// the CLI path (PrepareNetworkMode + ParseAlgorithm + Pipeline.Map +
+// NewMapResult) and the daemon path (mapNetwork) must produce
+// byte-identical JSON for the same submission, for every algorithm.
 func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 	const circuit = "mux"
 	opt := mapper.DefaultOptions()
+	for _, key := range []string{"domino", "rs", "rsdeep", "soi"} {
+		t.Run(key, func(t *testing.T) {
+			// CLI path, as cmd/soimap -json composes it.
+			ctx := context.Background()
+			a, err := report.ParseAlgorithm(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := report.PrepareNetworkMode(ctx, builtin.MustBuild(circuit), opt.StrashOff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Map(ctx, a, opt, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cliBytes, err := EncodeJSON(NewMapResult(circuit, p, res))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Daemon path.
-	daemon, err := mapSubmission(circuit, builtin.MustBuild(circuit), "soi", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	daemonBytes, err := EncodeJSON(daemon)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Daemon path.
+			daemon, err := mapSubmission(circuit, builtin.MustBuild(circuit), a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemonBytes, err := EncodeJSON(daemon)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// CLI path, as cmd/soimap -json composes it.
-	p, err := report.PrepareNetwork(builtin.MustBuild(circuit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapper.SOIDominoMap(p.Unate, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cliBytes, err := EncodeJSON(NewMapResult(circuit, p, res))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(daemonBytes, cliBytes) {
-		t.Errorf("CLI and daemon encodings differ:\nCLI:\n%s\ndaemon:\n%s", cliBytes, daemonBytes)
+			if !bytes.Equal(daemonBytes, cliBytes) {
+				t.Errorf("CLI and daemon encodings differ:\nCLI:\n%s\ndaemon:\n%s", cliBytes, daemonBytes)
+			}
+		})
 	}
 }
 
 func TestEncodeJSONDeterministic(t *testing.T) {
-	r, err := mapSubmission("z4ml", builtin.MustBuild("z4ml"), "soi", mapper.DefaultOptions())
+	r, err := mapSubmission("z4ml", builtin.MustBuild("z4ml"), report.SOI, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +86,7 @@ func TestEncodeJSONDeterministic(t *testing.T) {
 }
 
 func TestMapResultContents(t *testing.T) {
-	r, err := mapSubmission("mux", builtin.MustBuild("mux"), "soi", mapper.DefaultOptions())
+	r, err := mapSubmission("mux", builtin.MustBuild("mux"), report.SOI, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

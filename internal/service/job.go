@@ -7,6 +7,7 @@ import (
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/obs"
+	"soidomino/internal/report"
 	"soidomino/internal/strash"
 )
 
@@ -28,7 +29,7 @@ type job struct {
 	// Submission (read-only after submit).
 	id       string
 	circuit  string // benchmark name or "inline"
-	algo     string // request key: domino|rs|rsdeep|soi
+	algo     report.Algorithm
 	src      *logic.Network
 	opt      mapper.Options
 	reqID    string // request id of the submitting HTTP request
@@ -97,7 +98,7 @@ func (j *job) view() JobView {
 		ID:          j.id,
 		State:       j.state,
 		Circuit:     j.circuit,
-		Algorithm:   j.algo,
+		Algorithm:   j.algo.Key(),
 		Coalesced:   j.coalesced,
 		Recovered:   j.recovered,
 		Error:       j.errMsg,
@@ -169,7 +170,7 @@ func (j *job) explain() ExplainView {
 		ID:          j.id,
 		State:       j.state,
 		Circuit:     j.circuit,
-		Algorithm:   j.algo,
+		Algorithm:   j.algo.Key(),
 		Attribution: j.attribution,
 	}
 }

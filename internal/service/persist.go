@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"soidomino/internal/report"
 	"soidomino/internal/store"
 )
 
@@ -278,9 +279,9 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 
 // recoveredLabels extracts the display circuit/algorithm of a recovered
 // job from its request (best-effort: a terminal job's result carries
-// the authoritative copy).
-func recoveredLabels(req *MapRequest) (circuit, algo string) {
-	circuit, algo = "recovered", "soi"
+// the authoritative circuit label).
+func recoveredLabels(req *MapRequest) (circuit string, algo report.Algorithm) {
+	circuit, algo = "recovered", report.SOI
 	if req == nil {
 		return
 	}
@@ -289,8 +290,8 @@ func recoveredLabels(req *MapRequest) (circuit, algo string) {
 	} else if req.BLIF != "" || req.Bench != "" {
 		circuit = "inline"
 	}
-	if req.Algorithm != "" {
-		algo = req.Algorithm
+	if a, err := report.ParseAlgorithm(req.Algorithm); err == nil {
+		algo = a
 	}
 	return
 }
@@ -302,7 +303,7 @@ func recoveredLabels(req *MapRequest) (circuit, algo string) {
 func (s *Server) installRecovered(rj *recoveredJob, state JobState, res *MapResult, errMsg string) {
 	circuit, algo := recoveredLabels(rj.req)
 	if res != nil {
-		circuit, algo = res.Circuit, res.Algorithm
+		circuit = res.Circuit
 	}
 	j := &job{
 		id:        rj.id,
@@ -365,7 +366,7 @@ func (s *Server) readmit(rj *recoveredJob) {
 	s.recovered[j.id] = rj.req
 	s.mu.Unlock()
 	s.metrics.add("jobs_readmitted", 1)
-	s.logger.Info("job re-admitted from journal", "job_id", j.id, "circuit", j.circuit, "algorithm", j.algo)
+	s.logger.Info("job re-admitted from journal", "job_id", j.id, "circuit", j.circuit, "algorithm", j.algo.Key())
 }
 
 // compactState is the janitor's half of the durability contract: when

@@ -15,6 +15,7 @@ import (
 
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/mapper"
+	"soidomino/internal/report"
 	"soidomino/internal/store"
 )
 
@@ -129,7 +130,7 @@ func TestJournalReadmitsUnfinishedJobs(t *testing.T) {
 	}
 	// Oracle: a fresh, independent derivation of the same request.
 	opt, _ := OptionsFromRequest(nil)
-	want, err := mapRequestLocal(t, "z4ml", "soi", opt)
+	want, err := mapRequestLocal(t, "z4ml", report.SOI, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +185,9 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 			}
 			if view.Error != v.Error {
 				t.Fatalf("recovered job error %q, want the pre-crash %q", view.Error, v.Error)
+			}
+			if view.Algorithm != v.Algorithm {
+				t.Fatalf("recovered job algorithm %q, want the pre-crash %q", view.Algorithm, v.Algorithm)
 			}
 			if tc.want == JobDone {
 				wantBytes, _ := EncodeJSON(v.Result)
@@ -436,9 +440,9 @@ func pollJob(t *testing.T, baseURL, id string, timeout time.Duration) JobView {
 
 // mapRequestLocal derives a request's result bytes with a fresh local
 // pipeline run — the byte-compare oracle.
-func mapRequestLocal(t *testing.T, circuit, algo string, opt mapper.Options) ([]byte, error) {
+func mapRequestLocal(t *testing.T, circuit string, algo report.Algorithm, opt mapper.Options) ([]byte, error) {
 	t.Helper()
-	req := &MapRequest{Circuit: circuit, Algorithm: algo}
+	req := &MapRequest{Circuit: circuit, Algorithm: algo.Key()}
 	src, label, err := parseSource(context.Background(), req)
 	if err != nil {
 		return nil, err

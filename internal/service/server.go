@@ -461,9 +461,6 @@ func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 	return opt, opt.Validate()
 }
 
-// algoKeys are the request names of the four mappers.
-var algoKeys = map[string]bool{"domino": true, "rs": true, "rsdeep": true, "soi": true}
-
 // CacheKey builds the result-cache key: a structural digest of the
 // network plus everything else that shapes the result. It is also the
 // cluster routing key — the router's consistent-hash ring and every
@@ -561,12 +558,11 @@ func resolve(ctx context.Context, req *MapRequest, strashOff bool, maxNodes int)
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("network has %d nodes, limit is %d", src.Len(), maxNodes)
 	}
-	algo := req.Algorithm
-	if algo == "" {
-		algo = "soi"
-	}
-	if !algoKeys[algo] {
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q (want domino, rs, rsdeep or soi)", algo)
+	algo := report.SOI
+	if req.Algorithm != "" {
+		if algo, err = report.ParseAlgorithm(req.Algorithm); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
 	}
 	opt, err := OptionsFromRequest(req.Options)
 	if err != nil {
@@ -575,7 +571,7 @@ func resolve(ctx context.Context, req *MapRequest, strashOff bool, maxNodes int)
 	// Strash is semantic, so the server-wide opt-out must reach the key.
 	opt.StrashOff = opt.StrashOff || strashOff
 	start := time.Now()
-	key, sr := cacheKey(src, algo, opt)
+	key, sr := cacheKey(src, algo.Key(), opt)
 	return &job{
 		circuit:    label,
 		algo:       algo,
@@ -677,7 +673,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		// job that misses every cache tier maps j.strashed instead of
 		// strashing again.
 		d := j.strashTime
-		s.metrics.recordEngine(j.algo, &obs.Stats{Phases: obs.PhaseTimes{Strash: d}})
+		s.metrics.recordEngine(j.algo.Key(), &obs.Stats{Phases: obs.PhaseTimes{Strash: d}})
 		s.hub.Record(j.tc, "pipeline", "strash "+j.src.Name, time.Now().Add(-d), d)
 	}
 	j.deadline = time.Now().Add(timeout)
@@ -693,7 +689,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			s.registerJob(j)
 			s.hub.Record(j.tc, "service", "cache "+tier+" hit", time.Now(), 0)
 			s.complete(ctx, j, tier, 0, time.Since(j.submitted), nil, JobDone, res, "")
-			writeJSON(w, http.StatusOK, j.view())
+			s.answer(w, r, req, j)
 			return
 		}
 	}
@@ -812,9 +808,9 @@ func (s *Server) admit(j *job) *refusal {
 	}
 }
 
-// answer completes a submission: async callers get 202 immediately, sync
-// callers wait for the job (or give up with their connection, leaving the
-// job running and pollable).
+// answer completes a submission: async callers get 202 immediately (a
+// cache hit too, with state done), sync callers wait for the job (or
+// give up with their connection, leaving the job running and pollable).
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, req *MapRequest, j *job) {
 	if req.Async {
 		writeJSON(w, http.StatusAccepted, j.view())
@@ -1098,7 +1094,7 @@ func (s *Server) runJob(j *job) {
 		ctx = obs.WithTraceContext(ctx, j.tc)
 		s.hub.Record(j.tc, "service", "queue wait", j.submitted, queueWait)
 		var runSpan *obs.ActiveSpan
-		ctx, runSpan = s.hub.StartSpan(ctx, "service", "job "+j.algo+" "+j.circuit)
+		ctx, runSpan = s.hub.StartSpan(ctx, "service", "job "+j.algo.Key()+" "+j.circuit)
 		tr := s.hub.Tracer(ctx, 1<<20) // phase spans only; per-node spans sampled out
 		ctx = obs.WithTracer(ctx, tr)
 		defer func() {
@@ -1144,12 +1140,12 @@ func (s *Server) runJob(j *job) {
 	}
 
 	res, err := s.mapFn(ctx, j)
-	s.metrics.recordEngine(j.algo, st)
+	s.metrics.recordEngine(j.algo.Key(), st)
 	if err != nil {
 		s.complete(ctx, j, TierMiss, queueWait, time.Since(start), st, errState(err), nil, err.Error())
 		return
 	}
-	s.metrics.observe(j.algo, time.Since(start))
+	s.metrics.observe(j.algo.Key(), time.Since(start))
 	s.complete(ctx, j, TierMiss, queueWait, time.Since(start), st, JobDone, res, "")
 }
 
@@ -1205,7 +1201,7 @@ func (s *Server) complete(ctx context.Context, j *job, tier string, queueWait, w
 	}
 	log("job finished",
 		"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
-		"algorithm", j.algo, "state", string(state), "tier", tier, "error", errMsg,
+		"algorithm", j.algo.Key(), "state", string(state), "tier", tier, "error", errMsg,
 		"dp_tuples", a.DPTuples, "duration", wall)
 }
 
@@ -1258,38 +1254,16 @@ func (s *Server) evictJobs(cutoff time.Time) int {
 
 // mapNetwork runs the full pipeline — decompose, unate-convert, map,
 // audit, encode — under ctx, from the strash result the job's cache key
-// was derived from. It is the one code path both the daemon and (modulo
-// context) the CLI's -json mode represent.
+// was derived from. It is the one code path both the daemon and the
+// CLI's -json mode represent.
 func mapNetwork(ctx context.Context, j *job) (*MapResult, error) {
-	circuit, algo, opt := j.circuit, j.algo, j.opt
 	p, err := report.PrepareStrashed(ctx, j.src, j.strashed)
 	if err != nil {
 		return nil, err
 	}
-	var res *mapper.Result
-	switch algo {
-	case "domino":
-		res, err = mapper.DominoMapContext(ctx, p.Unate, opt)
-	case "rs":
-		res, err = mapper.RSMapContext(ctx, p.Unate, opt)
-	case "rsdeep":
-		res, err = mapper.RSMapDeepContext(ctx, p.Unate, opt)
-	case "soi":
-		res, err = mapper.SOIDominoMapContext(ctx, p.Unate, opt)
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", algo)
-	}
+	res, err := p.Map(ctx, j.algo, j.opt, false)
 	if err != nil {
 		return nil, err
 	}
-	// The audit is a full structural re-verification and a real slice of a
-	// job's wall time, so it is timed (and traced) like the other phases —
-	// the explain endpoint's phase breakdown should sum to the run wall.
-	st, tr := obs.StatsFrom(ctx), obs.TracerFrom(ctx)
-	aStart := tr.Now()
-	if err := obs.Timed(st, obs.PhaseAudit, res.Audit); err != nil {
-		return nil, fmt.Errorf("audit: %w", err)
-	}
-	tr.Span("pipeline", "audit "+circuit, aStart)
-	return NewMapResult(circuit, p, res), nil
+	return NewMapResult(j.circuit, p, res), nil
 }

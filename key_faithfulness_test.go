@@ -2,6 +2,7 @@ package soidomino
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,8 +38,8 @@ func TestKeyFaithfulness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: prepare twin: %v", name, err)
 		}
-		for _, algo := range []string{"domino", "rs", "soi"} {
-			if k, kt := service.CacheKey(src, algo, opt), service.CacheKey(twin, algo, opt); k != kt {
+		for _, algo := range []report.Algorithm{report.Domino, report.RS, report.SOI} {
+			if k, kt := service.CacheKey(src, algo.Key(), opt), service.CacheKey(twin, algo.Key(), opt); k != kt {
 				t.Errorf("%s/%s: twin key differs:\n  %s\n  %s", name, algo, k, kt)
 				continue
 			}
@@ -67,9 +68,9 @@ func TestPOOrderKeyFaithfulness(t *testing.T) {
 		twin := src.Clone()
 		slices.Reverse(twin.Outputs)
 		var pipe, twinPipe *report.Pipeline
-		for _, algo := range []string{"domino", "rs", "soi"} {
+		for _, algo := range []report.Algorithm{report.Domino, report.RS, report.SOI} {
 			cases++
-			if service.CacheKey(src, algo, opt) != service.CacheKey(twin, algo, opt) {
+			if service.CacheKey(src, algo.Key(), opt) != service.CacheKey(twin, algo.Key(), opt) {
 				continue
 			}
 			if pipe == nil {
@@ -92,9 +93,9 @@ func TestPOOrderKeyFaithfulness(t *testing.T) {
 }
 
 // encodeMapping maps a prepared pipeline and returns its service encoding.
-func encodeMapping(t *testing.T, name, algo string, pipe *report.Pipeline, opt mapper.Options) []byte {
+func encodeMapping(t *testing.T, name string, algo report.Algorithm, pipe *report.Pipeline, opt mapper.Options) []byte {
 	t.Helper()
-	res, err := mapByAlgo(algo, pipe.Unate, opt)
+	res, err := pipe.Map(context.Background(), algo, opt, false)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", name, algo, err)
 	}

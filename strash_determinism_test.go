@@ -50,8 +50,8 @@ func TestStrashOnOffEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s strashOff=%t: prepare: %v", name, strashOff, err)
 			}
-			for _, algo := range []string{"domino", "soi"} {
-				res, err := mapByAlgo(algo, pipe.Unate, mapper.DefaultOptions())
+			for _, algo := range []report.Algorithm{report.Domino, report.SOI} {
+				res, err := pipe.Map(context.Background(), algo, mapper.DefaultOptions(), false)
 				if err != nil {
 					t.Fatalf("%s/%s strashOff=%t: %v", name, algo, strashOff, err)
 				}
