@@ -65,13 +65,16 @@ strash-determinism:
 	$(GO) test -race -run 'Test(Strash|KeyFaithfulness|POOrder)' -v .
 	$(GO) test -race -v ./internal/strash
 
-# ~30s: a short differential campaign over the full mapper/option grid,
-# then the native parser fuzzers. A longer run is `go run ./cmd/soifuzz
-# -n 2000`; see the "Fuzzing the mappers" section of README.md.
+# ~40s: a short differential campaign over the full mapper/option grid,
+# then the native parser fuzzers and the result encoder's fuzzer
+# (EncodeJSON against json.MarshalIndent). A longer run is `go run
+# ./cmd/soifuzz -n 2000`; see the "Fuzzing the mappers" section of
+# README.md.
 fuzz-smoke:
 	$(GO) run ./cmd/soifuzz -n 300 -seed 1
 	$(GO) test -fuzz=FuzzParseBLIF -fuzztime=10s -run=^$$ ./internal/blif
 	$(GO) test -fuzz=FuzzParseBench -fuzztime=10s -run=^$$ ./internal/benchfmt
+	$(GO) test -fuzz=FuzzEncodeJSON -fuzztime=10s -run=^$$ ./internal/service
 
 # ~30s: a seeded chaos campaign against an in-process soimapd — every
 # fault point armed, every successful response re-verified by the fuzz

@@ -183,8 +183,9 @@ func missingSpans(byProc map[string][]string, replicas ...string) []string {
 		}
 	}
 	// "strash <net>" is the pipeline phase span; "<algorithm> dp" covers
-	// the mapper-engine phase spans exported from the run's tracer.
-	for _, prefix := range []string{"POST /v1/map", "queue wait", "job ", "peer cache ", "strash "} {
+	// the mapper-engine phase spans exported from the run's tracer;
+	// "encode <net>" is the replica's one encoding of the mapped result.
+	for _, prefix := range []string{"POST /v1/map", "queue wait", "job ", "peer cache ", "strash ", "encode "} {
 		if !anyReplica(prefix) {
 			missing = append(missing, "replica span "+prefix)
 		}

@@ -309,14 +309,14 @@ func (n *Network) Depth() int {
 type Stats struct {
 	Inputs  int
 	Outputs int
-	Gates   int // non-input, non-constant nodes
-	ByOp    map[Op]int
+	Gates   int               // non-input, non-constant nodes
+	ByOp    [len(opNames)]int // node count per Op
 	Depth   int
 }
 
 // Stats computes summary statistics.
 func (n *Network) Stats() Stats {
-	s := Stats{Inputs: len(n.Inputs), Outputs: len(n.Outputs), ByOp: make(map[Op]int)}
+	s := Stats{Inputs: len(n.Inputs), Outputs: len(n.Outputs)}
 	for _, node := range n.Nodes {
 		s.ByOp[node.Op]++
 		switch node.Op {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,6 +14,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"soidomino/internal/mapper"
+	"soidomino/internal/report"
 )
 
 // TestReadyzDrain pins the drain contract: /readyz answers 200 until
@@ -296,12 +300,14 @@ func TestPeerCacheServesDiskTier(t *testing.T) {
 func decodeBody(t *testing.T, resp *http.Response, v *JobView) {
 	t.Helper()
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
+	*v = checkEnvelope(t, body)
 }
 
-func mustEncode(t *testing.T, r *MapResult) []byte {
+func mustEncode(t testing.TB, r *MapResult) []byte {
 	t.Helper()
 	if r == nil {
 		t.Fatal("nil MapResult")
@@ -311,4 +317,35 @@ func mustEncode(t *testing.T, r *MapResult) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestPeerReplyMustReencode: a peer's reply that decodes but is not this
+// replica's encoding of its own decoding counts as a peer error and the
+// job maps locally.
+func TestPeerReplyMustReencode(t *testing.T) {
+	opt := mapper.DefaultOptions()
+	held, err := mapRequestLocal(t, "mux", report.SOI, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, reply := range unservableEdits(t, held) {
+		t.Run(name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write(reply)
+			}))
+			defer peer.Close()
+			s, ts := newTestServer(t, Config{Workers: 1, Peers: []string{peer.URL}})
+			_, v := postMap(t, ts, `{"circuit": "mux"}`)
+			if v.State != JobDone || v.Attribution.CacheTier != TierMiss {
+				t.Fatalf("state %s tier %s, want done by a local mapping", v.State, v.Attribution.CacheTier)
+			}
+			if got := mustEncode(t, v.Result); !bytes.Equal(got, held) {
+				t.Fatalf("served bytes differ from a local mapping:\n%s", got)
+			}
+			if e, h := s.Counter("cluster_cache_peer_errors"), s.Counter("cluster_cache_peer_hits"); e != 1 || h != 0 {
+				t.Errorf("peer errors %d, peer hits %d; want 1, 0", e, h)
+			}
+		})
+	}
 }

@@ -34,5 +34,7 @@
 //
 // The job result type (MapResult, encode.go) is shared with the soimap
 // CLI's -json flag: for the same circuit, algorithm and options the
-// daemon and the CLI produce byte-identical JSON.
+// daemon and the CLI produce byte-identical JSON. The daemon encodes a
+// result once and serves those held bytes from every cache tier and
+// inside every job view.
 package service

@@ -1,6 +1,9 @@
 package service
 
 import (
+	"encoding/json"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -59,7 +62,7 @@ type job struct {
 	started     time.Time
 	finished    time.Time
 	errMsg      string
-	result      *MapResult
+	result      []byte       // the held encoding (EncodeJSON) of a done job's result
 	attribution *Attribution // published by finish with the terminal state
 
 	done chan struct{} // closed when the job reaches a terminal state
@@ -67,7 +70,8 @@ type job struct {
 
 // JobView is the JSON envelope of a job returned by POST /v1/map and
 // GET /v1/jobs/{id}. Result carries the shared MapResult encoding once
-// the job is done.
+// the job is done. It is the clients' decode type; soimapd itself writes
+// the same bytes with writeView, splicing in the result it holds encoded.
 type JobView struct {
 	ID        string   `json:"id"`
 	State     JobState `json:"state"`
@@ -91,7 +95,9 @@ type JobView struct {
 	Attribution *Attribution `json:"attribution,omitempty"`
 }
 
-func (j *job) view() JobView {
+// view snapshots the job's envelope. A done job's result comes back as
+// its held encoding, not in JobView.Result: writeView splices it in.
+func (j *job) view() (JobView, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
@@ -102,7 +108,6 @@ func (j *job) view() JobView {
 		Coalesced:   j.coalesced,
 		Recovered:   j.recovered,
 		Error:       j.errMsg,
-		Result:      j.result,
 		Attribution: j.attribution,
 	}
 	if j.tc.Sampled {
@@ -121,7 +126,51 @@ func (j *job) view() JobView {
 	case !j.started.IsZero():
 		v.ElapsedMS = time.Since(j.started).Milliseconds()
 	}
-	return v
+	return v, j.result
+}
+
+// writeView answers with job j's JobView in writeJSON's layout. The
+// envelope is written field by field and the held result bytes are
+// spliced in, re-indented one level, so answering a done job never
+// marshals its result again (TestJobViewEnvelope holds the bytes to
+// json.Encoder's).
+func writeView(w http.ResponseWriter, status int, j *job) {
+	v, result := j.view()
+	jw := newWriter()
+	defer jw.release()
+	jw.open('{')
+	jw.str("id", v.ID)
+	jw.str("state", string(v.State))
+	jw.str("circuit", v.Circuit)
+	jw.str("algorithm", v.Algorithm)
+	jw.boolean("cached", v.Cached)
+	jw.flag("coalesced", v.Coalesced)
+	jw.flag("recovered", v.Recovered)
+	jw.key("elapsed_ms")
+	jw.b = strconv.AppendInt(jw.b, v.ElapsedMS, 10)
+	if v.Error != "" {
+		jw.str("error", v.Error)
+	}
+	if result != nil {
+		jw.spliced("result", result)
+	}
+	if v.TraceID != "" {
+		jw.str("trace_id", v.TraceID)
+	}
+	if v.Attribution != nil {
+		a, err := json.MarshalIndent(v.Attribution, "  ", "  ")
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, apiError{"encode: " + err.Error()})
+			return
+		}
+		jw.key("attribution")
+		jw.b = append(jw.b, a...)
+	}
+	jw.close('}')
+	jw.b = append(jw.b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(jw.b)
 }
 
 func (j *job) setRunning() {
@@ -135,7 +184,7 @@ func (j *job) setRunning() {
 // with it, and wakes synchronous waiters. It is idempotent — the
 // panic-recovery path can race the normal one, and only the first caller
 // may close done — and reports whether it won.
-func (j *job) finish(state JobState, res *MapResult, errMsg string, a *Attribution) bool {
+func (j *job) finish(state JobState, res []byte, errMsg string, a *Attribution) bool {
 	j.mu.Lock()
 	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
 		j.mu.Unlock()
@@ -156,7 +205,7 @@ func (j *job) finish(state JobState, res *MapResult, errMsg string, a *Attributi
 
 // outcome snapshots the job's terminal state for propagation to a
 // coalesced follower. Call only after done is closed.
-func (j *job) outcome() (JobState, *MapResult, string) {
+func (j *job) outcome() (JobState, []byte, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.result, j.errMsg

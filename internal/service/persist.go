@@ -94,12 +94,13 @@ func (s *Server) RecoveredJobs() map[string]*MapRequest {
 	return out
 }
 
-// storeGet consults the disk tier for key, decoding the stored bytes
-// back into a MapResult. Misses return nil; corrupt entries are
-// quarantined by the store and counted, never served. A record whose
-// checksum passes but whose JSON no longer decodes (format skew across
-// an upgrade) is dropped the same way.
-func (s *Server) storeGet(key string) *MapResult {
+// storeGet consults the disk tier for key and returns the stored result
+// bytes. Misses return nil; corrupt entries are quarantined by the store
+// and counted, never served. A record whose checksum passes but whose
+// bytes are not what this replica would encode — JSON that no longer
+// decodes, or decodes and re-encodes differently (format skew across an
+// upgrade, a field added or lost) — is dropped the same way.
+func (s *Server) storeGet(key string) []byte {
 	if s.store == nil {
 		return nil
 	}
@@ -114,23 +115,22 @@ func (s *Server) storeGet(key string) *MapResult {
 		s.metrics.add("store_misses", 1)
 		return nil
 	}
-	var res MapResult
-	if err := json.Unmarshal(b, &res); err != nil {
+	if err := checkEncoding(b); err != nil {
 		s.store.Drop(key)
 		s.metrics.add("store_corrupt", 1)
 		s.metrics.add("store_misses", 1)
-		s.logger.Warn("undecodable store entry quarantined", "key", key, "error", err.Error())
+		s.logger.Warn("unservable store entry quarantined", "key", key, "error", err.Error())
 		return nil
 	}
 	s.metrics.add("store_hits", 1)
-	return &res
+	return b
 }
 
-// persistResult writes a finished result to the disk tier, write-behind:
-// any failure (including injected fsync faults) is counted and logged
-// but never fails the job — the client already has, or will get, the
-// in-memory result.
-func (s *Server) persistResult(ctx context.Context, key string, res *MapResult) {
+// persistResult writes a finished result's held bytes to the disk tier,
+// write-behind: any failure (including injected fsync faults) is counted
+// and logged but never fails the job — the client already has, or will
+// get, the in-memory result.
+func (s *Server) persistResult(ctx context.Context, key string, res []byte) {
 	if s.store == nil {
 		return
 	}
@@ -140,11 +140,7 @@ func (s *Server) persistResult(ctx context.Context, key string, res *MapResult) 
 			s.logger.Error("result persist panicked", "key", key, "panic", fmt.Sprint(r))
 		}
 	}()
-	b, err := EncodeJSON(res)
-	if err == nil {
-		err = s.store.Put(ctx, key, b)
-	}
-	if err != nil {
+	if err := s.store.Put(ctx, key, res); err != nil {
 		s.metrics.add("store_write_errors", 1)
 		s.logger.Warn("result persist failed", "key", key, "error", err.Error())
 	}
@@ -300,10 +296,16 @@ func recoveredLabels(req *MapRequest) (circuit string, algo report.Algorithm) {
 // under its original id. It is a reconstruction, not a completion: the
 // job's terminal bookkeeping ran in the process that crashed, so it
 // counts jobs_recovered and journals nothing.
-func (s *Server) installRecovered(rj *recoveredJob, state JobState, res *MapResult, errMsg string) {
+func (s *Server) installRecovered(rj *recoveredJob, state JobState, res []byte, errMsg string) {
 	circuit, algo := recoveredLabels(rj.req)
 	if res != nil {
-		circuit = res.Circuit
+		// The result's own label; its bytes passed checkEncoding.
+		var r struct {
+			Circuit string `json:"circuit"`
+		}
+		if json.Unmarshal(res, &r) == nil {
+			circuit = r.Circuit
+		}
 	}
 	j := &job{
 		id:        rj.id,

@@ -1,18 +1,22 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	builtin "soidomino/internal/bench"
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/mapper"
 	"soidomino/internal/report"
@@ -218,7 +222,7 @@ func TestRecoveryIgnoresLateAcceptedRecord(t *testing.T) {
 	s.mu.Lock()
 	j := s.jobs["j1"]
 	s.mu.Unlock()
-	if v := j.view(); v.State != JobFailed || v.Error != "boom" {
+	if v, _ := j.view(); v.State != JobFailed || v.Error != "boom" {
 		t.Fatalf("recovered job = state %s error %q, want failed %q", v.State, v.Error, "boom")
 	}
 }
@@ -397,10 +401,11 @@ func postMapURL(t *testing.T, baseURL, body string) (int, JobView) {
 		t.Fatalf("POST /v1/map: %v", err)
 	}
 	defer resp.Body.Close()
-	var v JobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatalf("decode response: %v", err)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
 	}
+	v := checkEnvelope(t, raw)
 	return resp.StatusCode, v
 }
 
@@ -421,12 +426,12 @@ func pollJob(t *testing.T, baseURL, id string, timeout time.Duration) JobView {
 		if err != nil {
 			t.Fatalf("GET job %s: %v", id, err)
 		}
-		var v JobView
-		err = json.NewDecoder(resp.Body).Decode(&v)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("decode job %s: %v", id, err)
+			t.Fatalf("read job %s: %v", id, err)
 		}
+		v := checkEnvelope(t, body)
 		if resp.StatusCode == http.StatusOK &&
 			(v.State == JobDone || v.State == JobFailed || v.State == JobCanceled) {
 			return v
@@ -452,4 +457,64 @@ func mapRequestLocal(t *testing.T, circuit string, algo report.Algorithm, opt ma
 		return nil, err
 	}
 	return EncodeJSON(res)
+}
+
+// unservableEdits are result encodings that decode without error but
+// that no replica would write: the old decode-only check served them
+// (the second as "gates": null), so a key would no longer determine its
+// answer.
+func unservableEdits(t *testing.T, held []byte) map[string][]byte {
+	t.Helper()
+	extra := bytes.Replace(held, []byte("{\n  \"circuit\""), []byte("{\n  \"extra\": 1,\n  \"circuit\""), 1)
+	i := bytes.Index(held, []byte(",\n  \"gates\": ["))
+	end := bytes.Index(held[i:], []byte("\n  ]"))
+	if bytes.Equal(extra, held) || i < 0 || end < 0 {
+		t.Fatal("held encoding lacks the fields to edit")
+	}
+	noGates := slices.Concat(held[:i], held[i+end+len("\n  ]"):])
+	var r MapResult
+	if err := json.Unmarshal(noGates, &r); err != nil || r.Gates != nil {
+		t.Fatalf("gate-less edit: decode error %v, gates %v", err, r.Gates)
+	}
+	return map[string][]byte{"extra field": extra, "no gates": noGates}
+}
+
+// TestStoreEntryMustReencode: a checksummed store entry whose bytes are
+// not this replica's encoding of their own decoding is quarantined
+// (store_corrupt, moved aside) and the job is mapped afresh.
+func TestStoreEntryMustReencode(t *testing.T) {
+	opt := mapper.DefaultOptions()
+	held, err := mapRequestLocal(t, "mux", report.SOI, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey(builtin.MustBuild("mux"), report.SOI.Key(), opt)
+	for name, entry := range unservableEdits(t, held) {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _, err := store.OpenResults(dir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(context.Background(), key, entry); err != nil {
+				t.Fatal(err)
+			}
+			s := New(Config{Workers: 1, StateDir: dir, JournalFsync: "off"})
+			defer shutdownNow(t, s)
+			ts := newPersistHTTP(t, s)
+			_, v := postMapURL(t, ts.URL, `{"circuit": "mux"}`)
+			if v.State != JobDone || v.Attribution.CacheTier != TierMiss {
+				t.Fatalf("state %s tier %s, want done by a fresh mapping", v.State, v.Attribution.CacheTier)
+			}
+			if got := mustEncode(t, v.Result); !bytes.Equal(got, held) {
+				t.Fatalf("served bytes differ from a local mapping:\n%s", got)
+			}
+			if c, h := s.Counter("store_corrupt"), s.Counter("store_hits"); c != 1 || h != 0 {
+				t.Errorf("store_corrupt %d, store_hits %d; want 1, 0", c, h)
+			}
+			if q, _ := os.ReadDir(filepath.Join(dir, "quarantine")); len(q) != 1 {
+				t.Errorf("quarantine holds %d entries, want 1", len(q))
+			}
+		})
+	}
 }

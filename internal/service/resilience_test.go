@@ -3,8 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -27,10 +27,11 @@ func postMapResp(t *testing.T, ts *httptest.Server, body string) (*http.Response
 		t.Fatalf("POST /v1/map: %v", err)
 	}
 	defer resp.Body.Close()
-	var v JobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatalf("decode response: %v", err)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
 	}
+	v := checkEnvelope(t, raw)
 	return resp, v
 }
 
@@ -327,7 +328,7 @@ func TestShutdownDrainsAndStopsGoroutines(t *testing.T) {
 			s.mu.Unlock()
 			t.Fatalf("job %s vanished before retention", id)
 		}
-		v := j.view()
+		v, _ := j.view()
 		if v.State != JobDone && v.State != JobCanceled && v.State != JobFailed {
 			s.mu.Unlock()
 			t.Fatalf("job %s left in non-terminal state %s", id, v.State)

@@ -193,7 +193,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	metrics  *metrics
-	cache    *cache.LRU[string, *MapResult]
+	cache    *cache.LRU[string, []byte] // held result encodings (EncodeJSON)
 	queue    chan *job
 	logger   *slog.Logger
 	start    time.Time
@@ -246,7 +246,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		metrics:   newMetrics(),
-		cache:     cache.New[string, *MapResult](cfg.CacheEntries),
+		cache:     cache.New[string, []byte](cfg.CacheEntries),
 		queue:     make(chan *job, cfg.QueueDepth),
 		logger:    cfg.Logger,
 		start:     time.Now(),
@@ -711,11 +711,12 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // lookupLocal answers key from this replica's own cache tiers: the LRU,
 // then the durable store, whose hits are promoted back into the LRU
 // (corrupt entries quarantine inside storeGet and read as a miss). It
-// reports the answering tier, TierLocal or TierStore, and a nil result
-// on a miss. Submissions and GET /v1/cache both look up here. The peer
-// tier is runJob's, after admission: a herd of one key makes one peer
-// fetch, and a peer's lookup never fans out to further peers.
-func (s *Server) lookupLocal(key string) (*MapResult, string) {
+// returns the held result bytes and the answering tier, TierLocal or
+// TierStore; nil bytes on a miss. Submissions and GET /v1/cache both
+// look up here. The peer tier is runJob's, after admission: a herd of
+// one key makes one peer fetch, and a peer's lookup never fans out to
+// further peers.
+func (s *Server) lookupLocal(key string) ([]byte, string) {
 	if res, ok := s.cache.Get(key); ok {
 		return res, TierLocal
 	}
@@ -813,15 +814,15 @@ func (s *Server) admit(j *job) *refusal {
 // give up with their connection, leaving the job running and pollable).
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, req *MapRequest, j *job) {
 	if req.Async {
-		writeJSON(w, http.StatusAccepted, j.view())
+		writeView(w, http.StatusAccepted, j)
 		return
 	}
 	select {
 	case <-j.done:
-		writeJSON(w, http.StatusOK, j.view())
+		writeView(w, http.StatusOK, j)
 	case <-r.Context().Done():
 		// Client gave up; the job keeps running and stays pollable.
-		writeJSON(w, http.StatusAccepted, j.view())
+		writeView(w, http.StatusAccepted, j)
 	}
 }
 
@@ -884,7 +885,7 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j := s.jobFor(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.view())
+		writeView(w, http.StatusOK, j)
 	}
 }
 
@@ -958,14 +959,9 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	// The disk tier answers for the LRU here too: a peer asking this
 	// replica sees its whole persistent cache, so a freshly-restarted
 	// sibling keeps the cluster's shared tier warm.
-	res, _ := s.lookupLocal(key)
-	if res == nil {
+	b, _ := s.lookupLocal(key)
+	if b == nil {
 		writeJSON(w, http.StatusNotFound, apiError{"no cached result for key"})
-		return
-	}
-	b, err := EncodeJSON(res)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{"encode: " + err.Error()})
 		return
 	}
 	s.metrics.add("cluster_cache_served", 1)
@@ -974,10 +970,10 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 }
 
 // peerFetch consults the configured peers' caches for key and returns
-// the first hit, nil on miss. Each lookup is bounded by PeerTimeout and
-// any failure just degrades to a miss — the shared tier is an
-// optimization, never a dependency.
-func (s *Server) peerFetch(ctx context.Context, key string) *MapResult {
+// the first hit's result bytes, nil on miss. Each lookup is bounded by
+// PeerTimeout and any failure just degrades to a miss — the shared tier
+// is an optimization, never a dependency.
+func (s *Server) peerFetch(ctx context.Context, key string) []byte {
 	if len(s.cfg.Peers) == 0 || ctx.Err() != nil {
 		return nil
 	}
@@ -998,7 +994,10 @@ func (s *Server) peerFetch(ctx context.Context, key string) *MapResult {
 	return nil
 }
 
-func (s *Server) peerFetchOne(ctx context.Context, u string) (*MapResult, error) {
+// peerFetchOne asks one peer for a cached result. A reply is accepted
+// only if it re-encodes to itself (checkEncoding); any other reply is
+// an error, counted like a failed fetch.
+func (s *Server) peerFetchOne(ctx context.Context, u string) ([]byte, error) {
 	pctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, u, nil)
@@ -1034,11 +1033,10 @@ func (s *Server) peerFetchOne(ctx context.Context, u string) (*MapResult, error)
 	if int64(len(b)) > s.cfg.PeerMaxBodyBytes {
 		return nil, fmt.Errorf("peer cache: response exceeds %d bytes", s.cfg.PeerMaxBodyBytes)
 	}
-	var res MapResult
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, err
+	if err := checkEncoding(b); err != nil {
+		return nil, fmt.Errorf("peer cache: %w", err)
 	}
-	return &res, nil
+	return b, nil
 }
 
 func (s *Server) worker() {
@@ -1146,7 +1144,19 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	s.metrics.observe(j.algo.Key(), time.Since(start))
-	s.complete(ctx, j, TierMiss, queueWait, time.Since(start), st, JobDone, res, "")
+	b := s.encode(ctx, res)
+	s.complete(ctx, j, TierMiss, queueWait, time.Since(start), st, JobDone, b, "")
+}
+
+// encode is the one encoding of a result this replica mapped: the bytes
+// the LRU holds, the store persists, GET /v1/cache serves and every
+// JobView of the job — and of its coalesced followers and later hits —
+// splices in. A sampled job records it as an "encode <net>" span.
+func (s *Server) encode(ctx context.Context, res *MapResult) []byte {
+	_, span := s.hub.StartSpan(ctx, "service", "encode "+res.Source.Name)
+	b := encodeResult(res)
+	span.End(obs.KV{Key: "bytes", Val: int64(len(b))})
+	return b
 }
 
 // errState is the terminal state of a job that ended in err.
@@ -1159,16 +1169,17 @@ func errState(err error) JobState {
 
 // complete is every live job's one terminal path: cache hits, coalesced
 // followers, and the peer, failure, panic and success ends of runJob.
-// The tier decides the bookkeeping. A job a worker ran (TierMiss or
-// TierPeer) warms the LRU with a result — a cache-put fault skips only
-// that — then counts, leaves the in-flight table, publishes, persists
-// write-behind, journals its terminal state and logs one "job finished"
-// line. Persisting after finish means the waiter is answered first; a
+// res is the result's held encoding, shared by every holder and never
+// written to. The tier decides the bookkeeping. A job a worker ran
+// (TierMiss or TierPeer) warms the LRU with the bytes — a cache-put
+// fault skips only that — then counts, leaves the in-flight table,
+// publishes, persists write-behind, journals its terminal state and
+// logs one "job finished" line. Persisting after finish means the waiter is answered first; a
 // crash before the writes land only costs a re-derivation (the journal
 // re-admits, mapping is deterministic). Hits and followers own no work
 // to lose: they stop after finish.
 func (s *Server) complete(ctx context.Context, j *job, tier string, queueWait, wall time.Duration,
-	st *obs.Stats, state JobState, res *MapResult, errMsg string) {
+	st *obs.Stats, state JobState, res []byte, errMsg string) {
 	ran := tier == TierMiss || tier == TierPeer
 	if ran && state == JobDone && faultpoint.From(ctx).Check(ctx, PointCachePut) == nil {
 		s.cache.Add(j.cacheKey, res)

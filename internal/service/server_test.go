@@ -37,10 +37,11 @@ func postMap(t *testing.T, ts *httptest.Server, body string) (int, JobView) {
 		t.Fatalf("POST /v1/map: %v", err)
 	}
 	defer resp.Body.Close()
-	var v JobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatalf("decode response: %v", err)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
 	}
+	v := checkEnvelope(t, raw)
 	return resp.StatusCode, v
 }
 
