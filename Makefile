@@ -78,10 +78,11 @@ fuzz-smoke:
 
 # ~30s: a seeded chaos campaign against an in-process soimapd — every
 # fault point armed, every successful response re-verified by the fuzz
-# oracles. Replay a finding with: go run ./cmd/soichaos -seed N. See the
+# oracles. Replay a finding with:
+# go run ./cmd/soichaos -campaign single -seed N. See the
 # "Resilience" section of README.md.
 chaos-smoke:
-	$(GO) run ./cmd/soichaos -seed 1 -requests 4000 -duration 30s -p 0.12 -sim 2
+	$(GO) run ./cmd/soichaos -campaign single -seed 1 -requests 4000 -duration 30s -p 0.12 -sim 2
 
 # Seconds: the distributed-tracing gate — the obs span model and its
 # single Chrome writer under -race, then one traced request through an
@@ -97,9 +98,10 @@ trace-smoke:
 # replicas with the shared cache tier, one replica killed and restarted
 # mid-flight, identical-submission bursts driving the replicas'
 # coalescing. Every completed response is byte-compared against a clean
-# local re-derivation. Replay with: go run ./cmd/soichaos -cluster -seed N.
+# local re-derivation. Replay with:
+# go run ./cmd/soichaos -campaign cluster -seed N.
 cluster-smoke:
-	$(GO) run ./cmd/soichaos -cluster -seed 1 -requests 2000 -duration 30s -p 0.02 -sim 1
+	$(GO) run ./cmd/soichaos -campaign cluster -seed 1 -requests 2000 -duration 30s -p 0.02 -sim 1
 
 # Seconds: the crash-persistence gate — a state-dir soimapd takes load
 # with torn-write/fsync faults armed against its durable tier, is
@@ -108,6 +110,6 @@ cluster-smoke:
 # jobs under their original ids, quarantine every injected tear, and
 # replay every request byte-identically. See DESIGN.md §15 and the
 # Persistence section of README.md. Replay a finding with:
-# go run ./cmd/soichaos -persist -seed N.
+# go run ./cmd/soichaos -campaign persist -seed N.
 persist-smoke:
 	$(GO) test -race -run 'TestPersistSmoke' -v -count=1 ./internal/chaostest

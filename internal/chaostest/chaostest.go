@@ -4,6 +4,24 @@
 // returns is a correct, audit-clean, PBE-safe mapping, byte-identical to
 // a clean fault-free run.
 //
+// One entry point, Run, serves three campaign presets. Each fixes a
+// topology (one node, or a router over peered replicas, with or without
+// state dirs), a fault schedule (which points are armed, which node is
+// killed or crashed and when it restarts) and a request stream:
+//
+//   - Single: one node with every fault point armed takes a sync/async
+//     mix, with the explain endpoint cross-checked.
+//   - Cluster: a router over three peered replicas with state dirs and
+//     sparse point faults; the same mix plus identical-submission bursts
+//     (the coalescing workload), one replica killed a third of the way
+//     in and restarted at two thirds, with a fixed sweep during the
+//     outage and after the restart (the shared cache tier).
+//   - Persist: one state-dir node with only the durable tier's faults
+//     armed (torn writes, partial journal appends, failed fsyncs) takes
+//     synchronous requests whose bytes are saved, crashes with an async
+//     batch pending, restarts with faults disarmed, and must replay
+//     every saved request byte-identically.
+//
 // A campaign is replayable: the same seed arms the same fault schedule
 // and issues the same request stream, so a violating run can be handed
 // to a debugger as one integer.
@@ -11,51 +29,105 @@ package chaostest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
-	builtin "soidomino/internal/bench"
-	"soidomino/internal/blif"
 	"soidomino/internal/client"
+	"soidomino/internal/cluster"
 	"soidomino/internal/faultpoint"
-	"soidomino/internal/fuzz"
-	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
-	"soidomino/internal/report"
 	"soidomino/internal/service"
 	"soidomino/internal/store"
 )
 
-// Config shapes one chaos campaign. Zero fields select defaults.
+// Campaign names a preset.
+type Campaign string
+
+const (
+	Single  Campaign = "single"
+	Cluster Campaign = "cluster"
+	Persist Campaign = "persist"
+)
+
+// preset is one campaign's fixed choices.
+type preset struct {
+	// requests and faultProb are the defaults of Config.Requests and
+	// Config.FaultProb.
+	requests  int
+	faultProb float64
+	// Topology: replicas > 1 puts a router (replication factor 2) in
+	// front and peers every replica with the others; stateDir gives each
+	// node a journal and durable store that survive its kill.
+	replicas int
+	stateDir bool
+	// arm builds a node's fault registry.
+	arm func(seed int64, rng *rand.Rand, prob float64) *faultpoint.Registry
+	// mix draws one request in four as an async submit-and-poll and
+	// cross-checks the explain endpoint on every seventh.
+	mix bool
+	// outage adds identical-submission bursts and kills a victim at 1/3
+	// of the requests, restarting it armed at 2/3, with a fixed sweep
+	// during the outage and after the restart.
+	outage bool
+	// crash requires every submission to complete and saves its bytes,
+	// then crashes the node with an async batch pending, restarts it
+	// disarmed and replays every saved request.
+	crash bool
+}
+
+var presets = map[Campaign]preset{
+	Single:  {requests: 40, faultProb: 0.1, replicas: 1, arm: armFaults, mix: true},
+	Cluster: {requests: 120, faultProb: 0.02, replicas: 3, stateDir: true, arm: armFaults, mix: true, outage: true},
+	Persist: {requests: 12, faultProb: 0.25, replicas: 1, stateDir: true, arm: armDurable, crash: true},
+}
+
+// pendingAtCrash is the Persist preset's async batch left in flight when
+// the crash lands, so the journal has unfinished work to re-admit.
+const pendingAtCrash = 6
+
+// faultLatency is the magnitude of injected Latency faults.
+const faultLatency = 2 * time.Millisecond
+
+// Config shapes one campaign. Zero fields select the preset's defaults.
 type Config struct {
-	// Seed drives the whole campaign: fault schedule, request stream and
-	// firing decisions.
+	// Campaign selects the preset (default Single).
+	Campaign Campaign
+	// Seed drives the whole campaign: fault schedules, request stream,
+	// firing decisions and the choice of kill victim.
 	Seed int64
-	// Requests is the number of submissions to issue (default 40).
+	// Requests is the number of submissions to issue (default 40 Single,
+	// 120 Cluster, 12 Persist).
 	Requests int
-	// Deadline optionally bounds the campaign's wall clock; reaching it
-	// stops issuing new requests (it is a smoke-budget, not an error).
+	// Deadline optionally bounds the request loop's wall clock; reaching
+	// it stops issuing new requests (it is a smoke-budget, not an error).
+	// The Persist crash and replay still follow.
 	Deadline time.Duration
-	// Workers and QueueDepth size the in-process server (defaults 2, 8).
+	// Workers and QueueDepth size each node (defaults 2, 8).
 	Workers, QueueDepth int
-	// FaultProb arms every defined fault point with this per-call firing
-	// probability (default 0.1).
+	// FaultProb is the per-call firing probability of the armed points
+	// (default 0.1 Single, 0.02 Cluster — whose main fault is the
+	// kill/restart cycle — and 0.25 Persist, the per-write tear
+	// probability; journal tears and fsync failures fire at half of it).
 	FaultProb float64
-	// Latency is the magnitude of injected Latency faults (default 2ms).
-	Latency time.Duration
 	// SimCycles is the soisim oracle depth per verified response
 	// (default 3; negative skips simulation).
 	SimCycles int
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults() (Config, preset, error) {
+	if c.Campaign == "" {
+		c.Campaign = Single
+	}
+	p, ok := presets[c.Campaign]
+	if !ok {
+		return c, p, fmt.Errorf("unknown campaign %q (want single, cluster or persist)", c.Campaign)
+	}
 	if c.Requests <= 0 {
-		c.Requests = 40
+		c.Requests = p.requests
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -64,20 +136,19 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 8
 	}
 	if c.FaultProb <= 0 {
-		c.FaultProb = 0.1
-	}
-	if c.Latency <= 0 {
-		c.Latency = 2 * time.Millisecond
+		c.FaultProb = p.faultProb
 	}
 	if c.SimCycles == 0 {
 		c.SimCycles = 3
 	}
-	return c
+	return c, p, nil
 }
 
 // Report is one campaign's outcome. Violations is the only field that
-// may fail a campaign: everything else is bookkeeping.
+// may fail a campaign: everything else is bookkeeping, and a preset
+// leaves the counters it has no use for at zero.
 type Report struct {
+	Campaign Campaign
 	Seed     int64
 	Requests int
 	// Done counts responses that reached JobDone and passed verification.
@@ -87,20 +158,74 @@ type Report struct {
 	// FailedInjected counts jobs failed/canceled by an injected fault —
 	// the designed outcome of a fired Error/Panic/Cancel fault.
 	FailedInjected int
-	// Rejected counts 4xx/5xx submissions (shed, queue-full, retry
-	// budget exhausted) — load shedding doing its job.
+	// Rejected counts submissions that errored at the client (shed,
+	// queue-full, a poll cut off by a kill, retry budget exhausted).
 	Rejected int
-	// FaultsFired is the per-point firing census of the campaign.
+	// Kills and Restarts count the node lifecycle events injected.
+	Kills, Restarts int
+	// Coalesced sums the replicas' in-flight-table attachments (jobs
+	// that rode an identical job's DP run).
+	Coalesced int64
+	// PeerHits counts jobs a replica answered from a sibling's result
+	// cache instead of mapping (the shared cache tier working).
+	PeerHits int64
+	// Failovers counts router submissions that had to move past the
+	// preferred replica.
+	Failovers int64
+	// Recovered and Readmitted count jobs the restarted node rebuilt
+	// from its journal: terminal jobs re-created in place and unfinished
+	// jobs re-enqueued under their original ids.
+	Recovered, Readmitted int64
+	// WarmHits is the restarted node's durable-store hit count right
+	// after the restart: > 0 means it came back warm from disk.
+	WarmHits int64
+	// StoreCorrupt sums torn or corrupt durable-store records the live
+	// nodes detected and quarantined (boot fsck plus read-path checks).
+	StoreCorrupt int64
+	// TornInjected counts the store tears and fsync failures fired.
+	TornInjected int64
+	// Replayed counts Persist resubmissions whose bytes matched the
+	// saved pre-crash response exactly.
+	Replayed int
+	// FaultsFired is the per-point firing census, summed over every
+	// registry the campaign armed.
 	FaultsFired map[string]int64
 	// Violations are silent-corruption findings: a done response that
-	// failed an oracle, differed from the clean run, or a job that failed
-	// with an error no fault explains. Empty means the campaign passed.
+	// failed an oracle, differed from the clean run or drifted across a
+	// crash, a job that failed with an error no fault explains, a cold
+	// restart. Empty means the campaign passed.
 	Violations []string
 }
 
 func (r *Report) String() string {
-	return fmt.Sprintf("chaos seed=%d: %d requests, %d done (%d degraded), %d failed-by-fault, %d rejected, %d faults fired, %d violations",
-		r.Seed, r.Requests, r.Done, r.Degraded, r.FailedInjected, r.Rejected, totalFired(r.FaultsFired), len(r.Violations))
+	parts := []string{fmt.Sprintf("%s chaos seed=%d: %d requests", r.Campaign, r.Seed, r.Requests)}
+	add := func(format string, args ...any) { parts = append(parts, fmt.Sprintf(format, args...)) }
+	if r.Campaign == Cluster {
+		add("%d kills/%d restarts", r.Kills, r.Restarts)
+	}
+	add("%d done (%d degraded)", r.Done, r.Degraded)
+	if r.Campaign != Persist {
+		add("%d failed-by-fault", r.FailedInjected)
+		add("%d rejected", r.Rejected)
+	}
+	if r.Campaign == Cluster {
+		add("%d coalesced", r.Coalesced)
+		add("%d peer-cache hits", r.PeerHits)
+		add("%d failovers", r.Failovers)
+	}
+	if r.Campaign != Single {
+		add("%d recovered", r.Recovered)
+		add("%d readmitted", r.Readmitted)
+		add("%d warm hits", r.WarmHits)
+		add("%d tears injected", r.TornInjected)
+		add("%d corrupt quarantined", r.StoreCorrupt)
+	}
+	if r.Campaign == Persist {
+		add("%d byte-stable replays", r.Replayed)
+	}
+	add("%d faults fired", totalFired(r.FaultsFired))
+	add("%d violations", len(r.Violations))
+	return strings.Join(parts, ", ")
 }
 
 func totalFired(m map[string]int64) int64 {
@@ -111,188 +236,388 @@ func totalFired(m map[string]int64) int64 {
 	return n
 }
 
-// inlineBLIF is the campaign's non-builtin workload: a small two-output
-// cover that exercises the BLIF decode path (and its fault point).
-const inlineBLIF = `.model chaosblif
-.inputs a b c d
-.outputs f g
-.names a b c f
-111 1
-.names c d g
-1- 1
--1 1
-.end
-`
+// campaign is one Run's state.
+type campaign struct {
+	ctx  context.Context
+	cfg  Config
+	p    preset
+	rng  *rand.Rand
+	rep  *Report
+	pool []workload
+	regs []*faultpoint.Registry
 
-// workload is one submission recipe plus how to rebuild its network for
-// the clean re-run.
-type workload struct {
+	stateRoot string
+	nodes     []*node
+	rt        *cluster.Router
+	routerSrv *http.Server
+	url       string // the router, or the one node
+	cli       *client.Client
+
+	mu    sync.Mutex // guards rep while burst riders classify
+	saved []savedResponse
+}
+
+// savedResponse pairs a Persist request with the exact bytes served for
+// it, the oracle for the post-restart replay.
+type savedResponse struct {
+	wl    workload
 	req   service.MapRequest
-	label string
-	build func() (*logic.Network, error)
+	bytes string
 }
 
-// workloads returns the campaign's circuit pool.
-func workloads() []workload {
-	names := []string{"mux", "z4ml", "cordic"}
-	var out []workload
-	for _, name := range names {
-		name := name
-		out = append(out, workload{
-			req:   service.MapRequest{Circuit: name},
-			label: name,
-			build: func() (*logic.Network, error) {
-				b, ok := builtin.Get(name)
-				if !ok {
-					return nil, fmt.Errorf("unknown builtin %q", name)
-				}
-				return b.Build(), nil
-			},
-		})
-	}
-	out = append(out, workload{
-		req:   service.MapRequest{BLIF: inlineBLIF},
-		label: "chaosblif",
-		build: func() (*logic.Network, error) { return blif.ParseString(inlineBLIF) },
-	})
-	return out
-}
-
-var algos = []string{"domino", "rs", "rsdeep", "soi"}
-
-// Run executes one campaign and returns its report. The returned error
-// covers harness failures (listen, shutdown); verification findings go
-// to Report.Violations.
+// Run executes one campaign and returns its report. Every JobDone
+// response — mapped, cache-served, peer-cache-served, coalesced, failed
+// over or re-admitted after a restart — is re-derived locally fault-free
+// and byte-compared. The returned error covers harness failures (listen,
+// rebind) and cancellation of ctx, which also returns the partial
+// report; verification findings go to Report.Violations. Every node the
+// campaign started is stopped before Run returns.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rep := &Report{Seed: cfg.Seed}
-
-	reg := armFaults(cfg.Seed, rng, cfg.FaultProb, cfg.Latency)
-
-	srv := service.New(service.Config{
-		Workers:      cfg.Workers,
-		QueueDepth:   cfg.QueueDepth,
-		JobRetention: time.Minute,
-		Faults:       reg,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	cfg, p, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	baseURL := "http://" + ln.Addr().String()
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(sctx)
-		srv.Shutdown(sctx)
-	}()
+	c := &campaign{
+		ctx:  ctx,
+		cfg:  cfg,
+		p:    p,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		rep:  &Report{Campaign: cfg.Campaign, Seed: cfg.Seed},
+		pool: workloads(),
+	}
+	defer c.teardown()
+	if err := c.boot(); err != nil {
+		return nil, err
+	}
+	if err := c.stream(); err != nil {
+		return nil, err
+	}
+	if p.crash && ctx.Err() == nil {
+		if err := c.crashAndReplay(); err != nil {
+			return nil, err
+		}
+	}
+	c.census()
+	return c.rep, ctx.Err()
+}
 
-	cli := client.New(client.Config{
-		BaseURL:   baseURL,
-		BaseDelay: 2 * time.Millisecond,
-		MaxDelay:  50 * time.Millisecond,
-		Budget:    2 * time.Second,
-	})
+// arm builds node idx's fault registry and keeps it for the census.
+func (c *campaign) arm(idx int) *faultpoint.Registry {
+	reg := c.p.arm(c.cfg.Seed^int64(idx), c.rng, c.cfg.FaultProb)
+	c.regs = append(c.regs, reg)
+	return reg
+}
 
-	pool := workloads()
+// stream issues the request stream, firing the outage schedule's kill
+// and restart at their marks.
+func (c *campaign) stream() error {
+	var victim *node
+	if c.p.outage {
+		victim = c.nodes[c.rng.Intn(len(c.nodes))]
+	}
+	killAt, restartAt := c.cfg.Requests/3, 2*c.cfg.Requests/3
 	start := time.Now()
-	for i := 0; i < cfg.Requests; i++ {
-		if ctx.Err() != nil {
+	for i := 0; i < c.cfg.Requests; i++ {
+		if c.ctx.Err() != nil {
 			break
 		}
-		if cfg.Deadline > 0 && time.Since(start) > cfg.Deadline {
+		if c.cfg.Deadline > 0 && time.Since(start) > c.cfg.Deadline {
 			break
 		}
-		wl, req := randRequest(rng, pool)
-		rep.Requests++
-
-		var v *service.JobView
-		if rng.Intn(4) == 0 {
-			v, err = cli.MapWait(ctx, &req, 5*time.Millisecond)
-		} else {
-			v, err = cli.Map(ctx, &req)
+		// >= not ==: a burst can jump the loop index past the exact mark.
+		if victim != nil && c.rep.Kills == 0 && i >= killAt {
+			victim.kill()
+			c.rep.Kills++
+			c.sweep(-1000)
 		}
-		if err != nil {
-			if ctx.Err() != nil {
-				break
+		if victim != nil && c.rep.Restarts == 0 && i >= restartAt {
+			if err := c.restart(victim, true); err != nil {
+				return err
 			}
-			// Rejections (429/503, exhausted retries, injected decode
-			// errors surfacing as 400s) are designed outcomes.
-			rep.Rejected++
+			c.sweep(-2000)
+		}
+
+		wl, req := randRequest(c.rng, c.pool)
+		if c.p.outage && c.rng.Intn(8) == 0 {
+			// Identical-submission burst: the coalescing workload. The
+			// riders share a key, so the router sends them to one replica,
+			// whose in-flight table can collapse them into one DP run.
+			burst := 2 + c.rng.Intn(3)
+			if rem := c.cfg.Requests - i; burst > rem {
+				burst = rem
+			}
+			var wg sync.WaitGroup
+			for b := 0; b < burst; b++ {
+				c.rep.Requests++
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					v, err := c.cli.Map(c.ctx, &req)
+					c.classify(i, wl, &req, v, err)
+				}(i + b)
+			}
+			i += burst - 1 // the loop's own increment covers the last rider
+			wg.Wait()
+			continue
+		}
+		c.rep.Requests++
+		var v *service.JobView
+		var err error
+		if c.p.mix && c.rng.Intn(4) == 0 {
+			v, err = c.cli.MapWait(c.ctx, &req, 5*time.Millisecond)
+		} else {
+			v, err = c.cli.Map(c.ctx, &req)
+		}
+		if err != nil && c.ctx.Err() != nil {
+			break
+		}
+		if c.classify(i, wl, &req, v, err) && c.p.crash {
+			b, err := service.EncodeJSON(v.Result)
+			if err != nil {
+				return err
+			}
+			c.saved = append(c.saved, savedResponse{wl: wl, req: req, bytes: string(b)})
+		}
+	}
+	return nil
+}
+
+// classify folds one submission outcome into the report and reports
+// whether it was a verified done response. A done response must pass
+// verifyDone (and, on every seventh request of a mixed stream, the
+// explain cross-check — gated on the index, not the rng, so a seed's
+// draw positions stay fixed). A failure must be explained by an
+// injected fault; under the crash schedule the armed faults never touch
+// the mapping path, so every failure and rejection is a violation.
+func (c *campaign) classify(i int, wl workload, req *service.MapRequest, v *service.JobView, err error) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	label := fmt.Sprintf("request %d (%s/%s)", i, wl.label, req.Algorithm)
+	if err != nil {
+		if c.p.crash {
+			c.violate("%s: %v", label, err)
+			return false
+		}
+		// Rejections (429/503, exhausted retries, injected decode errors
+		// surfacing as 400s) are designed outcomes.
+		c.rep.Rejected++
+		return false
+	}
+	switch v.State {
+	case service.JobDone:
+		msg := verifyDone(req, wl, v, c.cfg.SimCycles, c.cfg.Seed^int64(i))
+		if msg == "" && c.p.mix && i%7 == 3 {
+			msg = checkExplain(c.ctx, c.cli, v)
+		}
+		if msg != "" {
+			c.violate("%s: %s", label, msg)
+			return false
+		}
+		c.rep.Done++
+		if v.Result.Degraded {
+			c.rep.Degraded++
+		}
+		return true
+	case service.JobFailed, service.JobCanceled:
+		if c.p.crash || !injectedFailure(v.Error) {
+			c.violate("%s: organic failure %q", label, v.Error)
+			return false
+		}
+		c.rep.FailedInjected++
+	default:
+		c.violate("request %d: non-terminal state %s from a synchronous call", i, v.State)
+	}
+	return false
+}
+
+func (c *campaign) violate(format string, args ...any) {
+	c.rep.Violations = append(c.rep.Violations, fmt.Sprintf(format, args...))
+}
+
+// sweep issues one fixed default-options submission per workload ×
+// algorithm. Run once while the victim is down and once after its
+// restart, it exercises the shared cache tier deterministically: keys
+// whose ring primary is the victim are computed by a sibling during the
+// outage, so the restarted victim must answer the repeat from the
+// sibling's cache — a peer hit — instead of remapping.
+func (c *campaign) sweep(tag int) {
+	for wi, wl := range c.pool {
+		for ai, algo := range algos {
+			req := wl.req
+			req.Algorithm = algo
+			c.rep.Requests++
+			v, err := c.cli.Map(c.ctx, &req)
+			c.classify(tag+wi*len(algos)+ai, wl, &req, v, err)
+		}
+	}
+}
+
+// restart brings a killed node back over its surviving state dir, armed
+// with a fresh registry or disarmed, and checks the recovery contract:
+// the node comes back warm from its journal and durable store, and every
+// job it re-admitted converges under its original id.
+func (c *campaign) restart(n *node, armed bool) error {
+	n.cfg.Faults = nil
+	if armed {
+		n.cfg.Faults = c.arm(n.idx)
+	}
+	if err := n.restart(); err != nil {
+		return err
+	}
+	c.rep.Restarts++
+	if c.rt != nil {
+		// Wait for the prober to readmit the restarted replica: until
+		// then the router prefers its warm siblings and the next sweep
+		// would never reach it.
+		readmit := time.Now().Add(5 * time.Second)
+		for c.rt.ReadyReplicas() < len(c.nodes) && time.Now().Before(readmit) {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	c.rep.Recovered = n.svc.Counter("jobs_recovered")
+	c.rep.Readmitted = n.svc.Counter("jobs_readmitted")
+	c.rep.WarmHits = n.svc.Counter("store_hits")
+	if c.rep.Done > 0 && c.rep.WarmHits == 0 {
+		c.violate("restarted node %d came back cold: no durable-store hits during journal recovery", n.idx)
+	}
+	c.verifyReadmitted(n)
+	return nil
+}
+
+// verifyReadmitted checks every job the restarted node re-admitted from
+// its journal: each must reach a terminal state under its original id (a
+// restart must never 404 a poller), and a completed re-admission must
+// byte-compare against a clean re-derivation like any live response. A
+// failure is legitimate only when the re-admission path itself (queue
+// full on boot) or, on a node restarted armed, an injected fault
+// explains it.
+func (c *campaign) verifyReadmitted(n *node) {
+	armed := n.cfg.Faults != nil
+	for id, req := range n.svc.RecoveredJobs() {
+		wl, ok := workloadFromRequest(req)
+		if !ok {
+			c.violate("readmitted %s: journaled request matches no campaign workload", id)
+			continue
+		}
+		label := fmt.Sprintf("readmitted %s (%s/%s)", id, wl.label, req.Algorithm)
+		v, err := pollJob(c.ctx, n.url(), id, 10*time.Second)
+		if err != nil {
+			c.violate("%s: %v", label, err)
 			continue
 		}
 		switch v.State {
 		case service.JobDone:
-			if msg := verifyDone(&req, wl, v, cfg.SimCycles, cfg.Seed^int64(i)); msg != "" {
-				rep.Violations = append(rep.Violations, fmt.Sprintf("request %d (%s/%s): %s", i, wl.label, req.Algorithm, msg))
-				continue
-			}
-			// Periodically cross-check the explain endpoint against the
-			// attribution already delivered on the view. Gated on the loop
-			// index, not the rng, so the request stream's draw positions
-			// stay identical for a given seed.
-			if i%7 == 3 {
-				if msg := checkExplain(ctx, cli, v); msg != "" {
-					rep.Violations = append(rep.Violations, fmt.Sprintf("request %d (%s/%s): %s", i, wl.label, req.Algorithm, msg))
-					continue
-				}
-			}
-			rep.Done++
-			if v.Result.Degraded {
-				rep.Degraded++
+			if msg := verifyDone(req, wl, v, c.cfg.SimCycles, c.cfg.Seed); msg != "" {
+				c.violate("%s: %s", label, msg)
 			}
 		case service.JobFailed, service.JobCanceled:
-			// Every failure must be explained by an injected fault: the
-			// workload circuits and options are all valid.
-			if !injectedFailure(v.Error) {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("request %d (%s/%s): organic failure %q", i, wl.label, req.Algorithm, v.Error))
-				continue
+			if !strings.Contains(v.Error, "not re-admitted") && !(armed && injectedFailure(v.Error)) {
+				c.violate("%s: organic failure %q", label, v.Error)
 			}
-			rep.FailedInjected++
 		default:
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("request %d: non-terminal state %s from a synchronous call", i, v.State))
+			c.violate("readmitted %s: still %s after the poll deadline", id, v.State)
 		}
 	}
+}
 
-	// The daemon must have survived the whole campaign.
-	resp, err := http.Get(baseURL + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		rep.Violations = append(rep.Violations, fmt.Sprintf("healthz after campaign: %v (err %v)", resp, err))
+// crashAndReplay is the crash schedule: launch an async batch, crash
+// the node while it is in flight (its jobs reach the journal as
+// accepted/running but mostly never terminal), restart it disarmed over
+// the same dir, and replay every saved request. Whether an answer comes
+// from the recovered store, the warmed memory cache or a fresh mapping
+// run, its bytes must be identical — a quarantined tear may cost a
+// recompute, never a different answer.
+func (c *campaign) crashAndReplay() error {
+	n := c.nodes[0]
+	var wg sync.WaitGroup
+	for i := 0; i < pendingAtCrash; i++ {
+		_, req := randRequest(c.rng, c.pool)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.cli.Map(c.ctx, &req) // outcome irrelevant: the crash cuts it down
+		}()
 	}
-	if resp != nil {
-		resp.Body.Close()
+	time.Sleep(10 * time.Millisecond) // let the batch reach the queue
+	n.kill()
+	c.rep.Kills++
+	wg.Wait()
+	if err := c.restart(n, false); err != nil {
+		return err
 	}
-	rep.FaultsFired = reg.Fired()
-	return rep, nil
+	for i, s := range c.saved {
+		label := fmt.Sprintf("replay %d (%s/%s)", i, s.wl.label, s.req.Algorithm)
+		v, err := c.cli.Map(c.ctx, &s.req)
+		if err != nil {
+			c.violate("%s: %v", label, err)
+			continue
+		}
+		if v.State != service.JobDone {
+			c.violate("%s: state %s (%s)", label, v.State, v.Error)
+			continue
+		}
+		b, err := service.EncodeJSON(v.Result)
+		if err != nil {
+			return err
+		}
+		if string(b) != s.bytes {
+			c.violate("%s: bytes drifted across the crash (silent corruption)", label)
+			continue
+		}
+		c.rep.Replayed++
+	}
+	return nil
+}
+
+// census closes the report: the router and every live node must have
+// survived the campaign, their counters are summed, and the fault census
+// is totalled over every registry armed.
+func (c *campaign) census() {
+	if c.rt != nil {
+		c.checkHealth(c.url, "router")
+		c.rep.Failovers = c.rt.Counter("routed_failovers")
+	}
+	for _, n := range c.nodes {
+		if !n.alive() {
+			continue
+		}
+		c.checkHealth(n.url(), fmt.Sprintf("node %d", n.idx))
+		c.rep.Coalesced += n.svc.Counter("jobs_coalesced")
+		c.rep.PeerHits += n.svc.Counter("cluster_cache_peer_hits")
+		c.rep.StoreCorrupt += n.svc.Counter("store_corrupt")
+	}
+	fired := make(map[string]int64)
+	for _, reg := range c.regs {
+		for name, n := range reg.Fired() {
+			fired[name] += n
+		}
+	}
+	c.rep.FaultsFired = fired
+	c.rep.TornInjected = fired[store.PointWriteTorn] + fired[store.PointJournalPartial] + fired[store.PointFsyncFail]
 }
 
 // armFaults builds a registry with every defined fault point armed.
 // Kinds rotate pseudo-randomly over the non-Flip behaviours: Flip faults
 // would silently change mapping results, which is exactly what the
 // byte-compare oracle forbids (Flip has its own targeted tests in
-// internal/mapper). Shared by the single-node and multi-node campaigns.
-func armFaults(seed int64, rng *rand.Rand, faultProb float64, latency time.Duration) *faultpoint.Registry {
+// internal/mapper).
+func armFaults(seed int64, rng *rand.Rand, prob float64) *faultpoint.Registry {
 	reg := faultpoint.New(seed ^ 0x5eed)
 	kinds := []faultpoint.Kind{faultpoint.Error, faultpoint.Panic, faultpoint.Latency, faultpoint.Cancel}
 	for _, pt := range faultpoint.Points() {
-		prob := faultProb
+		p := prob
 		if pt.Name == mapper.PointCombine {
 			// The combine point rolls once per DP node — hundreds of
 			// rolls per job — so an unscaled probability would fail
 			// essentially every job and verify nothing. Scale it so a
 			// whole job's survival odds stay comparable to the
 			// once-per-job points.
-			prob /= 50
+			p /= 50
 		}
 		reg.Arm(pt.Name, faultpoint.Fault{
 			Kind:    kinds[rng.Intn(len(kinds))],
-			Prob:    prob,
-			Latency: latency,
+			Prob:    p,
+			Latency: faultLatency,
 		})
 	}
 	// The durable store's tear points are the exception to the no-Flip
@@ -300,205 +625,20 @@ func armFaults(seed int64, rng *rand.Rand, faultProb float64, latency time.Durat
 	// already served, so the byte-compare oracle stays sound while the
 	// boot fsck and read path are forced to detect and quarantine real
 	// torn records. They are consulted with Flip(), so the rotating
-	// non-Flip kinds armed above would leave them inert. On a server
-	// without a state dir (the single-node campaign) they stay inert.
-	reg.Arm(store.PointWriteTorn, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 4 * faultProb})
-	reg.Arm(store.PointJournalPartial, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 2 * faultProb})
+	// non-Flip kinds armed above would leave them inert. On a node
+	// without a state dir they stay inert.
+	reg.Arm(store.PointWriteTorn, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 4 * prob})
+	reg.Arm(store.PointJournalPartial, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 2 * prob})
 	return reg
 }
 
-// workloadFromRequest resolves a journaled request back to its campaign
-// workload so a re-admitted job's response can be re-derived and
-// byte-compared like any other. Every campaign request is drawn from
-// workloads(), so the lookup is total for journal records we wrote.
-func workloadFromRequest(req *service.MapRequest) (workload, bool) {
-	for _, wl := range workloads() {
-		if wl.req.Circuit == req.Circuit && wl.req.BLIF == req.BLIF {
-			return wl, true
-		}
-	}
-	return workload{}, false
-}
-
-// randRequest draws one submission from the workload pool with
-// randomized algorithm and options.
-func randRequest(rng *rand.Rand, pool []workload) (workload, service.MapRequest) {
-	wl := pool[rng.Intn(len(pool))]
-	req := wl.req
-	req.Algorithm = algos[rng.Intn(len(algos))]
-	opts := service.RequestOptions{ClockWeight: 1 + rng.Intn(2)}
-	if rng.Intn(3) == 0 {
-		opts.Pareto = true
-		if rng.Intn(2) == 0 {
-			opts.TupleBudget = 8 // tiny: forces the degradation path
-		}
-	}
-	if rng.Intn(4) == 0 {
-		opts.AlwaysFooted = true
-	}
-	if rng.Intn(4) == 0 {
-		opts.SequenceAware = true
-	}
-	// Strash-off submissions exercise the opt-out path and key split
-	// under chaos. Drawn last so earlier option draws keep their stream
-	// positions within a request.
-	if rng.Intn(4) == 0 {
-		opts.StrashOff = true
-	}
-	req.Options = &opts
-	return wl, req
-}
-
-// checkExplain cross-checks GET /v1/jobs/{id}/explain against the
-// attribution already delivered on the job view: both read the same
-// record, so any disagreement is a bookkeeping bug.
-func checkExplain(ctx context.Context, cli *client.Client, v *service.JobView) string {
-	ev, err := cli.Explain(ctx, v.ID)
-	if err != nil {
-		return "explain fetch failed: " + err.Error()
-	}
-	if ev.ID != v.ID || ev.State != v.State {
-		return fmt.Sprintf("explain identity mismatch: got %s/%s, want %s/%s",
-			ev.ID, ev.State, v.ID, v.State)
-	}
-	a, b := v.Attribution, ev.Attribution
-	if b == nil {
-		return "explain response without an attribution record"
-	}
-	if a.CacheTier != b.CacheTier || a.WallMS != b.WallMS || a.QueueWaitMS != b.QueueWaitMS {
-		return fmt.Sprintf("explain disagrees with the job view: tier %s/%.3f/%.3f vs %s/%.3f/%.3f",
-			b.CacheTier, b.QueueWaitMS, b.WallMS, a.CacheTier, a.QueueWaitMS, a.WallMS)
-	}
-	return ""
-}
-
-// injectedFailure reports whether a job error message is attributable to
-// the fault schedule: injected errors and panics name their fault point;
-// cancellations and deadlines can be caused by Cancel and Latency kinds.
-func injectedFailure(msg string) bool {
-	for _, marker := range []string{"faultpoint", "injected panic", "injected fault",
-		context.Canceled.Error(), context.DeadlineExceeded.Error()} {
-		if strings.Contains(msg, marker) {
-			return true
-		}
-	}
-	return false
-}
-
-// verifyAttribution checks the attribution record attached to a done
-// response for internal consistency with the job view it rides on: the
-// claimed cache tier must agree with the view's cached/coalesced flags,
-// times must be non-negative, and a mapped run's per-phase times must be
-// present and nest inside its wall time. Attribution is an observability
-// surface — it must never disagree with the job's actual outcome.
-func verifyAttribution(v *service.JobView) string {
-	a := v.Attribution
-	if a == nil {
-		return "done response without an attribution record"
-	}
-	switch {
-	case v.Coalesced:
-		if a.CacheTier != service.TierCoalesced {
-			return fmt.Sprintf("coalesced response attributed to tier %q", a.CacheTier)
-		}
-	case v.Cached:
-		if a.CacheTier != service.TierLocal && a.CacheTier != service.TierPeer &&
-			a.CacheTier != service.TierStore {
-			return fmt.Sprintf("cached response attributed to tier %q", a.CacheTier)
-		}
-	default:
-		if a.CacheTier != service.TierMiss {
-			return fmt.Sprintf("mapped response attributed to tier %q", a.CacheTier)
-		}
-	}
-	if a.QueueWaitMS < 0 || a.WallMS < 0 {
-		return fmt.Sprintf("negative attribution times (queue %.3fms, wall %.3fms)",
-			a.QueueWaitMS, a.WallMS)
-	}
-	if a.CacheTier == service.TierMiss {
-		if len(a.PhasesMS) == 0 {
-			return "mapped response without per-phase times"
-		}
-		var sum float64
-		for name, phaseMS := range a.PhasesMS {
-			if phaseMS < 0 {
-				return fmt.Sprintf("negative phase time for %s", name)
-			}
-			sum += phaseMS
-		}
-		// Phases are nested inside the run wall; both are measured with
-		// separate clock reads, so allow scheduling-jitter headroom.
-		if sum > a.WallMS*1.1+1 {
-			return fmt.Sprintf("phase times sum to %.3fms, exceeding run wall %.3fms", sum, a.WallMS)
-		}
-	}
-	return ""
-}
-
-// verifyDone checks one JobDone response against a clean local re-run:
-// the service's bytes must match the fault-free computation exactly, and
-// the clean result must pass the full fuzz oracle battery (audit,
-// equivalence, discharge prediction, netlist audit + cross-check, soisim
-// with no PBE corruption). Mapping is deterministic, so any divergence
-// is a silent corruption. Returns "" on success.
-func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCycles int, seed int64) string {
-	if v.Result == nil {
-		return "done response without a result"
-	}
-	if msg := verifyAttribution(v); msg != "" {
-		return msg
-	}
-	algo, err := report.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		return "algorithm did not resolve: " + err.Error()
-	}
-	opt, err := service.OptionsFromRequest(req.Options)
-	if err != nil {
-		return "options did not resolve: " + err.Error()
-	}
-	src, err := wl.build()
-	if err != nil {
-		return "workload rebuild failed: " + err.Error()
-	}
-	ctx := context.Background()
-	// The clean pipeline must mirror the request's strash mode: a
-	// strash-off submission byte-compared against a strash-on re-run
-	// would flag a designed difference as corruption.
-	pipe, err := report.PrepareNetworkMode(ctx, src, opt.StrashOff)
-	if err != nil {
-		return "clean pipeline failed: " + err.Error()
-	}
-	res, err := pipe.Map(ctx, algo, opt, false)
-	if err != nil {
-		return "clean mapping failed: " + err.Error()
-	}
-
-	// Byte-compare: the served result against the clean computation.
-	want, err := service.EncodeJSON(service.NewMapResult(wl.label, pipe, res))
-	if err != nil {
-		return "encode clean: " + err.Error()
-	}
-	got, err := service.EncodeJSON(v.Result)
-	if err != nil {
-		return "encode served: " + err.Error()
-	}
-	if string(want) != string(got) {
-		return "served result differs from the clean fault-free run (silent corruption)"
-	}
-
-	// Full oracle battery over the clean (byte-identical) result.
-	fcfg := fuzz.DefaultConfig()
-	fcfg.SimCycles = simCycles
-	c := &fuzz.Case{Seed: seed, Cfg: &fcfg, Net: src, Pipe: pipe}
-	vr := &fuzz.VariantResult{
-		Variant: fuzz.Variant{Name: algo.Key(), Algo: algo, Opt: opt},
-		Res:     res,
-	}
-	c.Variants = []*fuzz.VariantResult{vr}
-	for _, o := range fuzz.DefaultOracles() {
-		if err := o.Check(c, vr); err != nil && !errors.Is(err, context.Canceled) {
-			return fmt.Sprintf("oracle %s: %v", o.Name, err)
-		}
-	}
-	return ""
+// armDurable arms only the durable tier's points — tears and fsync
+// failures, faults that corrupt disk, never served bytes — so every
+// submission completes and its bytes can anchor the replay compare.
+func armDurable(seed int64, _ *rand.Rand, prob float64) *faultpoint.Registry {
+	reg := faultpoint.New(seed ^ 0x7e47)
+	reg.Arm(store.PointWriteTorn, faultpoint.Fault{Kind: faultpoint.Flip, Prob: prob})
+	reg.Arm(store.PointJournalPartial, faultpoint.Fault{Kind: faultpoint.Flip, Prob: prob / 2})
+	reg.Arm(store.PointFsyncFail, faultpoint.Fault{Kind: faultpoint.Error, Prob: prob / 2})
+	return reg
 }

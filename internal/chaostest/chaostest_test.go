@@ -11,6 +11,7 @@ import (
 // silent corruptions.
 func TestCampaignFindsNoCorruption(t *testing.T) {
 	rep, err := Run(context.Background(), Config{
+		Campaign:  Single,
 		Seed:      1,
 		Requests:  30,
 		SimCycles: 2,
@@ -42,6 +43,7 @@ func TestCampaignFindsNoCorruption(t *testing.T) {
 func TestCampaignReplayable(t *testing.T) {
 	run := func() *Report {
 		rep, err := Run(context.Background(), Config{
+			Campaign:  Single,
 			Seed:      7,
 			Requests:  20,
 			Workers:   1,
@@ -64,22 +66,34 @@ func TestCampaignReplayable(t *testing.T) {
 	}
 }
 
-// TestCampaignHonorsDeadline: the wall-clock bound stops the request
-// loop without failing the campaign.
+// TestCampaignHonorsDeadline: the wall-clock bound stops every preset's
+// request loop without failing the campaign, and every preset reports
+// its fault census. FaultProb is raised above the Cluster default (0.02)
+// so a census over a few dozen requests cannot come back empty by chance.
 func TestCampaignHonorsDeadline(t *testing.T) {
-	rep, err := Run(context.Background(), Config{
-		Seed:      3,
-		Requests:  100000,
-		Deadline:  300 * time.Millisecond,
-		SimCycles: -1, // pure throughput; oracles are covered above
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests >= 100000 {
-		t.Errorf("deadline did not bound the campaign (%d requests)", rep.Requests)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("violation: %s", v)
+	for _, campaign := range []Campaign{Single, Cluster, Persist} {
+		t.Run(string(campaign), func(t *testing.T) {
+			rep, err := Run(context.Background(), Config{
+				Campaign:  campaign,
+				Seed:      3,
+				Requests:  100000,
+				Deadline:  300 * time.Millisecond,
+				FaultProb: 0.2,
+				SimCycles: -1, // pure throughput; oracles are covered above
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Log(rep)
+			if rep.Requests >= 100000 {
+				t.Errorf("deadline did not bound the campaign (%d requests)", rep.Requests)
+			}
+			if totalFired(rep.FaultsFired) == 0 {
+				t.Errorf("empty fault census %v", rep.FaultsFired)
+			}
+			for _, v := range rep.Violations {
+				t.Errorf("violation: %s", v)
+			}
+		})
 	}
 }

@@ -12,7 +12,8 @@ import (
 // cache tier and the replicas' coalescing — with zero non-injected
 // failures.
 func TestClusterCampaignSurvivesKillRestart(t *testing.T) {
-	rep, err := RunCluster(context.Background(), ClusterConfig{
+	rep, err := Run(context.Background(), Config{
+		Campaign:  Cluster,
 		Seed:      11,
 		Requests:  60,
 		SimCycles: 2,
@@ -48,7 +49,8 @@ func TestClusterCampaignSurvivesKillRestart(t *testing.T) {
 // a vanishingly small one) and a burst-heavy stream, the replicas'
 // in-flight tables must observably collapse identical submissions.
 func TestClusterCampaignCoalesces(t *testing.T) {
-	rep, err := RunCluster(context.Background(), ClusterConfig{
+	rep, err := Run(context.Background(), Config{
+		Campaign:  Cluster,
 		Seed:      5,
 		Requests:  80,
 		FaultProb: 1e-9,

@@ -2,7 +2,10 @@ package chaostest
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestPersistSmoke is the in-tree crash-persistence smoke (also run as
@@ -13,7 +16,8 @@ import (
 // their original ids, injected tears must be quarantined, and every
 // replayed request must return byte-identical results.
 func TestPersistSmoke(t *testing.T) {
-	rep, err := RunPersist(context.Background(), PersistConfig{
+	rep, err := Run(context.Background(), Config{
+		Campaign:  Persist,
 		Seed:      1,
 		SimCycles: 2,
 	})
@@ -35,5 +39,30 @@ func TestPersistSmoke(t *testing.T) {
 	}
 	if rep.Recovered+rep.Readmitted == 0 {
 		t.Error("journal recovery neither re-served nor re-admitted any job")
+	}
+}
+
+// TestPersistCancelStopsEveryNode: a persist campaign canceled
+// mid-stream returns the cancellation and stops its node on the way out
+// — no server, worker or connection goroutine outlives Run.
+func TestPersistCancelStopsEveryNode(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := time.AfterFunc(300*time.Millisecond, cancel)
+	defer stop.Stop()
+	rep, err := Run(ctx, Config{Campaign: Persist, Seed: 1, Requests: 100000, SimCycles: -1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rep == nil || rep.Requests == 0 || rep.Requests >= 100000 {
+		t.Fatalf("cancel did not land mid-stream: %v", rep)
+	}
+	settle := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(settle) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines after the campaign, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -33,6 +33,10 @@ type Pipeline struct {
 	Unate  *logic.Network
 	// Duplicated reports the unate conversion's logic duplication.
 	Duplicated int
+	// OrigStats and UnateStats summarize Orig and Unate, computed once at
+	// prepare: nothing mutates either network afterwards, and every
+	// encoded result of the pipeline reports them.
+	OrigStats, UnateStats logic.Stats
 }
 
 // Prepare builds the named benchmark and runs it to unate form.
@@ -115,6 +119,8 @@ func PrepareStrashed(ctx context.Context, n *logic.Network, sr *strash.Result) (
 		Strash:     sr,
 		Unate:      u.Network,
 		Duplicated: u.DuplicatedNodes,
+		OrigStats:  n.Stats(),
+		UnateStats: u.Network.Stats(),
 	}, nil
 }
 

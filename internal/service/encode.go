@@ -107,8 +107,7 @@ type CompoundJSON struct {
 // encoding. The circuit argument names the submission (benchmark name or
 // file stem); it may differ from the network's own name.
 func NewMapResult(circuit string, p *report.Pipeline, res *mapper.Result) *MapResult {
-	srcStats := p.Orig.Stats()
-	unateStats := p.Unate.Stats()
+	srcStats, unateStats := p.OrigStats, p.UnateStats
 	r := &MapResult{
 		Circuit:   circuit,
 		Algorithm: res.Algorithm,
