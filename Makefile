@@ -65,9 +65,10 @@ strash-determinism:
 	$(GO) test -race -run 'Test(Strash|KeyFaithfulness|POOrder)' -v .
 	$(GO) test -race -v ./internal/strash
 
-# ~40s: a short differential campaign over the full mapper/option grid,
-# then the native parser fuzzers and the result encoder's fuzzer
-# (EncodeJSON against json.MarshalIndent). A longer run is `go run
+# ~50s: a short differential campaign over the full mapper/option grid,
+# then the native parser fuzzers, the result encoder's fuzzer
+# (EncodeJSON against json.MarshalIndent) and the router relay's
+# (RelayView against decode, rewrite id, json.Encoder). A longer run is `go run
 # ./cmd/soifuzz -n 2000`; see the "Fuzzing the mappers" section of
 # README.md.
 fuzz-smoke:
@@ -75,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseBLIF -fuzztime=10s -run=^$$ ./internal/blif
 	$(GO) test -fuzz=FuzzParseBench -fuzztime=10s -run=^$$ ./internal/benchfmt
 	$(GO) test -fuzz=FuzzEncodeJSON -fuzztime=10s -run=^$$ ./internal/service
+	$(GO) test -fuzz=FuzzRelayView -fuzztime=10s -run=^$$ ./internal/service
 
 # ~30s: a seeded chaos campaign against an in-process soimapd — every
 # fault point armed, every successful response re-verified by the fuzz

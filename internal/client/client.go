@@ -135,6 +135,37 @@ func (c *Client) Job(ctx context.Context, id string) (*service.JobView, error) {
 	return c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
 }
 
+// Raw is a 2xx answer kept as the server wrote it: its status and body
+// bytes, undecoded.
+type Raw struct {
+	Status int
+	Body   []byte
+}
+
+// MapRaw submits req like Map, forwarding key — the submission's cache
+// key, as service.RequestKey derived it — in the service.KeyHeader
+// header, and returns the answer undecoded. soirouter routes with it.
+func (c *Client) MapRaw(ctx context.Context, req *service.MapRequest, key string) (*Raw, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	var raw Raw
+	if err := c.do(ctx, http.MethodPost, "/v1/map", key, body, &raw); err != nil {
+		return nil, err
+	}
+	return &raw, nil
+}
+
+// JobRaw fetches one job's current view undecoded.
+func (c *Client) JobRaw(ctx context.Context, id string) (*Raw, error) {
+	var raw Raw
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, "", nil, &raw); err != nil {
+		return nil, err
+	}
+	return &raw, nil
+}
+
 // MapWait submits asynchronously and polls until the job reaches a
 // terminal state, honoring ctx. poll <= 0 selects 50ms.
 func (c *Client) MapWait(ctx context.Context, req *service.MapRequest, poll time.Duration) (*service.JobView, error) {
@@ -166,7 +197,7 @@ func terminal(s service.JobState) bool {
 // (GET /v1/jobs/{id}/explain).
 func (c *Client) Explain(ctx context.Context, id string) (*service.ExplainView, error) {
 	var ev service.ExplainView
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/explain", nil, &ev); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/explain", "", nil, &ev); err != nil {
 		return nil, err
 	}
 	return &ev, nil
@@ -177,7 +208,7 @@ func (c *Client) Explain(ctx context.Context, id string) (*service.ExplainView, 
 // it to stitch a fleet-wide trace from every replica's spans.
 func (c *Client) TraceSpans(ctx context.Context, traceID string) ([]obs.Span, error) {
 	var spans []obs.Span
-	if err := c.do(ctx, http.MethodGet, "/v1/traces/"+traceID+"?raw=1", nil, &spans); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/traces/"+traceID+"?raw=1", "", nil, &spans); err != nil {
 		return nil, err
 	}
 	return spans, nil
@@ -187,7 +218,7 @@ func (c *Client) TraceSpans(ctx context.Context, traceID string) ([]obs.Span, er
 // trace-event JSON (GET /v1/traces/{id}).
 func (c *Client) Trace(ctx context.Context, traceID string) ([]byte, error) {
 	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/traces/"+traceID, nil, &raw); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/traces/"+traceID, "", nil, &raw); err != nil {
 		return nil, err
 	}
 	return raw, nil
@@ -196,15 +227,15 @@ func (c *Client) Trace(ctx context.Context, traceID string) ([]byte, error) {
 // doJSON runs one job-view call through the retry loop.
 func (c *Client) doJSON(ctx context.Context, method, path string, body []byte) (*service.JobView, error) {
 	var v service.JobView
-	if err := c.do(ctx, method, path, body, &v); err != nil {
+	if err := c.do(ctx, method, path, "", body, &v); err != nil {
 		return nil, err
 	}
 	return &v, nil
 }
 
 // do runs one logical call through the retry loop, decoding the 2xx
-// response into out.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// response into out. A non-empty key is sent in service.KeyHeader.
+func (c *Client) do(ctx context.Context, method, path, key string, body []byte, out any) error {
 	var lastErr error
 	var slept time.Duration
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -225,7 +256,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			}
 			slept += d
 		}
-		err := c.once(ctx, method, path, body, out)
+		err := c.once(ctx, method, path, key, body, out)
 		if err == nil {
 			return nil
 		}
@@ -255,12 +286,17 @@ func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 	return d
 }
 
-// once performs a single HTTP attempt, decoding a 2xx body into out.
-// The context's request id and trace context propagate as X-Request-ID
+// maxPresize caps the buffer a raw read allocates up front from the
+// answer's declared Content-Length; a longer body still reads whole.
+const maxPresize = 64 << 20
+
+// once performs a single HTTP attempt, decoding a 2xx body into out —
+// or, when out is a *Raw, keeping the status and body bytes. The
+// context's request id and trace context propagate as X-Request-ID
 // and traceparent headers, so the server joins the caller's trace and
 // log story (identifiers only — they never influence the request body,
 // and therefore never the cache or routing key).
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
+func (c *Client) once(ctx context.Context, method, path, key string, body []byte, out any) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -271,6 +307,9 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if key != "" {
+		req.Header.Set(service.KeyHeader, key)
 	}
 	if id := obs.RequestID(ctx); id != "" {
 		req.Header.Set("X-Request-ID", id)
@@ -295,6 +334,17 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
 		}
 		return apiErr
+	}
+	if raw, ok := out.(*Raw); ok {
+		var buf bytes.Buffer
+		if n := resp.ContentLength; n > 0 && n <= maxPresize {
+			buf.Grow(int(n) + bytes.MinRead) // room for the read that sees EOF
+		}
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			return fmt.Errorf("read response: %w", err)
+		}
+		raw.Status, raw.Body = resp.StatusCode, buf.Bytes()
+		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("decode response: %w", err)

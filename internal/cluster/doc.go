@@ -15,9 +15,11 @@
 //     the replicas' own decoder (service.DecodeRequest), computes the
 //     routing key with service.RequestKey, routes to the
 //     ReplicationFactor preferred replicas with failover (then to the
-//     remaining replicas as a last resort), and namespaces job ids as
-//     "<replica>.<id>" so GET /v1/jobs/{id} polls the replica that owns
-//     the job. A background prober watches each replica's /readyz — a
+//     remaining replicas as a last resort), forwarding the key in
+//     service.KeyHeader so a replica hit neither parses nor strashes.
+//     It relays the replica's answer bytes, namespacing the job id as
+//     "<replica>.<id>" (service.RelayView) so GET /v1/jobs/{id} polls
+//     the replica that owns the job. A background prober watches each replica's /readyz — a
 //     draining replica drops out of rotation before its listener closes
 //     — and transport failures mark a replica unready passively between
 //     probes.

@@ -55,9 +55,13 @@ type Config struct {
 	// routed submission by forcing options.strash_off on the request
 	// itself before the routing key is computed — so the router's keys,
 	// the replicas' cache keys and the forwarded request all agree. It
-	// must match the replicas' own -strash-off setting: a strash-off
-	// router fronting strash-on replicas (or vice versa) would route a
-	// circuit to one shard while the replica caches it under another.
+	// must match the replicas' own -strash-off setting. A strash-off
+	// router fronting strash-on replicas still agrees with them, since
+	// the forwarded request carries strash_off; a strash-on router
+	// fronting strash-off replicas routes a circuit to one shard while
+	// the replica caches it under another. Each such submission is
+	// answered correctly, from the replica's own key, and counted in the
+	// replica's soimapd_key_mismatches_total.
 	StrashOff bool
 	// Logger receives routing decisions and failovers; nil disables.
 	Logger *slog.Logger
@@ -299,7 +303,8 @@ func (rt *Router) markUnready(rep *replica) {
 
 // handleMap routes one submission. It does not coalesce: identical
 // requests share a key, so the ring sends them to one replica, whose
-// in-flight table runs them once while each keeps its own job id.
+// in-flight table runs them once while each keeps its own job id. The
+// answer is the replica's, status and bytes, with only the id rewritten.
 //
 // Observability: the router adopts a well-formed incoming X-Request-ID
 // (or mints one) and forwards it to the replica, so both processes' log
@@ -354,7 +359,7 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	v, err := rt.route(r.Context(), key, req)
+	status, body, err := rt.route(r.Context(), key, req)
 	if err != nil {
 		rt.add("requests_failed", 1)
 		rootSpan.End(obs.KV{Key: "failed", Val: 1})
@@ -362,21 +367,17 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rootSpan.End()
-	// The replica's answer rule: an async submission is 202 whatever the
-	// state (a cache hit is already done); a sync one is 202 only if the
-	// job outlived the wait.
-	code := http.StatusOK
-	if req.Async || v.State == service.JobQueued || v.State == service.JobRunning {
-		code = http.StatusAccepted
-	}
-	rt.writeJSON(w, code, v)
+	relay(w, status, body)
 }
 
 // route tries the key's preference list in order: the ReplicationFactor
 // preferred replicas first (ready ones before passively-unreadied ones),
-// then every remaining replica as a last resort. The returned view's job
-// id is namespaced "<replica-index>.<id>".
-func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest) (*service.JobView, error) {
+// then every remaining replica as a last resort. Each attempt forwards
+// the key (service.KeyHeader), so a replica hit neither parses nor
+// strashes. It returns the answering replica's status and view bytes
+// with the job id namespaced "<replica-index>.<id>" (service.RelayView),
+// never decoded.
+func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest) (int, []byte, error) {
 	prefer := rt.ring.Prefer(key, len(rt.replicas))
 	primary, rest := prefer[:rt.cfg.ReplicationFactor], prefer[rt.cfg.ReplicationFactor:]
 	candidates := make([]*replica, 0, len(prefer))
@@ -404,24 +405,20 @@ func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest
 		// forwarded traceparent header, so the replica's spans nest under
 		// this attempt in the stitched trace.
 		actx, span := rt.hub.StartSpan(ctx, "router", "attempt "+rep.url)
-		v, err := rep.client.Map(actx, req)
+		raw, err := rep.client.MapRaw(actx, req, key)
+		var body []byte
+		var tier string
+		if err == nil {
+			body, tier, err = service.RelayView(raw.Body, strconv.Itoa(rep.idx)+".")
+		}
 		if err == nil {
 			span.End(obs.KV{Key: "failover", Val: int64(i)})
 			rt.addRouted(rep.url)
-			v.ID = strconv.Itoa(rep.idx) + "." + v.ID
-			if v.Attribution != nil {
-				rt.addTier(rep.url, v.Attribution.CacheTier)
-				if v.Attribution.Replica == "" {
-					v.Attribution.Replica = rep.url
-				}
-			}
-			if tcc := obs.TraceContextFrom(ctx); tcc.Sampled && v.TraceID == "" {
-				v.TraceID = tcc.TraceID
-			}
+			rt.addTier(rep.url, tier)
 			if rt.logger != nil && i > 0 {
 				rt.logger.Info("failover succeeded", "replica", rep.url, "attempts", i+1)
 			}
-			return v, nil
+			return raw.Status, body, nil
 		}
 		span.End(obs.KV{Key: "error", Val: 1})
 		rt.add("upstream_errors", 1)
@@ -430,22 +427,32 @@ func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest
 			// A definitive client error (4xx other than overload) would
 			// fail identically on every replica: surface it now.
 			if apiErr.Status < 500 && apiErr.Status != http.StatusTooManyRequests {
-				return nil, err
+				return 0, nil, err
 			}
 		} else if ctx.Err() == nil {
-			// Transport failure with a live request context: the replica,
-			// not the caller, is the problem.
+			// Transport failure (or an answer that is no job view) with a
+			// live request context: the replica, not the caller, is the
+			// problem.
 			rt.markUnready(rep)
 		}
 		if ctx.Err() != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		lastErr = err
 		if rt.logger != nil {
 			rt.logger.Warn("replica attempt failed", "replica", rep.url, "error", err)
 		}
 	}
-	return nil, fmt.Errorf("all %d replicas failed: %w", len(candidates), lastErr)
+	return 0, nil, fmt.Errorf("all %d replicas failed: %w", len(candidates), lastErr)
+}
+
+// relay answers with a replica's job view bytes as RelayView rewrote
+// them: the replica's status and indented layout, the router's job id.
+func relay(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // relayError answers a failed replica call: a replica's own API error
@@ -472,25 +479,29 @@ func (rt *Router) jobReplica(w http.ResponseWriter, r *http.Request) (*replica, 
 	return rt.replicas[n], id
 }
 
-// handleJob polls the replica encoded in the namespaced job id.
+// handleJob polls the replica encoded in the namespaced job id and
+// relays its view with the id rewritten back to the router's namespace.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	rep, id := rt.jobReplica(w, r)
 	if rep == nil {
 		return
 	}
-	v, err := rep.client.Job(r.Context(), id)
+	raw, err := rep.client.JobRaw(r.Context(), id)
 	if err != nil {
 		rt.relayError(w, err)
 		return
 	}
-	v.ID = r.PathValue("id")
-	rt.writeJSON(w, http.StatusOK, v)
+	body, _, err := service.RelayView(raw.Body, strconv.Itoa(rep.idx)+".")
+	if err != nil {
+		rt.relayError(w, err)
+		return
+	}
+	relay(w, raw.Status, body)
 }
 
 // handleExplain proxies the attribution endpoint to the replica encoded
 // in the namespaced job id, rewriting the id back to the router's
-// namespace and filling in the replica URL when the replica left its
-// identity blank.
+// namespace.
 func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 	rep, id := rt.jobReplica(w, r)
 	if rep == nil {
@@ -502,9 +513,6 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ev.ID = r.PathValue("id")
-	if ev.Attribution != nil && ev.Attribution.Replica == "" {
-		ev.Attribution.Replica = rep.url
-	}
 	rt.writeJSON(w, http.StatusOK, ev)
 }
 

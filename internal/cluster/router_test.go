@@ -194,10 +194,12 @@ func TestRouterConsistentRouting(t *testing.T) {
 // TestRouterPropagatesRequestIdentity: a forwarded submission carries
 // the caller's well-formed X-Request-ID and a traceparent under the
 // caller's trace id to the replica, and the response echoes the request
-// id and backfills the trace id on the job view.
+// id and carries the trace id the replica set on its job view.
 func TestRouterPropagatesRequestIdentity(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]string{}
+	svc := service.New(service.Config{Workers: 1})
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/map" {
 			mu.Lock()
@@ -205,8 +207,7 @@ func TestRouterPropagatesRequestIdentity(t *testing.T) {
 			seen["tp"] = r.Header.Get("traceparent")
 			mu.Unlock()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"id":"j1","state":"done","circuit":"mux","algorithm":"soi"}`)
+		svc.Handler().ServeHTTP(w, r)
 	}))
 	defer stub.Close()
 	_, ts := newRouterTS(t, Config{Replicas: []string{stub.URL}})
@@ -232,7 +233,7 @@ func TestRouterPropagatesRequestIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.TraceID != tc.TraceID {
-		t.Fatalf("job view trace id %q, want %q backfilled by the router", v.TraceID, tc.TraceID)
+		t.Fatalf("job view trace id %q, want %q set by the replica and relayed", v.TraceID, tc.TraceID)
 	}
 
 	mu.Lock()
@@ -490,5 +491,157 @@ func TestRouterProbeDrain(t *testing.T) {
 	waitReady(tsA.URL, false)
 	if rt.readyCount() < 1 {
 		t.Fatal("draining one replica must not unready the cluster")
+	}
+}
+
+// TestRouterRelaysReplicaBytes: whatever the replica answers — a miss, a
+// hit, an async 202, a coalesced ride, a canceled job, a poll — the
+// router answers the replica's own bytes and status, the job id
+// namespaced and nothing else changed.
+func TestRouterRelaysReplicaBytes(t *testing.T) {
+	_, tsA := newReplicaTS(t, service.Config{})
+	_, tsB := newReplicaTS(t, service.Config{})
+	rt, ts := newRouterTS(t, Config{Replicas: []string{tsA.URL, tsB.URL}})
+
+	do := func(method, url, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	// relayed checks a router answer against the owning replica's own
+	// rendering of the (terminal, so stable) job.
+	relayed := func(name string, body []byte) service.JobView {
+		t.Helper()
+		var v service.JobView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, body)
+		}
+		idx, id, _ := strings.Cut(v.ID, ".")
+		n, err := strconv.Atoi(idx)
+		if err != nil || n >= len(rt.replicas) {
+			t.Fatalf("%s: job id %q names no replica", name, v.ID)
+		}
+		code, own := do(http.MethodGet, rt.replicas[n].url+"/v1/jobs/"+id, "")
+		if code != http.StatusOK {
+			t.Fatalf("%s: replica poll %d", name, code)
+		}
+		want := bytes.Replace(own, []byte(`"id": "`+id+`"`), []byte(`"id": "`+v.ID+`"`), 1)
+		if !bytes.Equal(body, want) {
+			t.Fatalf("%s: router answered\n%s\nthe replica wrote\n%s", name, body, own)
+		}
+		return v
+	}
+	post := func(name, body string, wantCode int) service.JobView {
+		t.Helper()
+		code, b := do(http.MethodPost, ts.URL+"/v1/map", body)
+		if code != wantCode {
+			t.Fatalf("%s: status %d, want %d\n%s", name, code, wantCode, b)
+		}
+		return relayed(name, b)
+	}
+
+	if v := post("miss", `{"circuit": "mux"}`, http.StatusOK); v.Cached || v.State != service.JobDone {
+		t.Fatalf("miss: state %s cached %t", v.State, v.Cached)
+	}
+	if v := post("hit", `{"circuit": "mux"}`, http.StatusOK); !v.Cached {
+		t.Fatal("hit: not cached")
+	}
+	if v := post("async hit", `{"circuit": "mux", "async": true}`, http.StatusAccepted); !v.Cached {
+		t.Fatal("async hit: not cached")
+	}
+	if v := post("canceled", `{"circuit": "z4ml", "timeout_ms": -1}`, http.StatusOK); v.State != service.JobCanceled || v.Error == "" {
+		t.Fatalf("canceled: state %s error %q", v.State, v.Error)
+	}
+
+	// An async leader then an identical sync submission: the second rides
+	// the first on the owning replica while the long Pareto run lasts.
+	// Each retry is a fresh key, in case a leader finished first.
+	coalesced := false
+	for budget := 64; budget < 67 && !coalesced; budget++ {
+		body := `{"circuit": "c7552", "options": {"pareto": true, "tuple_budget": ` + strconv.Itoa(budget) + `}`
+		code, b := do(http.MethodPost, ts.URL+"/v1/map", body+`, "async": true}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("async leader: status %d\n%s", code, b)
+		}
+		var leader service.JobView
+		if err := json.Unmarshal(b, &leader); err != nil {
+			t.Fatal(err)
+		}
+		coalesced = post("coalesced", body+`}`, http.StatusOK).Coalesced
+
+		// The leader, polled through the router once it is done.
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			code, b = do(http.MethodGet, ts.URL+"/v1/jobs/"+leader.ID, "")
+			if code != http.StatusOK {
+				t.Fatalf("poll: status %d\n%s", code, b)
+			}
+			if v := relayed("poll", b); v.State == service.JobDone {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("async leader never finished")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if !coalesced {
+		t.Fatal("no submission coalesced onto its async twin")
+	}
+}
+
+// TestRouterStrashOffMismatchCounted: a router and replica whose
+// strash_off settings disagree still answer every submission correctly,
+// and the replica counts each submission whose forwarded key it could
+// not use in key_mismatches. A strash-on router in front of a strash-off
+// replica keys every submission differently from the replica; a
+// strash-off router forwards strash_off in the request itself, so a
+// strash-on replica keys it exactly as the router did.
+func TestRouterStrashOffMismatchCounted(t *testing.T) {
+	_, ref := newReplicaTS(t, service.Config{})
+	_, want := postRouter(t, ref, `{"circuit": "mux", "options": {"strash_off": true}}`)
+	if want.State != service.JobDone {
+		t.Fatalf("reference: state %s (%s)", want.State, want.Error)
+	}
+	for _, tc := range []struct {
+		name              string
+		router, replica   bool
+		wantMismatchesPer int64
+	}{
+		{"strash-on router, strash-off replica", false, true, 1},
+		{"strash-off router, strash-on replica", true, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, rep := newReplicaTS(t, service.Config{StrashOff: tc.replica})
+			_, ts := newRouterTS(t, Config{Replicas: []string{rep.URL}, StrashOff: tc.router})
+			for i, wantCached := range []bool{false, true} {
+				code, v := postRouter(t, ts, `{"circuit": "mux"}`)
+				if code != http.StatusOK || v.State != service.JobDone || v.Cached != wantCached {
+					t.Fatalf("submission %d: code %d state %s cached %t", i, code, v.State, v.Cached)
+				}
+				got, err := service.EncodeJSON(v.Result)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, _ := service.EncodeJSON(want.Result); !bytes.Equal(got, w) {
+					t.Fatalf("submission %d: result differs from a strash-off mapping", i)
+				}
+			}
+			if n := svc.Counter("key_mismatches"); n != 2*tc.wantMismatchesPer {
+				t.Errorf("key_mismatches = %d, want %d", n, 2*tc.wantMismatchesPer)
+			}
+		})
 	}
 }

@@ -27,8 +27,8 @@ const (
 // MapResult — MapResult's encoding is byte-compared by the determinism
 // gates and cached/shared across replicas, so timing can never enter it.
 type Attribution struct {
-	// Replica identifies the process that answered (Config.ReplicaName;
-	// the router fills in the replica URL when the replica didn't).
+	// Replica identifies the process that answered (Config.ReplicaName,
+	// "soimapd" unless set).
 	Replica string `json:"replica,omitempty"`
 	// TraceID links to GET /v1/traces/{id} when the request was sampled.
 	TraceID string `json:"trace_id,omitempty"`

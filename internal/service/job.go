@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"sync"
@@ -169,8 +171,57 @@ func writeView(w http.ResponseWriter, status int, j *job) {
 	jw.close('}')
 	jw.b = append(jw.b, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	// The length lets a relaying router read the view into one buffer.
+	w.Header().Set("Content-Length", strconv.Itoa(len(jw.b)))
 	w.WriteHeader(status)
 	w.Write(jw.b)
+}
+
+// viewHead is how every writeView answer begins, up to the id's value.
+const viewHead = "{\n  \"id\": \""
+
+// RelayView readies a replica's writeView answer for relay through the
+// router without decoding it: prefix (the router's "<replica>.") is
+// spliced into the leading "id" value, and the attribution's cache tier
+// is read off for the router's tier rollup ("" until the job is
+// terminal). A body without the leading id or a state is no job view
+// and an error. In writeView's layout, the lines that begin with two
+// spaces and a quote are exactly the envelope's top-level keys: JSON
+// strings hold no raw newline, and the result is indented deeper.
+// Attribution, when present, is the last of them, with its own keys one
+// level deeper. prefix must need no JSON escaping. The splice reuses
+// b's storage when its capacity allows, so b must not be used after.
+func RelayView(b []byte, prefix string) (out []byte, tier string, err error) {
+	if !bytes.HasPrefix(b, []byte(viewHead)) {
+		return nil, "", errors.New("relay: not a job view")
+	}
+	if _, ok := lineValue(b, "\n  \"state\": \""); !ok {
+		return nil, "", errors.New("relay: job view has no state")
+	}
+	if i := bytes.LastIndex(b, []byte("\n  \"attribution\": {")); i >= 0 {
+		tier, _ = lineValue(b[i:], "\n    \"cache_tier\": \"")
+	}
+	n := len(b)
+	out = append(b, prefix...)
+	copy(out[len(viewHead)+len(prefix):], b[len(viewHead):n])
+	copy(out[len(viewHead):], prefix)
+	return out, tier, nil
+}
+
+// lineValue returns the string value that follows the first occurrence
+// of key (a line break, indentation, the quoted key and the value's
+// opening quote): an escape-free identifier such as a state or a tier.
+func lineValue(b []byte, key string) (string, bool) {
+	i := bytes.Index(b, []byte(key))
+	if i < 0 {
+		return "", false
+	}
+	v := b[i+len(key):]
+	n := bytes.IndexByte(v, '"')
+	if n < 0 {
+		return "", false
+	}
+	return string(v[:n]), true
 }
 
 func (j *job) setRunning() {

@@ -17,6 +17,7 @@ var counterNames = []string{
 	"jobs_canceled", "jobs_coalesced", "jobs_done", "jobs_evicted", "jobs_failed",
 	"jobs_journal_compacted", "jobs_panicked", "jobs_readmitted", "jobs_recovered",
 	"jobs_rejected", "jobs_shed", "jobs_submitted",
+	"key_mismatches",
 	"store_corrupt", "store_evicted", "store_hits", "store_misses", "store_write_errors",
 }
 

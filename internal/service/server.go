@@ -543,10 +543,9 @@ func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
 }
 
 // resolve turns a decoded request into an unadmitted job: it parses the
-// source, applies the algorithm default, resolves and validates the
-// options — ORing in a server-wide strashOff — and derives the cache
-// key. Submission, journal re-admission and RequestKey all resolve
-// here, so they agree on every key byte. maxNodes > 0 bounds the parsed
+// source, derives the algorithm and options (resolveSpec) and the cache
+// key. Submission, journal re-admission and RequestKey all resolve here,
+// so they agree on every key byte. maxNodes > 0 bounds the parsed
 // network. On failure it returns the status to answer with: 413 for an
 // oversized network, 400 otherwise.
 func resolve(ctx context.Context, req *MapRequest, strashOff bool, maxNodes int) (*job, int, error) {
@@ -558,18 +557,10 @@ func resolve(ctx context.Context, req *MapRequest, strashOff bool, maxNodes int)
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("network has %d nodes, limit is %d", src.Len(), maxNodes)
 	}
-	algo := report.SOI
-	if req.Algorithm != "" {
-		if algo, err = report.ParseAlgorithm(req.Algorithm); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-	}
-	opt, err := OptionsFromRequest(req.Options)
+	algo, opt, err := resolveSpec(req, strashOff)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	// Strash is semantic, so the server-wide opt-out must reach the key.
-	opt.StrashOff = opt.StrashOff || strashOff
 	start := time.Now()
 	key, sr := cacheKey(src, algo.Key(), opt)
 	return &job{
@@ -583,6 +574,69 @@ func resolve(ctx context.Context, req *MapRequest, strashOff bool, maxNodes int)
 		state:      JobQueued,
 		done:       make(chan struct{}),
 	}, http.StatusOK, nil
+}
+
+// resolveSpec resolves a request's algorithm (default SOI) and validated
+// options, ORing in a server-wide strashOff: everything in the cache key
+// but the network. It never looks at the source, so it is cheap.
+func resolveSpec(req *MapRequest, strashOff bool) (report.Algorithm, mapper.Options, error) {
+	algo := report.SOI
+	if req.Algorithm != "" {
+		var err error
+		if algo, err = report.ParseAlgorithm(req.Algorithm); err != nil {
+			return algo, mapper.Options{}, err
+		}
+	}
+	opt, err := OptionsFromRequest(req.Options)
+	// Strash is semantic, so the server-wide opt-out must reach the key.
+	opt.StrashOff = opt.StrashOff || strashOff
+	return algo, opt, err
+}
+
+// KeyHeader carries a submission's cache key, as service.RequestKey
+// derived it, from soirouter to the replica it routes to. The replica
+// looks its cache tiers up under that key before parsing anything
+// (forwardedJob): a routed hit pays for the key once, at the router.
+const KeyHeader = "X-Cache-Key"
+
+// forwardedJob resolves a submission from the cache key a router sent in
+// KeyHeader, without parsing or strashing its source. Only the key's
+// structural part is taken on trust: it must start with a 64-digit hex
+// digest and '|', and end in "|<algorithm>|<options>" exactly as this
+// replica resolves the request, its own StrashOff ORed in. The network
+// name is what lies between, cut by position since a .model name may
+// hold '|'. Trusting the digest adds no trust class: GET /v1/cache
+// already serves held bytes by key to anyone. It returns nil when the
+// request or the key does not resolve; the submission then resolves
+// the slow way.
+func forwardedJob(req *MapRequest, key string, strashOff bool) *job {
+	algo, opt, err := resolveSpec(req, strashOff)
+	if err != nil {
+		return nil
+	}
+	suffix := "|" + algo.Key() + "|" + encodeOptions(opt)
+	if len(key) < 65+len(suffix) || key[64] != '|' || !strings.HasSuffix(key, suffix) {
+		return nil
+	}
+	for i := 0; i < 64; i++ {
+		if strings.IndexByte(hexDigits, key[i]) < 0 {
+			return nil
+		}
+	}
+	// A registry circuit is labelled by its registry name, anything else
+	// by its network name: the labels resolve gives.
+	label := req.Circuit
+	if label == "" {
+		label = key[65 : len(key)-len(suffix)]
+	}
+	return &job{
+		circuit:  label,
+		algo:     algo,
+		opt:      opt,
+		cacheKey: key,
+		state:    JobQueued,
+		done:     make(chan struct{}),
+	}
 }
 
 // encodeOptions renders mapper.Options as a stable, canonical cache-key
@@ -648,26 +702,38 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, apiError{err.Error()})
 		return
 	}
+	// Answer identical resubmissions from this replica's cache tiers
+	// without queueing; each tier is looked up at most once per request.
+	// A cache-get fault degrades to a miss: worst case the job recomputes.
+	lookup := faultpoint.From(ctx).Check(ctx, PointCacheGet) == nil
+	fwd := r.Header.Get(KeyHeader)
+	looked := ""
+	if lookup && fwd != "" {
+		if j := forwardedJob(req, fwd, s.cfg.StrashOff); j != nil {
+			s.stamp(r, req, j)
+			if res, tier := s.lookupLocal(j.cacheKey); res != nil {
+				s.metrics.add("jobs_submitted", 1)
+				s.serveHit(ctx, w, r, req, j, res, tier)
+				return
+			}
+			looked = j.cacheKey
+		}
+	}
+
 	j, status, err := resolve(ctx, req, s.cfg.StrashOff, s.cfg.MaxNetworkNodes)
 	if err != nil {
 		writeJSON(w, status, apiError{err.Error()})
 		return
 	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > s.cfg.MaxTimeout.Milliseconds() {
-		// Capped in milliseconds: converting first would overflow
-		// time.Duration for huge values and wrap to a negative timeout.
-		timeout = s.cfg.MaxTimeout
-	} else if req.TimeoutMS != 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if fwd != "" && fwd != j.cacheKey {
+		// The router keyed this submission differently (a skewed
+		// strash_off, a forged or stale header): the replica's own key
+		// is the one that stores and coalesces.
+		s.metrics.add("key_mismatches", 1)
+		s.logger.Error("forwarded key mismatch", "request_id", obs.RequestID(r.Context()),
+			"forwarded", fwd, "key", j.cacheKey)
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-
-	j.reqID = obs.RequestID(r.Context())
-	j.tc = obs.TraceContextFrom(r.Context())
+	s.stamp(r, req, j)
 	if j.strashed != nil {
 		// Strash runs on the key path of every strash-on submission; a
 		// job that misses every cache tier maps j.strashed instead of
@@ -676,20 +742,10 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.metrics.recordEngine(j.algo.Key(), &obs.Stats{Phases: obs.PhaseTimes{Strash: d}})
 		s.hub.Record(j.tc, "pipeline", "strash "+j.src.Name, time.Now().Add(-d), d)
 	}
-	j.deadline = time.Now().Add(timeout)
-	j.submitted = time.Now()
 	s.metrics.add("jobs_submitted", 1)
-
-	// Answer identical resubmissions from this replica's cache tiers
-	// without queueing. A cache-get fault degrades to a miss: worst case
-	// the job recomputes.
-	if faultpoint.From(ctx).Check(ctx, PointCacheGet) == nil {
+	if lookup && j.cacheKey != looked {
 		if res, tier := s.lookupLocal(j.cacheKey); res != nil {
-			j.src, j.strashed = nil, nil // only a queued leader maps
-			s.registerJob(j)
-			s.hub.Record(j.tc, "service", "cache "+tier+" hit", time.Now(), 0)
-			s.complete(ctx, j, tier, 0, time.Since(j.submitted), nil, JobDone, res, "")
-			s.answer(w, r, req, j)
+			s.serveHit(ctx, w, r, req, j, res, tier)
 			return
 		}
 	}
@@ -705,6 +761,37 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		// here on re-admits the job instead of 404ing its poller.
 		s.journalAccepted(ctx, j, req)
 	}
+	s.answer(w, r, req, j)
+}
+
+// stamp readies a resolved job for submission: the request's id, trace
+// context and deadline, and the submission time.
+func (s *Server) stamp(r *http.Request, req *MapRequest, j *job) {
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > s.cfg.MaxTimeout.Milliseconds() {
+		// Capped in milliseconds: converting first would overflow
+		// time.Duration for huge values and wrap to a negative timeout.
+		timeout = s.cfg.MaxTimeout
+	} else if req.TimeoutMS != 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	if timeout > s.cfg.MaxTimeout {
+		timeout = s.cfg.MaxTimeout
+	}
+	j.reqID = obs.RequestID(r.Context())
+	j.tc = obs.TraceContextFrom(r.Context())
+	j.deadline = time.Now().Add(timeout)
+	j.submitted = time.Now()
+}
+
+// serveHit answers submission j with res, the held bytes its cache tier
+// returned.
+func (s *Server) serveHit(ctx context.Context, w http.ResponseWriter, r *http.Request,
+	req *MapRequest, j *job, res []byte, tier string) {
+	j.src, j.strashed = nil, nil // only a queued leader maps
+	s.registerJob(j)
+	s.hub.Record(j.tc, "service", "cache "+tier+" hit", time.Now(), 0)
+	s.complete(ctx, j, tier, 0, time.Since(j.submitted), nil, JobDone, res, "")
 	s.answer(w, r, req, j)
 }
 

@@ -1,15 +1,21 @@
 package soidomino
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"soidomino/internal/bench"
+	"soidomino/internal/cluster"
 	"soidomino/internal/service"
 )
 
@@ -37,10 +43,17 @@ var keyVariants = []struct {
 	{"workers4", &service.RequestOptions{Workers: 4}},
 }
 
-// routingKeyLines renders the full golden vector set: every builtin
+// keyVector is one golden line's submission: a source label, an option
+// variant name and the request they make.
+type keyVector struct {
+	label, variant string
+	req            service.MapRequest
+}
+
+// routingKeyVectors is the full golden vector set: every builtin
 // benchmark plus the committed testdata circuits, across all option
-// variants and algorithms' default ("soi").
-func routingKeyLines(t *testing.T) []string {
+// variants and algorithms' default ("soi"), in golden-file order.
+func routingKeyVectors(t *testing.T) []keyVector {
 	t.Helper()
 	type source struct {
 		label string
@@ -68,17 +81,28 @@ func routingKeyLines(t *testing.T) []string {
 	}
 	sort.Slice(sources, func(i, j int) bool { return sources[i].label < sources[j].label })
 
-	var lines []string
+	var vecs []keyVector
 	for _, src := range sources {
 		for _, v := range keyVariants {
 			req := src.req
 			req.Options = v.opts
-			key, err := service.RequestKey(context.Background(), &req)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", src.label, v.name, err)
-			}
-			lines = append(lines, fmt.Sprintf("%s %s %s", src.label, v.name, key))
+			vecs = append(vecs, keyVector{src.label, v.name, req})
 		}
+	}
+	return vecs
+}
+
+// routingKeyLines renders the golden file's lines: each vector and its
+// key.
+func routingKeyLines(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	for _, v := range routingKeyVectors(t) {
+		key, err := service.RequestKey(context.Background(), &v.req)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", v.label, v.variant, err)
+		}
+		lines = append(lines, fmt.Sprintf("%s %s %s", v.label, v.variant, key))
 	}
 	return lines
 }
@@ -145,5 +169,70 @@ func TestRoutingKeyWorkersExcluded(t *testing.T) {
 	}
 	if base == footed {
 		t.Fatal("AlwaysFooted did not change the routing key")
+	}
+}
+
+// TestRoutingKeyGoldenThroughRouter submits every golden vector through
+// a router: the key it forwards to the replica must be the golden key,
+// and the replica, deriving the key itself, must agree every time
+// (key_mismatches stays 0). Each job is submitted already expired, so
+// it ends at the DP's first checkpoint instead of mapping.
+func TestRoutingKeyGoldenThroughRouter(t *testing.T) {
+	want, err := os.ReadFile("testdata/routing_keys.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Workers: 1})
+	var mu sync.Mutex
+	var forwarded string
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/map" {
+			mu.Lock()
+			forwarded = r.Header.Get(service.KeyHeader)
+			mu.Unlock()
+		}
+		svc.Handler().ServeHTTP(w, r)
+	}))
+	defer func() {
+		rep.Close()
+		svc.Shutdown(context.Background())
+	}()
+	rt, err := cluster.New(cluster.Config{Replicas: []string{rep.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+
+	lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	vecs := routingKeyVectors(t)
+	if len(lines) != len(vecs) {
+		t.Fatalf("golden has %d lines, the vector set %d", len(lines), len(vecs))
+	}
+	for i, v := range vecs {
+		req := v.req
+		req.TimeoutMS = -1
+		body, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(router.URL+"/v1/map", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", v.label, v.variant, resp.StatusCode)
+		}
+		mu.Lock()
+		got := v.label + " " + v.variant + " " + forwarded
+		mu.Unlock()
+		if got != lines[i] {
+			t.Fatalf("forwarded key drifted from the golden:\n  got:  %s\n  want: %s", got, lines[i])
+		}
+	}
+	if n := svc.Counter("key_mismatches"); n != 0 {
+		t.Fatalf("key_mismatches = %d, want 0", n)
 	}
 }
