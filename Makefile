@@ -48,11 +48,14 @@ obs-overhead:
 # node or per combine — and so must traceback (SOI Pareto and
 # RS_Map: arena-built trees, a few allocations per gate) and
 # Result.Audit. The strash front-end, on the key path of every service
-# request, is pinned the same way (about one allocation per kept gate).
-# Env-gated like obs-overhead.
+# request, is pinned the same way (about one allocation per kept gate),
+# and so is the lowering to unate form (Decompose + Convert: about one
+# allocation per unate gate, no intermediate network). Env-gated like
+# obs-overhead.
 dp-allocs:
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback)Allocs' -v ./internal/mapper
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestStrashAllocs' -v ./internal/strash
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestFrontEndAllocs' -v ./internal/unate
 
 # The strash front-end's determinism contract: every testdata circuit's
 # strash output is byte-stable across runs and idempotent, strash-on/off

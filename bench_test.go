@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"soidomino/internal/bench"
-	"soidomino/internal/decompose"
 	"soidomino/internal/mapper"
 	"soidomino/internal/netlist"
 	"soidomino/internal/pbe"
@@ -196,11 +195,11 @@ func BenchmarkMapDes(b *testing.B) {
 	src := bench.MustBuild("des")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := decompose.Decompose(src)
+		d, err := unate.Decompose(src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		u, err := unate.Convert(d)
+		u, err := d.Convert()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,11 +215,11 @@ func BenchmarkMapDes(b *testing.B) {
 // for mapper-overhead comparison.
 func BenchmarkMapDesBaseline(b *testing.B) {
 	src := bench.MustBuild("des")
-	d, err := decompose.Decompose(src)
+	d, err := unate.Decompose(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	u, err := unate.Convert(d)
+	u, err := d.Convert()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,8 +10,8 @@
 //
 //	logic      Boolean network substrate
 //	blif       BLIF-subset reader/writer
-//	decompose  2-input AND/OR + inverter decomposition
-//	unate      bubble-pushing unate conversion
+//	unate      lowering to unate form: 2-input AND/OR decomposition over
+//	           a flat literal table, then bubble pushing
 //	sp         series-parallel pulldown trees
 //	pbe        discharge-point analysis and stack rearrangement
 //	tuple      DP sub-solution records ({W,H,cost,p_dis,par_b} tuples)

@@ -1,6 +1,6 @@
 // Quickstart: build a small logic network with the public API, run it
-// through the full SOI domino mapping pipeline (decompose -> unate ->
-// map), and inspect the result.
+// through the full SOI domino mapping pipeline (unate.Decompose ->
+// Convert -> map), and inspect the result.
 //
 //	go run ./examples/quickstart
 package main
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/netlist"
@@ -30,13 +29,14 @@ func main() {
 	n.AddOutput("g", n.AddGate(logic.Nand, a, c))
 	fmt.Println("source: ", n)
 
-	// 2. Decompose to 2-input AND/OR + inverters, then make it unate
-	//    (inverters pushed to the primary inputs, the form domino needs).
-	dec, err := decompose.Decompose(n)
+	// 2. Decompose to 2-input AND/OR over complementable literals, then
+	//    convert to unate form (inversions pushed to the primary inputs,
+	//    the form domino needs).
+	dec, err := unate.Decompose(n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	u, err := unate.Convert(dec)
+	u, err := dec.Convert()
 	if err != nil {
 		log.Fatal(err)
 	}

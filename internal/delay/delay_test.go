@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/unate"
@@ -14,11 +13,11 @@ import (
 func mapNet(t *testing.T, n *logic.Network,
 	algo func(*logic.Network, mapper.Options) (*mapper.Result, error)) *mapper.Result {
 	t.Helper()
-	d, err := decompose.Decompose(n)
+	d, err := unate.Decompose(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := unate.Convert(d)
+	u, err := d.Convert()
 	if err != nil {
 		t.Fatal(err)
 	}

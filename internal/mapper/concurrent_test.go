@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"soidomino/internal/bench"
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/unate"
 )
@@ -18,11 +17,11 @@ import (
 // decompose+unate pipeline, returning the mappable network.
 func unateBench(t *testing.T, name string) *logic.Network {
 	t.Helper()
-	d, err := decompose.Decompose(bench.MustBuild(name))
+	d, err := unate.Decompose(bench.MustBuild(name))
 	if err != nil {
 		t.Fatalf("%s: decompose: %v", name, err)
 	}
-	u, err := unate.Convert(d)
+	u, err := d.Convert()
 	if err != nil {
 		t.Fatalf("%s: unate: %v", name, err)
 	}

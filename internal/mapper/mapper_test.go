@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/obs"
 	"soidomino/internal/tuple"
@@ -160,11 +159,11 @@ func TestFigure2StackOrder(t *testing.T) {
 // mapAll runs the full pipeline (decompose, unate, map) for one algorithm.
 func mapAll(t *testing.T, n *logic.Network, algo func(*logic.Network, Options) (*Result, error), opt Options) *Result {
 	t.Helper()
-	d, err := decompose.Decompose(n)
+	d, err := unate.Decompose(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := unate.Convert(d)
+	u, err := d.Convert()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +376,11 @@ func TestMapperEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomCircuit(rng)
-		d, err := decompose.Decompose(n)
+		d, err := unate.Decompose(n)
 		if err != nil {
 			return false
 		}
-		u, err := unate.Convert(d)
+		u, err := d.Convert()
 		if err != nil {
 			return false
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/unate"
@@ -26,11 +25,11 @@ func fig2Network() *logic.Network {
 func buildFor(t *testing.T, n *logic.Network,
 	algo func(*logic.Network, mapper.Options) (*mapper.Result, error)) (*mapper.Result, *Circuit) {
 	t.Helper()
-	d, err := decompose.Decompose(n)
+	d, err := unate.Decompose(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := unate.Convert(d)
+	u, err := d.Convert()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +207,11 @@ func TestRealizationQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomCircuit(rng)
-		d, err := decompose.Decompose(n)
+		d, err := unate.Decompose(n)
 		if err != nil {
 			return false
 		}
-		u, err := unate.Convert(d)
+		u, err := d.Convert()
 		if err != nil {
 			return false
 		}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"soidomino/internal/bench"
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/obs"
@@ -91,11 +90,11 @@ func PrepareStrashed(ctx context.Context, n *logic.Network, sr *strash.Result) (
 		st.AddStrash(sr.Counters.Merged, sr.Counters.Folded, sr.Counters.Dead)
 		src = sr.Network
 	}
-	var d *logic.Network
+	var d *unate.Decomposed
 	dStart := tr.Now()
 	err := obs.Timed(st, obs.PhaseDecompose, func() error {
 		var derr error
-		d, derr = decompose.Decompose(src)
+		d, derr = unate.Decompose(src)
 		return derr
 	})
 	tr.Span("pipeline", "decompose "+n.Name, dStart)
@@ -106,7 +105,7 @@ func PrepareStrashed(ctx context.Context, n *logic.Network, sr *strash.Result) (
 	uStart := tr.Now()
 	err = obs.Timed(st, obs.PhaseUnate, func() error {
 		var uerr error
-		u, uerr = unate.Convert(d)
+		u, uerr = d.Convert()
 		return uerr
 	})
 	tr.Span("pipeline", "unate "+n.Name, uStart)

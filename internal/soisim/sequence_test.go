@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/netlist"
@@ -20,11 +19,11 @@ import (
 func mapSeq(t *testing.T, n *logic.Network, algo func(*logic.Network, mapper.Options) (*mapper.Result, error),
 	seq bool) (*mapper.Result, *netlist.Circuit) {
 	t.Helper()
-	d, err := decompose.Decompose(n)
+	d, err := unate.Decompose(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := unate.Convert(d)
+	u, err := d.Convert()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +111,11 @@ func TestSequenceAwareSoundQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomCircuit(rng)
-		d, err := decompose.Decompose(n)
+		d, err := unate.Decompose(n)
 		if err != nil {
 			return false
 		}
-		u, err := unate.Convert(d)
+		u, err := d.Convert()
 		if err != nil {
 			return false
 		}

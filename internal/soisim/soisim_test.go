@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/netlist"
@@ -27,11 +26,11 @@ func fig2Network() *logic.Network {
 func buildCircuit(t *testing.T, n *logic.Network,
 	algo func(*logic.Network, mapper.Options) (*mapper.Result, error)) (*mapper.Result, *netlist.Circuit) {
 	t.Helper()
-	d, err := decompose.Decompose(n)
+	d, err := unate.Decompose(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := unate.Convert(d)
+	u, err := d.Convert()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +225,11 @@ func TestProtectedNeverCorruptsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomCircuit(rng)
-		d, err := decompose.Decompose(n)
+		d, err := unate.Decompose(n)
 		if err != nil {
 			return false
 		}
-		u, err := unate.Convert(d)
+		u, err := d.Convert()
 		if err != nil {
 			return false
 		}

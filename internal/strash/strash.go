@@ -5,7 +5,7 @@
 // commutative-input normalization), constant fanins have been folded, and
 // every node unreachable from a primary output has been removed.
 //
-// The pass runs before decompose/unate in every mapper pipeline
+// The pass runs before the unate lowering in every mapper pipeline
 // (report.PrepareNetworkContext), and its structural digest (Result.Key)
 // is the service cache and routing key (service.CacheKey), so
 // structurally identical but textually different submissions — renamed

@@ -1,10 +1,18 @@
-// Package unate converts a decomposed logic network (2-input AND/OR gates
-// plus inverters) into an inverter-free unate network, the form domino
-// logic requires (paper §IV): domino gates are non-inverting, so all
-// internal inversions are pushed to the primary inputs with DeMorgan's laws
-// ("bubble pushing"), duplicating logic where both phases of a signal are
-// needed. Inversions remain only directly on primary inputs, which the
-// mapper treats as complemented input literals.
+// Package unate lowers an arbitrary logic network into the form the
+// domino mappers consume (paper §IV): an inverter-free unate network of
+// 2-input AND and OR gates. Domino gates are non-inverting, so
+// inversions remain only directly on primary inputs, which the mapper
+// treats as complemented input literals.
+//
+// Decompose builds a flat table of 2-input AND/OR gates over
+// complementable literals: wide gates become balanced binary trees
+// (keeping depth logarithmic so the depth objective of Table IV is
+// meaningful), XOR/XNOR expand into their two-level AND-OR form,
+// constants are folded away, and structurally identical gates are
+// shared. Convert then pushes every inversion to the primary inputs
+// with DeMorgan's laws ("bubble pushing"), duplicating logic where both
+// phases of a signal are needed, and builds the one logic.Network the
+// mapper reads.
 package unate
 
 import (
@@ -13,115 +21,241 @@ import (
 	"soidomino/internal/logic"
 )
 
-// Phase selects the polarity of a signal during conversion.
-type Phase uint8
+// phase selects the polarity of a signal during conversion.
+type phase uint8
 
 const (
-	// Pos requests the signal itself.
-	Pos Phase = iota
-	// Neg requests its complement.
-	Neg
+	pos phase = iota // the signal itself
+	neg              // its complement
 )
 
-func (p Phase) String() string {
-	if p == Neg {
+func (p phase) String() string {
+	if p == neg {
 		return "neg"
 	}
 	return "pos"
 }
 
-func (p Phase) flip() Phase { return 1 - p }
+// lit is a literal over a Decomposed table: the node index times two
+// plus a complement bit, or one of the two constants. Complementing any
+// literal, constants included, flips its low bit.
+type lit int32
+
+const (
+	lit0  lit = -2 // constant 0
+	lit1  lit = -1 // constant 1
+	unset lit = -3 // Decompose's memo: source node not lowered yet
+)
+
+// gate is one table entry: a primary input (op Input) or a 2-input AND
+// or OR over two literals.
+type gate struct {
+	op   logic.Op
+	a, b lit
+}
+
+// Decomposed is a network lowered to 2-input AND/OR gates over
+// complementable literals, ready for Convert.
+type Decomposed struct {
+	src   *logic.Network
+	nodes []gate // the primary inputs in declaration order, then gates in creation order
+	outs  []lit  // one per source output
+}
+
+type decomposer struct {
+	*Decomposed
+	memo  []lit        // per source node
+	hash  map[gate]lit // gates keyed on their sorted literals
+	stack []lit        // fanin literals of the trees being built
+}
+
+// Decompose lowers n, which is not modified, to 2-input AND/OR gates
+// over complementable literals.
+func Decompose(n *logic.Network) (*Decomposed, error) {
+	d := &decomposer{
+		Decomposed: &Decomposed{src: n, nodes: make([]gate, len(n.Inputs), len(n.Nodes)+len(n.Inputs))},
+		memo:       make([]lit, len(n.Nodes)),
+		hash:       make(map[gate]lit, len(n.Nodes)),
+	}
+	for i := range d.memo {
+		d.memo[i] = unset
+	}
+	for i, id := range n.Inputs {
+		d.memo[id] = lit(2 * i) // d.nodes[i] is the zero gate, an Input
+	}
+	d.outs = make([]lit, len(n.Outputs))
+	for i, out := range n.Outputs {
+		v, err := d.visit(out.Node)
+		if err != nil {
+			return nil, err
+		}
+		d.outs[i] = v
+	}
+	return d.Decomposed, nil
+}
+
+func (d *decomposer) visit(id int) (lit, error) {
+	if v := d.memo[id]; v != unset {
+		return v, nil
+	}
+	node := d.src.Nodes[id]
+	var v lit
+	var err error
+	switch node.Op {
+	case logic.Const0:
+		v = lit0
+	case logic.Const1:
+		v = lit1
+	case logic.Buf, logic.Not:
+		v, err = d.visit(node.Fanin[0])
+	case logic.And, logic.Nand, logic.Or, logic.Nor, logic.Xor, logic.Xnor:
+		v, err = d.tree(node.Op, node.Fanin)
+	case logic.Input:
+		return 0, fmt.Errorf("decompose: input node %d not pre-registered", id)
+	default:
+		return 0, fmt.Errorf("decompose: unsupported op %v", node.Op)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if node.Op.Inverting() || node.Op == logic.Xnor {
+		v ^= 1
+	}
+	d.memo[id] = v
+	return v, nil
+}
+
+// tree combines the fanins of an op gate level by level into a
+// balanced binary tree, without its output inversion.
+func (d *decomposer) tree(op logic.Op, fanin []int) (lit, error) {
+	base := len(d.stack)
+	for _, f := range fanin {
+		v, err := d.visit(f)
+		if err != nil {
+			return 0, err
+		}
+		d.stack = append(d.stack, v)
+	}
+	lits := d.stack[base:]
+	for len(lits) > 1 {
+		k := 0
+		for i := 0; i+1 < len(lits); i += 2 {
+			lits[k] = d.pair(op, lits[i], lits[i+1])
+			k++
+		}
+		if len(lits)%2 == 1 {
+			lits[k] = lits[len(lits)-1]
+			k++
+		}
+		lits = lits[:k]
+	}
+	d.stack = d.stack[:base]
+	return lits[0], nil
+}
+
+// pair is one 2-input node of an op tree; an XOR pair is realized as
+// (a AND !b) OR (!a AND b).
+func (d *decomposer) pair(op logic.Op, a, b lit) lit {
+	switch op {
+	case logic.And, logic.Nand:
+		return d.gate(logic.And, a, b)
+	case logic.Or, logic.Nor:
+		return d.gate(logic.Or, a, b)
+	}
+	return d.gate(logic.Or, d.gate(logic.And, a, b^1), d.gate(logic.And, a^1, b))
+}
+
+// gate returns the literal of a op b, folding constants, x op x and
+// x op !x, and reusing a structurally identical gate.
+func (d *decomposer) gate(op logic.Op, a, b lit) lit {
+	dominant := lit0 // 0 dominates AND, 1 dominates OR
+	if op == logic.Or {
+		dominant = lit1
+	}
+	switch {
+	case a == dominant || b == dominant:
+		return dominant
+	case a < 0: // the identity element
+		return b
+	case b < 0:
+		return a
+	case a == b:
+		return a
+	case a == b^1:
+		return dominant
+	}
+	k := gate{op, min(a, b), max(a, b)}
+	if v, ok := d.hash[k]; ok {
+		return v
+	}
+	v := lit(2 * len(d.nodes))
+	d.nodes = append(d.nodes, gate{op, a, b})
+	d.hash[k] = v
+	return v
+}
 
 // Result carries the unate network plus conversion statistics.
 type Result struct {
 	Network *logic.Network
-	// DuplicatedNodes counts source gates realized in both phases; the
-	// paper notes duplication is bounded by 2x and typically small.
+	// DuplicatedNodes counts decomposed gates realized in both phases;
+	// the paper notes duplication is bounded by 2x and typically small.
 	DuplicatedNodes int
-	// SourceGates is the number of AND/OR gates in the source network.
-	SourceGates int
-	// UnateGates is the number of AND/OR gates in the converted network.
-	UnateGates int
 }
 
-type key struct {
-	node  int
-	phase Phase
+type converter struct {
+	*Decomposed
+	dst    *logic.Network
+	memo   [2][]int32 // per phase and table node: its dst node, or -1
+	consts [2]int32   // dst Const0 and Const1 nodes, or -1
 }
 
-// Convert builds the unate equivalent of n, which must be in decomposed
-// form (only Input, Not, Const and 2-input And/Or nodes). Primary outputs
-// are realized in positive phase.
-func Convert(n *logic.Network) (*Result, error) {
-	c := &converter{
-		src:  n,
-		dst:  logic.New(trimSuffix(n.Name) + ".unate"),
-		memo: make(map[key]int),
+// Convert builds the unate network of d with every primary output in
+// positive phase.
+func (d *Decomposed) Convert() (*Result, error) {
+	c := &converter{Decomposed: d, dst: logic.New(d.src.Name + ".unate"), consts: [2]int32{-1, -1}}
+	memo := make([]int32, 2*len(d.nodes))
+	for i := range memo {
+		memo[i] = -1
 	}
-	for _, id := range n.Inputs {
-		c.memo[key{id, Pos}] = c.dst.AddInput(n.Nodes[id].Name)
+	c.memo = [2][]int32{memo[:len(d.nodes)], memo[len(d.nodes):]}
+	for i, id := range d.src.Inputs {
+		c.memo[pos][i] = int32(c.dst.AddInput(d.src.Nodes[id].Name))
 	}
-	for _, out := range n.Outputs {
-		id, err := c.visit(out.Node, Pos)
-		if err != nil {
-			return nil, err
-		}
-		c.dst.AddOutput(out.Name, id)
+	for i, out := range d.src.Outputs {
+		c.dst.AddOutput(out.Name, c.visit(d.outs[i]))
 	}
 	res := &Result{Network: c.dst}
-	seen := make(map[int]Phase)
-	for k := range c.memo {
-		if n.Nodes[k.node].Op != logic.And && n.Nodes[k.node].Op != logic.Or {
-			continue
-		}
-		if prev, ok := seen[k.node]; ok && prev != k.phase {
+	for i := len(d.src.Inputs); i < len(d.nodes); i++ {
+		if c.memo[pos][i] >= 0 && c.memo[neg][i] >= 0 {
 			res.DuplicatedNodes++
-		}
-		seen[k.node] = k.phase
-	}
-	for _, node := range n.Nodes {
-		if node.Op == logic.And || node.Op == logic.Or {
-			res.SourceGates++
-		}
-	}
-	for _, node := range c.dst.Nodes {
-		if node.Op == logic.And || node.Op == logic.Or {
-			res.UnateGates++
 		}
 	}
 	return res, c.dst.Check()
 }
 
-type converter struct {
-	src  *logic.Network
-	dst  *logic.Network
-	memo map[key]int
-}
-
-func (c *converter) visit(id int, phase Phase) (int, error) {
-	k := key{id, phase}
-	if v, ok := c.memo[k]; ok {
-		return v, nil
+// visit returns the dst node realizing l: its table node in the phase
+// of its complement bit.
+func (c *converter) visit(l lit) int {
+	if l < 0 {
+		v := l - lit0
+		if c.consts[v] < 0 {
+			c.consts[v] = int32(c.dst.AddConst(l == lit1))
+		}
+		return int(c.consts[v])
 	}
-	node := c.src.Nodes[id]
-	var v int
-	switch node.Op {
-	case logic.Input:
-		// Pos is pre-registered; Neg is an inverter at the primary input,
-		// the one place inversions are allowed.
-		pos := c.memo[key{id, Pos}]
-		v = c.dst.AddGate(logic.Not, pos)
-	case logic.Const0:
-		v = c.dst.AddConst(phase == Neg)
-	case logic.Const1:
-		v = c.dst.AddConst(phase == Pos)
-	case logic.Buf:
-		return c.visit(node.Fanin[0], phase)
-	case logic.Not:
-		return c.visit(node.Fanin[0], phase.flip())
-	case logic.And, logic.Or:
-		op := node.Op
-		if phase == Neg {
+	i, ph := l>>1, phase(l&1)
+	if id := c.memo[ph][i]; id >= 0 {
+		return int(id)
+	}
+	g := c.nodes[i]
+	var id int
+	if g.op == logic.Input {
+		// Pos is pre-registered; neg is an inverter at the primary
+		// input, the one place inversions are allowed.
+		id = c.dst.AddGate(logic.Not, int(c.memo[pos][i]))
+	} else {
+		op := g.op
+		if ph == neg {
 			// DeMorgan: !(a & b) = !a | !b and dually.
 			if op == logic.And {
 				op = logic.Or
@@ -129,20 +263,12 @@ func (c *converter) visit(id int, phase Phase) (int, error) {
 				op = logic.And
 			}
 		}
-		a, err := c.visit(node.Fanin[0], phase)
-		if err != nil {
-			return 0, err
-		}
-		b, err := c.visit(node.Fanin[1], phase)
-		if err != nil {
-			return 0, err
-		}
-		v = c.dst.AddGate(op, a, b)
-	default:
-		return 0, fmt.Errorf("unate: node %d has op %s; run decompose first", id, node.Op)
+		a := c.visit(g.a ^ lit(ph))
+		b := c.visit(g.b ^ lit(ph))
+		id = c.dst.AddGate(op, a, b)
 	}
-	c.memo[k] = v
-	return v, nil
+	c.memo[ph][i] = int32(id)
+	return id
 }
 
 // IsUnate reports whether the network is in legal unate form: 2-input
@@ -178,12 +304,4 @@ func IsLeaf(n *logic.Network, id int) bool {
 		return n.Nodes[n.Nodes[id].Fanin[0]].Op == logic.Input
 	}
 	return false
-}
-
-func trimSuffix(name string) string {
-	const suffix = ".dec"
-	if len(name) > len(suffix) && name[len(name)-len(suffix):] == suffix {
-		return name[:len(name)-len(suffix)]
-	}
-	return name
 }

@@ -5,42 +5,208 @@ import (
 	"testing"
 	"testing/quick"
 
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 )
 
+// lower runs Decompose and Convert and checks the result is unate.
+func lower(n *logic.Network) (*Decomposed, *Result, error) {
+	d, err := Decompose(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := d.Convert()
+	if err != nil {
+		return nil, nil, err
+	}
+	return d, res, IsUnate(res.Network)
+}
+
 func mustConvert(t *testing.T, n *logic.Network) *Result {
 	t.Helper()
-	d, err := decompose.Decompose(n)
+	d, res, err := lower(n)
 	if err != nil {
-		t.Fatalf("decompose: %v", err)
+		t.Fatal(err)
 	}
-	res, err := Convert(d)
-	if err != nil {
-		t.Fatalf("convert: %v", err)
-	}
-	if err := IsUnate(res.Network); err != nil {
-		t.Fatalf("result not unate: %v\n%s", err, res.Network.Dump())
+	if !withinDuplicationBound(d, res) {
+		t.Errorf("duplication exceeded the 2x bound:\n%s", res.Network.Dump())
 	}
 	return res
 }
 
-func checkEquivalent(t *testing.T, a, b *logic.Network) {
-	t.Helper()
+// withinDuplicationBound is the paper's bound: bubble pushing at most
+// doubles the decomposed AND/OR gates.
+func withinDuplicationBound(d *Decomposed, res *Result) bool {
+	s := res.Network.Stats()
+	return s.ByOp[logic.And]+s.ByOp[logic.Or] <= 2*(len(d.nodes)-len(d.src.Inputs))
+}
+
+// equivalent reports whether a and b compute identical functions over
+// all input assignments.
+func equivalent(a, b *logic.Network) bool {
 	ta, err := a.TruthTable()
 	if err != nil {
-		t.Fatal(err)
+		return false
 	}
 	tb, err := b.TruthTable()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(ta) != len(tb) {
+		return false
 	}
 	for i := range ta {
 		for j := range ta[i] {
 			if ta[i][j] != tb[i][j] {
-				t.Fatalf("functional mismatch at row %d output %d", i, j)
+				return false
 			}
 		}
+	}
+	return true
+}
+
+func checkEquivalent(t *testing.T, a, b *logic.Network) {
+	t.Helper()
+	if !equivalent(a, b) {
+		t.Fatalf("functional mismatch:\n%s\n%s", a.Dump(), b.Dump())
+	}
+}
+
+func inputs(n *logic.Network, k int) []int {
+	var ins []int
+	for i := 0; i < k; i++ {
+		ins = append(ins, n.AddInput(string(rune('a'+i))))
+	}
+	return ins
+}
+
+func TestDecomposeWideGates(t *testing.T) {
+	n := logic.New("wide")
+	ins := inputs(n, 7)
+	n.AddOutput("and7", n.AddGate(logic.And, ins...))
+	n.AddOutput("or7", n.AddGate(logic.Or, ins...))
+	n.AddOutput("nand7", n.AddGate(logic.Nand, ins...))
+	n.AddOutput("nor7", n.AddGate(logic.Nor, ins...))
+	n.AddOutput("xor7", n.AddGate(logic.Xor, ins...))
+	n.AddOutput("xnor7", n.AddGate(logic.Xnor, ins...))
+	checkEquivalent(t, n, mustConvert(t, n).Network)
+}
+
+func TestDecomposeBalancedDepth(t *testing.T) {
+	n := logic.New("bal")
+	n.AddOutput("f", n.AddGate(logic.And, inputs(n, 16)...))
+	if got := mustConvert(t, n).Network.Depth(); got != 4 {
+		t.Errorf("16-input AND depth = %d, want 4 (balanced)", got)
+	}
+}
+
+func TestDecomposeConstantFolding(t *testing.T) {
+	n := logic.New("const")
+	a := n.AddInput("a")
+	one := n.AddConst(true)
+	zero := n.AddConst(false)
+	n.AddOutput("a_and_1", n.AddGate(logic.And, a, one))                      // = a
+	n.AddOutput("a_and_0", n.AddGate(logic.And, a, zero))                     // = 0
+	n.AddOutput("a_or_1", n.AddGate(logic.Or, a, one))                        // = 1
+	n.AddOutput("a_or_0", n.AddGate(logic.Or, a, zero))                       // = a
+	n.AddOutput("a_and_na", n.AddGate(logic.And, a, n.AddGate(logic.Not, a))) // = 0
+	n.AddOutput("a_or_na", n.AddGate(logic.Or, a, n.AddGate(logic.Not, a)))   // = 1
+	u := mustConvert(t, n).Network
+	checkEquivalent(t, n, u)
+	if s := u.Stats(); s.Gates != 0 || s.ByOp[logic.Const0] != 1 || s.ByOp[logic.Const1] != 1 {
+		t.Errorf("constant network not folded to one node per constant:\n%s", u.Dump())
+	}
+}
+
+func TestDecomposeIdempotence(t *testing.T) {
+	n := logic.New("idem")
+	a := n.AddInput("a")
+	n.AddOutput("f", n.AddGate(logic.And, a, a))
+	if s := mustConvert(t, n).Network.Stats(); s.Gates != 0 {
+		t.Errorf("AND(a,a) should fold to a, got %d gates", s.Gates)
+	}
+}
+
+func TestDecomposeStructuralSharing(t *testing.T) {
+	n := logic.New("share")
+	a := n.AddInput("a")
+	b := n.AddInput("b")
+	// Two separate AND(a,b) gates plus the commuted AND(b,a).
+	g1 := n.AddGate(logic.And, a, b)
+	g2 := n.AddGate(logic.And, a, b)
+	g3 := n.AddGate(logic.And, b, a)
+	n.AddOutput("f", n.AddGate(logic.Or, n.AddGate(logic.Or, g1, g2), g3))
+	u := mustConvert(t, n).Network
+	checkEquivalent(t, n, u)
+	if ands := u.Stats().ByOp[logic.And]; ands != 1 {
+		t.Errorf("structural hashing left %d AND gates, want 1:\n%s", ands, u.Dump())
+	}
+}
+
+// Two source inverters over one input become one complemented input
+// literal.
+func TestDecomposeSharedInverter(t *testing.T) {
+	n := logic.New("inv")
+	a := n.AddInput("a")
+	b := n.AddInput("b")
+	c := n.AddInput("c")
+	n.AddOutput("f", n.AddGate(logic.And, n.AddGate(logic.Not, a), b))
+	n.AddOutput("g", n.AddGate(logic.And, n.AddGate(logic.Not, a), c))
+	u := mustConvert(t, n).Network
+	checkEquivalent(t, n, u)
+	if nots := u.Stats().ByOp[logic.Not]; nots != 1 {
+		t.Errorf("input literal not shared: %d NOT nodes", nots)
+	}
+}
+
+func TestDecomposeDoubleNegation(t *testing.T) {
+	n := logic.New("dn")
+	a := n.AddInput("a")
+	n.AddOutput("f", n.AddGate(logic.Not, n.AddGate(logic.Not, a)))
+	u := mustConvert(t, n).Network
+	checkEquivalent(t, n, u)
+	if s := u.Stats(); s.Gates != 0 {
+		t.Errorf("double negation should vanish, got %d gates", s.Gates)
+	}
+}
+
+func TestDecomposeXor2Form(t *testing.T) {
+	n := logic.New("x2")
+	a := n.AddInput("a")
+	b := n.AddInput("b")
+	n.AddOutput("f", n.AddGate(logic.Xor, a, b))
+	u := mustConvert(t, n).Network
+	checkEquivalent(t, n, u)
+	// (a & !b) | (!a & b): 2 AND + 1 OR + 2 input literals
+	if s := u.Stats(); s.ByOp[logic.And] != 2 || s.ByOp[logic.Or] != 1 || s.ByOp[logic.Not] != 2 {
+		t.Errorf("xor2 shape: %v", s.ByOp)
+	}
+}
+
+func TestDecomposePreservesNames(t *testing.T) {
+	n := logic.New("names")
+	a := n.AddInput("alpha")
+	b := n.AddInput("beta")
+	n.AddOutput("out", n.AddGate(logic.And, a, b))
+	u := mustConvert(t, n).Network
+	if u.NodeByName("alpha") < 0 || u.NodeByName("beta") < 0 {
+		t.Error("input names lost")
+	}
+	if u.Outputs[0].Name != "out" || u.Name != "names.unate" {
+		t.Errorf("output %q of network %q", u.Outputs[0].Name, u.Name)
+	}
+}
+
+// Decompose reports, rather than panics on, a network built around the
+// Add methods: an Input node missing from Inputs, or an unknown op.
+func TestDecomposeRejectsMalformed(t *testing.T) {
+	n := logic.New("stray")
+	n.Nodes = append(n.Nodes, logic.Node{Op: logic.Input})
+	n.AddOutput("f", 0)
+	if _, err := Decompose(n); err == nil {
+		t.Error("Decompose accepted an input missing from Inputs")
+	}
+	m := logic.New("unknown")
+	m.Nodes = append(m.Nodes, logic.Node{Op: logic.Op(200)})
+	m.AddOutput("f", 0)
+	if _, err := Decompose(m); err == nil {
+		t.Error("Decompose accepted an unknown op")
 	}
 }
 
@@ -85,12 +251,8 @@ func TestConvertDuplicationWhenBothPhasesNeeded(t *testing.T) {
 	n.AddOutput("neg", n.AddGate(logic.And, n.AddGate(logic.Not, g), c))
 	res := mustConvert(t, n)
 	checkEquivalent(t, n, res.Network)
-	if res.DuplicatedNodes == 0 {
-		t.Error("expected duplicated nodes when both phases are required")
-	}
-	if res.UnateGates > 2*res.SourceGates {
-		t.Errorf("duplication exceeded 2x bound: %d unate vs %d source",
-			res.UnateGates, res.SourceGates)
+	if res.DuplicatedNodes != 1 {
+		t.Errorf("DuplicatedNodes = %d, want 1 (g in both phases)", res.DuplicatedNodes)
 	}
 }
 
@@ -114,13 +276,7 @@ func TestConvertXorBothPhasesShareInputLiterals(t *testing.T) {
 	res := mustConvert(t, n)
 	checkEquivalent(t, n, res.Network)
 	// Input inverters should be shared: at most one NOT per input.
-	nots := 0
-	for _, node := range res.Network.Nodes {
-		if node.Op == logic.Not {
-			nots++
-		}
-	}
-	if nots > 2 {
+	if nots := res.Network.Stats().ByOp[logic.Not]; nots > 2 {
 		t.Errorf("input inverters not shared: %d NOT nodes", nots)
 	}
 }
@@ -132,16 +288,6 @@ func TestConvertConstOutputs(t *testing.T) {
 	n.AddOutput("one", n.AddGate(logic.Or, a, n.AddGate(logic.Not, a)))
 	res := mustConvert(t, n)
 	checkEquivalent(t, n, res.Network)
-}
-
-func TestConvertRejectsUndedecomposed(t *testing.T) {
-	n := logic.New("bad")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	n.AddOutput("f", n.AddGate(logic.Xor, a, b))
-	if _, err := Convert(n); err == nil {
-		t.Error("Convert should reject networks with XOR nodes")
-	}
 }
 
 func TestIsUnateRejections(t *testing.T) {
@@ -186,59 +332,53 @@ func TestIsLeaf(t *testing.T) {
 	}
 }
 
-// Property: conversion preserves function and produces legal unate form.
-func TestConvertEquivalenceQuick(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(5))}
+// quickLowering is the property both quick tests check on networks
+// from gen: lowering succeeds, is unate, stays within the 2x
+// duplication bound and preserves function.
+func quickLowering(t *testing.T, seed int64, gen func(*rand.Rand) *logic.Network) {
+	t.Helper()
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(seed))}
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := randomNetwork(rng)
-		d, err := decompose.Decompose(n)
-		if err != nil {
-			return false
-		}
-		res, err := Convert(d)
-		if err != nil {
-			return false
-		}
-		if IsUnate(res.Network) != nil {
-			return false
-		}
-		if res.UnateGates > 2*res.SourceGates {
-			return false // paper's 2x duplication bound
-		}
-		t1, err1 := n.TruthTable()
-		t2, err2 := res.Network.TruthTable()
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		for i := range t1 {
-			for j := range t1[i] {
-				if t1[i][j] != t2[i][j] {
-					return false
-				}
-			}
-		}
-		return true
+		n := gen(rand.New(rand.NewSource(seed)))
+		d, res, err := lower(n)
+		return err == nil && withinDuplicationBound(d, res) && equivalent(n, res.Network)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
 }
 
-func randomNetwork(rng *rand.Rand) *logic.Network {
+// Property: wide gates, buffers and XORs lower to an equivalent network.
+func TestDecomposeEquivalenceQuick(t *testing.T) {
+	quickLowering(t, 42, func(rng *rand.Rand) *logic.Network {
+		return randomNetwork(rng, 3+rng.Intn(5), 5+rng.Intn(25), true)
+	})
+}
+
+// Property: 2-input networks convert to an equivalent unate network.
+func TestConvertEquivalenceQuick(t *testing.T) {
+	quickLowering(t, 5, func(rng *rand.Rand) *logic.Network {
+		return randomNetwork(rng, 3+rng.Intn(4), 4+rng.Intn(20), false)
+	})
+}
+
+// randomNetwork builds nin inputs and ngates gates over them, two
+// outputs; wide gates take 2-4 fanins and Buf joins the ops.
+func randomNetwork(rng *rand.Rand, nin, ngates int, wide bool) *logic.Network {
 	n := logic.New("rnd")
-	nin := 3 + rng.Intn(4)
-	var pool []int
-	for i := 0; i < nin; i++ {
-		pool = append(pool, n.AddInput(string(rune('a'+i))))
-	}
+	pool := inputs(n, nin)
 	ops := []logic.Op{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor, logic.Not}
-	ngates := 4 + rng.Intn(20)
+	if wide {
+		ops = append(ops, logic.Buf)
+	}
 	for i := 0; i < ngates; i++ {
 		op := ops[rng.Intn(len(ops))]
 		k := 1
 		if op.MaxFanin() != 1 {
 			k = 2
+			if wide {
+				k += rng.Intn(3)
+			}
 		}
 		fanin := make([]int, k)
 		for j := range fanin {
@@ -252,7 +392,7 @@ func randomNetwork(rng *rand.Rand) *logic.Network {
 }
 
 func TestPhaseString(t *testing.T) {
-	if Pos.String() != "pos" || Neg.String() != "neg" {
-		t.Error("Phase.String broken")
+	if pos.String() != "pos" || neg.String() != "neg" {
+		t.Error("phase.String broken")
 	}
 }

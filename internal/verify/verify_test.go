@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/unate"
@@ -12,11 +11,11 @@ import (
 
 func mapNetwork(t *testing.T, n *logic.Network) *mapper.Result {
 	t.Helper()
-	d, err := decompose.Decompose(n)
+	d, err := unate.Decompose(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := unate.Convert(d)
+	u, err := d.Convert()
 	if err != nil {
 		t.Fatal(err)
 	}
