@@ -3,9 +3,11 @@ package blif
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"soidomino/internal/bench"
 	"soidomino/internal/logic"
 )
 
@@ -218,4 +220,54 @@ func TestParseScannerError(t *testing.T) {
 	if _, err := ParseString(".model m\n.inputs " + long + "\n.end"); err == nil {
 		t.Error("expected scanner error for oversized line")
 	}
+}
+
+// TestAliasKeepsInputName pins that a buffer cover over a primary input
+// (.names a y / 1 1) aliases the input without renaming it: the input
+// list keeps its declared names and the output names the alias.
+func TestAliasKeepsInputName(t *testing.T) {
+	n, err := ParseString(".model m\n.inputs a b\n.outputs y b\n.names a y\n1 1\n.end\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inputNames(n); strings.Join(got, " ") != "a b" {
+		t.Fatalf("inputs = %v, want [a b]", got)
+	}
+	if o := n.Outputs[0]; o.Name != "y" || o.Node != n.Inputs[0] {
+		t.Fatalf("output 0 = %+v, want y on input a (node %d)", o, n.Inputs[0])
+	}
+}
+
+// TestRegistryRoundTripKeepsInterface writes every registry circuit and
+// parses it back: the primary inputs and outputs keep their names and
+// order, whatever buffers Write emits for outputs named apart from their
+// drivers.
+func TestRegistryRoundTripKeepsInterface(t *testing.T) {
+	for _, name := range bench.Names() {
+		n := bench.MustBuild(name)
+		var buf bytes.Buffer
+		if err := Write(&buf, n); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseString(buf.String())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := inputNames(back), inputNames(n); !slices.Equal(got, want) {
+			t.Errorf("%s: inputs %v, want %v", name, got, want)
+		}
+		for i, o := range n.Outputs {
+			if back.Outputs[i].Name != o.Name {
+				t.Errorf("%s: output %d named %q, want %q", name, i, back.Outputs[i].Name, o.Name)
+			}
+		}
+	}
+}
+
+func inputNames(n *logic.Network) []string {
+	names := make([]string, len(n.Inputs))
+	for i, id := range n.Inputs {
+		names[i] = n.Nodes[id].Name
+	}
+	return names
 }
