@@ -50,12 +50,15 @@ obs-overhead:
 # Result.Audit. The strash front-end, on the key path of every service
 # request, is pinned the same way (about one allocation per kept gate),
 # and so is the lowering to unate form (Decompose + Convert: about one
-# allocation per unate gate, no intermediate network). Env-gated like
-# obs-overhead.
+# allocation per unate gate, no intermediate network). So is the routing
+# key of an inline BLIF source (service.RequestKey on des: the reader
+# lowers the text straight into strash's builder, no network, under a
+# hundred allocations). Env-gated like obs-overhead.
 dp-allocs:
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback)Allocs' -v ./internal/mapper
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestStrashAllocs' -v ./internal/strash
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestFrontEndAllocs' -v ./internal/unate
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestKeyAllocs' -v ./internal/service
 
 # The strash front-end's determinism contract: every testdata circuit's
 # strash output is byte-stable across runs and idempotent, strash-on/off

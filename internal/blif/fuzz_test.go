@@ -2,26 +2,44 @@ package blif
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"soidomino/internal/strash"
 )
 
 // FuzzParseBLIF drives the parser with arbitrary bytes. The parser must
 // never panic; on a successful parse the resulting network must pass its
-// own consistency check, render back to BLIF, and reparse.
+// own consistency check, render back to BLIF, and reparse. It is also
+// the oracle for keying a source from its text: lowering the text into
+// strash's builder must fail exactly when Parse fails, with the same
+// error, and otherwise give the key strash.Run gives on the parsed
+// network.
 func FuzzParseBLIF(f *testing.F) {
 	f.Add(".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n")
 	f.Add(".model maj3\n.inputs a b c\n.outputs maj\n.names a b c maj\n11- 1\n-11 1\n1-1 1\n.end\n")
 	f.Add("# comment\n.model x\n.inputs a\n.outputs y\n.names a \\\ny\n1 1\n.end\n")
 	f.Add(".model k\n.inputs a\n.outputs y\n.names y\n1\n.names a q\n0 1\n.end\n")
 	f.Add(".names a a\n1 1\n")
+	f.Add(".model m\n.inputs a b\n.outputs y b\n.names a y\n1 1\n.end\n")
+	f.Add(".model m\n.inputs a b\n.outputs f\n.names a a b f\n01- 1\n1-0 0\n.end\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 64*1024 {
 			t.Skip("oversized input")
 		}
 		net, err := ParseString(src)
+		b := strash.NewBuilder(0)
+		model, lowerErr := Lower(context.Background(), src, b)
+		if fmt.Sprint(err) != fmt.Sprint(lowerErr) {
+			t.Fatalf("Parse and Lower disagree:\n  Parse: %v\n  Lower: %v\ninput:\n%s", err, lowerErr, src)
+		}
 		if err != nil {
 			return
+		}
+		if model != net.Name || b.Key(model) != strash.Run(net).Key {
+			t.Fatalf("text key differs from strash.Run's on the parsed network (model %q vs %q)\ninput:\n%s", model, net.Name, src)
 		}
 		if err := net.Check(); err != nil {
 			t.Fatalf("parsed network fails Check: %v\ninput:\n%s", err, src)

@@ -99,28 +99,44 @@ func Run(n *logic.Network) *Result {
 }
 
 // node is one vertex of the hash-consed network under construction. Its
-// fanins are fanins[lo:hi] of the owning builder.
+// fanins are fanins[lo:hi] of the owning Builder.
 type node struct {
 	op     logic.Op
 	name   string // primary inputs only
 	lo, hi int32
 }
 
-// builder accumulates the hash-consed network in flat slices: every node
+// output is one primary output added to a Builder.
+type output struct {
+	name string
+	id   int
+}
+
+// Builder is the hash-consing network builder behind Run. It takes a
+// network node by node through AddInput, AddConst, AddGate and
+// AddOutput, every fanin added before its gate, and answers Key without
+// building a logic.Network. The ids it returns are its own; AddGate may
+// return an existing node (a cons hit, a fold or a fanin). The BLIF
+// reader lowers its covers straight into one (blif.Lower), which is how
+// the service keys a BLIF source from its text.
+//
+// It accumulates the hash-consed network in flat slices: every node
 // carries a structural signature (a sha256 over its op and its fanins'
 // signatures) that doubles as the cons key and the commutative-fanin
 // sort key. The scratch slices are reused across gates; mark and count
 // are per-node tables whose entries are valid only where mark equals the
 // current gate's stamp, so starting a gate clears nothing.
-type builder struct {
-	nodes  []node
-	fanins []int
-	sigs   [][32]byte       // per node structural signature
-	cons   map[[32]byte]int // signature -> node id
-	faults *faultpoint.Registry
-	c      Counters
-	const0 int
-	const1 int
+type Builder struct {
+	nodes   []node
+	fanins  []int
+	sigs    [][32]byte       // per node structural signature
+	cons    map[[32]byte]int // signature -> node id
+	inputs  []int
+	outputs []output
+	faults  *faultpoint.Registry
+	c       Counters
+	const0  int
+	const1  int
 
 	buf   []byte  // signature preimage
 	mark  []int32 // mark[id] == stamp: id is an operand of the current gate
@@ -132,7 +148,7 @@ type builder struct {
 }
 
 // add appends a node with its signature and fanins, returning its id.
-func (b *builder) add(op logic.Op, name string, fanin []int, sig [32]byte) int {
+func (b *Builder) add(op logic.Op, name string, fanin []int, sig [32]byte) int {
 	id := len(b.nodes)
 	lo := int32(len(b.fanins))
 	b.fanins = append(b.fanins, fanin...)
@@ -144,17 +160,73 @@ func (b *builder) add(op logic.Op, name string, fanin []int, sig [32]byte) int {
 }
 
 // fanin returns node id's fanin list (a view into b.fanins).
-func (b *builder) fanin(id int) []int {
+func (b *Builder) fanin(id int) []int {
 	nd := b.nodes[id]
 	return b.fanins[nd.lo:nd.hi]
 }
 
-func (b *builder) addInput(name string) int {
-	b.buf = append(append(b.buf[:0], "i|"...), name...)
-	return b.add(logic.Input, name, nil, sha256.Sum256(b.buf))
+// NewBuilder returns an empty Builder presized for about size nodes.
+func NewBuilder(size int) *Builder {
+	return &Builder{
+		nodes:  make([]node, 0, size),
+		fanins: make([]int, 0, 2*size),
+		sigs:   make([][32]byte, 0, size),
+		cons:   make(map[[32]byte]int, size),
+		mark:   make([]int32, 0, size),
+		count:  make([]int32, 0, size),
+		const0: -1,
+		const1: -1,
+	}
 }
 
-func (b *builder) getConst(v bool) int {
+// AddInput adds a primary input. Inputs are the interface: never
+// merged, names kept, and their order is part of Key.
+func (b *Builder) AddInput(name string) int {
+	b.buf = append(append(b.buf[:0], "i|"...), name...)
+	id := b.add(logic.Input, name, nil, sha256.Sum256(b.buf))
+	b.inputs = append(b.inputs, id)
+	return id
+}
+
+// AddGate returns the node computing op over fanin, hash-consed and
+// folded: Buf collapses onto its fanin, Not onto a constant or a double
+// negation, Nand and Nor become an inverter over the core gate, and
+// commutative operands are ordered by structure. The fanin slice is not
+// retained. Ops other than gates panic.
+func (b *Builder) AddGate(op logic.Op, fanin ...int) int {
+	switch op {
+	case logic.Buf:
+		b.c.Folded++
+		return fanin[0]
+	case logic.Not:
+		x := fanin[0]
+		before := len(b.nodes)
+		id := b.consNot(x)
+		if id < before { // nothing new was built
+			if b.nodes[id].op == logic.Not && b.fanin(id)[0] == x {
+				b.c.Merged++ // cons hit on an identical inverter
+			} else {
+				b.c.Folded++ // constant fold or double negation
+			}
+		}
+		return id
+	case logic.And, logic.Or, logic.Nand, logic.Nor:
+		return b.consMonotone(op, fanin)
+	case logic.Xor, logic.Xnor:
+		return b.consParity(op, fanin)
+	}
+	panic(fmt.Sprintf("strash: AddGate with op %v", op))
+}
+
+// AddOutput declares node id a primary output; output names and order
+// are part of Key.
+func (b *Builder) AddOutput(name string, id int) {
+	b.outputs = append(b.outputs, output{name, id})
+}
+
+// AddConst returns the constant node of value v; there is at most one
+// of each.
+func (b *Builder) AddConst(v bool) int {
 	if v {
 		if b.const1 < 0 {
 			b.const1 = b.add(logic.Const1, "", nil, sha256.Sum256([]byte("c1")))
@@ -169,7 +241,7 @@ func (b *builder) getConst(v bool) int {
 
 // isNotOf returns (x, true) when node id computes NOT x; used for
 // complement-pair cancellation.
-func (b *builder) isNotOf(id int) (int, bool) {
+func (b *Builder) isNotOf(id int) (int, bool) {
 	if b.nodes[id].op == logic.Not {
 		return b.fanin(id)[0], true
 	}
@@ -177,12 +249,12 @@ func (b *builder) isNotOf(id int) (int, bool) {
 }
 
 // consNot builds (or finds) NOT x, folding constants and double negation.
-func (b *builder) consNot(x int) int {
+func (b *Builder) consNot(x int) int {
 	switch b.nodes[x].op {
 	case logic.Const0:
-		return b.getConst(true)
+		return b.AddConst(true)
 	case logic.Const1:
-		return b.getConst(false)
+		return b.AddConst(false)
 	case logic.Not:
 		return b.fanin(x)[0]
 	}
@@ -201,7 +273,7 @@ func (b *builder) consNot(x int) int {
 // already merged — break by id). This is the commutative-input
 // normalization: the resulting operand order, which the mapper reads as
 // series-stack order, depends on structure alone.
-func (b *builder) sortStructural(ids []int) {
+func (b *Builder) sortStructural(ids []int) {
 	slices.SortFunc(ids, func(x, y int) int {
 		if c := bytes.Compare(b.sigs[x][:], b.sigs[y][:]); c != 0 {
 			return c
@@ -212,7 +284,7 @@ func (b *builder) sortStructural(ids []int) {
 
 // consGate hash-conses one already-normalized gate (core op, >= 2
 // structurally sorted operands).
-func (b *builder) consGate(op logic.Op, ops []int) int {
+func (b *Builder) consGate(op logic.Op, ops []int) int {
 	signed := op
 	if b.faults.Flip(PointBadMerge) && op == logic.Or {
 		// Deliberate corruption for fault-injection tests: sign the OR
@@ -234,7 +306,7 @@ func (b *builder) consGate(op logic.Op, ops []int) int {
 }
 
 // nextStamp starts a new gate for the mark and count tables.
-func (b *builder) nextStamp() int32 {
+func (b *Builder) nextStamp() int32 {
 	b.stamp++
 	return b.stamp
 }
@@ -243,7 +315,7 @@ func (b *builder) nextStamp() int32 {
 // idempotent duplicate removal, complement-pair cancellation, then
 // structural operand ordering keys the cons lookup. The Nand/Nor wrapper
 // becomes an explicit inverter on the core gate.
-func (b *builder) consMonotone(op logic.Op, fanin []int) int {
+func (b *Builder) consMonotone(op logic.Op, fanin []int) int {
 	core, invert := op, false
 	switch op {
 	case logic.Nand:
@@ -268,13 +340,13 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 		case logic.Const0:
 			if !dominant {
 				b.c.Folded++
-				return finish(b.getConst(false))
+				return finish(b.AddConst(false))
 			}
 			continue // identity for Or
 		case logic.Const1:
 			if dominant {
 				b.c.Folded++
-				return finish(b.getConst(true))
+				return finish(b.AddConst(true))
 			}
 			continue // identity for And
 		}
@@ -289,7 +361,7 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 	for _, f := range ops {
 		if x, ok := b.isNotOf(f); ok && b.mark[x] == stamp {
 			b.c.Folded++
-			return finish(b.getConst(dominant))
+			return finish(b.AddConst(dominant))
 		}
 	}
 	switch len(ops) {
@@ -297,7 +369,7 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 		// Every operand was an identity constant: the empty And is 1,
 		// the empty Or is 0.
 		b.c.Folded++
-		return finish(b.getConst(!dominant))
+		return finish(b.AddConst(!dominant))
 	case 1:
 		b.c.Folded++
 		return finish(ops[0])
@@ -310,7 +382,7 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 // logic.EvalAll: the gate is the parity of its fanins, complemented for
 // Xnor. Const1 fanins and complemented operands toggle the complement;
 // identical pairs and Const0 fanins vanish.
-func (b *builder) consParity(op logic.Op, fanin []int) int {
+func (b *Builder) consParity(op logic.Op, fanin []int) int {
 	invert := op == logic.Xnor
 	stamp := b.nextStamp()
 	order := b.order[:0]
@@ -358,7 +430,7 @@ func (b *builder) consParity(op logic.Op, fanin []int) int {
 	}
 	switch len(ops) {
 	case 0:
-		return finish(b.getConst(false))
+		return finish(b.AddConst(false))
 	case 1:
 		return finish(ops[0])
 	}
@@ -370,17 +442,10 @@ func (b *builder) consParity(op logic.Op, fanin []int) int {
 // carried by ctx may fire PointBadMerge. A plain context makes it
 // identical to Run.
 func RunContext(ctx context.Context, n *logic.Network) *Result {
-	b := &builder{
-		nodes:  make([]node, 0, len(n.Nodes)),
-		fanins: make([]int, 0, 2*len(n.Nodes)),
-		sigs:   make([][32]byte, 0, len(n.Nodes)),
-		cons:   make(map[[32]byte]int, len(n.Nodes)),
-		mark:   make([]int32, 0, len(n.Nodes)),
-		count:  make([]int32, 0, len(n.Nodes)),
-		faults: faultpoint.From(ctx),
-		const0: -1,
-		const1: -1,
-	}
+	b := NewBuilder(len(n.Nodes))
+	b.inputs = make([]int, 0, len(n.Inputs))
+	b.outputs = make([]output, 0, len(n.Outputs))
+	b.faults = faultpoint.From(ctx)
 	b.c.NodesIn = len(n.Nodes)
 
 	// Phase 1: forward hash-consing pass. repr[i] is the builder id of
@@ -389,34 +454,15 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 	for i, nd := range n.Nodes {
 		switch nd.Op {
 		case logic.Input:
-			// Inputs are the interface: never merged, names kept.
-			repr[i] = b.addInput(nd.Name)
-		case logic.Const0:
-			repr[i] = b.getConst(false)
-		case logic.Const1:
-			repr[i] = b.getConst(true)
-		case logic.Buf:
-			repr[i] = repr[nd.Fanin[0]]
-			b.c.Folded++
-		case logic.Not:
-			x := repr[nd.Fanin[0]]
-			before := len(b.nodes)
-			id := b.consNot(x)
-			if id < before { // nothing new was built
-				if b.nodes[id].op == logic.Not && b.fanin(id)[0] == x {
-					b.c.Merged++ // cons hit on an identical inverter
-				} else {
-					b.c.Folded++ // constant fold or double negation
-				}
-			}
-			repr[i] = id
-		case logic.And, logic.Or, logic.Nand, logic.Nor:
-			repr[i] = b.consMonotone(nd.Op, b.faninRepr(repr, nd.Fanin))
-		case logic.Xor, logic.Xnor:
-			repr[i] = b.consParity(nd.Op, b.faninRepr(repr, nd.Fanin))
+			repr[i] = b.AddInput(nd.Name)
+		case logic.Const0, logic.Const1:
+			repr[i] = b.AddConst(nd.Op == logic.Const1)
 		default:
-			panic(fmt.Sprintf("strash: node %d has unknown op %v", i, nd.Op))
+			repr[i] = b.AddGate(nd.Op, b.faninRepr(repr, nd.Fanin)...)
 		}
+	}
+	for _, po := range n.Outputs {
+		b.AddOutput(po.Name, repr[po.Node])
 	}
 
 	// Phase 2: DCE. Keep every primary input (the interface) plus
@@ -431,8 +477,8 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 			stack = append(stack, id)
 		}
 	}
-	for _, po := range n.Outputs {
-		push(repr[po.Node])
+	for _, po := range b.outputs {
+		push(po.id)
 	}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -478,8 +524,8 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 			finalOf[id] = final.AddGate(nd.op, fanin...)
 		}
 	}
-	for _, po := range n.Outputs {
-		final.AddOutput(po.Name, finalOf[repr[po.Node]])
+	for _, po := range b.outputs {
+		final.AddOutput(po.name, finalOf[po.id])
 	}
 
 	nodeMap := make([]int, len(n.Nodes))
@@ -487,32 +533,34 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 		nodeMap[i] = finalOf[repr[i]]
 	}
 	b.c.NodesOut = len(final.Nodes)
-	return &Result{Network: final, NodeMap: nodeMap, Counters: b.c, Key: b.key(n, repr)}
+	return &Result{Network: final, NodeMap: nodeMap, Counters: b.c, Key: b.Key(n.Name)}
 }
 
-// key is the structural digest behind Result.Key. Strings are length
-// prefixed, so no two interfaces share a preimage.
-func (b *builder) key(n *logic.Network, repr []int) [32]byte {
+// Key is the structural digest behind Result.Key for a network named
+// name: the name, the input names in order, then each output's name and
+// signature in order. Strings are length prefixed, so no two interfaces
+// share a preimage.
+func (b *Builder) Key(name string) [32]byte {
 	str := func(s string) {
 		b.buf = binary.AppendUvarint(b.buf, uint64(len(s)))
 		b.buf = append(b.buf, s...)
 	}
 	b.buf = b.buf[:0]
-	str(n.Name)
-	b.buf = binary.AppendUvarint(b.buf, uint64(len(n.Inputs)))
-	for _, id := range n.Inputs {
-		str(n.Nodes[id].Name)
+	str(name)
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(b.inputs)))
+	for _, id := range b.inputs {
+		str(b.nodes[id].name)
 	}
-	b.buf = binary.AppendUvarint(b.buf, uint64(len(n.Outputs)))
-	for _, po := range n.Outputs {
-		str(po.Name)
-		b.buf = append(b.buf, b.sigs[repr[po.Node]][:]...)
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(b.outputs)))
+	for _, po := range b.outputs {
+		str(po.name)
+		b.buf = append(b.buf, b.sigs[po.id][:]...)
 	}
 	return sha256.Sum256(b.buf)
 }
 
 // faninRepr maps a source fanin list through repr into b.in.
-func (b *builder) faninRepr(repr []int, fanin []int) []int {
+func (b *Builder) faninRepr(repr []int, fanin []int) []int {
 	in := b.in[:0]
 	for _, f := range fanin {
 		in = append(in, repr[f])
