@@ -142,14 +142,11 @@ type Raw struct {
 	Body   []byte
 }
 
-// MapRaw submits req like Map, forwarding key — the submission's cache
-// key, as service.RequestKey derived it — in the service.KeyHeader
-// header, and returns the answer undecoded. soirouter routes with it.
-func (c *Client) MapRaw(ctx context.Context, req *service.MapRequest, key string) (*Raw, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+// MapRaw submits an encoded mapping request as is, forwarding key — the
+// submission's cache key, as service.RequestKey derived it — in the
+// service.KeyHeader header, and returns the answer undecoded. soirouter
+// routes with it, forwarding the bytes its caller sent.
+func (c *Client) MapRaw(ctx context.Context, body []byte, key string) (*Raw, error) {
 	var raw Raw
 	if err := c.do(ctx, http.MethodPost, "/v1/map", key, body, &raw); err != nil {
 		return nil, err

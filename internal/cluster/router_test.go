@@ -645,3 +645,76 @@ func TestRouterStrashOffMismatchCounted(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterForwardsCallerBytes: the router reads a submission once and
+// forwards the caller's body byte for byte — its spacing, key order and
+// escapes intact — on every failover attempt. Only a strash-off router
+// that must add strash_off re-encodes the request, once for all
+// attempts.
+func TestRouterForwardsCallerBytes(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	// Both replicas record what they receive; the first attempt of each
+	// submission is refused with a 503, so the router fails over.
+	var mu sync.Mutex
+	var got [][]byte
+	capture := func() *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/map" {
+				b, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				got = append(got, b)
+				first := len(got) == 1
+				mu.Unlock()
+				if first {
+					http.Error(w, `{"error": "overloaded"}`, http.StatusServiceUnavailable)
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(b))
+			}
+			svc.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	a, b := capture(), capture()
+
+	const body = "{ \"options\":{\"max_width\": 3},\n  \"circuit\" : \"m\\u0075x\" }"
+	for _, tc := range []struct {
+		name      string
+		strashOff bool
+		want      string
+	}{
+		{"verbatim", false, body},
+		{"strash-off rewrite", true, `{"circuit":"mux","options":{"max_width":3,"strash_off":true}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newRouterTS(t, Config{Replicas: []string{a.URL, b.URL},
+				StrashOff: tc.strashOff, Client: client.Config{MaxAttempts: 1}})
+			mu.Lock()
+			got = nil
+			mu.Unlock()
+			resp, err := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(got) != 2 {
+				t.Fatalf("replicas received %d attempts, want 2 (one failover)", len(got))
+			}
+			for i, b := range got {
+				if string(b) != tc.want {
+					t.Errorf("attempt %d forwarded\n  %q\nwant\n  %q", i, b, tc.want)
+				}
+			}
+		})
+	}
+}
