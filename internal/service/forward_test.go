@@ -285,3 +285,40 @@ func TestRelayViewRejectsOtherBodies(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardedKeyFollowsInFlightLeader: a submission whose forwarded
+// key already has a leader queued or running rides that leader, as a
+// hit is served, without resolving (no parse, no strash) and without
+// queueing a DP run of its own; it ends with the leader's outcome.
+func TestForwardedKeyFollowsInFlightLeader(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	key, err := RequestKey(context.Background(), &MapRequest{Circuit: "mux"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stand-in leader, never queued: only following it can end the
+	// submission with its outcome.
+	leader := &job{cacheKey: key, state: JobQueued, done: make(chan struct{})}
+	s.mu.Lock()
+	s.inflight[key] = leader
+	s.mu.Unlock()
+	strashed := strashSeconds(s, "soi")
+
+	code, _, v := postKeyed(t, ts, `{"circuit": "mux", "async": true}`, key)
+	if code != http.StatusAccepted || !v.Coalesced {
+		t.Fatalf("code %d, coalesced %t; want 202 and a follower", code, v.Coalesced)
+	}
+	if d := strashSeconds(s, "soi"); d != strashed {
+		t.Errorf("the follower strashed its source (%v -> %v)", strashed, d)
+	}
+	if n := s.Counter("jobs_coalesced"); n != 1 {
+		t.Errorf("jobs_coalesced = %d, want 1", n)
+	}
+	s.mu.Lock()
+	delete(s.inflight, key)
+	s.mu.Unlock()
+	leader.finish(JobFailed, nil, "stand-in leader failed", nil)
+	if got := pollJob(t, ts.URL, v.ID, 5*time.Second); got.State != JobFailed || got.Error != "stand-in leader failed" {
+		t.Fatalf("follower ended %s (%q), want the leader's failure", got.State, got.Error)
+	}
+}
