@@ -1,13 +1,15 @@
 // Command soimapd serves the SOI domino technology mapper over HTTP: a
 // bounded worker pool maps submitted circuits (built-in benchmark names
 // or inline BLIF/.bench text) and an LRU keyed by strash's structural
-// digest answers repeated submissions from cache. See internal/service for the API.
+// digest answers repeated submissions from cache. A submission opts out
+// of strash with its own options.strash_off; there is no server-wide
+// switch. See internal/service for the API.
 //
 // Usage:
 //
 //	soimapd [-addr :8347] [-workers N] [-queue 64] [-cache 256]
 //	        [-timeout 30s] [-max-timeout 5m] [-retention 10m]
-//	        [-max-body 16777216] [-max-nodes 200000] [-strash-off]
+//	        [-max-body 16777216] [-max-nodes 200000]
 //	        [-peers http://h1:8347,http://h2:8347] [-peer-timeout 200ms]
 //	        [-state-dir /var/lib/soimapd] [-journal-fsync interval]
 //	        [-log text|json|off] [-debug-addr 127.0.0.1:8348]
@@ -90,7 +92,6 @@ func run() error {
 	maxBody := flag.Int64("max-body", 0, "request-body byte cap, rejected with 413 (0 = default 16MiB)")
 	maxNodes := flag.Int("max-nodes", 0, "submitted-network node cap, rejected with 413 (0 = default 200000)")
 	retention := flag.Duration("retention", 0, "how long finished jobs stay pollable before eviction (0 = default 10m)")
-	strashOff := flag.Bool("strash-off", false, "disable the structural-hashing front-end for every job (must be uniform across a fleet and its router)")
 	name := flag.String("name", "", "replica identity reported in trace spans and attribution records (empty: \"soimapd\")")
 	traceSample := flag.Int("trace-sample", 0, "start a sampled distributed trace on every Nth submission without a traceparent header (0: off; incoming sampled headers are always honored)")
 	traceMax := flag.Int("trace-max", 0, "distinct traces retained by the in-memory hub, FIFO (0 = default 64)")
@@ -143,7 +144,6 @@ func run() error {
 		MaxBodyBytes:     *maxBody,
 		MaxNetworkNodes:  *maxNodes,
 		JobRetention:     *retention,
-		StrashOff:        *strashOff,
 		ReplicaName:      *name,
 		TraceSample:      *traceSample,
 		TraceMax:         *traceMax,

@@ -3,13 +3,15 @@
 // request key (strash's structural network digest keyed jointly with the
 // options encoding — the same key replicas cache results under), so
 // identical circuits always land on the same replicas, whose job tables
-// coalesce concurrent identical submissions into one DP run.
+// coalesce concurrent identical submissions into one DP run. Each
+// submission is forwarded as the caller's bytes, with the key in
+// X-Cache-Key; a per-request options.strash_off is part of that key.
 //
 // Usage:
 //
 //	soirouter -replicas http://h1:8347,http://h2:8347,http://h3:8347
 //	          [-addr :8346] [-rf 2] [-probe 2s] [-max-body 16777216]
-//	          [-attempts 4] [-strash-off] [-log text|json|off]
+//	          [-attempts 4] [-log text|json|off]
 //
 // Endpoints mirror soimapd:
 //
@@ -65,7 +67,6 @@ func run() error {
 	rf := flag.Int("rf", 0, "replication factor: preferred replicas per key before last-resort failover (0 = default 2)")
 	probe := flag.Duration("probe", 0, "replica /readyz probe interval (0 = default 2s, negative disables)")
 	maxBody := flag.Int64("max-body", 0, "request-body byte cap (0 = default 16MiB)")
-	strashOff := flag.Bool("strash-off", false, "force options.strash_off on every routed submission (must match the replicas' -strash-off)")
 	attempts := flag.Int("attempts", 0, "per-replica retry attempts before failing over (0 = client default 4)")
 	traceSample := flag.Int("trace-sample", 0, "start a sampled distributed trace on every Nth submission without a traceparent header (0: off; incoming sampled headers are always honored)")
 	traceMax := flag.Int("trace-max", 0, "distinct traces retained by the in-memory hub, FIFO (0 = default 64)")
@@ -98,7 +99,6 @@ func run() error {
 		ReplicationFactor: *rf,
 		ProbeInterval:     *probe,
 		MaxBodyBytes:      *maxBody,
-		StrashOff:         *strashOff,
 		TraceSample:       *traceSample,
 		TraceMax:          *traceMax,
 		Client:            client.Config{MaxAttempts: *attempts},

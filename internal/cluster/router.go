@@ -52,18 +52,6 @@ type Config struct {
 	// TraceMax bounds the distinct traces retained by the router's trace
 	// hub (FIFO eviction; default 64).
 	TraceMax int
-	// StrashOff disables the structural-hashing front-end for every
-	// routed submission by forcing options.strash_off on the request
-	// itself before the routing key is computed — so the router's keys,
-	// the replicas' cache keys and the forwarded request all agree. It
-	// must match the replicas' own -strash-off setting. A strash-off
-	// router fronting strash-on replicas still agrees with them, since
-	// the forwarded request carries strash_off; a strash-on router
-	// fronting strash-off replicas routes a circuit to one shard while
-	// the replica caches it under another. Each such submission is
-	// answered correctly, from the replica's own key, and counted in the
-	// replica's soimapd_key_mismatches_total.
-	StrashOff bool
 	// Logger receives routing decisions and failovers; nil disables.
 	Logger *slog.Logger
 }
@@ -305,7 +293,8 @@ func (rt *Router) markUnready(rep *replica) {
 // handleMap routes one submission. It does not coalesce: identical
 // requests share a key, so the ring sends them to one replica, whose
 // in-flight table runs them once while each keeps its own job id. The
-// answer is the replica's, status and bytes, with only the id rewritten.
+// request goes out as the caller's bytes, the answer comes back as the
+// replica's, status and bytes, with only the id rewritten.
 //
 // Observability: the router adopts a well-formed incoming X-Request-ID
 // (or mints one) and forwards it to the replica, so both processes' log
@@ -342,23 +331,6 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		rt.errorJSON(w, status, err.Error())
 		return
 	}
-	body := buf.Bytes()
-	if rt.cfg.StrashOff && (req.Options == nil || !req.Options.StrashOff) {
-		// Normalize the request itself, not just the local key: the
-		// forwarded submission must carry strash_off so the replica's
-		// cache key matches the shard this router picked. Every other
-		// submission is forwarded as the caller's bytes.
-		if req.Options == nil {
-			req.Options = &service.RequestOptions{}
-		}
-		req.Options.StrashOff = true
-		if body, err = json.Marshal(req); err != nil {
-			rt.add("requests_bad", 1)
-			rootSpan.End(obs.KV{Key: "bad_request", Val: 1})
-			rt.errorJSON(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
 	kStart := time.Now()
 	key, err := service.RequestKey(r.Context(), req)
 	rt.hub.Record(obs.TraceContextFrom(r.Context()), "router", "request key", kStart, time.Since(kStart))
@@ -369,7 +341,7 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	status, view, err := rt.route(r.Context(), key, body)
+	status, view, err := rt.route(r.Context(), key, buf.Bytes())
 	if err != nil {
 		rt.add("requests_failed", 1)
 		rootSpan.End(obs.KV{Key: "failed", Val: 1})

@@ -44,7 +44,7 @@ func TestRequestKeyMatchesResolve(t *testing.T) {
 			req := &MapRequest{BLIF: src.Text, Options: v.opts}
 			got, gotErr := RequestKey(ctx, req)
 			var want string
-			j, _, wantErr := resolve(ctx, req, false, 0)
+			j, _, wantErr := resolve(ctx, req, 0)
 			if wantErr == nil {
 				want = j.cacheKey
 			}

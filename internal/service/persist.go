@@ -351,7 +351,7 @@ func (s *Server) readmit(rj *recoveredJob) {
 		s.installRecovered(rj, JobDone, res, "")
 		return
 	}
-	j, _, err := resolve(s.faultCtx(s.baseCtx), rj.req, s.cfg.StrashOff, s.cfg.MaxNetworkNodes)
+	j, _, err := resolve(s.faultCtx(s.baseCtx), rj.req, s.cfg.MaxNetworkNodes)
 	if err == nil {
 		j.id, j.recovered = rj.id, true
 		j.deadline = time.Now().Add(s.cfg.DefaultTimeout)

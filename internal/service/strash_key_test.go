@@ -155,22 +155,20 @@ func jsonEscape(s string) string {
 	return string(out)
 }
 
-// TestServerStrashOffConfig pins the server-wide opt-out: with
-// Config.StrashOff the resolved options carry strash_off into both the
-// pipeline and the cache key, so a strash-on router would route such a
-// fleet's keys differently — the flag must be fleet-uniform (see the
-// Config.StrashOff doc).
-func TestServerStrashOffConfig(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, StrashOff: true})
-	code, v := postMap(t, ts, `{"circuit": "mux"}`)
+// TestServerStrashOffRequest pins the opt-out, which is per request:
+// options.strash_off reaches the resolved options, and the pipeline maps
+// the network as declared, so the result carries no strash counters.
+func TestServerStrashOffRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
+	code, v := postMap(t, ts, `{"circuit":"mux","options":{"strash_off":true}}`)
 	if code != http.StatusOK {
 		t.Fatalf("code %d", code)
 	}
 	if !v.Result.Options.StrashOff {
-		t.Error("Config.StrashOff did not reach the resolved options")
+		t.Error("options.strash_off did not reach the resolved options")
 	}
 	if v.Result.Strash != nil {
-		t.Error("strash ran despite Config.StrashOff")
+		t.Error("strash ran despite options.strash_off")
 	}
 }
 
