@@ -64,12 +64,6 @@ type Builder interface {
 
 // Parse reads a single .model from r and builds the equivalent network.
 func Parse(r io.Reader) (*logic.Network, error) {
-	return ParseContext(context.Background(), r)
-}
-
-// ParseContext is Parse honoring any fault-injection registry carried by
-// ctx (the parser itself has no cancellation points; parsing is fast).
-func ParseContext(ctx context.Context, r io.Reader) (*logic.Network, error) {
 	var sb strings.Builder
 	if l, ok := r.(interface{ Len() int }); ok {
 		sb.Grow(l.Len())
@@ -77,15 +71,18 @@ func ParseContext(ctx context.Context, r io.Reader) (*logic.Network, error) {
 	if _, err := io.Copy(&sb, r); err != nil {
 		return nil, fmt.Errorf("blif: %w", err)
 	}
-	return parse(ctx, sb.String())
+	return ParseString(sb.String())
 }
 
 // ParseString is Parse over a string.
 func ParseString(s string) (*logic.Network, error) {
-	return parse(context.Background(), s)
+	return ParseContext(context.Background(), s)
 }
 
-func parse(ctx context.Context, src string) (*logic.Network, error) {
+// ParseContext is ParseString honoring any fault-injection registry
+// carried by ctx (the parser itself has no cancellation points; parsing
+// is fast). It lexes src in place, without copying it.
+func ParseContext(ctx context.Context, src string) (*logic.Network, error) {
 	n := logic.New("")
 	model, err := Lower(ctx, src, n)
 	if err != nil {
