@@ -38,7 +38,7 @@ var promCounterHelp = map[string]string{
 	"jobs_rejected":             "Submissions rejected because the queue was full.",
 	"jobs_shed":                 "Submissions shed because the estimated queue wait exceeded their deadline.",
 	"jobs_submitted":            "Jobs accepted for processing (including cache hits).",
-	"key_mismatches":            "Submissions whose router-forwarded cache key differed from the key this replica derived (skewed strash_off or a forged header).",
+	"key_mismatches":            "Submissions whose router-forwarded cache key differed from the key this replica derived (a forged or stale header).",
 	"store_corrupt":             "Corrupt or torn durable-store records detected and quarantined, never served.",
 	"store_evicted":             "Durable-store entries evicted to keep the disk tier within StoreEntries.",
 	"store_hits":                "Lookups answered by the durable on-disk result store.",
