@@ -53,12 +53,15 @@ obs-overhead:
 # allocation per unate gate, no intermediate network). So is the routing
 # key of an inline BLIF source (service.RequestKey on des: the reader
 # lowers the text straight into strash's builder, no network, under a
-# hundred allocations). Env-gated like obs-overhead.
+# hundred allocations), and soirouter's key memo hit (nothing
+# allocated, for a registry request and for c499's 47 KB BLIF alike: a
+# hit never lowers the text). Env-gated like obs-overhead.
 dp-allocs:
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback)Allocs' -v ./internal/mapper
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestStrashAllocs' -v ./internal/strash
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestFrontEndAllocs' -v ./internal/unate
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestKeyAllocs' -v ./internal/service
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestRouterMemoHitAllocs' -v ./internal/cluster
 
 # The strash front-end's determinism contract: every testdata circuit's
 # strash output is byte-stable across runs and idempotent, strash-on/off

@@ -5,7 +5,9 @@
 // identical circuits always land on the same replicas, whose job tables
 // coalesce concurrent identical submissions into one DP run. Each
 // submission is forwarded as the caller's bytes, with the key in
-// X-Cache-Key; a per-request options.strash_off is part of that key.
+// X-Cache-Key; a per-request options.strash_off is part of that key. A
+// byte-identical resubmission is routed under its memoised key (a
+// bounded memo from the body's sha256), neither decoded nor keyed again.
 //
 // Usage:
 //
