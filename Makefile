@@ -114,8 +114,12 @@ trace-smoke:
 # coalescing. Every completed response is byte-compared against a clean
 # local re-derivation. Replay with:
 # go run ./cmd/soichaos -campaign cluster -seed N.
+# Then ~25s: the router's byte relay, replica coalescing included, twenty
+# times under -race (the async leader is held at its queue pop by a
+# latency fault, so its twin always finds it in flight).
 cluster-smoke:
 	$(GO) run ./cmd/soichaos -campaign cluster -seed 1 -requests 2000 -duration 30s -p 0.02 -sim 1
+	$(GO) test -race -count=20 -run TestRouterRelaysReplicaBytes ./internal/cluster
 
 # Seconds: the crash-persistence gate — a state-dir soimapd takes load
 # with torn-write/fsync faults armed against its durable tier, is

@@ -375,7 +375,7 @@ func TestSyntheticProfile(t *testing.T) {
 		t.Errorf("synthetic depth %d too shallow for realistic logic", s.Depth)
 	}
 	// Every input must feed something.
-	fanout := n.ComputeFanout()
+	fanout := n.FanoutCounts()
 	for _, id := range n.Inputs {
 		if fanout[id] == 0 {
 			t.Errorf("input %d unused", id)

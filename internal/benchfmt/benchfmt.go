@@ -147,7 +147,8 @@ func Parse(name string, r io.Reader) (*logic.Network, error) {
 		if len(fan) < d.op.MinFanin() || (d.op.MaxFanin() >= 0 && len(fan) > d.op.MaxFanin()) {
 			return -1, fmt.Errorf("benchfmt: line %d: %s with %d fanins", d.line, d.op, len(fan))
 		}
-		id := n.AddNamedGate(sig, d.op, fan...)
+		id := n.AddGate(d.op, fan...)
+		n.Nodes[id].Name = sig
 		ids[sig] = id
 		return id, nil
 	}
@@ -220,11 +221,17 @@ func Write(w io.Writer, n *logic.Network) error {
 	}
 	// Outputs whose name differs from their driver get a BUFF alias so the
 	// primary-output names survive a round trip.
+	named := make(map[string]bool, len(n.Nodes))
+	for _, node := range n.Nodes {
+		if node.Name != "" {
+			named[node.Name] = true
+		}
+	}
 	type alias struct{ out, drv string }
 	var aliases []alias
 	for _, out := range n.Outputs {
 		drv := name(out.Node)
-		if out.Name != drv && n.NodeByName(out.Name) < 0 {
+		if out.Name != drv && !named[out.Name] {
 			aliases = append(aliases, alias{out.Name, drv})
 			fmt.Fprintf(bw, "OUTPUT(%s)\n", out.Name)
 			continue

@@ -168,18 +168,38 @@ type parser struct {
 	stamp  int32
 }
 
-// newParser returns a parser with its tables sized for src, from its
-// line and .names counts.
+// newParser returns a parser with its tables sized for src from counts
+// that blank lines and comments cannot inflate: the lines that open with
+// a directive, with .names, and with a cover character. Lines that open
+// with white space are not counted; the tables grow to hold them. What
+// Write emits has no other lines, so its rows fit exactly and memo gets
+// an entry per line and one more.
 func newParser(src string) *parser {
-	lines := strings.Count(src, "\n") + 1
-	names := strings.Count(src, ".names")
+	var directives, names, rows int
+	for line := src; line != ""; {
+		switch line[0] {
+		case '.':
+			directives++
+			if strings.HasPrefix(line, ".names") {
+				names++
+			}
+		case '0', '1', '-':
+			rows++
+		}
+		i := strings.IndexByte(line, '\n')
+		if i < 0 {
+			break
+		}
+		line = line[i+1:]
+	}
+	lines := directives + rows + 1
 	sigs := names + names/4 + 8
 	return &parser{
 		index:   make(map[string]int32, sigs),
 		sigs:    make([]signal, 0, sigs),
 		covers:  make([]cover, 0, names),
 		fanins:  make([]int32, 0, 2*names),
-		rows:    make([]row, 0, max(lines-names, 0)),
+		rows:    make([]row, 0, rows),
 		memo:    make([]int, lines),
 		memoAt:  make([]int32, lines),
 		current: -1,

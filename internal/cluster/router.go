@@ -261,14 +261,6 @@ func (rt *Router) addTier(url, tier string) {
 	rt.mu.Unlock()
 }
 
-// TierCount reads one cell of the per-replica answer-tier rollup (0 for
-// unknown pairs). Exported for harnesses.
-func (rt *Router) TierCount(replicaURL, tier string) int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.tiers[tierKey{replicaURL, tier}]
-}
-
 // probeLoop polls every replica's /readyz on the configured cadence. A
 // 200 restores readiness (recovering a passively-unreadied replica), a
 // 503 or transport failure suspends it.

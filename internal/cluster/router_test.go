@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"soidomino/internal/client"
+	"soidomino/internal/faultpoint"
 	"soidomino/internal/obs"
 	"soidomino/internal/service"
 )
@@ -520,8 +521,11 @@ func TestRouterProbeDrain(t *testing.T) {
 // router answers the replica's own bytes and status, the job id
 // namespaced and nothing else changed.
 func TestRouterRelaysReplicaBytes(t *testing.T) {
-	_, tsA := newReplicaTS(t, service.Config{})
-	_, tsB := newReplicaTS(t, service.Config{})
+	// One fault registry for both replicas: whichever owns the async
+	// leader below holds it at its queue pop.
+	faults := faultpoint.New(1)
+	_, tsA := newReplicaTS(t, service.Config{Faults: faults})
+	_, tsB := newReplicaTS(t, service.Config{Faults: faults})
 	rt, ts := newRouterTS(t, Config{Replicas: []string{tsA.URL, tsB.URL}})
 
 	do := func(method, url, body string) (int, []byte) {
@@ -587,39 +591,30 @@ func TestRouterRelaysReplicaBytes(t *testing.T) {
 	}
 
 	// An async leader then an identical sync submission: the second rides
-	// the first on the owning replica while the long Pareto run lasts.
-	// Each retry is a fresh key, in case a leader finished first.
-	coalesced := false
-	for budget := 64; budget < 67 && !coalesced; budget++ {
-		body := `{"circuit": "c7552", "options": {"pareto": true, "tuple_budget": ` + strconv.Itoa(budget) + `}`
-		code, b := do(http.MethodPost, ts.URL+"/v1/map", body+`, "async": true}`)
-		if code != http.StatusAccepted {
-			t.Fatalf("async leader: status %d\n%s", code, b)
-		}
-		var leader service.JobView
-		if err := json.Unmarshal(b, &leader); err != nil {
-			t.Fatal(err)
-		}
-		coalesced = post("coalesced", body+`}`, http.StatusOK).Coalesced
-
-		// The leader, polled through the router once it is done.
-		deadline := time.Now().Add(30 * time.Second)
-		for {
-			code, b = do(http.MethodGet, ts.URL+"/v1/jobs/"+leader.ID, "")
-			if code != http.StatusOK {
-				t.Fatalf("poll: status %d\n%s", code, b)
-			}
-			if v := relayed("poll", b); v.State == service.JobDone {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("async leader never finished")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	// the first on the owning replica. The leader's worker sleeps at its
+	// queue pop, so the leader stays in the in-flight table until its
+	// twin has followed it.
+	faults.Arm(service.PointQueuePop, faultpoint.Fault{Kind: faultpoint.Latency, Prob: 1, Times: 1, Latency: time.Second})
+	const body = `{"circuit": "c880"`
+	code, b := do(http.MethodPost, ts.URL+"/v1/map", body+`, "async": true}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("async leader: status %d\n%s", code, b)
 	}
-	if !coalesced {
-		t.Fatal("no submission coalesced onto its async twin")
+	var leader service.JobView
+	if err := json.Unmarshal(b, &leader); err != nil {
+		t.Fatal(err)
+	}
+	if !post("coalesced", body+`}`, http.StatusOK).Coalesced {
+		t.Fatal("the sync twin did not coalesce onto its async leader")
+	}
+	// The leader, polled through the router: the twin answered with its
+	// outcome, so it is done.
+	code, b = do(http.MethodGet, ts.URL+"/v1/jobs/"+leader.ID, "")
+	if code != http.StatusOK {
+		t.Fatalf("poll: status %d\n%s", code, b)
+	}
+	if v := relayed("poll", b); v.State != service.JobDone {
+		t.Fatalf("poll: leader state %s", v.State)
 	}
 }
 

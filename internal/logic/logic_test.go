@@ -182,8 +182,6 @@ func TestAddGatePanics(t *testing.T) {
 	assertPanics(t, "fanin count", func() { n.AddGate(And, a) })
 	assertPanics(t, "not arity", func() { n.AddGate(Not, a, a) })
 	assertPanics(t, "output range", func() { n.AddOutput("x", 42) })
-	n.AddNamedGate("g", Buf, a)
-	assertPanics(t, "duplicate name", func() { n.AddNamedGate("g", Buf, a) })
 }
 
 func assertPanics(t *testing.T, what string, f func()) {
@@ -213,13 +211,10 @@ func TestLevelsAndDepth(t *testing.T) {
 
 func TestFanoutAndOutputRefs(t *testing.T) {
 	n := buildMajority(t)
-	counts := n.ComputeFanout()
+	counts := n.FanoutCounts()
 	// b feeds two AND gates
 	if counts[1] != 2 {
 		t.Errorf("fanout(b) = %d, want 2", counts[1])
-	}
-	if n.Fanout(1) != 2 {
-		t.Errorf("cached fanout(b) = %d, want 2", n.Fanout(1))
 	}
 	refs := n.OutputRefs()
 	if refs[len(n.Nodes)-1] != 1 {
@@ -251,8 +246,10 @@ func TestCloneIsDeep(t *testing.T) {
 	if n.Nodes[3].Fanin[0] == 2 {
 		t.Error("Clone shares fanin slices")
 	}
-	if c.NodeByName("a") != n.NodeByName("a") {
-		t.Error("Clone lost name registry")
+	for i := range n.Nodes {
+		if c.Nodes[i].Name != n.Nodes[i].Name {
+			t.Errorf("Clone renamed node %d: %q, want %q", i, c.Nodes[i].Name, n.Nodes[i].Name)
+		}
 	}
 	out1, _ := n.Eval([]bool{true, true, false})
 	if out1[0] != true {
@@ -286,13 +283,6 @@ func TestShuffledTwinSameFunction(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestNodeByNameMissing(t *testing.T) {
-	n := New("x")
-	if n.NodeByName("nope") != -1 {
-		t.Error("missing name should return -1")
 	}
 }
 

@@ -88,10 +88,9 @@ func (op Op) MaxFanin() int {
 
 // Node is one vertex of a Network. The zero value is an unnamed Input.
 type Node struct {
-	Op     Op
-	Name   string // optional; inputs and gate outputs may be named
-	Fanin  []int  // node ids, all smaller than this node's id
-	fanout int    // cached by ComputeFanout
+	Op    Op
+	Name  string // optional; inputs and gate outputs may be named
+	Fanin []int  // node ids, all smaller than this node's id
 }
 
 // Output names one primary output of a Network and the node that drives it.
@@ -107,20 +106,18 @@ type Network struct {
 	Nodes   []Node
 	Inputs  []int // ids of Input nodes, in declaration order
 	Outputs []Output
-
-	byName map[string]int // name -> node id, for named nodes
 }
 
 // New returns an empty network with the given name.
 func New(name string) *Network {
-	return &Network{Name: name, byName: make(map[string]int)}
+	return &Network{Name: name}
 }
 
 // Len returns the number of nodes in the network.
 func (n *Network) Len() int { return len(n.Nodes) }
 
 // AddInput appends a primary input with the given name and returns its id.
-// The name must be unique among named nodes.
+// Check rejects a network whose inputs share a name.
 func (n *Network) AddInput(name string) int {
 	id := n.add(Node{Op: Input, Name: name})
 	n.Inputs = append(n.Inputs, id)
@@ -153,39 +150,9 @@ func (n *Network) AddGate(op Op, fanin ...int) int {
 	return n.add(Node{Op: op, Fanin: append([]int(nil), fanin...)})
 }
 
-// AddNamedGate is AddGate plus a name registration for the new node.
-func (n *Network) AddNamedGate(name string, op Op, fanin ...int) int {
-	id := n.AddGate(op, fanin...)
-	n.Nodes[id].Name = name
-	n.registerName(name, id)
-	return id
-}
-
 func (n *Network) add(node Node) int {
-	id := len(n.Nodes)
 	n.Nodes = append(n.Nodes, node)
-	if node.Name != "" {
-		n.registerName(node.Name, id)
-	}
-	return id
-}
-
-func (n *Network) registerName(name string, id int) {
-	if n.byName == nil {
-		n.byName = make(map[string]int)
-	}
-	if prev, ok := n.byName[name]; ok && prev != id {
-		panic(fmt.Sprintf("logic: duplicate node name %q", name))
-	}
-	n.byName[name] = id
-}
-
-// NodeByName returns the id of the named node, or -1 if absent.
-func (n *Network) NodeByName(name string) int {
-	if id, ok := n.byName[name]; ok {
-		return id
-	}
-	return -1
+	return len(n.Nodes) - 1
 }
 
 // AddOutput marks node as a primary output under the given name.
@@ -233,30 +200,10 @@ func (n *Network) Check() error {
 	return nil
 }
 
-// ComputeFanout recomputes and caches per-node fanout counts (gate fanins
-// only; primary-output references are reported separately by OutputRefs).
-// It returns the counts indexed by node id.
-func (n *Network) ComputeFanout() []int {
-	counts := make([]int, len(n.Nodes))
-	for _, node := range n.Nodes {
-		for _, f := range node.Fanin {
-			counts[f]++
-		}
-	}
-	for id := range n.Nodes {
-		n.Nodes[id].fanout = counts[id]
-	}
-	return counts
-}
-
-// Fanout returns the cached fanout count for node id. ComputeFanout must
-// have been called after the last structural change.
-func (n *Network) Fanout(id int) int { return n.Nodes[id].fanout }
-
-// FanoutCounts returns per-node fanout counts (gate fanins only) without
-// touching the per-node cache. Unlike ComputeFanout it never mutates the
-// network, so concurrent readers — e.g. parallel mapping runs sharing one
-// network — may call it freely.
+// FanoutCounts returns per-node fanout counts (gate fanins only;
+// primary-output references are reported separately by OutputRefs). It
+// never mutates the network, so concurrent readers — e.g. parallel
+// mapping runs sharing one network — may call it freely.
 func (n *Network) FanoutCounts() []int {
 	counts := make([]int, len(n.Nodes))
 	for _, node := range n.Nodes {

@@ -25,9 +25,6 @@ func (n *Network) Clone() *Network {
 		cp := node
 		cp.Fanin = append([]int(nil), node.Fanin...)
 		c.Nodes[i] = cp
-		if cp.Name != "" {
-			c.registerName(cp.Name, i)
-		}
 	}
 	c.Inputs = append([]int(nil), n.Inputs...)
 	c.Outputs = append([]Output(nil), n.Outputs...)

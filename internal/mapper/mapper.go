@@ -122,15 +122,12 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 // completed node.
 func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
 	e := &engine{
-		ctx:    ctx,
-		cfg:    cfg,
-		net:    n,
-		stats:  obs.StatsFrom(ctx),
-		tracer: obs.TracerFrom(ctx),
-		faults: faultpoint.From(ctx),
-		// FanoutCounts, not ComputeFanout: mapping must not write to the
-		// input network, so runs sharing one network can proceed in
-		// parallel.
+		ctx:     ctx,
+		cfg:     cfg,
+		net:     n,
+		stats:   obs.StatsFrom(ctx),
+		tracer:  obs.TracerFrom(ctx),
+		faults:  faultpoint.From(ctx),
 		fanout:  n.FanoutCounts(),
 		outRefs: n.OutputRefs(),
 		cands:   make([][]tuple.Tuple, n.Len()),

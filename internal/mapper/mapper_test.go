@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -261,6 +262,53 @@ func TestMultiFanoutGateSharedOnce(t *testing.T) {
 		t.Errorf("%d gate-driven leaves, want 3 (one per fanout)", count)
 	}
 	checkMappedEquivalent(t, n, res)
+}
+
+// TestGateNamesAvoidNetworkNames: traceback names a gate "_g<id>" after
+// its node id, appending '_' while a network node holds that name. A
+// second mapping whose inputs are named after the first mapping's gates
+// (and one after a gate name plus '_') must name every gate off them and
+// still audit clean and compute the source's function.
+func TestGateNamesAvoidNetworkNames(t *testing.T) {
+	build := func(names [5]string) *logic.Network {
+		n := logic.New("clash")
+		var in [5]int
+		for i, name := range names {
+			in[i] = n.AddInput(name)
+		}
+		g := n.AddGate(logic.And, in[0], in[1])
+		n.AddOutput("x", n.AddGate(logic.And, g, in[2]))
+		n.AddOutput("y", n.AddGate(logic.Or, g, in[3]))
+		n.AddOutput("z", n.AddGate(logic.And, g, in[4]))
+		return n
+	}
+	first := mapAll(t, build([5]string{"a", "b", "c", "d", "e"}), SOIDominoMap, DefaultOptions())
+	if len(first.Gates) != 4 {
+		t.Fatalf("%d gates, want 4:\n%s", len(first.Gates), first.Dump())
+	}
+	var names [5]string
+	for i, g := range first.Gates {
+		names[i] = g.Output
+	}
+	names[4] = names[0] + "_"
+	n := build(names)
+	for _, algo := range []func(*logic.Network, Options) (*Result, error){DominoMap, RSMap, SOIDominoMap} {
+		res := mapAll(t, n, algo, DefaultOptions())
+		taken := map[string]bool{}
+		for _, name := range names {
+			taken[name] = true
+		}
+		for _, g := range res.Gates {
+			if taken[g.Output] {
+				t.Fatalf("%s: gate %d output %q collides:\n%s", res.Algorithm, g.NodeID, g.Output, res.Dump())
+			}
+			taken[g.Output] = true
+		}
+		if g := res.Gates[res.OutputGate["x"]]; g.Output == "_g"+strconv.Itoa(g.NodeID) {
+			t.Errorf("%s: no collision exercised: gate %d kept %q", res.Algorithm, g.NodeID, g.Output)
+		}
+		checkMappedEquivalent(t, n, res)
+	}
 }
 
 func TestOutputOnInputGetsBuffer(t *testing.T) {

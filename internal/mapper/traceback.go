@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"soidomino/internal/logic"
 	"soidomino/internal/pbe"
@@ -26,6 +27,14 @@ func (e *engine) traceback() (*Result, error) {
 			Source:       e.net,
 		},
 		gateOf: make([]int32, e.net.Len()),
+	}
+	for _, node := range e.net.Nodes {
+		if strings.HasPrefix(node.Name, "_g") {
+			if b.taken == nil {
+				b.taken = make(map[string]bool)
+			}
+			b.taken[node.Name] = true
+		}
 	}
 	for _, out := range e.net.Outputs {
 		node := e.net.Nodes[out.Node]
@@ -64,6 +73,10 @@ type builder struct {
 	// analysis is the reused destination of each gate's PBE analysis.
 	analysis pbe.Analysis
 	name     []byte // gateName's scratch
+	// taken holds the network's node names that gateName could produce
+	// (those starting with "_g"); nil when there are none, as for the
+	// pipeline's unate networks, which name only their inputs.
+	taken map[string]bool
 }
 
 // gate materializes the completed domino gate for a node, memoized.
@@ -239,7 +252,7 @@ func (b *builder) leaf(signal string, negated bool, gateRef int) *sp.Tree {
 func (b *builder) gateName(nodeID int) string {
 	b.name = strconv.AppendInt(append(b.name[:0], "_g"...), int64(nodeID), 10)
 	name := string(b.name)
-	for b.e.net.NodeByName(name) >= 0 {
+	for b.taken[name] {
 		name += "_"
 	}
 	return name

@@ -33,7 +33,7 @@ const (
 type job struct {
 	// Submission (read-only after submit).
 	id       string
-	circuit  string // benchmark name or "inline"
+	circuit  string // registry name, else the network's name
 	algo     report.Algorithm
 	src      *logic.Network
 	opt      mapper.Options

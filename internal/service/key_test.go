@@ -96,40 +96,40 @@ func TestKeyAllocs(t *testing.T) {
 }
 
 // TestKeyPresizeBounded keys a 15 MB inline BLIF that is a small circuit
-// followed by blank lines. RequestKey presizes strash's tables from the
-// text's length; capped at the default node limit, the hint costs tens
-// of megabytes, where the uncapped hint (about 980,000 entries) cost
-// 185 MB. The blank lines are 80 bytes long so that the test measures
-// strash's hint alone: the BLIF reader presizes its own tables from the
-// line count, so the same 15 MB in 1-byte lines allocates about 570 MB
-// and would exceed this ceiling. That is a known gap in the reader,
-// tracked by ROADMAP item 3 and the CHANGES.md FOUND line on
-// internal/blif's newParser. The ceiling is read from process-wide
-// TotalAlloc, so it also counts whatever else allocates during the call;
-// no test in this package runs in parallel with it.
+// followed by blank lines, once in 80-byte lines and once in 1-byte
+// ones. RequestKey presizes strash's tables from the text's length;
+// capped at the default node limit, the hint costs tens of megabytes,
+// where the uncapped hint (about 980,000 entries) cost 185 MB. The BLIF
+// reader sizes its own tables from the lines that hold a directive or a
+// cover row, so blank lines cost it nothing; sized from the raw line
+// count, the 1-byte padding allocated about 570 MB. The ceiling is read
+// from process-wide TotalAlloc, so it also counts whatever else
+// allocates during the call; no test in this package runs in parallel
+// with it.
 func TestKeyPresizeBounded(t *testing.T) {
 	var b bytes.Buffer
 	if err := blif.Write(&b, builtin.MustBuild("mux")); err != nil {
 		t.Fatal(err)
 	}
-	const size = 15 << 20
-	line := strings.Repeat(" ", 79) + "\n"
-	req := &MapRequest{BLIF: b.String() + strings.Repeat(line, size/len(line))}
 	want, err := RequestKey(context.Background(), &MapRequest{BLIF: b.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	got, err := RequestKey(context.Background(), req)
-	runtime.ReadMemStats(&after)
-	if err != nil || got != want {
-		t.Fatalf("padded mux keyed %q, %v; want %q", got, err, want)
-	}
-	const ceiling = 64 << 20
-	if n := after.TotalAlloc - before.TotalAlloc; n > ceiling {
-		t.Errorf("keying %d bytes of mostly blank BLIF allocated %.1f MB, ceiling %d MB",
-			len(req.BLIF), float64(n)/(1<<20), ceiling>>20)
+	const size = 15 << 20
+	for _, line := range []string{strings.Repeat(" ", 79) + "\n", "\n"} {
+		req := &MapRequest{BLIF: b.String() + strings.Repeat(line, size/len(line))}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		got, err := RequestKey(context.Background(), req)
+		runtime.ReadMemStats(&after)
+		if err != nil || got != want {
+			t.Fatalf("mux padded with %d-byte lines keyed %q, %v; want %q", len(line), got, err, want)
+		}
+		const ceiling = 64 << 20
+		if n := after.TotalAlloc - before.TotalAlloc; n > ceiling {
+			t.Errorf("keying %d bytes of BLIF padded with %d-byte lines allocated %.1f MB, ceiling %d MB",
+				len(req.BLIF), len(line), float64(n)/(1<<20), ceiling>>20)
+		}
 	}
 }

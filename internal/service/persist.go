@@ -273,23 +273,19 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 	}
 }
 
-// recoveredLabels extracts the display circuit/algorithm of a recovered
-// job from its request (best-effort: a terminal job's result carries
-// the authoritative circuit label).
-func recoveredLabels(req *MapRequest) (circuit string, algo report.Algorithm) {
-	circuit, algo = "recovered", report.SOI
-	if req == nil {
-		return
+// recoveredLabels gives a recovered job the circuit and algorithm labels
+// the live job showed, read off its request and journaled key as
+// keyLabel reads them ("recovered" when they do not resolve). A terminal
+// job's result, when it has one, carries the authoritative circuit label.
+func recoveredLabels(req *MapRequest, key string) (string, report.Algorithm) {
+	if req != nil {
+		if algo, opt, err := resolveSpec(req); err == nil {
+			if label, ok := keyLabel(req, key, algo, opt); ok {
+				return label, algo
+			}
+		}
 	}
-	if req.Circuit != "" {
-		circuit = req.Circuit
-	} else if req.BLIF != "" || req.Bench != "" {
-		circuit = "inline"
-	}
-	if a, err := report.ParseAlgorithm(req.Algorithm); err == nil {
-		algo = a
-	}
-	return
+	return "recovered", report.SOI
 }
 
 // installRecovered registers a terminal job rebuilt from the journal
@@ -297,7 +293,7 @@ func recoveredLabels(req *MapRequest) (circuit string, algo report.Algorithm) {
 // job's terminal bookkeeping ran in the process that crashed, so it
 // counts jobs_recovered and journals nothing.
 func (s *Server) installRecovered(rj *recoveredJob, state JobState, res []byte, errMsg string) {
-	circuit, algo := recoveredLabels(rj.req)
+	circuit, algo := recoveredLabels(rj.req, rj.key)
 	if res != nil {
 		// The result's own label; its bytes passed checkEncoding.
 		var r struct {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	builtin "soidomino/internal/bench"
+	"soidomino/internal/blif"
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/mapper"
 	"soidomino/internal/report"
@@ -148,13 +149,25 @@ func TestJournalReadmitsUnfinishedJobs(t *testing.T) {
 // of 404ing its poller, with the outcome its poller saw: the same bytes
 // for a done job, the same error for one failed by an injected panic.
 func TestCrashRestartReservesTerminalJobs(t *testing.T) {
+	var src bytes.Buffer
+	if err := blif.Write(&src, builtin.MustBuild("mux")); err != nil {
+		t.Fatal(err)
+	}
+	blifBody, err := json.Marshal(MapRequest{BLIF: src.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name  string
+		body  string
 		panic bool // arm a mapper.combine panic so the job fails
 		want  JobState
 	}{
-		{"done", false, JobDone},
-		{"panicked", true, JobFailed},
+		{"done", `{"circuit": "mux"}`, false, JobDone},
+		{"panicked", `{"circuit": "mux"}`, true, JobFailed},
+		// A failed job holds no result to take its label from, so the
+		// recovered label comes from the journaled key's network name.
+		{"panicked blif", string(blifBody), true, JobFailed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -167,7 +180,7 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 			}
 			s1 := New(cfg)
 			ts1 := newPersistHTTP(t, s1)
-			code, v := postMapURL(t, ts1.URL, `{"circuit": "mux"}`)
+			code, v := postMapURL(t, ts1.URL, tc.body)
 			if code != http.StatusOK || v.State != tc.want {
 				t.Fatalf("submit: code %d, state %s (%q)", code, v.State, v.Error)
 			}
@@ -192,6 +205,9 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 			}
 			if view.Algorithm != v.Algorithm {
 				t.Fatalf("recovered job algorithm %q, want the pre-crash %q", view.Algorithm, v.Algorithm)
+			}
+			if view.Circuit != v.Circuit {
+				t.Fatalf("recovered job circuit %q, want the pre-crash %q", view.Circuit, v.Circuit)
 			}
 			if tc.want == JobDone {
 				wantBytes, _ := EncodeJSON(v.Result)

@@ -51,7 +51,7 @@ type Config struct {
 	// program runs sequentially.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-unstarted jobs; a full
-	// queue rejects submissions with 503 rather than buffering unboundedly.
+	// queue rejects submissions with 429 rather than buffering unboundedly.
 	QueueDepth int
 	// CacheEntries sizes the in-memory result cache (keyed by CacheKey).
 	CacheEntries int
@@ -621,33 +621,19 @@ const KeyHeader = "X-Cache-Key"
 
 // forwardedJob resolves a submission from the cache key a router sent in
 // KeyHeader, without parsing or strashing its source. Only the key's
-// structural part is taken on trust: it must start with a 64-digit hex
-// digest and '|', and end in "|<algorithm>|<options>" exactly as this
-// replica resolves the request, options.strash_off included. The
-// network name is what lies between, cut by position since a .model
-// name may hold '|'. Trusting the digest adds no trust class: GET
-// /v1/cache already serves held bytes by key to anyone. It returns nil
-// when the request or the key does not resolve; the submission then
-// resolves the slow way.
+// structural part is taken on trust (keyLabel checks the rest against
+// the request). Trusting the digest adds no trust class: GET /v1/cache
+// already serves held bytes by key to anyone. It returns nil when the
+// request or the key does not resolve; the submission then resolves the
+// slow way.
 func forwardedJob(req *MapRequest, key string) *job {
 	algo, opt, err := resolveSpec(req)
 	if err != nil {
 		return nil
 	}
-	suffix := "|" + algo.Key() + "|" + encodeOptions(opt)
-	if len(key) < 65+len(suffix) || key[64] != '|' || !strings.HasSuffix(key, suffix) {
+	label, ok := keyLabel(req, key, algo, opt)
+	if !ok {
 		return nil
-	}
-	for i := 0; i < 64; i++ {
-		if strings.IndexByte(hexDigits, key[i]) < 0 {
-			return nil
-		}
-	}
-	// A registry circuit is labelled by its registry name, anything else
-	// by its network name: the labels resolve gives.
-	label := req.Circuit
-	if label == "" {
-		label = key[65 : len(key)-len(suffix)]
 	}
 	return &job{
 		circuit:  label,
@@ -657,6 +643,28 @@ func forwardedJob(req *MapRequest, key string) *job {
 		state:    JobQueued,
 		done:     make(chan struct{}),
 	}
+}
+
+// keyLabel returns the label resolve gives req, read off its cache key:
+// the registry name of a circuit request, else the network name. ok is
+// false unless key starts with a 64-digit hex digest and '|' and ends in
+// "|<algorithm>|<options>" exactly as req resolves them (algo, opt),
+// options.strash_off included. The network name is what lies between,
+// cut by position since a .model name may hold '|'.
+func keyLabel(req *MapRequest, key string, algo report.Algorithm, opt mapper.Options) (label string, ok bool) {
+	suffix := "|" + algo.Key() + "|" + encodeOptions(opt)
+	if len(key) < 65+len(suffix) || key[64] != '|' || !strings.HasSuffix(key, suffix) {
+		return "", false
+	}
+	for i := 0; i < 64; i++ {
+		if strings.IndexByte(hexDigits, key[i]) < 0 {
+			return "", false
+		}
+	}
+	if req.Circuit != "" {
+		return req.Circuit, true
+	}
+	return key[65 : len(key)-len(suffix)], true
 }
 
 // encodeOptions renders mapper.Options as a stable, canonical cache-key
@@ -1011,9 +1019,6 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, req *MapRequest,
 	}
 }
 
-// followLeader finishes follower job j with leader's terminal outcome.
-// Leaders always finish (Shutdown drains the queue through the workers),
-// so the goroutine cannot leak.
 // follow makes j a follower of the job already queued or running under
 // its key, if there is one, and reports whether it did.
 func (s *Server) follow(j *job) bool {
@@ -1032,6 +1037,9 @@ func (s *Server) follow(j *job) bool {
 	return true
 }
 
+// followLeader finishes follower job j with leader's terminal outcome.
+// Leaders always finish (Shutdown drains the queue through the workers),
+// so the goroutine cannot leak.
 func (s *Server) followLeader(j, leader *job) {
 	<-leader.done
 	state, res, errMsg := leader.outcome()

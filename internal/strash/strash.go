@@ -76,9 +76,6 @@ type Result struct {
 	// Network is the canonicalized network. It is freshly built and
 	// shares no mutable state with the input.
 	Network *logic.Network
-	// NodeMap maps every input-network node id to its representative in
-	// Network, or -1 for nodes removed by DCE.
-	NodeMap []int
 	// Counters summarizes the reduction.
 	Counters Counters
 	// Key is the structural digest of Network: a sha256 over the network
@@ -528,12 +525,8 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 		final.AddOutput(po.name, finalOf[po.id])
 	}
 
-	nodeMap := make([]int, len(n.Nodes))
-	for i := range nodeMap {
-		nodeMap[i] = finalOf[repr[i]]
-	}
 	b.c.NodesOut = len(final.Nodes)
-	return &Result{Network: final, NodeMap: nodeMap, Counters: b.c, Key: b.Key(n.Name)}
+	return &Result{Network: final, Counters: b.c, Key: b.Key(n.Name)}
 }
 
 // Key is the structural digest behind Result.Key for a network named

@@ -36,20 +36,12 @@ func equivalent(t *testing.T, a, b *logic.Network) {
 	}
 }
 
-// run strashes n, validating the output network and the NodeMap shape.
+// run strashes n, validating the output network and its counters.
 func run(t *testing.T, n *logic.Network) *Result {
 	t.Helper()
 	r := Run(n)
 	if err := r.Network.Check(); err != nil {
 		t.Fatalf("strash output invalid: %v", err)
-	}
-	if len(r.NodeMap) != len(n.Nodes) {
-		t.Fatalf("NodeMap has %d entries for %d nodes", len(r.NodeMap), len(n.Nodes))
-	}
-	for old, nw := range r.NodeMap {
-		if nw < -1 || nw >= len(r.Network.Nodes) {
-			t.Fatalf("NodeMap[%d] = %d out of range", old, nw)
-		}
 	}
 	if r.Counters.NodesIn != len(n.Nodes) || r.Counters.NodesOut != len(r.Network.Nodes) {
 		t.Fatalf("counters %+v disagree with node counts %d -> %d",
@@ -64,8 +56,9 @@ func TestMergesStructuralTwins(t *testing.T) {
 	// Two ANDs over the same operands in opposite order, under different
 	// names, each ORed with c: the whole cone must collapse to one AND
 	// and one OR.
-	g1 := n.AddNamedGate("g1", logic.And, a, b)
-	g2 := n.AddNamedGate("g2", logic.And, b, a)
+	g1 := n.AddGate(logic.And, a, b)
+	g2 := n.AddGate(logic.And, b, a)
+	n.Nodes[g1].Name, n.Nodes[g2].Name = "g1", "g2"
 	o1 := n.AddGate(logic.Or, g1, c)
 	o2 := n.AddGate(logic.Or, c, g2)
 	n.AddOutput("y1", o1)
@@ -79,8 +72,8 @@ func TestMergesStructuralTwins(t *testing.T) {
 	if r.Counters.Merged != 2 {
 		t.Fatalf("want 2 merges (twin and, twin or), got %+v", r.Counters)
 	}
-	if r.NodeMap[g1] != r.NodeMap[g2] || r.NodeMap[o1] != r.NodeMap[o2] {
-		t.Fatalf("twins not mapped to one representative: %v", r.NodeMap)
+	if y1, y2 := r.Network.Outputs[0].Node, r.Network.Outputs[1].Node; y1 != y2 {
+		t.Fatalf("twin outputs driven by nodes %d and %d, want one:\n%s", y1, y2, r.Network.Dump())
 	}
 }
 
@@ -182,14 +175,12 @@ func TestDuplicatePOs(t *testing.T) {
 }
 
 // TestAllDead pins the edge case of a network whose gates reach no
-// primary output: DCE removes every gate, the inputs survive (they are
-// the interface), and the node map reports the dead nodes as -1.
+// primary output: DCE removes every gate and counts both dead, and the
+// inputs survive in order (they are the interface).
 func TestAllDead(t *testing.T) {
 	n := logic.New("dead")
 	a, b := n.AddInput("a"), n.AddInput("b")
-	g1 := n.AddGate(logic.And, a, b)
-	g2 := n.AddGate(logic.Not, g1)
-	_ = g2
+	n.AddGate(logic.Not, n.AddGate(logic.And, a, b))
 
 	r := run(t, n)
 	if got := len(r.Network.Nodes); got != 2 {
@@ -198,13 +189,10 @@ func TestAllDead(t *testing.T) {
 	if r.Counters.Dead != 2 {
 		t.Fatalf("want 2 dead nodes, got %+v", r.Counters)
 	}
-	for _, dead := range []int{g1, g2} {
-		if r.NodeMap[dead] != -1 {
-			t.Fatalf("dead node %d mapped to %d, want -1", dead, r.NodeMap[dead])
+	for i, want := range []string{"a", "b"} {
+		if id := r.Network.Inputs[i]; r.Network.Nodes[id].Name != want {
+			t.Fatalf("input %d is %q, want %q:\n%s", i, r.Network.Nodes[id].Name, want, r.Network.Dump())
 		}
-	}
-	if r.NodeMap[a] == -1 || r.NodeMap[b] == -1 {
-		t.Fatalf("inputs removed: %v", r.NodeMap)
 	}
 }
 

@@ -185,7 +185,7 @@ func TestDecomposePreservesNames(t *testing.T) {
 	b := n.AddInput("beta")
 	n.AddOutput("out", n.AddGate(logic.And, a, b))
 	u := mustConvert(t, n).Network
-	if u.NodeByName("alpha") < 0 || u.NodeByName("beta") < 0 {
+	if len(u.Inputs) != 2 || u.Nodes[u.Inputs[0]].Name != "alpha" || u.Nodes[u.Inputs[1]].Name != "beta" {
 		t.Error("input names lost")
 	}
 	if u.Outputs[0].Name != "out" || u.Name != "names.unate" {
