@@ -116,10 +116,13 @@ trace-smoke:
 # go run ./cmd/soichaos -campaign cluster -seed N.
 # Then ~25s: the router's byte relay, replica coalescing included, twenty
 # times under -race (the async leader is held at its queue pop by a
-# latency fault, so its twin always finds it in flight).
+# latency fault, so its twin always finds it in flight). Last, under
+# -race: soimap -json prints the same bytes locally, through -server
+# against a soimapd and through -server against a soirouter.
 cluster-smoke:
 	$(GO) run ./cmd/soichaos -campaign cluster -seed 1 -requests 2000 -duration 30s -p 0.02 -sim 1
 	$(GO) test -race -count=20 -run TestRouterRelaysReplicaBytes ./internal/cluster
+	$(GO) test -race -count=1 -run TestCLIMatchesDaemon -v ./cmd/soimap
 
 # Seconds: the crash-persistence gate — a state-dir soimapd takes load
 # with torn-write/fsync faults armed against its durable tier, is

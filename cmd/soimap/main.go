@@ -1,22 +1,27 @@
 // Command soimap maps one circuit to SOI domino logic and reports the
 // paper's statistics (T_logic, T_disch, T_total, gate count, clock load,
-// levels). Circuits come from the built-in benchmark suite or from a BLIF
-// file.
+// levels). Circuits come from the built-in benchmark suite, a BLIF file
+// or an ISCAS-89 .bench file.
 //
 // Usage:
 //
 //	soimap -circuit c880 [-algo soi|rs|rsdeep|domino] [-objective area|depth]
-//	       [-k 1] [-w 5] [-h 8] [-pareto] [-seq] [-compound] [-strash-off] [-json]
-//	       [-verify] [-dump] [-netlist] [-spice out.sp] [-dot out.dot]
-//	       [-stats] [-explain] [-trace out.json] [-trace-sample N]
+//	       [-k 1] [-w 5] [-h 8] [-pareto] [-tuple-budget N] [-seq] [-compound]
+//	       [-strash-off] [-json] [-verify] [-dump] [-netlist] [-spice out.sp]
+//	       [-dot out.dot] [-stats] [-explain] [-trace out.json] [-trace-sample N]
 //	soimap -blif path/to/circuit.blif
 //	soimap -bench path/to/circuit.bench
+//	soimap -server http://127.0.0.1:8347 [-server-timeout 5s] -circuit c880 ...
 //	soimap -list
 //	soimap -version
 //
-// With -json the mapping is printed as the service's MapResult encoding
-// (internal/service): for the same circuit, algorithm and options the
-// output is byte-identical to what soimapd returns in a job's result.
+// The flags build one service.MapRequest, as soimapd accepts it: -blif
+// and -bench read their file into its text (a .bench source is labelled
+// "inline.bench"), and a zero -k, -w or -h selects the default. Locally
+// the service's own ResolveSpec and ParseSource resolve it, so a bad
+// flag fails with the daemon's 400 text before any output; -server posts
+// it as is. With -json the output is the service's MapResult encoding,
+// byte-identical in both modes to a soimapd job's result.
 //
 // With -stats the run's DP instrumentation (tuples generated/pruned/kept,
 // combine calls by kind, discharge charges, phase timings) is printed
@@ -27,7 +32,9 @@
 // trace-event JSON, loadable at ui.perfetto.dev (see the Observability
 // section of README.md). Against -server, -trace starts a sampled
 // distributed trace and writes the fleet-stitched Perfetto JSON fetched
-// from GET /v1/traces/{id}.
+// from GET /v1/traces/{id}. The flags that act on the mapped circuit in
+// this process (-verify, -compound, -dump, -netlist, -spice, -dot,
+// -stats, -trace-sample) are refused with -server.
 package main
 
 import (
@@ -40,9 +47,6 @@ import (
 	"time"
 
 	"soidomino/internal/bench"
-	"soidomino/internal/benchfmt"
-	"soidomino/internal/blif"
-	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/netlist"
 	"soidomino/internal/obs"
@@ -59,14 +63,15 @@ func main() {
 }
 
 func run() error {
+	def := mapper.DefaultOptions()
 	circuit := flag.String("circuit", "", "built-in benchmark name (see -list)")
 	blifPath := flag.String("blif", "", "map a circuit from a BLIF file instead")
 	benchPath := flag.String("bench", "", "map a circuit from an ISCAS-89 .bench file instead")
 	algo := flag.String("algo", "soi", "mapper: domino, rs, rsdeep or soi")
 	objective := flag.String("objective", "area", "cost objective: area or depth")
-	k := flag.Int("k", 1, "clock-transistor weight (paper table III)")
-	maxW := flag.Int("w", 5, "maximum pulldown width")
-	maxH := flag.Int("h", 8, "maximum pulldown height")
+	k := flag.Int("k", def.ClockWeight, "clock-transistor weight (paper table III; 0 = default)")
+	maxW := flag.Int("w", def.MaxWidth, "maximum pulldown width (0 = default)")
+	maxH := flag.Int("h", def.MaxHeight, "maximum pulldown height (0 = default)")
 	pareto := flag.Bool("pareto", false, "enable the Pareto-frontier DP extension (soi only)")
 	tupleBudget := flag.Int("tuple-budget", 0, "Pareto tuple budget; overflow degrades to the paper's heuristic (0 = unlimited)")
 	compound := flag.Bool("compound", false, "apply the compound-domino post-pass (paper solution 7)")
@@ -95,71 +100,46 @@ func run() error {
 	if *list {
 		return writeBenchmarkList(os.Stdout)
 	}
-	a, err := report.ParseAlgorithm(*algo)
-	if err != nil {
+
+	req := &service.MapRequest{
+		Circuit:   *circuit,
+		Algorithm: *algo,
+		Options: &service.RequestOptions{
+			MaxWidth:      *maxW,
+			MaxHeight:     *maxH,
+			Objective:     *objective,
+			ClockWeight:   *k,
+			Pareto:        *pareto,
+			TupleBudget:   *tupleBudget,
+			SequenceAware: *seqAware,
+			StrashOff:     *strashOff,
+		},
+		TimeoutMS: timeout.Milliseconds(),
+	}
+	var err error
+	if req.BLIF, err = readSource(*blifPath); err != nil {
+		return err
+	}
+	if req.Bench, err = readSource(*benchPath); err != nil {
 		return err
 	}
 	if *server != "" {
-		return runRemote(*server, *timeout, remoteFlags{
-			circuit: *circuit, blifPath: *blifPath, benchPath: *benchPath,
-			algo: *algo, objective: *objective, k: *k, maxW: *maxW, maxH: *maxH,
-			pareto: *pareto, tupleBudget: *tupleBudget, seqAware: *seqAware,
-			strashOff: *strashOff, jsonOut: *jsonOut,
-			explain: *explain, tracePath: *tracePath,
-		})
+		if name := localOnlyFlag(); name != "" {
+			return fmt.Errorf("-%s acts on a local mapping; it cannot be used with -server", name)
+		}
+		return runRemote(*server, req, *jsonOut, *explain, *tracePath)
 	}
 
-	var src *logic.Network
-	switch {
-	case *blifPath != "":
-		f, err := os.Open(*blifPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		src, err = blif.Parse(f)
-		if err != nil {
-			return err
-		}
-	case *benchPath != "":
-		f, err := os.Open(*benchPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		src, err = benchfmt.Parse(*benchPath, f)
-		if err != nil {
-			return err
-		}
-	case *circuit != "":
-		b, ok := bench.Get(*circuit)
-		if !ok {
-			return fmt.Errorf("unknown benchmark %q (try -list)", *circuit)
-		}
-		src = b.Build()
-	default:
-		return fmt.Errorf("one of -circuit, -blif or -bench is required")
+	// Resolve as soimapd does: the algorithm and options first, then the
+	// source, so every error is the daemon's 400 text and precedes any
+	// output.
+	a, opt, err := service.ResolveSpec(req)
+	if err != nil {
+		return err
 	}
-
-	opt := mapper.DefaultOptions()
-	opt.MaxWidth = *maxW
-	opt.MaxHeight = *maxH
-	opt.ClockWeight = *k
-	opt.Pareto = *pareto
-	opt.TupleBudget = *tupleBudget
-	opt.SequenceAware = *seqAware
-	opt.StrashOff = *strashOff
-	switch *objective {
-	case "area":
-	case "depth":
-		opt.Objective = mapper.Depth
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
-	}
-
-	label := src.Name
-	if *circuit != "" {
-		label = *circuit
+	src, label, err := service.ParseSource(context.Background(), req)
+	if err != nil {
+		return err
 	}
 
 	// Observability opt-ins: a per-run stats collector and/or a span
@@ -221,35 +201,23 @@ func run() error {
 			return err
 		}
 	}
-	if st != nil && *statsOut {
-		// With -json the stats go to stderr so stdout stays byte-identical
-		// to the daemon's result encoding.
-		out := io.Writer(os.Stdout)
-		if *jsonOut {
-			out = os.Stderr
-		}
-		fmt.Fprintln(out, st)
+	// With -json the stats and the attribution table go to stderr so
+	// stdout stays byte-identical to the daemon's result encoding.
+	info := io.Writer(os.Stdout)
+	if *jsonOut {
+		info = os.Stderr
+	}
+	if *statsOut {
+		fmt.Fprintln(info, st)
 	}
 	if *explain {
 		// The same attribution record a replica attaches to a job, built
 		// from this process's run: a local mapping is always a cache miss.
 		a := service.NewAttribution("", "", service.TierMiss, 0, wall, st)
-		out := io.Writer(os.Stdout)
-		if *jsonOut {
-			out = os.Stderr
-		}
-		fmt.Fprintln(out, a.Table())
+		fmt.Fprintln(info, a.Table())
 	}
 	if tracer != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteSpans(f, tracer.Spans()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := createFile(*tracePath, func(w io.Writer) error { return obs.WriteSpans(w, tracer.Spans()) }); err != nil {
 			return err
 		}
 		if !*jsonOut {
@@ -278,15 +246,7 @@ func run() error {
 		fmt.Print(res.Dump())
 	}
 	if *dotPath != "" {
-		f, err := os.Create(*dotPath)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteDot(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := createFile(*dotPath, res.WriteDot); err != nil {
 			return err
 		}
 		fmt.Printf("Graphviz view written to %s\n", *dotPath)
@@ -303,15 +263,7 @@ func run() error {
 			fmt.Print(c.Dump())
 		}
 		if *spicePath != "" {
-			f, err := os.Create(*spicePath)
-			if err != nil {
-				return err
-			}
-			if err := c.WriteSpice(f, netlist.DefaultSpiceOptions()); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := createFile(*spicePath, func(w io.Writer) error { return c.WriteSpice(w, netlist.DefaultSpiceOptions()) }); err != nil {
 				return err
 			}
 			fmt.Printf("SPICE deck written to %s (%d devices)\n", *spicePath, len(c.Devices))
@@ -330,4 +282,42 @@ func writeBenchmarkList(w io.Writer) error {
 		fmt.Fprintf(tw, "%s\t%s\t%s\n", name, b.Kind, b.Description)
 	}
 	return tw.Flush()
+}
+
+// createFile creates the file at path and fills it with write.
+func createFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// readSource returns the text of the file at path, or "" when path is
+// empty (the flag was not given).
+func readSource(path string) (string, error) {
+	if path == "" {
+		return "", nil
+	}
+	b, err := os.ReadFile(path)
+	return string(b), err
+}
+
+// localOnlyFlag names the first flag set on the command line that acts
+// on a mapping in this process, or returns "" when none is.
+func localOnlyFlag() string {
+	var name string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "verify", "compound", "dump", "netlist", "spice", "dot", "stats", "trace-sample":
+			if name == "" {
+				name = f.Name
+			}
+		}
+	})
+	return name
 }

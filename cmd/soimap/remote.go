@@ -16,62 +16,15 @@ import (
 	"soidomino/internal/service"
 )
 
-// remoteFlags is the subset of soimap's flags a remote submission can
-// express. Local-only outputs (-dump, -netlist, -spice, -dot, -verify,
-// -compound, -stats) are not carried: the daemon returns the MapResult
-// encoding only. -explain fetches the daemon's attribution record and
-// -trace starts a sampled distributed trace, writing the stitched
-// Perfetto JSON the server (replica or router) assembled.
-type remoteFlags struct {
-	circuit, blifPath, benchPath string
-	algo, objective              string
-	k, maxW, maxH                int
-	pareto                       bool
-	tupleBudget                  int
-	seqAware                     bool
-	strashOff                    bool
-	jsonOut                      bool
-	explain                      bool
-	tracePath                    string
-}
-
-// runRemote maps through a soimapd instance using the retrying client:
-// transient failures (connection refused during a rolling restart, 429
-// under load) are retried with jittered backoff before soimap gives up.
-func runRemote(baseURL string, timeout time.Duration, f remoteFlags) error {
-	req := &service.MapRequest{Algorithm: f.algo}
-	switch {
-	case f.blifPath != "":
-		b, err := os.ReadFile(f.blifPath)
-		if err != nil {
-			return err
-		}
-		req.BLIF = string(b)
-	case f.benchPath != "":
-		b, err := os.ReadFile(f.benchPath)
-		if err != nil {
-			return err
-		}
-		req.Bench = string(b)
-	case f.circuit != "":
-		req.Circuit = f.circuit
-	default:
-		return fmt.Errorf("one of -circuit, -blif or -bench is required")
-	}
-	req.Options = &service.RequestOptions{
-		MaxWidth:      f.maxW,
-		MaxHeight:     f.maxH,
-		Objective:     f.objective,
-		ClockWeight:   f.k,
-		Pareto:        f.pareto,
-		TupleBudget:   f.tupleBudget,
-		SequenceAware: f.seqAware,
-		StrashOff:     f.strashOff,
-	}
-	if timeout > 0 {
-		req.TimeoutMS = timeout.Milliseconds()
-	}
-
+// runRemote posts req to the soimapd (or soirouter) at baseURL through
+// the retrying client: transient failures (connection refused during a
+// rolling restart, 429 under load) are retried with jittered backoff
+// before soimap gives up. The daemon returns the MapResult encoding
+// only, so the local-only flags are refused before this is reached.
+// explain fetches the daemon's attribution record; a non-empty
+// tracePath starts a sampled distributed trace and writes the stitched
+// Perfetto JSON the server assembled.
+func runRemote(baseURL string, req *service.MapRequest, jsonOut, explain bool, tracePath string) error {
 	// Ctrl-C aborts the submission and the poll loop promptly instead of
 	// leaving soimap asleep between polls.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -80,7 +33,7 @@ func runRemote(baseURL string, timeout time.Duration, f remoteFlags) error {
 	// -trace mints a sampled trace context; the client propagates it as a
 	// traceparent header, so the server records spans under our trace id.
 	var tc obs.TraceContext
-	if f.tracePath != "" {
+	if tracePath != "" {
 		tc = obs.NewTraceContext()
 		ctx = obs.WithTraceContext(ctx, tc)
 	}
@@ -92,17 +45,8 @@ func runRemote(baseURL string, timeout time.Duration, f remoteFlags) error {
 	}
 	// A synchronous submission can still come back non-terminal when the
 	// HTTP round trip outlives the handler's patience; poll to the end.
-	poll := time.NewTicker(50 * time.Millisecond)
-	defer poll.Stop()
-	for v.State == service.JobQueued || v.State == service.JobRunning {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("interrupted while polling remote job %s: %w", v.ID, ctx.Err())
-		case <-poll.C:
-		}
-		if v, err = c.Job(ctx, v.ID); err != nil {
-			return err
-		}
+	if v, err = c.Wait(ctx, v, 0); err != nil {
+		return err
 	}
 	switch v.State {
 	case service.JobDone:
@@ -112,7 +56,7 @@ func runRemote(baseURL string, timeout time.Duration, f remoteFlags) error {
 		return fmt.Errorf("remote job %s failed: %s", v.ID, v.Error)
 	}
 
-	if f.jsonOut {
+	if jsonOut {
 		b, err := service.EncodeJSON(v.Result)
 		if err != nil {
 			return err
@@ -130,28 +74,28 @@ func runRemote(baseURL string, timeout time.Duration, f remoteFlags) error {
 			fmt.Println("note: tuple budget overflowed; result degraded to the per-shape heuristic")
 		}
 	}
-	if f.explain {
+	if explain {
 		ev, err := c.Explain(ctx, v.ID)
 		if err != nil {
 			return fmt.Errorf("explain job %s: %w", v.ID, err)
 		}
 		out := io.Writer(os.Stdout)
-		if f.jsonOut {
+		if jsonOut {
 			out = os.Stderr
 		}
 		fmt.Fprintln(out, ev.Attribution.Table())
 	}
-	if f.tracePath != "" {
+	if tracePath != "" {
 		b, err := fetchTrace(ctx, c, tc.TraceID)
 		if err != nil {
 			return fmt.Errorf("fetch trace %s: %w", tc.TraceID, err)
 		}
-		if err := os.WriteFile(f.tracePath, b, 0o644); err != nil {
+		if err := os.WriteFile(tracePath, b, 0o644); err != nil {
 			return err
 		}
-		if !f.jsonOut {
+		if !jsonOut {
 			fmt.Printf("distributed trace %s written to %s; load it at ui.perfetto.dev\n",
-				tc.TraceID, f.tracePath)
+				tc.TraceID, tracePath)
 		}
 	}
 	return nil

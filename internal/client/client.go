@@ -164,21 +164,29 @@ func (c *Client) JobRaw(ctx context.Context, id string) (*Raw, error) {
 }
 
 // MapWait submits asynchronously and polls until the job reaches a
-// terminal state, honoring ctx. poll <= 0 selects 50ms.
+// terminal state (see Wait).
 func (c *Client) MapWait(ctx context.Context, req *service.MapRequest, poll time.Duration) (*service.JobView, error) {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
 	async := *req
 	async.Async = true
 	v, err := c.Map(ctx, &async)
 	if err != nil {
 		return nil, err
 	}
+	return c.Wait(ctx, v, poll)
+}
+
+// Wait polls the job v views until it reaches a terminal state, honoring
+// ctx, and returns that view; a terminal v is returned as is. poll <= 0
+// selects 50ms.
+func (c *Client) Wait(ctx context.Context, v *service.JobView, poll time.Duration) (*service.JobView, error) {
+	if poll <= 0 {
+		poll = 50 * time.Millisecond
+	}
 	for !terminal(v.State) {
 		if err := c.cfg.Sleep(ctx, poll); err != nil {
 			return nil, fmt.Errorf("polling job %s interrupted: %w", v.ID, err)
 		}
+		var err error
 		if v, err = c.Job(ctx, v.ID); err != nil {
 			return nil, err
 		}

@@ -36,8 +36,6 @@ type Config struct {
 	// before last-resort failover widens to the rest (default 2, capped
 	// at len(Replicas)).
 	ReplicationFactor int
-	// VNodes is the ring's virtual-node count per replica (default 64).
-	VNodes int
 	// Client is the template for the per-replica retrying clients;
 	// BaseURL is overwritten per replica.
 	Client client.Config
@@ -154,7 +152,7 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("cluster: at least one replica is required")
 	}
-	ring := NewRing(cfg.Replicas, cfg.VNodes)
+	ring := NewRing(cfg.Replicas, DefaultVNodes)
 	// The ring drops duplicate URLs, so the factor is capped by the
 	// distinct replicas: route slices the preference list at it.
 	cfg.ReplicationFactor = min(cfg.ReplicationFactor, len(ring.Replicas()))

@@ -437,6 +437,7 @@ func TestRouterRejectsWhatReplicasReject(t *testing.T) {
 		{"valid", valid, http.StatusOK},
 		{"one-byte syntax twin", `{"circuit": "mux"]`, http.StatusBadRequest},
 		{"one-byte unknown circuit twin", `{"circuit": "mut"}`, http.StatusBadRequest},
+		{"negative tuple budget", `{"circuit": "mux", "options": {"pareto": true, "tuple_budget": -1}}`, http.StatusBadRequest},
 		{"empty body", ``, http.StatusBadRequest},
 	} {
 		for _, target := range []struct{ name, url string }{{"soimapd", rep.URL}, {"router", ts.URL}} {

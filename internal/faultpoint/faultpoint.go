@@ -110,15 +110,6 @@ func (r *Registry) Arm(name string, f Fault) {
 	r.mu.Unlock()
 }
 
-// Disarm removes the fault at a named point, keeping its fired count.
-func (r *Registry) Disarm(name string) {
-	r.mu.Lock()
-	if a, ok := r.armed[name]; ok {
-		a.Prob = 0
-	}
-	r.mu.Unlock()
-}
-
 // Fired returns the per-point firing counts of every armed point.
 func (r *Registry) Fired() map[string]int64 {
 	if r == nil {
@@ -131,20 +122,6 @@ func (r *Registry) Fired() map[string]int64 {
 		out[name] = a.fired
 	}
 	return out
-}
-
-// TotalFired returns the number of faults fired across all points.
-func (r *Registry) TotalFired() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n int64
-	for _, a := range r.armed {
-		n += a.fired
-	}
-	return n
 }
 
 // roll decides whether the point's armed fault fires now. flip selects

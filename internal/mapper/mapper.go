@@ -40,15 +40,11 @@ func RSMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, 
 	return run(ctx, n, config{Options: opt, algorithm: "RS_Map", rearrangePost: rearrangeTop})
 }
 
-// RSMapDeep is an extension of RSMap whose post-processing reorders every
-// series group, including those nested inside parallel branches — stronger
-// than the paper's RS_Map but still a pure post-process. The ablation
-// benchmarks compare all three.
-func RSMapDeep(n *logic.Network, opt Options) (*Result, error) {
-	return RSMapDeepContext(context.Background(), n, opt)
-}
-
-// RSMapDeepContext is RSMapDeep with cancellation (see DominoMapContext).
+// RSMapDeepContext is an extension of RSMap whose post-processing
+// reorders every series group, including those nested inside parallel
+// branches — stronger than the paper's RS_Map but still a pure
+// post-process. The ablation benchmarks compare all three. Cancellation
+// as in DominoMapContext.
 func RSMapDeepContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
 	return run(ctx, n, config{Options: opt, algorithm: "RS_Map_deep", rearrangePost: rearrangeDeep})
 }

@@ -78,9 +78,6 @@ type Stats struct {
 	Phases PhaseTimes `json:"phases"`
 }
 
-// Enabled reports whether the collector records anything.
-func (s *Stats) Enabled() bool { return s != nil }
-
 // AddNode records one DP node with its surviving tuple population.
 func (s *Stats) AddNode(kept int) {
 	if s == nil {

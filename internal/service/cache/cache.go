@@ -74,11 +74,3 @@ func (c *LRU[K, V]) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Purge empties the cache.
-func (c *LRU[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
-}

@@ -54,19 +54,6 @@ func TestAddUpdatesAndPromotes(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New[string, int](4)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Purge = %d", c.Len())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Error("a survived Purge")
-	}
-}
-
 func TestZeroCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -25,21 +25,28 @@ func mapSubmission(circuit string, src *logic.Network, algo report.Algorithm, op
 }
 
 // TestCLIAndServiceEncodingsMatch pins the contract behind `soimap -json`:
-// the CLI path (PrepareNetworkMode + ParseAlgorithm + Pipeline.Map +
-// NewMapResult) and the daemon path (mapNetwork) must produce
-// byte-identical JSON for the same submission, for every algorithm.
+// the CLI's local path (the request resolved by ResolveSpec and
+// ParseSource, then PrepareNetworkMode + Pipeline.Map + NewMapResult)
+// and the daemon path (mapNetwork) must produce byte-identical JSON for
+// the same submission, for every algorithm. cmd/soimap's
+// TestCLIMatchesDaemon holds the CLI's own local and -server output
+// equal end to end.
 func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 	const circuit = "mux"
-	opt := mapper.DefaultOptions()
 	for _, key := range []string{"domino", "rs", "rsdeep", "soi"} {
 		t.Run(key, func(t *testing.T) {
 			// CLI path, as cmd/soimap -json composes it.
 			ctx := context.Background()
-			a, err := report.ParseAlgorithm(key)
+			req := &MapRequest{Circuit: circuit, Algorithm: key}
+			a, opt, err := ResolveSpec(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := report.PrepareNetworkMode(ctx, builtin.MustBuild(circuit), opt.StrashOff)
+			src, label, err := ParseSource(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := report.PrepareNetworkMode(ctx, src, opt.StrashOff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +54,7 @@ func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cliBytes, err := EncodeJSON(NewMapResult(circuit, p, res))
+			cliBytes, err := EncodeJSON(NewMapResult(label, p, res))
 			if err != nil {
 				t.Fatal(err)
 			}

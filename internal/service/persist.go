@@ -279,7 +279,7 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 // job's result, when it has one, carries the authoritative circuit label.
 func recoveredLabels(req *MapRequest, key string) (string, report.Algorithm) {
 	if req != nil {
-		if algo, opt, err := resolveSpec(req); err == nil {
+		if algo, opt, err := ResolveSpec(req); err == nil {
 			if label, ok := keyLabel(req, key, algo, opt); ok {
 				return label, algo
 			}

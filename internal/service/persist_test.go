@@ -464,7 +464,7 @@ func pollJob(t *testing.T, baseURL, id string, timeout time.Duration) JobView {
 func mapRequestLocal(t *testing.T, circuit string, algo report.Algorithm, opt mapper.Options) ([]byte, error) {
 	t.Helper()
 	req := &MapRequest{Circuit: circuit, Algorithm: algo.Key()}
-	src, label, err := parseSource(context.Background(), req)
+	src, label, err := ParseSource(context.Background(), req)
 	if err != nil {
 		return nil, err
 	}

@@ -385,8 +385,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// parseSource builds the submitted network and a short label for it.
-func parseSource(ctx context.Context, req *MapRequest) (*logic.Network, string, error) {
+// ParseSource builds the submitted network and a short label for it:
+// the registry name of a circuit, else the network's own name (an
+// inline .bench source is named "inline.bench"). It is the one place a
+// circuit, BLIF or bench source becomes a network, for soimapd and for
+// soimap's local mode alike.
+func ParseSource(ctx context.Context, req *MapRequest) (*logic.Network, string, error) {
 	set := 0
 	for _, s := range []string{req.Circuit, req.BLIF, req.Bench} {
 		if s != "" {
@@ -425,6 +429,9 @@ func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 	opt := mapper.DefaultOptions()
 	if ro == nil {
 		return opt, nil
+	}
+	if ro.MaxWidth < 0 || ro.MaxHeight < 0 || ro.ClockWeight < 0 || ro.DepthWeight < 0 || ro.TupleBudget < 0 {
+		return opt, errors.New("max_width, max_height, clock_weight, depth_weight and tuple_budget must not be negative (0 selects the default)")
 	}
 	if ro.MaxWidth > 0 {
 		opt.MaxWidth = ro.MaxWidth
@@ -544,7 +551,7 @@ func declaredDigest(n *logic.Network) [32]byte {
 // through resolve.
 func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
 	if req.BLIF != "" && req.Circuit == "" && req.Bench == "" {
-		if algo, opt, err := resolveSpec(req); err == nil && !opt.StrashOff {
+		if algo, opt, err := ResolveSpec(req); err == nil && !opt.StrashOff {
 			// Write's output runs about 16 bytes of text per node. The
 			// hint is capped at the default node limit, so a large body
 			// of blank lines presizes no more than a network a replica
@@ -564,24 +571,26 @@ func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
 	return j.cacheKey, nil
 }
 
-// resolve turns a decoded request into an unadmitted job: it parses the
-// source, derives the algorithm and options (resolveSpec) and the cache
-// key. Submission, journal re-admission and RequestKey all resolve here,
-// so they agree on every key byte. maxNodes > 0 bounds the parsed
-// network. On failure it returns the status to answer with: 413 for an
-// oversized network, 400 otherwise.
+// resolve turns a decoded request into an unadmitted job: it derives the
+// algorithm and options (ResolveSpec), then parses the source
+// (ParseSource) and derives the cache key. Submission, journal
+// re-admission and RequestKey all resolve here, so they agree on every
+// key byte; soimap's local mode resolves in the same order, so its
+// errors are these. maxNodes > 0 bounds the parsed network. On failure
+// it returns the status to answer with: 413 for an oversized network,
+// 400 otherwise.
 func resolve(ctx context.Context, req *MapRequest, maxNodes int) (*job, int, error) {
-	src, label, err := parseSource(ctx, req)
+	algo, opt, err := ResolveSpec(req)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	src, label, err := ParseSource(ctx, req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	if maxNodes > 0 && src.Len() > maxNodes {
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("network has %d nodes, limit is %d", src.Len(), maxNodes)
-	}
-	algo, opt, err := resolveSpec(req)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
 	}
 	start := time.Now()
 	key, sr := cacheKey(src, algo.Key(), opt)
@@ -598,10 +607,11 @@ func resolve(ctx context.Context, req *MapRequest, maxNodes int) (*job, int, err
 	}, http.StatusOK, nil
 }
 
-// resolveSpec resolves a request's algorithm (default SOI) and validated
+// ResolveSpec resolves a request's algorithm (default SOI) and validated
 // options, strash_off among them: everything in the cache key but the
-// network. It never looks at the source, so it is cheap.
-func resolveSpec(req *MapRequest) (report.Algorithm, mapper.Options, error) {
+// network. It never looks at the source, so it is cheap, and resolve
+// (like soimap's local mode) calls it before parsing anything.
+func ResolveSpec(req *MapRequest) (report.Algorithm, mapper.Options, error) {
 	algo := report.SOI
 	if req.Algorithm != "" {
 		var err error
@@ -627,7 +637,7 @@ const KeyHeader = "X-Cache-Key"
 // request or the key does not resolve; the submission then resolves the
 // slow way.
 func forwardedJob(req *MapRequest, key string) *job {
-	algo, opt, err := resolveSpec(req)
+	algo, opt, err := ResolveSpec(req)
 	if err != nil {
 		return nil
 	}
