@@ -19,7 +19,7 @@ import (
 	"soidomino/internal/service"
 )
 
-var updateKeys = flag.Bool("update", false, "rewrite the golden file of each selected test (testdata/routing_keys.golden, testdata/frontend.golden, testdata/blif_parse.golden)")
+var updateKeys = flag.Bool("update", false, "rewrite the golden file of each selected test (testdata/routing_keys.golden, testdata/frontend.golden, testdata/blif_parse.golden, testdata/mapping.golden)")
 
 // keyVariants are the option spellings the golden file pins, one per
 // line. Every distinct cache entry a replica can hold — and every
