@@ -83,12 +83,18 @@ strash-determinism:
 # (RelayView against decode, rewrite id, json.Encoder). A longer run is `go run
 # ./cmd/soifuzz -n 2000`; see the "Fuzzing the mappers" section of
 # README.md.
+#
+# Each fuzzer minimizes a new coverage input for at most
+# -fuzzminimizetime. Go's default is 60 s, longer than the 10 s window,
+# so one minimization could stall a smoke run at 0 execs/s until its end.
+FUZZ_SMOKE = -fuzztime=10s -fuzzminimizetime=1s -run=^$$
+
 fuzz-smoke:
 	$(GO) run ./cmd/soifuzz -n 300 -seed 1
-	$(GO) test -fuzz=FuzzParseBLIF -fuzztime=10s -run=^$$ ./internal/blif
-	$(GO) test -fuzz=FuzzParseBench -fuzztime=10s -run=^$$ ./internal/benchfmt
-	$(GO) test -fuzz=FuzzEncodeJSON -fuzztime=10s -run=^$$ ./internal/service
-	$(GO) test -fuzz=FuzzRelayView -fuzztime=10s -run=^$$ ./internal/service
+	$(GO) test -fuzz=FuzzParseBLIF $(FUZZ_SMOKE) ./internal/blif
+	$(GO) test -fuzz=FuzzParseBench $(FUZZ_SMOKE) ./internal/benchfmt
+	$(GO) test -fuzz=FuzzEncodeJSON $(FUZZ_SMOKE) ./internal/service
+	$(GO) test -fuzz=FuzzRelayView $(FUZZ_SMOKE) ./internal/service
 
 # ~30s: a seeded chaos campaign against an in-process soimapd — every
 # fault point armed, every successful response re-verified by the fuzz

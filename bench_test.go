@@ -8,6 +8,7 @@ import (
 	"soidomino/internal/bench"
 	"soidomino/internal/mapper"
 	"soidomino/internal/netlist"
+	"soidomino/internal/obs"
 	"soidomino/internal/pbe"
 	"soidomino/internal/report"
 	"soidomino/internal/soisim"
@@ -229,6 +230,34 @@ func BenchmarkMapDesBaseline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMapDesPareto profiles the Pareto dynamic program: SOI Pareto
+// on des, prepared (strash, decompose, unate) once, timing the DP and
+// traceback only — no audit, no encode. It reports the combinations the
+// DP charges per run (obs.Stats.TuplesGenerated), so a change that
+// speeds the DP up by doing less work shows apart from one that does the
+// same work faster. Profile it with
+//
+//	go test -bench=MapDesPareto -run='^$' -cpuprofile cpu.out .
+func BenchmarkMapDesPareto(b *testing.B) {
+	p, err := report.Prepare("des")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := mapper.DefaultOptions()
+	opt.Pareto = true
+	var st obs.Stats
+	if _, err := mapper.SOIDominoMapContext(obs.WithStats(context.Background(), &st), p.Unate, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mapper.SOIDominoMap(p.Unate, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.TuplesGenerated), "tuples_generated/op")
 }
 
 // BenchmarkPBEAnalyze measures the structural discharge-point analysis on

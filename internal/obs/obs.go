@@ -40,10 +40,13 @@ type Stats struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// Nodes counts And/Or nodes processed by the DP loop.
 	Nodes int64 `json:"nodes"`
-	// TuplesGenerated counts every tuple produced by a combine call;
-	// TuplesKept is the number surviving in the node's table or frontier
-	// when the node completes, and TuplesPruned is the difference —
-	// bounds-rejected, dominated, or displaced by a better tuple.
+	// TuplesGenerated counts every combination the DP considers, one per
+	// operand pair and stack order. A combination whose shape exceeds
+	// MaxWidth×MaxHeight is counted but never built: the mapper rejects
+	// it from its operands' shapes. TuplesKept is the number surviving in
+	// the node's table or frontier when the node completes, and
+	// TuplesPruned is the difference — bounds-rejected, dominated, or
+	// displaced by a better tuple.
 	TuplesGenerated int64 `json:"tuples_generated"`
 	TuplesPruned    int64 `json:"tuples_pruned"`
 	TuplesKept      int64 `json:"tuples_kept"`

@@ -20,44 +20,58 @@ func dominates(a *Tuple, ca int, b *Tuple, cb int) bool {
 }
 
 // InsertPareto adds t to its state's frontier — the set of mutually
-// non-dominated tuples under the partial order (cost, PDis, PDisBot,
-// Depth) — unless its shape exceeds the bounds or an existing entry
-// dominates it, removing entries t dominates. It reports whether the
-// frontier changed. The paper's algorithm keeps exactly one tuple per
-// {W,H} and breaks ties by p_dis, which can discard a sub-solution that a
-// later combination would have preferred; the frontier closes that gap
-// (see the brute-force optimality tests).
-func (s *Slots) InsertPareto(t Tuple, cost Cost) bool {
+// non-dominated tuples under the partial order (cost under w, PDis,
+// PDisBot, Depth) — unless its shape exceeds the bounds or an existing
+// entry dominates it, removing entries t dominates. It reports whether
+// the frontier changed. The paper's algorithm keeps exactly one tuple
+// per {W,H} and breaks ties by p_dis, which can discard a sub-solution
+// that a later combination would have preferred; the frontier closes
+// that gap (see the brute-force optimality tests).
+//
+// Entry costs are computed inline on every scan: w is a plain value, and
+// a cost per slot cached beside the frontier would cost allocations. The
+// frontier is rewritten only when t dominates an entry; otherwise t is
+// appended in place, so entries keep their insertion order either way.
+func (s *Slots) InsertPareto(t Tuple, w Weights) bool {
 	i := s.index(&t)
 	if i < 0 {
 		return false
 	}
-	ct := cost(t)
+	ct := w.Cost(&t)
 	entries := s.slot[i]
-	keep := entries[:0]
+	drop := -1 // the first entry t dominates
 	for j := range entries {
 		e := &entries[j]
-		ce := cost(*e)
+		ce := w.Cost(e)
 		if dominates(e, ce, &t, ct) {
 			return false // also covers exact ties: the incumbent stays
 		}
-		if !dominates(&t, ct, e, ce) {
-			keep = append(keep, *e)
+		if drop < 0 && dominates(&t, ct, e, ce) {
+			drop = j
 		}
 	}
-	keep = append(keep, t)
-	if len(keep) > MaxFrontier {
-		// Drop the entry with the worst cost (ties: largest PDis).
-		worst := 0
-		for j := 1; j < len(keep); j++ {
-			cj, cw := cost(keep[j]), cost(keep[worst])
-			if cj > cw || (cj == cw && keep[j].PDis > keep[worst].PDis) {
-				worst = j
+	if drop >= 0 {
+		keep := entries[:drop]
+		for j := drop + 1; j < len(entries); j++ {
+			if e := &entries[j]; !dominates(&t, ct, e, w.Cost(e)) {
+				keep = append(keep, *e)
 			}
 		}
-		keep = append(keep[:worst], keep[worst+1:]...)
+		entries = keep
 	}
-	s.slot[i] = keep
+	entries = append(entries, t)
+	if len(entries) > MaxFrontier {
+		// Drop the entry with the worst cost (ties: largest PDis).
+		worst, cw := 0, w.Cost(&entries[0])
+		for j := 1; j < len(entries); j++ {
+			cj := w.Cost(&entries[j])
+			if cj > cw || (cj == cw && entries[j].PDis > entries[worst].PDis) {
+				worst, cw = j, cj
+			}
+		}
+		entries = append(entries[:worst], entries[worst+1:]...)
+	}
+	s.slot[i] = entries
 	s.present[i>>6] |= 1 << (i & 63)
 	return true
 }

@@ -6,22 +6,20 @@ import (
 	"testing/quick"
 )
 
-func fCost(t Tuple) int { return int(t.NTrans + t.NClock + t.NDisch) }
-
 func TestFrontierInsertDominance(t *testing.T) {
 	s := NewSlots(4, 4, true)
 	a := Tuple{W: 2, H: 2, NTrans: 5, PDis: 2, PDisBot: 1}
-	if !s.InsertPareto(a, fCost) {
+	if !s.InsertPareto(a, areaWeights) {
 		t.Fatal("first insert rejected")
 	}
 	// Dominated on every axis: rejected.
 	worse := Tuple{W: 2, H: 2, NTrans: 6, PDis: 3, PDisBot: 2}
-	if s.InsertPareto(worse, fCost) {
+	if s.InsertPareto(worse, areaWeights) {
 		t.Error("dominated tuple accepted")
 	}
 	// Incomparable (cheaper but more potential points): kept alongside.
 	inc := Tuple{W: 2, H: 2, NTrans: 4, PDis: 4, PDisBot: 4}
-	if !s.InsertPareto(inc, fCost) {
+	if !s.InsertPareto(inc, areaWeights) {
 		t.Error("incomparable tuple rejected")
 	}
 	if s.Size() != 2 {
@@ -29,7 +27,7 @@ func TestFrontierInsertDominance(t *testing.T) {
 	}
 	// A dominator sweeps both out.
 	dom := Tuple{W: 2, H: 2, NTrans: 4, PDis: 2, PDisBot: 1}
-	if !s.InsertPareto(dom, fCost) {
+	if !s.InsertPareto(dom, areaWeights) {
 		t.Error("dominator rejected")
 	}
 	if s.Size() != 1 {
@@ -41,9 +39,9 @@ func TestFrontierSeparatesState(t *testing.T) {
 	s := NewSlots(4, 4, true)
 	// Same {W,H} and costs, different ParB/HasPI: distinct states, drained
 	// par_b-false first.
-	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 4, ParB: true}, fCost)
-	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 4, ParB: false}, fCost)
-	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 4, ParB: false, HasPI: true}, fCost)
+	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 4, ParB: true}, areaWeights)
+	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 4, ParB: false}, areaWeights)
+	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 4, ParB: false, HasPI: true}, areaWeights)
 	out := drain(s)
 	if len(out) != 3 {
 		t.Fatalf("size = %d; want 3", len(out))
@@ -57,8 +55,8 @@ func TestFrontierTieKeepsIncumbent(t *testing.T) {
 	s := NewSlots(4, 4, true)
 	a := Tuple{W: 1, H: 2, NTrans: 3, NGates: 1}
 	b := Tuple{W: 1, H: 2, NTrans: 3, NGates: 9} // identical under dominance
-	s.InsertPareto(a, fCost)
-	if s.InsertPareto(b, fCost) {
+	s.InsertPareto(a, areaWeights)
+	if s.InsertPareto(b, areaWeights) {
 		t.Error("exact tie should keep the incumbent")
 	}
 	if out := drain(s); len(out) != 1 || out[0].NGates != 1 {
@@ -72,13 +70,13 @@ func TestFrontierCap(t *testing.T) {
 	// incomparable pairs).
 	n := int32(MaxFrontier * 2)
 	for i := int32(0); i < n; i++ {
-		s.InsertPareto(Tuple{W: 3, H: 3, NTrans: i, PDis: n - i, PDisBot: n - i}, fCost)
+		s.InsertPareto(Tuple{W: 3, H: 3, NTrans: i, PDis: n - i, PDisBot: n - i}, areaWeights)
 	}
 	if s.Size() > MaxFrontier {
 		t.Errorf("cap not enforced: %d", s.Size())
 	}
 	// The cheapest entry must have survived the eviction policy.
-	out, b := s.Drain(nil, func(a, b Tuple) bool { return fCost(a) < fCost(b) })
+	out, b := s.Drain(nil, func(a, b Tuple) bool { return areaCost(a) < areaCost(b) })
 	if b < 0 || out[b].NTrans != 0 {
 		t.Errorf("cheapest entry evicted: %+v", out)
 	}
@@ -93,7 +91,7 @@ func TestFrontierAllDeterministic(t *testing.T) {
 				W: 1 + rng.Int31n(3), H: 1 + rng.Int31n(3),
 				NTrans: rng.Int31n(10), PDis: rng.Int31n(5),
 				ParB: rng.Intn(2) == 0, HasPI: rng.Intn(2) == 0,
-			}, fCost)
+			}, areaWeights)
 		}
 		return drain(s)
 	}
@@ -112,10 +110,10 @@ func TestFrontierAllDeterministic(t *testing.T) {
 // the first minimal one under less.
 func TestFrontierTrimPerKey(t *testing.T) {
 	s := NewSlots(4, 4, true)
-	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 5, PDis: 1, NGates: 1}, fCost)
-	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 3, PDis: 4, NGates: 2}, fCost)
-	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 4, PDis: 2, NGates: 3}, fCost)
-	s.InsertPareto(Tuple{W: 1, H: 1, NTrans: 9, HasPI: true, NGates: 4}, fCost)
+	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 5, PDis: 1, NGates: 1}, areaWeights)
+	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 3, PDis: 4, NGates: 2}, areaWeights)
+	s.InsertPareto(Tuple{W: 2, H: 2, NTrans: 4, PDis: 2, NGates: 3}, areaWeights)
+	s.InsertPareto(Tuple{W: 1, H: 1, NTrans: 9, HasPI: true, NGates: 4}, areaWeights)
 	s.TrimPerKey(areaLess)
 	out := drain(s)
 	if len(out) != 2 || out[0].NGates != 4 || out[1].NGates != 2 {
@@ -134,12 +132,12 @@ func TestFrontierInvariantQuick(t *testing.T) {
 				W: 1 + rng.Int31n(2), H: 1 + rng.Int31n(2),
 				NTrans: rng.Int31n(12), NDisch: rng.Int31n(4),
 				PDis: rng.Int31n(6), PDisBot: rng.Int31n(3), Depth: rng.Int31n(3),
-			}, fCost)
+			}, areaWeights)
 		}
 		for _, entries := range s.slot {
 			for i := range entries {
 				for j := range entries {
-					if i != j && dominates(&entries[i], fCost(entries[i]), &entries[j], fCost(entries[j])) {
+					if i != j && dominates(&entries[i], areaCost(entries[i]), &entries[j], areaCost(entries[j])) {
 						return false
 					}
 				}

@@ -7,7 +7,10 @@ import (
 	"unsafe"
 )
 
-func areaCost(t Tuple) int { return int(t.NTrans + t.NClock + t.NDisch) }
+// areaWeights weighs transistors, clock and discharge devices alike.
+var areaWeights = Weights{Trans: 1, Clock: 1, Disch: 1}
+
+func areaCost(t Tuple) int { return areaWeights.Cost(&t) }
 
 // areaLess mirrors the SOI mapper's ordering: cost, then p_dis.
 func areaLess(a, b Tuple) bool {
@@ -95,7 +98,7 @@ func TestSlotsRejectOutOfBounds(t *testing.T) {
 		s := NewSlots(2, 3, pareto)
 		ins := func(tu Tuple) bool {
 			if pareto {
-				return s.InsertPareto(tu, areaCost)
+				return s.InsertPareto(tu, areaWeights)
 			}
 			return s.Insert(tu, areaLess)
 		}
@@ -301,7 +304,7 @@ func TestTableInvariantsQuick(t *testing.T) {
 					tu.PDis = 45 - tu.NTrans + rng.Int31n(3)
 				}
 				if pareto {
-					s.InsertPareto(tu, areaCost)
+					s.InsertPareto(tu, areaWeights)
 				} else {
 					s.Insert(tu, areaLess)
 				}
