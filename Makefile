@@ -42,12 +42,13 @@ bench-baseline: strash-determinism
 obs-overhead:
 	SOIDOMINO_OBS_OVERHEAD=1 $(GO) test -run 'Test(Stats|Trace)Overhead' -v ./internal/mapper
 
-# Guard on the mapper's allocation profile on des: newEngine plus the
-# dynamic program (SOI, Pareto) must stay under a pinned allocs/run
-# ceiling — one slot table and candidate-arena chunks, nothing per
-# node or per combine — and so must traceback (SOI Pareto and
-# RS_Map: arena-built trees, a few allocations per gate) and
-# Result.Audit. The strash front-end, on the key path of every service
+# Guard on the mapper's allocation profile on des: a warm newEngine
+# plus the dynamic program (SOI, Pareto) must stay under a pinned
+# allocs/run ceiling (its tables and arena chunks come from the pooled
+# workspace, so only the engine is allocated), a warm SOIDominoMap run
+# may allocate little beyond its traceback, and traceback (SOI Pareto
+# and RS_Map: arena-built trees, a few allocations per gate) and
+# Result.Audit stay under theirs. The strash front-end, on the key path of every service
 # request, is pinned the same way (about one allocation per kept gate),
 # and so is the lowering to unate form (Decompose + Convert: about one
 # allocation per unate gate, no intermediate network). So is the routing

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"soidomino/internal/bench"
+	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/netlist"
 	"soidomino/internal/obs"
@@ -255,6 +256,39 @@ func BenchmarkMapDesPareto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := mapper.SOIDominoMap(p.Unate, opt); err != nil {
 			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.TuplesGenerated), "tuples_generated/op")
+}
+
+// BenchmarkMapParetoLarge profiles the Pareto dynamic program over the
+// six circuits of perfbench's pareto-large workload (c2670, dalu, c3540,
+// des, c5315, c7552): SOI Pareto, each prepared once, one op mapping all
+// six, DP and traceback only. It reports the combinations the DP charges
+// per op. Profile it with
+//
+//	go test -bench=MapParetoLarge -run='^$' -cpuprofile cpu.out .
+func BenchmarkMapParetoLarge(b *testing.B) {
+	opt := mapper.DefaultOptions()
+	opt.Pareto = true
+	var nets []*logic.Network
+	var st obs.Stats
+	for _, name := range []string{"c2670", "dalu", "c3540", "des", "c5315", "c7552"} {
+		p, err := report.Prepare(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mapper.SOIDominoMapContext(obs.WithStats(context.Background(), &st), p.Unate, opt); err != nil {
+			b.Fatal(err)
+		}
+		nets = append(nets, p.Unate)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range nets {
+			if _, err := mapper.SOIDominoMap(n, opt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(st.TuplesGenerated), "tuples_generated/op")

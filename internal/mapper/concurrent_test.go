@@ -3,6 +3,7 @@ package mapper
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"soidomino/internal/bench"
 	"soidomino/internal/logic"
+	"soidomino/internal/obs"
 	"soidomino/internal/unate"
 )
 
@@ -73,6 +75,77 @@ func TestConcurrentMappingMatchesSerial(t *testing.T) {
 	for err := range errs {
 		t.Errorf("concurrent map: %v", err)
 	}
+}
+
+// TestConcurrentPooledRunsMatchSerial runs a mixed stream of Pareto and
+// single-tuple mappings, under every algorithm and two shape bounds,
+// from several goroutines at once, so pooled workspaces pass between
+// runs of different shapes, modes and networks while other runs hold
+// theirs. Every result and its DP counters must equal the serial run's.
+// Run it under -race (make race does).
+func TestConcurrentPooledRunsMatchSerial(t *testing.T) {
+	type job struct {
+		circuit, algo string
+		opt           Options
+	}
+	var jobs []job
+	for _, name := range []string{"mux", "z4ml", "cordic", "c8", "b9"} {
+		for _, algo := range []string{"domino", "rs", "soi"} {
+			for v := 0; v < 4; v++ {
+				opt := DefaultOptions()
+				opt.Pareto = v%2 == 1
+				if v >= 2 {
+					opt.MaxWidth, opt.MaxHeight = 3, 4
+				}
+				jobs = append(jobs, job{name, algo, opt})
+			}
+		}
+	}
+	nets := map[string]*logic.Network{}
+	run := func(j job) (string, obs.Stats, error) {
+		var st obs.Stats
+		res, err := mapAlgo(obs.WithStats(context.Background(), &st), j.algo, nets[j.circuit], j.opt)
+		if err != nil {
+			return "", st, err
+		}
+		st.Phases = obs.PhaseTimes{}
+		return res.Dump(), st, nil
+	}
+	want := make([]string, len(jobs))
+	wantStats := make([]obs.Stats, len(jobs))
+	for i, j := range jobs {
+		if nets[j.circuit] == nil {
+			nets[j.circuit] = unateBench(t, j.circuit)
+		}
+		var err error
+		if want[i], wantStats[i], err = run(j); err != nil {
+			t.Fatalf("%s %s: serial map: %v", j.circuit, j.algo, err)
+		}
+	}
+
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(seed)).Perm(len(jobs)) {
+				j := jobs[i]
+				got, st, err := run(j)
+				switch {
+				case err != nil:
+					t.Errorf("%s %s: concurrent map: %v", j.circuit, j.algo, err)
+				case got != want[i]:
+					t.Errorf("%s %s pareto=%v %dx%d: concurrent result differs from serial run",
+						j.circuit, j.algo, j.opt.Pareto, j.opt.MaxWidth, j.opt.MaxHeight)
+				case st != wantStats[i]:
+					t.Errorf("%s %s pareto=%v %dx%d: counters %+v, serial %+v",
+						j.circuit, j.algo, j.opt.Pareto, j.opt.MaxWidth, j.opt.MaxHeight, st, wantStats[i])
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
 }
 
 // mapAlgo dispatches to one of the public mappers by name.

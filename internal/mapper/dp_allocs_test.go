@@ -6,12 +6,19 @@ import (
 	"testing"
 )
 
-// dpAllocsCeiling pins the DP's allocations per run on des (SOI,
-// Pareto): a handful of per-run tables plus candidate-arena chunks and
-// the slot table's frontier growth — 89 at the time of writing —
-// with headroom. des has 2564 nodes, so one allocation per node or per
-// combine creeping back in overshoots the ceiling by far.
-const dpAllocsCeiling = 120
+// dpAllocsCeiling pins the DP's allocations per warm run on des (SOI,
+// Pareto): the per-run tables, candidate-arena chunks and the slot
+// table's frontier growth all live in the pooled workspace, so a warm
+// run allocates only the engine itself — 1 at the time of writing (88
+// before the pool). des has 2564 nodes, so one allocation per node, per
+// combine or per arena chunk creeping back in overshoots the ceiling.
+const dpAllocsCeiling = 2
+
+// warmRunAllocsHeadroom is what a warm SOIDominoMap run on des may
+// allocate beyond its traceback: the engine and the phase timers, 3 at
+// the time of writing. A run that misses the pool re-allocates its whole
+// DP state, about 170 allocations on des, and overshoots.
+const warmRunAllocsHeadroom = 8
 
 // Traceback and audit ceilings on des (607 gates), with headroom over the
 // counts at the time of writing: SOI Pareto traceback 1,287 allocs/run,
@@ -48,13 +55,45 @@ func TestDPAllocs(t *testing.T) {
 	n := unateBench(t, "des")
 	cfg := desSOIParetoConfig()
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := newEngine(context.Background(), n, cfg).process(); err != nil {
+		e := newEngine(context.Background(), n, cfg)
+		if err := e.process(); err != nil {
 			t.Fatal(err)
 		}
+		e.release()
 	})
 	t.Logf("des SOI Pareto: %.0f allocs/run in the DP (ceiling %d)", allocs, dpAllocsCeiling)
 	if allocs > dpAllocsCeiling {
 		t.Errorf("DP allocates %.0f times per run, ceiling %d", allocs, dpAllocsCeiling)
+	}
+}
+
+// TestDPAllocsWarmRun guards the workspace pool from the public entry
+// point: a warm SOIDominoMap Pareto run on des may allocate what its
+// traceback and Result take, plus warmRunAllocsHeadroom, and no more.
+func TestDPAllocsWarmRun(t *testing.T) {
+	skipUnlessDPAllocs(t)
+	n := unateBench(t, "des")
+	cfg := desSOIParetoConfig()
+	e := newEngine(context.Background(), n, cfg)
+	if err := e.process(); err != nil {
+		t.Fatal(err)
+	}
+	traceback := testing.AllocsPerRun(10, func() {
+		if _, err := e.traceback(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	e.release()
+	run := testing.AllocsPerRun(10, func() {
+		if _, err := SOIDominoMap(n, cfg.Options); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("des SOI Pareto: %.0f allocs per warm run, %.0f of them in traceback (headroom %d)",
+		run, traceback, warmRunAllocsHeadroom)
+	if run > traceback+warmRunAllocsHeadroom {
+		t.Errorf("a warm run allocates %.0f times, traceback %.0f: %.0f beyond it, headroom %d",
+			run, traceback, run-traceback, warmRunAllocsHeadroom)
 	}
 }
 

@@ -79,6 +79,7 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 		return nil, fmt.Errorf("mapper: input network is not unate: %w", err)
 	}
 	e := newEngine(ctx, n, cfg)
+	defer e.release()
 	e.stats.SetAlgorithm(cfg.algorithm)
 	if e.tracer != nil {
 		kv := []obs.KV{{Key: "nodes", Val: int64(n.Len())}}
@@ -113,10 +114,12 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 }
 
 // newEngine sets up the DP state of one run over a unate network whose
-// options are already validated. Every mapping leaf gets its single
-// {1,1} candidate up front, so a parent reads a leaf fanin like any
-// completed node.
+// options are already validated, on a workspace taken from the pool;
+// release gives it back. Every mapping leaf gets its single {1,1}
+// candidate up front, so a parent reads a leaf fanin like any completed
+// node.
 func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
+	ws := takeWorkspace(n)
 	e := &engine{
 		ctx:     ctx,
 		cfg:     cfg,
@@ -124,22 +127,33 @@ func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
 		stats:   obs.StatsFrom(ctx),
 		tracer:  obs.TracerFrom(ctx),
 		faults:  faultpoint.From(ctx),
-		fanout:  n.FanoutCounts(),
-		outRefs: n.OutputRefs(),
-		cands:   make([][]tuple.Tuple, n.Len()),
-		gate:    make([]tuple.Tuple, n.Len()),
-		slots:   tuple.NewSlots(cfg.MaxWidth, cfg.MaxHeight, cfg.Pareto),
+		ws:      ws,
+		fanout:  ws.fanout,
+		outRefs: ws.outRefs,
+		cands:   ws.cands,
+		gate:    ws.gate,
+		slots:   ws.table(cfg),
 		w:       weights(cfg),
 	}
 	// Every leaf shares one read-only slice: the {1,1} tuple carries no
 	// node id, the Choice that addresses it does.
-	leaf := []tuple.Tuple{{W: 1, H: 1, NTrans: 1, HasPI: true, Deriv: tuple.Deriv{Op: tuple.DerivLeaf}}}
+	leaf := ws.leaf[:]
 	for id := range n.Nodes {
 		if e.isLeaf(id) {
 			e.cands[id] = leaf
 		}
 	}
 	return e
+}
+
+// release gives the engine's workspace back to the pool once the run,
+// traceback included, is done with it; the engine must not be used
+// after.
+func (e *engine) release() {
+	if e.ws != nil {
+		workspaces.Put(e.ws)
+		e.ws = nil
+	}
 }
 
 // engine holds the dynamic-programming state for one mapping run.
@@ -175,12 +189,16 @@ type engine struct {
 	// gate[id] is the table tuple an And/Or node's gate is formed from.
 	gate []tuple.Tuple
 
+	// ws is the pooled workspace the slices above and slots live in.
+	ws *workspace
 	// slots is the dense scratch table, reused for every node; arena is
 	// the tail of the current chunk of candidate storage, which completed
-	// nodes' slices are carved from; combines counts combine calls since
-	// the last cancellation checkpoint.
+	// nodes' slices are carved from, and chunk the number of ws.chunks
+	// taken so far; combines counts the node's combinations for the
+	// cancellation checkpoint.
 	slots    *tuple.Slots
 	arena    []tuple.Tuple
+	chunk    int
 	combines int
 
 	// w is the configured objective as a linear cost (see weights).
@@ -233,11 +251,6 @@ func (e *engine) less(a, b tuple.Tuple) bool {
 	return a.Depth < b.Depth
 }
 
-// formLess compares tuples by the cost of the gates they would form.
-func (e *engine) formLess(a, b tuple.Tuple) bool {
-	return e.less(e.form(a), e.form(b))
-}
-
 // form converts a partial structure into a completed gate's cumulative
 // totals: output inverter (2) and keeper join NTrans, the p-clock (plus an
 // n-clock foot for PI-driven pulldowns) joins NClock, and the structure's
@@ -272,13 +285,13 @@ func (e *engine) forcedRoot(id int) bool {
 }
 
 // gateAsInput is the {1,1} sub-solution that uses the child's completed
-// gate output to drive a single transistor ("an extra transistor is needed
-// in the next level", paper §IV). For forced roots the child's gate exists
-// regardless of this parent's choice, so only the marginal transistor is
-// charged; for single-fanout children the full gate cost rides along so
-// the DP can trade early gate formation against larger pulldowns.
-func (e *engine) gateAsInput(id int) tuple.Tuple {
-	f := e.form(e.gate[id])
+// gate output — f, its gate tuple formed — to drive a single transistor
+// ("an extra transistor is needed in the next level", paper §IV). For
+// forced roots the child's gate exists regardless of this parent's
+// choice, so only the marginal transistor is charged; for single-fanout
+// children the full gate cost rides along so the DP can trade early gate
+// formation against larger pulldowns.
+func (e *engine) gateAsInput(id int, f *tuple.Tuple) tuple.Tuple {
 	t := tuple.Tuple{
 		W: 1, H: 1,
 		NTrans: 1,
@@ -408,15 +421,18 @@ func andCharges(top *tuple.Tuple) int32 {
 }
 
 // combineCheckInterval bounds the work between in-loop cancellation
-// checkpoints: one context poll per this many combine calls, so a node
-// with a huge Pareto cross-product cannot overrun a job deadline by more
-// than a bounded slice of work. The per-node combine counter resets at
-// every node boundary, which keeps the CancelChecks stat a pure function
-// of the network and options.
+// checkpoints: the context is polled once for every this many
+// combinations a node's cross-product crosses, checked at the end of
+// each row (one candidate of the first fanin against all of the
+// second's), so a node with a huge Pareto cross-product cannot overrun a
+// job deadline by more than this many combinations plus one row. The
+// per-node count resets at every node boundary, which keeps the
+// CancelChecks stat a pure function of the network and options.
 const combineCheckInterval = 1024
 
 // arenaChunk caps the size, in tuples, of one candidate-storage chunk;
-// chunks start small and double so a tiny network allocates little.
+// chunks start small and double so a tiny network allocates little, and
+// they stay in the pooled workspace, so a warm run allocates none.
 const arenaChunk = 4096
 
 // process fills the DP tables (paper listing 2): one topological pass
@@ -492,35 +508,73 @@ func (e *engine) processNode(id int) error {
 // tried in both stack orders and dominance decides.
 //
 // A combination whose shape would exceed MaxWidth×MaxHeight is never
-// built: the operands already fit, so an OR is out of bounds exactly
-// when its widths sum past MaxWidth and an AND when its heights sum past
-// MaxHeight. Such a pair is still charged to the run's stats and passes
-// the cancellation checkpoint, and a single-tuple AND still takes its
-// stack order first, so counters, checkpoints and fault decisions do not
-// depend on the check.
+// built (overBound): a rejected pair costs one compare. The run's stats
+// still count every combination, built or not, but they are added up
+// per row and flushed once per node (a node canceled mid-way flushes
+// the rows it finished): only a single-tuple AND, whose
+// stack order varies pair by pair, is counted per pair, and it still
+// takes that order (order: the PointInvertReorder flip, the OrderHashed
+// hash) for a pair the check rejects. Every other kind has a closed
+// form: an OR row adds one OR per pair; a Pareto AND row adds one
+// combination per pair in source order, charging andCharges of the
+// row's candidate for each, and one flipped, charging the sum of
+// andCharges over the second fanin. So counters, checkpoints and fault
+// decisions do not depend on the check.
 func (e *engine) combineAll(id int, node *logic.Node, ua, ub []tuple.Tuple) error {
 	fa, fb := int32(node.Fanin[0]), int32(node.Fanin[1])
 	or := node.Op == logic.Or
+	pareto := e.cfg.Pareto
+	perRow, sumB := len(ub), 0 // combinations per row; Σ andCharges(b)
+	if pareto && !or {
+		perRow *= 2
+		for j := range ub {
+			sumB += int(andCharges(&ub[j]))
+		}
+	}
+	var ors, ordered, reordered, charges int
 	for i := range ua {
 		a := cand{&ua[i], tuple.Choice{Node: fa, Index: int32(i)}}
 		for j := range ub {
 			b := cand{&ub[j], tuple.Choice{Node: fb, Index: int32(j)}}
-			var err error
-			switch {
-			case or:
-				err = e.offer(id, true, a, b, true)
-			case e.cfg.Pareto:
-				if err = e.offer(id, false, a, b, true); err == nil {
-					err = e.offer(id, false, a, b, false)
+			topIsA := true
+			if !or && !pareto {
+				if topIsA = e.order(a, b); topIsA {
+					ordered++
+					charges += int(andCharges(a.t))
+				} else {
+					reordered++
+					charges += int(andCharges(b.t))
 				}
-			default:
-				err = e.offer(id, false, a, b, e.order(a, b))
 			}
-			if err != nil {
-				return err
+			if e.overBound(or, a.t, b.t) {
+				continue
+			}
+			switch {
+			case or && pareto:
+				e.slots.InsertPareto(e.combineOr(a, b), e.w)
+			case or:
+				e.slots.Insert(e.combineOr(a, b), e.less)
+			case pareto:
+				e.slots.InsertPareto(e.combineAnd(a, b, true), e.w)
+				e.slots.InsertPareto(e.combineAnd(a, b, false), e.w)
+			default:
+				e.slots.Insert(e.combineAnd(a, b, topIsA), e.less)
 			}
 		}
+		switch {
+		case or:
+			ors += len(ub)
+		case pareto:
+			ordered += len(ub)
+			reordered += len(ub)
+			charges += len(ub)*int(andCharges(a.t)) + sumB
+		}
+		if err := e.combineCheck(id, perRow); err != nil {
+			e.stats.AddCombines(ors, ordered, reordered, charges)
+			return err
+		}
 	}
+	e.stats.AddCombines(ors, ordered, reordered, charges)
 	return nil
 }
 
@@ -533,28 +587,23 @@ func (e *engine) overBound(or bool, a, b *tuple.Tuple) bool {
 	return int(a.H+b.H) > e.cfg.MaxHeight
 }
 
-// offer charges one combination to the run's stats, runs the bounded
-// in-loop cancellation checkpoint and, unless the shape check rejects
-// it, builds the tuple and inserts it into the slot table. topIsA is the
-// stack order of an AND; an OR ignores it.
-func (e *engine) offer(id int, or bool, a, b cand, topIsA bool) error {
-	e.recordCombine(or, a.t, b.t, topIsA)
-	if err := e.combineCheck(id); err != nil {
-		return err
-	}
-	if e.overBound(or, a.t, b.t) {
-		return nil
-	}
-	var t tuple.Tuple
-	if or {
-		t = e.combineOr(a, b)
-	} else {
-		t = e.combineAnd(a, b, topIsA)
-	}
-	if e.cfg.Pareto {
-		e.slots.InsertPareto(t, e.w)
-	} else {
-		e.slots.Insert(t, e.less)
+// combineCheck is the bounded in-loop cancellation checkpoint, run after
+// every row of a node's cross-product with the row's n combinations: it
+// polls the context once for each multiple of combineCheckInterval the
+// node's count crosses, so the polls and the CancelChecks stat are those
+// of one poll per interval of combinations. Before it existed, a single
+// node with a large Pareto cross-product could overrun a deadline by
+// seconds between the node-boundary checks in processNode. A canceled
+// run reports the count at the end of the row.
+func (e *engine) combineCheck(id, n int) error {
+	from := e.combines / combineCheckInterval
+	e.combines += n
+	for k := from; k < e.combines/combineCheckInterval; k++ {
+		e.stats.AddCancelCheck()
+		if err := e.ctx.Err(); err != nil {
+			return fmt.Errorf("mapper: %s canceled inside node %d after %d combines: %w",
+				e.cfg.algorithm, id, e.combines, err)
+		}
 	}
 	return nil
 }
@@ -585,56 +634,44 @@ func (e *engine) complete(id int) (int, error) {
 		}
 	}
 	if cap(e.arena)-len(e.arena) < kept+1 {
-		e.arena = make([]tuple.Tuple, 0, max(kept+1, min(2*cap(e.arena), arenaChunk), 64))
+		e.newChunk(kept + 1)
 	}
 	start := len(e.arena)
-	var best int
-	e.arena, best = s.Drain(e.arena, e.formLess)
+	e.arena, _ = s.Drain(e.arena, nil)
+	// The gate is the first tuple minimal under less once formed; each
+	// tuple is formed once and compared with the best one's formed copy.
+	best, formed := start, e.form(e.arena[start])
+	for k := start + 1; k < len(e.arena); k++ {
+		if f := e.form(e.arena[k]); e.less(f, formed) {
+			best, formed = k, f
+		}
+	}
 	e.gate[id] = e.arena[best]
 	if e.forcedRoot(id) {
 		e.arena = e.arena[:start]
 	}
-	e.arena = append(e.arena, e.gateAsInput(id))
+	e.arena = append(e.arena, e.gateAsInput(id, &formed))
 	e.cands[id] = e.arena[start:len(e.arena):len(e.arena)]
 	return kept, nil
 }
 
-// combineCheck is the bounded in-loop cancellation checkpoint, called
-// once per combine; it polls the context every combineCheckInterval
-// calls. Before it existed, a single node with a large Pareto
-// cross-product could overrun a deadline by seconds between the
-// node-boundary checks in processNode.
-func (e *engine) combineCheck(id int) error {
-	e.combines++
-	if e.combines%combineCheckInterval != 0 {
-		return nil
-	}
-	e.stats.AddCancelCheck()
-	if err := e.ctx.Err(); err != nil {
-		return fmt.Errorf("mapper: %s canceled inside node %d after %d combines: %w",
-			e.cfg.algorithm, id, e.combines, err)
-	}
-	return nil
-}
-
-// recordCombine charges one combination to the run's stats, built or
-// not: the kind (OR, AND in source order, AND with the stack flipped)
-// and the p-discharge devices combineAnd materializes for that stack
-// order (andCharges of the top; an OR materializes none). It works from
-// the operands alone, so the combine functions stay instrumentation-free
-// and a pair the shape check rejects is charged like a built one.
-// e.stats is nil-receiver safe (see obs.Stats), so call sites need no
-// guard.
-func (e *engine) recordCombine(or bool, a, b *tuple.Tuple, topIsA bool) {
-	charges := int32(0)
-	if !or {
-		top := a
-		if !topIsA {
-			top = b
+// newChunk moves the arena to the run's next chunk, one with room for at
+// least need tuples: the workspace's chunk at that position when it is
+// large enough, else a new one, twice the size of the last (at least 64,
+// at most arenaChunk unless need is larger), which replaces it there.
+func (e *engine) newChunk(need int) {
+	ws := e.ws
+	if e.chunk < len(ws.chunks) && cap(ws.chunks[e.chunk]) >= need {
+		e.arena = ws.chunks[e.chunk][:0]
+	} else {
+		e.arena = make([]tuple.Tuple, 0, max(need, min(2*cap(e.arena), arenaChunk), 64))
+		if e.chunk < len(ws.chunks) {
+			ws.chunks[e.chunk] = e.arena
+		} else {
+			ws.chunks = append(ws.chunks, e.arena)
 		}
-		charges = andCharges(top)
 	}
-	e.stats.AddCombine(or, !or && !topIsA, int(charges))
+	e.chunk++
 }
 
 // mixChoices hashes two combine operands into a deterministic value, used

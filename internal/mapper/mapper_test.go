@@ -667,7 +667,8 @@ func TestMidNodeCancellationRegression(t *testing.T) {
 
 // TestNilStatsSmoke pins the nil-receiver contract of the stats path:
 // with no collector on the context, every recording site — including
-// recordCombine — must run on the nil *obs.Stats in both Pareto modes.
+// combineAll's per-node AddCombines flush — must run on the nil
+// *obs.Stats in both Pareto modes.
 func TestNilStatsSmoke(t *testing.T) {
 	n := unateBench(t, "mux")
 	for _, pareto := range []bool{false, true} {
@@ -677,9 +678,6 @@ func TestNilStatsSmoke(t *testing.T) {
 			t.Fatalf("pareto=%v with nil stats: %v", pareto, err)
 		}
 	}
-	// The helper itself must also be callable with a nil collector.
-	e := &engine{}
-	e.recordCombine(false, &tuple.Tuple{}, &tuple.Tuple{ParB: true}, false)
 }
 
 // TestUnmappableNodeError: a constant node feeding gates fails the run

@@ -78,14 +78,18 @@ type Options struct {
 	// BaselineStackOrder controls series-stack order in the PBE-blind
 	// mappers; SOIDominoMap ignores it (it orders stacks by par_b/p_dis).
 	BaselineStackOrder StackOrder
-	// Pareto enables the frontier extension of SOIDominoMap: instead of
-	// the paper's single best tuple per {W,H} (ties broken by p_dis), the
-	// DP keeps every (cost, p_dis, p_dis_bot, depth)-incomparable
-	// sub-solution and considers both series orders at every AND. This
-	// closes the heuristic gap of the paper's tie-breaking (the
-	// brute-force optimality tests pin it) at a modest runtime cost.
-	// Ignored by the PBE-blind mappers, whose scalar cost makes the
-	// frontier collapse to the single best tuple anyway.
+	// Pareto enables the frontier extension of the DP: instead of the
+	// paper's single best tuple per {W,H} (ties broken by p_dis), the DP
+	// keeps every (cost, p_dis, p_dis_bot, depth)-incomparable
+	// sub-solution and considers both series orders at every AND. Under
+	// SOIDominoMap this closes the heuristic gap of the paper's
+	// tie-breaking (the brute-force optimality tests pin it) at a modest
+	// runtime cost. DominoMap and RSMap read it too: their cost leaves
+	// discharge devices out, but the dominance order still holds p_dis,
+	// so the frontier does not collapse and the result is a different
+	// tie-break among equal-cost mappings (des under DominoMap: Tdisch
+	// 614 → 829 at the same logic transistor count). Whether the
+	// PBE-blind mappers should honour or drop the flag is ROADMAP item 9.
 	Pareto bool
 	// TupleBudget bounds the cumulative number of tuples the Pareto DP
 	// keeps across all frontiers of one run (0 = unlimited). When the

@@ -92,22 +92,18 @@ func (s *Stats) AddNode(kept int) {
 	s.TuplesPruned = s.TuplesGenerated - s.TuplesKept
 }
 
-// AddCombine records one combine call. or selects the OR kind; reordered
-// marks a series stack flipped from source-operand order; charges is the
-// number of p-discharge devices the combination materialized.
-func (s *Stats) AddCombine(or, reordered bool, charges int) {
+// AddCombines records a batch of combine calls — the mapper flushes one
+// node's at a time: ors OR combinations, ordered and reordered AND
+// combinations (a series stack kept in source-operand order, or
+// flipped), and the charges p-discharge devices those ANDs materialized.
+func (s *Stats) AddCombines(ors, ordered, reordered, charges int) {
 	if s == nil {
 		return
 	}
-	s.TuplesGenerated++
-	switch {
-	case or:
-		s.CombineOr++
-	case reordered:
-		s.CombineAndReordered++
-	default:
-		s.CombineAndOrdered++
-	}
+	s.TuplesGenerated += int64(ors + ordered + reordered)
+	s.CombineOr += int64(ors)
+	s.CombineAndOrdered += int64(ordered)
+	s.CombineAndReordered += int64(reordered)
 	s.DPDischargeCharges += int64(charges)
 }
 

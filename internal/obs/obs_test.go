@@ -13,7 +13,7 @@ import (
 func TestNilStatsIsDisabledCollector(t *testing.T) {
 	var s *Stats
 	s.AddNode(7)
-	s.AddCombine(true, false, 3)
+	s.AddCombines(1, 0, 0, 3)
 	s.AddCancelCheck()
 	s.SetAlgorithm("x")
 	s.AddPhase(PhaseDP, time.Second)
@@ -26,13 +26,10 @@ func TestNilStatsIsDisabledCollector(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := &Stats{}
 	// Two combines for a node that keeps one tuple: one pruned.
-	s.AddCombine(true, false, 0)
-	s.AddCombine(false, true, 2)
+	s.AddCombines(1, 0, 1, 2)
 	s.AddNode(1)
 	// A second node keeps three of three.
-	s.AddCombine(false, false, 1)
-	s.AddCombine(false, false, 0)
-	s.AddCombine(true, false, 0)
+	s.AddCombines(1, 2, 0, 1)
 	s.AddNode(3)
 
 	if s.Nodes != 2 {

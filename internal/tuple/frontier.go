@@ -28,21 +28,21 @@ func dominates(a *Tuple, ca int, b *Tuple, cb int) bool {
 // that a later combination would have preferred; the frontier closes
 // that gap (see the brute-force optimality tests).
 //
-// Entry costs are computed inline on every scan: w is a plain value, and
-// a cost per slot cached beside the frontier would cost allocations. The
-// frontier is rewritten only when t dominates an entry; otherwise t is
-// appended in place, so entries keep their insertion order either way.
+// t's cost is computed once, here, and cached beside it for every later
+// scan, eviction and trim, so all InsertPareto calls between two Drains
+// (or Resets) must pass the same w. The frontier is compacted in place
+// only when t dominates an entry; otherwise t is appended, so entries
+// keep their insertion order either way.
 func (s *Slots) InsertPareto(t Tuple, w Weights) bool {
 	i := s.index(&t)
 	if i < 0 {
 		return false
 	}
 	ct := w.Cost(&t)
-	entries := s.slot[i]
+	entries, costs := s.slot[i], s.cost[i]
 	drop := -1 // the first entry t dominates
 	for j := range entries {
-		e := &entries[j]
-		ce := w.Cost(e)
+		e, ce := &entries[j], costs[j]
 		if dominates(e, ce, &t, ct) {
 			return false // also covers exact ties: the incumbent stays
 		}
@@ -51,27 +51,28 @@ func (s *Slots) InsertPareto(t Tuple, w Weights) bool {
 		}
 	}
 	if drop >= 0 {
-		keep := entries[:drop]
+		k := drop
 		for j := drop + 1; j < len(entries); j++ {
-			if e := &entries[j]; !dominates(&t, ct, e, w.Cost(e)) {
-				keep = append(keep, *e)
+			if !dominates(&t, ct, &entries[j], costs[j]) {
+				entries[k], costs[k] = entries[j], costs[j]
+				k++
 			}
 		}
-		entries = keep
+		entries, costs = entries[:k], costs[:k]
 	}
-	entries = append(entries, t)
+	entries, costs = append(entries, t), append(costs, ct)
 	if len(entries) > MaxFrontier {
 		// Drop the entry with the worst cost (ties: largest PDis).
-		worst, cw := 0, w.Cost(&entries[0])
+		worst := 0
 		for j := 1; j < len(entries); j++ {
-			cj := w.Cost(&entries[j])
-			if cj > cw || (cj == cw && entries[j].PDis > entries[worst].PDis) {
-				worst, cw = j, cj
+			if cj, cw := costs[j], costs[worst]; cj > cw || (cj == cw && entries[j].PDis > entries[worst].PDis) {
+				worst = j
 			}
 		}
 		entries = append(entries[:worst], entries[worst+1:]...)
+		costs = append(costs[:worst], costs[worst+1:]...)
 	}
-	s.slot[i] = entries
+	s.slot[i], s.cost[i] = entries, costs
 	s.present[i>>6] |= 1 << (i & 63)
 	return true
 }
@@ -93,5 +94,10 @@ func (s *Slots) TrimPerKey(less Less) {
 		}
 		sl[0] = sl[best]
 		s.slot[i] = sl[:1]
+		if s.cost != nil {
+			c := s.cost[i]
+			c[0] = c[best]
+			s.cost[i] = c[:1]
+		}
 	}
 }

@@ -122,14 +122,20 @@ func (w Weights) Cost(t *Tuple) int {
 
 // Slots is the dense table the DP fills for one node at a time: a
 // slot per {W,H} shape — per {W,H,par_b,hasPI} state in Pareto mode —
-// plus a presence bitmask. It is allocated once per run and emptied by
-// Drain after every node, so a node costs no table allocation. Slot order
-// is the candidate order: (W, H) ascending, then par_b false before true,
-// then hasPI false before true.
+// plus a presence bitmask. It is emptied by Drain after every node, and a
+// mapping run reuses one table (the mapper keeps it across runs), so a
+// node costs no table allocation. Slot order is the candidate order:
+// (W, H) ascending, then par_b false before true, then hasPI false before
+// true.
 type Slots struct {
 	maxW, maxH, states int
 	slot               [][]Tuple
-	present            []uint64
+	// cost[i][j] is slot[i][j]'s cost under the Weights InsertPareto was
+	// given, computed once when the tuple went in and kept in step with
+	// the slot by InsertPareto, TrimPerKey and Reset; nil in a
+	// single-tuple table, which Insert fills.
+	cost    [][]int
+	present []uint64
 }
 
 // NewSlots returns an empty table for shapes up to maxW×maxH, keeping one
@@ -145,6 +151,13 @@ func NewSlots(maxW, maxH int, pareto bool) *Slots {
 	backing := make([]Tuple, n)
 	for i := range s.slot {
 		s.slot[i] = backing[i : i : i+1]
+	}
+	if pareto {
+		s.cost = make([][]int, n)
+		costs := make([]int, n)
+		for i := range s.cost {
+			s.cost[i] = costs[i : i : i+1]
+		}
 	}
 	return s
 }
@@ -216,18 +229,29 @@ func (s *Slots) Size() int {
 // (insertion order within a slot). It returns the extended slice and the
 // index in it of the first tuple minimal under best — with one tuple per
 // shape, the tie-break on the smaller {W,H} — or -1 if the table was
-// empty.
+// empty or best is nil.
 func (s *Slots) Drain(dst []Tuple, best Less) ([]Tuple, int) {
 	b := -1
 	for i := s.next(0); i >= 0; i = s.next(i + 1) {
 		for _, t := range s.slot[i] {
-			if b < 0 || best(t, dst[b]) {
+			if best != nil && (b < 0 || best(t, dst[b])) {
 				b = len(dst)
 			}
 			dst = append(dst, t)
 		}
+	}
+	s.Reset()
+	return dst, b
+}
+
+// Reset empties the table without reading its tuples. The grown slots
+// keep their capacity, so a reused table fills again without allocating.
+func (s *Slots) Reset() {
+	for i := s.next(0); i >= 0; i = s.next(i + 1) {
 		s.slot[i] = s.slot[i][:0]
+		if s.cost != nil {
+			s.cost[i] = s.cost[i][:0]
+		}
 	}
 	clear(s.present)
-	return dst, b
 }
