@@ -70,13 +70,18 @@ dp-allocs:
 # one router shard, and the cache key is faithful (a shuffled twin shares
 # it and encodes identically; a PO-reordered twin does not share it). A
 # per-request strash_off routed twice keys as the replica does: cached the
-# second time, byte-equal to a direct mapping, no key mismatch.
+# second time, byte-equal to a direct mapping, no key mismatch. The key
+# also holds only the options the algorithm reads: requests differing in
+# unread fields share it through soirouter (cached the second time), and
+# the mappers give the same result and DP counters on raw options as on
+# the canonical ones the key is made of.
 # Benchmarks run it first (bench-baseline) so a perf-motivated strash
 # change cannot silently trade away determinism.
 strash-determinism:
 	$(GO) test -race -run 'Test(Strash|KeyFaithfulness|POOrder)' -v .
 	$(GO) test -race -v ./internal/strash
-	$(GO) test -race -run 'TestRouterStrashOffMismatchCounted' -v ./internal/cluster
+	$(GO) test -race -run 'TestRouter(StrashOffMismatchCounted|CanonicalOptionsShareKey)' -v ./internal/cluster
+	$(GO) test -race -run 'TestCanonicalOptionsProperty' -v ./internal/mapper
 
 # ~50s: a short differential campaign over the full mapper/option grid,
 # then the native parser fuzzers, the result encoder's fuzzer

@@ -82,7 +82,9 @@ func workloadFromRequest(req *service.MapRequest) (workload, bool) {
 }
 
 // randRequest draws one submission from the workload pool with
-// randomized algorithm and options.
+// randomized algorithm and options. pareto and tuple_budget are drawn
+// for every algorithm, so the PBE-blind mappers' canonical options,
+// which drop them, are exercised too.
 func randRequest(rng *rand.Rand, pool []workload) (workload, service.MapRequest) {
 	wl := pool[rng.Intn(len(pool))]
 	req := wl.req
@@ -209,13 +211,11 @@ func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCyc
 	if msg := verifyAttribution(v); msg != "" {
 		return msg
 	}
-	algo, err := report.ParseAlgorithm(req.Algorithm)
+	// Resolve as the daemon does: the canonical options of the request's
+	// algorithm, every field it does not read at its default.
+	algo, opt, err := service.ResolveSpec(req)
 	if err != nil {
-		return "algorithm did not resolve: " + err.Error()
-	}
-	opt, err := service.OptionsFromRequest(req.Options)
-	if err != nil {
-		return "options did not resolve: " + err.Error()
+		return "request did not resolve: " + err.Error()
 	}
 	src, err := wl.build()
 	if err != nil {
@@ -234,8 +234,18 @@ func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCyc
 		return "clean mapping failed: " + err.Error()
 	}
 
+	// The served options echo is the canonical options, as the clean
+	// run's is.
+	clean := service.NewMapResult(wl.label, pipe, res)
+	if res.Options != opt {
+		return fmt.Sprintf("clean run options %+v differ from the canonical %+v", res.Options, opt)
+	}
+	if v.Result.Options != clean.Options {
+		return fmt.Sprintf("served options echo %+v, want the canonical %+v", v.Result.Options, clean.Options)
+	}
+
 	// Byte-compare: the served result against the clean computation.
-	want, err := service.EncodeJSON(service.NewMapResult(wl.label, pipe, res))
+	want, err := service.EncodeJSON(clean)
 	if err != nil {
 		return "encode clean: " + err.Error()
 	}

@@ -662,6 +662,63 @@ func TestRouterStrashOffMismatchCounted(t *testing.T) {
 	})
 }
 
+// TestRouterCanonicalOptionsShareKey: two submissions that differ only
+// in option fields the algorithm does not read share one routing and
+// cache key: the second, sent through the router, is served from the
+// cache with the first one's bytes, options echo included, and the
+// replica counts no key mismatch.
+func TestRouterCanonicalOptionsShareKey(t *testing.T) {
+	for _, c := range []struct{ name, plain, unread string }{
+		{"domino pareto",
+			`{"circuit": "c880", "algorithm": "domino"}`,
+			`{"circuit": "c880", "algorithm": "domino", "options": {"pareto": true, "tuple_budget": 5}}`},
+		{"soi budget without pareto",
+			`{"circuit": "c880"}`,
+			`{"circuit": "c880", "options": {"tuple_budget": 5}}`},
+		{"soi clock weight under depth",
+			`{"circuit": "c880", "options": {"objective": "depth"}}`,
+			`{"circuit": "c880", "options": {"objective": "depth", "clock_weight": 3}}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var keys []string
+			for _, body := range []string{c.plain, c.unread} {
+				var req service.MapRequest
+				if err := json.Unmarshal([]byte(body), &req); err != nil {
+					t.Fatal(err)
+				}
+				key, err := service.RequestKey(context.Background(), &req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, key)
+			}
+			if keys[0] != keys[1] {
+				t.Fatalf("keys differ:\n  %s\n  %s", keys[0], keys[1])
+			}
+			svc, rep := newReplicaTS(t, service.Config{})
+			_, ts := newRouterTS(t, Config{Replicas: []string{rep.URL}})
+			var results [][]byte
+			for i, body := range []string{c.plain, c.unread} {
+				code, v := postRouter(t, ts, body)
+				if code != http.StatusOK || v.State != service.JobDone || v.Cached != (i == 1) {
+					t.Fatalf("submission %d: code %d state %s cached %t", i, code, v.State, v.Cached)
+				}
+				b, err := service.EncodeJSON(v.Result)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = append(results, b)
+			}
+			if !bytes.Equal(results[0], results[1]) {
+				t.Error("the cached answer differs from the first mapping")
+			}
+			if n := svc.Counter("key_mismatches"); n != 0 {
+				t.Errorf("key_mismatches = %d, want 0", n)
+			}
+		})
+	}
+}
+
 // TestRouterForwardsCallerBytes: the router reads a submission once and
 // forwards the caller's body byte for byte — its spacing, key order and
 // escapes intact — on every failover attempt.

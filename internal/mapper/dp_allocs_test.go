@@ -43,7 +43,7 @@ func skipUnlessDPAllocs(t *testing.T) {
 func desSOIParetoConfig() config {
 	opt := DefaultOptions()
 	opt.Pareto = true
-	return config{Options: opt, algorithm: "SOI_Domino_Map_pareto", trackDischarges: true, reorderStacks: true}
+	return soiMap.with(opt)
 }
 
 // TestDPAllocs is the `make dp-allocs` guard on the DP's allocation

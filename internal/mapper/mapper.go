@@ -24,7 +24,7 @@ func DominoMap(n *logic.Network, opt Options) (*Result, error) {
 // node-processing checkpoints and returns ctx.Err() if it is canceled or
 // its deadline passes before the dynamic program completes.
 func DominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, config{Options: opt, algorithm: "Domino_Map"})
+	return run(ctx, n, dominoMap, opt)
 }
 
 // RSMap is DominoMap plus the Rearrange_Stacks post-processing step: each
@@ -37,7 +37,7 @@ func RSMap(n *logic.Network, opt Options) (*Result, error) {
 
 // RSMapContext is RSMap with cancellation (see DominoMapContext).
 func RSMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, config{Options: opt, algorithm: "RS_Map", rearrangePost: rearrangeTop})
+	return run(ctx, n, rsMap, opt)
 }
 
 // RSMapDeepContext is an extension of RSMap whose post-processing
@@ -46,7 +46,7 @@ func RSMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, 
 // post-process. The ablation benchmarks compare all three. Cancellation
 // as in DominoMapContext.
 func RSMapDeepContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, config{Options: opt, algorithm: "RS_Map_deep", rearrangePost: rearrangeDeep})
+	return run(ctx, n, rsMapDeep, opt)
 }
 
 // SOIDominoMap runs the paper's algorithm (§V, listing 2): discharge
@@ -59,22 +59,21 @@ func SOIDominoMap(n *logic.Network, opt Options) (*Result, error) {
 // SOIDominoMapContext is SOIDominoMap with cancellation (see
 // DominoMapContext).
 func SOIDominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	name := "SOI_Domino_Map"
-	if opt.Pareto {
-		name = "SOI_Domino_Map_pareto"
-	}
-	return run(ctx, n, config{
-		Options:         opt,
-		algorithm:       name,
-		trackDischarges: true,
-		reorderStacks:   true,
-	})
+	return run(ctx, n, soiMap, opt)
 }
 
-func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+// run maps n with mapper m under opt, validated and then reduced to the
+// options m reads (canonical), so the engine and the Result's options
+// echo never carry a field the run ignores.
+func run(ctx context.Context, n *logic.Network, m config, opt Options) (*Result, error) {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	return m.with(m.canonical(opt)).run(ctx, n)
+}
+
+// run maps n under cfg, whose options are valid.
+func (cfg config) run(ctx context.Context, n *logic.Network) (*Result, error) {
 	if err := unate.IsUnate(n); err != nil {
 		return nil, fmt.Errorf("mapper: input network is not unate: %w", err)
 	}
@@ -619,7 +618,7 @@ func (e *engine) complete(id int) (int, error) {
 		return 0, fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
 			id, e.cfg.MaxWidth, e.cfg.MaxHeight)
 	}
-	if e.cfg.Pareto && e.cfg.TupleBudget > 0 {
+	if e.cfg.TupleBudget > 0 {
 		e.keptTuples += kept
 		if e.keptTuples > e.cfg.TupleBudget {
 			e.degraded = true

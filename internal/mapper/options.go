@@ -76,20 +76,18 @@ type Options struct {
 	// with primary-input-driven pulldown transistors (listing 2).
 	AlwaysFooted bool
 	// BaselineStackOrder controls series-stack order in the PBE-blind
-	// mappers; SOIDominoMap ignores it (it orders stacks by par_b/p_dis).
+	// mappers; SOIDominoMap does not read it (it orders stacks by
+	// par_b/p_dis).
 	BaselineStackOrder StackOrder
-	// Pareto enables the frontier extension of the DP: instead of the
-	// paper's single best tuple per {W,H} (ties broken by p_dis), the DP
-	// keeps every (cost, p_dis, p_dis_bot, depth)-incomparable
-	// sub-solution and considers both series orders at every AND. Under
-	// SOIDominoMap this closes the heuristic gap of the paper's
+	// Pareto enables the frontier extension of SOIDominoMap's DP:
+	// instead of the paper's single best tuple per {W,H} (ties broken by
+	// p_dis), the DP keeps every (cost, p_dis, p_dis_bot, depth)-
+	// incomparable sub-solution and considers both series orders at
+	// every AND. This closes the heuristic gap of the paper's
 	// tie-breaking (the brute-force optimality tests pin it) at a modest
-	// runtime cost. DominoMap and RSMap read it too: their cost leaves
-	// discharge devices out, but the dominance order still holds p_dis,
-	// so the frontier does not collapse and the result is a different
-	// tie-break among equal-cost mappings (des under DominoMap: Tdisch
-	// 614 → 829 at the same logic transistor count). Whether the
-	// PBE-blind mappers should honour or drop the flag is ROADMAP item 9.
+	// runtime cost. DominoMap and RSMap do not read it: their cost leaves
+	// discharge devices out, so a frontier would only pick another
+	// mapping of the same cost, and they run the paper's DP.
 	Pareto bool
 	// TupleBudget bounds the cumulative number of tuples the Pareto DP
 	// keeps across all frontiers of one run (0 = unlimited). When the
@@ -97,13 +95,12 @@ type Options struct {
 	// or exhausting memory: from that node on each frontier is trimmed
 	// to the single best tuple per {W,H,par_b,has_PI} shape — the
 	// paper's own heuristic — and the finished Result is flagged
-	// Degraded. Ignored outside Pareto mode (the single-tuple tables
-	// are bounded by construction).
+	// Degraded. Only a Pareto run reads it (the single-tuple tables are
+	// bounded by construction).
 	TupleBudget int
-	// Workers is ignored: the dynamic program is one sequential pass,
-	// and parallelism lives across mapping runs (the service's job
-	// pool), not inside one. It is excluded from the service cache key
-	// and from the encoded OptionsJSON.
+	// Workers is read by no mapper: the dynamic program is one
+	// sequential pass, and parallelism lives across mapping runs (the
+	// service's job pool), not inside one.
 	//
 	// Deprecated: Workers has no effect; leave it zero.
 	Workers int
@@ -177,4 +174,66 @@ type config struct {
 	trackDischarges bool // include materialized discharges in the DP cost
 	reorderStacks   bool // order series stacks by par_b/p_dis at combine time
 	rearrangePost   rearrangeMode
+}
+
+// The mappers' behaviour switches; a run adds the Options.
+var (
+	dominoMap = config{algorithm: "Domino_Map"}
+	rsMap     = config{algorithm: "RS_Map", rearrangePost: rearrangeTop}
+	rsMapDeep = config{algorithm: "RS_Map_deep", rearrangePost: rearrangeDeep}
+	soiMap    = config{algorithm: "SOI_Domino_Map", trackDischarges: true, reorderStacks: true}
+)
+
+// Canonical returns opt as the named mapper runs it: every field that
+// mapper does not read under opt's objective is reset to its
+// DefaultOptions value, so two option sets that give the same mapping
+// are equal. algorithm is a mapper's Result.Algorithm name without the
+// Pareto suffix (Domino_Map, RS_Map, RS_Map_deep, SOI_Domino_Map); any
+// other name panics. The mappers apply it to every run, and the service
+// keys on its result.
+func Canonical(algorithm string, opt Options) Options {
+	for _, m := range [...]config{dominoMap, rsMap, rsMapDeep, soiMap} {
+		if m.algorithm == algorithm {
+			return m.canonical(opt)
+		}
+	}
+	panic("mapper: unknown algorithm " + algorithm)
+}
+
+// canonical is the one statement of which Options fields a mapper reads.
+// It resets to its default:
+//   - Workers, which no mapper reads;
+//   - Pareto, unless the DP cost counts discharge devices: a PBE-blind
+//     frontier only picks another mapping of the same cost;
+//   - TupleBudget, unless Pareto is on;
+//   - BaselineStackOrder, when stacks are ordered by par_b/p_dis;
+//   - DepthWeight under the area objective, ClockWeight under depth
+//     (see weights).
+func (cfg config) canonical(opt Options) Options {
+	def := DefaultOptions()
+	opt.Workers = def.Workers
+	if !cfg.trackDischarges {
+		opt.Pareto = def.Pareto
+	}
+	if !opt.Pareto {
+		opt.TupleBudget = def.TupleBudget
+	}
+	if cfg.reorderStacks {
+		opt.BaselineStackOrder = def.BaselineStackOrder
+	}
+	if opt.Objective == Depth {
+		opt.ClockWeight = def.ClockWeight
+	} else {
+		opt.DepthWeight = def.DepthWeight
+	}
+	return opt
+}
+
+// with returns cfg running under opt; a Pareto run is named so.
+func (cfg config) with(opt Options) config {
+	cfg.Options = opt
+	if opt.Pareto {
+		cfg.algorithm += "_pareto"
+	}
+	return cfg
 }

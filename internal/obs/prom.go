@@ -64,7 +64,7 @@ func (p *PromWriter) Sample(name string, value float64, labels ...string) {
 // _bucket series per upper bound (plus +Inf), then _sum and _count.
 // bounds and counts are parallel; counts must have one extra overflow
 // slot. baseLabels apply to every series.
-func (p *PromWriter) Histogram(name string, bounds []int64, counts []int64, sum, count int64, baseLabels ...string) {
+func (p *PromWriter) Histogram(name string, bounds []int64, counts []int64, sum float64, count int64, baseLabels ...string) {
 	cum := int64(0)
 	for i, b := range bounds {
 		cum += counts[i]
@@ -74,7 +74,7 @@ func (p *PromWriter) Histogram(name string, bounds []int64, counts []int64, sum,
 		cum += counts[len(bounds)]
 	}
 	p.Sample(name+"_bucket", float64(cum), append(append([]string{}, baseLabels...), "le", "+Inf")...)
-	p.Sample(name+"_sum", float64(sum), baseLabels...)
+	p.Sample(name+"_sum", sum, baseLabels...)
 	p.Sample(name+"_count", float64(count), baseLabels...)
 }
 

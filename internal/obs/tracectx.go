@@ -55,7 +55,17 @@ func ParseTraceparent(h string) (TraceContext, bool) {
 	if tid == "00000000000000000000000000000000" || sid == "0000000000000000" {
 		return TraceContext{}, false
 	}
-	return TraceContext{TraceID: tid, SpanID: sid, Sampled: flags[1]&1 == 1}, true
+	// The sampled flag is bit 0 of the flags byte's hex value, the low
+	// bit of its second digit's value (not of that digit's ASCII code).
+	return TraceContext{TraceID: tid, SpanID: sid, Sampled: hexValue(flags[1])&1 == 1}, true
+}
+
+// hexValue is the value of one lower-case hex digit.
+func hexValue(c byte) byte {
+	if c >= 'a' {
+		return c - 'a' + 10
+	}
+	return c - '0'
 }
 
 func isHex(s string, n int) bool {

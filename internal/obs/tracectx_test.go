@@ -34,6 +34,23 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseTraceparentSampledBit: the sampled flag is bit 0 of the
+// flags byte's hex value, whatever its other bits hold.
+func TestParseTraceparentSampledBit(t *testing.T) {
+	for _, c := range []struct {
+		flags   string
+		sampled bool
+	}{
+		{"00", false}, {"01", true}, {"02", false}, {"03", true},
+		{"0a", false}, {"0b", true}, {"ff", true},
+	} {
+		got, ok := ParseTraceparent("00-" + testTID + "-" + testSID + "-" + c.flags)
+		if !ok || got.Sampled != c.sampled {
+			t.Errorf("flags %s: ok=%t sampled=%t, want sampled=%t", c.flags, ok, got.Sampled, c.sampled)
+		}
+	}
+}
+
 func TestParseTraceparentRejects(t *testing.T) {
 	valid := "00-" + testTID + "-" + testSID + "-01"
 	if _, ok := ParseTraceparent(valid); !ok {

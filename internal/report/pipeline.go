@@ -162,6 +162,12 @@ func (a Algorithm) Key() string { return algorithms[a].key }
 // String is the paper name, as mapper.Result.Algorithm reports it.
 func (a Algorithm) String() string { return algorithms[a].name }
 
+// Canonical returns opt as this algorithm runs it, with every field it
+// does not read at its default (mapper.Canonical).
+func (a Algorithm) Canonical(opt mapper.Options) mapper.Options {
+	return mapper.Canonical(algorithms[a].name, opt)
+}
+
 // Run maps the unate network n under ctx, without auditing the result.
 func (a Algorithm) Run(ctx context.Context, n *logic.Network, opt mapper.Options) (*mapper.Result, error) {
 	return algorithms[a].run(ctx, n, opt)

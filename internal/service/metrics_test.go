@@ -62,6 +62,23 @@ func TestAddNamesAreDeclared(t *testing.T) {
 	}
 }
 
+// TestHistogramSubMillisecond: the latency histogram buckets and sums
+// the exact duration. A 1.9 ms run is over the 1 ms bound, and a 0.85 ms
+// run adds 0.85 to the sum, not 0.
+func TestHistogramSubMillisecond(t *testing.T) {
+	h := newHistogram()
+	h.observe(1900 * time.Microsecond)
+	h.observe(850 * time.Microsecond)
+	h.observe(time.Millisecond) // on the bound: le="1"
+	s := h.snapshot()
+	if s.Buckets[0] != 2 || s.Buckets[1] != 1 {
+		t.Errorf("buckets le=1: %d, le=2: %d; want 2 and 1", s.Buckets[0], s.Buckets[1])
+	}
+	if s.Count != 3 || s.SumMS != 3.75 {
+		t.Errorf("count %d, sum %v ms; want 3 and 3.75", s.Count, s.SumMS)
+	}
+}
+
 // TestEWMAFirstSampleSeeds: the first recorded duration becomes the
 // average verbatim — no warm-up bias from smoothing against the zero
 // "no data yet" state, which doubles as the shedder's off switch.

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/mapper"
+	"soidomino/internal/report"
 )
 
 // postMapResp is postMap returning the raw response so tests can inspect
@@ -222,44 +224,76 @@ func TestJobEviction(t *testing.T) {
 	}
 }
 
-// TestCacheKeyOptionsEncoding guards the canonical Options encoding:
-// equal Options collide, every result-shaping field differentiates, and
-// any future field of an unhandled kind fails the test until both the
-// encoder and this mutator learn about it. Fields in cacheKeyExempt are
-// required NOT to change the key — they tune execution, never the
-// result, so requests differing only there must share a cache entry.
+// TestCacheKeyOptionsEncoding guards the cache key's options encoding
+// against mapper.Options: equal options collide, and every field
+// declares in readBy which algorithms read it, and under which options
+// if not under all. On each of a few base option sets, mutating a field
+// must change the key of an algorithm's canonical options (ResolveSpec's)
+// exactly when that algorithm reads it there. A field missing from
+// readBy, or of a kind the mutator does not know, fails the test until
+// both learn about it.
 func TestCacheKeyOptionsEncoding(t *testing.T) {
-	// Workers: deprecated and ignored by the mapper, so it must not
-	// fragment the cache.
-	cacheKeyExempt := map[string]bool{"Workers": true}
+	all := []report.Algorithm{report.Domino, report.RS, report.SOI, report.RSDeep}
+	type reader struct {
+		algos []report.Algorithm
+		when  func(mapper.Options) bool // nil: under every option set
+	}
+	readBy := map[string]reader{
+		"MaxWidth":           {all, nil},
+		"MaxHeight":          {all, nil},
+		"Objective":          {all, nil},
+		"ClockWeight":        {all, func(o mapper.Options) bool { return o.Objective == mapper.Area }},
+		"DepthWeight":        {all, func(o mapper.Options) bool { return o.Objective == mapper.Depth }},
+		"AlwaysFooted":       {all, nil},
+		"BaselineStackOrder": {[]report.Algorithm{report.Domino, report.RS, report.RSDeep}, nil},
+		"Pareto":             {[]report.Algorithm{report.SOI}, nil},
+		"TupleBudget":        {[]report.Algorithm{report.SOI}, func(o mapper.Options) bool { return o.Pareto }},
+		"Workers":            {nil, nil},
+		"StrashOff":          {all, nil}, // by the pipeline's front end
+		"SequenceAware":      {all, nil},
+	}
 	base := mapper.DefaultOptions()
 	if encodeOptions(base) != encodeOptions(base) {
 		t.Fatal("equal Options encode differently")
 	}
+	var bases []mapper.Options
+	for _, obj := range []mapper.Objective{mapper.Area, mapper.Depth} {
+		for _, pareto := range []bool{false, true} {
+			b := base
+			b.Objective, b.Pareto = obj, pareto
+			bases = append(bases, b)
+		}
+	}
 	rt := reflect.TypeOf(base)
 	for i := 0; i < rt.NumField(); i++ {
-		mut := base
-		f := reflect.ValueOf(&mut).Elem().Field(i)
-		switch f.Kind() {
-		case reflect.Int:
-			f.SetInt(f.Int() + 1)
-		case reflect.Uint8: // Objective, StackOrder
-			f.SetUint(f.Uint() + 1)
-		case reflect.Bool:
-			f.SetBool(!f.Bool())
-		default:
-			t.Fatalf("mapper.Options.%s has unhandled kind %s: teach encodeOptions and this test about it",
-				rt.Field(i).Name, f.Kind())
-		}
-		changed := encodeOptions(mut) != encodeOptions(base)
-		if cacheKeyExempt[rt.Field(i).Name] {
-			if changed {
-				t.Errorf("mutating execution-only Options.%s changes the cache key", rt.Field(i).Name)
-			}
+		name := rt.Field(i).Name
+		r, ok := readBy[name]
+		if !ok {
+			t.Errorf("mapper.Options.%s does not declare which algorithms read it: add it to readBy", name)
 			continue
 		}
-		if !changed {
-			t.Errorf("mutating Options.%s does not change the cache key", rt.Field(i).Name)
+		for _, b := range bases {
+			mut := b
+			f := reflect.ValueOf(&mut).Elem().Field(i)
+			switch f.Kind() {
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint8: // Objective, StackOrder: two values each
+				f.SetUint(f.Uint() ^ 1)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("mapper.Options.%s has unhandled kind %s: teach encodeOptions and this test about it",
+					name, f.Kind())
+			}
+			for _, a := range all {
+				changed := encodeOptions(a.Canonical(mut)) != encodeOptions(a.Canonical(b))
+				want := slices.Contains(r.algos, a) && (r.when == nil || r.when(b))
+				if changed != want {
+					t.Errorf("Options.%s under %s, objective %s, pareto %t: key changes %t, want %t",
+						name, a.Key(), b.Objective, b.Pareto, changed, want)
+				}
+			}
 		}
 	}
 }

@@ -609,8 +609,11 @@ func resolve(ctx context.Context, req *MapRequest, maxNodes int) (*job, int, err
 
 // ResolveSpec resolves a request's algorithm (default SOI) and validated
 // options, strash_off among them: everything in the cache key but the
-// network. It never looks at the source, so it is cheap, and resolve
-// (like soimap's local mode) calls it before parsing anything.
+// network. The options are the algorithm's canonical ones (every field
+// it does not read at its default), so requests that differ only in
+// such fields share one key, job, journal entry and stored result. It
+// never looks at the source, so it is cheap, and resolve (like soimap's
+// local mode) calls it before parsing anything.
 func ResolveSpec(req *MapRequest) (report.Algorithm, mapper.Options, error) {
 	algo := report.SOI
 	if req.Algorithm != "" {
@@ -620,7 +623,10 @@ func ResolveSpec(req *MapRequest) (report.Algorithm, mapper.Options, error) {
 		}
 	}
 	opt, err := OptionsFromRequest(req.Options)
-	return algo, opt, err
+	if err != nil {
+		return algo, opt, err
+	}
+	return algo, algo.Canonical(opt), nil
 }
 
 // KeyHeader carries a submission's cache key, as service.RequestKey
@@ -677,14 +683,13 @@ func keyLabel(req *MapRequest, key string, algo report.Algorithm, opt mapper.Opt
 	return key[65 : len(key)-len(suffix)], true
 }
 
-// encodeOptions renders mapper.Options as a stable, canonical cache-key
-// fragment. Every result-shaping field is written explicitly — unlike
-// the %+v encoding this replaces, it cannot change meaning when struct
-// field order or Stringer methods do. TestCacheKeyOptionsEncoding walks
-// the struct by reflection and fails when a future field is neither
-// represented here nor in its explicit exemption list. The deprecated
-// Workers field is exempt: it has no effect on the mapping, so two
-// requests differing only there must share a cache entry.
+// encodeOptions renders canonical mapper.Options (ResolveSpec's) as a
+// stable cache-key fragment. Every field some algorithm reads is written
+// explicitly — unlike the %+v encoding this replaces, it cannot change
+// meaning when struct field order or Stringer methods do.
+// TestCacheKeyOptionsEncoding walks the struct by reflection and fails
+// when a field does not declare which algorithms read it, or when the
+// key does not change for exactly those.
 func encodeOptions(opt mapper.Options) string {
 	return fmt.Sprintf("w=%d;h=%d;obj=%d;k=%d;dw=%d;foot=%t;ord=%d;pareto=%t;budget=%d;seq=%t;soff=%t",
 		opt.MaxWidth, opt.MaxHeight, opt.Objective, opt.ClockWeight, opt.DepthWeight,
