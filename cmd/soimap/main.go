@@ -72,8 +72,8 @@ func run() error {
 	k := flag.Int("k", def.ClockWeight, "clock-transistor weight (paper table III; 0 = default)")
 	maxW := flag.Int("w", def.MaxWidth, "maximum pulldown width (0 = default)")
 	maxH := flag.Int("h", def.MaxHeight, "maximum pulldown height (0 = default)")
-	pareto := flag.Bool("pareto", false, "enable the Pareto-frontier DP extension (soi only)")
-	tupleBudget := flag.Int("tuple-budget", 0, "Pareto tuple budget; overflow degrades to the paper's heuristic (0 = unlimited)")
+	pareto := flag.Bool("pareto", false, "enable the Pareto-frontier DP extension (soi only; domino, rs and rsdeep ignore it)")
+	tupleBudget := flag.Int("tuple-budget", 0, "Pareto tuple budget; overflow degrades to the paper's heuristic (0 = unlimited; ignored without -pareto)")
 	compound := flag.Bool("compound", false, "apply the compound-domino post-pass (paper solution 7)")
 	seqAware := flag.Bool("seq", false, "prune provably-unexcitable discharge points (paper §VII)")
 	strashOff := flag.Bool("strash-off", false, "skip the structural-hashing + DCE front-end (see the Canonicalization section of README.md)")

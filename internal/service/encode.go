@@ -39,8 +39,9 @@ type MapResult struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// OptionsJSON mirrors the result-shaping fields of mapper.Options; the
-// deprecated Options.Workers has no effect on the result and is absent.
+// OptionsJSON mirrors the canonical mapper.Options a result was mapped
+// under (mapper.Canonical): a field the algorithm does not read holds
+// its default. Options.Workers, which no algorithm reads, is absent.
 type OptionsJSON struct {
 	MaxWidth      int    `json:"max_width"`
 	MaxHeight     int    `json:"max_height"`
