@@ -208,7 +208,10 @@ func Canonical(algorithm string, opt Options) Options {
 //   - TupleBudget, unless Pareto is on;
 //   - BaselineStackOrder, when stacks are ordered by par_b/p_dis;
 //   - DepthWeight under the area objective, ClockWeight under depth
-//     (see weights).
+//     (see weights);
+//   - DepthWeight under depth too, unless the DP cost counts discharge
+//     devices: a PBE-blind depth cost is DepthWeight × depth alone, and
+//     scaling it by a positive constant keeps every comparison.
 func (cfg config) canonical(opt Options) Options {
 	def := DefaultOptions()
 	opt.Workers = def.Workers
@@ -223,7 +226,8 @@ func (cfg config) canonical(opt Options) Options {
 	}
 	if opt.Objective == Depth {
 		opt.ClockWeight = def.ClockWeight
-	} else {
+	}
+	if opt.Objective != Depth || !cfg.trackDischarges {
 		opt.DepthWeight = def.DepthWeight
 	}
 	return opt

@@ -243,7 +243,7 @@ func TestCacheKeyOptionsEncoding(t *testing.T) {
 		"MaxHeight":          {all, nil},
 		"Objective":          {all, nil},
 		"ClockWeight":        {all, func(o mapper.Options) bool { return o.Objective == mapper.Area }},
-		"DepthWeight":        {all, func(o mapper.Options) bool { return o.Objective == mapper.Depth }},
+		"DepthWeight":        {[]report.Algorithm{report.SOI}, func(o mapper.Options) bool { return o.Objective == mapper.Depth }},
 		"AlwaysFooted":       {all, nil},
 		"BaselineStackOrder": {[]report.Algorithm{report.Domino, report.RS, report.RSDeep}, nil},
 		"Pareto":             {[]report.Algorithm{report.SOI}, nil},
