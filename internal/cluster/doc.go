@@ -13,10 +13,11 @@
 //
 //   - Router: the HTTP front-end. POST /v1/map reads the whole body
 //     (service.ReadRequest) and looks its sha256 up in a bounded memo of
-//     routing keys (a cache.LRU). On a miss it decodes the body under the replicas'
-//     own rules (service.ParseRequest) and computes the key with
-//     service.RequestKey (an inline BLIF source is keyed from its text,
-//     with no network built), memoising it on success; a byte-identical
+//     routing keys (a cache.LRU). On a miss it decodes the body with
+//     the replicas' own decoder (service.ParseRequest; soimapd reads
+//     and decodes every submission the same way) and computes the key
+//     with service.RequestKey (an inline BLIF source is keyed from its
+//     text, with no network built), memoising it on success; a byte-identical
 //     resubmission is neither decoded nor keyed again. It routes to
 //     the ReplicationFactor preferred replicas with failover (then to
 //     the remaining replicas as a last resort), forwarding the caller's

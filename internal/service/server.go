@@ -362,8 +362,8 @@ type RequestOptions struct {
 	SequenceAware bool   `json:"sequence_aware,omitempty"`
 	// Workers is accepted and ignored: the mapper's dynamic program is
 	// sequential, and the daemon runs jobs, not DP nodes, in parallel.
-	// The decoder rejects unknown fields, so the field stays for the
-	// clients that still send it; it never reaches the cache key.
+	// ParseRequest, which rejects unknown fields, still reads it for
+	// the clients that send it; it never reaches the cache key.
 	//
 	// Deprecated: Workers has no effect.
 	Workers int `json:"workers,omitempty"`
@@ -717,8 +717,10 @@ func retryAfter(w http.ResponseWriter, wait time.Duration) {
 }
 
 // ReadRequest reads a whole POST /v1/map body, at most maxBytes, into a
-// buffer presized from Content-Length, for soirouter, which hashes and
-// forwards the bytes; ParseRequest then decodes them. On failure it
+// buffer presized from Content-Length; ParseRequest then decodes the
+// bytes. soimapd and soirouter (which also hashes and forwards them)
+// both read submissions this way, so a body past the limit is a 413
+// however early its JSON value ends or breaks off. On failure it
 // returns the status to answer with: 413 for a body past the limit, 400
 // otherwise.
 func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, int, error) {
@@ -732,74 +734,6 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte
 		return nil, status, err
 	}
 	return buf.Bytes(), http.StatusOK, nil
-}
-
-// ParseRequest decodes a body ReadRequest read: one JSON object with no
-// unknown fields and nothing but white space after it. A failure is a
-// 400.
-func ParseRequest(body []byte) (*MapRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req MapRequest
-	err := dec.Decode(&req)
-	if err == nil && len(bytes.TrimLeft(body[dec.InputOffset():], jsonSpace)) > 0 {
-		err = errAfterObject
-	}
-	if err != nil {
-		return nil, fmt.Errorf("bad request: %w", err)
-	}
-	return &req, nil
-}
-
-// DecodeRequest decodes one POST /v1/map body streamed from r, for
-// soimapd, under the rules ReadRequest and ParseRequest apply together,
-// so the router refuses exactly what a replica would: 413 for a body
-// past maxBytes, however early its JSON value ends or breaks off, and
-// 400 otherwise. It streams because reading the body first costs each
-// submission a body-sized buffer (EXPERIMENTS.md, "Router key memo").
-func DecodeRequest(w http.ResponseWriter, r *http.Request, maxBytes int64) (*MapRequest, int, error) {
-	rd := http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	var req MapRequest
-	err := dec.Decode(&req)
-	// Read to the end whatever the decode found, so the limit is checked
-	// before the syntax.
-	trailing, rerr := nonSpace(io.MultiReader(dec.Buffered(), rd))
-	if rerr != nil {
-		status, rerr := readError(rerr)
-		return nil, status, rerr
-	}
-	if err == nil && trailing {
-		err = errAfterObject
-	}
-	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad request: %w", err)
-	}
-	return &req, http.StatusOK, nil
-}
-
-// jsonSpace is JSON's white space: the only bytes a body may hold after
-// its object.
-const jsonSpace = " \t\r\n"
-
-var errAfterObject = errors.New("data after the JSON object")
-
-// nonSpace reads rd to its end and reports whether it held anything but
-// JSON white space.
-func nonSpace(rd io.Reader) (bool, error) {
-	var buf [512]byte
-	found := false
-	for {
-		n, err := rd.Read(buf[:])
-		found = found || len(bytes.TrimLeft(buf[:n], jsonSpace)) > 0
-		if err == io.EOF {
-			return found, nil
-		}
-		if err != nil {
-			return found, err
-		}
-	}
 }
 
 // readError maps a body read failure to its answer: 413 when the body
@@ -818,9 +752,14 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{"bad request: " + err.Error()})
 		return
 	}
-	req, status, err := DecodeRequest(w, r, s.cfg.MaxBodyBytes)
+	body, status, err := ReadRequest(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		writeJSON(w, status, apiError{err.Error()})
+		return
+	}
+	req, err := ParseRequest(body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
 		return
 	}
 	// Answer identical resubmissions from this replica's cache tiers
