@@ -115,15 +115,22 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) run ./cmd/soichaos -campaign single -seed 1 -requests 4000 -duration 30s -p 0.12 -sim 2
 
-# Seconds: the distributed-tracing gate — the obs span model and its
-# single Chrome writer under -race, then one traced request through an
-# in-process router + two peer replicas must stitch into a single
-# Perfetto trace carrying router, replica queue/job/phase and peer-cache
-# spans, with an explain record whose phase times nest inside the run
-# wall. See DESIGN.md §14 and the Observability section of README.md.
+# Seconds: the distributed-tracing gate — the obs span recorder (the
+# TraceHub, RunPhase, the edge sampling decision) and its single Chrome
+# writer under -race; an unsampled traceparent sampled locally by
+# soimapd and by soirouter; one clock per phase (each phase span lasts
+# what Stats charges, in soimapd and in soimap -trace alike); then one
+# traced request through an in-process router + two peer replicas must
+# stitch into a single Perfetto trace carrying router, replica
+# queue/job/phase and peer-cache spans, with an explain record whose
+# phase times nest inside the run wall. -v shows every package ran
+# tests: a -run regex that matches nothing passes silently. See
+# DESIGN.md §14 and the Observability section of README.md.
 trace-smoke:
-	$(GO) test -race -run 'Test(Tracer|NilTracer|WriteSpans|StartSpan|TraceHub)' -count=1 ./internal/obs
-	$(GO) test -race -run 'TestTraceSmokeStitchesClusterTrace' -v -count=1 ./internal/cluster
+	$(GO) test -race -run 'Test(Tracer|NilTracer|RunPhase|SampleRequest|WriteSpans|StartSpan|TraceHub)' -v -count=1 ./internal/obs
+	$(GO) test -race -run 'TestUnsampledTraceparentSampledLocally' -v -count=1 ./internal/service
+	$(GO) test -race -run 'Test(TracedJob|CLITrace)PhaseSpans' -v -count=1 ./cmd/soimap
+	$(GO) test -race -run 'Test(TraceSmokeStitchesClusterTrace|RouterSamplesUnsampledTraceparent)' -v -count=1 ./internal/cluster
 
 # ~30s: the multi-node campaign — an in-process soirouter fronting three
 # replicas with the shared cache tier, one replica killed and restarted

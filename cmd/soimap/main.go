@@ -143,17 +143,21 @@ func run() error {
 	}
 
 	// Observability opt-ins: a per-run stats collector and/or a span
-	// tracer ride through the context into the pipeline and the DP.
+	// recorder ride through the context into the pipeline and the DP.
+	// -trace records the run as soimapd records a sampled job: into a
+	// trace hub (here a one-trace one) under a fresh root trace context.
 	ctx := context.Background()
 	var st *obs.Stats
 	if *statsOut || *explain {
 		st = &obs.Stats{}
 		ctx = obs.WithStats(ctx, st)
 	}
-	var tracer *obs.Tracer
+	var hub *obs.TraceHub
+	var tc obs.TraceContext
 	if *tracePath != "" {
-		tracer = obs.NewTracer(*traceSample)
-		ctx = obs.WithTracer(ctx, tracer)
+		hub, tc = obs.NewTraceHub("soimap", 1), obs.NewTraceContext()
+		hub.SampleNodes(*traceSample)
+		ctx = obs.WithTraceContext(obs.WithTraceHub(ctx, hub), tc)
 	}
 
 	wallStart := time.Now()
@@ -216,13 +220,14 @@ func run() error {
 		a := service.NewAttribution("", "", service.TierMiss, 0, wall, st)
 		fmt.Fprintln(info, a.Table())
 	}
-	if tracer != nil {
-		if err := createFile(*tracePath, func(w io.Writer) error { return obs.WriteSpans(w, tracer.Spans()) }); err != nil {
+	if hub != nil {
+		spans := hub.Spans(tc.TraceID)
+		if err := createFile(*tracePath, func(w io.Writer) error { return obs.WriteSpans(w, spans) }); err != nil {
 			return err
 		}
 		if !*jsonOut {
 			fmt.Printf("trace written to %s (%d spans); load it at ui.perfetto.dev\n",
-				*tracePath, tracer.Len())
+				*tracePath, len(spans))
 		}
 	}
 

@@ -522,7 +522,7 @@ func (c *campaign) verifyReadmitted(n *node) {
 
 // crashAndReplay is the crash schedule: launch an async batch, crash
 // the node while it is in flight (its jobs reach the journal as
-// accepted/running but mostly never terminal), restart it disarmed over
+// accepted but mostly never terminal), restart it disarmed over
 // the same dir, and replay every saved request. Whether an answer comes
 // from the recovered store, the warmed memory cache or a fresh mapping
 // run, its bytes must be identical — a quarantined tear may cost a

@@ -52,7 +52,7 @@ func (n *node) restart() error {
 // kill drops the node crash-style: the listener and every open
 // connection close, then Abort stops the service without journal
 // flushes or graceful drain — in-flight jobs die with only their
-// accepted/running records on disk. The journal, not the shutdown path,
+// accepted records on disk. The journal, not the shutdown path,
 // is what makes a later restart correct.
 func (n *node) kill() {
 	n.httpSrv.Close()

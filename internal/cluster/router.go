@@ -47,11 +47,11 @@ type Config struct {
 	// replicas' own default).
 	MaxBodyBytes int64
 	// TraceSample enables local trace sampling at the router: every
-	// TraceSample-th submission without an incoming traceparent header
-	// starts a fresh sampled trace spanning the router and the replicas
-	// it touches. 0 (the default) disables local sampling; incoming
-	// sampled traceparent headers are always honored. Tracing never
-	// affects routing or cache keys (DESIGN.md §14).
+	// TraceSample-th submission without a sampled incoming traceparent
+	// header starts a fresh sampled trace spanning the router and the
+	// replicas it touches. 0 (the default) disables local sampling;
+	// incoming sampled traceparent headers are always honored. Tracing
+	// never affects routing or cache keys (DESIGN.md §14).
 	TraceSample int
 	// TraceMax bounds the distinct traces retained by the router's trace
 	// hub (FIFO eviction; default 64).
@@ -307,8 +307,9 @@ func (rt *Router) markUnready(rep *replica) {
 //
 // Observability: the router adopts a well-formed incoming X-Request-ID
 // (or mints one) and forwards it to the replica, so both processes' log
-// lines join on one id; an incoming traceparent header (or a local
-// TraceSample decision) starts a router span tree whose context flows
+// lines join on one id; a sampled incoming traceparent header (or, with
+// none or an unsampled one, a local TraceSample decision; see
+// obs.SampleRequest) starts a router span tree whose context flows
 // through the replica attempts, making the replica's spans children of
 // the routing spans in the stitched trace.
 func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
@@ -320,13 +321,9 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	ctx := obs.WithRequestID(r.Context(), reqID)
 	w.Header().Set("X-Request-ID", reqID)
 
-	tc, traced := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	if !traced && rt.cfg.TraceSample > 0 &&
-		rt.traceSeq.Add(1)%int64(rt.cfg.TraceSample) == 0 {
-		tc, traced = obs.NewTraceContext(), true
-	}
+	tc := obs.SampleRequest(r.Header.Get(obs.TraceparentHeader), rt.cfg.TraceSample, &rt.traceSeq)
 	var rootSpan *obs.ActiveSpan
-	if traced {
+	if tc.Sampled {
 		ctx = obs.WithTraceContext(ctx, tc)
 		ctx, rootSpan = rt.hub.StartSpan(ctx, "router", "route POST /v1/map")
 	}

@@ -208,3 +208,40 @@ func missingSpans(byProc map[string][]string, replicas ...string) []string {
 	}
 	return missing
 }
+
+// TestRouterSamplesUnsampledTraceparent: the router treats an unsampled
+// traceparent like none, so with TraceSample 1 the request gets a fresh
+// trace that the router's GET /v1/traces/{id} serves.
+func TestRouterSamplesUnsampledTraceparent(t *testing.T) {
+	_, replica := newReplicaTS(t, service.Config{})
+	_, ts := newRouterTS(t, Config{Replicas: []string{replica.URL}, TraceSample: 1})
+	unsampled := obs.NewTraceContext()
+	unsampled.Sampled = false
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/map", strings.NewReader(`{"circuit": "mux"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.TraceparentHeader, unsampled.Traceparent())
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v service.JobView
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.TraceID == "" || v.TraceID == unsampled.TraceID {
+		t.Fatalf("job trace id %q, want a fresh router trace (the caller's unsampled one is %s)",
+			v.TraceID, unsampled.TraceID)
+	}
+	resp, err = http.Get(ts.URL + "/v1/traces/" + v.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/traces/%s: status %d, want 200", v.TraceID, resp.StatusCode)
+	}
+}

@@ -80,23 +80,18 @@ func (cfg config) run(ctx context.Context, n *logic.Network) (*Result, error) {
 	e := newEngine(ctx, n, cfg)
 	defer e.release()
 	e.stats.SetAlgorithm(cfg.algorithm)
-	if e.tracer != nil {
-		kv := []obs.KV{{Key: "nodes", Val: int64(n.Len())}}
+	if e.hub != nil {
+		name := "run " + cfg.algorithm
 		if id := obs.RequestID(ctx); id != "" {
-			e.tracer.Instant("mapper", "run "+cfg.algorithm+" request "+id, kv...)
-		} else {
-			e.tracer.Instant("mapper", "run "+cfg.algorithm, kv...)
+			name += " request " + id
 		}
+		e.hub.Record(e.tc, "mapper", name, time.Now(), 0, obs.KV{Key: "nodes", Val: int64(n.Len())})
 	}
-	dpStart := e.tracer.Now()
-	err := obs.Timed(e.stats, obs.PhaseDP, e.process)
-	e.tracer.Span("mapper", cfg.algorithm+" dp", dpStart)
-	if err != nil {
+	if err := obs.RunPhase(ctx, obs.PhaseDP, "mapper", cfg.algorithm+" dp", e.process); err != nil {
 		return nil, err
 	}
-	tbStart := e.tracer.Now()
 	var res *Result
-	err = obs.Timed(e.stats, obs.PhaseTraceback, func() error {
+	err := obs.RunPhase(ctx, obs.PhaseTraceback, "mapper", cfg.algorithm+" traceback", func() error {
 		if ferr := e.faults.Check(ctx, PointTraceback); ferr != nil {
 			return fmt.Errorf("mapper: %s traceback: %w", cfg.algorithm, ferr)
 		}
@@ -104,7 +99,6 @@ func (cfg config) run(ctx context.Context, n *logic.Network) (*Result, error) {
 		res, terr = e.traceback()
 		return terr
 	})
-	e.tracer.Span("mapper", cfg.algorithm+" traceback", tbStart)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +118,6 @@ func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
 		cfg:     cfg,
 		net:     n,
 		stats:   obs.StatsFrom(ctx),
-		tracer:  obs.TracerFrom(ctx),
 		faults:  faultpoint.From(ctx),
 		ws:      ws,
 		fanout:  ws.fanout,
@@ -134,6 +127,7 @@ func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
 		slots:   ws.table(cfg),
 		w:       weights(cfg),
 	}
+	e.hub, e.tc = obs.TracingFrom(ctx)
 	// Every leaf shares one read-only slice: the {1,1} tuple carries no
 	// node id, the Choice that addresses it does.
 	leaf := ws.leaf[:]
@@ -162,12 +156,14 @@ type engine struct {
 	net     *logic.Network
 	fanout  []int
 	outRefs []int
-	// stats and tracer are the run's observability hooks, both nil when
-	// the context carries none; the nil path is a single branch per
-	// recording site (see internal/obs). faults follows the same
-	// contract for the run's fault-injection registry.
+	// stats and hub are the run's observability hooks, both nil when
+	// the context carries no collector or no sampled trace; the nil path
+	// is a single branch per recording site (see internal/obs). The
+	// hub's spans record under tc. faults follows the same contract for
+	// the run's fault-injection registry.
 	stats  *obs.Stats
-	tracer *obs.Tracer
+	hub    *obs.TraceHub
+	tc     obs.TraceContext
 	faults *faultpoint.Registry
 
 	// keptTuples and degraded implement the Pareto tuple budget: when
@@ -468,7 +464,7 @@ func (e *engine) processNode(id int) error {
 			return fmt.Errorf("mapper: constant node %d feeds gates; fold constants before mapping", id)
 		}
 	case logic.And, logic.Or:
-		traced := e.tracer.SampleNode(id)
+		traced := e.hub.SampleNode(id)
 		var nodeStart time.Time
 		if traced {
 			nodeStart = time.Now()
@@ -490,7 +486,7 @@ func (e *engine) processNode(id int) error {
 		}
 		e.stats.AddNode(kept)
 		if traced {
-			e.tracer.Span("dp", fmt.Sprintf("node %d %s", id, node.Op), nodeStart,
+			e.hub.Record(e.tc, "dp", fmt.Sprintf("node %d %s", id, node.Op), nodeStart, time.Since(nodeStart),
 				obs.KV{Key: "cands_a", Val: int64(len(ua))},
 				obs.KV{Key: "cands_b", Val: int64(len(ub))},
 				obs.KV{Key: "kept", Val: int64(kept)})

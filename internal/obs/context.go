@@ -6,7 +6,7 @@ type ctxKey uint8
 
 const (
 	statsKey ctxKey = iota
-	tracerKey
+	hubKey
 	requestIDKey
 	traceCtxKey
 )
@@ -25,15 +25,26 @@ func StatsFrom(ctx context.Context) *Stats {
 	return s
 }
 
-// WithTracer attaches a span tracer to the context.
-func WithTracer(ctx context.Context, t *Tracer) context.Context {
-	return context.WithValue(ctx, tracerKey, t)
+// WithTraceHub attaches the span recorder the pipeline and the mapper
+// record into, under the context's TraceContext.
+func WithTraceHub(ctx context.Context, h *TraceHub) context.Context {
+	return context.WithValue(ctx, hubKey, h)
 }
 
-// TracerFrom returns the context's tracer, or nil (disabled).
-func TracerFrom(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey).(*Tracer)
-	return t
+// TracingFrom returns the context's trace hub and the trace context its
+// spans record under, or a nil hub when the context carries no hub or
+// no sampled trace — the disabled recorder, since every TraceHub method
+// accepts a nil receiver.
+func TracingFrom(ctx context.Context) (*TraceHub, TraceContext) {
+	h, _ := ctx.Value(hubKey).(*TraceHub)
+	if h == nil {
+		return nil, TraceContext{}
+	}
+	tc := TraceContextFrom(ctx)
+	if !tc.Sampled || !tc.Valid() {
+		return nil, TraceContext{}
+	}
+	return h, tc
 }
 
 // WithRequestID attaches a request identifier to the context. soimapd's

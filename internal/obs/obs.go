@@ -1,18 +1,24 @@
 // Package obs is the observability layer of the mapping stack: a per-run
-// dynamic-programming statistics collector (Stats), a sampling span tracer
-// that emits Chrome trace-event JSON loadable in Perfetto (Tracer), a
-// minimal Prometheus text-exposition writer (PromWriter) and the build
+// dynamic-programming statistics collector (Stats), the one span
+// recorder (TraceHub), whose spans render as Chrome trace-event JSON
+// loadable in Perfetto (WriteSpans), the distributed-trace identity that
+// rides between processes (TraceContext, SampleRequest), a minimal
+// Prometheus text-exposition writer (PromWriter) and the build
 // information surfaced by soimapd's /healthz and `soimap -version`.
 //
 // Everything here is opt-in and allocation-light. The collectors ride
-// through a context.Context (WithStats, WithTracer); producers hold plain
-// pointers and every recording method is safe on a nil receiver, so the
-// disabled path costs one predictable branch and no allocation — see the
-// "zero cost when disabled" note in DESIGN.md and the env-gated
+// through a context.Context (WithStats, WithTraceHub plus
+// WithTraceContext); producers hold plain pointers and every recording
+// method is safe on a nil receiver, so the disabled path costs one
+// predictable branch and no allocation. RunPhase times each pipeline
+// phase once, feeding the same start and duration to Stats and to the
+// phase span, and reads no clock when neither is on — see the "zero
+// cost when disabled" note in DESIGN.md and the env-gated
 // TestStatsOverhead guard wired into `make check`.
 package obs
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -211,16 +217,22 @@ func (s *Stats) String() string {
 	return b.String()
 }
 
-// Timed runs f, charging its wall-clock cost to the stats phase. With a
-// nil collector it calls f directly — no clock reads on the disabled
-// path.
-func Timed(s *Stats, p Phase, f func() error) error {
-	if s == nil {
+// RunPhase runs f as one pipeline phase, measured once: the start and
+// duration it reads are both charged to the context's Stats (AddPhase)
+// and recorded as the span cat/name in the context's trace hub
+// (TracingFrom). With no Stats and no sampled trace it calls f and
+// reads no clock.
+func RunPhase(ctx context.Context, p Phase, cat, name string, f func() error) error {
+	st := StatsFrom(ctx)
+	h, tc := TracingFrom(ctx)
+	if st == nil && h == nil {
 		return f()
 	}
 	start := time.Now()
 	err := f()
-	s.AddPhase(p, time.Since(start))
+	d := time.Since(start)
+	st.AddPhase(p, d)
+	h.Record(tc, cat, name, start, d)
 	return err
 }
 

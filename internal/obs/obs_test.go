@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -79,19 +80,22 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func TestTimed(t *testing.T) {
+// TestRunPhase: RunPhase charges the phase to the context's Stats and
+// passes f's error through; with no Stats and no trace f still runs.
+func TestRunPhase(t *testing.T) {
 	s := &Stats{}
 	sentinel := errors.New("boom")
-	if err := Timed(s, PhaseTraceback, func() error { return sentinel }); err != sentinel {
-		t.Fatalf("Timed err = %v, want sentinel", err)
+	ctx := WithStats(context.Background(), s)
+	if err := RunPhase(ctx, PhaseTraceback, "c", "n", func() error { return sentinel }); err != sentinel {
+		t.Fatalf("RunPhase err = %v, want sentinel", err)
 	}
 	if s.Phases.Traceback <= 0 {
 		t.Errorf("Traceback phase not charged: %v", s.Phases.Traceback)
 	}
-	// Nil collector: f still runs, error still propagates.
+	// No collector: f still runs, error still propagates.
 	ran := false
-	if err := Timed(nil, PhaseDP, func() error { ran = true; return nil }); err != nil || !ran {
-		t.Fatalf("Timed(nil) ran=%v err=%v", ran, err)
+	if err := RunPhase(context.Background(), PhaseDP, "c", "n", func() error { ran = true; return sentinel }); err != sentinel || !ran {
+		t.Fatalf("RunPhase without Stats ran=%v err=%v", ran, err)
 	}
 }
 

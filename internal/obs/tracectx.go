@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -58,6 +59,22 @@ func ParseTraceparent(h string) (TraceContext, bool) {
 	// The sampled flag is bit 0 of the flags byte's hex value, the low
 	// bit of its second digit's value (not of that digit's ASCII code).
 	return TraceContext{TraceID: tid, SpanID: sid, Sampled: hexValue(flags[1])&1 == 1}, true
+}
+
+// SampleRequest is the tracing decision at a process edge (soimapd's
+// HTTP middleware, soirouter's POST /v1/map). A request whose
+// traceparent header is sampled joins that trace. One with no header, a
+// malformed one or an unsampled one is sampled locally: every n-th such
+// request (counted in seq; never when n ≤ 0) starts a fresh sampled
+// trace. The zero TraceContext means the request is not traced.
+func SampleRequest(header string, n int, seq *atomic.Int64) TraceContext {
+	if tc, ok := ParseTraceparent(header); ok && tc.Sampled {
+		return tc
+	}
+	if n > 0 && seq.Add(1)%int64(n) == 0 {
+		return NewTraceContext()
+	}
+	return TraceContext{}
 }
 
 // hexValue is the value of one lower-case hex digit.
@@ -133,12 +150,18 @@ func ValidRequestID(id string) bool {
 	return true
 }
 
-// TraceHub retains the distributed-trace spans recorded by one process,
-// keyed by trace id, bounded FIFO. All methods are nil-receiver safe, so
-// an untraced deployment pays one branch per call site.
+// TraceHub is the one span recorder: it records the spans one process
+// makes under sampled trace contexts and retains them keyed by trace id,
+// bounded FIFO. soimapd and soirouter keep one per process; `soimap
+// -trace` builds a one-trace hub for its run. All methods are
+// nil-receiver safe, so an untraced deployment pays one branch per call
+// site.
 type TraceHub struct {
 	process string
 	max     int
+	// nodeEvery is the per-node DP span interval SampleNode applies; 0,
+	// the default, records no per-node spans.
+	nodeEvery int
 
 	mu     sync.Mutex
 	traces map[string][]Span
@@ -155,8 +178,22 @@ func NewTraceHub(process string, maxTraces int) *TraceHub {
 	return &TraceHub{process: process, max: maxTraces, traces: make(map[string][]Span)}
 }
 
-// Add records one span. Spans without a valid trace id are dropped.
-func (h *TraceHub) Add(s Span) {
+// SampleNodes turns on per-node DP spans: every n-th node (n ≤ 1: every
+// node) is recorded. Phase spans are never sampled away; the per-node
+// firehose is what the interval bounds. Call it before the hub is
+// shared.
+func (h *TraceHub) SampleNodes(n int) {
+	h.nodeEvery = max(n, 1)
+}
+
+// SampleNode reports whether the DP span of node id is recorded: false
+// on a nil hub and on one without SampleNodes.
+func (h *TraceHub) SampleNode(id int) bool {
+	return h != nil && h.nodeEvery > 0 && id%h.nodeEvery == 0
+}
+
+// add records one span. Spans without a valid trace id are dropped.
+func (h *TraceHub) add(s Span) {
 	if h == nil || !isHex(s.TraceID, 32) {
 		return
 	}
@@ -212,7 +249,7 @@ func (h *TraceHub) Record(tc TraceContext, cat, name string, start time.Time, d 
 	if d < 0 {
 		d = 0
 	}
-	h.Add(Span{
+	h.add(Span{
 		TraceID:  tc.TraceID,
 		SpanID:   NewSpanID(),
 		ParentID: tc.SpanID,
@@ -264,7 +301,7 @@ func (a *ActiveSpan) End(kv ...KV) {
 	if a == nil {
 		return
 	}
-	a.hub.Add(Span{
+	a.hub.add(Span{
 		TraceID:  a.tc.TraceID,
 		SpanID:   a.tc.SpanID,
 		ParentID: a.parent,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -75,6 +77,38 @@ func TestParseTraceparentRejects(t *testing.T) {
 	}
 }
 
+// TestSampleRequest: the edge decision joins a sampled caller, and
+// treats an unsampled or malformed header like none — sampled locally
+// on every n-th such request, never with n ≤ 0.
+func TestSampleRequest(t *testing.T) {
+	caller := NewTraceContext()
+	unsampled := caller
+	unsampled.Sampled = false
+	var seq atomic.Int64
+	if got := SampleRequest(caller.Traceparent(), 0, &seq); got != caller {
+		t.Fatalf("sampled header: got %+v, want the caller's %+v", got, caller)
+	}
+	for _, h := range []string{"", "junk", unsampled.Traceparent()} {
+		if got := SampleRequest(h, 0, &seq); got != (TraceContext{}) {
+			t.Fatalf("header %q with local sampling off: got %+v, want untraced", h, got)
+		}
+		got := SampleRequest(h, 1, &seq)
+		if !got.Sampled || !got.Valid() || got.TraceID == caller.TraceID {
+			t.Fatalf("header %q with sample 1: got %+v, want a fresh sampled trace", h, got)
+		}
+	}
+	seq.Store(0)
+	sampled := 0
+	for range 6 {
+		if SampleRequest(unsampled.Traceparent(), 3, &seq).Sampled {
+			sampled++
+		}
+	}
+	if sampled != 2 {
+		t.Fatalf("sample 3 traced %d of 6 unsampled requests, want 2", sampled)
+	}
+}
+
 func TestValidRequestID(t *testing.T) {
 	for _, id := range []string{"r000001", "rr42.abc", "a_b-c:d", "X9"} {
 		if !ValidRequestID(id) {
@@ -93,14 +127,14 @@ func testTraceID(i byte) string { return strings.Repeat(fmt.Sprintf("%02x", i), 
 func TestTraceHubFIFOEviction(t *testing.T) {
 	h := NewTraceHub("p", 2)
 	t1, t2, t3 := testTraceID(1), testTraceID(2), testTraceID(3)
-	h.Add(Span{TraceID: t1, SpanID: testSID, Name: "a"})
-	h.Add(Span{TraceID: t2, SpanID: testSID, Name: "b"})
-	h.Add(Span{TraceID: t2, SpanID: testSID, Name: "b2"}) // same trace: no eviction
-	h.Add(Span{TraceID: "not-a-trace-id"})                // invalid: dropped
+	h.add(Span{TraceID: t1, SpanID: testSID, Name: "a"})
+	h.add(Span{TraceID: t2, SpanID: testSID, Name: "b"})
+	h.add(Span{TraceID: t2, SpanID: testSID, Name: "b2"}) // same trace: no eviction
+	h.add(Span{TraceID: "not-a-trace-id"})                // invalid: dropped
 	if h.Len() != 2 {
 		t.Fatalf("Len() = %d, want 2", h.Len())
 	}
-	h.Add(Span{TraceID: t3, SpanID: testSID, Name: "c"}) // at capacity: evicts t1
+	h.add(Span{TraceID: t3, SpanID: testSID, Name: "c"}) // at capacity: evicts t1
 	if h.Len() != 2 {
 		t.Fatalf("Len() after eviction = %d, want 2", h.Len())
 	}
@@ -159,7 +193,7 @@ func TestStartSpanNesting(t *testing.T) {
 	_, nsp := nh.StartSpan(ctx, "c", "x")
 	nsp.End()
 	nh.Record(root, "c", "x", time.Now(), time.Second)
-	nh.Add(Span{TraceID: root.TraceID})
+	nh.add(Span{TraceID: root.TraceID})
 	if nh.Len() != 0 || nh.Spans(root.TraceID) != nil {
 		t.Fatal("nil hub must be inert")
 	}
@@ -181,21 +215,32 @@ func TestStartSpanNesting(t *testing.T) {
 	}
 }
 
-// TestTracerStampsTraceContext: a hub-built tracer under a sampled
-// context records spans that are already distributed spans — trace id,
-// fresh span id, parent and process stamped at record time, absolute
-// epoch-µs starts — so they go into the hub with no conversion step.
-func TestTracerStampsTraceContext(t *testing.T) {
+// TestRunPhaseStampsTraceContext: a phase run under a hub and a sampled
+// context is recorded straight into the hub as a distributed span —
+// trace id, fresh span id, the context's span as parent, the hub's
+// process, an absolute epoch-µs start — with the duration charged to
+// Stats, read off the same clock.
+func TestRunPhaseStampsTraceContext(t *testing.T) {
 	h := NewTraceHub("replica-0", 4)
 	tc := NewTraceContext()
-	tr := h.Tracer(WithTraceContext(context.Background(), tc), 1)
-	tr.Span("pipeline", "strash net", tr.Now())
-	tr.Span("mapper", "soi dp", tr.Now(), KV{Key: "kept", Val: 7})
-	tr.Instant("mapper", "run soi")
-	spans := tr.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("recorded %d spans, want 3", len(spans))
+	st := &Stats{}
+	ctx := WithStats(WithTraceContext(WithTraceHub(context.Background(), h), tc), st)
+	sentinel := errors.New("boom")
+	spin := func() {
+		for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
+		}
 	}
+	if err := RunPhase(ctx, PhaseDecompose, "pipeline", "decompose net", func() error { spin(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunPhase(ctx, PhaseDP, "mapper", "soi dp", func() error { spin(); return sentinel }); err != sentinel {
+		t.Fatalf("RunPhase err = %v, want the phase's own error", err)
+	}
+	spans := h.Spans(tc.TraceID)
+	if len(spans) != 2 {
+		t.Fatalf("recorded %d spans, want 2", len(spans))
+	}
+	want := map[string]time.Duration{"decompose net": st.Phases.Decompose, "soi dp": st.Phases.DP}
 	ids := map[string]bool{}
 	for _, s := range spans {
 		if s.TraceID != tc.TraceID || s.ParentID != tc.SpanID || s.Process != "replica-0" {
@@ -208,23 +253,9 @@ func TestTracerStampsTraceContext(t *testing.T) {
 		if s.StartUS < time.Now().Add(-time.Minute).UnixMicro() {
 			t.Fatalf("span %q has relative timestamp %d, want absolute epoch µs", s.Name, s.StartUS)
 		}
-		h.Add(s)
-	}
-	if got := h.Spans(tc.TraceID); len(got) != 3 {
-		t.Fatalf("hub holds %d spans, want 3", len(got))
-	}
-
-	if got := h.Tracer(context.Background(), 1); got != nil {
-		t.Fatal("unsampled context built a live tracer")
-	}
-	unsampled := tc
-	unsampled.Sampled = false
-	if got := h.Tracer(WithTraceContext(context.Background(), unsampled), 1); got != nil {
-		t.Fatal("unsampled trace context built a live tracer")
-	}
-	var nilHub *TraceHub
-	if got := nilHub.Tracer(WithTraceContext(context.Background(), tc), 1); got != nil {
-		t.Fatal("nil hub built a live tracer")
+		if d := want[s.Name]; d <= 0 || s.DurUS != d.Microseconds() {
+			t.Fatalf("span %q lasts %dµs, Stats charged %v: one clock must feed both", s.Name, s.DurUS, d)
+		}
 	}
 }
 

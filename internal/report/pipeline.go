@@ -54,9 +54,10 @@ func PrepareNetwork(n *logic.Network) (*Pipeline, error) {
 
 // PrepareNetworkContext is PrepareNetwork with observability: when ctx
 // carries an obs.Stats collector (obs.WithStats) the strash, decompose
-// and unate phases charge their wall-clock cost to it, and an obs.Tracer
-// records them as spans. A plain context makes it identical to
-// PrepareNetwork. Strash is on; use PrepareNetworkMode to opt out.
+// and unate phases charge their wall-clock cost to it, and under a
+// sampled trace its obs.TraceHub records them as spans (obs.RunPhase).
+// A plain context makes it identical to PrepareNetwork. Strash is on;
+// use PrepareNetworkMode to opt out.
 func PrepareNetworkContext(ctx context.Context, n *logic.Network) (*Pipeline, error) {
 	return PrepareNetworkMode(ctx, n, false)
 }
@@ -68,13 +69,10 @@ func PrepareNetworkContext(ctx context.Context, n *logic.Network) (*Pipeline, er
 func PrepareNetworkMode(ctx context.Context, n *logic.Network, strashOff bool) (*Pipeline, error) {
 	var sr *strash.Result
 	if !strashOff {
-		st, tr := obs.StatsFrom(ctx), obs.TracerFrom(ctx)
-		sStart := tr.Now()
-		obs.Timed(st, obs.PhaseStrash, func() error {
+		obs.RunPhase(ctx, obs.PhaseStrash, "pipeline", "strash "+n.Name, func() error {
 			sr = strash.RunContext(ctx, n)
 			return nil
 		})
-		tr.Span("pipeline", "strash "+n.Name, sStart)
 	}
 	return PrepareStrashed(ctx, n, sr)
 }
@@ -84,31 +82,26 @@ func PrepareNetworkMode(ctx context.Context, n *logic.Network, strashOff bool) (
 // mapping service) does not strash twice. sr == nil maps n exactly as
 // submitted, like PrepareNetworkMode with strashOff.
 func PrepareStrashed(ctx context.Context, n *logic.Network, sr *strash.Result) (*Pipeline, error) {
-	st, tr := obs.StatsFrom(ctx), obs.TracerFrom(ctx)
 	src := n
 	if sr != nil {
-		st.AddStrash(sr.Counters.Merged, sr.Counters.Folded, sr.Counters.Dead)
+		obs.StatsFrom(ctx).AddStrash(sr.Counters.Merged, sr.Counters.Folded, sr.Counters.Dead)
 		src = sr.Network
 	}
 	var d *unate.Decomposed
-	dStart := tr.Now()
-	err := obs.Timed(st, obs.PhaseDecompose, func() error {
+	err := obs.RunPhase(ctx, obs.PhaseDecompose, "pipeline", "decompose "+n.Name, func() error {
 		var derr error
 		d, derr = unate.Decompose(src)
 		return derr
 	})
-	tr.Span("pipeline", "decompose "+n.Name, dStart)
 	if err != nil {
 		return nil, fmt.Errorf("report: decompose %s: %w", n.Name, err)
 	}
 	var u *unate.Result
-	uStart := tr.Now()
-	err = obs.Timed(st, obs.PhaseUnate, func() error {
+	err = obs.RunPhase(ctx, obs.PhaseUnate, "pipeline", "unate "+n.Name, func() error {
 		var uerr error
 		u, uerr = d.Convert()
 		return uerr
 	})
-	tr.Span("pipeline", "unate "+n.Name, uStart)
 	if err != nil {
 		return nil, fmt.Errorf("report: unate %s: %w", n.Name, err)
 	}
@@ -184,11 +177,7 @@ func (p *Pipeline) Map(ctx context.Context, a Algorithm, opt mapper.Options, che
 	if err != nil {
 		return nil, fmt.Errorf("report: %s on %s: %w", a, p.Name, err)
 	}
-	tr := obs.TracerFrom(ctx)
-	aStart := tr.Now()
-	err = obs.Timed(obs.StatsFrom(ctx), obs.PhaseAudit, res.Audit)
-	tr.Span("pipeline", "audit "+p.Name, aStart)
-	if err != nil {
+	if err := obs.RunPhase(ctx, obs.PhaseAudit, "pipeline", "audit "+p.Name, res.Audit); err != nil {
 		return nil, fmt.Errorf("report: %s on %s: audit: %w", a, p.Name, err)
 	}
 	if check {

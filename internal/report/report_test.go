@@ -54,14 +54,15 @@ func TestAlgorithmTable(t *testing.T) {
 }
 
 // TestPipelineMapObserved: Map times the audit like every other phase —
-// charged to the context's obs.Stats and traced as "audit <net>".
+// charged to the context's obs.Stats and recorded in its trace hub as
+// "audit <net>".
 func TestPipelineMapObserved(t *testing.T) {
 	p, err := Prepare("mux")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, tr := &obs.Stats{}, obs.NewTracer(1)
-	ctx := obs.WithTracer(obs.WithStats(context.Background(), st), tr)
+	st, hub, tc := &obs.Stats{}, obs.NewTraceHub("test", 1), obs.NewTraceContext()
+	ctx := obs.WithTraceContext(obs.WithTraceHub(obs.WithStats(context.Background(), st), hub), tc)
 	if _, err := p.Map(ctx, SOI, mapper.DefaultOptions(), false); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestPipelineMapObserved(t *testing.T) {
 		t.Errorf("audit phase = %v, want > 0", st.Phases.Audit)
 	}
 	var names []string
-	for _, sp := range tr.Spans() {
+	for _, sp := range hub.Spans(tc.TraceID) {
 		names = append(names, sp.Name)
 	}
 	if !slices.Contains(names, "audit "+p.Name) {

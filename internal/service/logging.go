@@ -24,8 +24,8 @@ func discardLogger() *slog.Logger {
 // handleMap copies it into the job — so the access line, the job
 // lifecycle lines and any mapper trace metadata all correlate.
 //
-// Trace propagation: an incoming traceparent header is parsed into the
-// context (honoring the caller's sampled bit); absent one, every
+// Trace propagation (obs.SampleRequest): a sampled incoming traceparent
+// joins the caller's trace; absent one, or with an unsampled one, every
 // TraceSample-th POST /v1/map starts a fresh sampled trace. Sampled
 // requests record a server span in the trace hub and log their trace id.
 func (s *Server) withLogging(next http.Handler) http.Handler {
@@ -36,14 +36,13 @@ func (s *Server) withLogging(next http.Handler) http.Handler {
 		}
 		ctx := obs.WithRequestID(r.Context(), id)
 
-		tc, traced := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		if !traced && s.cfg.TraceSample > 0 &&
-			r.Method == http.MethodPost && r.URL.Path == "/v1/map" &&
-			s.traceSeq.Add(1)%int64(s.cfg.TraceSample) == 0 {
-			tc, traced = obs.NewTraceContext(), true
+		sample := 0 // only submissions are sampled locally
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/map" {
+			sample = s.cfg.TraceSample
 		}
+		tc := obs.SampleRequest(r.Header.Get(obs.TraceparentHeader), sample, &s.traceSeq)
 		var reqSpan *obs.ActiveSpan
-		if traced {
+		if tc.Sampled {
 			ctx = obs.WithTraceContext(ctx, tc)
 			ctx, reqSpan = s.hub.StartSpan(ctx, "http", r.Method+" "+r.URL.Path)
 		}
@@ -61,7 +60,7 @@ func (s *Server) withLogging(next http.Handler) http.Handler {
 			slog.Int64("bytes", rec.bytes),
 			slog.Duration("duration", time.Since(start)),
 		}
-		if traced && tc.Sampled {
+		if tc.Sampled {
 			attrs = append(attrs, slog.String("trace_id", tc.TraceID))
 		}
 		s.logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)

@@ -2,12 +2,15 @@ package service
 
 import (
 	"bytes"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"soidomino/internal/obs"
 )
 
 // syncBuffer lets the handler goroutines and the test share one log sink.
@@ -107,5 +110,42 @@ func TestLoggingDisabledByDefault(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	if code, v := postMap(t, ts, `{"circuit": "mux"}`); v.State != JobDone {
 		t.Fatalf("map failed: code %d, state %s", code, v.State)
+	}
+}
+
+// TestUnsampledTraceparentSampledLocally: a request whose traceparent
+// says "not sampled" is sampled locally like one with no header, so
+// with TraceSample 1 it gets a fresh trace that GET /v1/traces/{id}
+// serves.
+func TestUnsampledTraceparentSampledLocally(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, TraceSample: 1})
+	unsampled := obs.NewTraceContext()
+	unsampled.Sampled = false
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/map", strings.NewReader(`{"circuit": "mux"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.TraceparentHeader, unsampled.Traceparent())
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := checkEnvelope(t, raw)
+	if v.TraceID == "" || v.TraceID == unsampled.TraceID {
+		t.Fatalf("job trace id %q, want a fresh local trace (the caller's unsampled one is %s)",
+			v.TraceID, unsampled.TraceID)
+	}
+	resp, err = http.Get(ts.URL + "/v1/traces/" + v.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/traces/%s: status %d, want 200", v.TraceID, resp.StatusCode)
 	}
 }

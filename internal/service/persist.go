@@ -166,19 +166,14 @@ func (s *Server) journalAppend(ctx context.Context, rec store.JobRecord) {
 }
 
 // journalAccepted journals a freshly-enqueued leader job together with
-// its originating request — the bytes a future recovery replays.
-// Cache hits and coalesced followers are not journaled: they own no
-// work to lose.
-func (s *Server) journalAccepted(ctx context.Context, j *job, req *MapRequest) {
+// its request body as read — the bytes a future recovery replays
+// through ParseRequest. Cache hits and coalesced followers are not
+// journaled: they own no work to lose.
+func (s *Server) journalAccepted(ctx context.Context, j *job, body []byte) {
 	if s.journal == nil {
 		return
 	}
-	raw, err := json.Marshal(req)
-	if err != nil {
-		s.metrics.add("store_write_errors", 1)
-		return
-	}
-	s.journalAppend(ctx, store.JobRecord{Type: store.RecAccepted, ID: j.id, Key: j.cacheKey, Request: raw})
+	s.journalAppend(ctx, store.JobRecord{Type: store.RecAccepted, ID: j.id, Key: j.cacheKey, Request: body})
 }
 
 // journalTerminal journals a job's terminal state.
@@ -228,14 +223,14 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 			rj.key = rec.Key
 		}
 		if len(rec.Request) > 0 {
-			var req MapRequest
-			if json.Unmarshal(rec.Request, &req) == nil {
-				rj.req = &req
+			if req, err := ParseRequest(rec.Request); err == nil {
+				rj.req = req
 			}
 		}
 		// An accepted record carries the request, not a state: the
 		// handler appends it after the queue send, so it can land behind
-		// the worker's running and terminal records.
+		// the worker's terminal record. (Older journals also hold a
+		// running record per job, which re-admits like accepted.)
 		if rec.Type != store.RecAccepted || rj.last == "" {
 			rj.last = rec.Type
 			rj.errMsg = rec.Error

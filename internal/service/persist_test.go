@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -221,9 +222,10 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 }
 
 // TestRecoveryIgnoresLateAcceptedRecord: the handler journals a job's
-// accepted record after the queue send, so a fast worker's running and
-// terminal records can precede it. Recovery must still re-serve the
-// terminal outcome instead of re-admitting the job.
+// accepted record after the queue send, so a fast worker's terminal
+// record (behind an older journal's running record here) can precede
+// it. Recovery must still re-serve the terminal outcome instead of
+// re-admitting the job.
 func TestRecoveryIgnoresLateAcceptedRecord(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdownNow(t, s)
@@ -240,6 +242,56 @@ func TestRecoveryIgnoresLateAcceptedRecord(t *testing.T) {
 	s.mu.Unlock()
 	if v, _ := j.view(); v.State != JobFailed || v.Error != "boom" {
 		t.Fatalf("recovered job = state %s error %q, want failed %q", v.State, v.Error, "boom")
+	}
+}
+
+// TestRecoveryParsesJournaledRequests: recovery reads an accepted
+// record's request with ParseRequest, the decoder router and replica
+// share. A request written the old way (json.Marshal of the decoded
+// MapRequest) and a body journaled as read, with extra white space and
+// escaped BLIF text, both recover to the request they encode.
+func TestRecoveryParsesJournaledRequests(t *testing.T) {
+	want := &MapRequest{
+		BLIF:      ".model esc\n.inputs a b\n.outputs z\n.names a b z\n11 1\n.end\n# \"q\" \\ <t> \u00e9\t\n",
+		Algorithm: "soi",
+		Options:   &RequestOptions{Pareto: true, TupleBudget: 4},
+		TimeoutMS: 1500,
+	}
+	marshaled, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asRead := []byte(` {
+	"blif" : ".model esc\n.inputs a b\n.outputs z\n.names a b z\n11 1\n.end\n# \"q\" \\ \u003ct\u003e \u00e9\t\n" ,
+	"algorithm":"soi", "options" : { "pareto" : true, "tuple_budget" : 4 },
+	"timeout_ms" : 1500 }
+`)
+	dir := t.TempDir()
+	jnl, _, err := store.OpenJournal(dir, store.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, body := range map[string][]byte{"j1": marshaled, "j2": asRead} {
+		for _, rec := range []store.JobRecord{
+			{Type: store.RecAccepted, ID: id, Key: "k" + id, Request: body},
+			{Type: store.RecFailed, ID: id, Key: "k" + id, Error: "boom"},
+		} {
+			if err := jnl.Append(context.Background(), rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Workers: 1, StateDir: dir, JournalFsync: "off"})
+	defer shutdownNow(t, s)
+	recovered := s.RecoveredJobs()
+	for _, id := range []string{"j1", "j2"} {
+		if got := recovered[id]; !reflect.DeepEqual(got, want) {
+			t.Errorf("job %s recovered request %+v, want %+v", id, got, want)
+		}
 	}
 }
 
@@ -376,7 +428,7 @@ func TestJournalFsyncFaultDegradesNotFails(t *testing.T) {
 // newPersistHTTP serves s without registering shutdown cleanup, so the
 // tests control the server's death (Abort vs Shutdown) explicitly.
 // TestJobIDAssignedBeforeQueueSend: the worker that receives a job reads
-// its id (for the journal's running and terminal records) without taking
+// its id (for the journal's terminal record) without taking
 // the server lock, so handleMap must assign the id before sending the job
 // to the queue. Back-to-back sync submissions to a journaling server
 // hand every job to a parked worker while its handler is still running —

@@ -93,8 +93,8 @@ type Config struct {
 	// -explain` and the stitched trace say which process answered.
 	ReplicaName string
 	// TraceSample enables local trace sampling: every TraceSample-th
-	// POST /v1/map submission that does NOT carry a traceparent header
-	// starts a fresh sampled trace. 0 (the default) disables local
+	// POST /v1/map submission that does NOT carry a sampled traceparent
+	// header starts a fresh sampled trace. 0 (the default) disables local
 	// sampling — incoming sampled traceparent headers are always honored
 	// regardless. Tracing never affects cache keys or routing
 	// (DESIGN.md §14).
@@ -827,7 +827,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	if !j.coalesced {
 		// Journal the accepted leader (with its request) so a crash from
 		// here on re-admits the job instead of 404ing its poller.
-		s.journalAccepted(ctx, j, req)
+		s.journalAccepted(ctx, j, body)
 	}
 	s.answer(w, r, req, j)
 }
@@ -1227,7 +1227,6 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithDeadline(s.baseCtx, j.deadline)
 	defer cancel()
 	ctx = s.faultCtx(ctx)
-	s.journalAppend(ctx, store.JobRecord{Type: store.RecRunning, ID: j.id, Key: j.cacheKey})
 	// Give injected Cancel faults a handle on this job's context, so a
 	// "client vanished" failure propagates through real plumbing.
 	ctx, faultCancel := faultpoint.WithCancel(ctx)
@@ -1248,24 +1247,18 @@ func (s *Server) runJob(j *job) {
 	defer func() { s.metrics.recordDuration(time.Since(start)) }()
 
 	// Distributed tracing: a sampled job records its queue wait and a run
-	// span into the trace hub, and runs with an in-process Tracer whose
-	// pipeline/mapper phase spans are already children of the run span;
-	// they go into the hub when the job ends (whatever way it ends).
-	// Unsampled jobs skip all of it — the tracer stays nil, so the
-	// mapper's disabled fast path is untouched.
+	// span into the trace hub, and runs with the hub attached, so the
+	// pipeline and mapper record their phase spans into it as children
+	// of the run span (the hub records no per-node DP spans). Unsampled
+	// jobs skip all of it, so the mapper's disabled fast path is
+	// untouched.
 	if j.tc.Sampled && j.tc.Valid() {
 		ctx = obs.WithTraceContext(ctx, j.tc)
 		s.hub.Record(j.tc, "service", "queue wait", j.submitted, queueWait)
 		var runSpan *obs.ActiveSpan
 		ctx, runSpan = s.hub.StartSpan(ctx, "service", "job "+j.algo.Key()+" "+j.circuit)
-		tr := s.hub.Tracer(ctx, 1<<20) // phase spans only; per-node spans sampled out
-		ctx = obs.WithTracer(ctx, tr)
-		defer func() {
-			for _, sp := range tr.Spans() {
-				s.hub.Add(sp)
-			}
-			runSpan.End(obs.KV{Key: "dp_tuples", Val: st.TuplesGenerated})
-		}()
+		ctx = obs.WithTraceHub(ctx, s.hub)
+		defer func() { runSpan.End(obs.KV{Key: "dp_tuples", Val: st.TuplesGenerated}) }()
 	}
 
 	// Panic isolation: a panic anywhere in the mapping pipeline fails

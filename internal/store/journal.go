@@ -13,10 +13,12 @@ import (
 	"soidomino/internal/faultpoint"
 )
 
-// Record types of the job journal: a job's life is one accepted record,
-// usually a running record, and one terminal record (done, failed or
-// canceled). A job whose last record is non-terminal at replay was in
-// flight when the process died and is re-admitted by the service.
+// Record types of the job journal: a job's life is one accepted record
+// and one terminal record (done, failed or canceled). RecRunning is no
+// longer written, but older journals hold one per job between the two,
+// and it replays like accepted. A job whose last record is non-terminal
+// at replay was in flight when the process died and is re-admitted by
+// the service.
 const (
 	RecAccepted = "accepted"
 	RecRunning  = "running"
