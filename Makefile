@@ -49,12 +49,15 @@ obs-overhead:
 # may allocate little beyond its traceback, and traceback (SOI Pareto
 # and RS_Map: arena-built trees, a few allocations per gate) and
 # Result.Audit stay under theirs. The strash front-end, on the key path of every service
-# request, is pinned the same way (about one allocation per kept gate),
-# and so is the lowering to unate form (Decompose + Convert: about one
-# allocation per unate gate, no intermediate network). So is the routing
+# request, is pinned the same way in allocations and bytes: a warm run
+# allocates its output network (presized, its fanins in one flat store)
+# and nothing else, its builder coming from a pool, and so is the
+# lowering to unate form (Decompose + Convert: the literal table and the
+# presized unate network, scratch pooled); a warm-run guard on each fails
+# when its pool is bypassed. So is the routing
 # key of an inline BLIF source (service.RequestKey on des: the reader
-# lowers the text straight into strash's builder, no network, under a
-# hundred allocations), and soirouter's key memo hit (nothing
+# lowers the text straight into a pooled strash builder, no network,
+# under fifty allocations), and soirouter's key memo hit (nothing
 # allocated, for a registry request and for c499's 47 KB BLIF alike: a
 # hit never lowers the text). So is the request decoder soimapd and
 # soirouter share (service.ParseRequest on des and c499: the request and
@@ -77,7 +80,9 @@ dp-allocs:
 # also holds only the options the algorithm reads: requests differing in
 # unread fields share it through soirouter (cached the second time), and
 # the mappers give the same result and DP counters on raw options as on
-# the canonical ones the key is made of.
+# the canonical ones the key is made of. Strash, the text key and the
+# unate lowering, run from several goroutines over pooled scratch with
+# one of them arming strash.bad-merge, match their serial results.
 # Benchmarks run it first (bench-baseline) so a perf-motivated strash
 # change cannot silently trade away determinism.
 strash-determinism:

@@ -261,6 +261,10 @@ func BenchmarkMapDesPareto(b *testing.B) {
 	b.ReportMetric(float64(st.TuplesGenerated), "tuples_generated/op")
 }
 
+// paretoLargeCircuits are the six circuits of perfbench's pareto-large
+// workload.
+var paretoLargeCircuits = []string{"c2670", "dalu", "c3540", "des", "c5315", "c7552"}
+
 // BenchmarkMapParetoLarge profiles the Pareto dynamic program over the
 // six circuits of perfbench's pareto-large workload (c2670, dalu, c3540,
 // des, c5315, c7552): SOI Pareto, each prepared once, one op mapping all
@@ -273,7 +277,7 @@ func BenchmarkMapParetoLarge(b *testing.B) {
 	opt.Pareto = true
 	var nets []*logic.Network
 	var st obs.Stats
-	for _, name := range []string{"c2670", "dalu", "c3540", "des", "c5315", "c7552"} {
+	for _, name := range paretoLargeCircuits {
 		p, err := report.Prepare(name)
 		if err != nil {
 			b.Fatal(err)
@@ -292,6 +296,28 @@ func BenchmarkMapParetoLarge(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(st.TuplesGenerated), "tuples_generated/op")
+}
+
+// BenchmarkPrepareLarge profiles the front end alone over the same six
+// circuits: one op takes each built network through
+// report.PrepareNetwork (strash, decompose, unate). Warm, it allocates
+// the networks it returns; profile it with
+//
+//	go test -bench=PrepareLarge -run='^$' -memprofile mem.out .
+func BenchmarkPrepareLarge(b *testing.B) {
+	var nets []*logic.Network
+	for _, name := range paretoLargeCircuits {
+		nets = append(nets, bench.MustBuild(name))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range nets {
+			if _, err := report.PrepareNetwork(n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkPBEAnalyze measures the structural discharge-point analysis on

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -254,6 +255,44 @@ func TestCloneIsDeep(t *testing.T) {
 	out1, _ := n.Eval([]bool{true, true, false})
 	if out1[0] != true {
 		t.Error("original corrupted by clone mutation")
+	}
+	// Each Fanin is a view into one shared store: appending to a view
+	// must copy, not write over the next gate's fanins.
+	for _, net := range []*Network{n, c} {
+		want := append([]int(nil), net.Nodes[4].Fanin...)
+		_ = append(net.Nodes[3].Fanin, 0, 0, 0)
+		if got := net.Nodes[4].Fanin; !slices.Equal(got, want) {
+			t.Errorf("appending to node 3's fanins changed node 4's: %v, want %v", got, want)
+		}
+	}
+}
+
+// TestGrowPresizes pins the presize contract: after one Grow covering
+// them, adding gates allocates nothing, and without it the fanin store
+// grows by whole chunks, not by one slice per gate.
+func TestGrowPresizes(t *testing.T) {
+	const gates = 1000
+	build := func(grow bool) *Network {
+		n := New("chain")
+		if grow {
+			n.Grow(gates+2, 2*gates)
+		}
+		n.AddInput("a")
+		n.AddInput("b")
+		for i := 0; i < gates; i++ {
+			n.AddGate(And, i, i+1)
+		}
+		return n
+	}
+	// New, the two Grow tables and the input list.
+	if allocs := testing.AllocsPerRun(10, func() { build(true) }); allocs > 5 {
+		t.Errorf("%d gates after Grow: %.0f allocations, want at most 5", gates, allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { build(false) }); allocs > 40 {
+		t.Errorf("%d gates without Grow: %.0f allocations, want O(log) chunks", gates, allocs)
+	}
+	if got, want := build(false).Dump(), build(true).Dump(); got != want {
+		t.Errorf("presizing changed the network:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -88,9 +89,13 @@ func (op Op) MaxFanin() int {
 
 // Node is one vertex of a Network. The zero value is an unnamed Input.
 type Node struct {
-	Op    Op
-	Name  string // optional; inputs and gate outputs may be named
-	Fanin []int  // node ids, all smaller than this node's id
+	Op   Op
+	Name string // optional; inputs and gate outputs may be named
+	// Fanin holds node ids, all smaller than this node's id. In a network
+	// built by the Add methods it is a read-only view into the network's
+	// fanin store, its capacity clipped to its length, so an append to it
+	// copies instead of overwriting the next node's fanins.
+	Fanin []int
 }
 
 // Output names one primary output of a Network and the node that drives it.
@@ -101,12 +106,23 @@ type Output struct {
 
 // Network is a combinational Boolean network. Use New and the Add methods
 // to build one; nodes are stored in topological order by construction.
+// The fanins of all its gates live in one store of a few large chunks,
+// so adding a gate allocates nothing beyond the store's occasional new
+// chunk, and nothing at all after a Grow call that covers the network.
 type Network struct {
 	Name    string
 	Nodes   []Node
 	Inputs  []int // ids of Input nodes, in declaration order
 	Outputs []Output
+	// fanins is the open chunk of the fanin store. A full chunk is never
+	// grown in place but replaced by a fresh one, so the Fanin views of
+	// earlier nodes stay valid.
+	fanins []int
 }
+
+// minFaninChunk is the smallest chunk the fanin store starts without a
+// Grow hint: a small network's fanins in one allocation.
+const minFaninChunk = 64
 
 // New returns an empty network with the given name.
 func New(name string) *Network {
@@ -147,7 +163,41 @@ func (n *Network) AddGate(op Op, fanin ...int) int {
 			panic(fmt.Sprintf("logic: gate %d references fanin %d", id, f))
 		}
 	}
-	return n.add(Node{Op: op, Fanin: append([]int(nil), fanin...)})
+	return n.add(Node{Op: op, Fanin: n.store(fanin)})
+}
+
+// Grow makes room for nodes more nodes holding fanins more fanin entries
+// between them, so that adding them allocates nothing. Builders that know
+// the size of what they build call it once, first.
+func (n *Network) Grow(nodes, fanins int) {
+	n.Nodes = slices.Grow(n.Nodes, nodes)
+	if cap(n.fanins)-len(n.fanins) < fanins {
+		n.fanins = make([]int, 0, fanins)
+	}
+}
+
+// store copies fanin into the fanin store and returns its view there; an
+// empty list stays nil. A chunk too full for it is left to the views it
+// backs and a new one, at least twice its size, is started.
+func (n *Network) store(fanin []int) []int {
+	if len(fanin) == 0 {
+		return nil
+	}
+	if cap(n.fanins)-len(n.fanins) < len(fanin) {
+		n.fanins = make([]int, 0, max(len(fanin), 2*cap(n.fanins), minFaninChunk))
+	}
+	lo := len(n.fanins)
+	n.fanins = append(n.fanins, fanin...)
+	return n.fanins[lo:len(n.fanins):len(n.fanins)]
+}
+
+// faninTotal returns the number of fanin entries over all nodes.
+func (n *Network) faninTotal() int {
+	total := 0
+	for _, node := range n.Nodes {
+		total += len(node.Fanin)
+	}
+	return total
 }
 
 func (n *Network) add(node Node) int {

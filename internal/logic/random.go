@@ -17,14 +17,14 @@ func (n *Network) RandomVectors(rng *rand.Rand, count int) [][]bool {
 	return vecs
 }
 
-// Clone returns a deep copy of the network.
+// Clone returns a deep copy of the network, its fanins in one fresh
+// store. Nodes are copied as they are, without the Add methods' checks.
 func (n *Network) Clone() *Network {
 	c := New(n.Name)
-	c.Nodes = make([]Node, len(n.Nodes))
-	for i, node := range n.Nodes {
-		cp := node
-		cp.Fanin = append([]int(nil), node.Fanin...)
-		c.Nodes[i] = cp
+	c.Grow(len(n.Nodes), n.faninTotal())
+	for _, node := range n.Nodes {
+		node.Fanin = c.store(node.Fanin)
+		c.add(node)
 	}
 	c.Inputs = append([]int(nil), n.Inputs...)
 	c.Outputs = append([]Output(nil), n.Outputs...)
@@ -38,6 +38,7 @@ func (n *Network) Clone() *Network {
 // strash front-end and the service cache key must not tell apart.
 func (n *Network) ShuffledTwin(rng *rand.Rand) *Network {
 	twin := New(n.Name)
+	twin.Grow(n.Len(), n.faninTotal())
 	newID := make([]int, n.Len())
 	for _, id := range n.Inputs {
 		newID[id] = twin.AddInput(n.Nodes[id].Name)
@@ -46,7 +47,7 @@ func (n *Network) ShuffledTwin(rng *rand.Rand) *Network {
 	// at random from the ready set.
 	pending := make([]int, n.Len())
 	users := make([][]int, n.Len())
-	var ready []int
+	var ready, fanin []int
 	for id, node := range n.Nodes {
 		if node.Op == Input {
 			continue
@@ -70,9 +71,9 @@ func (n *Network) ShuffledTwin(rng *rand.Rand) *Network {
 		case Const0, Const1:
 			newID[id] = twin.AddConst(node.Op == Const1)
 		default:
-			fanin := make([]int, len(node.Fanin))
-			for k, f := range node.Fanin {
-				fanin[k] = newID[f]
+			fanin = fanin[:0]
+			for _, f := range node.Fanin {
+				fanin = append(fanin, newID[f])
 			}
 			newID[id] = twin.AddGate(node.Op, fanin...)
 		}

@@ -66,10 +66,10 @@ func errText(err error) string {
 
 // keyAllocsCeiling pins RequestKey's allocations on the inline BLIF of
 // des: the reader's signal table and flat covers, sized from the text,
-// then strash's presized tables — 82 at the time of writing, none per
-// gate, with a little headroom. Parsing into a network first, as the
-// key once did, costs about 20,000.
-const keyAllocsCeiling = 90
+// and nothing for strash, whose builder comes from a pool — 38 at the
+// time of writing, none per gate, with a little headroom. Parsing into a
+// network first, as the key once did, costs about 20,000.
+const keyAllocsCeiling = 45
 
 // TestKeyAllocs is the `make dp-allocs` guard on the routing key, which
 // soirouter computes for every submission. Env-gated like the mapper's

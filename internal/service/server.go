@@ -557,6 +557,7 @@ func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
 			// of blank lines presizes no more than a network a replica
 			// would admit.
 			b := strash.NewBuilder(min(len(req.BLIF)/16, defaultMaxNetworkNodes))
+			defer b.Release()
 			model, err := blif.Lower(ctx, req.BLIF, b)
 			if err != nil {
 				return "", fmt.Errorf("blif: %w", err)

@@ -37,6 +37,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
@@ -123,17 +124,23 @@ type output struct {
 // sort key. The scratch slices are reused across gates; mark and count
 // are per-node tables whose entries are valid only where mark equals the
 // current gate's stamp, so starting a gate clears nothing.
+//
+// Builders come from a pool (NewBuilder) and go back to it (Release),
+// so a warm builder allocates nothing: every table, the cons map and
+// Run's own scratch (repr, keep, finalOf) keep their backing arrays
+// from run to run.
 type Builder struct {
-	nodes   []node
-	fanins  []int
-	sigs    [][32]byte       // per node structural signature
-	cons    map[[32]byte]int // signature -> node id
-	inputs  []int
-	outputs []output
-	faults  *faultpoint.Registry
-	c       Counters
-	const0  int
-	const1  int
+	nodes    []node
+	fanins   []int
+	sigs     [][32]byte       // per node structural signature
+	cons     map[[32]byte]int // signature -> node id
+	consSize int              // the node count cons was made for
+	inputs   []int
+	outputs  []output
+	faults   *faultpoint.Registry
+	c        Counters
+	const0   int
+	const1   int
 
 	buf   []byte  // signature preimage
 	mark  []int32 // mark[id] == stamp: id is an operand of the current gate
@@ -142,7 +149,15 @@ type Builder struct {
 	in    []int // current source gate's fanins through repr
 	ops   []int // current gate's operand list
 	order []int // parity operands in first-seen order
+
+	// Run's scratch: per source node its builder id, then per builder
+	// node whether DCE keeps it and its id in the output network.
+	repr    []int
+	keep    []bool
+	finalOf []int
 }
+
+var builders = sync.Pool{New: func() any { return new(Builder) }}
 
 // add appends a node with its signature and fanins, returning its id.
 func (b *Builder) add(op logic.Op, name string, fanin []int, sig [32]byte) int {
@@ -162,18 +177,52 @@ func (b *Builder) fanin(id int) []int {
 	return b.fanins[nd.lo:nd.hi]
 }
 
-// NewBuilder returns an empty Builder presized for about size nodes.
+// NewBuilder returns an empty Builder from the pool with room for about
+// size nodes. Release gives it back.
 func NewBuilder(size int) *Builder {
-	return &Builder{
-		nodes:  make([]node, 0, size),
-		fanins: make([]int, 0, 2*size),
-		sigs:   make([][32]byte, 0, size),
-		cons:   make(map[[32]byte]int, size),
-		mark:   make([]int32, 0, size),
-		count:  make([]int32, 0, size),
-		const0: -1,
-		const1: -1,
+	return takeBuilder(size, 2*size)
+}
+
+// takeBuilder returns a pooled Builder reset for a network of up to
+// nodes nodes holding fanins fanin entries. The tables are cut to length
+// zero (add zeroes mark and count per node as it appends) and the cons
+// map is cleared, never deleted from key by key: deletes leave
+// tombstones that make a reused map regrow. Clearing takes time in the
+// size the map was made for, so a map made for more than four times
+// this run's nodes is replaced by one made for them, as is one made for
+// fewer, which would regrow step by step: the reset costs this run, not
+// the largest run the pool has seen.
+func takeBuilder(nodes, fanins int) *Builder {
+	b := builders.Get().(*Builder)
+	b.nodes = slices.Grow(b.nodes[:0], nodes)
+	b.fanins = slices.Grow(b.fanins[:0], fanins)
+	b.sigs = slices.Grow(b.sigs[:0], nodes)
+	b.mark = slices.Grow(b.mark[:0], nodes)
+	b.count = slices.Grow(b.count[:0], nodes)
+	if b.cons == nil || nodes > b.consSize || 4*nodes < b.consSize {
+		b.cons = make(map[[32]byte]int, nodes)
+		b.consSize = nodes
+	} else {
+		clear(b.cons)
 	}
+	b.inputs = b.inputs[:0]
+	b.outputs = b.outputs[:0]
+	b.faults = nil
+	b.c = Counters{}
+	b.const0, b.const1 = -1, -1
+	b.stamp = 0
+	return b
+}
+
+// Release returns b to the pool; b must not be used afterwards. A
+// Builder that is never released is collected like any other value.
+func (b *Builder) Release() {
+	// Names are substrings of the caller's source text: drop them so a
+	// pooled builder does not keep a request's body alive.
+	clear(b.nodes)
+	clear(b.outputs)
+	b.faults = nil
+	builders.Put(b)
 }
 
 // AddInput adds a primary input. Inputs are the interface: never
@@ -439,15 +488,29 @@ func (b *Builder) consParity(op logic.Op, fanin []int) int {
 // carried by ctx may fire PointBadMerge. A plain context makes it
 // identical to Run.
 func RunContext(ctx context.Context, n *logic.Network) *Result {
-	b := NewBuilder(len(n.Nodes))
-	b.inputs = make([]int, 0, len(n.Inputs))
-	b.outputs = make([]output, 0, len(n.Outputs))
+	// A gate adds at most its core and one inverter: Nand, Nor and Xnor
+	// always may, an Xor whenever a complemented or Const1 operand
+	// toggles its parity. Each built node holds at most its source
+	// gate's fanins, an inverter one; two constants at most.
+	nodes, fanins := len(n.Nodes)+2, 0
+	for _, nd := range n.Nodes {
+		fanins += len(nd.Fanin)
+		switch nd.Op {
+		case logic.Nand, logic.Nor, logic.Xor, logic.Xnor:
+			nodes++
+			fanins++
+		}
+	}
+	b := takeBuilder(nodes, fanins)
+	b.inputs = slices.Grow(b.inputs, len(n.Inputs))
+	b.outputs = slices.Grow(b.outputs, len(n.Outputs))
 	b.faults = faultpoint.From(ctx)
 	b.c.NodesIn = len(n.Nodes)
 
 	// Phase 1: forward hash-consing pass. repr[i] is the builder id of
 	// the node computing the same function as input node i.
-	repr := make([]int, len(n.Nodes))
+	repr := resized(b.repr, len(n.Nodes))
+	b.repr = repr
 	for i, nd := range n.Nodes {
 		switch nd.Op {
 		case logic.Input:
@@ -466,7 +529,9 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 	// everything reachable from a primary output. The worklist is
 	// explicit: parser depth caps do not bound programmatically built
 	// networks, so recursion depth must not scale with circuit depth.
-	keep := make([]bool, len(b.nodes))
+	keep := resized(b.keep, len(b.nodes))
+	b.keep = keep
+	clear(keep)
 	stack := b.ops[:0]
 	push := func(id int) {
 		if !keep[id] {
@@ -484,21 +549,24 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 			push(f)
 		}
 	}
-	kept := 0
+	b.ops = stack
+	kept, keptFanins := 0, 0
 	for id, nd := range b.nodes {
 		if nd.op == logic.Input {
 			keep[id] = true
 		}
 		if keep[id] {
 			kept++
+			keptFanins += int(nd.hi - nd.lo)
 		}
 	}
 
 	final := logic.New(n.Name)
-	final.Nodes = make([]logic.Node, 0, kept)
+	final.Grow(kept, keptFanins)
 	final.Inputs = make([]int, 0, len(n.Inputs))
 	final.Outputs = make([]logic.Output, 0, len(n.Outputs))
-	finalOf := make([]int, len(b.nodes))
+	finalOf := resized(b.finalOf, len(b.nodes))
+	b.finalOf = finalOf
 	for id, nd := range b.nodes {
 		if !keep[id] {
 			finalOf[id] = -1
@@ -526,7 +594,18 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 	}
 
 	b.c.NodesOut = len(final.Nodes)
-	return &Result{Network: final, Counters: b.c, Key: b.Key(n.Name)}
+	res := &Result{Network: final, Counters: b.c, Key: b.Key(n.Name)}
+	b.Release()
+	return res
+}
+
+// resized returns s with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Key is the structural digest behind Result.Key for a network named

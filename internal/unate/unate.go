@@ -17,6 +17,7 @@ package unate
 
 import (
 	"fmt"
+	"sync"
 
 	"soidomino/internal/logic"
 )
@@ -64,19 +65,44 @@ type Decomposed struct {
 
 type decomposer struct {
 	*Decomposed
-	memo  []lit        // per source node
-	hash  map[gate]lit // gates keyed on their sorted literals
-	stack []lit        // fanin literals of the trees being built
+	*scratch
 }
+
+// scratch is the per-run state of Decompose and Convert that their
+// results do not keep. Runs take it from the scratches pool and give it
+// back when they return, so a warm run reuses the tables' backing arrays
+// and the hash map's buckets. Each taker resets the part it uses.
+type scratch struct {
+	memo     []lit        // Decompose: per source node
+	hash     map[gate]lit // Decompose: gates keyed on their sorted literals
+	hashSize int          // Decompose: the source node count hash was made for
+	stack    []lit        // Decompose: fanin literals of the trees being built
+	built    []int32      // Convert: per phase and table node, see converter.memo
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // Decompose lowers n, which is not modified, to 2-input AND/OR gates
 // over complementable literals.
 func Decompose(n *logic.Network) (*Decomposed, error) {
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
 	d := &decomposer{
 		Decomposed: &Decomposed{src: n, nodes: make([]gate, len(n.Inputs), len(n.Nodes)+len(n.Inputs))},
-		memo:       make([]lit, len(n.Nodes)),
-		hash:       make(map[gate]lit, len(n.Nodes)),
+		scratch:    s,
 	}
+	// Cleared, not emptied key by key: deletes leave tombstones that
+	// make a reused map regrow. As in strash's builder, a map made for
+	// fewer nodes or for more than four times as many is replaced, so
+	// the reset costs this run.
+	if d.hash == nil || len(n.Nodes) > d.hashSize || 4*len(n.Nodes) < d.hashSize {
+		d.hash = make(map[gate]lit, len(n.Nodes))
+		d.hashSize = len(n.Nodes)
+	} else {
+		clear(d.hash)
+	}
+	d.memo = resized(d.memo, len(n.Nodes))
+	d.stack = d.stack[:0]
 	for i := range d.memo {
 		d.memo[i] = unset
 	}
@@ -92,6 +118,15 @@ func Decompose(n *logic.Network) (*Decomposed, error) {
 		d.outs[i] = v
 	}
 	return d.Decomposed, nil
+}
+
+// resized returns s with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (d *decomposer) visit(id int) (lit, error) {
@@ -204,20 +239,44 @@ type Result struct {
 
 type converter struct {
 	*Decomposed
-	dst    *logic.Network
-	memo   [2][]int32 // per phase and table node: its dst node, or -1
-	consts [2]int32   // dst Const0 and Const1 nodes, or -1
+	dst *logic.Network
+	// memo holds, per phase and table node, its dst node, or notNeeded
+	// or needed before it is built.
+	memo   [2][]int32
+	consts [2]int32 // dst Const0 and Const1 nodes, or -1
 }
 
+// converter.memo entries before a node is built: the marking pass sets
+// needed on every (node, phase) an output reaches.
+const (
+	notNeeded int32 = -1
+	needed    int32 = -2
+)
+
 // Convert builds the unate network of d with every primary output in
-// positive phase.
+// positive phase. A marking pass first counts the nodes and fanins the
+// network will hold, so it is built into exactly presized tables.
 func (d *Decomposed) Convert() (*Result, error) {
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
 	c := &converter{Decomposed: d, dst: logic.New(d.src.Name + ".unate"), consts: [2]int32{-1, -1}}
-	memo := make([]int32, 2*len(d.nodes))
+	memo := resized(s.built, 2*len(d.nodes))
+	s.built = memo
 	for i := range memo {
-		memo[i] = -1
+		memo[i] = notNeeded
 	}
 	c.memo = [2][]int32{memo[:len(d.nodes)], memo[len(d.nodes):]}
+	nodes, fanins := len(d.src.Inputs), 0
+	for i := range d.src.Inputs {
+		c.memo[pos][i] = needed
+	}
+	var constNeeded [2]bool
+	for _, l := range d.outs {
+		c.mark(l, &nodes, &fanins, &constNeeded)
+	}
+	c.dst.Grow(nodes, fanins)
+	c.dst.Inputs = make([]int, 0, len(d.src.Inputs))
+	c.dst.Outputs = make([]logic.Output, 0, len(d.src.Outputs))
 	for i, id := range d.src.Inputs {
 		c.memo[pos][i] = int32(c.dst.AddInput(d.src.Nodes[id].Name))
 	}
@@ -231,6 +290,32 @@ func (d *Decomposed) Convert() (*Result, error) {
 		}
 	}
 	return res, c.dst.Check()
+}
+
+// mark sets needed on the (node, phase) pairs visit will build for l,
+// adding the nodes and fanins they take to *nodes and *fanins.
+func (c *converter) mark(l lit, nodes, fanins *int, constNeeded *[2]bool) {
+	if l < 0 {
+		if v := l - lit0; !constNeeded[v] {
+			constNeeded[v] = true
+			*nodes++
+		}
+		return
+	}
+	i, ph := l>>1, phase(l&1)
+	if c.memo[ph][i] != notNeeded {
+		return
+	}
+	c.memo[ph][i] = needed
+	*nodes++
+	g := c.nodes[i]
+	if g.op == logic.Input {
+		*fanins++ // the inverter over a primary input
+		return
+	}
+	c.mark(g.a^lit(ph), nodes, fanins, constNeeded)
+	c.mark(g.b^lit(ph), nodes, fanins, constNeeded)
+	*fanins += 2
 }
 
 // visit returns the dst node realizing l: its table node in the phase

@@ -2,9 +2,15 @@ package soidomino
 
 import (
 	"context"
+	"strings"
+	"sync"
 	"testing"
 
+	"soidomino/internal/bench"
+	"soidomino/internal/blif"
 	"soidomino/internal/cluster"
+	"soidomino/internal/faultpoint"
+	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/report"
 	"soidomino/internal/service"
@@ -109,5 +115,78 @@ func TestStrashSharesRouterShard(t *testing.T) {
 		if p1[i] != p2[i] {
 			t.Fatalf("shard preference diverged: %v vs %v", p1, p2)
 		}
+	}
+}
+
+// TestStrashPoolConcurrent runs the pooled front end from several
+// goroutines at once on mixed circuits: strash.RunContext, the inline
+// BLIF key (service.RequestKey, which lowers into a pooled strash
+// builder) and report.PrepareNetwork (strash, then the pooled unate
+// scratch). One goroutine arms strash.bad-merge on every other run, so a
+// builder it returns to the pool has carried a firing fault registry.
+// Every unarmed result must equal the serial one: pooled scratch never
+// carries another run's tables or faults. `make strash-determinism`
+// runs it under -race.
+func TestStrashPoolConcurrent(t *testing.T) {
+	type want struct {
+		strash, unate string
+		key           [32]byte
+		reqKey        string
+	}
+	ctx := context.Background()
+	names := []string{"mux", "z4ml", "c432", "c880", "c1908", "des"}
+	nets := make([]*logic.Network, len(names))
+	reqs := make([]*service.MapRequest, len(names))
+	wants := make([]want, len(names))
+	for i, name := range names {
+		nets[i] = bench.MustBuild(name)
+		var text strings.Builder
+		if err := blif.Write(&text, nets[i]); err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = &service.MapRequest{BLIF: text.String()}
+		sr := strash.Run(nets[i])
+		key, err := service.RequestKey(ctx, reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe, err := report.PrepareNetwork(nets[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = want{sr.Network.Dump(), pipe.Unate.Dump(), sr.Key, key}
+	}
+	reg := faultpoint.New(1)
+	reg.Arm(strash.PointBadMerge, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 1})
+	armed := faultpoint.With(ctx, reg)
+
+	const workers, rounds = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds*len(names); r++ {
+				i := (r + w) % len(names)
+				if w == 0 && r%2 == 0 {
+					strash.RunContext(armed, nets[i]) // corrupt, not compared
+				}
+				// The key first: its builder sets no registry of its own.
+				if key, err := service.RequestKey(ctx, reqs[i]); err != nil || key != wants[i].reqKey {
+					t.Errorf("worker %d: %s keys as %q (%v), serial %q", w, names[i], key, err, wants[i].reqKey)
+				}
+				if sr := strash.RunContext(ctx, nets[i]); sr.Network.Dump() != wants[i].strash || sr.Key != wants[i].key {
+					t.Errorf("worker %d: %s strashes differently from the serial run", w, names[i])
+				}
+				pipe, err := report.PrepareNetwork(nets[i])
+				if err != nil || pipe.Unate.Dump() != wants[i].unate {
+					t.Errorf("worker %d: %s lowers differently from the serial run (%v)", w, names[i], err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if reg.Fired()[strash.PointBadMerge] == 0 {
+		t.Fatal("the armed runs never fired strash.bad-merge")
 	}
 }
