@@ -109,6 +109,8 @@ type Output struct {
 // The fanins of all its gates live in one store of a few large chunks,
 // so adding a gate allocates nothing beyond the store's occasional new
 // chunk, and nothing at all after a Grow call that covers the network.
+// Copy a network with Clone: a struct copy shares the open chunk, and
+// gates added to both copies would overwrite each other's fanins.
 type Network struct {
 	Name    string
 	Nodes   []Node

@@ -509,7 +509,7 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 
 	// Phase 1: forward hash-consing pass. repr[i] is the builder id of
 	// the node computing the same function as input node i.
-	repr := resized(b.repr, len(n.Nodes))
+	repr := slices.Grow(b.repr[:0], len(n.Nodes))[:len(n.Nodes)]
 	b.repr = repr
 	for i, nd := range n.Nodes {
 		switch nd.Op {
@@ -529,7 +529,7 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 	// everything reachable from a primary output. The worklist is
 	// explicit: parser depth caps do not bound programmatically built
 	// networks, so recursion depth must not scale with circuit depth.
-	keep := resized(b.keep, len(b.nodes))
+	keep := slices.Grow(b.keep[:0], len(b.nodes))[:len(b.nodes)]
 	b.keep = keep
 	clear(keep)
 	stack := b.ops[:0]
@@ -565,7 +565,7 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 	final.Grow(kept, keptFanins)
 	final.Inputs = make([]int, 0, len(n.Inputs))
 	final.Outputs = make([]logic.Output, 0, len(n.Outputs))
-	finalOf := resized(b.finalOf, len(b.nodes))
+	finalOf := slices.Grow(b.finalOf[:0], len(b.nodes))[:len(b.nodes)]
 	b.finalOf = finalOf
 	for id, nd := range b.nodes {
 		if !keep[id] {
@@ -597,15 +597,6 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 	res := &Result{Network: final, Counters: b.c, Key: b.Key(n.Name)}
 	b.Release()
 	return res
-}
-
-// resized returns s with length n, reusing its backing array when it is
-// large enough. The contents are not cleared.
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // Key is the structural digest behind Result.Key for a network named

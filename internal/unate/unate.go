@@ -17,6 +17,7 @@ package unate
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"soidomino/internal/logic"
@@ -101,7 +102,7 @@ func Decompose(n *logic.Network) (*Decomposed, error) {
 	} else {
 		clear(d.hash)
 	}
-	d.memo = resized(d.memo, len(n.Nodes))
+	d.memo = slices.Grow(d.memo[:0], len(n.Nodes))[:len(n.Nodes)]
 	d.stack = d.stack[:0]
 	for i := range d.memo {
 		d.memo[i] = unset
@@ -118,15 +119,6 @@ func Decompose(n *logic.Network) (*Decomposed, error) {
 		d.outs[i] = v
 	}
 	return d.Decomposed, nil
-}
-
-// resized returns s with length n, reusing its backing array when it is
-// large enough. The contents are not cleared.
-func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 func (d *decomposer) visit(id int) (lit, error) {
@@ -260,12 +252,13 @@ func (d *Decomposed) Convert() (*Result, error) {
 	s := scratches.Get().(*scratch)
 	defer scratches.Put(s)
 	c := &converter{Decomposed: d, dst: logic.New(d.src.Name + ".unate"), consts: [2]int32{-1, -1}}
-	memo := resized(s.built, 2*len(d.nodes))
+	size := len(d.nodes)
+	memo := slices.Grow(s.built[:0], 2*size)[:2*size]
 	s.built = memo
 	for i := range memo {
 		memo[i] = notNeeded
 	}
-	c.memo = [2][]int32{memo[:len(d.nodes)], memo[len(d.nodes):]}
+	c.memo = [2][]int32{memo[:size], memo[size:]}
 	nodes, fanins := len(d.src.Inputs), 0
 	for i := range d.src.Inputs {
 		c.memo[pos][i] = needed
