@@ -235,11 +235,12 @@ type converter struct {
 	// memo holds, per phase and table node, its dst node, or notNeeded
 	// or needed before it is built.
 	memo   [2][]int32
-	consts [2]int32 // dst Const0 and Const1 nodes, or -1
+	consts [2]int32 // dst Const0 and Const1 nodes, likewise
 }
 
-// converter.memo entries before a node is built: the marking pass sets
-// needed on every (node, phase) an output reaches.
+// converter.memo and consts entries before a node is built: the marking
+// pass sets needed on every (node, phase) and constant an output
+// reaches.
 const (
 	notNeeded int32 = -1
 	needed    int32 = -2
@@ -251,7 +252,7 @@ const (
 func (d *Decomposed) Convert() (*Result, error) {
 	s := scratches.Get().(*scratch)
 	defer scratches.Put(s)
-	c := &converter{Decomposed: d, dst: logic.New(d.src.Name + ".unate"), consts: [2]int32{-1, -1}}
+	c := &converter{Decomposed: d, dst: logic.New(d.src.Name + ".unate"), consts: [2]int32{notNeeded, notNeeded}}
 	size := len(d.nodes)
 	memo := slices.Grow(s.built[:0], 2*size)[:2*size]
 	s.built = memo
@@ -263,9 +264,9 @@ func (d *Decomposed) Convert() (*Result, error) {
 	for i := range d.src.Inputs {
 		c.memo[pos][i] = needed
 	}
-	var constNeeded [2]bool
 	for _, l := range d.outs {
-		c.mark(l, &nodes, &fanins, &constNeeded)
+		n, f := c.mark(l)
+		nodes, fanins = nodes+n, fanins+f
 	}
 	c.dst.Grow(nodes, fanins)
 	c.dst.Inputs = make([]int, 0, len(d.src.Inputs))
@@ -285,30 +286,28 @@ func (d *Decomposed) Convert() (*Result, error) {
 	return res, c.dst.Check()
 }
 
-// mark sets needed on the (node, phase) pairs visit will build for l,
-// adding the nodes and fanins they take to *nodes and *fanins.
-func (c *converter) mark(l lit, nodes, fanins *int, constNeeded *[2]bool) {
+// mark sets needed on the nodes visit will build for l that are not
+// marked yet, and returns how many nodes and fanins they take.
+func (c *converter) mark(l lit) (nodes, fanins int) {
 	if l < 0 {
-		if v := l - lit0; !constNeeded[v] {
-			constNeeded[v] = true
-			*nodes++
+		if v := l - lit0; c.consts[v] == notNeeded {
+			c.consts[v] = needed
+			return 1, 0
 		}
-		return
+		return 0, 0
 	}
 	i, ph := l>>1, phase(l&1)
 	if c.memo[ph][i] != notNeeded {
-		return
+		return 0, 0
 	}
 	c.memo[ph][i] = needed
-	*nodes++
 	g := c.nodes[i]
 	if g.op == logic.Input {
-		*fanins++ // the inverter over a primary input
-		return
+		return 1, 1 // the inverter over a primary input
 	}
-	c.mark(g.a^lit(ph), nodes, fanins, constNeeded)
-	c.mark(g.b^lit(ph), nodes, fanins, constNeeded)
-	*fanins += 2
+	na, fa := c.mark(g.a ^ lit(ph))
+	nb, fb := c.mark(g.b ^ lit(ph))
+	return 1 + na + nb, 2 + fa + fb
 }
 
 // visit returns the dst node realizing l: its table node in the phase
