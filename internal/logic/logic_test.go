@@ -268,11 +268,11 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 // TestGrowPresizes pins the presize contract: after one Grow covering
-// them, adding gates allocates nothing, and without it the fanin store
-// grows by whole chunks, not by one slice per gate.
+// them, adding gates allocates nothing, so a network costs the same
+// allocations whatever its size; without it the fanin store grows by
+// whole chunks, not by one slice per gate.
 func TestGrowPresizes(t *testing.T) {
-	const gates = 1000
-	build := func(grow bool) *Network {
+	build := func(gates int, grow bool) *Network {
 		n := New("chain")
 		if grow {
 			n.Grow(gates+2, 2*gates)
@@ -284,14 +284,16 @@ func TestGrowPresizes(t *testing.T) {
 		}
 		return n
 	}
-	// New, the two Grow tables and the input list.
-	if allocs := testing.AllocsPerRun(10, func() { build(true) }); allocs > 5 {
-		t.Errorf("%d gates after Grow: %.0f allocations, want at most 5", gates, allocs)
+	allocs := func(gates int, grow bool) float64 {
+		return testing.AllocsPerRun(10, func() { build(gates, grow) })
 	}
-	if allocs := testing.AllocsPerRun(10, func() { build(false) }); allocs > 40 {
-		t.Errorf("%d gates without Grow: %.0f allocations, want O(log) chunks", gates, allocs)
+	if small, large := allocs(10, true), allocs(4000, true); large != small {
+		t.Errorf("after Grow, 4000 gates take %.0f allocations and 10 gates %.0f: adding a gate allocates", large, small)
 	}
-	if got, want := build(false).Dump(), build(true).Dump(); got != want {
+	if a := allocs(4000, false); a > 100 {
+		t.Errorf("4000 gates without Grow: %.0f allocations, want a few per doubling", a)
+	}
+	if got, want := build(1000, false).Dump(), build(1000, true).Dump(); got != want {
 		t.Errorf("presizing changed the network:\n%s\nwant\n%s", got, want)
 	}
 }
