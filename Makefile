@@ -47,8 +47,9 @@ obs-overhead:
 # allocs/run ceiling (its tables and arena chunks come from the pooled
 # workspace, so only the engine is allocated), a warm SOIDominoMap run
 # may allocate little beyond its traceback, and traceback (SOI Pareto
-# and RS_Map: arena-built trees, a few allocations per gate) and
-# Result.Audit stay under theirs. The strash front-end, on the key path of every service
+# and RS_Map: built in the pooled workspace, then one output name per
+# gate and a few exact-size arrays for the Result) and Result.Audit (a
+# few buffers, nothing per gate) stay under theirs. The strash front-end, on the key path of every service
 # request, is pinned the same way in allocations and bytes: a warm run
 # allocates its output network (presized, its fanins in one flat store)
 # and nothing else, its builder coming from a pool, and so is the
@@ -91,11 +92,13 @@ strash-determinism:
 	$(GO) test -race -run 'TestRouter(StrashOffMismatchCounted|CanonicalOptionsShareKey)' -v ./internal/cluster
 	$(GO) test -race -run 'TestCanonicalOptionsProperty' -v ./internal/mapper
 
-# ~60s: a short differential campaign over the full mapper/option grid,
+# ~70s: a short differential campaign over the full mapper/option grid,
 # then the native parser fuzzers, the result encoder's fuzzer
 # (EncodeJSON against json.MarshalIndent), the router relay's
 # (RelayView against decode, rewrite id, json.Encoder) and the request
-# decoder's (ParseRequest against json.Decoder). A longer run is `go run
+# decoder's (ParseRequest against json.Decoder), and the flat pulldown
+# form's (its metrics, PBE analysis, rearrangements and pruning against
+# reference tree walks). A longer run is `go run
 # ./cmd/soifuzz -n 2000`; see the "Fuzzing the mappers" section of
 # README.md.
 #
@@ -111,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzEncodeJSON $(FUZZ_SMOKE) ./internal/service
 	$(GO) test -fuzz=FuzzRelayView $(FUZZ_SMOKE) ./internal/service
 	$(GO) test -fuzz=FuzzParseRequest $(FUZZ_SMOKE) ./internal/service
+	$(GO) test -fuzz=FuzzFlatPulldown $(FUZZ_SMOKE) ./internal/pbe
 
 # ~30s: a seeded chaos campaign against an in-process soimapd — every
 # fault point armed, every successful response re-verified by the fuzz

@@ -13,6 +13,7 @@ import (
 	"soidomino/internal/pbe"
 	"soidomino/internal/report"
 	"soidomino/internal/soisim"
+	"soidomino/internal/sp"
 	"soidomino/internal/unate"
 )
 
@@ -321,17 +322,16 @@ func BenchmarkPrepareLarge(b *testing.B) {
 }
 
 // BenchmarkPBEAnalyze measures the structural discharge-point analysis on
-// random pulldown trees.
+// random pulldown spans.
 func BenchmarkPBEAnalyze(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	trees := make([]benchTree, 64)
-	for i := range trees {
-		trees[i].t = randomTree(rng, 5)
+	spans := make([]sp.Span, 64)
+	for i := range spans {
+		spans[i], _ = sp.Flatten(randomTree(rng, 5))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := trees[i%len(trees)].t
-		a := pbe.Analyze(tr, nil, nil)
+		a := pbe.Analyze(spans[i%len(spans)], nil, nil)
 		if len(a.Immediate) < 0 {
 			b.Fatal("impossible")
 		}

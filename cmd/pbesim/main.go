@@ -96,7 +96,7 @@ func figure2Demo(vcdPath string) error {
 		if vcdPath != "" && tc.disable {
 			sim.EnableTrace(soisim.TraceAll)
 		}
-		fmt.Printf("%s  [%s, gate: %s]\n", tc.label, res.Stats, res.Gates[len(res.Gates)-1].Tree)
+		fmt.Printf("%s  [%s, gate: %s]\n", tc.label, res.Stats, res.Expr(res.Gates[len(res.Gates)-1].Nodes))
 		for i, vec := range seq {
 			out, events, err := sim.Cycle(vec)
 			if err != nil {

@@ -25,10 +25,8 @@ func figure2Network() *logic.Network {
 	return n
 }
 
-type benchTree struct{ t *sp.Tree }
-
 // randomTree builds a random series-parallel pulldown tree for the
-// analysis micro-benchmarks.
+// analysis micro-benchmarks, which flatten it.
 func randomTree(rng *rand.Rand, depth int) *sp.Tree {
 	if depth == 0 || rng.Intn(3) == 0 {
 		return sp.NewLeaf(string(rune('a'+rng.Intn(8))), false, -1)

@@ -80,23 +80,24 @@ func Analyze(res *mapper.Result, p Params) (*Analysis, error) {
 	for _, g := range res.Gates {
 		worst := 0.0
 		worstRef := -1
-		for _, st := range g.StageTrees() {
+		for _, st := range g.StageSpans() {
 			leaves := leafGeometry(st)
 			for _, lg := range leaves {
 				var in float64
+				ref := lg.leaf.Gate()
 				switch {
-				case lg.leaf.GateRef >= 0:
-					if lg.leaf.GateRef >= g.ID {
-						return nil, fmt.Errorf("delay: gate %d driven by later gate %d", g.ID, lg.leaf.GateRef)
+				case ref >= 0:
+					if ref >= g.ID {
+						return nil, fmt.Errorf("delay: gate %d driven by later gate %d", g.ID, ref)
 					}
-					in = a.ArrivalOut[lg.leaf.GateRef]
+					in = a.ArrivalOut[ref]
 				case lg.leaf.Negated:
 					in = p.TauInv
 				}
 				t := in + p.TauStack*float64(lg.below+1) + p.TauPos*float64(lg.above)
 				if t > worst {
 					worst = t
-					worstRef = lg.leaf.GateRef
+					worstRef = ref
 				}
 			}
 		}
@@ -140,38 +141,39 @@ func (a *Analysis) String() string {
 // devices strictly above it on the path to the dynamic node, and strictly
 // below it on the path to ground.
 type leafGeom struct {
-	leaf         *sp.Tree
+	leaf         sp.Node
 	above, below int
 }
 
-// leafGeometry computes positions for every leaf of a stage tree.
-func leafGeometry(t *sp.Tree) []leafGeom {
+// leafGeometry computes positions for every leaf of a stage span.
+func leafGeometry(s sp.Span) []leafGeom {
 	var out []leafGeom
-	var walk func(n *sp.Tree, above, below int)
-	walk = func(n *sp.Tree, above, below int) {
-		switch n.Kind {
+	var walk func(i, above, below int)
+	walk = func(i, above, below int) {
+		switch n := s[i]; n.Kind {
 		case sp.Leaf:
 			out = append(out, leafGeom{leaf: n, above: above, below: below})
 		case sp.Parallel:
-			for _, c := range n.Children {
+			for _, c := range s.Children(i, nil) {
 				walk(c, above, below)
 			}
 		case sp.Series:
 			// Heights of the children partition the path.
-			heights := make([]int, len(n.Children))
+			children := s.Children(i, nil)
+			heights := make([]int, len(children))
 			total := 0
-			for i, c := range n.Children {
-				heights[i] = c.Height()
-				total += heights[i]
+			for k, c := range children {
+				heights[k] = s[s.Start(c) : c+1].Height()
+				total += heights[k]
 			}
 			used := 0
-			for i, c := range n.Children {
-				walk(c, above+used, below+total-used-heights[i])
-				used += heights[i]
+			for k, c := range children {
+				walk(c, above+used, below+total-used-heights[k])
+				used += heights[k]
 			}
 		}
 	}
-	walk(t, 0, 0)
+	walk(len(s)-1, 0, 0)
 	return out
 }
 
@@ -179,9 +181,9 @@ func leafGeometry(t *sp.Tree) []leafGeom {
 func outputLoads(res *mapper.Result) []int {
 	loads := make([]int, len(res.Gates))
 	for _, g := range res.Gates {
-		for _, leaf := range g.Tree.Leaves() {
-			if leaf.GateRef >= 0 {
-				loads[leaf.GateRef]++
+		for _, n := range g.Nodes {
+			if n.Kind == sp.Leaf && n.Gate() >= 0 {
+				loads[n.Gate()]++
 			}
 		}
 	}

@@ -57,7 +57,7 @@ func TestSeriesStackDelay(t *testing.T) {
 	b := n.AddInput("b")
 	n.AddOutput("f", n.AddGate(logic.And, a, b))
 	res := mapNet(t, n, mapper.DominoMap) // source order: a on top
-	if got := res.Gates[0].Tree.String(); got != "a*b" {
+	if got := res.Expr(res.Gates[0].Nodes); got != "a*b" {
 		t.Fatalf("tree = %q", got)
 	}
 	p := Params{TauStack: 1, TauPos: 0.25, TauGate: 0, TauLoad: 0}

@@ -53,8 +53,8 @@ func checkEquivalence(c *Case, v *VariantResult) error {
 
 // checkDischargePrediction compares the DP's own per-gate discharge
 // forecast (tuple OwnDisch, surfaced as Gate.PredictedDischarges) against
-// an independent structural PBE analysis of the traced tree. RS variants
-// rearrange trees after traceback and record -1, which is skipped; note
+// an independent structural PBE analysis of the traced pulldown. RS variants
+// rearrange pulldowns after traceback and record -1, which is skipped; note
 // the comparison is against the unpruned discharge count, so it stays
 // exact under SequenceAware pruning too.
 func checkDischargePrediction(c *Case, v *VariantResult) error {
@@ -62,10 +62,10 @@ func checkDischargePrediction(c *Case, v *VariantResult) error {
 		if g.PredictedDischarges < 0 || g.Compound != nil {
 			continue
 		}
-		structural := len(pbe.GateDischargePoints(g.Tree))
+		structural := len(pbe.GateDischargePoints(g.Nodes))
 		if structural != g.PredictedDischarges {
-			return fmt.Errorf("gate %d (%s): DP predicted %d discharges, structural analysis found %d (tree %s)",
-				g.ID, g.Output, g.PredictedDischarges, structural, g.Tree)
+			return fmt.Errorf("gate %d (%s): DP predicted %d discharges, structural analysis found %d (pulldown %s)",
+				g.ID, g.Output, g.PredictedDischarges, structural, v.Res.Expr(g.Nodes))
 		}
 	}
 	return nil

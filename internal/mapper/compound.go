@@ -40,14 +40,16 @@ func (k CompoundKind) String() string {
 	return "nand"
 }
 
-// Stage is one dynamic stage of a compound gate.
+// Stage is one dynamic stage of a compound gate: a run of the gate's
+// root children under a new root of the same kind, in a span of its own.
+// Its discharge points are junctions of that span.
 type Stage struct {
-	Tree       *sp.Tree
+	Nodes      sp.Span
 	Discharges []pbe.Point
 	Footed     bool
 }
 
-// CompoundInfo carries the compound realization of a gate. Gate.Tree
+// CompoundInfo carries the compound realization of a gate. Gate.Nodes
 // still describes the full logic function (the stages partition its root
 // children), so evaluation and equivalence checking are unchanged.
 type CompoundInfo struct {
@@ -91,8 +93,8 @@ func CompoundTransform(res *Result, opt CompoundOptions) (CompoundStats, error) 
 			continue
 		}
 		best, saving := bestSplit(g, res.Options.AlwaysFooted, res.Options.SequenceAware)
-		forced := opt.SplitWiderThan > 0 && g.Tree.Kind == sp.Parallel &&
-			g.Tree.Width() > opt.SplitWiderThan
+		forced := opt.SplitWiderThan > 0 && g.Nodes[len(g.Nodes)-1].Kind == sp.Parallel &&
+			g.Width > opt.SplitWiderThan
 		if best == nil || (saving < opt.MinSaving && !forced) {
 			continue
 		}
@@ -118,26 +120,31 @@ func CompoundTransform(res *Result, opt CompoundOptions) (CompoundStats, error) 
 // bestSplit searches the two-way splits of the gate's root composition
 // and returns the most profitable compound realization, or nil.
 func bestSplit(g *Gate, alwaysFooted, seqAware bool) (*CompoundInfo, int) {
-	root := g.Tree
-	if root.Kind == sp.Leaf || len(root.Children) < 2 {
+	s := g.Nodes
+	root := s[len(s)-1]
+	if root.Kind == sp.Leaf {
 		return nil, 0
 	}
 	kind := CompoundNAND
 	if root.Kind == sp.Series {
 		kind = CompoundNOR
 	}
-	oldCost := gateDeviceCost(g.Pulldown(), 1, []bool{g.Footed}, 2, len(g.Discharges))
+	oldCost := gateDeviceCost(g.Transistors, 1, []bool{g.Footed}, 2, len(g.Discharges))
+	children := s.Children(len(s)-1, nil)
 
 	var best *CompoundInfo
 	bestSaving := -1 << 30
-	for split := 1; split < len(root.Children); split++ {
-		a := regroup(root.Kind, root.Children[:split])
-		b := regroup(root.Kind, root.Children[split:])
-		stages := []Stage{makeStage(a, alwaysFooted, seqAware), makeStage(b, alwaysFooted, seqAware)}
+	for split := 1; split < len(children); split++ {
+		// The first stage's children end where the second's begin.
+		at := s.Start(children[split])
+		stages := []Stage{
+			makeStage(regroup(root.Kind, s[:at], split), alwaysFooted, seqAware),
+			makeStage(regroup(root.Kind, s[at:len(s)-1], len(children)-split), alwaysFooted, seqAware),
+		}
 		disch := len(stages[0].Discharges) + len(stages[1].Discharges)
 		feet := []bool{stages[0].Footed, stages[1].Footed}
 		// Static 2-input NAND/NOR output stage: 4 devices.
-		newCost := gateDeviceCost(g.Pulldown(), 2, feet, 4, disch)
+		newCost := gateDeviceCost(g.Transistors, 2, feet, 4, disch)
 		if saving := oldCost - newCost; saving > bestSaving {
 			cp := &CompoundInfo{Kind: kind, Stages: stages}
 			best, bestSaving = cp, saving
@@ -146,31 +153,26 @@ func bestSplit(g *Gate, alwaysFooted, seqAware bool) (*CompoundInfo, int) {
 	return best, bestSaving
 }
 
-// regroup rebuilds a stage pulldown from a slice of the root's children
-// without mutating the original tree.
-func regroup(kind sp.Kind, children []*sp.Tree) *sp.Tree {
-	cloned := make([]*sp.Tree, len(children))
-	for i, c := range children {
-		cloned[i] = c.Clone()
+// regroup builds a stage's span from the spans of n consecutive root
+// children: a copy of them, under a new root of the given kind when
+// there is more than one.
+func regroup(kind sp.Kind, children sp.Span, n int) sp.Span {
+	s := append(make(sp.Span, 0, len(children)+1), children...)
+	if n > 1 {
+		s = append(s, sp.Compose(kind, n))
 	}
-	if len(cloned) == 1 {
-		return cloned[0]
-	}
-	if kind == sp.Series {
-		return sp.NewSeries(cloned...)
-	}
-	return sp.NewParallel(cloned...)
+	return s
 }
 
-func makeStage(t *sp.Tree, alwaysFooted, seqAware bool) Stage {
-	discharges := pbe.GateDischargePoints(t)
+func makeStage(s sp.Span, alwaysFooted, seqAware bool) Stage {
+	discharges := pbe.GateDischargePoints(s)
 	if seqAware {
-		discharges = pbe.PruneUnexcitable(t, discharges)
+		discharges = pbe.PruneUnexcitable(s, discharges)
 	}
 	return Stage{
-		Tree:       t,
+		Nodes:      s,
 		Discharges: discharges,
-		Footed:     alwaysFooted || t.HasPI(),
+		Footed:     alwaysFooted || s.HasPI(),
 	}
 }
 
@@ -197,16 +199,16 @@ func (g *Gate) StageCount() int {
 	return len(g.Compound.Stages)
 }
 
-// StageTrees returns the pulldown tree per stage.
-func (g *Gate) StageTrees() []*sp.Tree {
+// StageSpans returns the pulldown span per stage.
+func (g *Gate) StageSpans() []sp.Span {
 	if g.Compound == nil {
-		return []*sp.Tree{g.Tree}
+		return []sp.Span{g.Nodes}
 	}
-	trees := make([]*sp.Tree, len(g.Compound.Stages))
+	spans := make([]sp.Span, len(g.Compound.Stages))
 	for i, st := range g.Compound.Stages {
-		trees[i] = st.Tree
+		spans[i] = st.Nodes
 	}
-	return trees
+	return spans
 }
 
 // validateCompound checks a compound gate's structural invariants.
@@ -222,27 +224,30 @@ func (g *Gate) validateCompound(seqAware bool) error {
 	if ci.Kind == CompoundNOR {
 		wantKind = sp.Series
 	}
-	if g.Tree.Kind != wantKind {
-		return fmt.Errorf("compound gate %d: %s split of %s root", g.ID, ci.Kind, g.Tree.Kind)
+	if root := g.Nodes[len(g.Nodes)-1].Kind; root != wantKind {
+		return fmt.Errorf("compound gate %d: %s split of %s root", g.ID, ci.Kind, root)
 	}
-	total := 0
+	total, disch := 0, 0
 	for i, st := range ci.Stages {
-		if err := st.Tree.Validate(); err != nil {
+		m, err := st.Nodes.Measure()
+		if err != nil {
 			return fmt.Errorf("compound gate %d stage %d: %w", g.ID, i, err)
 		}
-		total += st.Tree.Transistors()
-		want := pbe.GateDischargePoints(st.Tree)
+		total += m.Transistors
+		want := pbe.GateDischargePoints(st.Nodes)
 		if seqAware {
-			want = pbe.PruneUnexcitable(st.Tree, want)
+			want = pbe.PruneUnexcitable(st.Nodes, want)
 		}
-		if len(want) != len(st.Discharges) {
-			return fmt.Errorf("compound gate %d stage %d: %d discharges recorded, analysis demands %d",
-				g.ID, i, len(st.Discharges), len(want))
+		if err := sameDischarges(st.Discharges, want); err != nil {
+			return fmt.Errorf("compound gate %d stage %d: %w", g.ID, i, err)
 		}
+		disch += len(st.Discharges)
 	}
-	if total != g.Tree.Transistors() {
-		return fmt.Errorf("compound gate %d: stages cover %d transistors of %d",
-			g.ID, total, g.Tree.Transistors())
+	if n := g.Nodes.Transistors(); total != n {
+		return fmt.Errorf("compound gate %d: stages cover %d transistors of %d", g.ID, total, n)
+	}
+	if disch != len(g.Discharges) {
+		return fmt.Errorf("compound gate %d: %d discharges recorded, its stages carry %d", g.ID, len(g.Discharges), disch)
 	}
 	return nil
 }

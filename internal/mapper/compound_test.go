@@ -135,7 +135,7 @@ func TestCompoundForcedNANDSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Gates != 1 || res.Gates[0].Tree.Kind != sp.Parallel {
+	if res.Stats.Gates != 1 || res.Gates[0].Nodes[len(res.Gates[0].Nodes)-1].Kind != sp.Parallel {
 		t.Fatalf("precondition: %s", res.Dump())
 	}
 	opt := DefaultCompoundOptions()
@@ -152,8 +152,8 @@ func TestCompoundForcedNANDSplit(t *testing.T) {
 		t.Fatalf("kind = %v, want NAND", g.Compound.Kind)
 	}
 	for _, st := range g.Compound.Stages {
-		if st.Tree.Width() > 3 {
-			t.Errorf("stage width %d not reduced", st.Tree.Width())
+		if st.Nodes.Width() > 3 {
+			t.Errorf("stage width %d not reduced", st.Nodes.Width())
 		}
 	}
 	if err := res.Audit(); err != nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"soidomino/internal/sp"
 )
 
 // WriteDot renders the mapped circuit in Graphviz dot format: one node per
@@ -17,9 +19,9 @@ func (r *Result) WriteDot(w io.Writer) error {
 
 	inputs := make(map[string]bool)
 	for _, g := range r.Gates {
-		for _, leaf := range g.Tree.Leaves() {
-			if leaf.GateRef < 0 {
-				inputs[leaf.Signal] = true
+		for _, n := range g.Nodes {
+			if n.Kind == sp.Leaf && n.FromPI() {
+				inputs[r.Signal(n)] = true
 			}
 		}
 	}
@@ -42,15 +44,18 @@ func (r *Result) WriteDot(w io.Writer) error {
 			foot = ", footed"
 		}
 		fmt.Fprintf(bw, "  g%d [label=\"%s\\n%s\\n%s, L%d%s, %dT+%dD\", shape=ellipse];\n",
-			g.ID, g.Output, g.Tree, kind, g.Level, foot,
+			g.ID, g.Output, r.Expr(g.Nodes), kind, g.Level, foot,
 			g.LogicTransistors(), len(g.Discharges))
 		seen := make(map[string]bool)
-		for _, leaf := range g.Tree.Leaves() {
+		for _, n := range g.Nodes {
+			if n.Kind != sp.Leaf {
+				continue
+			}
 			var src string
-			if leaf.GateRef >= 0 {
-				src = fmt.Sprintf("g%d", leaf.GateRef)
+			if ref := n.Gate(); ref >= 0 {
+				src = fmt.Sprintf("g%d", ref)
 			} else {
-				src = "in_" + sanitizeDotName(leaf.Signal)
+				src = "in_" + sanitizeDotName(r.Signal(n))
 			}
 			if seen[src] {
 				continue

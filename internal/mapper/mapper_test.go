@@ -11,6 +11,7 @@ import (
 
 	"soidomino/internal/logic"
 	"soidomino/internal/obs"
+	"soidomino/internal/sp"
 	"soidomino/internal/tuple"
 	"soidomino/internal/unate"
 )
@@ -109,7 +110,7 @@ func TestFigure3EndToEnd(t *testing.T) {
 		if res.Stats.Gates != 1 || res.Stats.TLogic != 9 || res.Stats.TDisch != 0 {
 			t.Errorf("%s: stats = %s, want 1 gate, Tlogic 9, Tdisch 0", res.Algorithm, res.Stats)
 		}
-		if got := res.Gates[0].Tree.String(); got != "a*b+c*d" && got != "c*d+a*b" {
+		if got := res.Expr(res.Gates[0].Nodes); got != "a*b+c*d" && got != "c*d+a*b" {
 			t.Errorf("%s: tree = %q", res.Algorithm, got)
 		}
 	}
@@ -129,7 +130,7 @@ func TestFigure2StackOrder(t *testing.T) {
 	if base.Stats.TDisch != 1 {
 		t.Errorf("Domino_Map Tdisch = %d, want 1:\n%s", base.Stats.TDisch, base.Dump())
 	}
-	if got := base.Gates[0].Tree.String(); got != "(A+B+C)*D" {
+	if got := base.Expr(base.Gates[0].Nodes); got != "(A+B+C)*D" {
 		t.Errorf("Domino_Map tree = %q, want (A+B+C)*D", got)
 	}
 
@@ -148,7 +149,7 @@ func TestFigure2StackOrder(t *testing.T) {
 	if soi.Stats.TDisch != 0 {
 		t.Errorf("SOI_Domino_Map Tdisch = %d, want 0:\n%s", soi.Stats.TDisch, soi.Dump())
 	}
-	if got := soi.Gates[0].Tree.String(); got != "D*(A+B+C)" {
+	if got := soi.Expr(soi.Gates[0].Nodes); got != "D*(A+B+C)" {
 		t.Errorf("SOI tree = %q, want D*(A+B+C)", got)
 	}
 	for _, r := range []*Result{base, rs, soi} {
@@ -242,8 +243,8 @@ func TestMultiFanoutGateSharedOnce(t *testing.T) {
 	res := mapAll(t, n, SOIDominoMap, DefaultOptions())
 	count := 0
 	for _, gate := range res.Gates {
-		for _, leaf := range gate.Tree.Leaves() {
-			if leaf.GateRef >= 0 {
+		for _, n := range gate.Nodes {
+			if n.Kind == sp.Leaf && n.Gate() >= 0 {
 				count++
 			}
 		}

@@ -34,9 +34,10 @@ type bruteImpl struct {
 
 // bruteGateCost completes a partial implementation into a footed gate.
 func bruteGateCost(im bruteImpl, withDischarges bool) int {
-	c := im.below + im.tree.Transistors() + 5 // inverter 2 + keeper + p-clock + n-clock
+	s, _ := sp.Flatten(im.tree)
+	c := im.below + s.Transistors() + 5 // inverter 2 + keeper + p-clock + n-clock
 	if withDischarges {
-		c += len(pbe.GateDischargePoints(im.tree))
+		c += len(pbe.GateDischargePoints(s))
 	}
 	return c
 }
@@ -55,7 +56,7 @@ func bruteEnumerate(n *logic.Network, node int, maxW, maxH int, withDischarges b
 	bs := bruteEnumerate(n, nd.Fanin[1], maxW, maxH, withDischarges, gateSeq)
 	var out []bruteImpl
 	add := func(t *sp.Tree, below int) {
-		if t.Width() > maxW || t.Height() > maxH {
+		if s, _ := sp.Flatten(t); s.Width() > maxW || s.Height() > maxH {
 			return
 		}
 		im := bruteImpl{tree: t, below: below}
@@ -92,7 +93,7 @@ func bruteMin(n *logic.Network, maxW, maxH int, withDischarges bool) int {
 	seq := 0
 	best := -1
 	for _, im := range bruteEnumerate(n, root, maxW, maxH, withDischarges, &seq) {
-		if im.tree.Kind == sp.Leaf && !im.tree.FromPI {
+		if im.tree.Kind == sp.Leaf && im.tree.GateRef >= 0 {
 			// A cone closed into a gate whose output goes nowhere: the
 			// engine's root formation covers this case via the unclosed
 			// variant, without a redundant buffer gate.

@@ -9,50 +9,70 @@ import (
 	"soidomino/internal/sp"
 )
 
-// Gate is one mapped domino gate. Besides the pulldown tree it always
+// Gate is one mapped domino gate. Besides the pulldown network it always
 // carries a clocked p-precharge transistor, a static output inverter (two
 // devices) and a keeper; Footed gates add an n-clock foot; Discharges lists
 // the internal junctions carrying clocked p-discharge transistors.
 type Gate struct {
-	ID         int
-	Output     string // name of the gate's output signal
-	NodeID     int    // unate-network node this gate implements
-	Tree       *sp.Tree
+	ID     int
+	Output string // name of the gate's output signal
+	NodeID int    // unate-network node this gate implements
+	// Nodes is the pulldown network: the gate's span of the one node
+	// array its Result holds. A leaf names a gate by id and a primary
+	// input by its index in Result.Source.Inputs.
+	Nodes sp.Span
+	// Discharges are junctions of Nodes, in pbe.Analyze's order. A
+	// compound gate's list is its stages' lists end to end, each point
+	// a junction of its own stage's span.
 	Discharges []pbe.Point
 	// PredictedDischarges is the DP's own forecast of how many p-discharge
-	// devices this gate's pulldown tree carries: the chosen tuple's
-	// OwnDisch, recorded at traceback before any structural analysis. For
-	// algorithms that leave the traced tree untouched it must equal the
-	// unpruned pbe.GateDischargePoints count exactly — the fuzzing oracles
-	// cross-check the two. It is -1 when the prediction is not meaningful:
-	// RS variants rearrange trees after traceback, invalidating the DP
-	// bookkeeping. Note Discharges itself may be shorter when
-	// SequenceAware pruning removed unexcitable points.
+	// devices this gate's pulldown carries: the chosen tuple's OwnDisch,
+	// recorded at traceback before any structural analysis. For
+	// algorithms that leave the traced pulldown untouched it must equal
+	// the unpruned pbe.GateDischargePoints count exactly — the fuzzing
+	// oracles cross-check the two. It is -1 when the prediction is not
+	// meaningful: RS variants rearrange pulldowns after traceback,
+	// invalidating the DP bookkeeping. Note Discharges itself may be
+	// shorter when SequenceAware pruning removed unexcitable points.
 	PredictedDischarges int
 	Footed              bool
 	Level               int // 1-based domino level (max over driving gates + 1)
+
+	// The summary traceback records while it writes Nodes, so the
+	// statistics need no walk of the pulldowns. Audit recomputes each
+	// field from Nodes.
+	Transistors, Width, Height int
+	HasPI                      bool
+	// NewInverters counts the complemented primary inputs this gate is
+	// the first, in gate order, to use; they sum to Stats.InputInverters.
+	NewInverters int
+
 	// Compound is non-nil for gates realized as multiple dynamic stages
 	// joined by a static NAND/NOR output (the paper's solution 7; see
-	// CompoundTransform). Tree still describes the full function.
+	// CompoundTransform). Nodes still describes the full function.
 	Compound *CompoundInfo
 }
 
 // Pulldown returns the number of nMOS pulldown transistors.
-func (g *Gate) Pulldown() int { return g.Tree.Transistors() }
+func (g *Gate) Pulldown() int { return g.Nodes.Transistors() }
 
 // LogicTransistors returns the gate's contribution to the paper's T_logic:
 // pulldown + p-clock and keeper per stage + the static output stage (an
 // inverter for plain domino, a NAND/NOR for compound gates) + the stage
 // feet.
-func (g *Gate) LogicTransistors() int {
+func (g *Gate) LogicTransistors() int { return g.logicTransistors(g.Pulldown()) }
+
+// logicTransistors is LogicTransistors for a gate with the given pulldown
+// transistor count.
+func (g *Gate) logicTransistors(pulldown int) int {
 	if g.Compound == nil {
-		n := g.Pulldown() + 4
+		n := pulldown + 4
 		if g.Footed {
 			n++
 		}
 		return n
 	}
-	n := g.Pulldown()
+	n := pulldown
 	n += 2 * len(g.Compound.Stages) // precharge + keeper per stage
 	n += 2 * len(g.Compound.Stages) // static NAND/NOR: 2 devices per input
 	for _, st := range g.Compound.Stages {
@@ -131,28 +151,41 @@ type Result struct {
 // conducts, because the dynamic node discharges exactly when it does and
 // the output inverter restores polarity.
 func (r *Result) Eval(inputs map[string]bool) (map[string]bool, error) {
-	values := make(map[string]bool, len(inputs)+len(r.Gates))
-	for name, v := range inputs {
-		values[name] = v
-	}
-	for _, id := range r.Source.Inputs {
+	in := make([]bool, len(r.Source.Inputs))
+	for i, id := range r.Source.Inputs {
 		name := r.Source.Nodes[id].Name
-		if _, ok := values[name]; !ok {
+		v, ok := inputs[name]
+		if !ok {
 			return nil, fmt.Errorf("mapper: missing value for input %q", name)
 		}
+		in[i] = v
 	}
-	for _, g := range r.Gates {
-		values[g.Output] = g.Tree.Conducts(values)
+	gates := make([]bool, len(r.Gates))
+	for i, g := range r.Gates {
+		gates[i] = g.Nodes.Conducts(in, gates)
 	}
 	out := make(map[string]bool, len(r.OutputGate)+len(r.ConstOutputs))
 	for name, gid := range r.OutputGate {
-		out[name] = values[r.Gates[gid].Output]
+		out[name] = gates[gid]
 	}
 	for name, v := range r.ConstOutputs {
 		out[name] = v
 	}
 	return out, nil
 }
+
+// Signal names a pulldown leaf's driver: a gate's output or a primary
+// input of Source.
+func (r *Result) Signal(n sp.Node) string {
+	if g := n.Gate(); g >= 0 {
+		return r.Gates[g].Output
+	}
+	return r.Source.Nodes[r.Source.Inputs[n.Input()]].Name
+}
+
+// Expr renders a pulldown span of this result in the paper's expression
+// notation (see sp.Tree.String).
+func (r *Result) Expr(s sp.Span) string { return s.Tree(r.Signal).String() }
 
 // Dump renders every gate for debugging and golden tests.
 func (r *Result) Dump() string {
@@ -167,7 +200,7 @@ func (r *Result) Dump() string {
 		if g.Compound != nil {
 			kind = fmt.Sprintf(" compound-%s(%d)", g.Compound.Kind, len(g.Compound.Stages))
 		}
-		fmt.Fprintf(&b, "  gate %d (%s, level %d%s%s): %s", g.ID, g.Output, g.Level, foot, kind, g.Tree)
+		fmt.Fprintf(&b, "  gate %d (%s, level %d%s%s): %s", g.ID, g.Output, g.Level, foot, kind, r.Expr(g.Nodes))
 		if len(g.Discharges) > 0 {
 			fmt.Fprintf(&b, " [%d discharge]", len(g.Discharges))
 		}
@@ -176,27 +209,19 @@ func (r *Result) Dump() string {
 	return b.String()
 }
 
-// computeStats recounts every metric from the finished netlist. Counting
-// from the netlist (rather than the DP accumulators) is exact in the
-// presence of multi-fanout gates shared between cones.
+// computeStats sums the gates' summaries. Counting from the netlist
+// (rather than the DP accumulators) is exact in the presence of
+// multi-fanout gates shared between cones.
 func (r *Result) computeStats() {
 	var s Stats
-	inverted := make(map[string]bool)
 	for _, g := range r.Gates {
-		s.TLogic += g.LogicTransistors()
+		s.TLogic += g.logicTransistors(g.Transistors)
 		s.TDisch += len(g.Discharges)
 		s.TClock += g.ClockTransistors()
 		s.Gates++
-		if g.Level > s.Levels {
-			s.Levels = g.Level
-		}
-		for _, leaf := range g.Tree.Leaves() {
-			if leaf.Negated && leaf.FromPI {
-				inverted[leaf.Signal] = true
-			}
-		}
+		s.Levels = max(s.Levels, g.Level)
+		s.InputInverters += g.NewInverters
 	}
 	s.TTotal = s.TLogic + s.TDisch
-	s.InputInverters = len(inverted)
 	r.Stats = s
 }

@@ -16,17 +16,15 @@ import (
 // gates are materialized exactly once, so the statistics counted from the
 // netlist are exact even where the per-cone DP costs overlap.
 func (e *engine) traceback() (*Result, error) {
-	b := &builder{
-		e: e,
-		res: &Result{
-			Name:         e.net.Name,
-			Algorithm:    e.cfg.algorithm,
-			Options:      e.cfg.Options,
-			OutputGate:   make(map[string]int),
-			ConstOutputs: make(map[string]bool),
-			Source:       e.net,
-		},
-		gateOf: make([]int32, e.net.Len()),
+	b := &builder{e: e, ws: e.ws}
+	b.ws.resetTraceback(e.net)
+	res := &Result{
+		Name:         e.net.Name,
+		Algorithm:    e.cfg.algorithm,
+		Options:      e.cfg.Options,
+		OutputGate:   make(map[string]int, len(e.net.Outputs)),
+		ConstOutputs: make(map[string]bool),
+		Source:       e.net,
 	}
 	for _, node := range e.net.Nodes {
 		if strings.HasPrefix(node.Name, "_g") {
@@ -40,245 +38,251 @@ func (e *engine) traceback() (*Result, error) {
 		node := e.net.Nodes[out.Node]
 		switch node.Op {
 		case logic.Const0, logic.Const1:
-			b.res.ConstOutputs[out.Name] = node.Op == logic.Const1
+			res.ConstOutputs[out.Name] = node.Op == logic.Const1
 		default:
 			gid, err := b.gate(out.Node)
 			if err != nil {
 				return nil, err
 			}
-			b.res.OutputGate[out.Name] = gid
+			res.OutputGate[out.Name] = gid
 		}
 	}
-	b.res.computeStats()
-	return b.res, nil
+	res.Gates = b.ws.finishGates()
+	res.computeStats()
+	return res, nil
 }
 
-// builder holds one traceback's state. Gates, tree nodes, child-pointer
-// arrays and discharge lists come from per-run arenas, so the run
-// allocates per arena chunk rather than per node; the chunks stay alive
-// as long as the Result that holds them.
+// builder holds one traceback's state; its scratch lives in the run's
+// pooled workspace (see workspace.resetTraceback).
 type builder struct {
-	e      *engine
-	res    *Result
-	gateOf []int32 // unate node id -> gate id + 1; 0 until materialized
-
-	gates  arena[Gate]
-	nodes  arena[sp.Tree]
-	kids   arena[*sp.Tree]
-	points arena[pbe.Point]
-
-	// stack holds the flattened children of the compositions under
-	// construction; each one copies its segment out when complete.
-	stack []*sp.Tree
-	// analysis is the reused destination of each gate's PBE analysis.
-	analysis pbe.Analysis
-	name     []byte // gateName's scratch
+	e  *engine
+	ws *workspace
 	// taken holds the network's node names that gateName could produce
 	// (those starting with "_g"); nil when there are none, as for the
 	// pipeline's unate networks, which name only their inputs.
 	taken map[string]bool
 }
 
-// gate materializes the completed domino gate for a node, memoized.
+// gate materializes the completed domino gate for a node, memoized: it
+// writes the gate's pulldown span on the build stack, moves it to the
+// finished spans (rearranged, for the RS variants), analyzes it and
+// records the gate with its summary.
 func (b *builder) gate(nodeID int) (int, error) {
-	if gid := b.gateOf[nodeID]; gid > 0 {
+	ws := b.ws
+	if gid := ws.gateOf[nodeID]; gid > 0 {
 		return int(gid - 1), nil
 	}
-	var tree *sp.Tree
+	base := len(ws.build)
 	predicted := 0 // leaf buffer gates trivially carry no discharges
+	width, height := int32(1), int32(1)
 	switch {
 	case b.e.isLeaf(nodeID):
 		// A primary output sitting directly on an input literal gets a
 		// single-transistor buffer gate.
-		tree = b.leafTree(nodeID)
+		ws.build = append(ws.build, b.leaf(nodeID))
 	case b.e.cands[nodeID] != nil:
 		t := &b.e.gate[nodeID]
-		predicted = int(t.OwnDisch)
-		var err error
-		tree, err = b.structure(nodeID, t)
-		if err != nil {
+		predicted, width, height = int(t.OwnDisch), t.W, t.H
+		if err := b.structure(nodeID, t); err != nil {
 			return 0, err
 		}
 	default:
 		return 0, fmt.Errorf("mapper: no gate solution for node %d", nodeID)
 	}
+	start := len(ws.nodes)
 	switch b.e.cfg.rearrangePost {
 	case rearrangeTop:
-		tree = pbe.Rearrange(tree)
+		ws.nodes = pbe.Rearrange(ws.nodes, ws.build[base:])
 		predicted = -1
 	case rearrangeDeep:
-		tree = pbe.RearrangeDeep(tree)
+		ws.nodes = pbe.RearrangeDeep(ws.nodes, ws.build[base:])
 		predicted = -1
+	default:
+		ws.nodes = append(ws.nodes, ws.build[base:]...)
 	}
-	b.analysis = pbe.Analyze(tree, b.analysis.Immediate[:0], b.analysis.Potential[:0])
-	var discharges []pbe.Point
-	switch imm := b.analysis.Immediate; {
-	case b.e.cfg.SequenceAware:
-		discharges = pbe.PruneUnexcitable(tree, imm)
-	case len(imm) > 0:
-		discharges = b.points.take(len(imm))
-		copy(discharges, imm)
+	ws.build = ws.build[:base]
+	span := sp.Span(ws.nodes[start:])
+
+	ws.analysis = pbe.Analyze(span, ws.analysis.Immediate[:0], ws.analysis.Potential[:0])
+	discharges := ws.analysis.Immediate
+	if b.e.cfg.SequenceAware {
+		discharges = pbe.PruneUnexcitable(span, discharges)
 	}
-	gid := len(b.res.Gates)
-	g := &b.gates.take(1)[0]
-	*g = Gate{
+	gid := len(ws.gates)
+	ws.offsets = append(ws.offsets, gateOffsets{int32(start), int32(len(ws.points))})
+	ws.points = append(ws.points, discharges...)
+	g := Gate{
 		ID:                  gid,
 		Output:              b.gateName(nodeID),
 		NodeID:              nodeID,
-		Tree:                tree,
-		Discharges:          discharges,
 		PredictedDischarges: predicted,
-		Footed:              b.e.cfg.AlwaysFooted || tree.HasPI(),
-		Level:               b.level(tree),
+		Level:               1,
+		// The DP's own shape for the gate: Audit holds it to the span.
+		Width:  int(width),
+		Height: int(height),
 	}
-	b.res.Gates = append(b.res.Gates, g)
-	b.gateOf[nodeID] = int32(gid + 1)
+	for _, n := range span {
+		if n.Kind != sp.Leaf {
+			continue
+		}
+		g.Transistors++
+		if ref := n.Gate(); ref >= 0 {
+			g.Level = max(g.Level, ws.gates[ref].Level+1)
+			continue
+		}
+		g.HasPI = true
+		if in := n.Input(); n.Negated && !ws.inverted[in] {
+			ws.inverted[in] = true
+			g.NewInverters++
+		}
+	}
+	g.Footed = b.e.cfg.AlwaysFooted || g.HasPI
+	ws.gates = append(ws.gates, g)
+	ws.gateOf[nodeID] = int32(gid + 1)
 	return gid, nil
 }
 
-// level is the domino level of a gate with pulldown t: one above the
-// deepest gate driving one of its leaves, 1 when only inputs drive it.
-func (b *builder) level(t *sp.Tree) int {
-	if t.Kind == sp.Leaf {
-		if t.GateRef >= 0 {
-			return b.res.Gates[t.GateRef].Level + 1
-		}
-		return 1
+// structure writes the span of a table tuple of node id: the children
+// that sp.NewSeries or sp.NewParallel would leave after flattening, then
+// one composition node over them, without the two-child node of every
+// derivation level in between.
+func (b *builder) structure(id int, t *tuple.Tuple) error {
+	children, err := b.flatten(id, t)
+	if err != nil {
+		return err
 	}
-	level := 1
-	for _, c := range t.Children {
-		level = max(level, b.level(c))
-	}
-	return level
-}
-
-// structure builds the SP tree of a table tuple of node id as one
-// composition node whose children are exactly what sp.NewSeries or
-// sp.NewParallel would leave after flattening, without building the
-// two-child node of every derivation level in between.
-func (b *builder) structure(id int, t *tuple.Tuple) (*sp.Tree, error) {
-	base := len(b.stack)
-	if err := b.flatten(id, t); err != nil {
-		return nil, err
-	}
-	n := &b.nodes.take(1)[0]
-	n.Kind = sp.Series
+	kind := sp.Series
 	if t.Deriv.Op == tuple.DerivOr {
-		n.Kind = sp.Parallel
+		kind = sp.Parallel
 	}
-	n.Children = b.kids.take(len(b.stack) - base)
-	copy(n.Children, b.stack[base:])
-	b.stack = b.stack[:base]
-	return n, nil
-}
-
-// flatten pushes the children of node id's composition onto b.stack, top
-// to bottom for a series stack: an operand derived by the same operation
-// contributes its own children, any other operand one subtree. Operand A
-// is always resolved before B, so gates are materialized (and numbered)
-// in a fixed order whichever operand tops a series stack.
-func (b *builder) flatten(id int, t *tuple.Tuple) error {
-	op := t.Deriv.Op
-	if op != tuple.DerivOr && op != tuple.DerivAnd {
-		return fmt.Errorf("mapper: node %d tuple has unexpected derivation %d", id, op)
-	}
-	base := len(b.stack)
-	if err := b.operand(op, t.Deriv.A); err != nil {
-		return err
-	}
-	mid := len(b.stack)
-	if err := b.operand(op, t.Deriv.B); err != nil {
-		return err
-	}
-	if op == tuple.DerivAnd && !t.Deriv.TopIsA {
-		// B tops the stack: rotate its segment above A's.
-		slices.Reverse(b.stack[base:mid])
-		slices.Reverse(b.stack[mid:])
-		slices.Reverse(b.stack[base:])
-	}
+	b.ws.build = append(b.ws.build, sp.Compose(kind, children))
 	return nil
 }
 
-// operand pushes one child Choice of an op derivation: a completed gate's
-// output or a leaf transistor as a leaf, a same-op structure as its
-// flattened children, any other structure as one subtree.
-func (b *builder) operand(op tuple.DerivOp, ch tuple.Choice) error {
+// flatten writes the children of node id's composition on the build
+// stack, top to bottom for a series stack, and returns how many it wrote:
+// an operand derived by the same operation contributes its own children,
+// any other operand one subtree. Operand A is always resolved before B,
+// so gates are materialized (and numbered) in a fixed order whichever
+// operand tops a series stack.
+func (b *builder) flatten(id int, t *tuple.Tuple) (int, error) {
+	op := t.Deriv.Op
+	if op != tuple.DerivOr && op != tuple.DerivAnd {
+		return 0, fmt.Errorf("mapper: node %d tuple has unexpected derivation %d", id, op)
+	}
+	base := len(b.ws.build)
+	na, err := b.operand(op, t.Deriv.A)
+	if err != nil {
+		return 0, err
+	}
+	mid := len(b.ws.build)
+	nb, err := b.operand(op, t.Deriv.B)
+	if err != nil {
+		return 0, err
+	}
+	if op == tuple.DerivAnd && !t.Deriv.TopIsA {
+		// B tops the stack: rotate its sub-spans above A's.
+		s := b.ws.build
+		slices.Reverse(s[base:mid])
+		slices.Reverse(s[mid:])
+		slices.Reverse(s[base:])
+	}
+	return na + nb, nil
+}
+
+// operand writes one child Choice of an op derivation and returns the
+// number of children it contributes: a completed gate's output or a leaf
+// transistor as one leaf, a same-op structure as its flattened children,
+// any other structure as one subtree.
+func (b *builder) operand(op tuple.DerivOp, ch tuple.Choice) (int, error) {
 	id, c := int(ch.Node), b.e.cands[ch.Node]
 	if ch.Index < 0 || int(ch.Index) >= len(c) {
-		return fmt.Errorf("mapper: node %d has no candidate %d", id, ch.Index)
+		return 0, fmt.Errorf("mapper: node %d has no candidate %d", id, ch.Index)
 	}
 	t := &c[ch.Index]
-	var sub *sp.Tree
 	switch t.Deriv.Op {
 	case op:
 		return b.flatten(id, t)
 	case tuple.DerivGateInput:
 		gid, err := b.gate(id)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		sub = b.leaf(b.res.Gates[gid].Output, false, gid)
+		b.ws.build = append(b.ws.build, sp.GateLeaf(gid))
 	case tuple.DerivLeaf:
-		sub = b.leafTree(id)
+		b.ws.build = append(b.ws.build, b.leaf(id))
 	default:
-		var err error
-		if sub, err = b.structure(id, t); err != nil {
-			return err
+		if err := b.structure(id, t); err != nil {
+			return 0, err
 		}
 	}
-	b.stack = append(b.stack, sub)
-	return nil
+	return 1, nil
 }
 
-// leafTree builds the transistor for a primary input or complemented
+// leaf is the transistor for a primary input or complemented
 // primary-input literal.
-func (b *builder) leafTree(nodeID int) *sp.Tree {
+func (b *builder) leaf(nodeID int) sp.Node {
 	node := b.e.net.Nodes[nodeID]
 	if node.Op == logic.Not {
-		in := b.e.net.Nodes[node.Fanin[0]]
-		return b.leaf(in.Name, true, -1)
+		return sp.InputLeaf(int(b.ws.inputOf[node.Fanin[0]]), true)
 	}
-	return b.leaf(node.Name, false, -1)
-}
-
-// leaf is sp.NewLeaf on the builder's node arena.
-func (b *builder) leaf(signal string, negated bool, gateRef int) *sp.Tree {
-	n := &b.nodes.take(1)[0]
-	*n = *sp.NewLeaf(signal, negated, gateRef)
-	return n
+	return sp.InputLeaf(int(b.ws.inputOf[nodeID]), false)
 }
 
 // gateName produces a collision-free output signal name for a gate.
 func (b *builder) gateName(nodeID int) string {
-	b.name = strconv.AppendInt(append(b.name[:0], "_g"...), int64(nodeID), 10)
-	name := string(b.name)
+	b.ws.name = strconv.AppendInt(append(b.ws.name[:0], "_g"...), int64(nodeID), 10)
+	name := string(b.ws.name)
 	for b.taken[name] {
 		name += "_"
 	}
 	return name
 }
 
-// arena hands out exact-size slices carved from shared chunks. Chunks
-// double from arenaMinChunk up to arenaMaxChunk elements, so a small
-// circuit's run wastes little and a large one allocates a few dozen
-// times. A returned slice's capacity is clipped to its length: appending
-// to it reallocates instead of overwriting its neighbour.
-type arena[T any] struct {
-	free  []T
-	chunk int
+// gateOffsets locates one finished gate in the workspace: where its span
+// starts in nodes and its discharge points in points.
+type gateOffsets struct{ node, point int32 }
+
+// resetTraceback empties the workspace's traceback scratch for a run
+// over n.
+func (ws *workspace) resetTraceback(n *logic.Network) {
+	ws.gateOf = resized(ws.gateOf, n.Len())
+	clear(ws.gateOf)
+	ws.inputOf = resized(ws.inputOf, n.Len()) // read only at inputs
+	for i, id := range n.Inputs {
+		ws.inputOf[id] = int32(i)
+	}
+	ws.inverted = resized(ws.inverted, len(n.Inputs))
+	clear(ws.inverted)
+	ws.build = ws.build[:0]
+	ws.nodes = ws.nodes[:0]
+	ws.points = ws.points[:0]
+	ws.gates = ws.gates[:0]
+	ws.offsets = ws.offsets[:0]
 }
 
-const (
-	arenaMinChunk = 32
-	arenaMaxChunk = 4096
-)
-
-func (a *arena[T]) take(n int) []T {
-	if len(a.free) < n {
-		a.chunk = min(max(2*a.chunk, arenaMinChunk), arenaMaxChunk)
-		a.free = make([]T, max(n, a.chunk))
+// finishGates copies the finished gates out of the workspace into the
+// Result's own memory: one node array, one discharge-point array and one
+// gate array, each of exact size, which the gates' slices share.
+func (ws *workspace) finishGates() []*Gate {
+	nodes := slices.Clone(ws.nodes)
+	points := slices.Clone(ws.points)
+	gates := make([]Gate, len(ws.gates))
+	ptrs := make([]*Gate, len(gates))
+	for i := range gates {
+		nodeEnd, pointEnd := len(nodes), len(points)
+		if i+1 < len(gates) {
+			nodeEnd, pointEnd = int(ws.offsets[i+1].node), int(ws.offsets[i+1].point)
+		}
+		at := ws.offsets[i]
+		g := &gates[i]
+		*g = ws.gates[i]
+		g.Nodes = nodes[at.node:nodeEnd:nodeEnd]
+		if int(at.point) < pointEnd {
+			g.Discharges = points[at.point:pointEnd:pointEnd]
+		}
+		ptrs[i] = g
 	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
-	return s
+	clear(ws.gates) // the pool must not keep the output names alive
+	return ptrs
 }

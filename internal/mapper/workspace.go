@@ -4,6 +4,8 @@ import (
 	"sync"
 
 	"soidomino/internal/logic"
+	"soidomino/internal/pbe"
+	"soidomino/internal/sp"
 	"soidomino/internal/tuple"
 )
 
@@ -14,7 +16,8 @@ import (
 // traceback, so a warm run reuses all of it instead of allocating and
 // zeroing it again. It is reset when taken, never only when given back:
 // a canceled or failed run may leave a half-filled table behind.
-// Traceback's arenas are not here — they back the Result.
+// Traceback builds in it too, and copies what the Result keeps out at
+// exact size (finishGates).
 type workspace struct {
 	cands   [][]tuple.Tuple
 	gate    []tuple.Tuple
@@ -28,6 +31,23 @@ type workspace struct {
 	chunks [][]tuple.Tuple
 	// leaf backs the one read-only {1,1} slice every mapping leaf shares.
 	leaf [1]tuple.Tuple
+
+	// Traceback's scratch (see resetTraceback). gateOf maps a node id to
+	// its gate id + 1, 0 until the gate is materialized; inputOf maps an
+	// input's node id to its input index; inverted marks the inputs some
+	// gate already uses complemented. build is the stack a gate's span is
+	// written on; nodes, points, gates and offsets hold the finished
+	// gates, and analysis is each gate's reused PBE analysis.
+	gateOf   []int32
+	inputOf  []int32
+	inverted []bool
+	build    []sp.Node
+	nodes    []sp.Node
+	points   []pbe.Point
+	gates    []Gate
+	offsets  []gateOffsets
+	analysis pbe.Analysis
+	name     []byte // gateName's scratch
 }
 
 type slotsKey struct {

@@ -214,7 +214,7 @@ func Build(r *mapper.Result) (*Circuit, error) {
 	}
 	inverted := make(map[string]bool)
 	for _, g := range r.Gates {
-		if err := c.addGate(g, inverted); err != nil {
+		if err := c.addGate(r, g, inverted); err != nil {
 			return nil, err
 		}
 	}
@@ -236,12 +236,12 @@ func Build(r *mapper.Result) (*Circuit, error) {
 
 // stagePlan is the per-stage realization input.
 type stagePlan struct {
-	tree       *sp.Tree
+	nodes      sp.Span
 	discharges []pbe.Point
 	footed     bool
 }
 
-func (c *Circuit) addGate(g *mapper.Gate, inverted map[string]bool) error {
+func (c *Circuit) addGate(r *mapper.Result, g *mapper.Gate, inverted map[string]bool) error {
 	gr := GateRealization{
 		ID:     g.ID,
 		Output: g.Output,
@@ -250,7 +250,7 @@ func (c *Circuit) addGate(g *mapper.Gate, inverted map[string]bool) error {
 	}
 	var stages []stagePlan
 	if g.Compound == nil {
-		stages = []stagePlan{{tree: g.Tree, discharges: g.Discharges, footed: g.Footed}}
+		stages = []stagePlan{{nodes: g.Nodes, discharges: g.Discharges, footed: g.Footed}}
 	} else {
 		if g.Compound.Kind == mapper.CompoundNOR {
 			gr.OutKind = OutNOR
@@ -258,11 +258,11 @@ func (c *Circuit) addGate(g *mapper.Gate, inverted map[string]bool) error {
 			gr.OutKind = OutNAND
 		}
 		for _, st := range g.Compound.Stages {
-			stages = append(stages, stagePlan{tree: st.Tree, discharges: st.Discharges, footed: st.Footed})
+			stages = append(stages, stagePlan{nodes: st.Nodes, discharges: st.Discharges, footed: st.Footed})
 		}
 	}
 
-	b := &gateBuilder{c: c, gr: &gr, inverted: inverted, junctions: make(map[pbe.Point]string)}
+	b := &gateBuilder{c: c, r: r, gr: &gr, inverted: inverted}
 	for si, st := range stages {
 		dyn := fmt.Sprintf("g%d.dyn", g.ID)
 		if g.Compound != nil {
@@ -278,8 +278,10 @@ func (c *Circuit) addGate(g *mapper.Gate, inverted map[string]bool) error {
 		gr.Dyns = append(gr.Dyns, dyn)
 		gr.Foots = append(gr.Foots, foot)
 
-		// Pulldown network with named junctions.
-		b.emit(st.tree, dyn, foot)
+		// Pulldown network with named junctions; a stage's points are
+		// junctions of its own span.
+		b.junctions = make(map[pbe.Point]string)
+		b.emit(st.nodes, len(st.nodes)-1, dyn, foot)
 
 		// Discharge devices at the PBE analysis' points.
 		for _, pt := range st.discharges {
@@ -350,40 +352,46 @@ func (c *Circuit) device(d Device) int {
 	return d.ID
 }
 
-// gateBuilder walks one pulldown tree emitting devices and junction nodes.
+// gateBuilder walks one pulldown span emitting devices and junction
+// nodes.
 type gateBuilder struct {
 	c         *Circuit
+	r         *mapper.Result
 	gr        *GateRealization
 	inverted  map[string]bool
 	junctions map[pbe.Point]string
 }
 
-func (b *gateBuilder) emit(t *sp.Tree, top, bottom string) {
-	switch t.Kind {
+// emit realizes the subtree rooted at s[i] between nodes top and bottom.
+func (b *gateBuilder) emit(s sp.Span, i int, top, bottom string) {
+	n := s[i]
+	switch n.Kind {
 	case sp.Leaf:
-		if t.Negated && t.FromPI {
-			b.inverted[t.Signal] = true
+		signal := b.r.Signal(n)
+		if n.Negated && n.FromPI() {
+			b.inverted[signal] = true
 		}
 		id := b.c.device(Device{
 			Type: NPulldown, Owner: b.gr.ID,
-			Signal: t.Signal, Negated: t.Negated,
+			Signal: signal, Negated: n.Negated,
 			Drain: top, Source: bottom,
 		})
 		b.gr.Pulldown = append(b.gr.Pulldown, id)
 	case sp.Parallel:
-		for _, child := range t.Children {
-			b.emit(child, top, bottom)
+		for _, child := range s.Children(i, nil) {
+			b.emit(s, child, top, bottom)
 		}
 	case sp.Series:
 		prev := top
-		for i, child := range t.Children {
+		children := s.Children(i, nil)
+		for k, child := range children {
 			next := bottom
-			if i < len(t.Children)-1 {
+			if k < len(children)-1 {
 				next = fmt.Sprintf("g%d.n%d", b.gr.ID, len(b.gr.Internal))
 				b.gr.Internal = append(b.gr.Internal, next)
-				b.junctions[pbe.Point{Group: t, Below: i}] = next
+				b.junctions[pbe.Point{Node: int32(i), Below: int32(k)}] = next
 			}
-			b.emit(child, prev, next)
+			b.emit(s, child, prev, next)
 			prev = next
 		}
 	}

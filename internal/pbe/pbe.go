@@ -13,7 +13,7 @@
 //   - If the parallel stack's bottom IS the gate's ground, none of those
 //     points can charge and no discharge devices are needed (paper fig. 5).
 //
-// Analyze mirrors the paper's {p_dis, par_b} bookkeeping on concrete trees:
+// Analyze mirrors the paper's {p_dis, par_b} bookkeeping on concrete pulldowns:
 // it returns the junctions that must be discharged regardless of what
 // happens below ("immediate") and those that are rescued if the structure's
 // bottom eventually reaches ground ("potential").
@@ -27,16 +27,17 @@ import (
 	"soidomino/internal/sp"
 )
 
-// Point identifies a series junction: the circuit node between
-// Group.Children[Below] and Group.Children[Below+1].
+// Point identifies a series junction of a pulldown span: the circuit node
+// directly below child Below (0 is the top child) of the series node at
+// flat index Node.
 type Point struct {
-	Group *sp.Tree // a Series node
-	Below int      // junction sits directly below Children[Below]
+	Node  int32
+	Below int32
 }
 
 // String renders the junction for diagnostics.
 func (p Point) String() string {
-	return fmt.Sprintf("junction below %s in %s", p.Group.Children[p.Below], p.Group)
+	return fmt.Sprintf("junction below child %d of series node %d", p.Below, p.Node)
 }
 
 // Analysis is the result of analyzing a (partial) pulldown structure.
@@ -53,44 +54,49 @@ type Analysis struct {
 	ParB bool
 }
 
-// Analyze computes the PBE bookkeeping for a pulldown structure in
+// Analyze computes the PBE bookkeeping for a valid pulldown span in
 // destination-passing form: it appends the structure's immediate
 // junctions to imm and its potential ones to pot, and returns the
 // extended slices with par_b. imm and pot must not share a backing
 // array; pass nil, nil for fresh slices, or buffers truncated to length
-// zero to analyze tree after tree without allocating. For a complete gate
-// (whose bottom is grounded through the foot) the devices to insert are
-// exactly Analysis.Immediate; see GateDischargePoints.
-func Analyze(t *sp.Tree, imm, pot []Point) Analysis {
+// zero to analyze span after span without allocating. The walk visits
+// every composition's children last to first, so a series stack is
+// folded bottom-up, and the points come in that order. For a complete
+// gate (whose bottom is grounded through the foot) the devices to insert
+// are exactly Analysis.Immediate; see GateDischargePoints.
+func Analyze(s sp.Span, imm, pot []Point) Analysis {
 	a := Analysis{Immediate: imm, Potential: pot}
-	a.ParB = a.add(t)
+	a.ParB, _ = a.add(s, len(s)-1)
 	return a
 }
 
-// add appends t's immediate and potential junctions to a and returns t's
-// par_b. Because the accumulated lists live in a, a series node never
+// add appends the immediate and potential junctions of the subtree
+// rooted at s[i] to a and returns its par_b and the index of its first
+// node. Because the accumulated lists live in a, a series node never
 // builds per-child lists: a top child's potential points are appended to
 // a.Potential and, when the child turns out to have a parallel bottom,
 // moved to a.Immediate.
-func (a *Analysis) add(t *sp.Tree) bool {
-	switch t.Kind {
+func (a *Analysis) add(s sp.Span, i int) (bool, int) {
+	n := s[i]
+	switch n.Kind {
 	case sp.Leaf:
-		return false
+		return false, i
 	case sp.Parallel:
-		for _, c := range t.Children {
-			a.add(c)
+		j := i
+		for k := 0; k < int(n.Arg); k++ {
+			_, j = a.add(s, j-1)
 		}
-		return true
+		return true, j
 	case sp.Series:
 		// Right fold, bottom-up, mirroring the paper's combine_and: the
 		// accumulated structure is the "bottom", each next child the "top".
 		// The stack's par_b is the bottom-most child's.
-		n := len(t.Children)
-		parB := a.add(t.Children[n-1])
-		for i := n - 2; i >= 0; i-- {
+		parB, j := a.add(s, i-1)
+		for below := int(n.Arg) - 2; below >= 0; below-- {
 			mark := len(a.Potential)
-			junction := Point{Group: t, Below: i}
-			if a.add(t.Children[i]) {
+			junction := Point{Node: int32(i), Below: int32(below)}
+			var top bool
+			if top, j = a.add(s, j-1); top {
 				// The top's parallel stack can never reach ground: its
 				// potential points and its bottom common node (this
 				// junction) are discharged now.
@@ -103,30 +109,61 @@ func (a *Analysis) add(t *sp.Tree) bool {
 				a.Potential = append(a.Potential, junction)
 			}
 		}
-		return parB
+		return parB, j
 	}
-	panic(fmt.Sprintf("pbe: unknown tree kind %v", t.Kind))
+	panic(fmt.Sprintf("pbe: unknown node kind %v", n.Kind))
 }
 
 // GateDischargePoints returns the junctions of a complete domino gate's
 // pulldown network that need p-discharge transistors. The gate's bottom is
 // connected to ground (directly or through the n-clock foot), so the
 // potential points are safe and only the immediate ones materialize.
-func GateDischargePoints(root *sp.Tree) []Point {
-	return Analyze(root, nil, nil).Immediate
+func GateDischargePoints(s sp.Span) []Point {
+	return Analyze(s, nil, nil).Immediate
 }
 
-// DischargeCount is len(GateDischargePoints(root)).
-func DischargeCount(root *sp.Tree) int {
-	return len(GateDischargePoints(root))
+// DischargeCount is len(GateDischargePoints(s)).
+func DischargeCount(s sp.Span) int {
+	return len(GateDischargePoints(s))
 }
 
-// PotentialCount returns the paper's p_dis for a partial structure.
-func PotentialCount(t *sp.Tree) int {
-	return len(Analyze(t, nil, nil).Potential)
+// PotentialCount returns the paper's p_dis for a partial structure:
+// len(Analyze(s, nil, nil).Potential), counted without listing the points.
+func PotentialCount(s sp.Span) int {
+	n, _, _ := potential(s, len(s)-1)
+	return n
 }
 
-// Rearrange returns the tree with the gate's series stack reordered to
+// potential counts the potential points of the subtree rooted at s[i] as
+// Analysis.add lists them, and returns the count with its par_b and the
+// index of its first node.
+func potential(s sp.Span, i int) (int, bool, int) {
+	switch n := s[i]; n.Kind {
+	case sp.Parallel:
+		sum, j := 0, i
+		for k := 0; k < int(n.Arg); k++ {
+			var c int
+			c, _, j = potential(s, j-1)
+			sum += c
+		}
+		return sum, true, j
+	case sp.Series:
+		sum, parB, j := potential(s, i-1)
+		for k := 1; k < int(n.Arg); k++ {
+			c, top, start := potential(s, j-1)
+			if !top {
+				// A top with a parallel bottom discharges its points and
+				// the junction; any other keeps both potential.
+				sum += c + 1
+			}
+			j = start
+		}
+		return sum, parB, j
+	}
+	return 0, false, i
+}
+
+// Rearrange appends s to dst with the gate's series stack reordered to
 // move parallel sections with many potential discharge points toward
 // ground: the post-processing step of RS_Map (paper §VI-A, the fig. 5
 // stack switch). Only the outermost series stack — the one whose bottom
@@ -134,88 +171,76 @@ func PotentialCount(t *sp.Tree) int {
 // branch cannot ground anything. The reordering is sound for domino
 // pulldowns: series conduction is order-independent, and SOI's low
 // diffusion capacitance makes the delay effect of reordering second-order
-// (paper §III-C).
-//
-// Rearrange never modifies t and does not copy it: the result shares
-// every subtree with t. A root stack that moves gets a new node with a
-// new children slice; otherwise t itself is returned.
-func Rearrange(t *sp.Tree) *sp.Tree {
-	if t.Kind != sp.Series {
-		return t
+// (paper §III-C). s is never modified.
+func Rearrange(dst []sp.Node, s sp.Span) sp.Span {
+	root := len(s) - 1
+	if s[root].Kind != sp.Series {
+		return append(dst, s...)
 	}
-	children, moved := sortSeriesChildren(t.Children)
-	if !moved {
-		return t
-	}
-	return &sp.Tree{Kind: sp.Series, Children: children}
+	base := len(dst)
+	dst = append(dst, s...)
+	sortSeriesChildren(dst[base:], root)
+	return dst
 }
 
-// RearrangeDeep reorders every series group in the tree, including those
-// inside parallel branches (their junctions are rescued when the branch's
-// stack reaches ground, so pushing nested parallels toward branch bottoms
-// pays too). This is stronger than the paper's RS_Map post-processing; the
-// ablation benchmarks measure the difference. Like Rearrange it leaves t
-// untouched and shares every unchanged subtree: only the nodes on a path
-// to a reordered stack are rebuilt.
-func RearrangeDeep(t *sp.Tree) *sp.Tree {
-	if t.Kind == sp.Leaf {
-		return t
-	}
-	children, changed := t.Children, false
-	for i, c := range t.Children {
-		r := RearrangeDeep(c)
-		if r == c {
-			continue
-		}
-		if !changed {
-			children, changed = slices.Clone(t.Children), true
-		}
-		children[i] = r
-	}
-	if t.Kind == sp.Series {
-		if sorted, moved := sortSeriesChildren(children); moved {
-			children, changed = sorted, true
+// RearrangeDeep appends s to dst with every series group reordered,
+// including those inside parallel branches (their junctions are rescued
+// when the branch's stack reaches ground, so pushing nested parallels
+// toward branch bottoms pays too). This is stronger than the paper's
+// RS_Map post-processing; the ablation benchmarks measure the difference.
+// Like Rearrange it leaves s untouched. Children are reordered before
+// their parent, so every stack is sorted by the keys of its final
+// children.
+func RearrangeDeep(dst []sp.Node, s sp.Span) sp.Span {
+	base := len(dst)
+	dst = append(dst, s...)
+	out := dst[base:]
+	for i, n := range out {
+		if n.Kind == sp.Series {
+			sortSeriesChildren(out, i)
 		}
 	}
-	if !changed {
-		return t
-	}
-	return &sp.Tree{Kind: t.Kind, Children: children}
+	return dst
 }
 
-// sortSeriesChildren orders a series stack's children ascending by (par_b,
-// potential count): structures without a parallel bottom stay near the
-// top; the parallel section with the most potential points lands at the
-// bottom, next to ground. The sort is stable and computes each child's
-// key once. children is never modified: when the order changes the
-// sorted children come back in a new slice with moved set, otherwise
-// children itself is returned.
-func sortSeriesChildren(children []*sp.Tree) ([]*sp.Tree, bool) {
-	var buf [16]int
-	keys := buf[:0]
-	var a Analysis
-	for _, c := range children {
-		a = Analyze(c, a.Immediate[:0], a.Potential[:0])
-		k := len(a.Potential)
-		if c.ParallelAtBottom() {
+// sortSeriesChildren reorders, in place, the children of the series node
+// s[i] ascending by (par_b, potential count): structures without a
+// parallel bottom stay near the top; the parallel section with the most
+// potential points lands at the bottom, next to ground. The sort is
+// stable and computes each child's key once. Reordering a stack's
+// children moves whole sub-spans inside the stack's own span, so no
+// other node moves.
+func sortSeriesChildren(s sp.Span, i int) {
+	type child struct{ start, end, key int }
+	var childBuf [16]child
+	children := childBuf[:0]
+	for k, j := 0, i-1; k < int(s[i].Arg); k++ {
+		key, parB, start := potential(s, j)
+		if parB {
 			// par_b dominates: any parallel-at-bottom section outranks
 			// any plain section.
-			k += 1 << 20
+			key += 1 << 20
 		}
-		keys = append(keys, k)
+		children = append(children, child{start, j + 1, key})
+		j = start - 1
 	}
-	if slices.IsSorted(keys) {
-		return children, false
+	slices.Reverse(children) // top to bottom
+	if slices.IsSortedFunc(children, func(a, b child) int { return a.key - b.key }) {
+		return
 	}
-	sorted := slices.Clone(children)
 	// Insertion sort: stable, and stacks are a handful of children.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+	for a := 1; a < len(children); a++ {
+		for b := a; b > 0 && children[b].key < children[b-1].key; b-- {
+			children[b], children[b-1] = children[b-1], children[b]
 		}
 	}
-	return sorted, true
+	var oldBuf [64]sp.Node
+	first := s.Start(i)
+	old := append(oldBuf[:0], s[first:i]...)
+	at := first
+	for _, c := range children {
+		at += copy(s[at:], old[c.start-first:c.end-first])
+	}
 }
 
 // Describe renders a list of points, one per line, for reports and tests.

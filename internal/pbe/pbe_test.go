@@ -1,6 +1,7 @@
 package pbe
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -12,16 +13,38 @@ import (
 
 func leaf(name string) *sp.Tree { return sp.NewLeaf(name, false, -1) }
 
+// flat flattens a fixture tree, dropping its input names.
+func flat(t *sp.Tree) sp.Span {
+	s, _ := sp.Flatten(t)
+	return s
+}
+
+// render renders a span whose input names are names; gate-driven leaves
+// render as g<id>.
+func render(s sp.Span, names []string) string {
+	return s.Tree(func(n sp.Node) string {
+		if g := n.Gate(); g >= 0 {
+			return fmt.Sprintf("g%d", g)
+		}
+		return names[n.Input()]
+	}).String()
+}
+
+// below returns the child directly above a junction.
+func below(s sp.Span, p Point) sp.Node {
+	return s[s.Children(int(p.Node), nil)[p.Below]]
+}
+
 // TestFigure2a pins the paper's motivating example: (A+B+C)*D has exactly
 // one discharge point — node 1, the bottom of the parallel stack — which
 // fig 2(c) protects with a single p-discharge transistor.
 func TestFigure2a(t *testing.T) {
-	tr := sp.NewSeries(sp.NewParallel(leaf("A"), leaf("B"), leaf("C")), leaf("D"))
+	tr := flat(sp.NewSeries(sp.NewParallel(leaf("A"), leaf("B"), leaf("C")), leaf("D")))
 	pts := GateDischargePoints(tr)
 	if len(pts) != 1 {
 		t.Fatalf("discharge points = %d, want 1:\n%s", len(pts), Describe(pts))
 	}
-	if pts[0].Below != 0 || pts[0].Group.Children[0].Kind != sp.Parallel {
+	if pts[0].Below != 0 || int(pts[0].Node) != len(tr)-1 || below(tr, pts[0]).Kind != sp.Parallel {
 		t.Errorf("discharge point should be below the parallel stack, got %v", pts[0])
 	}
 }
@@ -29,7 +52,7 @@ func TestFigure2a(t *testing.T) {
 // TestFigure2aReordered pins paper solution 4 (§III-C): moving the parallel
 // stack to the bottom of the gate removes the need for any discharge.
 func TestFigure2aReordered(t *testing.T) {
-	tr := sp.NewSeries(leaf("D"), sp.NewParallel(leaf("A"), leaf("B"), leaf("C")))
+	tr := flat(sp.NewSeries(leaf("D"), sp.NewParallel(leaf("A"), leaf("B"), leaf("C"))))
 	if n := DischargeCount(tr); n != 0 {
 		t.Errorf("D*(A+B+C) needs %d discharges, want 0", n)
 	}
@@ -38,7 +61,7 @@ func TestFigure2aReordered(t *testing.T) {
 // TestFigure4a: A*B+C has one potential discharge point (the A-B junction)
 // and, as a grounded gate, needs no discharge transistors.
 func TestFigure4a(t *testing.T) {
-	tr := sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C"))
+	tr := flat(sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C")))
 	a := Analyze(tr, nil, nil)
 	if len(a.Potential) != 1 || len(a.Immediate) != 0 {
 		t.Fatalf("analysis = %d potential, %d immediate; want 1, 0", len(a.Potential), len(a.Immediate))
@@ -57,7 +80,7 @@ func TestFigure4a(t *testing.T) {
 func TestFigure4b(t *testing.T) {
 	top := sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C"))
 	bottom := sp.NewParallel(sp.NewSeries(leaf("D"), leaf("E")), leaf("F"))
-	tr := sp.NewSeries(top, bottom)
+	tr := flat(sp.NewSeries(top, bottom))
 	a := Analyze(tr, nil, nil)
 	if len(a.Immediate) != 2 {
 		t.Errorf("immediate = %d, want 2:\n%s", len(a.Immediate), Describe(a.Immediate))
@@ -80,7 +103,7 @@ func TestFigure5(t *testing.T) {
 		return sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C"))
 	}
 	// Left circuit: E at the bottom -> two immediate discharge transistors.
-	left := sp.NewSeries(stack(), leaf("E"))
+	left, names := sp.Flatten(sp.NewSeries(stack(), leaf("E")))
 	la := Analyze(left, nil, nil)
 	if len(la.Immediate) != 2 || len(la.Potential) != 0 {
 		t.Errorf("left: %d immediate, %d potential; want 2, 0",
@@ -90,7 +113,7 @@ func TestFigure5(t *testing.T) {
 		t.Error("left: par_b should be false (leaf at bottom)")
 	}
 	// Right circuit: E on top -> two potential points, no immediate.
-	right := sp.NewSeries(leaf("E"), stack())
+	right := flat(sp.NewSeries(leaf("E"), stack()))
 	ra := Analyze(right, nil, nil)
 	if len(ra.Immediate) != 0 || len(ra.Potential) != 2 {
 		t.Errorf("right: %d immediate, %d potential; want 0, 2",
@@ -104,13 +127,13 @@ func TestFigure5(t *testing.T) {
 		t.Errorf("grounded right circuit: %d discharges, want 0", n)
 	}
 	// Rearrange must turn the left circuit into the right one.
-	if got := Rearrange(left).String(); got != "E*(A*B+C)" {
+	if got := render(Rearrange(nil, left), names); got != "E*(A*B+C)" {
 		t.Errorf("Rearrange(left) = %q, want E*(A*B+C)", got)
 	}
 }
 
 func TestPureSeriesChainIsSafe(t *testing.T) {
-	tr := sp.NewSeries(leaf("A"), leaf("B"), leaf("C"), leaf("D"))
+	tr := flat(sp.NewSeries(leaf("A"), leaf("B"), leaf("C"), leaf("D")))
 	a := Analyze(tr, nil, nil)
 	if len(a.Immediate) != 0 {
 		t.Errorf("pure series chain has %d immediate points, want 0", len(a.Immediate))
@@ -124,7 +147,7 @@ func TestPureSeriesChainIsSafe(t *testing.T) {
 }
 
 func TestLeafAnalysis(t *testing.T) {
-	a := Analyze(leaf("x"), nil, nil)
+	a := Analyze(flat(leaf("x")), nil, nil)
 	if len(a.Immediate) != 0 || len(a.Potential) != 0 || a.ParB {
 		t.Errorf("leaf analysis = %+v", a)
 	}
@@ -133,7 +156,7 @@ func TestLeafAnalysis(t *testing.T) {
 func TestNestedParallelInBranch(t *testing.T) {
 	// ((A+B)*C + D)*E : inner parallel sits above C inside a branch.
 	inner := sp.NewSeries(sp.NewParallel(leaf("A"), leaf("B")), leaf("C"))
-	tr := sp.NewSeries(sp.NewParallel(inner, leaf("D")), leaf("E"))
+	tr := flat(sp.NewSeries(sp.NewParallel(inner, leaf("D")), leaf("E")))
 	a := Analyze(tr, nil, nil)
 	// Inner junction below (A+B) is immediate (parallel above C within a
 	// branch); the branch's structure sits above E, so the outer stack's
@@ -147,7 +170,7 @@ func TestNestedParallelInBranch(t *testing.T) {
 }
 
 func TestPotentialCount(t *testing.T) {
-	tr := sp.NewSeries(leaf("E"), sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C")))
+	tr := flat(sp.NewSeries(leaf("E"), sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C"))))
 	if PotentialCount(tr) != 2 {
 		t.Errorf("PotentialCount = %d, want 2", PotentialCount(tr))
 	}
@@ -156,14 +179,14 @@ func TestPotentialCount(t *testing.T) {
 func TestRearrangeDeepRecursesIntoBranches(t *testing.T) {
 	// Branch contains (A+B)*C in the PBE-prone order; outer is already fine.
 	branch := sp.NewSeries(sp.NewParallel(leaf("A"), leaf("B")), leaf("C"))
-	tr := sp.NewParallel(branch, leaf("D"))
-	r := RearrangeDeep(tr)
-	if got := r.String(); got != "C*(A+B)+D" {
+	tr, names := sp.Flatten(sp.NewParallel(branch, leaf("D")))
+	r := RearrangeDeep(nil, tr)
+	if got := render(r, names); got != "C*(A+B)+D" {
 		t.Errorf("RearrangeDeep = %q, want C*(A+B)+D", got)
 	}
 	// The paper's RS_Map post-process only touches the ground-side stack:
 	// a parallel-rooted gate is left as is.
-	if got := Rearrange(tr).String(); got != "(A+B)*C+D" {
+	if got := render(Rearrange(nil, tr), names); got != "(A+B)*C+D" {
 		t.Errorf("Rearrange = %q, want (A+B)*C+D (untouched)", got)
 	}
 }
@@ -171,13 +194,13 @@ func TestRearrangeDeepRecursesIntoBranches(t *testing.T) {
 func TestRearrangeTopOnlyRootStack(t *testing.T) {
 	// Root series stack is reordered; the nested branch keeps its order.
 	branch := sp.NewSeries(sp.NewParallel(leaf("A"), leaf("B")), leaf("C"))
-	tr := sp.NewSeries(sp.NewParallel(branch, leaf("D")), leaf("E"))
-	r := Rearrange(tr)
-	if got := r.String(); got != "E*((A+B)*C+D)" {
+	tr, names := sp.Flatten(sp.NewSeries(sp.NewParallel(branch, leaf("D")), leaf("E")))
+	r := Rearrange(nil, tr)
+	if got := render(r, names); got != "E*((A+B)*C+D)" {
 		t.Errorf("Rearrange = %q, want E*((A+B)*C+D)", got)
 	}
-	d := RearrangeDeep(tr)
-	if got := d.String(); got != "E*(C*(A+B)+D)" {
+	d := RearrangeDeep(nil, tr)
+	if got := render(d, names); got != "E*(C*(A+B)+D)" {
 		t.Errorf("RearrangeDeep = %q, want E*(C*(A+B)+D)", got)
 	}
 	if DischargeCount(d) > DischargeCount(r) {
@@ -190,12 +213,13 @@ func TestRearrangePicksLargestPotentialForBottom(t *testing.T) {
 	// (D*E*F+G: two junctions) must end up at the bottom.
 	small := sp.NewParallel(sp.NewSeries(leaf("A"), leaf("B")), leaf("C"))
 	big := sp.NewParallel(sp.NewSeries(leaf("D"), leaf("E"), leaf("F")), leaf("G"))
-	tr := sp.NewSeries(big, small) // big on top: 2+1 immediate... wrong order anyway
-	r := Rearrange(tr)
-	if !r.Children[len(r.Children)-1].ContainsParallel() {
+	tr := flat(sp.NewSeries(big, small)) // big on top: 2+1 immediate... wrong order anyway
+	r := Rearrange(nil, tr)
+	bottom := r[r.Start(len(r)-2) : len(r)-1]
+	if !bottom.ContainsParallel() {
 		t.Fatal("bottom child should be a parallel stack")
 	}
-	if got := PotentialCount(r.Children[len(r.Children)-1]); got != 2 {
+	if got := PotentialCount(bottom); got != 2 {
 		t.Errorf("bottom stack potential = %d, want 2 (the larger stack)", got)
 	}
 	// small on top: its potential (1) + junction (1) materialize = 2,
@@ -209,7 +233,7 @@ func TestRearrangePicksLargestPotentialForBottom(t *testing.T) {
 }
 
 func TestPointString(t *testing.T) {
-	tr := sp.NewSeries(sp.NewParallel(leaf("A"), leaf("B")), leaf("C"))
+	tr := flat(sp.NewSeries(sp.NewParallel(leaf("A"), leaf("B")), leaf("C")))
 	pts := GateDischargePoints(tr)
 	if len(pts) != 1 {
 		t.Fatalf("want 1 point, got %d", len(pts))
@@ -242,8 +266,8 @@ func TestRearrangePropertiesQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(17))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 4)
-		for _, r := range []*sp.Tree{Rearrange(tr), RearrangeDeep(tr)} {
+		tr := flat(randomTree(rng, 4))
+		for _, r := range []sp.Span{Rearrange(nil, tr), RearrangeDeep(nil, tr)} {
 			if r.Validate() != nil {
 				return false
 			}
@@ -257,17 +281,17 @@ func TestRearrangePropertiesQuick(t *testing.T) {
 				return false
 			}
 			for trial := 0; trial < 8; trial++ {
-				vals := map[string]bool{}
-				for _, s := range "abcdefgh" {
-					vals[string(s)] = rng.Intn(2) == 0
+				vals := make([]bool, 8)
+				for i := range vals {
+					vals[i] = rng.Intn(2) == 0
 				}
-				if tr.Conducts(vals) != r.Conducts(vals) {
+				if tr.Conducts(vals, nil) != r.Conducts(vals, nil) {
 					return false
 				}
 			}
 		}
 		// The deep variant dominates the paper's top-level variant.
-		return DischargeCount(RearrangeDeep(tr)) <= DischargeCount(Rearrange(tr))
+		return DischargeCount(RearrangeDeep(nil, tr)) <= DischargeCount(Rearrange(nil, tr))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -281,9 +305,9 @@ func TestAnalysisTotalInvariantQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(23))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 4)
+		tr := flat(randomTree(rng, 4))
 		a := Analyze(tr, nil, nil)
-		r := Analyze(RearrangeDeep(tr), nil, nil)
+		r := Analyze(RearrangeDeep(nil, tr), nil, nil)
 		return len(a.Immediate)+len(a.Potential) == len(r.Immediate)+len(r.Potential)
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -294,23 +318,18 @@ func TestAnalysisTotalInvariantQuick(t *testing.T) {
 // Property: every junction is classified exactly once.
 func TestJunctionPartitionQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(29))}
-	countJunctions := func(tr *sp.Tree) int {
+	countJunctions := func(s sp.Span) int {
 		n := 0
-		var walk func(*sp.Tree)
-		walk = func(t *sp.Tree) {
-			if t.Kind == sp.Series {
-				n += len(t.Children) - 1
-			}
-			for _, c := range t.Children {
-				walk(c)
+		for _, x := range s {
+			if x.Kind == sp.Series {
+				n += int(x.Arg) - 1
 			}
 		}
-		walk(tr)
 		return n
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 4)
+		tr := flat(randomTree(rng, 4))
 		a := Analyze(tr, nil, nil)
 		seen := map[Point]bool{}
 		for _, p := range a.Immediate {
@@ -332,45 +351,10 @@ func TestJunctionPartitionQuick(t *testing.T) {
 	}
 }
 
-// analyzeReference is the original recursive Analyze — a fresh pair of
-// lists per node, concatenated on the way up — kept as the oracle for the
-// destination-passing implementation.
-func analyzeReference(t *sp.Tree) Analysis {
-	switch t.Kind {
-	case sp.Leaf:
-		return Analysis{}
-	case sp.Parallel:
-		var a Analysis
-		for _, c := range t.Children {
-			ca := analyzeReference(c)
-			a.Immediate = append(a.Immediate, ca.Immediate...)
-			a.Potential = append(a.Potential, ca.Potential...)
-		}
-		a.ParB = true
-		return a
-	default:
-		n := len(t.Children)
-		acc := analyzeReference(t.Children[n-1])
-		for i := n - 2; i >= 0; i-- {
-			top := analyzeReference(t.Children[i])
-			junction := Point{Group: t, Below: i}
-			acc.Immediate = append(acc.Immediate, top.Immediate...)
-			if top.ParB {
-				acc.Immediate = append(acc.Immediate, top.Potential...)
-				acc.Immediate = append(acc.Immediate, junction)
-			} else {
-				acc.Potential = append(acc.Potential, top.Potential...)
-				acc.Potential = append(acc.Potential, junction)
-			}
-		}
-		return acc
-	}
-}
-
-// Property: Analyze matches the reference implementation point for point
-// — same Group pointer, same Below, same order — on fresh and on reused
-// destination slices, and leaves whatever the destinations already held
-// in place.
+// Property: Analyze matches the reference recursive tree walk
+// (refAnalyze) point for point — same series node, same Below, same
+// order — on fresh and on reused destination slices, and leaves whatever
+// the destinations already held in place.
 func TestAnalyzeMatchesReferenceQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(31))}
 	var imm, pot []Point
@@ -378,12 +362,13 @@ func TestAnalyzeMatchesReferenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 5)
-		want := analyzeReference(tr)
-		got := Analyze(tr, nil, nil)
+		s := flat(tr)
+		want := refAnalyze(tr)
+		got := Analyze(s, nil, nil)
 		if !slices.Equal(got.Immediate, want.Immediate) || !slices.Equal(got.Potential, want.Potential) || got.ParB != want.ParB {
 			return false
 		}
-		reused := Analyze(tr, append(imm[:0], sentinel), append(pot[:0], sentinel))
+		reused := Analyze(s, append(imm[:0], sentinel), append(pot[:0], sentinel))
 		imm, pot = reused.Immediate, reused.Potential
 		return reused.ParB == want.ParB &&
 			imm[0] == sentinel && slices.Equal(imm[1:], want.Immediate) &&
@@ -394,17 +379,18 @@ func TestAnalyzeMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
-// Property: Rearrange and RearrangeDeep share subtrees with their input
-// instead of copying it, so they must never modify it: the input renders
-// the same and keeps the same discharge points afterwards.
+// Property: Rearrange and RearrangeDeep write their output after dst and
+// never modify their input: the input keeps its nodes and its discharge
+// points, and whatever dst held stays in place.
 func TestRearrangeLeavesInputUnchangedQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(37))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 5)
-		s, pts := tr.String(), GateDischargePoints(tr)
-		for _, r := range []*sp.Tree{Rearrange(tr), RearrangeDeep(tr)} {
-			if r.Validate() != nil || tr.String() != s || !slices.Equal(GateDischargePoints(tr), pts) {
+		tr := flat(randomTree(rng, 5))
+		s, pts := slices.Clone(tr), GateDischargePoints(tr)
+		dst := sp.Span{sp.InputLeaf(0, false)}
+		for _, r := range []sp.Span{Rearrange(dst, tr), RearrangeDeep(dst, tr)} {
+			if r[0] != dst[0] || r[1:].Validate() != nil || !slices.Equal(tr, s) || !slices.Equal(GateDischargePoints(tr), pts) {
 				return false
 			}
 		}

@@ -27,15 +27,16 @@ import (
 // complement collide, and complemented literals exist only for primary
 // inputs in a unate network.
 
-// literal is a signal with polarity. Gate-output signals are never
+// literal is a leaf's driver (its sp.Node Arg: a gate id, or a primary
+// input index complemented) with polarity. Gate-output signals are never
 // negated in a unate mapping.
 type literal struct {
-	signal string
+	signal int32
 	neg    bool
 }
 
 // cube is a conjunction of literals; ok reports satisfiability.
-type cube map[string]bool // signal -> polarity (true = negated)
+type cube map[int32]bool // signal -> polarity (true = negated)
 
 // with returns cube ∧ lit, reporting whether the result is satisfiable.
 func (c cube) with(l literal) (cube, bool) {
@@ -68,7 +69,7 @@ func (c cube) merge(d cube) (cube, bool) {
 	return out, true
 }
 
-// spGraph is the node/edge view of a pulldown tree, mirroring the
+// spGraph is the node/edge view of a pulldown span, mirroring the
 // transistor netlist: nodes are the top node, the bottom node and the
 // series junctions; edges are transistors.
 type spGraph struct {
@@ -86,15 +87,14 @@ type spGraph struct {
 type spEdge struct {
 	upper, lower int
 	lit          literal
-	leaf         *sp.Tree
 }
 
-// buildGraph flattens the tree between fresh top and bottom nodes.
-func buildGraph(t *sp.Tree) *spGraph {
+// buildGraph lays the span out between fresh top and bottom nodes.
+func buildGraph(s sp.Span) *spGraph {
 	g := &spGraph{adj: make(map[int][]int), junction: make(map[Point]int)}
 	g.top = g.node()
 	g.bottom = g.node()
-	g.emit(t, g.top, g.bottom)
+	g.emit(s, len(s)-1, g.top, g.bottom)
 	return g
 }
 
@@ -103,30 +103,31 @@ func (g *spGraph) node() int {
 	return g.nextNode - 1
 }
 
-func (g *spGraph) emit(t *sp.Tree, top, bottom int) {
-	switch t.Kind {
+func (g *spGraph) emit(s sp.Span, i, top, bottom int) {
+	n := s[i]
+	switch n.Kind {
 	case sp.Leaf:
 		id := len(g.edges)
 		g.edges = append(g.edges, spEdge{
 			upper: top, lower: bottom,
-			lit:  literal{signal: t.Signal, neg: t.Negated},
-			leaf: t,
+			lit: literal{signal: n.Arg, neg: n.Negated},
 		})
 		g.adj[top] = append(g.adj[top], id)
 		g.adj[bottom] = append(g.adj[bottom], id)
 	case sp.Parallel:
-		for _, c := range t.Children {
-			g.emit(c, top, bottom)
+		for _, c := range s.Children(i, nil) {
+			g.emit(s, c, top, bottom)
 		}
 	case sp.Series:
 		prev := top
-		for i, c := range t.Children {
+		children := s.Children(i, nil)
+		for k, c := range children {
 			next := bottom
-			if i < len(t.Children)-1 {
+			if k < len(children)-1 {
 				next = g.node()
-				g.junction[Point{Group: t, Below: i}] = next
+				g.junction[Point{Node: int32(i), Below: int32(k)}] = next
 			}
-			g.emit(c, prev, next)
+			g.emit(s, c, prev, next)
 			prev = next
 		}
 	}
@@ -180,7 +181,7 @@ func (g *spGraph) pathCubes(target, banned int, bound int) ([]cube, bool) {
 // can be off while both its source and drain are driven high. The
 // enumeration bound keeps worst-case cost tame; an overflow reports
 // excitable (keep the discharge).
-func Excitable(root *sp.Tree, pt Point, bound int) bool {
+func Excitable(root sp.Span, pt Point, bound int) bool {
 	if bound <= 0 {
 		bound = 256
 	}
@@ -221,7 +222,7 @@ func Excitable(root *sp.Tree, pt Point, bound int) bool {
 // PruneUnexcitable filters a gate's discharge points down to those whose
 // PBE scenario is actually satisfiable (paper §VII). The returned slice
 // preserves order.
-func PruneUnexcitable(root *sp.Tree, points []Point) []Point {
+func PruneUnexcitable(root sp.Span, points []Point) []Point {
 	var kept []Point
 	for _, pt := range points {
 		if Excitable(root, pt, 0) {

@@ -12,26 +12,26 @@ func lit(name string, neg bool) *sp.Tree { return sp.NewLeaf(name, neg, -1) }
 // muxOverE is (!s*d0 + s*d1) * e: a 2:1 multiplexer stack above a
 // transistor, the shape the worst-case analysis charges three discharge
 // devices for.
-func muxOverE() *sp.Tree {
+func muxOverE() sp.Span {
 	stack := sp.NewParallel(
 		sp.NewSeries(lit("s", true), lit("d0", false)),
 		sp.NewSeries(lit("s", false), lit("d1", false)),
 	)
-	return sp.NewSeries(stack, lit("e", false))
+	return flat(sp.NewSeries(stack, lit("e", false)))
 }
 
 // xorOverE is (a*!b + !a*b) * e.
-func xorOverE() *sp.Tree {
+func xorOverE() sp.Span {
 	stack := sp.NewParallel(
 		sp.NewSeries(lit("a", false), lit("b", true)),
 		sp.NewSeries(lit("a", true), lit("b", false)),
 	)
-	return sp.NewSeries(stack, lit("e", false))
+	return flat(sp.NewSeries(stack, lit("e", false)))
 }
 
 func TestFig2PointStaysExcitable(t *testing.T) {
 	// (A+B+C)*D: the canonical PBE point must never be pruned.
-	tr := sp.NewSeries(sp.NewParallel(lit("A", false), lit("B", false), lit("C", false)), lit("D", false))
+	tr := flat(sp.NewSeries(sp.NewParallel(lit("A", false), lit("B", false), lit("C", false)), lit("D", false)))
 	pts := GateDischargePoints(tr)
 	if len(pts) != 1 {
 		t.Fatalf("points = %d", len(pts))
@@ -59,7 +59,7 @@ func TestMuxBottomPruned(t *testing.T) {
 		t.Fatalf("kept %d of 3 points, want 2:\nkept:\n%s", len(kept), Describe(kept))
 	}
 	for _, p := range kept {
-		if p.Group.Children[p.Below].Kind == sp.Parallel {
+		if below(tr, p).Kind == sp.Parallel {
 			t.Error("the stack-bottom junction should have been pruned")
 		}
 	}
@@ -85,10 +85,10 @@ func TestSharedLiteralStackPartiallyPruned(t *testing.T) {
 	// safe: the only device sourced at the a-b junction is the a-device
 	// itself, and raising that junction requires conducting through the
 	// sibling branch — which needs a=1 while the victim needs a=0.
-	tr := sp.NewSeries(sp.NewParallel(
+	tr := flat(sp.NewSeries(sp.NewParallel(
 		sp.NewSeries(lit("a", false), lit("b", false)),
 		sp.NewSeries(lit("a", false), lit("c", false)),
-	), lit("e", false))
+	), lit("e", false)))
 	pts := GateDischargePoints(tr)
 	if len(pts) != 3 {
 		t.Fatalf("points = %d, want 3", len(pts))
@@ -97,15 +97,15 @@ func TestSharedLiteralStackPartiallyPruned(t *testing.T) {
 	if len(kept) != 1 {
 		t.Fatalf("shared-literal stack should keep 1 point, kept %d:\n%s", len(kept), Describe(kept))
 	}
-	if kept[0].Group.Children[kept[0].Below].Kind != sp.Parallel {
+	if below(tr, kept[0]).Kind != sp.Parallel {
 		t.Error("the kept point should be the stack bottom")
 	}
 
 	// Contrast: independent top literals keep every point.
-	tr2 := sp.NewSeries(sp.NewParallel(
+	tr2 := flat(sp.NewSeries(sp.NewParallel(
 		sp.NewSeries(lit("x", false), lit("y", false)),
 		sp.NewSeries(lit("z", false), lit("w", false)),
-	), lit("e", false))
+	), lit("e", false)))
 	pts2 := GateDischargePoints(tr2)
 	if kept2 := PruneUnexcitable(tr2, pts2); len(kept2) != len(pts2) {
 		t.Fatalf("independent-literal stack should keep all %d points, kept %d", len(pts2), len(kept2))
@@ -116,10 +116,10 @@ func TestUpwardChargePathDetected(t *testing.T) {
 	// (x*y + z) * e with independent literals: the x-y junction charges
 	// from BELOW via z (paper fig. 4(a)'s scenario); a top-down-only
 	// analysis would wrongly prune it.
-	tr := sp.NewSeries(sp.NewParallel(
+	tr := flat(sp.NewSeries(sp.NewParallel(
 		sp.NewSeries(lit("x", false), lit("y", false)),
 		lit("z", false),
-	), lit("e", false))
+	), lit("e", false)))
 	pts := GateDischargePoints(tr)
 	if len(pts) != 2 {
 		t.Fatalf("points = %d, want 2", len(pts))
@@ -132,11 +132,13 @@ func TestUpwardChargePathDetected(t *testing.T) {
 
 func TestExcitableUnknownPointKept(t *testing.T) {
 	tr := muxOverE()
-	other := xorOverE()
-	pts := GateDischargePoints(other)
-	// A point from a different tree is unknown: conservatively excitable.
-	if !Excitable(tr, pts[0], 0) {
-		t.Error("unknown point should be kept")
+	// Points that are no junction of the span — past its end, on a leaf
+	// or a parallel node, or below a series node's last child — are
+	// unknown: conservatively excitable.
+	for _, pt := range []Point{{Node: 99}, {Node: 0}, {Node: int32(len(tr) - 2)}, {Node: int32(len(tr) - 1), Below: 1}} {
+		if !Excitable(tr, pt, 0) {
+			t.Errorf("unknown point %v should be kept", pt)
+		}
 	}
 }
 
@@ -147,7 +149,7 @@ func TestExcitableBoundOverflowConservative(t *testing.T) {
 	for i := range branches {
 		branches[i] = sp.NewSeries(lit(string(rune('a'+2*i)), false), lit(string(rune('b'+2*i)), false))
 	}
-	tr := sp.NewSeries(sp.NewParallel(branches...), lit("e", false))
+	tr := flat(sp.NewSeries(sp.NewParallel(branches...), lit("e", false)))
 	pts := GateDischargePoints(tr)
 	for _, pt := range pts {
 		if !Excitable(tr, pt, 1) {
@@ -161,7 +163,7 @@ func TestExcitableBoundOverflowConservative(t *testing.T) {
 func TestPruneSubsetQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 150; trial++ {
-		tr := randomTree(rng, 4)
+		tr := flat(randomTree(rng, 4))
 		pts := GateDischargePoints(tr)
 		kept := PruneUnexcitable(tr, pts)
 		if len(kept) > len(pts) {

@@ -65,23 +65,16 @@ func Analyze(res *mapper.Result, p Params) (*Estimate, error) {
 		p = DefaultParams()
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	inputs := make(map[string]bool, len(res.Source.Inputs))
-	names := make([]string, 0, len(res.Source.Inputs))
-	for _, id := range res.Source.Inputs {
-		names = append(names, res.Source.Nodes[id].Name)
-	}
+	inputs := make([]bool, len(res.Source.Inputs))
+	gates := make([]bool, len(res.Gates))
 	fires := make([]int, len(res.Gates))
 	for v := 0; v < p.Vectors; v++ {
-		for _, name := range names {
-			inputs[name] = rng.Intn(2) == 1
-		}
-		values := make(map[string]bool, len(names)+len(res.Gates))
-		for k, val := range inputs {
-			values[k] = val
+		for i := range inputs {
+			inputs[i] = rng.Intn(2) == 1
 		}
 		for _, g := range res.Gates {
-			on := g.Tree.Conducts(values)
-			values[g.Output] = on
+			on := g.Nodes.Conducts(inputs, gates)
+			gates[g.ID] = on
 			if on {
 				fires[g.ID]++
 			}

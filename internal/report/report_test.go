@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"soidomino/internal/bench"
+	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/obs"
 )
@@ -14,6 +15,18 @@ import (
 func TestPrepareUnknown(t *testing.T) {
 	if _, err := Prepare("nope"); err == nil {
 		t.Error("expected error for unknown benchmark")
+	}
+}
+
+// TestPrepareRejectsDuplicateInputNames: a network built in code with two
+// inputs of one name is refused before mapping, with strash on and off.
+func TestPrepareRejectsDuplicateInputNames(t *testing.T) {
+	n := logic.New("dup")
+	n.AddOutput("f", n.AddGate(logic.Or, n.AddInput("x"), n.AddInput("x")))
+	for _, off := range []bool{false, true} {
+		if _, err := PrepareNetworkMode(context.Background(), n, off); err == nil || !strings.Contains(err.Error(), "duplicate input name") {
+			t.Errorf("strash off=%v: PrepareNetworkMode = %v, want a duplicate-name error", off, err)
+		}
 	}
 }
 

@@ -12,14 +12,14 @@ import (
 // frontEndAllocsCeiling and frontEndBytesCeiling pin Decompose + Convert
 // on strashed des (1,247 nodes in, 2,564 out) with warm scratch: the
 // literal table and output literals Convert reads, the unate network in
-// tables presized by the marking pass, its Result and Check's input-name
-// set — 14 allocations and 225,228 B at the time of writing. The memos,
-// the hash-consing map and the tree stack come from the pool. One
-// allocation per gate (a fanin slice) or a scratch table allocated per
-// run overshoots by far.
+// tables presized by the marking pass and its Result — 11 allocations and
+// 218,660 B at the time of writing. The memos, the hash-consing map, the
+// tree stack and the input-name set come from the pool. One allocation
+// per gate (a fanin slice) or a scratch table allocated per run
+// overshoots by far.
 const (
-	frontEndAllocsCeiling = 16
-	frontEndBytesCeiling  = 256 << 10
+	frontEndAllocsCeiling = 13
+	frontEndBytesCeiling  = 250 << 10
 )
 
 // TestFrontEndAllocs is the `make dp-allocs` guard on the lowering that
@@ -50,8 +50,8 @@ func TestFrontEndAllocs(t *testing.T) {
 }
 
 // TestFrontEndAllocsWarmRun guards the scratch pool: warm, Decompose
-// may allocate its Decomposed and Convert its network, Result and
-// Check's name set, which a run with cold scratch pays too, and nothing
+// may allocate its Decomposed and Convert its network and Result, which
+// a run with cold scratch pays too, and nothing
 // else. A run after two collections, which empty the pool, must pay the
 // scratch on top; if a warm run pays it too, the pool is bypassed.
 func TestFrontEndAllocsWarmRun(t *testing.T) {

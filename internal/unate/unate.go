@@ -17,6 +17,7 @@ package unate
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sync"
 
@@ -78,16 +79,54 @@ type scratch struct {
 	hash     map[gate]lit // Decompose: gates keyed on their sorted literals
 	hashSize int          // Decompose: the source node count hash was made for
 	stack    []lit        // Decompose: fanin literals of the trees being built
+	names    []int32      // Decompose: duplicateInput's hash table
 	built    []int32      // Convert: per phase and table node, see converter.memo
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
+var nameSeed = maphash.MakeSeed()
+
+// duplicateInput reports an input name n uses twice. The parsers check
+// their networks (logic.Network.Check) and strash copies its source's
+// names, but a network built in code reaches Decompose unchecked, so
+// every run pays for the check: an open-addressing table of input
+// indices + 1 keyed by the names' hashes, pooled, so a warm run
+// allocates nothing and no string is copied.
+func (s *scratch) duplicateInput(n *logic.Network) (string, bool) {
+	size := 1
+	for size < 2*len(n.Inputs) {
+		size <<= 1
+	}
+	s.names = slices.Grow(s.names[:0], size)[:size]
+	clear(s.names)
+	mask := uint64(size - 1)
+	for i, id := range n.Inputs {
+		name := n.Nodes[id].Name
+		for j := maphash.String(nameSeed, name) & mask; ; j = (j + 1) & mask {
+			k := s.names[j]
+			if k == 0 {
+				s.names[j] = int32(i + 1)
+				break
+			}
+			if n.Nodes[n.Inputs[k-1]].Name == name {
+				return name, true
+			}
+		}
+	}
+	return "", false
+}
+
 // Decompose lowers n, which is not modified, to 2-input AND/OR gates
-// over complementable literals.
+// over complementable literals. It rejects a source whose inputs share a
+// name: the unate network takes its input names from the source, and a
+// mapping is read back by them (Result.Eval, netlist.Build, soisim).
 func Decompose(n *logic.Network) (*Decomposed, error) {
 	s := scratches.Get().(*scratch)
 	defer scratches.Put(s)
+	if name, dup := s.duplicateInput(n); dup {
+		return nil, fmt.Errorf("unate: duplicate input name %q", name)
+	}
 	d := &decomposer{
 		Decomposed: &Decomposed{src: n, nodes: make([]gate, len(n.Inputs), len(n.Nodes)+len(n.Inputs))},
 		scratch:    s,
@@ -283,7 +322,7 @@ func (d *Decomposed) Convert() (*Result, error) {
 			res.DuplicatedNodes++
 		}
 	}
-	return res, c.dst.Check()
+	return res, nil
 }
 
 // mark sets needed on the nodes visit will build for l that are not

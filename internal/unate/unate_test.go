@@ -1,7 +1,9 @@
 package unate
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +209,40 @@ func TestDecomposeRejectsMalformed(t *testing.T) {
 	m.AddOutput("f", 0)
 	if _, err := Decompose(m); err == nil {
 		t.Error("Decompose accepted an unknown op")
+	}
+}
+
+// A source whose inputs share a name never reaches Convert: the unate
+// network would carry both under the one name that a mapping is read
+// back by. Decompose rejects it, and so rejects it on every path to a
+// mapper, strash on or off; a later run over the same pooled scratch is
+// unaffected.
+func TestDecomposeRejectsDuplicateInputNames(t *testing.T) {
+	n := logic.New("dup")
+	a, b := n.AddInput("a"), n.AddInput("a")
+	n.AddOutput("f", n.AddGate(logic.And, a, b))
+	if _, err := Decompose(n); err == nil || !strings.Contains(err.Error(), `duplicate input name "a"`) {
+		t.Errorf("Decompose(%s) = %v, want a duplicate-name error", n.Name, err)
+	}
+	// A wide source: distinct names pass, and one repeat far from its
+	// first use is caught.
+	wide := func(repeat bool) *logic.Network {
+		w := logic.New("wide")
+		ins := make([]int, 100)
+		for i := range ins {
+			ins[i] = w.AddInput(fmt.Sprintf("x%d", i))
+		}
+		if repeat {
+			ins = append(ins, w.AddInput("x57"))
+		}
+		w.AddOutput("f", w.AddGate(logic.Or, ins...))
+		return w
+	}
+	if _, err := Decompose(wide(true)); err == nil || !strings.Contains(err.Error(), `"x57"`) {
+		t.Errorf("Decompose(wide with x57 twice) = %v, want a duplicate-name error", err)
+	}
+	if _, _, err := lower(wide(false)); err != nil {
+		t.Errorf("distinct names after a rejection: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
+	"soidomino/internal/sp"
 	"soidomino/internal/unate"
 )
 
@@ -82,9 +83,9 @@ func TestDetectsBrokenCircuit(t *testing.T) {
 	n := smallNetwork()
 	res := mapNetwork(t, n)
 	// Sabotage: negate a leaf of the first gate.
-	for _, leaf := range res.Gates[0].Tree.Leaves() {
-		if leaf.FromPI {
-			leaf.Negated = !leaf.Negated
+	for i, n := range res.Gates[0].Nodes {
+		if n.Kind == sp.Leaf && n.FromPI() {
+			res.Gates[0].Nodes[i].Negated = !n.Negated
 			break
 		}
 	}
@@ -131,8 +132,10 @@ func TestDetectsBrokenWideCircuitViaCorners(t *testing.T) {
 func TestMismatchCap(t *testing.T) {
 	n := smallNetwork()
 	res := mapNetwork(t, n)
-	for _, leaf := range res.Gates[0].Tree.Leaves() {
-		leaf.Negated = !leaf.Negated
+	for i, n := range res.Gates[0].Nodes {
+		if n.Kind == sp.Leaf {
+			res.Gates[0].Nodes[i].Negated = !n.Negated
+		}
 	}
 	opt := DefaultOptions()
 	opt.MaxMismatches = 2
