@@ -47,9 +47,10 @@ obs-overhead:
 # allocs/run ceiling (its tables and arena chunks come from the pooled
 # workspace, so only the engine is allocated), a warm SOIDominoMap run
 # may allocate little beyond its traceback, and traceback (SOI Pareto
-# and RS_Map: built in the pooled workspace, then one output name per
-# gate and a few exact-size arrays for the Result) and Result.Audit (a
-# few buffers, nothing per gate) stay under theirs. The strash front-end, on the key path of every service
+# and Domino_Map: built in the pooled workspace, then one output name per
+# gate and a few exact-size arrays for the Result), Result.Audit (a
+# few buffers, nothing per gate) and the RS_Map post-pass (in place on a
+# Domino_Map result: a few buffers, nothing per gate) stay under theirs. The strash front-end, on the key path of every service
 # request, is pinned the same way in allocations and bytes: a warm run
 # allocates its output network (presized, its fanins in one flat store)
 # and nothing else, its builder coming from a pool, and so is the
@@ -65,7 +66,7 @@ obs-overhead:
 # one string of the BLIF's size, at most about 1.1 times the body).
 # Env-gated like obs-overhead.
 dp-allocs:
-	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback)Allocs' -v ./internal/mapper
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback|Rearrange)Allocs' -v ./internal/mapper
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestStrashAllocs' -v ./internal/strash
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestFrontEndAllocs' -v ./internal/unate
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(Key|ParseRequest)Allocs' -v ./internal/service

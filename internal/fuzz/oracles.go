@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 
 	"soidomino/internal/mapper"
 	"soidomino/internal/pbe"
@@ -42,6 +43,7 @@ func DefaultCrossOracles() []CrossOracle {
 		{Name: "metamorphic-disch", Check: crossDisch},
 		{Name: "metamorphic-strash", Check: crossStrash},
 		{Name: "key-faithfulness", Check: crossKeyFaithfulness},
+		{Name: "rs-derivation", Check: crossRSDerivation},
 	}
 }
 
@@ -53,8 +55,9 @@ func checkEquivalence(c *Case, v *VariantResult) error {
 
 // checkDischargePrediction compares the DP's own per-gate discharge
 // forecast (tuple OwnDisch, surfaced as Gate.PredictedDischarges) against
-// an independent structural PBE analysis of the traced pulldown. RS variants
-// rearrange pulldowns after traceback and record -1, which is skipped; note
+// an independent structural PBE analysis of the traced pulldown. RS
+// variants reorder pulldowns in their post-pass and record -1, which is
+// skipped (crossRSDerivation checks them against Domino instead); note
 // the comparison is against the unpruned discharge count, so it stays
 // exact under SequenceAware pruning too.
 func checkDischargePrediction(c *Case, v *VariantResult) error {
@@ -290,6 +293,44 @@ func crossDisch(c *Case) []Violation {
 				Detail: fmt.Sprintf("%s Tdisch=%d exceeds %s Tdisch=%d + eps %d",
 					v.Name, v.Res.Stats.TDisch, rs.Name, rs.Res.Stats.TDisch, c.Cfg.DischEps),
 			})
+		}
+	}
+	return out
+}
+
+// crossRSDerivation holds every RS and RS-deep variant to the paper's
+// definition of RS_Map: Domino_Map followed by Rearrange_Stacks on the
+// finished netlist. Deriving it from the case's Domino counterpart
+// (mapper.Rearrange) must give the variant's statistics and, gate by
+// gate, its discharge points, point for point.
+func crossRSDerivation(c *Case) []Violation {
+	var out []Violation
+	for _, v := range c.Variants {
+		if (v.Algo != report.RS && v.Algo != report.RSDeep) || v.Res == nil {
+			continue
+		}
+		dom := c.Counterpart(v, report.Domino)
+		if dom == nil || dom.Res == nil {
+			continue
+		}
+		fail := func(format string, args ...any) {
+			out = append(out, Violation{Oracle: "rs-derivation", Variant: v.Name, Detail: fmt.Sprintf(format, args...)})
+		}
+		got, err := mapper.Rearrange(dom.Res, v.Algo == report.RSDeep)
+		if err != nil {
+			fail("deriving from %s: %v", dom.Name, err)
+			continue
+		}
+		if got.Stats != v.Res.Stats { // equal Stats.Gates: the gates pair up
+			fail("derived from %s: %v, direct run %v", dom.Name, got.Stats, v.Res.Stats)
+			continue
+		}
+		for i, g := range got.Gates {
+			if !slices.Equal(g.Discharges, v.Res.Gates[i].Discharges) {
+				fail("gate %d derived from %s: discharges %v, direct run %v",
+					i, dom.Name, g.Discharges, v.Res.Gates[i].Discharges)
+				break
+			}
 		}
 	}
 	return out

@@ -16,7 +16,9 @@ import (
 // canonical rule, and through the public entry point, which runs the
 // canonical options. The results and the DP's counters must be
 // identical, options echo aside, so a canonical rule that reset a field
-// the engine reads fails here.
+// the engine reads fails here. RS_Map and RS_Map_deep are drawn as what
+// they run, the Domino_Map DP and their post-pass, and each echo must be
+// Canonical under the mapper's own name.
 //
 // The draws skip one deliberate difference: a PBE-blind mapper drops
 // Pareto. A tuple budget is drawn only with Pareto, the one mode whose
@@ -29,11 +31,21 @@ func TestCanonicalOptionsProperty(t *testing.T) {
 		unateBench(t, "frg1"), // its SOI mapping depends on ClockWeight
 		randomUnateNetwork(7, 6, 40),
 	}
-	mappers := []config{dominoMap, rsMap, rsMapDeep, soiMap}
+	type mapperUnderTest struct {
+		cfg  config
+		post func(*Result)
+	}
+	rs := func(deep bool) mapperUnderTest {
+		cfg := dominoMap
+		cfg.algorithm = rsName(deep)
+		return mapperUnderTest{cfg, func(r *Result) { rearrange(r, deep) }}
+	}
+	mappers := []mapperUnderTest{{dominoMap, nil}, rs(false), rs(true), {soiMap, nil}}
 	rng := rand.New(rand.NewSource(1))
 	compared := 0
 	for draw := 0; draw < 200; draw++ {
-		m := mappers[rng.Intn(len(mappers))]
+		mut := mappers[rng.Intn(len(mappers))]
+		m := mut.cfg
 		n := nets[rng.Intn(len(nets))]
 		raw := Options{
 			MaxWidth:           3 + rng.Intn(3),
@@ -51,18 +63,18 @@ func TestCanonicalOptionsProperty(t *testing.T) {
 		if raw.Pareto && rng.Intn(2) == 0 {
 			raw.TupleBudget = []int{8, 200, 1 << 20}[rng.Intn(3)]
 		}
-		if raw.Pareto && !m.trackDischarges {
+		if raw.Pareto && !m.pbeAware {
 			continue // the PBE-blind Pareto mode is dropped on purpose
 		}
 		name := fmt.Sprintf("draw %d: %s on %s, %+v", draw, m.algorithm, n.Name, raw)
 		want, wantStats := mapStats(t, n, func(ctx context.Context) (*Result, error) {
-			return m.with(raw).run(ctx, n)
+			return m.with(raw).run(ctx, n, mut.post)
 		})
 		got, gotStats := mapStats(t, n, func(ctx context.Context) (*Result, error) {
-			return run(ctx, n, m, raw)
+			return run(ctx, n, m, raw, mut.post)
 		})
-		if got.Options != m.canonical(raw) {
-			t.Fatalf("%s: echo %+v, want the canonical %+v", name, got.Options, m.canonical(raw))
+		if want := Canonical(m.algorithm, raw); got.Options != want {
+			t.Fatalf("%s: echo %+v, want the canonical %+v", name, got.Options, want)
 		}
 		got.Options = want.Options
 		if got.Dump() != want.Dump() || !reflect.DeepEqual(got, want) {

@@ -24,14 +24,16 @@ const warmRunAllocsHeadroom = 8
 // the pooled workspace and allocates only what the Result keeps: one
 // output name per gate, plus tracebackAllocsHeadroom for the Result, its
 // two output maps and its exact-size node, discharge-point and gate
-// arrays — 617 allocs/run for SOI Pareto and for RS_Map (whose stack
-// rearrangement works in place) at the time of writing. Audit allocates
-// its analysis buffer, its level table and its inverted-input set: 3.
-// One allocation per gate or per pulldown node creeping back overshoots
-// either ceiling.
+// arrays — 617 allocs/run for SOI Pareto and for Domino_Map at the time
+// of writing. Audit allocates its analysis buffer, its level table and
+// its inverted-input set: 3. The RS_Map post-pass works in place and
+// allocates its discharge-point array and two scratch buffers sized by
+// the longest span: 3, whatever the gate count. One allocation per gate or
+// per pulldown node creeping back overshoots any ceiling.
 const (
 	tracebackAllocsHeadroom = 16
 	auditAllocsCeiling      = 8
+	rearrangeAllocsCeiling  = 8
 )
 
 func skipUnlessDPAllocs(t *testing.T) {
@@ -101,20 +103,19 @@ func TestDPAllocsWarmRun(t *testing.T) {
 }
 
 // TestTracebackAllocs is the `make dp-allocs` guard on traceback and
-// audit: on one completed DP over des, rebuilding the gates (SOI Pareto,
-// and RS_Map with its stack rearrangement) may allocate one name per
-// gate plus tracebackAllocsHeadroom, and re-auditing the result at most
+// audit: on one completed DP over des, rebuilding the gates (SOI Pareto
+// and Domino_Map) may allocate one name per gate plus
+// tracebackAllocsHeadroom, and re-auditing the result at most
 // auditAllocsCeiling times.
 func TestTracebackAllocs(t *testing.T) {
 	skipUnlessDPAllocs(t)
 	n := unateBench(t, "des")
-	rsOpt := DefaultOptions()
 	for _, tc := range []struct {
 		name string
 		cfg  config
 	}{
 		{"SOI Pareto", desSOIParetoConfig()},
-		{"RS_Map", config{Options: rsOpt, algorithm: "RS_Map", rearrangePost: rearrangeTop}},
+		{"Domino_Map", dominoMap.with(DefaultOptions())},
 	} {
 		e := newEngine(context.Background(), n, tc.cfg)
 		if err := e.process(); err != nil {
@@ -140,6 +141,31 @@ func TestTracebackAllocs(t *testing.T) {
 		t.Logf("des %s: %.0f allocs/run in Audit (ceiling %d)", tc.name, allocs, auditAllocsCeiling)
 		if allocs > auditAllocsCeiling {
 			t.Errorf("%s Audit allocates %.0f times per run, ceiling %d", tc.name, allocs, auditAllocsCeiling)
+		}
+	}
+}
+
+// TestRearrangeAllocs is the `make dp-allocs` guard on the RS_Map
+// post-pass: applied in place to a Domino_Map result of des, as
+// RSMapContext applies it, it may allocate at most
+// rearrangeAllocsCeiling times, with no term per gate, so RS_Map costs a
+// constant number of allocations over Domino_Map.
+func TestRearrangeAllocs(t *testing.T) {
+	skipUnlessDPAllocs(t)
+	n := unateBench(t, "des")
+	for _, deep := range []bool{false, true} {
+		res, err := DominoMap(n, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() { rearrange(res, deep) })
+		t.Logf("des %s: %.0f allocs/run in the post-pass (ceiling %d), %d gates",
+			rsName(deep), allocs, rearrangeAllocsCeiling, len(res.Gates))
+		if allocs > rearrangeAllocsCeiling {
+			t.Errorf("%s post-pass allocates %.0f times per run, ceiling %d", rsName(deep), allocs, rearrangeAllocsCeiling)
+		}
+		if err := res.Audit(); err != nil {
+			t.Fatalf("%s: %v", rsName(deep), err)
 		}
 	}
 }

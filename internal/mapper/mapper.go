@@ -14,8 +14,8 @@ import (
 
 // DominoMap runs the bulk-CMOS baseline: the dynamic program minimizes the
 // objective without regard to discharge transistors; series stacks keep
-// their natural (first-fanin-on-top) order; p-discharge devices are added
-// by post-processing the finished trees.
+// their natural (first-fanin-on-top) order; p-discharge devices go where
+// traceback's analysis of each finished pulldown finds them.
 func DominoMap(n *logic.Network, opt Options) (*Result, error) {
 	return DominoMapContext(context.Background(), n, opt)
 }
@@ -24,29 +24,39 @@ func DominoMap(n *logic.Network, opt Options) (*Result, error) {
 // node-processing checkpoints and returns ctx.Err() if it is canceled or
 // its deadline passes before the dynamic program completes.
 func DominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, dominoMap, opt)
+	return run(ctx, n, dominoMap, opt, nil)
 }
 
-// RSMap is DominoMap plus the Rearrange_Stacks post-processing step: each
-// finished gate's series stacks are reordered to move parallel sections
-// with many potential discharge points toward ground before discharge
-// insertion (paper §VI-A).
+// RSMap is DominoMap followed by the Rearrange_Stacks post-pass (paper
+// §VI-A): each finished gate's ground-side series stack is reordered to
+// move parallel sections with many potential discharge points toward
+// ground, and its discharges are analyzed again. Its result is
+// Rearrange of DominoMap's.
 func RSMap(n *logic.Network, opt Options) (*Result, error) {
 	return RSMapContext(context.Background(), n, opt)
 }
 
-// RSMapContext is RSMap with cancellation (see DominoMapContext).
+// RSMapContext is RSMap with cancellation (see DominoMapContext). The
+// Domino_Map DP runs under the RS_Map name (obs.Stats, spans), and the
+// post-pass works in place, timed as part of traceback.
 func RSMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, rsMap, opt)
+	return rsMapRun(ctx, n, opt, false)
 }
 
-// RSMapDeepContext is an extension of RSMap whose post-processing
-// reorders every series group, including those nested inside parallel
-// branches — stronger than the paper's RS_Map but still a pure
-// post-process. The ablation benchmarks compare all three. Cancellation
-// as in DominoMapContext.
+// RSMapDeepContext is an extension of RSMap whose post-pass reorders
+// every series group, including those nested inside parallel branches —
+// stronger than the paper's RS_Map but still a pure post-process. The
+// ablation benchmarks compare all three. Cancellation as in
+// DominoMapContext.
 func RSMapDeepContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, rsMapDeep, opt)
+	return rsMapRun(ctx, n, opt, true)
+}
+
+// rsMapRun is RSMapContext, or RSMapDeepContext when deep.
+func rsMapRun(ctx context.Context, n *logic.Network, opt Options, deep bool) (*Result, error) {
+	cfg := dominoMap
+	cfg.algorithm = rsName(deep)
+	return run(ctx, n, cfg, opt, func(res *Result) { rearrange(res, deep) })
 }
 
 // SOIDominoMap runs the paper's algorithm (§V, listing 2): discharge
@@ -59,21 +69,22 @@ func SOIDominoMap(n *logic.Network, opt Options) (*Result, error) {
 // SOIDominoMapContext is SOIDominoMap with cancellation (see
 // DominoMapContext).
 func SOIDominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, soiMap, opt)
+	return run(ctx, n, soiMap, opt, nil)
 }
 
 // run maps n with mapper m under opt, validated and then reduced to the
 // options m reads (canonical), so the engine and the Result's options
-// echo never carry a field the run ignores.
-func run(ctx context.Context, n *logic.Network, m config, opt Options) (*Result, error) {
+// echo never carry a field the run ignores. A non-nil post runs on the
+// traced result inside the traceback phase.
+func run(ctx context.Context, n *logic.Network, m config, opt Options, post func(*Result)) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return m.with(m.canonical(opt)).run(ctx, n)
+	return m.with(m.canonical(opt)).run(ctx, n, post)
 }
 
 // run maps n under cfg, whose options are valid.
-func (cfg config) run(ctx context.Context, n *logic.Network) (*Result, error) {
+func (cfg config) run(ctx context.Context, n *logic.Network, post func(*Result)) (*Result, error) {
 	if err := unate.IsUnate(n); err != nil {
 		return nil, fmt.Errorf("mapper: input network is not unate: %w", err)
 	}
@@ -96,7 +107,9 @@ func (cfg config) run(ctx context.Context, n *logic.Network) (*Result, error) {
 			return fmt.Errorf("mapper: %s traceback: %w", cfg.algorithm, ferr)
 		}
 		var terr error
-		res, terr = e.traceback()
+		if res, terr = e.traceback(); terr == nil && post != nil {
+			post(res)
+		}
 		return terr
 	})
 	if err != nil {
@@ -209,13 +222,13 @@ func weights(cfg config) tuple.Weights {
 	var w tuple.Weights
 	if cfg.Objective == Depth {
 		w.Depth = cfg.DepthWeight
-		if cfg.trackDischarges {
+		if cfg.pbeAware {
 			w.Disch = 1
 		}
 		return w
 	}
 	w.Trans, w.Clock = 1, cfg.ClockWeight
-	if cfg.trackDischarges {
+	if cfg.pbeAware {
 		w.Disch = cfg.ClockWeight
 	}
 	return w
@@ -229,7 +242,7 @@ func (e *engine) less(a, b tuple.Tuple) bool {
 	if ca, cb := e.w.Cost(&a), e.w.Cost(&b); ca != cb {
 		return ca < cb
 	}
-	if e.cfg.trackDischarges {
+	if e.cfg.pbeAware {
 		if a.PDis != b.PDis {
 			return a.PDis < b.PDis
 		}
@@ -339,7 +352,7 @@ func (e *engine) combineOr(a, b cand) tuple.Tuple {
 }
 
 // order is the stack order of the paper's combine_and, reporting whether
-// a goes on top. With reorderStacks it is chosen from par_b and p_dis: a
+// a goes on top. With pbeAware it is chosen from par_b and p_dis: a
 // parallel-at-bottom input goes to the bottom (it may reach ground); if
 // both or neither qualify, the larger p_dis goes to the bottom. The
 // PBE-blind mappers keep source order (first operand on top) or, under
@@ -348,7 +361,7 @@ func (e *engine) combineOr(a, b cand) tuple.Tuple {
 func (e *engine) order(a, b cand) bool {
 	topIsA := true // source order: first operand on top
 	switch {
-	case e.cfg.reorderStacks:
+	case e.cfg.pbeAware:
 		switch {
 		case a.t.ParB && !b.t.ParB:
 			topIsA = false // a goes to the bottom

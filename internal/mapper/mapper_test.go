@@ -512,7 +512,7 @@ func TestDPPredictsDischarges(t *testing.T) {
 		}
 		// Reconstruct the DP totals for the root gate.
 		e := newEngine(context.Background(), n,
-			config{Options: opt, algorithm: "x", trackDischarges: true, reorderStacks: true})
+			config{Options: opt, algorithm: "x", pbeAware: true})
 		if err := e.process(); err != nil {
 			t.Fatal(err)
 		}
@@ -710,7 +710,7 @@ func TestShapeCheckQuick(t *testing.T) {
 		opt.MaxWidth, opt.MaxHeight = 2+rng.Intn(6), 2+rng.Intn(9)
 		opt.Pareto = pareto
 		e := newEngine(context.Background(), fig3Network(),
-			config{Options: opt, algorithm: "test", trackDischarges: true, reorderStacks: true})
+			config{Options: opt, algorithm: "test", pbeAware: true})
 		operand := func(node int32) cand {
 			pdis := rng.Int31n(6)
 			tu := &tuple.Tuple{

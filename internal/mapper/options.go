@@ -3,10 +3,11 @@
 //
 //   - DominoMap: the bulk-CMOS baseline (Zhao–Sapatnekar ICCAD '98 dynamic
 //     programming) that ignores the Parasitic Bipolar Effect; p-discharge
-//     transistors are inserted by a post-processing pass.
-//   - RSMap: DominoMap plus the Rearrange_Stacks post-processing step that
-//     reorders series stacks to move parallel sections toward ground before
-//     inserting discharges (paper §VI-A).
+//     transistors go where pbe.Analyze finds them on the finished gates.
+//   - RSMap: DominoMap followed by the Rearrange_Stacks post-pass, which
+//     reorders each finished gate's series stack to move parallel
+//     sections toward ground (paper §VI-A); Rearrange applies it to a
+//     DominoMap result.
 //   - SOIDominoMap: the paper's contribution (§V): the DP cost includes
 //     the discharge transistors implied by each partial structure, series
 //     stacks are ordered during combination using par_b and p_dis, and
@@ -158,44 +159,44 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// rearrangeMode selects the RS_Map post-processing strength.
-type rearrangeMode uint8
-
-const (
-	rearrangeNone rearrangeMode = iota
-	rearrangeTop                // paper's RS_Map: the gate's ground-side series stack
-	rearrangeDeep               // extension: every series group, including branch-internal
-)
-
-// config is an Options plus the per-algorithm behaviour switches.
+// config is an Options plus the dynamic program's one behaviour switch.
 type config struct {
 	Options
-	algorithm       string
-	trackDischarges bool // include materialized discharges in the DP cost
-	reorderStacks   bool // order series stacks by par_b/p_dis at combine time
-	rearrangePost   rearrangeMode
+	algorithm string
+	// pbeAware makes the DP the paper's SOI_Domino_Map: materialized
+	// discharges count in the cost (and break its ties), and series
+	// stacks are ordered by par_b/p_dis at combine time.
+	pbeAware bool
 }
 
-// The mappers' behaviour switches; a run adds the Options.
+// The dynamic program's two configurations; a run adds the Options.
+// RS_Map runs dominoMap and a post-pass (rsMapRun).
 var (
 	dominoMap = config{algorithm: "Domino_Map"}
-	rsMap     = config{algorithm: "RS_Map", rearrangePost: rearrangeTop}
-	rsMapDeep = config{algorithm: "RS_Map_deep", rearrangePost: rearrangeDeep}
-	soiMap    = config{algorithm: "SOI_Domino_Map", trackDischarges: true, reorderStacks: true}
+	soiMap    = config{algorithm: "SOI_Domino_Map", pbeAware: true}
 )
+
+// rsName is the algorithm name of RS_Map, or of RS_Map_deep when deep.
+func rsName(deep bool) string {
+	if deep {
+		return "RS_Map_deep"
+	}
+	return "RS_Map"
+}
 
 // Canonical returns opt as the named mapper runs it: every field that
 // mapper does not read under opt's objective is reset to its
 // DefaultOptions value, so two option sets that give the same mapping
 // are equal. algorithm is a mapper's Result.Algorithm name without the
 // Pareto suffix (Domino_Map, RS_Map, RS_Map_deep, SOI_Domino_Map); any
-// other name panics. The mappers apply it to every run, and the service
-// keys on its result.
+// other name panics; RS_Map and RS_Map_deep run as Domino_Map. The
+// mappers apply it to every run, and the service keys on its result.
 func Canonical(algorithm string, opt Options) Options {
-	for _, m := range [...]config{dominoMap, rsMap, rsMapDeep, soiMap} {
-		if m.algorithm == algorithm {
-			return m.canonical(opt)
-		}
+	switch algorithm {
+	case dominoMap.algorithm, rsName(false), rsName(true):
+		return dominoMap.canonical(opt)
+	case soiMap.algorithm:
+		return soiMap.canonical(opt)
 	}
 	panic("mapper: unknown algorithm " + algorithm)
 }
@@ -215,19 +216,19 @@ func Canonical(algorithm string, opt Options) Options {
 func (cfg config) canonical(opt Options) Options {
 	def := DefaultOptions()
 	opt.Workers = def.Workers
-	if !cfg.trackDischarges {
+	if !cfg.pbeAware {
 		opt.Pareto = def.Pareto
 	}
 	if !opt.Pareto {
 		opt.TupleBudget = def.TupleBudget
 	}
-	if cfg.reorderStacks {
+	if cfg.pbeAware {
 		opt.BaselineStackOrder = def.BaselineStackOrder
 	}
 	if opt.Objective == Depth {
 		opt.ClockWeight = def.ClockWeight
 	}
-	if opt.Objective != Depth || !cfg.trackDischarges {
+	if opt.Objective != Depth || !cfg.pbeAware {
 		opt.DepthWeight = def.DepthWeight
 	}
 	return opt

@@ -31,9 +31,10 @@ type Gate struct {
 	// algorithms that leave the traced pulldown untouched it must equal
 	// the unpruned pbe.GateDischargePoints count exactly — the fuzzing
 	// oracles cross-check the two. It is -1 when the prediction is not
-	// meaningful: RS variants rearrange pulldowns after traceback,
-	// invalidating the DP bookkeeping. Note Discharges itself may be
-	// shorter when SequenceAware pruning removed unexcitable points.
+	// meaningful: the RS_Map post-pass (Rearrange) reorders the traced
+	// pulldown, so the DP's forecast no longer describes it. Note
+	// Discharges itself may be shorter when SequenceAware pruning
+	// removed unexcitable points.
 	PredictedDischarges int
 	Footed              bool
 	Level               int // 1-based domino level (max over driving gates + 1)

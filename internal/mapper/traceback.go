@@ -65,8 +65,7 @@ type builder struct {
 
 // gate materializes the completed domino gate for a node, memoized: it
 // writes the gate's pulldown span on the build stack, moves it to the
-// finished spans (rearranged, for the RS variants), analyzes it and
-// records the gate with its summary.
+// finished spans, analyzes it and records the gate with its summary.
 func (b *builder) gate(nodeID int) (int, error) {
 	ws := b.ws
 	if gid := ws.gateOf[nodeID]; gid > 0 {
@@ -90,16 +89,7 @@ func (b *builder) gate(nodeID int) (int, error) {
 		return 0, fmt.Errorf("mapper: no gate solution for node %d", nodeID)
 	}
 	start := len(ws.nodes)
-	switch b.e.cfg.rearrangePost {
-	case rearrangeTop:
-		ws.nodes = pbe.Rearrange(ws.nodes, ws.build[base:])
-		predicted = -1
-	case rearrangeDeep:
-		ws.nodes = pbe.RearrangeDeep(ws.nodes, ws.build[base:])
-		predicted = -1
-	default:
-		ws.nodes = append(ws.nodes, ws.build[base:]...)
-	}
+	ws.nodes = append(ws.nodes, ws.build[base:]...)
 	ws.build = ws.build[:base]
 	span := sp.Span(ws.nodes[start:])
 

@@ -33,7 +33,9 @@ type AblationTable struct {
 	Rows  []AblationRow
 }
 
-// RunAblation maps the Table II suite with all four algorithm variants.
+// RunAblation maps the Table II suite with all four algorithm variants:
+// the DP runs for Domino and SOI, and RS and RS-deep are derived from
+// the Domino mapping.
 func RunAblation(opt mapper.Options, check bool) (*AblationTable, error) {
 	opt = harness(opt)
 	tab := &AblationTable{Title: "Ablation: discharge transistors by algorithm variant"}
@@ -47,11 +49,11 @@ func RunAblation(opt mapper.Options, check bool) (*AblationTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs, err := p.Map(context.Background(), RS, opt, check)
+		rs, err := p.mapFrom(context.Background(), base, RS, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		rsDeep, err := p.Map(context.Background(), RSDeep, opt, check)
+		rsDeep, err := p.mapFrom(context.Background(), base, RSDeep, opt, check)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,8 @@ type DelayTable struct {
 	Rows  []DelayRow
 }
 
-// RunDelay estimates critical delays across the Table II suite.
+// RunDelay estimates critical delays across the Table II suite; the RS
+// mapping is derived from the Domino one.
 func RunDelay(opt mapper.Options, check bool) (*DelayTable, error) {
 	opt = harness(opt)
 	params := delay.DefaultParams()
@@ -40,8 +41,9 @@ func RunDelay(opt mapper.Options, check bool) (*DelayTable, error) {
 			return nil, err
 		}
 		row := DelayRow{Circuit: name}
+		var dom *mapper.Result
 		for i, a := range []Algorithm{Domino, RS, SOI} {
-			res, err := p.Map(context.Background(), a, opt, check && i == 0)
+			res, err := p.mapFrom(context.Background(), dom, a, opt, check && i == 0)
 			if err != nil {
 				return nil, err
 			}
@@ -51,6 +53,7 @@ func RunDelay(opt mapper.Options, check bool) (*DelayTable, error) {
 			}
 			switch a {
 			case Domino:
+				dom = res
 				row.Base = an.Critical
 				row.LevelsBase = res.Stats.Levels
 				row.CriticalOutBase = an.CriticalOutput

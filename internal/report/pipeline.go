@@ -174,6 +174,26 @@ func (a Algorithm) Run(ctx context.Context, n *logic.Network, opt mapper.Options
 // and recorded as an "audit <net>" span.
 func (p *Pipeline) Map(ctx context.Context, a Algorithm, opt mapper.Options, check bool) (*mapper.Result, error) {
 	res, err := a.Run(ctx, p.Unate, opt)
+	return p.accept(ctx, a, res, err, check)
+}
+
+// mapFrom is Map for a caller that holds dom, p's Domino mapping under
+// the same opt: RS and RS-deep are derived from it (mapper.Rearrange,
+// the paper's RS_Map post-pass) instead of running the DP again, and
+// audited and checked as Map does. Any other algorithm, or a nil dom,
+// goes through Map.
+func (p *Pipeline) mapFrom(ctx context.Context, dom *mapper.Result, a Algorithm, opt mapper.Options, check bool) (*mapper.Result, error) {
+	if dom == nil || (a != RS && a != RSDeep) {
+		return p.Map(ctx, a, opt, check)
+	}
+	res, err := mapper.Rearrange(dom, a == RSDeep)
+	return p.accept(ctx, a, res, err, check)
+}
+
+// accept finishes one mapping of p by algorithm a: a mapping error is
+// wrapped, the result audited (timed and traced as the audit phase) and,
+// when check is true, verified equivalent to the original network.
+func (p *Pipeline) accept(ctx context.Context, a Algorithm, res *mapper.Result, err error, check bool) (*mapper.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("report: %s on %s: %w", a, p.Name, err)
 	}

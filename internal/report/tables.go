@@ -131,6 +131,8 @@ func selectCircuits(table, want []string) ([]string, error) {
 	return out, nil
 }
 
+// runCompare maps each circuit with Domino and with cmp, deriving an RS
+// cmp from the Domino mapping (mapFrom).
 func runCompare(title string, circuits []string, cmp Algorithm,
 	paper map[string][2]paperTriple, paperAvg [2]float64,
 	opt mapper.Options, check bool) (*CompareTable, error) {
@@ -145,7 +147,7 @@ func runCompare(title string, circuits []string, cmp Algorithm,
 		if err != nil {
 			return nil, err
 		}
-		other, err := p.Map(context.Background(), cmp, opt, check)
+		other, err := p.mapFrom(context.Background(), base, cmp, opt, check)
 		if err != nil {
 			return nil, err
 		}
