@@ -20,8 +20,9 @@ import (
 // mappingVariants are the option sets the mapping golden pins: the
 // paper's defaults, the hashed PBE-blind stack order, the Pareto
 // frontier with and without a binding tuple budget, the depth objective
-// (alone and under Pareto), and a clock-weighted Pareto run on a small
-// 3×4 shape bound where the bound rejects most combinations.
+// (alone and under Pareto), a clock-weighted Pareto run on a small
+// 3×4 shape bound where the bound rejects most combinations, and the
+// sequence-aware discharge pruning (pbe.PruneUnexcitable).
 var mappingVariants = []struct {
 	name string
 	opt  func(*mapper.Options)
@@ -37,6 +38,7 @@ var mappingVariants = []struct {
 		o.MaxWidth, o.MaxHeight = 3, 4
 	}},
 	{"depth", func(o *mapper.Options) { o.Objective = mapper.Depth }},
+	{"seq", func(o *mapper.Options) { o.SequenceAware = true }},
 }
 
 // mappingRun is one line of the golden file: a registry circuit, an
