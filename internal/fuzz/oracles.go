@@ -56,7 +56,7 @@ func checkEquivalence(c *Case, v *VariantResult) error {
 // checkDischargePrediction compares the DP's own per-gate discharge
 // forecast (tuple OwnDisch, surfaced as Gate.PredictedDischarges) against
 // an independent structural PBE analysis of the traced pulldown. RS
-// variants reorder pulldowns in their post-pass and record -1, which is
+// variants reorder pulldowns in their discharge pass and record -1, which is
 // skipped (crossRSDerivation checks them against Domino instead); note
 // the comparison is against the unpruned discharge count, so it stays
 // exact under SequenceAware pruning too.

@@ -21,17 +21,20 @@ import (
 //   - every gate's summary, and the statistics summed from them, match
 //     what the pulldown spans give.
 //
-// Audit is independent of traceback's bookkeeping: it recomputes every
-// property from the flat nodes, one pass per gate plus its PBE analysis,
-// and only compares the result with the recorded summary.
+// Audit is independent of traceback's bookkeeping and of the discharge
+// pass: it recomputes every property from the flat nodes, one pass per
+// gate plus the discharges of each of its stages, and only compares the
+// result with the recorded summary.
 func (r *Result) Audit() error {
 	longest := 0
 	for _, g := range r.Gates {
 		longest = max(longest, len(g.Nodes))
 	}
-	// A span has fewer junctions than nodes, so neither list of its
-	// analysis outgrows its half of buf.
+	// A gate's stages have fewer junctions than it has nodes, so neither
+	// its discharges nor one stage's potential points outgrow their half
+	// of buf.
 	buf := make([]pbe.Point, 2*longest)
+	pot := buf[longest:longest]
 	levels := make([]int, len(r.Gates))
 	inverted := make([]bool, len(r.Source.Inputs))
 	var sum Stats
@@ -86,21 +89,27 @@ func (r *Result) Audit() error {
 		case g.NewInverters != newInverters:
 			return fmt.Errorf("gate %d: %d new inverted inputs recorded, pulldown adds %d", g.ID, g.NewInverters, newInverters)
 		}
+		// A plain gate is its own one stage; a compound gate's list is its
+		// stages' lists end to end.
+		stages := []Stage{{Nodes: g.Nodes, Discharges: g.Discharges}}
 		if g.Compound != nil {
-			if err := g.validateCompound(r.Options.SequenceAware); err != nil {
+			if err := g.validateCompound(); err != nil {
 				return err
 			}
-		} else {
-			if want := r.Options.AlwaysFooted || m.HasPI; g.Footed != want {
-				return fmt.Errorf("gate %d: footed=%v, want %v", g.ID, g.Footed, want)
+			stages = g.Compound.Stages
+		} else if want := r.Options.AlwaysFooted || m.HasPI; g.Footed != want {
+			return fmt.Errorf("gate %d: footed=%v, want %v", g.ID, g.Footed, want)
+		}
+		want := buf[:0:longest]
+		for k, st := range stages {
+			mark := len(want)
+			want = pbe.Discharges(want, st.Nodes, r.Options.SequenceAware, &pot)
+			if err := sameDischarges(st.Discharges, want[mark:]); err != nil {
+				return fmt.Errorf("gate %d: stage %d: %w", g.ID, k, err)
 			}
-			want := pbe.Analyze(g.Nodes, buf[:0:longest], buf[longest:longest]).Immediate
-			if r.Options.SequenceAware {
-				want = pbe.PruneUnexcitable(g.Nodes, want)
-			}
-			if err := sameDischarges(g.Discharges, want); err != nil {
-				return fmt.Errorf("gate %d: %w", g.ID, err)
-			}
+		}
+		if err := sameDischarges(g.Discharges, want); err != nil {
+			return fmt.Errorf("gate %d: %w", g.ID, err)
 		}
 		sum.TLogic += g.logicTransistors(m.Transistors)
 		sum.TDisch += len(g.Discharges)

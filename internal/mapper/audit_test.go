@@ -10,10 +10,13 @@ import (
 )
 
 // TestAuditCatchesCorruption is the guard on Audit's independence from
-// traceback's bookkeeping: on a des mapping, corrupting one gate's summary
-// field, one node of its pulldown span, or its discharge list must make
-// Audit fail and name that gate. Every corruption is undone before the
-// next, and the untouched result must audit clean before and after.
+// traceback's bookkeeping and the discharge pass: on a des mapping,
+// corrupting one gate's summary field, one node of its pulldown span, or
+// its discharge list must make Audit fail and name that gate; so must
+// corrupting, after CompoundTransform, one stage's discharge list of a
+// compound gate or the gate's concatenated list. Every corruption is
+// undone before the next, and the untouched result must audit clean
+// before and after.
 func TestAuditCatchesCorruption(t *testing.T) {
 	// Domino_Map leaves parallel stacks above series junctions, so des
 	// gets gates with discharge points as well as gate-driven leaves.
@@ -81,17 +84,49 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		expect(fmt.Sprintf("node %d children-1", i), func() { g.Nodes[i].Arg-- }, restore)
 	}
 
-	// The discharge list: a point dropped, moved, or added.
-	old := g.Discharges
-	restore := func() { g.Discharges = old }
-	expect("discharge dropped", func() { g.Discharges = old[1:] }, restore)
-	expect("discharge moved", func() {
-		g.Discharges = append([]pbe.Point(nil), old...)
-		g.Discharges[0].Below++
-	}, restore)
-	expect("discharge added", func() { g.Discharges = append(append([]pbe.Point(nil), old...), old[0]) }, restore)
-
+	// A discharge list: a point dropped, moved, or added.
+	corruptList := func(what string, list *[]pbe.Point) {
+		t.Helper()
+		old := *list
+		restore := func() { *list = old }
+		expect(what+" dropped", func() { *list = old[1:] }, restore)
+		expect(what+" moved", func() {
+			*list = append([]pbe.Point(nil), old...)
+			(*list)[0].Below++
+		}, restore)
+		expect(what+" added", func() { *list = append(append([]pbe.Point(nil), old...), old[0]) }, restore)
+	}
+	corruptList("discharge", &g.Discharges)
 	if err := res.Audit(); err != nil {
 		t.Fatalf("restored result: %v", err)
+	}
+
+	// A compound gate with a discharge point in one of its stages. No
+	// split of a des gate saves transistors, so splits are forced.
+	opt := DefaultCompoundOptions()
+	opt.SplitWiderThan = 2
+	CompoundTransform(res, opt)
+	if err := res.Audit(); err != nil {
+		t.Fatalf("compound result: %v", err)
+	}
+	g = nil
+	for _, c := range res.Gates {
+		if c.Compound != nil && len(c.Discharges) > 0 {
+			g = c
+			break
+		}
+	}
+	if g == nil {
+		t.Fatal("des has no compound gate with a discharge point")
+	}
+	t.Logf("corrupting compound gate %d: %s, %d stages, %d discharges", g.ID, res.Expr(g.Nodes), len(g.Compound.Stages), len(g.Discharges))
+	for k := range g.Compound.Stages {
+		if st := &g.Compound.Stages[k]; len(st.Discharges) > 0 {
+			corruptList(fmt.Sprintf("stage %d discharge", k), &st.Discharges)
+		}
+	}
+	corruptList("concatenated discharge", &g.Discharges)
+	if err := res.Audit(); err != nil {
+		t.Fatalf("restored compound result: %v", err)
 	}
 }

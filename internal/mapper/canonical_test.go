@@ -17,8 +17,8 @@ import (
 // canonical options. The results and the DP's counters must be
 // identical, options echo aside, so a canonical rule that reset a field
 // the engine reads fails here. RS_Map and RS_Map_deep are drawn as what
-// they run, the Domino_Map DP and their post-pass, and each echo must be
-// Canonical under the mapper's own name.
+// they run, the Domino_Map DP with their stack order in the discharge
+// pass, and each echo must be Canonical under the mapper's own name.
 //
 // The draws skip one deliberate difference: a PBE-blind mapper drops
 // Pareto. A tuple budget is drawn only with Pareto, the one mode whose
@@ -32,13 +32,13 @@ func TestCanonicalOptionsProperty(t *testing.T) {
 		randomUnateNetwork(7, 6, 40),
 	}
 	type mapperUnderTest struct {
-		cfg  config
-		post func(*Result)
+		cfg     config
+		reorder stackOrder
 	}
 	rs := func(deep bool) mapperUnderTest {
 		cfg := dominoMap
 		cfg.algorithm = rsName(deep)
-		return mapperUnderTest{cfg, func(r *Result) { rearrange(r, deep) }}
+		return mapperUnderTest{cfg, rsOrder(deep)}
 	}
 	mappers := []mapperUnderTest{{dominoMap, nil}, rs(false), rs(true), {soiMap, nil}}
 	rng := rand.New(rand.NewSource(1))
@@ -68,10 +68,10 @@ func TestCanonicalOptionsProperty(t *testing.T) {
 		}
 		name := fmt.Sprintf("draw %d: %s on %s, %+v", draw, m.algorithm, n.Name, raw)
 		want, wantStats := mapStats(t, n, func(ctx context.Context) (*Result, error) {
-			return m.with(raw).run(ctx, n, mut.post)
+			return m.with(raw).run(ctx, n, mut.reorder)
 		})
 		got, gotStats := mapStats(t, n, func(ctx context.Context) (*Result, error) {
-			return run(ctx, n, m, raw, mut.post)
+			return run(ctx, n, m, raw, mut.reorder)
 		})
 		if want := Canonical(m.algorithm, raw); got.Options != want {
 			t.Fatalf("%s: echo %+v, want the canonical %+v", name, got.Options, want)

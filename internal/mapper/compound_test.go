@@ -71,10 +71,7 @@ func TestCompoundTransformSeriesSplit(t *testing.T) {
 	}
 	before := res.Stats
 
-	cs, err := CompoundTransform(res, DefaultCompoundOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := CompoundTransform(res, DefaultCompoundOptions())
 	if cs.Converted != 1 {
 		t.Fatalf("converted = %d, want 1", cs.Converted)
 	}
@@ -105,10 +102,7 @@ func TestCompoundTransformSkipsUnprofitable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := CompoundTransform(res, DefaultCompoundOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := CompoundTransform(res, DefaultCompoundOptions())
 	if cs.Converted != 0 {
 		t.Errorf("converted %d gates; none are profitable", cs.Converted)
 	}
@@ -140,10 +134,7 @@ func TestCompoundForcedNANDSplit(t *testing.T) {
 	}
 	opt := DefaultCompoundOptions()
 	opt.SplitWiderThan = 2
-	cs, err := CompoundTransform(res, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := CompoundTransform(res, opt)
 	if cs.Converted != 1 {
 		t.Fatalf("forced split did not happen: %+v", cs)
 	}
@@ -167,14 +158,9 @@ func TestCompoundIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompoundTransform(res, DefaultCompoundOptions()); err != nil {
-		t.Fatal(err)
-	}
+	CompoundTransform(res, DefaultCompoundOptions())
 	after := res.Stats
-	cs, err := CompoundTransform(res, DefaultCompoundOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := CompoundTransform(res, DefaultCompoundOptions())
 	if cs.Converted != 0 || res.Stats != after {
 		t.Error("second transform should be a no-op")
 	}
@@ -191,9 +177,7 @@ func TestCompoundDumpMentionsKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompoundTransform(res, DefaultCompoundOptions()); err != nil {
-		t.Fatal(err)
-	}
+	CompoundTransform(res, DefaultCompoundOptions())
 	if dump := res.Dump(); !contains(dump, "compound-nor(2)") {
 		t.Errorf("dump missing compound marker:\n%s", dump)
 	}

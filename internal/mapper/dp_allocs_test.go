@@ -4,6 +4,8 @@ import (
 	"context"
 	"os"
 	"testing"
+
+	"soidomino/internal/logic"
 )
 
 // dpAllocsCeiling pins the DP's allocations per warm run on des (SOI,
@@ -20,16 +22,18 @@ const dpAllocsCeiling = 2
 // DP state, about 170 allocations on des, and overshoots.
 const warmRunAllocsHeadroom = 8
 
-// Traceback and audit ceilings on des (607 gates). Traceback builds in
-// the pooled workspace and allocates only what the Result keeps: one
-// output name per gate, plus tracebackAllocsHeadroom for the Result, its
-// two output maps and its exact-size node, discharge-point and gate
-// arrays — 617 allocs/run for SOI Pareto and for Domino_Map at the time
-// of writing. Audit allocates its analysis buffer, its level table and
-// its inverted-input set: 3. The RS_Map post-pass works in place and
-// allocates its discharge-point array and two scratch buffers sized by
-// the longest span: 3, whatever the gate count. One allocation per gate or
-// per pulldown node creeping back overshoots any ceiling.
+// Traceback and audit ceilings on des (607 gates). Traceback and the
+// discharge pass build in the pooled workspace and allocate only what the
+// Result keeps: one output name per gate, plus tracebackAllocsHeadroom
+// for the Result, its two output maps and its exact-size node,
+// discharge-point and gate arrays — 617 allocs/run for SOI Pareto,
+// Domino_Map, RS_Map and RS_Map_deep at the time of writing. Audit
+// allocates its discharge buffer, its level table and its inverted-input
+// set: 3. Rearrange copies a Domino_Map result's gates into a pooled
+// workspace, runs the pass and copies the result out: the Result and its
+// node, discharge-point, gate and gate-pointer arrays, 5 whatever the
+// gate count. One allocation per gate or per pulldown node creeping back
+// overshoots any ceiling.
 const (
 	tracebackAllocsHeadroom = 16
 	auditAllocsCeiling      = 8
@@ -84,7 +88,7 @@ func TestDPAllocsWarmRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	traceback := testing.AllocsPerRun(10, func() {
-		if _, err := e.traceback(); err != nil {
+		if _, err := e.traceback(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -102,20 +106,25 @@ func TestDPAllocsWarmRun(t *testing.T) {
 	}
 }
 
-// TestTracebackAllocs is the `make dp-allocs` guard on traceback and
-// audit: on one completed DP over des, rebuilding the gates (SOI Pareto
-// and Domino_Map) may allocate one name per gate plus
-// tracebackAllocsHeadroom, and re-auditing the result at most
-// auditAllocsCeiling times.
+// TestTracebackAllocs is the `make dp-allocs` guard on traceback, the
+// discharge pass and audit: on one completed DP over des, rebuilding the
+// gates and placing their discharges (SOI Pareto, Domino_Map, and the
+// Domino_Map DP with RS_Map's and RS_Map_deep's stack orders) may
+// allocate one name per gate plus tracebackAllocsHeadroom, and
+// re-auditing the result at most auditAllocsCeiling times.
 func TestTracebackAllocs(t *testing.T) {
 	skipUnlessDPAllocs(t)
 	n := unateBench(t, "des")
+	domino := dominoMap.with(DefaultOptions())
 	for _, tc := range []struct {
-		name string
-		cfg  config
+		name    string
+		cfg     config
+		reorder stackOrder
 	}{
-		{"SOI Pareto", desSOIParetoConfig()},
-		{"Domino_Map", dominoMap.with(DefaultOptions())},
+		{"SOI Pareto", desSOIParetoConfig(), nil},
+		{"Domino_Map", domino, nil},
+		{rsName(false), domino, rsOrder(false)},
+		{rsName(true), domino, rsOrder(true)},
 	} {
 		e := newEngine(context.Background(), n, tc.cfg)
 		if err := e.process(); err != nil {
@@ -124,7 +133,7 @@ func TestTracebackAllocs(t *testing.T) {
 		var res *Result
 		allocs := testing.AllocsPerRun(10, func() {
 			var err error
-			if res, err = e.traceback(); err != nil {
+			if res, err = e.traceback(tc.reorder); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -145,27 +154,61 @@ func TestTracebackAllocs(t *testing.T) {
 	}
 }
 
-// TestRearrangeAllocs is the `make dp-allocs` guard on the RS_Map
-// post-pass: applied in place to a Domino_Map result of des, as
-// RSMapContext applies it, it may allocate at most
-// rearrangeAllocsCeiling times, with no term per gate, so RS_Map costs a
-// constant number of allocations over Domino_Map.
+// TestRearrangeAllocs is the `make dp-allocs` guard on Rearrange:
+// deriving RS_Map or RS_Map_deep from a Domino_Map result of des may
+// allocate at most rearrangeAllocsCeiling times, with no term per gate.
 func TestRearrangeAllocs(t *testing.T) {
 	skipUnlessDPAllocs(t)
 	n := unateBench(t, "des")
+	dom, err := DominoMap(n, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, deep := range []bool{false, true} {
-		res, err := DominoMap(n, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(10, func() { rearrange(res, deep) })
-		t.Logf("des %s: %.0f allocs/run in the post-pass (ceiling %d), %d gates",
+		var res *Result
+		allocs := testing.AllocsPerRun(10, func() {
+			if res, err = Rearrange(dom, deep); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("des %s: %.0f allocs/run in Rearrange (ceiling %d), %d gates",
 			rsName(deep), allocs, rearrangeAllocsCeiling, len(res.Gates))
 		if allocs > rearrangeAllocsCeiling {
-			t.Errorf("%s post-pass allocates %.0f times per run, ceiling %d", rsName(deep), allocs, rearrangeAllocsCeiling)
+			t.Errorf("Rearrange to %s allocates %.0f times per run, ceiling %d", rsName(deep), allocs, rearrangeAllocsCeiling)
 		}
 		if err := res.Audit(); err != nil {
 			t.Fatalf("%s: %v", rsName(deep), err)
+		}
+	}
+}
+
+// TestRearrangeAllocsDirectRun guards the direct RS_Map and RS_Map_deep
+// runs: a warm RSMapContext or RSMapDeepContext run on des may allocate
+// no more than a warm DominoMapContext run, since the stack reordering
+// happens inside the one discharge pass every mapper runs, on the pooled
+// workspace. A pass that analyzes the gates a second time, or keeps its
+// own point array or scratch, allocates more.
+func TestRearrangeAllocsDirectRun(t *testing.T) {
+	skipUnlessDPAllocs(t)
+	n := unateBench(t, "des")
+	ctx := context.Background()
+	warm := func(run func(context.Context, *logic.Network, Options) (*Result, error)) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := run(ctx, n, DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	domino := warm(DominoMapContext)
+	for _, deep := range []bool{false, true} {
+		run := RSMapContext
+		if deep {
+			run = RSMapDeepContext
+		}
+		allocs := warm(run)
+		t.Logf("des: %.0f allocs per warm %s run, %.0f per warm Domino_Map run", allocs, rsName(deep), domino)
+		if allocs > domino {
+			t.Errorf("a warm %s run allocates %.0f times, %.0f more than a warm Domino_Map run", rsName(deep), allocs, allocs-domino)
 		}
 	}
 }

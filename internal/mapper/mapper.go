@@ -15,7 +15,7 @@ import (
 // DominoMap runs the bulk-CMOS baseline: the dynamic program minimizes the
 // objective without regard to discharge transistors; series stacks keep
 // their natural (first-fanin-on-top) order; p-discharge devices go where
-// traceback's analysis of each finished pulldown finds them.
+// the discharge pass over the finished gates finds them (pbe.Discharges).
 func DominoMap(n *logic.Network, opt Options) (*Result, error) {
 	return DominoMapContext(context.Background(), n, opt)
 }
@@ -27,10 +27,10 @@ func DominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Resu
 	return run(ctx, n, dominoMap, opt, nil)
 }
 
-// RSMap is DominoMap followed by the Rearrange_Stacks post-pass (paper
-// §VI-A): each finished gate's ground-side series stack is reordered to
-// move parallel sections with many potential discharge points toward
-// ground, and its discharges are analyzed again. Its result is
+// RSMap is DominoMap with the Rearrange_Stacks step (paper §VI-A) in its
+// discharge pass: each finished gate's ground-side series stack is
+// reordered to move parallel sections with many potential discharge
+// points toward ground before its discharges are placed. Its result is
 // Rearrange of DominoMap's.
 func RSMap(n *logic.Network, opt Options) (*Result, error) {
 	return RSMapContext(context.Background(), n, opt)
@@ -38,12 +38,12 @@ func RSMap(n *logic.Network, opt Options) (*Result, error) {
 
 // RSMapContext is RSMap with cancellation (see DominoMapContext). The
 // Domino_Map DP runs under the RS_Map name (obs.Stats, spans), and the
-// post-pass works in place, timed as part of traceback.
+// discharge pass, reordering included, is timed as part of traceback.
 func RSMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
 	return rsMapRun(ctx, n, opt, false)
 }
 
-// RSMapDeepContext is an extension of RSMap whose post-pass reorders
+// RSMapDeepContext is an extension of RSMap whose pass reorders
 // every series group, including those nested inside parallel branches —
 // stronger than the paper's RS_Map but still a pure post-process. The
 // ablation benchmarks compare all three. Cancellation as in
@@ -56,7 +56,7 @@ func RSMapDeepContext(ctx context.Context, n *logic.Network, opt Options) (*Resu
 func rsMapRun(ctx context.Context, n *logic.Network, opt Options, deep bool) (*Result, error) {
 	cfg := dominoMap
 	cfg.algorithm = rsName(deep)
-	return run(ctx, n, cfg, opt, func(res *Result) { rearrange(res, deep) })
+	return run(ctx, n, cfg, opt, rsOrder(deep))
 }
 
 // SOIDominoMap runs the paper's algorithm (§V, listing 2): discharge
@@ -74,17 +74,17 @@ func SOIDominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*R
 
 // run maps n with mapper m under opt, validated and then reduced to the
 // options m reads (canonical), so the engine and the Result's options
-// echo never carry a field the run ignores. A non-nil post runs on the
-// traced result inside the traceback phase.
-func run(ctx context.Context, n *logic.Network, m config, opt Options, post func(*Result)) (*Result, error) {
+// echo never carry a field the run ignores. A non-nil reorder is
+// applied to every traced gate by the discharge pass (see traceback).
+func run(ctx context.Context, n *logic.Network, m config, opt Options, reorder stackOrder) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return m.with(m.canonical(opt)).run(ctx, n, post)
+	return m.with(m.canonical(opt)).run(ctx, n, reorder)
 }
 
 // run maps n under cfg, whose options are valid.
-func (cfg config) run(ctx context.Context, n *logic.Network, post func(*Result)) (*Result, error) {
+func (cfg config) run(ctx context.Context, n *logic.Network, reorder stackOrder) (*Result, error) {
 	if err := unate.IsUnate(n); err != nil {
 		return nil, fmt.Errorf("mapper: input network is not unate: %w", err)
 	}
@@ -107,9 +107,7 @@ func (cfg config) run(ctx context.Context, n *logic.Network, post func(*Result))
 			return fmt.Errorf("mapper: %s traceback: %w", cfg.algorithm, ferr)
 		}
 		var terr error
-		if res, terr = e.traceback(); terr == nil && post != nil {
-			post(res)
-		}
+		res, terr = e.traceback(reorder)
 		return terr
 	})
 	if err != nil {

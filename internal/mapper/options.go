@@ -2,12 +2,11 @@
 // domino logic:
 //
 //   - DominoMap: the bulk-CMOS baseline (Zhao–Sapatnekar ICCAD '98 dynamic
-//     programming) that ignores the Parasitic Bipolar Effect; p-discharge
-//     transistors go where pbe.Analyze finds them on the finished gates.
-//   - RSMap: DominoMap followed by the Rearrange_Stacks post-pass, which
-//     reorders each finished gate's series stack to move parallel
-//     sections toward ground (paper §VI-A); Rearrange applies it to a
-//     DominoMap result.
+//     programming) that ignores the Parasitic Bipolar Effect.
+//   - RSMap: DominoMap with the Rearrange_Stacks step, which reorders
+//     each finished gate's series stack to move parallel sections toward
+//     ground before its discharges are placed (paper §VI-A); Rearrange
+//     applies it to a DominoMap result.
 //   - SOIDominoMap: the paper's contribution (§V): the DP cost includes
 //     the discharge transistors implied by each partial structure, series
 //     stacks are ordered during combination using par_b and p_dis, and
@@ -16,7 +15,10 @@
 // All three accept a unate network (2-input AND/OR gates, inverters only
 // directly on primary inputs; see internal/unate) and produce a gate-level
 // domino netlist of series-parallel pulldown trees with discharge devices
-// attached, ready for transistor-level realization.
+// attached, ready for transistor-level realization. Traceback only builds
+// the pulldowns; one discharge pass over the finished gates then places
+// every mapper's p-discharge transistors (pbe.Discharges), as the paper
+// inserts them after mapping.
 package mapper
 
 import "fmt"
@@ -170,7 +172,8 @@ type config struct {
 }
 
 // The dynamic program's two configurations; a run adds the Options.
-// RS_Map runs dominoMap and a post-pass (rsMapRun).
+// RS_Map runs dominoMap with its stack order in the discharge pass
+// (rsMapRun).
 var (
 	dominoMap = config{algorithm: "Domino_Map"}
 	soiMap    = config{algorithm: "SOI_Domino_Map", pbeAware: true}

@@ -77,10 +77,7 @@ func TestRearrangeRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := CompoundTransform(compound, DefaultCompoundOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := CompoundTransform(compound, DefaultCompoundOptions())
 	if cs.Converted == 0 {
 		t.Fatal("c880: CompoundTransform converted no gate; the case tests nothing")
 	}

@@ -21,20 +21,22 @@ type Gate struct {
 	// array its Result holds. A leaf names a gate by id and a primary
 	// input by its index in Result.Source.Inputs.
 	Nodes sp.Span
-	// Discharges are junctions of Nodes, in pbe.Analyze's order. A
-	// compound gate's list is its stages' lists end to end, each point
-	// a junction of its own stage's span.
+	// Discharges are junctions of Nodes carrying p-discharge devices, in
+	// pbe.Analyze's order, placed by the discharge pass every mapper runs
+	// after traceback (pbe.Discharges). A compound gate's list is its
+	// stages' lists end to end, each point a junction of its own stage's
+	// span.
 	Discharges []pbe.Point
 	// PredictedDischarges is the DP's own forecast of how many p-discharge
 	// devices this gate's pulldown carries: the chosen tuple's OwnDisch,
-	// recorded at traceback before any structural analysis. For
+	// recorded at traceback, before the discharge pass places any. For
 	// algorithms that leave the traced pulldown untouched it must equal
 	// the unpruned pbe.GateDischargePoints count exactly — the fuzzing
 	// oracles cross-check the two. It is -1 when the prediction is not
-	// meaningful: the RS_Map post-pass (Rearrange) reorders the traced
-	// pulldown, so the DP's forecast no longer describes it. Note
-	// Discharges itself may be shorter when SequenceAware pruning
-	// removed unexcitable points.
+	// meaningful: RS_Map's discharge pass (and Rearrange) reorders the
+	// traced pulldown first, so the DP's forecast no longer describes
+	// it. Note Discharges itself may be shorter when SequenceAware
+	// pruning removed unexcitable points.
 	PredictedDischarges int
 	Footed              bool
 	Level               int // 1-based domino level (max over driving gates + 1)

@@ -7,15 +7,16 @@ import (
 	"strings"
 
 	"soidomino/internal/logic"
-	"soidomino/internal/pbe"
 	"soidomino/internal/sp"
 	"soidomino/internal/tuple"
 )
 
-// traceback rebuilds the chosen solution as concrete gates. Multi-fanout
-// gates are materialized exactly once, so the statistics counted from the
-// netlist are exact even where the per-cone DP costs overlap.
-func (e *engine) traceback() (*Result, error) {
+// traceback rebuilds the chosen solution as concrete gates, then runs the
+// discharge pass over them (placeDischarges, reordering each span first
+// when reorder is non-nil). Multi-fanout gates are materialized exactly
+// once, so the statistics counted from the netlist are exact even where
+// the per-cone DP costs overlap.
+func (e *engine) traceback(reorder stackOrder) (*Result, error) {
 	b := &builder{e: e, ws: e.ws}
 	b.ws.resetTraceback(e.net)
 	res := &Result{
@@ -47,6 +48,7 @@ func (e *engine) traceback() (*Result, error) {
 			res.OutputGate[out.Name] = gid
 		}
 	}
+	b.ws.placeDischarges(reorder, e.cfg.SequenceAware)
 	res.Gates = b.ws.finishGates()
 	res.computeStats()
 	return res, nil
@@ -65,7 +67,8 @@ type builder struct {
 
 // gate materializes the completed domino gate for a node, memoized: it
 // writes the gate's pulldown span on the build stack, moves it to the
-// finished spans, analyzes it and records the gate with its summary.
+// finished spans and records the gate with its summary. The gate's
+// discharges are placed later, by the pass over all finished gates.
 func (b *builder) gate(nodeID int) (int, error) {
 	ws := b.ws
 	if gid := ws.gateOf[nodeID]; gid > 0 {
@@ -92,19 +95,14 @@ func (b *builder) gate(nodeID int) (int, error) {
 	ws.nodes = append(ws.nodes, ws.build[base:]...)
 	ws.build = ws.build[:base]
 	span := sp.Span(ws.nodes[start:])
-
-	ws.analysis = pbe.Analyze(span, ws.analysis.Immediate[:0], ws.analysis.Potential[:0])
-	discharges := ws.analysis.Immediate
-	if b.e.cfg.SequenceAware {
-		discharges = pbe.PruneUnexcitable(span, discharges)
-	}
 	gid := len(ws.gates)
-	ws.offsets = append(ws.offsets, gateOffsets{int32(start), int32(len(ws.points))})
-	ws.points = append(ws.points, discharges...)
 	g := Gate{
-		ID:                  gid,
-		Output:              b.gateName(nodeID),
-		NodeID:              nodeID,
+		ID:     gid,
+		Output: b.gateName(nodeID),
+		NodeID: nodeID,
+		// Only the span's length counts until placeDischarges points it
+		// at the final node array: ws.nodes may move while it grows.
+		Nodes:               span,
 		PredictedDischarges: predicted,
 		Level:               1,
 		// The DP's own shape for the gate: Audit holds it to the span.
@@ -229,10 +227,6 @@ func (b *builder) gateName(nodeID int) string {
 	return name
 }
 
-// gateOffsets locates one finished gate in the workspace: where its span
-// starts in nodes and its discharge points in points.
-type gateOffsets struct{ node, point int32 }
-
 // resetTraceback empties the workspace's traceback scratch for a run
 // over n.
 func (ws *workspace) resetTraceback(n *logic.Network) {
@@ -246,31 +240,29 @@ func (ws *workspace) resetTraceback(n *logic.Network) {
 	clear(ws.inverted)
 	ws.build = ws.build[:0]
 	ws.nodes = ws.nodes[:0]
-	ws.points = ws.points[:0]
 	ws.gates = ws.gates[:0]
-	ws.offsets = ws.offsets[:0]
 }
 
 // finishGates copies the finished gates out of the workspace into the
 // Result's own memory: one node array, one discharge-point array and one
-// gate array, each of exact size, which the gates' slices share.
+// gate array, each of exact size, which the gates' slices share (a gate
+// without discharges keeps a nil list).
 func (ws *workspace) finishGates() []*Gate {
 	nodes := slices.Clone(ws.nodes)
 	points := slices.Clone(ws.points)
 	gates := make([]Gate, len(ws.gates))
 	ptrs := make([]*Gate, len(gates))
+	nodeAt, pointAt := 0, 0
 	for i := range gates {
-		nodeEnd, pointEnd := len(nodes), len(points)
-		if i+1 < len(gates) {
-			nodeEnd, pointEnd = int(ws.offsets[i+1].node), int(ws.offsets[i+1].point)
-		}
-		at := ws.offsets[i]
 		g := &gates[i]
 		*g = ws.gates[i]
-		g.Nodes = nodes[at.node:nodeEnd:nodeEnd]
-		if int(at.point) < pointEnd {
-			g.Discharges = points[at.point:pointEnd:pointEnd]
+		n, d := len(g.Nodes), len(g.Discharges)
+		g.Nodes = nodes[nodeAt : nodeAt+n : nodeAt+n]
+		g.Discharges = nil
+		if d > 0 {
+			g.Discharges = points[pointAt : pointAt+d : pointAt+d]
 		}
+		nodeAt, pointAt = nodeAt+n, pointAt+d
 		ptrs[i] = g
 	}
 	clear(ws.gates) // the pool must not keep the output names alive

@@ -16,8 +16,8 @@ import (
 // traceback, so a warm run reuses all of it instead of allocating and
 // zeroing it again. It is reset when taken, never only when given back:
 // a canceled or failed run may leave a half-filled table behind.
-// Traceback builds in it too, and copies what the Result keeps out at
-// exact size (finishGates).
+// Traceback and the discharge pass build in it too, and copy what the
+// Result keeps out at exact size (finishGates).
 type workspace struct {
 	cands   [][]tuple.Tuple
 	gate    []tuple.Tuple
@@ -36,17 +36,17 @@ type workspace struct {
 	// its gate id + 1, 0 until the gate is materialized; inputOf maps an
 	// input's node id to its input index; inverted marks the inputs some
 	// gate already uses complemented. build is the stack a gate's span is
-	// written on; nodes, points, gates and offsets hold the finished
-	// gates, and analysis is each gate's reused PBE analysis.
+	// written on, and the discharge pass's reorder buffer; nodes and gates
+	// hold the finished gates, points their discharge points
+	// (placeDischarges) and pot the pass's potential-point scratch.
 	gateOf   []int32
 	inputOf  []int32
 	inverted []bool
 	build    []sp.Node
 	nodes    []sp.Node
-	points   []pbe.Point
 	gates    []Gate
-	offsets  []gateOffsets
-	analysis pbe.Analysis
+	points   []pbe.Point
+	pot      []pbe.Point
 	name     []byte // gateName's scratch
 }
 

@@ -36,10 +36,7 @@ func TestCompoundSpiceDeviceModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := mapper.CompoundTransform(res, mapper.DefaultCompoundOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := mapper.CompoundTransform(res, mapper.DefaultCompoundOptions())
 	if cs.Converted != 1 {
 		t.Fatalf("precondition: %+v", cs)
 	}

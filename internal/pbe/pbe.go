@@ -122,9 +122,20 @@ func GateDischargePoints(s sp.Span) []Point {
 	return Analyze(s, nil, nil).Immediate
 }
 
-// DischargeCount is len(GateDischargePoints(s)).
-func DischargeCount(s sp.Span) int {
-	return len(GateDischargePoints(s))
+// Discharges appends to dst the junctions of a complete domino gate's
+// pulldown s that carry a p-discharge transistor: Analyze's immediate
+// points, in its order, and with seqAware only those PruneUnexcitable
+// keeps. *pot is the caller's scratch for the potential points, grown as
+// needed and kept for the next call. It is the one statement of a gate's
+// discharge list, for the mappers, compound stages and audits alike.
+func Discharges(dst []Point, s sp.Span, seqAware bool, pot *[]Point) []Point {
+	mark := len(dst)
+	a := Analyze(s, dst, (*pot)[:0])
+	*pot = a.Potential
+	if seqAware {
+		return append(a.Immediate[:mark], PruneUnexcitable(s, a.Immediate[mark:])...)
+	}
+	return a.Immediate
 }
 
 // PotentialCount returns the paper's p_dis for a partial structure:

@@ -53,7 +53,7 @@ func TestFigure2a(t *testing.T) {
 // stack to the bottom of the gate removes the need for any discharge.
 func TestFigure2aReordered(t *testing.T) {
 	tr := flat(sp.NewSeries(leaf("D"), sp.NewParallel(leaf("A"), leaf("B"), leaf("C"))))
-	if n := DischargeCount(tr); n != 0 {
+	if n := len(GateDischargePoints(tr)); n != 0 {
 		t.Errorf("D*(A+B+C) needs %d discharges, want 0", n)
 	}
 }
@@ -69,7 +69,7 @@ func TestFigure4a(t *testing.T) {
 	if !a.ParB {
 		t.Error("A*B+C has a parallel bottom")
 	}
-	if n := DischargeCount(tr); n != 0 {
+	if n := len(GateDischargePoints(tr)); n != 0 {
 		t.Errorf("grounded A*B+C needs %d discharges, want 0", n)
 	}
 }
@@ -92,7 +92,7 @@ func TestFigure4b(t *testing.T) {
 		t.Error("par_b should be true (bottom stack is parallel)")
 	}
 	// As a complete grounded gate: exactly the 2 immediate discharges.
-	if n := DischargeCount(tr); n != 2 {
+	if n := len(GateDischargePoints(tr)); n != 2 {
 		t.Errorf("gate discharges = %d, want 2", n)
 	}
 }
@@ -123,7 +123,7 @@ func TestFigure5(t *testing.T) {
 		t.Error("right: par_b should be true")
 	}
 	// Connected to ground, the right circuit needs no discharges at all.
-	if n := DischargeCount(right); n != 0 {
+	if n := len(GateDischargePoints(right)); n != 0 {
 		t.Errorf("grounded right circuit: %d discharges, want 0", n)
 	}
 	// Rearrange must turn the left circuit into the right one.
@@ -141,7 +141,7 @@ func TestPureSeriesChainIsSafe(t *testing.T) {
 	if len(a.Potential) != 3 {
 		t.Errorf("pure series chain has %d potential points, want 3 junctions", len(a.Potential))
 	}
-	if DischargeCount(tr) != 0 {
+	if len(GateDischargePoints(tr)) != 0 {
 		t.Error("pure series gate must need no discharge transistors")
 	}
 }
@@ -164,8 +164,8 @@ func TestNestedParallelInBranch(t *testing.T) {
 	if len(a.Immediate) != 2 {
 		t.Errorf("immediate = %d, want 2:\n%s", len(a.Immediate), Describe(a.Immediate))
 	}
-	if DischargeCount(tr) != 2 {
-		t.Errorf("gate discharges = %d, want 2", DischargeCount(tr))
+	if len(GateDischargePoints(tr)) != 2 {
+		t.Errorf("gate discharges = %d, want 2", len(GateDischargePoints(tr)))
 	}
 }
 
@@ -203,7 +203,7 @@ func TestRearrangeTopOnlyRootStack(t *testing.T) {
 	if got := render(d, names); got != "E*(C*(A+B)+D)" {
 		t.Errorf("RearrangeDeep = %q, want E*(C*(A+B)+D)", got)
 	}
-	if DischargeCount(d) > DischargeCount(r) {
+	if len(GateDischargePoints(d)) > len(GateDischargePoints(r)) {
 		t.Error("deep rearrangement should not be worse than top-level")
 	}
 }
@@ -224,10 +224,10 @@ func TestRearrangePicksLargestPotentialForBottom(t *testing.T) {
 	}
 	// small on top: its potential (1) + junction (1) materialize = 2,
 	// versus 3 had big stayed on top.
-	if n := DischargeCount(r); n != 2 {
+	if n := len(GateDischargePoints(r)); n != 2 {
 		t.Errorf("rearranged discharges = %d, want 2", n)
 	}
-	if n := DischargeCount(tr); n != 3 {
+	if n := len(GateDischargePoints(tr)); n != 3 {
 		t.Errorf("original discharges = %d, want 3", n)
 	}
 }
@@ -277,7 +277,7 @@ func TestRearrangePropertiesQuick(t *testing.T) {
 			if r.Transistors() != tr.Transistors() {
 				return false
 			}
-			if DischargeCount(r) > DischargeCount(tr) {
+			if len(GateDischargePoints(r)) > len(GateDischargePoints(tr)) {
 				return false
 			}
 			for trial := 0; trial < 8; trial++ {
@@ -291,7 +291,7 @@ func TestRearrangePropertiesQuick(t *testing.T) {
 			}
 		}
 		// The deep variant dominates the paper's top-level variant.
-		return DischargeCount(RearrangeDeep(nil, tr)) <= DischargeCount(Rearrange(nil, tr))
+		return len(GateDischargePoints(RearrangeDeep(nil, tr))) <= len(GateDischargePoints(Rearrange(nil, tr)))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)

@@ -43,10 +43,7 @@ func RunCompound(opt mapper.Options, check bool) (*CompoundTable, error) {
 			return nil, err
 		}
 		row := CompoundRow{Circuit: name, Before: base.Stats}
-		cs, err := mapper.CompoundTransform(base, mapper.DefaultCompoundOptions())
-		if err != nil {
-			return nil, err
-		}
+		cs := mapper.CompoundTransform(base, mapper.DefaultCompoundOptions())
 		if err := base.Audit(); err != nil {
 			return nil, fmt.Errorf("report: compound on %s: %w", name, err)
 		}

@@ -58,10 +58,7 @@ func buildStacked(t *testing.T, compound bool) (*mapper.Result, *netlist.Circuit
 		t.Fatal(err)
 	}
 	if compound {
-		cs, err := mapper.CompoundTransform(res, mapper.DefaultCompoundOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
+		cs := mapper.CompoundTransform(res, mapper.DefaultCompoundOptions())
 		if cs.Converted != 1 || res.Stats.TDisch != 0 {
 			t.Fatalf("compound preconditions: %+v, %s", cs, res.Stats)
 		}
