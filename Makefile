@@ -53,27 +53,31 @@ obs-overhead:
 # nothing per gate) and mapper.Rearrange (a few arrays, nothing per
 # gate) stay under theirs. A warm RS_Map or RS_Map_deep run may allocate
 # no more than a warm Domino_Map run: the stack reordering rides in the
-# discharge pass every mapper runs. The strash front-end, on the key
-# path of every service request, is pinned the same way in allocations
-# and bytes: a warm run
-# allocates its output network (presized, its fanins in one flat store)
+# discharge pass every mapper runs. A Gate stays at most 112 bytes, and
+# a SequenceAware discharge pass over des (one charge-path graph per
+# gate) under half the allocations it once took. The strash front-end,
+# on the key path of every service request, is pinned the same way in
+# allocations and bytes: a warm run allocates its output network (presized, its fanins in one flat store)
 # and nothing else, its builder coming from a pool, and so is the
-# lowering to unate form (Decompose + Convert: the literal table and the
-# presized unate network, scratch pooled); a warm-run guard on each fails
-# when its pool is bypassed. So is the routing
+# lowering to unate form (Decompose + Convert + the pipeline's network
+# Stats: the literal table and the presized unate network, scratch and
+# level table pooled); a warm-run guard on each fails when its pool is
+# bypassed, strash's also when c7552 and c432 alternate. So is the routing
 # key of an inline BLIF source (service.RequestKey on des: the reader
 # lowers the text straight into a pooled strash builder, no network,
 # under fifty allocations), and soirouter's key memo hit (nothing
 # allocated, for a registry request and for c499's 47 KB BLIF alike: a
 # hit never lowers the text). So is the request decoder soimapd and
 # soirouter share (service.ParseRequest on des and c499: the request and
-# one string of the BLIF's size, at most about 1.1 times the body).
+# one string of the BLIF's size, at most about 1.1 times the body), and
+# the encoding of a mapped result (EncodeJSON(NewMapResult) on des: three
+# allocations, the output's bytes plus 1 KiB, nothing per gate).
 # Env-gated like obs-overhead.
 dp-allocs:
-	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback|Rearrange)Allocs' -v ./internal/mapper
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback|Rearrange|Discharge)Allocs|TestGateSize' -v ./internal/mapper
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestStrashAllocs' -v ./internal/strash
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestFrontEndAllocs' -v ./internal/unate
-	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(Key|ParseRequest)Allocs' -v ./internal/service
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(Key|ParseRequest|Encode)Allocs' -v ./internal/service
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestRouterMemoHitAllocs' -v ./internal/cluster
 
 # The strash front-end's determinism contract: every testdata circuit's

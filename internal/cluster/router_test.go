@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"soidomino/internal/bench"
 	"soidomino/internal/client"
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/obs"
@@ -263,10 +264,12 @@ func TestRouterFailover(t *testing.T) {
 	})
 
 	// Pick a circuit whose ring primary is the dead replica, so the
-	// submission must fail over. The ring is deterministic, so one of
-	// these circuits hashing to the dead primary is a fixed fact.
+	// submission must fail over. The ring holds the live replica's
+	// random port, so which circuits hash to the dead primary varies
+	// from run to run; over every registry circuit, the chance that
+	// none does is about 2^-33.
 	var pick string
-	for _, c := range []string{"mux", "z4ml", "count", "9symml", "t481", "c432", "f51m", "dalu"} {
+	for _, c := range bench.Names() {
 		key, err := service.RequestKey(context.Background(), &service.MapRequest{Circuit: c})
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +280,7 @@ func TestRouterFailover(t *testing.T) {
 		}
 	}
 	if pick == "" {
-		t.Fatal("no test circuit hashes to the dead primary; extend the candidate list")
+		t.Fatal("no registry circuit hashes to the dead primary")
 	}
 
 	for i := 0; i < 3; i++ {

@@ -65,7 +65,7 @@ func checkDischargePrediction(c *Case, v *VariantResult) error {
 		if g.PredictedDischarges < 0 || g.Compound != nil {
 			continue
 		}
-		structural := len(pbe.GateDischargePoints(g.Nodes))
+		structural := int32(len(pbe.GateDischargePoints(g.Nodes)))
 		if structural != g.PredictedDischarges {
 			return fmt.Errorf("gate %d (%s): DP predicted %d discharges, structural analysis found %d (pulldown %s)",
 				g.ID, g.Output, g.PredictedDischarges, structural, v.Res.Expr(g.Nodes))

@@ -315,17 +315,33 @@ type Stats struct {
 
 // Stats computes summary statistics.
 func (n *Network) Stats() Stats {
+	s, _ := n.StatsWith(nil)
+	return s
+}
+
+// StatsWith is Stats with the depth computed in levels, a per-node level
+// table it grows as needed and returns: a caller that keeps the table
+// and passes it back computes stats without allocating.
+func (n *Network) StatsWith(levels []int32) (Stats, []int32) {
 	s := Stats{Inputs: len(n.Inputs), Outputs: len(n.Outputs)}
-	for _, node := range n.Nodes {
+	levels = slices.Grow(levels[:0], len(n.Nodes))[:len(n.Nodes)]
+	for id, node := range n.Nodes {
 		s.ByOp[node.Op]++
 		switch node.Op {
 		case Input, Const0, Const1:
 		default:
 			s.Gates++
 		}
+		lv := int32(0)
+		for _, f := range node.Fanin {
+			lv = max(lv, levels[f]+1)
+		}
+		levels[id] = lv
 	}
-	s.Depth = n.Depth()
-	return s
+	for _, out := range n.Outputs {
+		s.Depth = max(s.Depth, int(levels[out.Node]))
+	}
+	return s, levels
 }
 
 // String renders a short human-readable description.

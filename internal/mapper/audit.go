@@ -35,7 +35,6 @@ func (r *Result) Audit() error {
 	// of buf.
 	buf := make([]pbe.Point, 2*longest)
 	pot := buf[longest:longest]
-	levels := make([]int, len(r.Gates))
 	inverted := make([]bool, len(r.Source.Inputs))
 	var sum Stats
 	for i, g := range r.Gates {
@@ -52,7 +51,7 @@ func (r *Result) Audit() error {
 		if m.Height > r.Options.MaxHeight {
 			return fmt.Errorf("gate %d: height %d exceeds max %d", g.ID, m.Height, r.Options.MaxHeight)
 		}
-		level, newInverters := 1, 0
+		level, newInverters := int32(1), int32(0)
 		for _, n := range g.Nodes {
 			if n.Kind != sp.Leaf {
 				continue
@@ -64,7 +63,9 @@ func (r *Result) Audit() error {
 				if n.Negated {
 					return fmt.Errorf("gate %d: leaf driven by gate %d is negated (domino outputs are monotone)", g.ID, ref)
 				}
-				level = max(level, levels[ref]+1)
+				// Gate ref precedes g, so its Level was already checked:
+				// by induction over gate order it is the true level.
+				level = max(level, r.Gates[ref].Level+1)
 				continue
 			}
 			in := n.Input()
@@ -76,11 +77,10 @@ func (r *Result) Audit() error {
 				newInverters++
 			}
 		}
-		levels[i] = level
 		switch {
-		case g.Transistors != m.Transistors:
+		case int(g.Transistors) != m.Transistors:
 			return fmt.Errorf("gate %d: %d transistors recorded, pulldown has %d", g.ID, g.Transistors, m.Transistors)
-		case g.Width != m.Width || g.Height != m.Height:
+		case int(g.Width) != m.Width || int(g.Height) != m.Height:
 			return fmt.Errorf("gate %d: shape {%d,%d} recorded, pulldown is {%d,%d}", g.ID, g.Width, g.Height, m.Width, m.Height)
 		case g.HasPI != m.HasPI:
 			return fmt.Errorf("gate %d: has-PI %v recorded, pulldown says %v", g.ID, g.HasPI, m.HasPI)
@@ -115,8 +115,8 @@ func (r *Result) Audit() error {
 		sum.TDisch += len(g.Discharges)
 		sum.TClock += g.ClockTransistors()
 		sum.Gates++
-		sum.Levels = max(sum.Levels, level)
-		sum.InputInverters += newInverters
+		sum.Levels = max(sum.Levels, int(level))
+		sum.InputInverters += int(newInverters)
 	}
 	sum.TTotal = sum.TLogic + sum.TDisch
 	if sum != r.Stats {

@@ -55,7 +55,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	// One summary field at a time.
 	for _, f := range []struct {
 		name  string
-		field *int
+		field *int32
 	}{
 		{"transistors", &g.Transistors},
 		{"width", &g.Width},

@@ -95,7 +95,7 @@ func CompoundTransform(res *Result, opt CompoundOptions) CompoundStats {
 		}
 		best, saving := bestSplit(g, res.Options, &pot)
 		forced := opt.SplitWiderThan > 0 && g.Nodes[len(g.Nodes)-1].Kind == sp.Parallel &&
-			g.Width > opt.SplitWiderThan
+			int(g.Width) > opt.SplitWiderThan
 		if best == nil || (saving < opt.MinSaving && !forced) {
 			continue
 		}
@@ -125,7 +125,7 @@ func bestSplit(g *Gate, opt Options, pot *[]pbe.Point) (*CompoundInfo, int) {
 	if root.Kind == sp.Series {
 		kind = CompoundNOR
 	}
-	oldCost := gateDeviceCost(g.Transistors, 1, []bool{g.Footed}, 2, len(g.Discharges))
+	oldCost := gateDeviceCost(int(g.Transistors), 1, []bool{g.Footed}, 2, len(g.Discharges))
 	children := s.Children(len(s)-1, nil)
 
 	var best *CompoundInfo
@@ -140,7 +140,7 @@ func bestSplit(g *Gate, opt Options, pot *[]pbe.Point) (*CompoundInfo, int) {
 		disch := len(stages[0].Discharges) + len(stages[1].Discharges)
 		feet := []bool{stages[0].Footed, stages[1].Footed}
 		// Static 2-input NAND/NOR output stage: 4 devices.
-		newCost := gateDeviceCost(g.Transistors, 2, feet, 4, disch)
+		newCost := gateDeviceCost(int(g.Transistors), 2, feet, 4, disch)
 		if saving := oldCost - newCost; saving > bestSaving {
 			cp := &CompoundInfo{Kind: kind, Stages: stages}
 			best, bestSaving = cp, saving

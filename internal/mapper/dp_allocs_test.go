@@ -4,8 +4,10 @@ import (
 	"context"
 	"os"
 	"testing"
+	"unsafe"
 
 	"soidomino/internal/logic"
+	"soidomino/internal/pbe"
 )
 
 // dpAllocsCeiling pins the DP's allocations per warm run on des (SOI,
@@ -28,15 +30,15 @@ const warmRunAllocsHeadroom = 8
 // for the Result, its two output maps and its exact-size node,
 // discharge-point and gate arrays — 617 allocs/run for SOI Pareto,
 // Domino_Map, RS_Map and RS_Map_deep at the time of writing. Audit
-// allocates its discharge buffer, its level table and its inverted-input
-// set: 3. Rearrange copies a Domino_Map result's gates into a pooled
+// allocates its discharge buffer and its inverted-input set: 2.
+// Rearrange copies a Domino_Map result's gates into a pooled
 // workspace, runs the pass and copies the result out: the Result and its
 // node, discharge-point, gate and gate-pointer arrays, 5 whatever the
 // gate count. One allocation per gate or per pulldown node creeping back
 // overshoots any ceiling.
 const (
 	tracebackAllocsHeadroom = 16
-	auditAllocsCeiling      = 8
+	auditAllocsCeiling      = 4
 	rearrangeAllocsCeiling  = 8
 )
 
@@ -210,5 +212,49 @@ func TestRearrangeAllocsDirectRun(t *testing.T) {
 		if allocs > domino {
 			t.Errorf("a warm %s run allocates %.0f times, %.0f more than a warm Domino_Map run", rsName(deep), allocs, allocs-domino)
 		}
+	}
+}
+
+// gateSizeCeiling pins unsafe.Sizeof(Gate{}): a Result holds one Gate per
+// mapped gate, so the []Gate finishGates copies out is the largest thing
+// a mapping keeps.
+const gateSizeCeiling = 112
+
+// TestGateSize fails when Gate grows past gateSizeCeiling, as an int
+// field or a bool away from the other one would make it.
+func TestGateSize(t *testing.T) {
+	if size := unsafe.Sizeof(Gate{}); size > gateSizeCeiling {
+		t.Errorf("Gate is %d bytes, ceiling %d", size, gateSizeCeiling)
+	}
+}
+
+// seqDischargeAllocsCeiling pins one SequenceAware discharge pass
+// (pbe.Discharges with seqAware) over des's Domino_Map gates: half the
+// 87,257 allocations it took when pbe.Excitable rebuilt the span's graph
+// for every point it was asked about.
+const seqDischargeAllocsCeiling = 87257 / 2
+
+// TestDischargeAllocsSequenceAware is the `make dp-allocs` guard on
+// sequence-aware pruning, which every seq request's discharge pass and
+// audit run once per gate.
+func TestDischargeAllocsSequenceAware(t *testing.T) {
+	skipUnlessDPAllocs(t)
+	res, err := DominoMap(unateBench(t, "des"), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst, pot []pbe.Point
+	kept := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		kept = 0
+		for _, g := range res.Gates {
+			dst = pbe.Discharges(dst[:0], g.Nodes, true, &pot)
+			kept += len(dst)
+		}
+	})
+	t.Logf("des: %.0f allocs per SequenceAware discharge pass over %d gates, %d points kept (ceiling %d)",
+		allocs, len(res.Gates), kept, seqDischargeAllocsCeiling)
+	if allocs > seqDischargeAllocsCeiling {
+		t.Errorf("a SequenceAware discharge pass over des allocates %.0f times, ceiling %d", allocs, seqDischargeAllocsCeiling)
 	}
 }

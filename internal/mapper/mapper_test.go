@@ -250,7 +250,7 @@ func TestMultiFanoutGateSharedOnce(t *testing.T) {
 		}
 	}
 	shared := 0
-	seen := map[int]bool{}
+	seen := map[int32]bool{}
 	for _, gate := range res.Gates {
 		if seen[gate.NodeID] {
 			shared++
@@ -306,7 +306,7 @@ func TestGateNamesAvoidNetworkNames(t *testing.T) {
 			}
 			taken[g.Output] = true
 		}
-		if g := res.Gates[res.OutputGate["x"]]; g.Output == "_g"+strconv.Itoa(g.NodeID) {
+		if g := res.Gates[res.OutputGate["x"]]; g.Output == "_g"+strconv.Itoa(int(g.NodeID)) {
 			t.Errorf("%s: no collision exercised: gate %d kept %q", res.Algorithm, g.NodeID, g.Output)
 		}
 		checkMappedEquivalent(t, n, res)

@@ -16,7 +16,6 @@ import (
 type Gate struct {
 	ID     int
 	Output string // name of the gate's output signal
-	NodeID int    // unate-network node this gate implements
 	// Nodes is the pulldown network: the gate's span of the one node
 	// array its Result holds. A leaf names a gate by id and a primary
 	// input by its index in Result.Source.Inputs.
@@ -27,6 +26,17 @@ type Gate struct {
 	// stages' lists end to end, each point a junction of its own stage's
 	// span.
 	Discharges []pbe.Point
+	// Compound is non-nil for gates realized as multiple dynamic stages
+	// joined by a static NAND/NOR output (the paper's solution 7; see
+	// CompoundTransform). Nodes still describes the full function.
+	Compound *CompoundInfo
+
+	// The fields below are int32, as the DP's tuples are, and the two
+	// bools sit in what would be padding: a Result holds one Gate per
+	// mapped gate, so its size is most of what a mapping keeps
+	// (TestGateSize).
+
+	NodeID int32 // unate-network node this gate implements
 	// PredictedDischarges is the DP's own forecast of how many p-discharge
 	// devices this gate's pulldown carries: the chosen tuple's OwnDisch,
 	// recorded at traceback, before the discharge pass places any. For
@@ -37,23 +47,18 @@ type Gate struct {
 	// traced pulldown first, so the DP's forecast no longer describes
 	// it. Note Discharges itself may be shorter when SequenceAware
 	// pruning removed unexcitable points.
-	PredictedDischarges int
-	Footed              bool
-	Level               int // 1-based domino level (max over driving gates + 1)
+	PredictedDischarges int32
+	Level               int32 // 1-based domino level (max over driving gates + 1)
 
 	// The summary traceback records while it writes Nodes, so the
 	// statistics need no walk of the pulldowns. Audit recomputes each
 	// field from Nodes.
-	Transistors, Width, Height int
-	HasPI                      bool
+	Transistors, Width, Height int32
 	// NewInverters counts the complemented primary inputs this gate is
 	// the first, in gate order, to use; they sum to Stats.InputInverters.
-	NewInverters int
-
-	// Compound is non-nil for gates realized as multiple dynamic stages
-	// joined by a static NAND/NOR output (the paper's solution 7; see
-	// CompoundTransform). Nodes still describes the full function.
-	Compound *CompoundInfo
+	NewInverters int32
+	Footed       bool
+	HasPI        bool
 }
 
 // Pulldown returns the number of nMOS pulldown transistors.
@@ -218,12 +223,12 @@ func (r *Result) Dump() string {
 func (r *Result) computeStats() {
 	var s Stats
 	for _, g := range r.Gates {
-		s.TLogic += g.logicTransistors(g.Transistors)
+		s.TLogic += g.logicTransistors(int(g.Transistors))
 		s.TDisch += len(g.Discharges)
 		s.TClock += g.ClockTransistors()
 		s.Gates++
-		s.Levels = max(s.Levels, g.Level)
-		s.InputInverters += g.NewInverters
+		s.Levels = max(s.Levels, int(g.Level))
+		s.InputInverters += int(g.NewInverters)
 	}
 	s.TTotal = s.TLogic + s.TDisch
 	r.Stats = s

@@ -75,7 +75,7 @@ func (b *builder) gate(nodeID int) (int, error) {
 		return int(gid - 1), nil
 	}
 	base := len(ws.build)
-	predicted := 0 // leaf buffer gates trivially carry no discharges
+	predicted := int32(0) // leaf buffer gates trivially carry no discharges
 	width, height := int32(1), int32(1)
 	switch {
 	case b.e.isLeaf(nodeID):
@@ -84,7 +84,7 @@ func (b *builder) gate(nodeID int) (int, error) {
 		ws.build = append(ws.build, b.leaf(nodeID))
 	case b.e.cands[nodeID] != nil:
 		t := &b.e.gate[nodeID]
-		predicted, width, height = int(t.OwnDisch), t.W, t.H
+		predicted, width, height = t.OwnDisch, t.W, t.H
 		if err := b.structure(nodeID, t); err != nil {
 			return 0, err
 		}
@@ -99,15 +99,15 @@ func (b *builder) gate(nodeID int) (int, error) {
 	g := Gate{
 		ID:     gid,
 		Output: b.gateName(nodeID),
-		NodeID: nodeID,
+		NodeID: int32(nodeID),
 		// Only the span's length counts until placeDischarges points it
 		// at the final node array: ws.nodes may move while it grows.
 		Nodes:               span,
 		PredictedDischarges: predicted,
 		Level:               1,
 		// The DP's own shape for the gate: Audit holds it to the span.
-		Width:  int(width),
-		Height: int(height),
+		Width:  width,
+		Height: height,
 	}
 	for _, n := range span {
 		if n.Kind != sp.Leaf {

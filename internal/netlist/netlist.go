@@ -246,7 +246,7 @@ func (c *Circuit) addGate(r *mapper.Result, g *mapper.Gate, inverted map[string]
 		ID:     g.ID,
 		Output: g.Output,
 		Footed: g.Footed,
-		Level:  g.Level,
+		Level:  int(g.Level),
 	}
 	var stages []stagePlan
 	if g.Compound == nil {

@@ -35,53 +35,49 @@ type literal struct {
 	neg    bool
 }
 
-// cube is a conjunction of literals; ok reports satisfiability.
-type cube map[int32]bool // signal -> polarity (true = negated)
+// cube is a satisfiable conjunction of literals, each signal at most
+// once.
+type cube []literal
 
-// with returns cube ∧ lit, reporting whether the result is satisfiable.
-func (c cube) with(l literal) (cube, bool) {
-	if pol, ok := c[l.signal]; ok {
-		if pol != l.neg {
-			return nil, false
+// admits reports whether c ∧ l is satisfiable, and whether l's signal is
+// already in c (so c ∧ l is c).
+func (c cube) admits(l literal) (ok, present bool) {
+	for _, m := range c {
+		if m.signal == l.signal {
+			return m.neg == l.neg, true
 		}
-		return c, true
 	}
-	out := make(cube, len(c)+1)
-	for k, v := range c {
-		out[k] = v
-	}
-	out[l.signal] = l.neg
-	return out, true
+	return true, false
 }
 
-// merge returns c ∧ d, reporting satisfiability.
-func (c cube) merge(d cube) (cube, bool) {
-	out := make(cube, len(c)+len(d))
-	for k, v := range c {
-		out[k] = v
-	}
-	for k, v := range d {
-		if prev, ok := out[k]; ok && prev != v {
-			return nil, false
+// meets reports whether c ∧ d is satisfiable.
+func (c cube) meets(d cube) bool {
+	for _, l := range d {
+		if ok, _ := c.admits(l); !ok {
+			return false
 		}
-		out[k] = v
 	}
-	return out, true
+	return true
 }
 
 // spGraph is the node/edge view of a pulldown span, mirroring the
 // transistor netlist: nodes are the top node, the bottom node and the
-// series junctions; edges are transistors.
+// series junctions; edges are transistors. It is built once per span
+// and asked about each of its points (excitable).
 type spGraph struct {
 	top, bottom int
 	edges       []spEdge
 	// adj[n] lists edges incident to n. Conduction is bidirectional: a
 	// node can be charged through a sibling branch from below (the
 	// paper's fig. 4(a) scenario), so paths are enumerated undirected.
-	adj map[int][]int
+	adj [][]int
 	// junction maps an analysis Point to its graph node.
 	junction map[Point]int
-	nextNode int
+
+	// pathCubes' scratch: the nodes on the path being walked and the
+	// path's cube.
+	visited []bool
+	path    cube
 }
 
 type spEdge struct {
@@ -91,16 +87,17 @@ type spEdge struct {
 
 // buildGraph lays the span out between fresh top and bottom nodes.
 func buildGraph(s sp.Span) *spGraph {
-	g := &spGraph{adj: make(map[int][]int), junction: make(map[Point]int)}
+	g := &spGraph{junction: make(map[Point]int)}
 	g.top = g.node()
 	g.bottom = g.node()
 	g.emit(s, len(s)-1, g.top, g.bottom)
+	g.visited = make([]bool, len(g.adj))
 	return g
 }
 
 func (g *spGraph) node() int {
-	g.nextNode++
-	return g.nextNode - 1
+	g.adj = append(g.adj, nil)
+	return len(g.adj) - 1
 }
 
 func (g *spGraph) emit(s sp.Span, i, top, bottom int) {
@@ -136,20 +133,22 @@ func (g *spGraph) emit(s sp.Span, i, top, bottom int) {
 // pathCubes enumerates the satisfiable cubes of simple conduction paths
 // from the top node to target, excluding paths through the banned edge.
 // Paths are undirected: charge can descend a sibling branch and climb to
-// the target from below. The bound caps enumeration; on overflow a nil
-// slice with ok=false is returned and the caller must keep the discharge
-// (conservative).
+// the target from below. The cubes share one literal store. The bound
+// caps enumeration; on overflow a nil slice with ok=false is returned
+// and the caller must keep the discharge (conservative).
 func (g *spGraph) pathCubes(target, banned int, bound int) ([]cube, bool) {
 	var out []cube
-	visited := make(map[int]bool)
-	var walk func(n int, c cube) bool
-	walk = func(n int, c cube) bool {
+	var store []literal
+	var walk func(n int) bool
+	walk = func(n int) bool {
 		if n == target {
-			out = append(out, c)
+			at := len(store)
+			store = append(store, g.path...)
+			out = append(out, store[at:len(store):len(store)])
 			return len(out) <= bound
 		}
-		visited[n] = true
-		defer delete(visited, n)
+		g.visited[n] = true
+		defer func() { g.visited[n] = false }()
 		for _, eid := range g.adj[n] {
 			if eid == banned {
 				continue
@@ -159,18 +158,28 @@ func (g *spGraph) pathCubes(target, banned int, bound int) ([]cube, bool) {
 			if next == n {
 				next = e.upper
 			}
-			if visited[next] {
+			if g.visited[next] {
 				continue
 			}
-			if nc, ok := c.with(e.lit); ok {
-				if !walk(next, nc) {
-					return false
-				}
+			ok, present := g.path.admits(e.lit)
+			if !ok {
+				continue
+			}
+			if !present {
+				g.path = append(g.path, e.lit)
+			}
+			more := walk(next)
+			if !present {
+				g.path = g.path[:len(g.path)-1]
+			}
+			if !more {
+				return false
 			}
 		}
 		return true
 	}
-	if !walk(g.top, cube{}) {
+	g.path = g.path[:0]
+	if !walk(g.top) {
 		return nil, false
 	}
 	return out, true
@@ -182,10 +191,14 @@ func (g *spGraph) pathCubes(target, banned int, bound int) ([]cube, bool) {
 // enumeration bound keeps worst-case cost tame; an overflow reports
 // excitable (keep the discharge).
 func Excitable(root sp.Span, pt Point, bound int) bool {
+	return buildGraph(root).excitable(pt, bound)
+}
+
+// excitable is Excitable over the span's graph.
+func (g *spGraph) excitable(pt Point, bound int) bool {
 	if bound <= 0 {
 		bound = 256
 	}
-	g := buildGraph(root)
 	p, ok := g.junction[pt]
 	if !ok {
 		return true // unknown point: keep the discharge
@@ -205,12 +218,11 @@ func Excitable(root sp.Span, pt Point, bound int) bool {
 			return true
 		}
 		for _, sc := range srcPaths {
-			scx, sat := sc.with(xOff)
-			if !sat {
+			if ok, _ := sc.admits(xOff); !ok {
 				continue
 			}
 			for _, dc := range drainPaths {
-				if _, sat := scx.merge(dc); sat {
+				if ok, _ := dc.admits(xOff); ok && sc.meets(dc) {
 					return true
 				}
 			}
@@ -221,11 +233,15 @@ func Excitable(root sp.Span, pt Point, bound int) bool {
 
 // PruneUnexcitable filters a gate's discharge points down to those whose
 // PBE scenario is actually satisfiable (paper §VII). The returned slice
-// preserves order.
+// preserves order. The span's graph is built once for all the points.
 func PruneUnexcitable(root sp.Span, points []Point) []Point {
+	if len(points) == 0 {
+		return nil
+	}
+	g := buildGraph(root)
 	var kept []Point
 	for _, pt := range points {
-		if Excitable(root, pt, 0) {
+		if g.excitable(pt, 0) {
 			kept = append(kept, pt)
 		}
 	}

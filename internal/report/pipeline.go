@@ -111,8 +111,8 @@ func PrepareStrashed(ctx context.Context, n *logic.Network, sr *strash.Result) (
 		Strash:     sr,
 		Unate:      u.Network,
 		Duplicated: u.DuplicatedNodes,
-		OrigStats:  n.Stats(),
-		UnateStats: u.Network.Stats(),
+		OrigStats:  unate.Stats(n),
+		UnateStats: unate.Stats(u.Network),
 	}, nil
 }
 

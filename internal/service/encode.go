@@ -32,11 +32,16 @@ type MapResult struct {
 	// the byte-compared encoding.
 	Strash *StrashJSON `json:"strash,omitempty"`
 	Stats  StatsJSON   `json:"stats"`
-	Gates  []GateJSON  `json:"gates"`
+	// Gates is set on a decoded result. One NewMapResult made leaves it
+	// nil and holds the mapper's gates instead (gates): the writer
+	// renders each gate from them, so no copy of the netlist is made.
+	Gates []GateJSON `json:"gates"`
 	// Degraded marks a Pareto run whose tuple budget overflowed: the
 	// mapping is complete and audit-clean but frontier exploration was
 	// truncated (see mapper.Result.Degraded).
 	Degraded bool `json:"degraded,omitempty"`
+
+	gates []*mapper.Gate // the mapped gates, non-nil when NewMapResult made r
 }
 
 // OptionsJSON mirrors the canonical mapper.Options a result was mapped
@@ -106,7 +111,9 @@ type CompoundJSON struct {
 
 // NewMapResult flattens a finished pipeline + mapping into the shared
 // encoding. The circuit argument names the submission (benchmark name or
-// file stem); it may differ from the network's own name.
+// file stem); it may differ from the network's own name. The result
+// holds res's gates, which EncodeJSON renders one by one, so res must
+// not be changed until it is encoded.
 func NewMapResult(circuit string, p *report.Pipeline, res *mapper.Result) *MapResult {
 	srcStats, unateStats := p.OrigStats, p.UnateStats
 	r := &MapResult{
@@ -148,8 +155,11 @@ func NewMapResult(circuit string, p *report.Pipeline, res *mapper.Result) *MapRe
 			Levels:         res.Stats.Levels,
 			InputInverters: res.Stats.InputInverters,
 		},
-		Gates:    make([]GateJSON, 0, len(res.Gates)),
 		Degraded: res.Degraded,
+		gates:    res.Gates,
+	}
+	if r.gates == nil {
+		r.gates = []*mapper.Gate{} // still written "[]", as a mapping with no gate is
 	}
 	if p.Strash != nil {
 		c := p.Strash.Counters
@@ -158,24 +168,30 @@ func NewMapResult(circuit string, p *report.Pipeline, res *mapper.Result) *MapRe
 			Merged: c.Merged, Folded: c.Folded, Dead: c.Dead,
 		}
 	}
-	for _, g := range res.Gates {
-		gj := GateJSON{
-			ID:         g.ID,
-			Output:     g.Output,
-			Level:      g.Level,
-			Pulldown:   g.Pulldown(),
-			Discharges: len(g.Discharges),
-			Footed:     g.Footed,
-		}
-		if g.Compound != nil {
-			gj.Compound = &CompoundJSON{
-				Kind:   g.Compound.Kind.String(),
-				Stages: len(g.Compound.Stages),
-			}
-		}
-		r.Gates = append(r.Gates, gj)
-	}
 	return r
+}
+
+// gate returns gate i in its wire form: read from Gates of a decoded
+// result, or made from the held mapper gate, with c backing its
+// Compound, so the caller keeps both on its stack.
+func (r *MapResult) gate(i int, c *CompoundJSON) GateJSON {
+	if r.gates == nil {
+		return r.Gates[i]
+	}
+	g := r.gates[i]
+	gj := GateJSON{
+		ID:         g.ID,
+		Output:     g.Output,
+		Level:      int(g.Level),
+		Pulldown:   g.Pulldown(),
+		Discharges: len(g.Discharges),
+		Footed:     g.Footed,
+	}
+	if g.Compound != nil {
+		*c = CompoundJSON{Kind: g.Compound.Kind.String(), Stages: len(g.Compound.Stages)}
+		gj.Compound = c
+	}
+	return gj
 }
 
 // EncodeJSON renders a MapResult in the subsystem's wire form: two-space
@@ -258,35 +274,44 @@ func (r *MapResult) write(w *jsonWriter) {
 	w.num("input_inverters", st.InputInverters)
 	w.close('}')
 	w.key("gates")
+	n := len(r.Gates)
+	if r.gates != nil {
+		n = len(r.gates)
+	}
 	switch {
-	case r.Gates == nil:
+	case r.gates == nil && r.Gates == nil:
 		w.b = append(w.b, "null"...)
-	case len(r.Gates) == 0:
+	case n == 0:
 		w.b = append(w.b, "[]"...)
 	default:
 		w.open('[')
-		for i := range r.Gates {
-			g := &r.Gates[i]
+		for i := range n {
+			var c CompoundJSON
+			g := r.gate(i, &c)
 			w.elem()
-			w.open('{')
-			w.num("id", g.ID)
-			w.str("output", g.Output)
-			w.num("level", g.Level)
-			w.num("pulldown", g.Pulldown)
-			w.num("discharges", g.Discharges)
-			w.flag("footed", g.Footed)
-			if c := g.Compound; c != nil {
-				w.key("compound")
-				w.open('{')
-				w.str("kind", c.Kind)
-				w.num("stages", c.Stages)
-				w.close('}')
-			}
-			w.close('}')
+			g.write(w)
 		}
 		w.close(']')
 	}
 	w.flag("degraded", r.Degraded)
+	w.close('}')
+}
+
+func (g *GateJSON) write(w *jsonWriter) {
+	w.open('{')
+	w.num("id", g.ID)
+	w.str("output", g.Output)
+	w.num("level", g.Level)
+	w.num("pulldown", g.Pulldown)
+	w.num("discharges", g.Discharges)
+	w.flag("footed", g.Footed)
+	if c := g.Compound; c != nil {
+		w.key("compound")
+		w.open('{')
+		w.str("kind", c.Kind)
+		w.num("stages", c.Stages)
+		w.close('}')
+	}
 	w.close('}')
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"sync"
@@ -97,11 +98,23 @@ func TestEncodeJSONDeterministic(t *testing.T) {
 	}
 }
 
+// decoded returns r as a client reads it: encoded, then decoded, so its
+// gates are in Gates.
+func decoded(tb testing.TB, r *MapResult) *MapResult {
+	tb.Helper()
+	var d MapResult
+	if err := json.Unmarshal(mustEncode(tb, r), &d); err != nil {
+		tb.Fatal(err)
+	}
+	return &d
+}
+
 func TestMapResultContents(t *testing.T) {
-	r, err := mapSubmission("mux", builtin.MustBuild("mux"), report.SOI, mapper.DefaultOptions())
+	held, err := mapSubmission("mux", builtin.MustBuild("mux"), report.SOI, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := decoded(t, held)
 	if r.Circuit != "mux" || r.Algorithm != "SOI_Domino_Map" {
 		t.Errorf("circuit/algorithm = %q/%q", r.Circuit, r.Algorithm)
 	}
@@ -124,6 +137,77 @@ func TestMapResultContents(t *testing.T) {
 	}
 	if disch != r.Stats.TDisch {
 		t.Errorf("summed discharges %d != stats t_disch %d", disch, r.Stats.TDisch)
+	}
+}
+
+// TestNewMapResultPassesCheckEncoding holds the writer's rendering of
+// held mapper gates to the wire form: for every registry result, and for
+// des under Domino_Map with its gates split into compound gates, the
+// encoding of NewMapResult's output must equal MarshalIndent of its
+// decoded form and pass checkEncoding (decoded and re-encoded, the same
+// bytes), as a store or peer entry of it must.
+func TestNewMapResultPassesCheckEncoding(t *testing.T) {
+	p, err := report.Prepare("des")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Map(context.Background(), report.Domino, mapper.DefaultOptions(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := mapper.DefaultCompoundOptions()
+	opt.SplitWiderThan = 2
+	if cs := mapper.CompoundTransform(res, opt); cs.Converted == 0 {
+		t.Fatal("no des gate became compound")
+	}
+	for _, r := range append(registryResults(t), NewMapResult("des", p, res)) {
+		b := mustEncode(t, r)
+		if want := marshalOracle(t, decoded(t, r)); !bytes.Equal(b, want) {
+			t.Fatalf("%s %s: EncodeJSON of the held gates differs from MarshalIndent of the decoded result:\ngot:\n%s\nwant:\n%s",
+				r.Circuit, r.Algorithm, b, want)
+		}
+		if err := checkEncoding(b); err != nil {
+			t.Fatalf("%s %s: %v", r.Circuit, r.Algorithm, err)
+		}
+	}
+}
+
+// TestEncodeAllocs is the `make dp-allocs` guard on the encoding of a
+// mapped result: NewMapResult allocates the MapResult and its strash
+// summary, and EncodeJSON, writing into a pooled buffer, the exact-size
+// output — three allocations, nothing per gate, and the output's bytes
+// plus a little. The output's bytes are what one copy of it allocates:
+// the heap rounds an object that large up to whole pages. A per-gate
+// copy (a []GateJSON of des's 607 gates is 34 KB) overshoots.
+// Env-gated like TestKeyAllocs.
+func TestEncodeAllocs(t *testing.T) {
+	if os.Getenv("SOIDOMINO_DP_ALLOCS") != "1" {
+		t.Skip("set SOIDOMINO_DP_ALLOCS=1 to run the allocation guards")
+	}
+	p, err := report.Prepare("des")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Map(context.Background(), report.SOI, mapper.DefaultOptions(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	encode := func() {
+		if out, err = EncodeJSON(NewMapResult("des", p, res)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, encode)
+	used := allocBytes(encode)
+	ceiling := allocBytes(func() { encoded = bytes.Clone(out) }) + 1<<10
+	t.Logf("des: %d gates, %d B encoded, %.0f allocs, %.0f B per EncodeJSON(NewMapResult) (ceilings 3, %.0f B)",
+		len(res.Gates), len(out), allocs, used, ceiling)
+	if allocs > 3 {
+		t.Errorf("EncodeJSON(NewMapResult) allocates %.0f times on des, ceiling 3", allocs)
+	}
+	if used > ceiling {
+		t.Errorf("EncodeJSON(NewMapResult) allocates %.0f B on des, ceiling %.0f", used, ceiling)
 	}
 }
 
@@ -181,10 +265,16 @@ func FuzzEncodeJSON(f *testing.F) {
 	}
 	f.Add(uint8(255), "<a&b>\u2028\u2029\xff\xc3\x00\x1f\b\f\n\r\t\"\\\x7fé", int64(-12), uint16(0xffff))
 	f.Add(uint8(3), " \xe2\x80", int64(1)<<40, uint16(0xbf0f))
+	// MarshalIndent sees only exported fields: the seeds are the
+	// results as decoded, their gates in Gates.
+	wire := make([]*MapResult, len(results))
+	for i, r := range results {
+		wire[i] = decoded(f, r)
+	}
 	f.Fuzz(func(t *testing.T, pick uint8, s string, n int64, flags uint16) {
 		var r MapResult
-		if int(pick) < len(results) {
-			r = *results[pick]
+		if int(pick) < len(wire) {
+			r = *wire[pick]
 			r.Gates = slices.Clone(r.Gates)
 		}
 		perturb(&r, s, n, flags)
@@ -262,7 +352,11 @@ func TestEncodeJSONCoversEveryField(t *testing.T) {
 			return
 		}
 		for i := range typ.NumField() {
-			walk(typ.Field(i).Type, append(slices.Clone(path), i))
+			// An unexported field is not on the wire (MapResult.gates is
+			// rendered into the gates member, which Gates covers).
+			if typ.Field(i).IsExported() {
+				walk(typ.Field(i).Type, append(slices.Clone(path), i))
+			}
 		}
 	}
 	walk(reflect.TypeOf(MapResult{}), nil)

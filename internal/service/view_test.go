@@ -50,13 +50,15 @@ func checkEnvelope(tb testing.TB, body []byte) JobView {
 // TestJobViewEnvelope holds writeView to the encoding it replaced: for a
 // job in each state, answered from each tier, with and without a trace
 // and an attribution, the bytes must equal json.Encoder's rendering of
-// the same JobView carrying the original *MapResult.
+// the same JobView carrying the *MapResult, decoded as a client reads
+// it (json.Encoder sees only its exported fields).
 func TestJobViewEnvelope(t *testing.T) {
-	r, err := mapSubmission("mux", builtin.MustBuild("mux"), report.SOI, mapper.DefaultOptions())
+	mapped, err := mapSubmission("mux", builtin.MustBuild("mux"), report.SOI, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := mustEncode(t, r)
+	held := mustEncode(t, mapped)
+	r := decoded(t, mapped)
 	attr := func(tier string, st *obs.Stats) *Attribution {
 		return NewAttribution("replica <1> & co", "", tier, 1500*time.Microsecond, 12345*time.Microsecond, st)
 	}

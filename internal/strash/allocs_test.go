@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"soidomino/internal/bench"
+	"soidomino/internal/logic"
 )
 
 // strashAllocsCeiling and strashBytesCeiling pin a warm Run on des
@@ -39,24 +40,42 @@ func TestStrashAllocs(t *testing.T) {
 	}
 }
 
-// TestStrashAllocsWarmRun guards the builder pool: a warm Run on des
-// may allocate what a Clone of its output network takes, plus its
-// Result, and nothing else. With the pool bypassed it pays every scratch
-// table again, about 290 KB.
+// TestStrashAllocsWarmRun guards the builder pool: a warm Run may
+// allocate what a Clone of its output network takes, plus its Result,
+// and nothing else. On des alone, and on c7552 and c432 in turn, so the
+// pooled builder alternates between a large run and one under a quarter
+// of its size: neither may make a new cons table (or any other) for its
+// size. With the pool bypassed a des run pays every scratch table again,
+// about 290 KB.
 func TestStrashAllocsWarmRun(t *testing.T) {
 	skipUnlessDPAllocs(t)
-	n := bench.MustBuild("des")
-	res := Run(n)
-	clone := func() { res.Network.Clone() }
-	run := func() { Run(n) }
-	outAllocs, outBytes := testing.AllocsPerRun(10, clone), allocBytes(clone)
-	allocs, bytes := testing.AllocsPerRun(10, run), allocBytes(run)
-	t.Logf("des: a warm Run takes %.0f allocs, %.0f B; its output network %.0f, %.0f B",
-		allocs, bytes, outAllocs, outBytes)
-	const resultAllocs, resultBytes = 1, 128
-	if allocs > outAllocs+resultAllocs || bytes > outBytes+resultBytes {
-		t.Errorf("a warm Run allocates %.0f times, %.0f B: beyond its output network's %.0f, %.0f B and its Result",
-			allocs, bytes, outAllocs, outBytes)
+	for _, names := range [][]string{{"des"}, {"c7552", "c432"}} {
+		var nets []*logic.Network
+		var outs []*logic.Network
+		for _, name := range names {
+			n := bench.MustBuild(name)
+			nets = append(nets, n)
+			outs = append(outs, Run(n).Network)
+		}
+		clone := func() {
+			for _, out := range outs {
+				out.Clone()
+			}
+		}
+		run := func() {
+			for _, n := range nets {
+				Run(n)
+			}
+		}
+		outAllocs, outBytes := testing.AllocsPerRun(10, clone), allocBytes(clone)
+		allocs, bytes := testing.AllocsPerRun(10, run), allocBytes(run)
+		t.Logf("%v: warm Runs take %.0f allocs, %.0f B; their output networks %.0f, %.0f B",
+			names, allocs, bytes, outAllocs, outBytes)
+		resultAllocs, resultBytes := float64(len(nets)), float64(128*len(nets))
+		if allocs > outAllocs+resultAllocs || bytes > outBytes+resultBytes {
+			t.Errorf("%v: warm Runs allocate %.0f times, %.0f B: beyond their output networks' %.0f, %.0f B and their Results",
+				names, allocs, bytes, outAllocs, outBytes)
+		}
 	}
 }
 

@@ -10,16 +10,18 @@ import (
 )
 
 // frontEndAllocsCeiling and frontEndBytesCeiling pin Decompose + Convert
-// on strashed des (1,247 nodes in, 2,564 out) with warm scratch: the
-// literal table and output literals Convert reads, the unate network in
-// tables presized by the marking pass and its Result — 11 allocations and
-// 218,660 B at the time of writing. The memos, the hash-consing map, the
-// tree stack and the input-name set come from the pool. One allocation
-// per gate (a fanin slice) or a scratch table allocated per run
-// overshoots by far.
+// on strashed des (1,247 nodes in, 2,564 out) with warm scratch, and the
+// Stats of its source and unate networks that report.PrepareStrashed
+// keeps: the literal table and output literals Convert reads, the unate
+// network in tables presized by the marking pass and its Result — 11
+// allocations and 218,660 B at the time of writing. The memos, the
+// hash-consing map, the tree stack, the input-name set and the level
+// table of Stats come from the pool. One allocation per gate (a fanin
+// slice) or a scratch table allocated per run, such as a fresh level
+// table per Stats (30 KB), overshoots.
 const (
 	frontEndAllocsCeiling = 13
-	frontEndBytesCeiling  = 250 << 10
+	frontEndBytesCeiling  = 224 << 10
 )
 
 // TestFrontEndAllocs is the `make dp-allocs` guard on the lowering that
@@ -33,13 +35,16 @@ func TestFrontEndAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Convert(); err != nil {
+		u, err := d.Convert()
+		if err != nil {
 			t.Fatal(err)
 		}
+		Stats(n)
+		Stats(u.Network)
 	}
 	allocs := testing.AllocsPerRun(10, run)
 	bytes := allocBytes(run)
-	t.Logf("des: %.0f allocs, %.0f B per Decompose+Convert (ceilings %d, %d B)",
+	t.Logf("des: %.0f allocs, %.0f B per Decompose+Convert+Stats (ceilings %d, %d B)",
 		allocs, bytes, frontEndAllocsCeiling, frontEndBytesCeiling)
 	if allocs > frontEndAllocsCeiling {
 		t.Errorf("Decompose+Convert allocates %.0f times on strashed des, ceiling %d", allocs, frontEndAllocsCeiling)

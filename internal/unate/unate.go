@@ -81,6 +81,7 @@ type scratch struct {
 	stack    []lit        // Decompose: fanin literals of the trees being built
 	names    []int32      // Decompose: duplicateInput's hash table
 	built    []int32      // Convert: per phase and table node, see converter.memo
+	levels   []int32      // Stats: per node level
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
@@ -132,9 +133,8 @@ func Decompose(n *logic.Network) (*Decomposed, error) {
 		scratch:    s,
 	}
 	// Cleared, not emptied key by key: deletes leave tombstones that
-	// make a reused map regrow. As in strash's builder, a map made for
-	// fewer nodes or for more than four times as many is replaced, so
-	// the reset costs this run.
+	// make a reused map regrow. A map made for fewer nodes or for more
+	// than four times as many is replaced, so the reset costs this run.
 	if d.hash == nil || len(n.Nodes) > d.hashSize || 4*len(n.Nodes) < d.hashSize {
 		d.hash = make(map[gate]lit, len(n.Nodes))
 		d.hashSize = len(n.Nodes)
@@ -258,6 +258,16 @@ func (d *decomposer) gate(op logic.Op, a, b lit) lit {
 	d.nodes = append(d.nodes, gate{op, a, b})
 	d.hash[k] = v
 	return v
+}
+
+// Stats is n.Stats with the level table taken from the front end's
+// scratch pool, so a warm call allocates nothing.
+func Stats(n *logic.Network) logic.Stats {
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	st, levels := n.StatsWith(s.levels)
+	s.levels = levels
+	return st
 }
 
 // Result carries the unate network plus conversion statistics.
