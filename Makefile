@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-baseline obs-overhead dp-allocs strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+.PHONY: check vet build test race bench bench-baseline loc obs-overhead dp-allocs strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
 check: vet build race obs-overhead dp-allocs strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
@@ -35,6 +35,14 @@ bench-baseline: strash-determinism
 	$(GO) test -bench=. -benchmem -count=5 -run=^$$ | $(GO) run ./cmd/benchjson > BENCH_$$(date -u +%Y-%m-%d).json
 	@echo "wrote BENCH_$$(date -u +%Y-%m-%d).json"
 
+# Go line counts: non-test source outside perfbench/ (the benchmark's
+# own module), then test files outside it.
+GO_FILES = find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*.go'
+
+loc:
+	@echo "non-test $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test     $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
+
 # Guard on the instrumentation's zero-cost-when-disabled contract: a run
 # with the stats collector enabled must not be measurably slower, and an
 # untraced (or sampled-out) run must not allocate per node. The timing
@@ -62,7 +70,8 @@ obs-overhead:
 # lowering to unate form (Decompose + Convert + the pipeline's network
 # Stats: the literal table and the presized unate network, scratch and
 # level table pooled); a warm-run guard on each fails when its pool is
-# bypassed, strash's also when c7552 and c432 alternate. So is the routing
+# bypassed or when c7552 and c432 alternate, and the id table both index
+# by (internal/idtab) allocates nothing warm. So is the routing
 # key of an inline BLIF source (service.RequestKey on des: the reader
 # lowers the text straight into a pooled strash builder, no network,
 # under fifty allocations), and soirouter's key memo hit (nothing
@@ -77,6 +86,7 @@ dp-allocs:
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(DP|Traceback|Rearrange|Discharge)Allocs|TestGateSize' -v ./internal/mapper
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestStrashAllocs' -v ./internal/strash
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestFrontEndAllocs' -v ./internal/unate
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestTableAllocs' -v ./internal/idtab
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(Key|ParseRequest|Encode)Allocs' -v ./internal/service
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestRouterMemoHitAllocs' -v ./internal/cluster
 

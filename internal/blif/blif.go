@@ -513,15 +513,29 @@ func (p *parser) not(b Builder, id int) int {
 }
 
 // Write renders the network as BLIF. Every node is written as a .names
-// block using generated signal names (its own name when it has one).
+// block under its own name, or a generated n<id>, suffixed with "_"
+// until it names no other signal: a parsed network may hold an n1 too.
 func Write(w io.Writer, n *logic.Network) error {
 	bw := bufio.NewWriter(w)
-	name := func(id int) string {
-		if nm := n.Nodes[id].Name; nm != "" {
-			return nm
-		}
-		return fmt.Sprintf("n%d", id)
+	taken := make(map[string]bool, len(n.Nodes)+len(n.Outputs))
+	for _, node := range n.Nodes {
+		taken[node.Name] = true
 	}
+	for _, out := range n.Outputs {
+		taken[out.Name] = true
+	}
+	names := make([]string, len(n.Nodes))
+	for id, node := range n.Nodes {
+		names[id] = node.Name
+		if node.Name == "" {
+			names[id] = fmt.Sprintf("n%d", id)
+			for taken[names[id]] {
+				names[id] += "_"
+			}
+			taken[names[id]] = true
+		}
+	}
+	name := func(id int) string { return names[id] }
 	fmt.Fprintf(bw, ".model %s\n", n.Name)
 	fmt.Fprint(bw, ".inputs")
 	for _, id := range n.Inputs {

@@ -326,6 +326,12 @@ func (c *campaign) stream() error {
 		}
 		// >= not ==: a burst can jump the loop index past the exact mark.
 		if victim != nil && c.rep.Kills == 0 && i >= killAt {
+			// Results are written behind their responses: a victim killed
+			// before one lands comes back cold for want of it.
+			deadline := time.Now().Add(5 * time.Second)
+			for store.Stored(victim.cfg.StateDir) == 0 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
 			victim.kill()
 			c.rep.Kills++
 			c.sweep(-1000)

@@ -10,8 +10,11 @@ package logic
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
+
+	"soidomino/internal/idtab"
 )
 
 // Op identifies the function computed by a node.
@@ -238,16 +241,32 @@ func (n *Network) Check() error {
 			return fmt.Errorf("output %q: node %d out of range", out.Name, out.Node)
 		}
 	}
-	seen := make(map[string]bool, len(n.Inputs))
 	for _, id := range n.Inputs {
 		if n.Nodes[id].Op != Input {
 			return fmt.Errorf("input list entry %d is a %s node", id, n.Nodes[id].Op)
 		}
-		if name := n.Nodes[id].Name; seen[name] {
-			return fmt.Errorf("duplicate input name %q", name)
-		} else {
-			seen[name] = true
+	}
+	return n.CheckInputNames(new(idtab.Table))
+}
+
+var nameSeed = maphash.MakeSeed()
+
+// CheckInputNames returns an error naming an input name n declares
+// twice, found in tab, which it resets. The unate lowering checks every
+// network it is handed, built in code and unchecked ones too, with a
+// pooled table: a warm check allocates nothing and copies no name.
+func (n *Network) CheckInputNames(tab *idtab.Table) error {
+	hash := func(i int) uint64 { return maphash.String(nameSeed, n.Nodes[n.Inputs[i]].Name) }
+	tab.Reset(len(n.Inputs))
+	for i, id := range n.Inputs {
+		name := n.Nodes[id].Name
+		p := tab.Probe(hash(i))
+		for j, ok := p.Next(); ok; j, ok = p.Next() {
+			if n.Nodes[n.Inputs[j]].Name == name {
+				return fmt.Errorf("duplicate input name %q", name)
+			}
 		}
+		p.Insert(i, hash)
 	}
 	return nil
 }

@@ -255,6 +255,11 @@ func (s *Results) Len() int {
 	return n
 }
 
+// Stored is Len of the store under root, which it does not open.
+func Stored(root string) int {
+	return (&Results{dir: filepath.Join(root, resultsDirName)}).Len()
+}
+
 // EvictOver removes the oldest entries (by modification time) until at
 // most max remain, returning how many went. The disk tier outlives the
 // LRU but must not outlive the disk.

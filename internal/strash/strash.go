@@ -40,6 +40,7 @@ import (
 	"sync"
 
 	"soidomino/internal/faultpoint"
+	"soidomino/internal/idtab"
 	"soidomino/internal/logic"
 )
 
@@ -125,25 +126,22 @@ type output struct {
 // are per-node tables whose entries are valid only where mark equals the
 // current gate's stamp, so starting a gate clears nothing.
 //
-// The cons table maps a gate's signature to its node: an open-addressing
-// table of node ids + 1 (0 is empty), indexed by the signature's first
-// eight bytes, which, as sha256 output, need no further hashing. A probe
-// compares the full signature with sigs[id]. Inputs and constants are
-// never entered; every other node is, once, when it is built.
+// The cons table maps a gate's signature to its node: an idtab.Table of
+// node ids hashed by the signature's first eight bytes, which, as sha256
+// output, need no further hashing. A probe compares the full signature
+// with sigs[id]. Inputs and constants are never entered; every other
+// node is, once, when it is built.
 //
 // Builders come from a pool (NewBuilder) and go back to it (Release),
 // so a warm builder allocates nothing: every table, the cons table and
 // Run's own scratch (repr, keep, finalOf) keep their backing arrays
-// from run to run. The cons table's backing is the largest any run has
-// needed; a run uses and clears only the power-of-two prefix its own
-// size calls for, so a small run after a large one pays for its size.
+// from run to run, and a run clears only the part of the cons table its
+// own size calls for.
 type Builder struct {
 	nodes   []node
 	fanins  []int
 	sigs    [][32]byte // per node structural signature
-	cons    []int32    // the cons table: a power-of-two prefix of consAll
-	consAll []int32    // the cons table's backing
-	consLen int        // nodes entered in cons
+	cons    idtab.Table
 	inputs  []int
 	outputs []output
 	faults  *faultpoint.Registry
@@ -194,9 +192,8 @@ func NewBuilder(size int) *Builder {
 
 // takeBuilder returns a pooled Builder reset for a network of up to
 // nodes nodes holding fanins fanin entries. The tables are cut to length
-// zero (add zeroes mark and count per node as it appends), and the cons
-// table is the cleared prefix of its backing that holds nodes entries
-// at most half full (resizeCons): the reset costs this run's size, not
+// zero (add zeroes mark and count per node as it appends) and the cons
+// table is reset for nodes entries: the reset costs this run's size, not
 // the largest run the pool has seen.
 func takeBuilder(nodes, fanins int) *Builder {
 	b := builders.Get().(*Builder)
@@ -205,8 +202,7 @@ func takeBuilder(nodes, fanins int) *Builder {
 	b.sigs = slices.Grow(b.sigs[:0], nodes)
 	b.mark = slices.Grow(b.mark[:0], nodes)
 	b.count = slices.Grow(b.count[:0], nodes)
-	b.consLen = 0
-	b.resizeCons(nodes)
+	b.cons.Reset(nodes)
 	b.inputs = b.inputs[:0]
 	b.outputs = b.outputs[:0]
 	b.faults = nil
@@ -216,55 +212,23 @@ func takeBuilder(nodes, fanins int) *Builder {
 	return b
 }
 
-// resizeCons makes cons the cleared prefix of consAll, grown if needed,
-// with room for n entries at most half full, and enters every node the
-// builder has built in it again.
-func (b *Builder) resizeCons(n int) {
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	if size > len(b.consAll) {
-		b.consAll = make([]int32, size)
-	}
-	b.cons = b.consAll[:size]
-	clear(b.cons)
-	for id, nd := range b.nodes {
-		switch nd.op {
-		case logic.Input, logic.Const0, logic.Const1:
-		default:
-			b.cons[b.consSlot(&b.sigs[id])] = int32(id + 1)
+// intern returns the node whose signature is sig, building it over op
+// and fanin if there is none; hit reports a cons hit.
+func (b *Builder) intern(op logic.Op, fanin []int, sig [32]byte) (id int, hit bool) {
+	p := b.cons.Probe(sigHash(&sig))
+	for id, ok := p.Next(); ok; id, ok = p.Next() {
+		if b.sigs[id] == sig {
+			return id, true
 		}
 	}
+	id = b.add(op, "", fanin, sig)
+	p.Insert(id, b.consHash)
+	return id, false
 }
 
-// consSlot returns the cons slot holding sig, or the empty slot where it
-// belongs.
-func (b *Builder) consSlot(sig *[32]byte) int {
-	mask := len(b.cons) - 1
-	for i := int(binary.LittleEndian.Uint64(sig[:8])) & mask; ; i = (i + 1) & mask {
-		if id := b.cons[i]; id == 0 || b.sigs[id-1] == *sig {
-			return i
-		}
-	}
-}
+func sigHash(sig *[32]byte) uint64 { return binary.LittleEndian.Uint64(sig[:8]) }
 
-// lookup returns the node whose signature is sig, if one was entered.
-func (b *Builder) lookup(sig *[32]byte) (int, bool) {
-	id := b.cons[b.consSlot(sig)]
-	return int(id) - 1, id != 0
-}
-
-// enter adds node id, just built with signature sigs[id], to the cons
-// table, doubling the table first if the entry would fill it past half.
-func (b *Builder) enter(id int) {
-	b.consLen++
-	if 2*b.consLen > len(b.cons) {
-		b.resizeCons(b.consLen) // enters id with the others
-		return
-	}
-	b.cons[b.consSlot(&b.sigs[id])] = int32(id + 1)
-}
+func (b *Builder) consHash(id int) uint64 { return sigHash(&b.sigs[id]) }
 
 // Release returns b to the pool; b must not be used afterwards. A
 // Builder that is never released is collected like any other value.
@@ -357,12 +321,7 @@ func (b *Builder) consNot(x int) int {
 		return b.fanin(x)[0]
 	}
 	b.buf = append(append(b.buf[:0], "n|"...), b.sigs[x][:]...)
-	sig := sha256.Sum256(b.buf)
-	if id, ok := b.lookup(&sig); ok {
-		return id
-	}
-	id := b.add(logic.Not, "", []int{x}, sig)
-	b.enter(id)
+	id, _ := b.intern(logic.Not, []int{x}, sha256.Sum256(b.buf))
 	return id
 }
 
@@ -393,13 +352,10 @@ func (b *Builder) consGate(op logic.Op, ops []int) int {
 	for _, f := range ops {
 		b.buf = append(b.buf, b.sigs[f][:]...)
 	}
-	sig := sha256.Sum256(b.buf)
-	if id, ok := b.lookup(&sig); ok {
+	id, hit := b.intern(op, ops, sha256.Sum256(b.buf))
+	if hit {
 		b.c.Merged++
-		return id
 	}
-	id := b.add(op, "", ops, sig)
-	b.enter(id)
 	return id
 }
 

@@ -17,10 +17,10 @@ package unate
 
 import (
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sync"
 
+	"soidomino/internal/idtab"
 	"soidomino/internal/logic"
 )
 
@@ -72,80 +72,48 @@ type decomposer struct {
 
 // scratch is the per-run state of Decompose and Convert that their
 // results do not keep. Runs take it from the scratches pool and give it
-// back when they return, so a warm run reuses the tables' backing arrays
-// and the hash map's buckets. Each taker resets the part it uses.
+// back when they return, so a warm run reuses the tables' backing
+// arrays. Each taker resets the part it uses.
 type scratch struct {
-	memo     []lit        // Decompose: per source node
-	hash     map[gate]lit // Decompose: gates keyed on their sorted literals
-	hashSize int          // Decompose: the source node count hash was made for
-	stack    []lit        // Decompose: fanin literals of the trees being built
-	names    []int32      // Decompose: duplicateInput's hash table
-	built    []int32      // Convert: per phase and table node, see converter.memo
-	levels   []int32      // Stats: per node level
+	memo   []lit       // Decompose: per source node
+	tab    idtab.Table // Decompose: the input names, then the gates by op and sorted literals
+	stack  []lit       // Decompose: fanin literals of the trees being built
+	built  []int32     // Convert: per phase and table node, see converter.memo
+	levels []int32     // Stats: per node level
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
-var nameSeed = maphash.MakeSeed()
-
-// duplicateInput reports an input name n uses twice. The parsers check
-// their networks (logic.Network.Check) and strash copies its source's
-// names, but a network built in code reaches Decompose unchecked, so
-// every run pays for the check: an open-addressing table of input
-// indices + 1 keyed by the names' hashes, pooled, so a warm run
-// allocates nothing and no string is copied.
-func (s *scratch) duplicateInput(n *logic.Network) (string, bool) {
-	size := 1
-	for size < 2*len(n.Inputs) {
-		size <<= 1
-	}
-	s.names = slices.Grow(s.names[:0], size)[:size]
-	clear(s.names)
-	mask := uint64(size - 1)
-	for i, id := range n.Inputs {
-		name := n.Nodes[id].Name
-		for j := maphash.String(nameSeed, name) & mask; ; j = (j + 1) & mask {
-			k := s.names[j]
-			if k == 0 {
-				s.names[j] = int32(i + 1)
-				break
-			}
-			if n.Nodes[n.Inputs[k-1]].Name == name {
-				return name, true
-			}
-		}
-	}
-	return "", false
-}
-
 // Decompose lowers n, which is not modified, to 2-input AND/OR gates
 // over complementable literals. It rejects a source whose inputs share a
 // name: the unate network takes its input names from the source, and a
-// mapping is read back by them (Result.Eval, netlist.Build, soisim).
+// mapping is read back by them (Result.Eval, netlist.Build, soisim). The
+// parsers check their networks and strash copies its source's names,
+// but a network built in code reaches Decompose unchecked, so every run
+// pays for the check.
 func Decompose(n *logic.Network) (*Decomposed, error) {
 	s := scratches.Get().(*scratch)
 	defer scratches.Put(s)
-	if name, dup := s.duplicateInput(n); dup {
-		return nil, fmt.Errorf("unate: duplicate input name %q", name)
+	if err := n.CheckInputNames(&s.tab); err != nil {
+		return nil, fmt.Errorf("unate: %w", err)
 	}
-	d := &decomposer{
-		Decomposed: &Decomposed{src: n, nodes: make([]gate, len(n.Inputs), len(n.Nodes)+len(n.Inputs))},
-		scratch:    s,
-	}
-	// Cleared, not emptied key by key: deletes leave tombstones that
-	// make a reused map regrow. A map made for fewer nodes or for more
-	// than four times as many is replaced, so the reset costs this run.
-	if d.hash == nil || len(n.Nodes) > d.hashSize || 4*len(n.Nodes) < d.hashSize {
-		d.hash = make(map[gate]lit, len(n.Nodes))
-		d.hashSize = len(n.Nodes)
-	} else {
-		clear(d.hash)
-	}
+	d := &decomposer{Decomposed: &Decomposed{src: n}, scratch: s}
 	d.memo = slices.Grow(d.memo[:0], len(n.Nodes))[:len(n.Nodes)]
 	d.stack = d.stack[:0]
-	for i := range d.memo {
+	// A k-input gate lowers to at most k-1 table gates, an XOR pair to
+	// three.
+	gates := 0
+	for i, nd := range n.Nodes {
 		d.memo[i] = unset
+		switch nd.Op {
+		case logic.And, logic.Nand, logic.Or, logic.Nor:
+			gates += len(nd.Fanin) - 1
+		case logic.Xor, logic.Xnor:
+			gates += 3 * (len(nd.Fanin) - 1)
+		}
 	}
+	d.nodes = make([]gate, len(n.Inputs), len(n.Inputs)+gates)
+	d.tab.Reset(gates)
 	for i, id := range n.Inputs {
 		d.memo[id] = lit(2 * i) // d.nodes[i] is the zero gate, an Input
 	}
@@ -250,15 +218,30 @@ func (d *decomposer) gate(op logic.Op, a, b lit) lit {
 	case a == b^1:
 		return dominant
 	}
-	k := gate{op, min(a, b), max(a, b)}
-	if v, ok := d.hash[k]; ok {
-		return v
+	// The table keys a gate on its op and sorted literals; the gate
+	// keeps the source order, which becomes series stack order.
+	lo, hi := min(a, b), max(a, b)
+	p := d.tab.Probe(gateHash(gate{op, a, b}))
+	for id, ok := p.Next(); ok; id, ok = p.Next() {
+		if g := d.nodes[id]; g.op == op && min(g.a, g.b) == lo && max(g.a, g.b) == hi {
+			return lit(2 * id)
+		}
 	}
-	v := lit(2 * len(d.nodes))
 	d.nodes = append(d.nodes, gate{op, a, b})
-	d.hash[k] = v
-	return v
+	p.Insert(len(d.nodes)-1, d.hashOf)
+	return lit(2 * (len(d.nodes) - 1))
 }
+
+// gateHash mixes a gate's op (And or Or, one bit) and sorted literals
+// (never constants here, so never negative) into the low bits the table
+// indexes by.
+func gateHash(g gate) uint64 {
+	k := uint64(min(g.a, g.b))<<33 | uint64(max(g.a, g.b))<<1 | uint64(g.op-logic.And)
+	k *= 0x9e3779b97f4a7c15
+	return k ^ k>>32
+}
+
+func (d *decomposer) hashOf(id int) uint64 { return gateHash(d.nodes[id]) }
 
 // Stats is n.Stats with the level table taken from the front end's
 // scratch pool, so a warm call allocates nothing.
