@@ -78,8 +78,10 @@ obs-overhead:
 # allocated, for a registry request and for c499's 47 KB BLIF alike: a
 # hit never lowers the text). So is the request decoder soimapd and
 # soirouter share (service.ParseRequest on des and c499: the request and
-# one string of the BLIF's size, at most about 1.1 times the body), and
-# the encoding of a mapped result (EncodeJSON(NewMapResult) on des: three
+# one string of the BLIF's size, at most about 1.1 times the body), the
+# client's job-view decoder (service.ParseJobView on the c880, des and a
+# 200-gate synthetic view: under a dozen allocations, the gates slice
+# plus an eighth of the view in bytes), and the encoding of a mapped result (EncodeJSON(NewMapResult) on des: three
 # allocations, the output's bytes plus 1 KiB, nothing per gate).
 # Env-gated like obs-overhead.
 dp-allocs:
@@ -87,7 +89,7 @@ dp-allocs:
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestStrashAllocs' -v ./internal/strash
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestFrontEndAllocs' -v ./internal/unate
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestTableAllocs' -v ./internal/idtab
-	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(Key|ParseRequest|Encode)Allocs' -v ./internal/service
+	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'Test(Key|ParseRequest|ParseJobView|Encode)Allocs' -v ./internal/service
 	SOIDOMINO_DP_ALLOCS=1 $(GO) test -run 'TestRouterMemoHitAllocs' -v ./internal/cluster
 
 # The strash front-end's determinism contract: every testdata circuit's
@@ -111,11 +113,12 @@ strash-determinism:
 	$(GO) test -race -run 'TestRouter(StrashOffMismatchCounted|CanonicalOptionsShareKey)' -v ./internal/cluster
 	$(GO) test -race -run 'TestCanonicalOptionsProperty' -v ./internal/mapper
 
-# ~70s: a short differential campaign over the full mapper/option grid,
+# ~80s: a short differential campaign over the full mapper/option grid,
 # then the native parser fuzzers, the result encoder's fuzzer
 # (EncodeJSON against json.MarshalIndent), the router relay's
-# (RelayView against decode, rewrite id, json.Encoder) and the request
-# decoder's (ParseRequest against json.Decoder), and the flat pulldown
+# (RelayView against decode, rewrite id, json.Encoder), the request
+# decoder's (ParseRequest against json.Decoder), the client's job-view
+# decoder's (ParseJobView against json.Unmarshal), and the flat pulldown
 # form's (its metrics, PBE analysis, rearrangements and pruning against
 # reference tree walks). A longer run is `go run
 # ./cmd/soifuzz -n 2000`; see the "Fuzzing the mappers" section of
@@ -133,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzEncodeJSON $(FUZZ_SMOKE) ./internal/service
 	$(GO) test -fuzz=FuzzRelayView $(FUZZ_SMOKE) ./internal/service
 	$(GO) test -fuzz=FuzzParseRequest $(FUZZ_SMOKE) ./internal/service
+	$(GO) test -fuzz=FuzzParseJobView $(FUZZ_SMOKE) ./internal/service
 	$(GO) test -fuzz=FuzzFlatPulldown $(FUZZ_SMOKE) ./internal/pbe
 
 # ~30s: a seeded chaos campaign against an in-process soimapd — every

@@ -51,7 +51,7 @@ func TestRandomKnobsShapeTheDAG(t *testing.T) {
 	skewed.Name, skewed.FanoutSkew = "c", 0.9
 	maxFanout := func(n *logic.Network) int {
 		m := 0
-		for _, f := range n.FanoutCounts() {
+		for _, f := range fanouts(n) {
 			if f > m {
 				m = f
 			}

@@ -147,20 +147,12 @@ type Raw struct {
 // service.KeyHeader header, and returns the answer undecoded. soirouter
 // routes with it, forwarding the bytes its caller sent.
 func (c *Client) MapRaw(ctx context.Context, body []byte, key string) (*Raw, error) {
-	var raw Raw
-	if err := c.do(ctx, http.MethodPost, "/v1/map", key, body, &raw); err != nil {
-		return nil, err
-	}
-	return &raw, nil
+	return c.do(ctx, http.MethodPost, "/v1/map", key, body)
 }
 
 // JobRaw fetches one job's current view undecoded.
 func (c *Client) JobRaw(ctx context.Context, id string) (*Raw, error) {
-	var raw Raw
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, "", nil, &raw); err != nil {
-		return nil, err
-	}
-	return &raw, nil
+	return c.do(ctx, http.MethodGet, "/v1/jobs/"+id, "", nil)
 }
 
 // MapWait submits asynchronously and polls until the job reaches a
@@ -202,7 +194,7 @@ func terminal(s service.JobState) bool {
 // (GET /v1/jobs/{id}/explain).
 func (c *Client) Explain(ctx context.Context, id string) (*service.ExplainView, error) {
 	var ev service.ExplainView
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/explain", "", nil, &ev); err != nil {
+	if err := c.getJSON(ctx, "/v1/jobs/"+id+"/explain", &ev); err != nil {
 		return nil, err
 	}
 	return &ev, nil
@@ -213,7 +205,7 @@ func (c *Client) Explain(ctx context.Context, id string) (*service.ExplainView, 
 // it to stitch a fleet-wide trace from every replica's spans.
 func (c *Client) TraceSpans(ctx context.Context, traceID string) ([]obs.Span, error) {
 	var spans []obs.Span
-	if err := c.do(ctx, http.MethodGet, "/v1/traces/"+traceID+"?raw=1", "", nil, &spans); err != nil {
+	if err := c.getJSON(ctx, "/v1/traces/"+traceID+"?raw=1", &spans); err != nil {
 		return nil, err
 	}
 	return spans, nil
@@ -223,24 +215,42 @@ func (c *Client) TraceSpans(ctx context.Context, traceID string) ([]obs.Span, er
 // trace-event JSON (GET /v1/traces/{id}).
 func (c *Client) Trace(ctx context.Context, traceID string) ([]byte, error) {
 	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/traces/"+traceID, "", nil, &raw); err != nil {
+	if err := c.getJSON(ctx, "/v1/traces/"+traceID, &raw); err != nil {
 		return nil, err
 	}
 	return raw, nil
 }
 
-// doJSON runs one job-view call through the retry loop.
+// doJSON runs one job-view call through the retry loop and decodes the
+// view with service.ParseJobView.
 func (c *Client) doJSON(ctx context.Context, method, path string, body []byte) (*service.JobView, error) {
-	var v service.JobView
-	if err := c.do(ctx, method, path, "", body, &v); err != nil {
+	raw, err := c.do(ctx, method, path, "", body)
+	if err != nil {
 		return nil, err
 	}
-	return &v, nil
+	v, err := service.ParseJobView(raw.Body)
+	if err != nil {
+		return nil, fmt.Errorf("decode response: %w", err)
+	}
+	return v, nil
 }
 
-// do runs one logical call through the retry loop, decoding the 2xx
-// response into out. A non-empty key is sent in service.KeyHeader.
-func (c *Client) do(ctx context.Context, method, path, key string, body []byte, out any) error {
+// getJSON runs one GET through the retry loop and decodes the answer
+// into out with json.Unmarshal.
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	raw, err := c.do(ctx, http.MethodGet, path, "", nil)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw.Body, out); err != nil {
+		return fmt.Errorf("decode response: %w", err)
+	}
+	return nil
+}
+
+// do runs one logical call through the retry loop and returns its 2xx
+// answer undecoded. A non-empty key is sent in service.KeyHeader.
+func (c *Client) do(ctx context.Context, method, path, key string, body []byte) (*Raw, error) {
 	var lastErr error
 	var slept time.Duration
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -250,30 +260,30 @@ func (c *Client) do(ctx context.Context, method, path, key string, body []byte, 
 			// that no longer fits the remaining budget fails fast with the
 			// last server error instead of sleeping into a lost cause.
 			if slept+d > c.cfg.Budget {
-				return fmt.Errorf("retry budget %s exhausted after %d attempts: %w",
+				return nil, fmt.Errorf("retry budget %s exhausted after %d attempts: %w",
 					c.cfg.Budget, attempt, lastErr)
 			}
 			if err := c.cfg.Sleep(ctx, d); err != nil {
 				// Keep the context error unwrappable (errors.Is) while
 				// recording what the retry loop was waiting out.
-				return fmt.Errorf("backoff before attempt %d interrupted (last error: %v): %w",
+				return nil, fmt.Errorf("backoff before attempt %d interrupted (last error: %v): %w",
 					attempt+1, lastErr, err)
 			}
 			slept += d
 		}
-		err := c.once(ctx, method, path, key, body, out)
+		raw, err := c.once(ctx, method, path, key, body)
 		if err == nil {
-			return nil
+			return raw, nil
 		}
 		if ctx.Err() != nil {
-			return err
+			return nil, err
 		}
 		if !retryable(err) {
-			return err
+			return nil, err
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
 }
 
 // backoff computes the wait before the next try: full jitter over the
@@ -291,24 +301,28 @@ func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 	return d
 }
 
-// maxPresize caps the buffer a raw read allocates up front from the
+// maxPresize caps the buffer a read allocates up front from the
 // answer's declared Content-Length; a longer body still reads whole.
 const maxPresize = 64 << 20
 
-// once performs a single HTTP attempt, decoding a 2xx body into out —
-// or, when out is a *Raw, keeping the status and body bytes. The
-// context's request id and trace context propagate as X-Request-ID
-// and traceparent headers, so the server joins the caller's trace and
-// log story (identifiers only — they never influence the request body,
-// and therefore never the cache or routing key).
-func (c *Client) once(ctx context.Context, method, path, key string, body []byte, out any) error {
+// maxErrorBody caps how much of a non-2xx answer is read for its
+// message.
+const maxErrorBody = 1 << 16
+
+// once performs a single HTTP attempt and returns a 2xx answer's status
+// and body, read whole into one buffer. The context's request id and
+// trace context propagate as X-Request-ID and traceparent headers, so
+// the server joins the caller's trace and log story (identifiers only —
+// they never influence the request body, and therefore never the cache
+// or routing key).
+func (c *Client) once(ctx context.Context, method, path, key string, body []byte) (*Raw, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -324,7 +338,7 @@ func (c *Client) once(ctx context.Context, method, path, key string, body []byte
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
@@ -332,27 +346,29 @@ func (c *Client) once(ctx context.Context, method, path, key string, body []byte
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil {
+		b, err := readBody(io.LimitReader(resp.Body, maxErrorBody), min(resp.ContentLength, maxErrorBody))
+		if err == nil && json.Unmarshal(b, &e) == nil {
 			apiErr.Message = e.Error
 		}
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
 		}
-		return apiErr
+		return nil, apiErr
 	}
-	if raw, ok := out.(*Raw); ok {
-		var buf bytes.Buffer
-		if n := resp.ContentLength; n > 0 && n <= maxPresize {
-			buf.Grow(int(n) + bytes.MinRead) // room for the read that sees EOF
-		}
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			return fmt.Errorf("read response: %w", err)
-		}
-		raw.Status, raw.Body = resp.StatusCode, buf.Bytes()
-		return nil
+	b, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("read response: %w", err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("decode response: %w", err)
+	return &Raw{Status: resp.StatusCode, Body: b}, nil
+}
+
+// readBody reads r whole into one buffer, presized from size, the
+// answer's declared Content-Length (-1 if unknown).
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if size > 0 && size <= maxPresize {
+		buf.Grow(int(size) + bytes.MinRead) // room for the read that sees EOF
 	}
-	return nil
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -382,5 +385,55 @@ func TestRestartBackoffHonorsCancellation(t *testing.T) {
 	}
 	if len(slept) != 1 {
 		t.Fatalf("slept %d times, want exactly the interrupted backoff", len(slept))
+	}
+}
+
+// TestViewReadWhole: a job view is read whole and decoded as
+// json.Unmarshal decodes it, so white space may follow the view but
+// anything else fails the call, which is not retried: the same bytes
+// would come back. An error answer's message is read from its body.
+func TestViewReadWhole(t *testing.T) {
+	for _, tc := range []struct {
+		body   string
+		chunk  bool // no Content-Length: the body is sent chunked
+		wantOK bool
+	}{
+		{"{\"id\": \"j1\", \"state\": \"done\"}\n\r\t ", false, true},
+		{"{\"id\": \"j1\", \"state\": \"done\"}\n", true, true},
+		{`{"id": "j1", "state": "done"} x`, false, false},
+		{`{"id": "j1", "state": "done"}{}`, true, false},
+		{`{"id": "j1", "state": "done"`, false, false},
+	} {
+		var calls atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			if !tc.chunk {
+				w.Header().Set("Content-Length", strconv.Itoa(len(tc.body)))
+			}
+			io.WriteString(w, tc.body)
+		}))
+		var slept []time.Duration
+		v, err := newClient(ts.URL, &slept, Config{}).Map(context.Background(), &service.MapRequest{Circuit: "mux"})
+		ts.Close()
+		if tc.wantOK {
+			if err != nil || v.ID != "j1" || v.State != service.JobDone {
+				t.Errorf("%q: view %+v, err %v", tc.body, v, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "decode response") || calls.Load() != 1 {
+			t.Errorf("%q: err %v after %d calls, want one decode error", tc.body, err, calls.Load())
+		}
+	}
+
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error": "no such circuit"}`, http.StatusBadRequest)
+	}))
+	defer ts.Close()
+	var slept []time.Duration
+	_, err := newClient(ts.URL, &slept, Config{}).Map(context.Background(), &service.MapRequest{Circuit: "nope"})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Message != "no such circuit" {
+		t.Errorf("error answer: %v", err)
 	}
 }

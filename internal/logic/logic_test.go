@@ -210,19 +210,6 @@ func TestLevelsAndDepth(t *testing.T) {
 	}
 }
 
-func TestFanoutAndOutputRefs(t *testing.T) {
-	n := buildMajority(t)
-	counts := n.FanoutCounts()
-	// b feeds two AND gates
-	if counts[1] != 2 {
-		t.Errorf("fanout(b) = %d, want 2", counts[1])
-	}
-	refs := n.OutputRefs()
-	if refs[len(n.Nodes)-1] != 1 {
-		t.Errorf("output refs of root = %d, want 1", refs[len(n.Nodes)-1])
-	}
-}
-
 func TestStatsAndString(t *testing.T) {
 	n := buildMajority(t)
 	s := n.Stats()

@@ -271,29 +271,6 @@ func (n *Network) CheckInputNames(tab *idtab.Table) error {
 	return nil
 }
 
-// FanoutCounts returns per-node fanout counts (gate fanins only;
-// primary-output references are reported separately by OutputRefs). It
-// never mutates the network, so concurrent readers — e.g. parallel
-// mapping runs sharing one network — may call it freely.
-func (n *Network) FanoutCounts() []int {
-	counts := make([]int, len(n.Nodes))
-	for _, node := range n.Nodes {
-		for _, f := range node.Fanin {
-			counts[f]++
-		}
-	}
-	return counts
-}
-
-// OutputRefs returns how many primary outputs each node drives.
-func (n *Network) OutputRefs() []int {
-	refs := make([]int, len(n.Nodes))
-	for _, out := range n.Outputs {
-		refs[out.Node]++
-	}
-	return refs
-}
-
 // Levels returns, for every node, its logic depth: inputs and constants are
 // level 0 and every gate is one more than its deepest fanin.
 func (n *Network) Levels() []int {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -33,32 +34,8 @@ import (
 func ParseRequest(body []byte) (*MapRequest, error) {
 	d := decoder{b: body}
 	req := new(MapRequest)
-	if err := d.request(req); err != nil {
-		return nil, fmt.Errorf("bad request: %w", err)
-	}
-	return req, nil
-}
-
-var errAfterObject = errors.New("data after the JSON object")
-
-// decoder reads one MapRequest from b, at offset off.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-// The JSON names of MapRequest's and RequestOptions' fields, in the
-// order of the cases in request and options.
-var (
-	requestFields = []string{"circuit", "blif", "bench", "algorithm", "options", "timeout_ms", "async"}
-	optionFields  = []string{"max_width", "max_height", "objective", "clock_weight", "depth_weight",
-		"always_footed", "pareto", "tuple_budget", "sequence_aware", "workers", "strash_off"}
-)
-
-func (d *decoder) request(req *MapRequest) error {
-	d.space()
-	if !d.null() {
-		err := d.object(requestFields, func(field int) error {
+	err := d.document(func() error {
+		return d.object(requestFields, func(field int) error {
 			switch field {
 			case 0:
 				return d.str(&req.Circuit)
@@ -69,16 +46,101 @@ func (d *decoder) request(req *MapRequest) error {
 			case 3:
 				return d.str(&req.Algorithm)
 			case 4:
-				return d.options(&req.Options)
+				return pointee(&d, &req.Options, d.options)
 			case 5:
 				return d.num64(&req.TimeoutMS)
 			default:
 				return d.boolean(&req.Async)
 			}
 		})
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bad request: %w", err)
+	}
+	return req, nil
+}
+
+// ParseJobView decodes a job view as soimapd and soirouter write it: the
+// client's one reader of POST /v1/map and GET /v1/jobs/{id} answers.
+//
+// It is ParseRequest's decoder reading as json.Unmarshal reads into a
+// JobView, and it decodes to the same value (FuzzParseJobView holds it
+// to that):
+//   - the value under a key that names no field is checked and skipped;
+//   - null sets a pointer, the gates slice or the phases map to nil and
+//     leaves any other field as it was;
+//   - a repeated object is decoded into the struct or map the first one
+//     made, and a repeated gates array into the slice the first one
+//     filled, each element past its length into the element the backing
+//     array holds there;
+//   - the float fields of Attribution take any number literal in range;
+//   - anything but white space after the view is an error.
+//
+// The view's strings are cut from a few 1 KB chunks, not allocated one
+// by one, and the gates slice is presized from the stats' gate count,
+// which the server writes before the gates.
+func ParseJobView(b []byte) (*JobView, error) {
+	var arena strings.Builder
+	d := decoder{b: b, arena: &arena, skipUnknown: true}
+	v := new(JobView)
+	if err := d.document(func() error { return d.jobView(v) }); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+var errAfterObject = errors.New("data after the JSON object")
+
+// decoder reads one JSON document from b, at offset off.
+type decoder struct {
+	b   []byte
+	off int
+	// arena, when set, holds every string value read: each is cut from
+	// its newest bytes. A strings.Builder only ever appends, so a string
+	// cut from it never changes; a string that does not fit starts a new
+	// chunk. Without an arena each string value gets an allocation of its
+	// own size.
+	arena *strings.Builder
+	// skipUnknown skips the value under a key that names no field, as
+	// json.Unmarshal does, where json.Decoder with DisallowUnknownFields
+	// fails.
+	skipUnknown bool
+	depth       int // objects and arrays open at off
+}
+
+// arenaChunk is the least a decoder's string arena allocates at a time.
+const arenaChunk = 1 << 10
+
+// maxDepth is encoding/json's limit on nested objects and arrays.
+const maxDepth = 10000
+
+// The JSON names of each decoded struct's fields, in the order of the
+// cases that read them.
+var (
+	requestFields = []string{"circuit", "blif", "bench", "algorithm", "options", "timeout_ms", "async"}
+	optionFields  = []string{"max_width", "max_height", "objective", "clock_weight", "depth_weight",
+		"always_footed", "pareto", "tuple_budget", "sequence_aware", "workers", "strash_off"}
+	viewFields = []string{"id", "state", "circuit", "algorithm", "cached", "coalesced", "recovered",
+		"elapsed_ms", "error", "result", "trace_id", "attribution"}
+	resultFields = []string{"circuit", "algorithm", "options", "source", "unate", "duplicated_gates",
+		"strash", "stats", "gates", "degraded"}
+	resultOptionFields = []string{"max_width", "max_height", "objective", "clock_weight", "depth_weight",
+		"always_footed", "pareto", "tuple_budget", "sequence_aware", "strash_off"}
+	networkFields     = []string{"name", "inputs", "outputs", "gates", "depth"}
+	strashFields      = []string{"nodes_in", "nodes_out", "merged", "folded", "dead"}
+	statsFields       = []string{"t_logic", "t_disch", "t_total", "gates", "t_clock", "levels", "input_inverters"}
+	gateFields        = []string{"id", "output", "level", "pulldown", "discharges", "footed", "compound"}
+	compoundFields    = []string{"kind", "stages"}
+	attributionFields = []string{"replica", "trace_id", "cache_tier", "queue_wait_ms", "wall_ms",
+		"phases_ms", "strash_merged", "strash_folded", "strash_dead", "dp_tuples"}
+)
+
+// document reads the whole body: one value, read by value, with nothing
+// but white space around it.
+func (d *decoder) document(value func() error) error {
+	d.space()
+	if err := value(); err != nil {
+		return err
 	}
 	d.space()
 	if d.off < len(d.b) {
@@ -87,17 +149,22 @@ func (d *decoder) request(req *MapRequest) error {
 	return nil
 }
 
-// options reads an options object, into the RequestOptions *opts
-// already points to if any, or null, which resets *opts.
-func (d *decoder) options(opts **RequestOptions) error {
+// pointee reads null, which sets *p to nil, or a value into the T *p
+// points to, made first if *p is nil: a repeated key's object is
+// decoded into the T the first one made, as encoding/json decodes into
+// a pointer.
+func pointee[T any](d *decoder, p **T, read func(*T) error) error {
 	if d.null() {
-		*opts = nil
+		*p = nil
 		return nil
 	}
-	if *opts == nil {
-		*opts = new(RequestOptions)
+	if *p == nil {
+		*p = new(T)
 	}
-	o := *opts
+	return read(*p)
+}
+
+func (d *decoder) options(o *RequestOptions) error {
 	return d.object(optionFields, func(field int) error {
 		switch field {
 		case 0:
@@ -126,35 +193,355 @@ func (d *decoder) options(opts **RequestOptions) error {
 	})
 }
 
-// object reads a JSON object whose keys all name a field in fields,
-// calling member with each key's field index to read its value. A key
-// names fields[i] when the two are equal under Unicode case folding,
-// as encoding/json compares them.
-func (d *decoder) object(fields []string, member func(field int) error) error {
-	if err := d.expect('{', "looking for beginning of object"); err != nil {
-		return err
-	}
-	d.space()
-	if d.peek() == '}' {
-		d.off++
+func (d *decoder) jobView(v *JobView) error {
+	return d.object(viewFields, func(field int) error {
+		switch field {
+		case 0:
+			return d.str(&v.ID)
+		case 1:
+			return d.str((*string)(&v.State))
+		case 2:
+			return d.str(&v.Circuit)
+		case 3:
+			return d.str(&v.Algorithm)
+		case 4:
+			return d.boolean(&v.Cached)
+		case 5:
+			return d.boolean(&v.Coalesced)
+		case 6:
+			return d.boolean(&v.Recovered)
+		case 7:
+			return d.num64(&v.ElapsedMS)
+		case 8:
+			return d.str(&v.Error)
+		case 9:
+			return pointee(d, &v.Result, d.result)
+		case 10:
+			return d.str(&v.TraceID)
+		default:
+			return pointee(d, &v.Attribution, d.attribution)
+		}
+	})
+}
+
+func (d *decoder) result(r *MapResult) error {
+	return d.object(resultFields, func(field int) error {
+		switch field {
+		case 0:
+			return d.str(&r.Circuit)
+		case 1:
+			return d.str(&r.Algorithm)
+		case 2:
+			return d.resultOptions(&r.Options)
+		case 3:
+			return d.network(&r.Source)
+		case 4:
+			return d.network(&r.Unate)
+		case 5:
+			return d.num(&r.Duplicated)
+		case 6:
+			return pointee(d, &r.Strash, d.strash)
+		case 7:
+			return d.stats(&r.Stats)
+		case 8:
+			return d.gates(&r.Gates, r.Stats.Gates)
+		default:
+			return d.boolean(&r.Degraded)
+		}
+	})
+}
+
+func (d *decoder) resultOptions(o *OptionsJSON) error {
+	return d.object(resultOptionFields, func(field int) error {
+		switch field {
+		case 0:
+			return d.num(&o.MaxWidth)
+		case 1:
+			return d.num(&o.MaxHeight)
+		case 2:
+			return d.str(&o.Objective)
+		case 3:
+			return d.num(&o.ClockWeight)
+		case 4:
+			return d.num(&o.DepthWeight)
+		case 5:
+			return d.boolean(&o.AlwaysFooted)
+		case 6:
+			return d.boolean(&o.Pareto)
+		case 7:
+			return d.num(&o.TupleBudget)
+		case 8:
+			return d.boolean(&o.SequenceAware)
+		default:
+			return d.boolean(&o.StrashOff)
+		}
+	})
+}
+
+func (d *decoder) network(n *NetworkJSON) error {
+	return d.object(networkFields, func(field int) error {
+		switch field {
+		case 0:
+			return d.str(&n.Name)
+		case 1:
+			return d.num(&n.Inputs)
+		case 2:
+			return d.num(&n.Outputs)
+		case 3:
+			return d.num(&n.Gates)
+		default:
+			return d.num(&n.Depth)
+		}
+	})
+}
+
+func (d *decoder) strash(s *StrashJSON) error {
+	return d.object(strashFields, func(field int) error {
+		switch field {
+		case 0:
+			return d.num(&s.NodesIn)
+		case 1:
+			return d.num(&s.NodesOut)
+		case 2:
+			return d.num(&s.Merged)
+		case 3:
+			return d.num(&s.Folded)
+		default:
+			return d.num(&s.Dead)
+		}
+	})
+}
+
+func (d *decoder) stats(s *StatsJSON) error {
+	return d.object(statsFields, func(field int) error {
+		switch field {
+		case 0:
+			return d.num(&s.TLogic)
+		case 1:
+			return d.num(&s.TDisch)
+		case 2:
+			return d.num(&s.TTotal)
+		case 3:
+			return d.num(&s.Gates)
+		case 4:
+			return d.num(&s.TClock)
+		case 5:
+			return d.num(&s.Levels)
+		default:
+			return d.num(&s.InputInverters)
+		}
+	})
+}
+
+// gates reads an array of gates, or null, which sets *dst to nil, into
+// *dst as encoding/json decodes into a slice: the slice is reused, an
+// element past its length is decoded into the element its backing array
+// holds there (zero if none), and an empty array makes an empty slice.
+// A full slice grows to hint elements at once, if the bytes left could
+// hold that many, and as append grows it past them.
+func (d *decoder) gates(dst *[]GateJSON, hint int) error {
+	if d.null() {
+		*dst = nil
 		return nil
 	}
-	for {
-		d.space()
+	s := *dst
+	hint = min(hint, (len(d.b)-d.off)/2)
+	n := 0
+	err := d.list('[', ']', func() error {
+		if n == len(s) {
+			if n == cap(s) {
+				s = slices.Grow(s, max(1, hint-n))
+			}
+			s = s[:n+1]
+		}
+		n++
+		return d.gate(&s[n-1])
+	})
+	if err != nil {
+		return err
+	}
+	if n == 0 {
+		s = []GateJSON{}
+	}
+	*dst = s[:n]
+	return nil
+}
+
+func (d *decoder) gate(g *GateJSON) error {
+	return d.object(gateFields, func(field int) error {
+		switch field {
+		case 0:
+			return d.num(&g.ID)
+		case 1:
+			return d.str(&g.Output)
+		case 2:
+			return d.num(&g.Level)
+		case 3:
+			return d.num(&g.Pulldown)
+		case 4:
+			return d.num(&g.Discharges)
+		case 5:
+			return d.boolean(&g.Footed)
+		default:
+			return pointee(d, &g.Compound, d.compound)
+		}
+	})
+}
+
+func (d *decoder) compound(c *CompoundJSON) error {
+	return d.object(compoundFields, func(field int) error {
+		if field == 0 {
+			return d.str(&c.Kind)
+		}
+		return d.num(&c.Stages)
+	})
+}
+
+func (d *decoder) attribution(a *Attribution) error {
+	return d.object(attributionFields, func(field int) error {
+		switch field {
+		case 0:
+			return d.str(&a.Replica)
+		case 1:
+			return d.str(&a.TraceID)
+		case 2:
+			return d.str(&a.CacheTier)
+		case 3:
+			return d.float(&a.QueueWaitMS)
+		case 4:
+			return d.float(&a.WallMS)
+		case 5:
+			return d.phases(&a.PhasesMS)
+		case 6:
+			return d.num64(&a.StrashMerged)
+		case 7:
+			return d.num64(&a.StrashFolded)
+		case 8:
+			return d.num64(&a.StrashDead)
+		default:
+			return d.num64(&a.DPTuples)
+		}
+	})
+}
+
+// phases reads an object of phase times, or null, which sets *m to nil,
+// into the map *m, made if nil. A null time is stored as 0, as
+// encoding/json stores a map element.
+func (d *decoder) phases(m *map[string]float64) error {
+	if d.null() {
+		*m = nil
+		return nil
+	}
+	if *m == nil {
+		*m = make(map[string]float64)
+	}
+	return d.list('{', '}', func() error {
 		key, err := d.key()
 		if err != nil {
 			return err
 		}
-		i := slices.IndexFunc(fields, func(f string) bool { return bytes.EqualFold(key, []byte(f)) })
-		if i < 0 {
-			return fmt.Errorf("json: unknown field %q", key)
-		}
-		d.space()
-		if err := d.expect(':', "after object key"); err != nil {
+		if err := d.colon(); err != nil {
 			return err
 		}
+		var ms float64
+		if err := d.float(&ms); err != nil {
+			return err
+		}
+		(*m)[d.text(key, len(key), true)] = ms
+		return nil
+	})
+}
+
+// object reads a JSON object whose keys each name a field in fields, or
+// null, which leaves the fields as they were. member reads the value of
+// each key with its field's index. A key names fields[i] when the two
+// are equal under Unicode case folding, as encoding/json compares them.
+// The value of a key that names no field is skipped under skipUnknown
+// and an error otherwise.
+func (d *decoder) object(fields []string, member func(field int) error) error {
+	if d.null() {
+		return nil
+	}
+	next := 0
+	return d.list('{', '}', func() error {
+		i, key, err := d.field(fields, next)
+		if err != nil {
+			return err
+		}
+		if i < 0 && !d.skipUnknown {
+			return fmt.Errorf("json: unknown field %q", key)
+		}
+		if err := d.colon(); err != nil {
+			return err
+		}
+		if i < 0 {
+			return d.skip()
+		}
+		next = i + 1
+		return member(i)
+	})
+}
+
+// field reads an object key and returns the index of the field in
+// fields it names, or -1, and the key. It tries fields[next] first: a
+// key that is its name quoted, as a writer that follows the field order
+// spells each key, is matched without a scan.
+func (d *decoder) field(fields []string, next int) (int, []byte, error) {
+	if next < len(fields) {
+		f, i := fields[next], d.off+1
+		if end := i + len(f); end < len(d.b) && d.b[d.off] == '"' && string(d.b[i:end]) == f && d.b[end] == '"' {
+			d.off = end + 1
+			return next, d.b[i:end], nil
+		}
+	}
+	key, err := d.key()
+	if err != nil {
+		return 0, nil, err
+	}
+	for i := range fields {
+		if i += next; i >= len(fields) {
+			i -= len(fields)
+		}
+		if string(key) == fields[i] || bytes.EqualFold(key, []byte(fields[i])) {
+			return i, key, nil
+		}
+	}
+	return -1, key, nil
+}
+
+// colon reads the colon after an object key and the white space around
+// it.
+func (d *decoder) colon() error {
+	d.space()
+	if err := d.expect(':', "after object key"); err != nil {
+		return err
+	}
+	d.space()
+	return nil
+}
+
+// list reads a JSON object or array, opened by open and closed by
+// close, calling each to read every member or element.
+func (d *decoder) list(open, close byte, each func() error) error {
+	if d.peek() != open {
+		if open == '{' {
+			return d.mistyped("an object")
+		}
+		return d.mistyped("an array")
+	}
+	d.off++
+	if err := d.nest(); err != nil {
+		return err
+	}
+	d.space()
+	if d.peek() == close {
+		d.off++
+		d.depth--
+		return nil
+	}
+	for {
 		d.space()
-		if err := member(i); err != nil {
+		if err := each(); err != nil {
 			return err
 		}
 		d.space()
@@ -162,7 +549,39 @@ func (d *decoder) object(fields []string, member func(field int) error) error {
 			d.off++
 			continue
 		}
-		return d.expect('}', "after object key:value pair")
+		if err := d.expect(close, "after object member or array element"); err != nil {
+			return err
+		}
+		d.depth--
+		return nil
+	}
+}
+
+// nest counts an object or array opened, failing past maxDepth.
+func (d *decoder) nest() error {
+	if d.depth++; d.depth > maxDepth {
+		return errors.New("json: exceeded max depth")
+	}
+	return nil
+}
+
+// skip reads any JSON value and discards it.
+func (d *decoder) skip() error {
+	switch c := d.peek(); {
+	case c == '{':
+		return d.object(nil, nil)
+	case c == '[':
+		return d.list('[', ']', d.skip)
+	case c == '"':
+		_, _, _, err := d.scanString()
+		return err
+	case c == '-' || isDigit(c):
+		_, _, err := d.number()
+		return err
+	case d.literal("true"), d.literal("false"), d.null():
+		return nil
+	default:
+		return d.syntax("looking for beginning of value")
 	}
 }
 
@@ -175,7 +594,10 @@ func (d *decoder) key() ([]byte, error) {
 	if err != nil || plain {
 		return raw, err
 	}
-	return []byte(unescape(raw, n)), nil
+	var sb strings.Builder
+	sb.Grow(n)
+	unescape(&sb, raw)
+	return []byte(sb.String()), nil
 }
 
 // str reads a string or null into *dst; null leaves it as it was.
@@ -190,12 +612,32 @@ func (d *decoder) str(dst *string) error {
 	if err != nil {
 		return err
 	}
-	if plain {
-		*dst = string(raw)
-	} else {
-		*dst = unescape(raw, n)
-	}
+	*dst = d.text(raw, n, plain)
 	return nil
+}
+
+// text returns the string scanString read as raw, n bytes once
+// unescaped, which plain says raw already is: cut from the arena when
+// the decoder has one, else in a string of its own.
+func (d *decoder) text(raw []byte, n int, plain bool) string {
+	sb := d.arena
+	switch {
+	case sb == nil:
+		sb = new(strings.Builder)
+	case sb.Cap()-sb.Len() < n:
+		// A new chunk, not a grown copy: the strings cut so far keep
+		// the old one.
+		*sb = strings.Builder{}
+		sb.Grow(max(n, arenaChunk))
+	}
+	start := sb.Len()
+	sb.Grow(n)
+	if plain {
+		sb.Write(raw)
+	} else {
+		unescape(sb, raw)
+	}
+	return sb.String()[start:]
 }
 
 // boolean reads true, false or null into *dst; null leaves it as it
@@ -237,25 +679,26 @@ func (d *decoder) integer(bits int) (v int64, ok bool, err error) {
 		return 0, false, nil
 	}
 	start := d.off
-	if d.peek() == '-' {
-		d.off++
+	lit, whole, err := d.number()
+	if err != nil {
+		return 0, false, err
 	}
-	if c := d.peek(); c < '0' || c > '9' {
-		if d.off > start {
-			return 0, false, d.syntax("in numeric literal")
-		}
-		return 0, false, d.mistyped("an integer")
-	}
-	if d.b[d.off] == '0' {
-		d.off++
-	} else {
-		for c := d.peek(); c >= '0' && c <= '9'; c = d.peek() {
-			d.off++
-		}
-	}
-	lit := d.b[start:d.off]
-	if c := d.peek(); c == '.' || c == 'e' || c == 'E' {
+	if !whole {
 		return 0, false, fmt.Errorf("json: number at offset %d is not an integer", start)
+	}
+	// Nine digits fit in any int; a longer literal is range-checked.
+	digits := lit
+	if lit[0] == '-' {
+		digits = lit[1:]
+	}
+	if len(digits) <= 9 {
+		for _, c := range digits {
+			v = v*10 + int64(c-'0')
+		}
+		if len(digits) < len(lit) {
+			v = -v
+		}
+		return v, true, nil
 	}
 	v, err = strconv.ParseInt(string(lit), 10, bits)
 	if err != nil {
@@ -263,6 +706,77 @@ func (d *decoder) integer(bits int) (v int64, ok bool, err error) {
 	}
 	return v, true, nil
 }
+
+// float reads a number or null into *dst; null leaves it as it was.
+func (d *decoder) float(dst *float64) error {
+	if d.null() {
+		return nil
+	}
+	lit, _, err := d.number()
+	if err != nil {
+		return err
+	}
+	v, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return fmt.Errorf("json: number %s out of range", lit)
+	}
+	*dst = v
+	return nil
+}
+
+// number reads a number literal as JSON's grammar spells it and returns
+// it, and whether it is an integer literal: an optional minus and an
+// integer part without leading zeros, with no fraction or exponent after.
+func (d *decoder) number() (lit []byte, whole bool, err error) {
+	b, start := d.b, d.off
+	i := start
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i == len(b) || !isDigit(b[i]):
+		d.off = i
+		if i > start {
+			return nil, false, d.syntax("in numeric literal")
+		}
+		return nil, false, d.mistyped("a number")
+	case b[i] == '0':
+		i++
+	default:
+		i = digits(b, i)
+	}
+	whole = true
+	if i < len(b) && b[i] == '.' {
+		if i++; i == len(b) || !isDigit(b[i]) {
+			d.off = i
+			return nil, false, d.syntax("after decimal point in numeric literal")
+		}
+		i, whole = digits(b, i), false
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i == len(b) || !isDigit(b[i]) {
+			d.off = i
+			return nil, false, d.syntax("in exponent of numeric literal")
+		}
+		i, whole = digits(b, i), false
+	}
+	d.off = i
+	return b[start:i], whole, nil
+}
+
+// digits returns the offset of the first byte at or after i in b that
+// is not a decimal digit.
+func digits(b []byte, i int) int {
+	for i < len(b) && isDigit(b[i]) {
+		i++
+	}
+	return i
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // scanString reads the JSON string at d.off and returns its raw
 // contents between the quotes, the length of their unescaped form, and
@@ -318,12 +832,10 @@ func (d *decoder) scanString() (raw []byte, n int, plain bool, err error) {
 	return nil, 0, false, errUnexpectedEnd
 }
 
-// unescape decodes the raw contents of a JSON string that scanString
-// accepted into a string of its unescaped length n: escapes decoded,
-// invalid UTF-8 replaced byte by byte with U+FFFD.
-func unescape(raw []byte, n int) string {
-	var sb strings.Builder
-	sb.Grow(n)
+// unescape writes the contents of a JSON string that scanString
+// accepted as raw to sb: escapes decoded, invalid UTF-8 replaced byte by
+// byte with U+FFFD.
+func unescape(sb *strings.Builder, raw []byte) {
 	for i := 0; i < len(raw); {
 		j := i
 		for j < len(raw) && literalByte[raw[j]] {
@@ -348,7 +860,6 @@ func unescape(raw []byte, n int) string {
 		sb.WriteByte(simpleEscapes[raw[i+1]])
 		i += 2
 	}
-	return sb.String()
 }
 
 // literalByte marks the bytes that stand for themselves in a JSON
@@ -407,16 +918,27 @@ func hex4(s []byte) rune {
 
 var errUnexpectedEnd = errors.New("unexpected end of JSON input")
 
+// A run of indentation is skipped eight spaces at a time.
 func (d *decoder) space() {
-	for d.off < len(d.b) {
-		switch d.b[d.off] {
-		case ' ', '\t', '\r', '\n':
-			d.off++
-		default:
-			return
+	b, i := d.b, d.off
+	for i < len(b) && b[i] <= ' ' {
+		if i+8 <= len(b) && binary.LittleEndian.Uint64(b[i:]) == eightSpaces {
+			i += 8
+			continue
 		}
+		if spaceBytes>>b[i]&1 == 0 {
+			break
+		}
+		i++
 	}
+	d.off = i
 }
+
+const (
+	// spaceBytes has bit c set for each byte c that is JSON white space.
+	spaceBytes  = 1<<' ' | 1<<'\t' | 1<<'\r' | 1<<'\n'
+	eightSpaces = 0x2020202020202020
+)
 
 // peek returns the byte at d.off, or 0 at the end of the body.
 func (d *decoder) peek() byte {
@@ -436,14 +958,14 @@ func (d *decoder) expect(c byte, context string) error {
 
 // literal consumes lit if the body holds it at d.off.
 func (d *decoder) literal(lit string) bool {
-	if !bytes.HasPrefix(d.b[d.off:], []byte(lit)) {
+	if len(d.b)-d.off < len(lit) || string(d.b[d.off:d.off+len(lit)]) != lit {
 		return false
 	}
 	d.off += len(lit)
 	return true
 }
 
-func (d *decoder) null() bool { return d.literal("null") }
+func (d *decoder) null() bool { return d.peek() == 'n' && d.literal("null") }
 
 // syntax reports the byte at d.off as encoding/json's scanner words it.
 func (d *decoder) syntax(context string) error {

@@ -11,6 +11,7 @@ import (
 
 	builtin "soidomino/internal/bench"
 	"soidomino/internal/blif"
+	"soidomino/internal/logic"
 )
 
 // decodeOracle is the decoder ParseRequest replaces: json.Decoder with
@@ -38,15 +39,20 @@ var fleetHitCircuits = []string{"frg1", "t481", "c8", "b9", "c432", "x-csa16", "
 // submitted as inline BLIF.
 func blifBody(tb testing.TB, circuit string) []byte {
 	tb.Helper()
-	var b bytes.Buffer
-	if err := blif.Write(&b, builtin.MustBuild(circuit)); err != nil {
-		tb.Fatal(err)
-	}
-	body, err := json.Marshal(&MapRequest{BLIF: b.String()})
+	body, err := requestBody(builtin.MustBuild(circuit))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return body
+}
+
+// requestBody is the request body client.Map sends for n as inline BLIF.
+func requestBody(n *logic.Network) ([]byte, error) {
+	var b bytes.Buffer
+	if err := blif.Write(&b, n); err != nil {
+		return nil, err
+	}
+	return json.Marshal(&MapRequest{BLIF: b.String()})
 }
 
 // decodeEdgeCases are bodies on which a decoder most easily parts from
